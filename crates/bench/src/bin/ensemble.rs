@@ -13,10 +13,11 @@
 //! * **naive** — one single-mode run per (cosmology, k) task, tables
 //!   rebuilt inside every task: the Pool-over-flattened-grid loop a
 //!   sweep script reaches for first (shards × modes table builds);
-//! * **fresh** — one farm spawned per cosmology, cold caches each
-//!   time (shards × workers builds);
+//! * **fresh** — one farm spawned per cosmology, cold tables each
+//!   time (shards builds, every rank waiting on its farm's one);
 //! * **warm** — one persistent pool running the whole ensemble through
-//!   the shard queue, contexts prefetched on tag-13 hints.
+//!   the shard queue, each shard's tables built one shard ahead by the
+//!   one rank that claims the tag-13 hint (shards builds, overlapped).
 //!
 //! All three must produce the cube bit-for-bit identically (checked
 //! here via the canonical real-vector hash); the measured differences
@@ -119,9 +120,9 @@ fn main() {
         push_transfer(&mut fresh_cube, &rep.outputs);
     }
     let fresh_s = t0.elapsed().as_secs_f64();
-    println!("# fresh farms: {fresh_s:.2} s ({n} spawns, cold caches)");
+    println!("# fresh farms: {fresh_s:.2} s ({n} spawns, cold tables)");
 
-    // --- one warm pool, shard queue + prefetch ------------------------
+    // --- one warm pool, shard queue + next-shard hints ----------------
     let t0 = std::time::Instant::now();
     let mut pool = FarmPool::<ChannelWorld>::start(workers).expect("pool start");
     let rep = run_ensemble(

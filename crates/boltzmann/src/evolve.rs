@@ -15,6 +15,11 @@ use crate::source::{SourceRecorder, SpectrumMethod, LOS_LMAX};
 /// `max(k, ℋ)·τ_c < EPS_TCA`.
 const EPS_TCA: f64 = 0.008;
 
+/// Largest `|Ω_k|` the flat-space perturbation equations are run at;
+/// [`evolve_mode_scratch`] asserts on it, so anything that takes a
+/// cosmology from outside the program checks against it first.
+pub const FLATNESS_TOLERANCE: f64 = 1.0e-3;
+
 /// Accuracy / hierarchy-size presets.
 ///
 /// `Production` mirrors the paper's high-accuracy settings scaled to a
@@ -199,7 +204,7 @@ pub fn evolve_mode_scratch(
     // the perturbation equations are the flat-space MB95 set; the
     // hyperspherical generalization for open/closed models is out of scope
     assert!(
-        bg.params().omega_k().abs() < 1.0e-3,
+        bg.params().omega_k().abs() < FLATNESS_TOLERANCE,
         "perturbation evolution requires a flat background (Ω_k = {})",
         bg.params().omega_k()
     );

@@ -46,6 +46,7 @@ pub mod source;
 
 pub use evolve::{
     evolve_mode, evolve_mode_observed, evolve_mode_scratch, EvolveError, ModeConfig, Preset,
+    FLATNESS_TOLERANCE,
 };
 pub use initial::InitialConditions;
 pub use layout::{Gauge, StateLayout};

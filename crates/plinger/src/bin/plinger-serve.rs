@@ -544,6 +544,19 @@ fn handle_connection<W: World>(
     }
 }
 
+/// Count and log a request refused at admission — undecodable, or a
+/// cosmology no worker can evolve — before it could wait for the
+/// service lock or reach the pool.
+fn refuse(metrics: &ServiceMetrics, err: &ServiceError) {
+    metrics.errors.inc();
+    tlog::log(
+        Level::Error,
+        "service",
+        "request_failed",
+        &[("error", err.message.clone())],
+    );
+}
+
 /// Refuse one over-limit request: count it, log it, and build the
 /// typed `busy` frame whose retry hint scales with the excess load.
 fn shed(metrics: &ServiceMetrics, depth: u64, queue_limit: u64) -> ServiceError {
@@ -586,19 +599,15 @@ fn answer_spectrum<W: World>(
         metrics.total_ns.record(elapsed_ns(t_accept));
     };
 
-    let req = match SpectrumRequest::decode(data) {
+    let req = SpectrumRequest::decode(data)
+        .map_err(|e| ServiceError::new(ErrorCode::BadRequest, spec_error_text(&e)))
+        .and_then(|req| req.admit().map(|()| req));
+    let req = match req {
         Ok(req) => req,
-        Err(e) => {
-            let text = spec_error_text(&e);
-            metrics.errors.inc();
-            tlog::log(
-                Level::Error,
-                "service",
-                "request_failed",
-                &[("error", text.clone())],
-            );
+        Err(err) => {
+            refuse(metrics, &err);
             finish();
-            return Err(ServiceError::new(ErrorCode::BadRequest, text));
+            return Err(err);
         }
     };
     let deadline = req
@@ -727,19 +736,14 @@ fn answer_ensemble<W: World>(
         metrics.leave_queue();
         metrics.total_ns.record(elapsed_ns(t_accept));
     };
-    let req = match EnsembleRequest::decode(data) {
+    let req = EnsembleRequest::decode(data)
+        .map_err(|e| ServiceError::new(ErrorCode::BadRequest, format!("bad ensemble request: {e}")))
+        .and_then(|req| req.admit().map(|()| req));
+    let req = match req {
         Ok(req) => req,
-        Err(e) => {
-            let text = format!("bad ensemble request: {e}");
-            metrics.errors.inc();
-            tlog::log(
-                Level::Error,
-                "service",
-                "request_failed",
-                &[("error", text.clone())],
-            );
+        Err(err) => {
+            refuse(metrics, &err);
             finish();
-            let err = ServiceError::new(ErrorCode::BadRequest, text);
             return send_frame(stream, TAG_RESP_ERROR, &err.encode());
         }
     };

@@ -17,13 +17,16 @@
 //!   [`run_job`](crate::FarmPool::run_job) calls (pinned per transport
 //!   in `tests/ensemble_pinning.rs`).  Shard priorities reorder which
 //!   shard runs *when*, never what a shard computes.
-//! * **Amortized, overlapped context builds** — each shard's release
-//!   messages carry a tag-13 prefetch hint naming the *next* shard, so
-//!   workers build the next cosmology's background/thermo tables while
-//!   their peers finish the current shard's tail chunks.  The rebuild
-//!   moves off the critical path: prefetched jobs report
-//!   `ctx_rebuilds == 0` and the work shows up as
-//!   [`prefetch_builds`](crate::WorkerStats::prefetch_builds) instead.
+//! * **One context build per cosmology, one shard ahead** — every
+//!   shard opens with a tag-13 hint naming the *next* shard, sent to
+//!   each rank just before its tag-10 job start.  The pool's ranks share
+//!   one [`TableCache`](crate::TableCache), so exactly one of them
+//!   claims the hint and builds the next cosmology's background/thermo
+//!   tables while the others start on this shard's largest modes; the
+//!   next shard then opens with `ctx_rebuilds == 0` everywhere and the
+//!   build shows up as this shard's one
+//!   [`prefetch_builds`](crate::WorkerStats::prefetch_builds).  A sweep
+//!   of `n` shards builds `n` contexts per process.
 //! * **Two-level recovery** — inside a shard the existing
 //!   requeue/heartbeat/respawn machinery applies unchanged, and each
 //!   shard keeps its own recovery ledger (its [`FarmReport`]); a shard
@@ -262,10 +265,6 @@ pub struct EnsembleOptions {
     /// queue until it has been attempted this many times, then recorded
     /// in [`EnsembleReport::failed`].  Minimum 1.
     pub max_shard_attempts: usize,
-    /// Append a tag-13 next-shard prefetch hint to each shard's release
-    /// messages (on by default; turn off to measure the unamortized
-    /// baseline).
-    pub prefetch: bool,
 }
 
 impl Default for EnsembleOptions {
@@ -274,7 +273,6 @@ impl Default for EnsembleOptions {
             policy: SchedulePolicy::LargestFirst,
             priorities: None,
             max_shard_attempts: 2,
-            prefetch: true,
         }
     }
 }
@@ -325,12 +323,14 @@ pub struct EnsembleReport {
     pub wall_seconds: f64,
     /// Whole-shard requeues taken (0 on an undisturbed sweep).
     pub shard_requeues: usize,
-    /// Critical-path context rebuilds summed over all shard reports.
-    /// With prefetch on, this stays well below `shards × workers` —
-    /// the measured amortization of the two-level scheduler.
+    /// Table builds done at a shard's start, summed over all shard
+    /// reports: cosmologies no hint had announced (the sweep's first
+    /// shard, and any shard whose hint was lost).
     pub ctx_rebuilds: usize,
-    /// Context builds that ran off the critical path (while workers
-    /// were parked between shards, answering prefetch hints).
+    /// Table builds done answering next-shard hints, one shard ahead of
+    /// their use.  `ctx_rebuilds + prefetch_builds` is builds per
+    /// process: `n_shards` on an undisturbed sweep over a thread pool,
+    /// `n_shards × workers` over a [`TcpFarmPool`]'s child processes.
     pub prefetch_builds: usize,
 }
 
@@ -428,11 +428,7 @@ pub fn run_ensemble<P: ShardRunner>(
         let spec = ens.shard_spec(si);
         let job = job_hash(&spec);
         let label = tlog::shard_label(sweep, si);
-        let prefetch_spec = if opts.prefetch {
-            queue.front().map(|&nj| ens.shard_spec(nj))
-        } else {
-            None
-        };
+        let prefetch_spec = queue.front().map(|&nj| ens.shard_spec(nj));
         tlog::log(
             Level::Info,
             "ensemble",
@@ -739,20 +735,6 @@ mod tests {
             );
         }
         assert_eq!(pool.prefetches[n - 1], None, "last shard has no successor");
-
-        // and prefetch can be disabled for baseline measurements
-        let mut pool = ScriptedPool {
-            poisoned: 0,
-            failures_left: 0,
-            jobs: Vec::new(),
-            prefetches: Vec::new(),
-        };
-        let opts = EnsembleOptions {
-            prefetch: false,
-            ..EnsembleOptions::default()
-        };
-        run_ensemble(&mut pool, &ens, &opts, &JobControl::default()).unwrap();
-        assert!(pool.prefetches.iter().all(Option::is_none));
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::protocol::RunSpec;
 use crate::recovery::{RecoveryLog, RecoveryPolicy, WorkerEvent};
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
+use crate::tables::TableCache;
 use crate::worker::{worker_pool_session, worker_session, WorkerFault, WorkerStats};
 
 /// Timing and throughput report of a farm run — the quantities Figure 1
@@ -241,6 +242,9 @@ pub struct Farm<W: World> {
     n_workers: usize,
     config: MasterConfig,
     fault: Option<FaultPlan>,
+    /// The physics tables this farm's worker threads share: one build
+    /// per cosmology per farm, not one per rank.
+    tables: TableCache,
     _world: PhantomData<W>,
 }
 
@@ -252,6 +256,7 @@ impl<W: World> Farm<W> {
             n_workers,
             config: MasterConfig::default(),
             fault: None,
+            tables: TableCache::new(),
             _world: PhantomData,
         }
     }
@@ -350,6 +355,7 @@ impl<W: World> Farm<W> {
             .map(|_| Arc::new(AtomicBool::new(true)))
             .collect();
         let fault = self.fault;
+        let tables = &self.tables;
 
         let mut session: Option<Result<FarmReport, FarmError>> = None;
         std::thread::scope(|scope| {
@@ -360,7 +366,7 @@ impl<W: World> Farm<W> {
                     let flag = Arc::clone(&alive[i]);
                     let worker_fault = fault.and_then(|f| f.worker_fault(i + 1));
                     scope.spawn(move || {
-                        let out = worker_session(&mut ep, worker_fault, epoch);
+                        let out = worker_session(&mut ep, worker_fault, epoch, tables);
                         flag.store(false, Ordering::SeqCst);
                         out
                     })
@@ -771,7 +777,9 @@ pub(crate) fn watch_tcp_children(
 /// Runs the *persistent* worker session, which is wire-compatible with
 /// a one-shot master (tag 1 opens the job, tag 6 releases it and ends
 /// the session) and additionally serves back-to-back tag-10 jobs from
-/// a TCP farm pool with its physics caches warm between them.
+/// a TCP farm pool.  The process owns its own [`TableCache`], so its
+/// physics tables stay warm between jobs and each tag-13 hint is its
+/// alone to claim.
 pub fn run_tcp_worker(
     addr: SocketAddr,
     rank: Rank,
@@ -779,7 +787,7 @@ pub fn run_tcp_worker(
     fault: Option<WorkerFault>,
 ) -> Result<(), FarmError> {
     let mut ep = connect_worker(addr, rank, size).map_err(FarmError::Setup)?;
-    worker_pool_session(&mut ep, fault, Instant::now())?;
+    worker_pool_session(&mut ep, fault, Instant::now(), &TableCache::new())?;
     Ok(())
 }
 

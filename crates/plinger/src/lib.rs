@@ -36,6 +36,7 @@ pub mod report;
 pub mod schedule;
 pub mod service;
 pub mod simulate;
+pub mod tables;
 pub mod worker;
 
 pub use ensemble::{
@@ -48,8 +49,8 @@ pub use farm::{
     TcpFarmOptions,
 };
 pub use master::{
-    master_job_session, master_job_session_prefetch, master_loop, master_session, JobControl,
-    MasterConfig, MasterLedger, SessionKind,
+    master_job_session, master_loop, master_session, JobControl, MasterConfig, MasterLedger,
+    SessionKind,
 };
 pub use pool::{FarmPool, PoolOptions, PoolShutdown, Session, TcpFarmPool};
 pub use protocol::{
@@ -68,7 +69,8 @@ pub use service::{
     TAG_RESP_SPECTRUM,
 };
 pub use simulate::{simulate_farm, synthetic_costs, SimParams, SimResult};
+pub use tables::{PhysicsTables, TableCache};
 pub use worker::{
-    worker_loop, worker_loop_limited, worker_pool_session, worker_session, PoolWorkerOutcome,
-    WorkerContext, WorkerFault, WorkerOutcome, WorkerStats,
+    worker_loop, worker_pool_session, worker_session, PoolWorkerOutcome, WorkerFault,
+    WorkerOutcome, WorkerStats,
 };

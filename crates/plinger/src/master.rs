@@ -206,11 +206,14 @@ struct Session {
     idle_since: Option<Instant>,
     /// Accumulated idle seconds.
     idle_seconds: f64,
-    /// Encoded spec of the *next* job, appended as a tag-13 prefetch
-    /// hint to each pooled release so the worker warms the next job's
-    /// physics tables while its peers finish this job's tail chunks.
-    /// `None` (the default) sends no hint; one-shot sessions ignore it.
-    prefetch_wire: Option<Vec<f64>>,
+    /// Ranks offered this job that have not yet sent their first work
+    /// request.  Each is owed one mode: the queue's last
+    /// `awaiting.len()` modes are held back from ranks asking for more,
+    /// so a rank that arrives late — the one that claimed a tag-13 hint
+    /// spends a table build first — is still dealt work whenever the
+    /// grid has a mode per rank.  Fault plans that kill a rank "on its
+    /// first assignment" rest on this being a guarantee, not a race.
+    awaiting: HashSet<Rank>,
     /// Canonical request identity ([`job_hash`] of the spec, rendered
     /// as 16 hex digits) — stamped on every span and log event this
     /// session records, so one request's trail is filterable
@@ -265,15 +268,21 @@ impl Session {
     /// Reply to a ready worker: next assignment (a chunk of up to
     /// `self.chunk` modes in one tag-3 message), or stop.  A worker
     /// still part-way through a chunk gets nothing — it is refilled
-    /// only once its last in-flight mode resolves.  Under the Requeue
-    /// policy a worker with no pending work is *parked* (no reply yet)
-    /// while other workers still carry modes that may come back to the
-    /// queue.
+    /// only once its last in-flight mode resolves.  A worker with no
+    /// work to take is *parked* (no reply yet) while the queue still
+    /// holds modes owed to ranks in `awaiting`, or, under the Requeue
+    /// policy, while other workers still carry modes that may come back
+    /// to the queue.
     fn dispatch<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
         if !self.in_flight[rank - 1].is_empty() {
             return Ok(());
         }
-        let iks = self.queue.pop_chunk(self.chunk);
+        let spare = self.queue.len().saturating_sub(self.awaiting.len());
+        let iks = if spare == 0 {
+            Vec::new()
+        } else {
+            self.queue.pop_chunk(self.chunk.min(spare))
+        };
         if !iks.is_empty() {
             let t0 = Instant::now();
             let wire: Vec<f64> = iks.iter().map(|&ik| ik as f64).collect();
@@ -298,7 +307,7 @@ impl Session {
                     ("job", self.job.clone()),
                 ],
             );
-        } else if self.policy.recovers() && !self.all_settled() {
+        } else if !self.queue.is_empty() || (self.policy.recovers() && !self.all_settled()) {
             self.parked.insert(rank);
         } else {
             self.release(t, rank)?;
@@ -306,18 +315,22 @@ impl Session {
         Ok(())
     }
 
-    /// Send a rank its release and, for pooled sessions with a next-job
-    /// hint set, follow it with a tag-13 prefetch so the worker warms
-    /// the next job's physics tables while it parks.  The hint is
-    /// best-effort: a rank that cannot take it is already being handled
-    /// by the watch, and the next job re-announces its spec anyway.
+    /// Send a rank its release (tag 6 one-shot, tag 11 pooled).
     fn release<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
         mysendreal(t, &[0.0], self.release_tag, rank)?;
         self.stopped.insert(rank);
-        if self.release_tag == TAG_JOBDONE {
-            if let Some(wire) = self.prefetch_wire.as_ref() {
-                let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
-            }
+        Ok(())
+    }
+
+    /// Offer every parked worker the queue again — after a requeue, or
+    /// once a rank the queue's tail was held back for has been dealt
+    /// its mode or died.  Lowest rank first, so who takes scarce work
+    /// does not depend on hash order.
+    fn wake_parked<T: Transport>(&mut self, t: &mut T) -> Result<(), FarmError> {
+        let mut ranks: Vec<Rank> = self.parked.drain().collect();
+        ranks.sort_unstable();
+        for rank in ranks {
+            self.dispatch(t, rank)?;
         }
         Ok(())
     }
@@ -345,19 +358,6 @@ impl Session {
         // first mode first in the queue
         for &ik in chunk.iter().rev() {
             self.requeue_or_quarantine(t, ik, reason)?;
-        }
-        Ok(())
-    }
-
-    /// Release every parked worker with a stop (called once all modes
-    /// are settled).
-    fn stop_parked<T: Transport>(&mut self, t: &mut T) -> Result<(), FarmError> {
-        if self.parked.is_empty() {
-            return Ok(());
-        }
-        let ranks: Vec<Rank> = self.parked.drain().collect();
-        for rank in ranks {
-            self.release(t, rank)?;
         }
         Ok(())
     }
@@ -430,10 +430,7 @@ impl Session {
                     ("reason", reason.to_string()),
                 ],
             );
-            let parked: Vec<Rank> = self.parked.drain().collect();
-            for rank in parked {
-                self.dispatch(t, rank)?;
-            }
+            self.wake_parked(t)?;
         }
         Ok(())
     }
@@ -460,7 +457,12 @@ impl Session {
             ],
         );
         self.parked.remove(&rank);
-        self.recover_chunk(t, rank, reason)
+        self.recover_chunk(t, rank, reason)?;
+        if self.awaiting.remove(&rank) {
+            // the mode held back for it is anyone's now
+            self.wake_parked(t)?;
+        }
+        Ok(())
     }
 
     /// Fold a batch of watch events into the session.  Returns
@@ -744,6 +746,7 @@ pub fn master_session<T: Transport>(
         epoch,
         SessionKind::OneShot,
         &JobControl::default(),
+        None,
     )
 }
 
@@ -754,34 +757,21 @@ pub fn master_session<T: Transport>(
 /// fresh here, which is what makes a pooled session *reset* without
 /// tearing anything down: the state lives on the stack of this call,
 /// not in the world.  Only the transport endpoints (and, worker-side,
-/// the warm physics caches) persist between calls.
+/// the process's table cache) persist between calls.
 ///
 /// `ctrl` is checked once per poll interval; a fired deadline or cancel
 /// flag cancels the job cooperatively (see [`JobControl`]).
+///
+/// `prefetch` names the *next* job, if the caller knows it: a
+/// [`SessionKind::Pooled`] session then sends every live rank a tag-13
+/// [`TAG_PREFETCH`] carrying that spec immediately before its tag-10
+/// job start, so one worker per process builds the next job's physics
+/// tables while its peers start on this job's largest modes.  This is
+/// the ensemble scheduler's overlap mechanism; it never changes results
+/// (tables depend on the cosmology alone) and one-shot sessions ignore
+/// it.
 #[allow(clippy::too_many_arguments)]
 pub fn master_job_session<T: Transport>(
-    t: &mut T,
-    spec: &RunSpec,
-    policy: SchedulePolicy,
-    cfg: &MasterConfig,
-    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
-    epoch: Instant,
-    kind: SessionKind,
-    ctrl: &JobControl<'_>,
-) -> Result<MasterLedger, FarmError> {
-    master_job_session_prefetch(t, spec, policy, cfg, watch, epoch, kind, ctrl, None)
-}
-
-/// [`master_job_session`] with an optional next-job prefetch hint: when
-/// `prefetch` is set and the session is [`SessionKind::Pooled`], every
-/// tag-11 release is followed by a tag-13 [`TAG_PREFETCH`] carrying the
-/// next job's spec, so released workers build that job's physics tables
-/// while the session's tail chunks finish on their peers.  This is the
-/// ensemble scheduler's overlap mechanism; it never changes results
-/// (caches are keyed on the canonical cosmology hash) and one-shot
-/// sessions ignore it.
-#[allow(clippy::too_many_arguments)]
-pub fn master_job_session_prefetch<T: Transport>(
     t: &mut T,
     spec: &RunSpec,
     policy: SchedulePolicy,
@@ -818,7 +808,7 @@ pub fn master_job_session_prefetch<T: Transport>(
         rec: SpanRecorder::new(epoch, 0, 0),
         idle_since: None,
         idle_seconds: 0.0,
-        prefetch_wire: prefetch.map(RunSpec::encode),
+        awaiting: HashSet::new(),
         job: job.clone(),
     };
     tlog::log(
@@ -839,6 +829,7 @@ pub fn master_job_session_prefetch<T: Transport>(
             // leaves the world inconsistent, so any failure here is
             // fatal for the session
             mybcastreal(t, &spec_wire, TAG_INIT).map_err(FarmError::Setup)?;
+            s.awaiting.extend(1..=n_workers);
         }
         SessionKind::Pooled => {
             // fold in casualties from earlier jobs first, so a rank
@@ -869,16 +860,25 @@ pub fn master_job_session_prefetch<T: Transport>(
                     }
                 }
             }
+            let hint_wire = prefetch.map(RunSpec::encode);
             for rank in 1..=n_workers {
                 if s.dead.contains(&rank) {
                     continue;
                 }
-                if let Err(e) = mysendreal(t, &spec_wire, TAG_NEWJOB, rank) {
-                    if s.policy.recovers() {
-                        s.mark_dead(t, rank, "unreachable at job start")?;
-                    } else {
-                        return Err(FarmError::Setup(e));
+                if let Some(wire) = &hint_wire {
+                    // best-effort: a rank that cannot take the hint
+                    // fails the job start below, and the next job names
+                    // its own cosmology anyway
+                    let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
+                }
+                match mysendreal(t, &spec_wire, TAG_NEWJOB, rank) {
+                    Ok(()) => {
+                        s.awaiting.insert(rank);
                     }
+                    Err(_) if s.policy.recovers() => {
+                        s.mark_dead(t, rank, "unreachable at job start")?;
+                    }
+                    Err(e) => return Err(FarmError::Setup(e)),
                 }
             }
             if s.dead.len() == s.n_workers {
@@ -900,7 +900,7 @@ pub fn master_job_session_prefetch<T: Transport>(
         }
         // a quarantine can settle the run while workers sit parked
         if s.all_settled() {
-            s.stop_parked(t)?;
+            s.wake_parked(t)?;
         }
         let poll_start = Instant::now();
         let env = match t.probe_timeout(None, None, cfg.poll) {
@@ -981,7 +981,12 @@ pub fn master_job_session_prefetch<T: Transport>(
             TAG_REQUEST => {
                 // the worker is ready for its first ik; no data
                 myrecvreal(t, &mut header, TAG_REQUEST, itid)?;
+                let first = s.awaiting.remove(&itid);
                 s.dispatch(t, itid)?;
+                if first {
+                    // one mode fewer is held back for late arrivals
+                    s.wake_parked(t)?;
+                }
             }
             TAG_HEARTBEAT => {
                 // tag 9: liveness only; last_seen was refreshed above
@@ -1086,7 +1091,7 @@ pub fn master_job_session_prefetch<T: Transport>(
                 s.resolve_in_flight(itid, ik);
                 s.dispatch(t, itid)?;
                 if s.all_settled() {
-                    s.stop_parked(t)?;
+                    s.wake_parked(t)?;
                 }
             }
             TAG_FAIL => {
@@ -1107,7 +1112,7 @@ pub fn master_job_session_prefetch<T: Transport>(
                     }
                     s.dispatch(t, itid)?;
                     if s.all_settled() {
-                        s.stop_parked(t)?;
+                        s.wake_parked(t)?;
                     }
                 } else {
                     s.drain_and_stop(t, cfg, watch);

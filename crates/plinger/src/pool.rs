@@ -5,19 +5,23 @@
 //! [`Background`](background::Background)/
 //! [`ThermoHistory`](recomb::ThermoHistory) construction again even
 //! when consecutive runs share a cosmology.  [`FarmPool`] splits that
-//! lifetime: the pool owns the world and its resident workers (threads
-//! running [`crate::worker::worker_pool_session`], with warm physics
-//! caches and integrator scratch), while a [`Session`] borrows the pool
-//! for exactly one k-grid job.  Per-job state — work queue, recovery
-//! ledger, heartbeat clocks, idle accounting, telemetry — lives inside
+//! lifetime: the pool owns the world, its resident workers (threads
+//! running [`crate::worker::worker_pool_session`], with warm integrator
+//! scratch) and the one [`TableCache`] they all share — a cosmology's
+//! physics tables are built once per pool, not once per rank — while a
+//! [`Session`] borrows the pool for exactly one k-grid job.  Per-job
+//! state — work queue, recovery ledger, heartbeat clocks, idle
+//! accounting, telemetry — lives inside
 //! [`crate::master::master_job_session`] and is rebuilt from scratch
-//! every job; only endpoints and caches persist.
+//! every job; only endpoints and the table cache persist.
 //!
 //! Self-healing persists across jobs too.  A worker that dies mid-job
 //! is respawned *into the pool*, not just the run: the dead thread is
 //! joined, its endpoint recovered, and a fresh persistent session
-//! spawned on it (budgeted by [`PoolOptions::respawn_limit`]), so the
-//! replacement rank serves every later job.  A thread that panicked
+//! spawned on it with the pool's table cache (budgeted by
+//! [`PoolOptions::respawn_limit`]), so the replacement rank serves
+//! every later job, the current cosmology's tables already in hand.  A
+//! thread that panicked
 //! takes its endpoint down with it and the rank stays dead.  The
 //! multi-process analogue is [`TcpFarmPool`], which keeps the
 //! subprocess workers, the respawn listener, and the master socket
@@ -25,9 +29,9 @@
 //!
 //! Determinism: a pooled job runs the same master loop, the same
 //! dispatch order, and bit-identical mode integrations as a fresh
-//! [`Farm::run`](crate::Farm::run) — warm caches are keyed on the
-//! canonical cosmology hash and rebuilt whenever it changes, and cache
-//! reuse never alters results, only skips table construction.  The
+//! [`Farm::run`](crate::Farm::run) — cached tables are keyed on the
+//! canonical cosmology hash and built whenever a new one arrives, and
+//! sharing them never alters results, only skips table construction.  The
 //! pool-vs-fresh bitwise tests in `tests/pool_sessions.rs` pin this.
 
 use std::path::Path;
@@ -47,10 +51,11 @@ use crate::farm::{
     finish_report, spawn_tcp_worker, watch_tcp_children, worker_fault_arg, FarmReport, FaultPlan,
     TcpFarmOptions,
 };
-use crate::master::{master_job_session_prefetch, JobControl, MasterConfig, SessionKind};
+use crate::master::{master_job_session, JobControl, MasterConfig, SessionKind};
 use crate::protocol::{RunSpec, TAG_STOP};
 use crate::recovery::{RecoveryPolicy, WorkerEvent};
 use crate::schedule::SchedulePolicy;
+use crate::tables::TableCache;
 use crate::worker::{worker_pool_session, PoolWorkerOutcome, WorkerFault};
 
 /// Pool-level knobs (the per-job knobs live in [`MasterConfig`]).
@@ -86,11 +91,12 @@ fn spawn_pool_worker<W: World>(
     mut ep: Instrumented<W::Endpoint>,
     fault: Option<WorkerFault>,
     epoch: Instant,
+    tables: Arc<TableCache>,
 ) -> (Arc<AtomicBool>, WorkerHandle<W>) {
     let alive = Arc::new(AtomicBool::new(true));
     let flag = Arc::clone(&alive);
     let handle = std::thread::spawn(move || {
-        let out = worker_pool_session(&mut ep, fault, epoch);
+        let out = worker_pool_session(&mut ep, fault, epoch, &tables);
         flag.store(false, Ordering::SeqCst);
         // hand the endpoint back: a vanished-but-clean worker's endpoint
         // is reusable by a replacement session under the same rank
@@ -110,9 +116,9 @@ pub struct PoolShutdown {
     pub worker_spans: Vec<SpanEvent>,
 }
 
-/// A warm farm: one world whose workers stay resident — physics caches,
-/// integrator scratch, and heartbeat clocks intact — across any number
-/// of jobs.
+/// A warm farm: one world whose workers stay resident — shared physics
+/// tables, integrator scratch, and heartbeat clocks intact — across any
+/// number of jobs.
 ///
 /// ```no_run
 /// use msgpass::channel::ChannelWorld;
@@ -130,6 +136,9 @@ pub struct FarmPool<W: World> {
     master: Option<Instrumented<W::Endpoint>>,
     master_stats: Arc<EndpointStats>,
     workers: Vec<PoolWorker<W>>,
+    /// The physics tables every rank of this pool integrates against,
+    /// handed to each worker thread at spawn and at respawn.
+    tables: Arc<TableCache>,
     config: MasterConfig,
     epoch: Instant,
     respawn_allowed: bool,
@@ -172,6 +181,7 @@ impl<W: World> FarmPool<W> {
             ))));
         }
         let epoch = Instant::now();
+        let tables = Arc::new(TableCache::new());
         let mut eps = eps.into_iter();
         let (master, master_stats) = match eps.next() {
             Some(ep) => Instrumented::new(ep),
@@ -186,7 +196,8 @@ impl<W: World> FarmPool<W> {
             .map(|(i, ep)| {
                 let (wrapped, stats) = Instrumented::new(ep);
                 let fault = opts.fault.and_then(|f| f.worker_fault(i + 1));
-                let (alive, handle) = spawn_pool_worker::<W>(wrapped, fault, epoch);
+                let (alive, handle) =
+                    spawn_pool_worker::<W>(wrapped, fault, epoch, Arc::clone(&tables));
                 PoolWorker {
                     alive,
                     handle: Some(handle),
@@ -211,6 +222,7 @@ impl<W: World> FarmPool<W> {
             master: Some(master),
             master_stats,
             workers,
+            tables,
             config,
             epoch,
             respawn_allowed,
@@ -285,12 +297,12 @@ impl<W: World> FarmPool<W> {
     }
 
     /// [`FarmPool::run_job_with`] with an ensemble prefetch hint: when
-    /// `prefetch` names the *next* job's spec, each worker released
-    /// from this job is handed a tag-13 hint and builds that job's
-    /// background/thermo tables while it parks — overlapping the next
-    /// shard's context construction with this shard's tail chunks.
-    /// Results are unaffected; the next job simply starts warm
-    /// (`ctx_rebuilds == 0`, `prefetch_builds == 1` in its report).
+    /// `prefetch` names the *next* job's spec, every worker is handed a
+    /// tag-13 hint just before this job opens, and the one that claims
+    /// it builds that job's background/thermo tables while the others
+    /// start on this job's modes.  Results are unaffected; the next job
+    /// simply opens with its tables already there (`ctx_rebuilds == 0`
+    /// on every rank; the build is this job's one `prefetch_builds`).
     pub fn run_job_prefetched(
         &mut self,
         spec: &RunSpec,
@@ -307,6 +319,7 @@ impl<W: World> FarmPool<W> {
         let epoch = self.epoch;
         let config = self.config;
         let respawn_allowed = self.respawn_allowed;
+        let tables = &self.tables;
         let workers = &mut self.workers;
         let respawns_left = &mut self.respawns_left;
         let spans = &mut self.spans;
@@ -336,7 +349,8 @@ impl<W: World> FarmPool<W> {
                 }
                 match endpoint {
                     Some(ep) if respawn_allowed && *respawns_left > 0 => {
-                        let (alive, handle) = spawn_pool_worker::<W>(ep, None, epoch);
+                        let (alive, handle) =
+                            spawn_pool_worker::<W>(ep, None, epoch, Arc::clone(tables));
                         w.alive = alive;
                         w.handle = Some(handle);
                         *respawns_left -= 1;
@@ -365,7 +379,7 @@ impl<W: World> FarmPool<W> {
             }
             events
         };
-        let outcome = master_job_session_prefetch(
+        let outcome = master_job_session(
             master,
             spec,
             policy,
@@ -614,7 +628,7 @@ impl TcpFarmPool {
         let mut watch = || -> Vec<WorkerEvent> {
             watch_tcp_children(children, handled, respawns_left, exe, addr, size, port)
         };
-        let outcome = master_job_session_prefetch(
+        let outcome = master_job_session(
             master,
             spec,
             policy,

@@ -89,20 +89,21 @@ pub const TAG_JOBDONE: Tag = 11;
 /// parks (pooled) or exits (one-shot).  Results already in flight when
 /// the cancel lands are consumed blindly by the master's drain.
 pub const TAG_CANCEL: Tag = 12;
-/// Tag 13: from master, a context prefetch hint for a *parked* pooled
-/// worker — the same spec payload as [`TAG_NEWJOB`], but it does **not**
-/// start a job.  A parked worker that receives it builds the
-/// background/thermo tables for the spec's cosmology (if its warm cache
-/// holds a different one) and parks again, so when the real tag-10 job
-/// for that cosmology arrives the context is already warm and the job's
-/// `ctx_rebuilds` is 0.  This is how an ensemble sweep overlaps shard
-/// `i+1`'s per-cosmology table construction with shard `i`'s tail
-/// chunks: the master appends a prefetch of the next shard to each
-/// tag-11 release.  Workers that never park (one-shot sessions) never
-/// see it; a worker may safely ignore it (it is a hint, not a job), and
-/// prefetching never changes results — caches are keyed on the
-/// canonical cosmology hash and rebuilt tables are bit-identical
-/// wherever they are built.
+/// Tag 13: from master, a next-job table hint for a pooled worker —
+/// the same spec payload as [`TAG_NEWJOB`], but it does **not** start a
+/// job.  The master sends it to every live rank immediately before the
+/// tag-10 of the job that *precedes* the announced one; the first rank
+/// of a process to see an unclaimed cosmology builds its
+/// background/thermo tables into the process's
+/// [`TableCache`](crate::TableCache) while its peers start on the
+/// current job's modes, and every other rank skips the hint at once.
+/// This is how an ensemble sweep overlaps shard `i+1`'s per-cosmology
+/// table construction with shard `i`'s integration: when the real
+/// tag-10 job for that cosmology arrives, the tables are already there
+/// and `ctx_rebuilds` is 0 on every rank.  Workers of one-shot sessions
+/// never see it; a worker may safely ignore it (it is a hint, not a
+/// job), and it never changes results — tables are keyed on the
+/// canonical cosmology hash and bit-identical wherever they are built.
 pub const TAG_PREFETCH: Tag = 13;
 
 /// 64-bit FNV-1a over a sequence of 64-bit words, fed byte-wise in
@@ -395,8 +396,8 @@ mod tests {
         assert_eq!(TAG_NEWJOB, 10);
         assert_eq!(TAG_JOBDONE, 11);
         assert_eq!(TAG_CANCEL, 12);
-        // ensemble extension: next-shard context prefetch for parked
-        // pooled workers
+        // ensemble extension: next-shard table hint for pooled
+        // workers
         assert_eq!(TAG_PREFETCH, 13);
     }
 

@@ -269,6 +269,29 @@ impl SpectrumRequest {
         }
         Ok(Self::new(RunSpec::decode(data)?))
     }
+
+    /// Admission check, run before the request is queued: a cosmology
+    /// the flat-space equations cannot evolve is the client's error
+    /// ([`ErrorCode::BadRequest`]), not a worker panic mid-job.
+    pub fn admit(&self) -> Result<(), ServiceError> {
+        require_flat(&self.spec.cosmo, "request")
+    }
+}
+
+/// Refuse a cosmology outside [`boltzmann::FLATNESS_TOLERANCE`].
+fn require_flat(cosmo: &background::CosmoParams, what: &str) -> Result<(), ServiceError> {
+    let omega_k = cosmo.omega_k();
+    // written so that a NaN budget is refused too
+    if omega_k.abs() < boltzmann::FLATNESS_TOLERANCE {
+        return Ok(());
+    }
+    Err(ServiceError::new(
+        ErrorCode::BadRequest,
+        format!(
+            "{what} cosmology is not flat (Omega_k = {omega_k:.6}; need |Omega_k| < {})",
+            boltzmann::FLATNESS_TOLERANCE
+        ),
+    ))
 }
 
 /// One tag-22 request: a whole sweep plus an optional relative deadline
@@ -321,6 +344,15 @@ impl EnsembleRequest {
             });
         }
         Ok(Self::new(EnsembleSpec::decode(data)?))
+    }
+
+    /// Admission check, run before the sweep is queued: the base and
+    /// every shard cosmology must be flat (see
+    /// [`SpectrumRequest::admit`]).
+    pub fn admit(&self) -> Result<(), ServiceError> {
+        require_flat(&self.ens.base.cosmo, "ensemble base")?;
+        (0..self.ens.n_shards())
+            .try_for_each(|i| require_flat(&self.ens.shard_cosmo(i), &format!("shard {i}")))
     }
 }
 
@@ -990,8 +1022,8 @@ impl<W: World> SpectrumService<W> {
     /// touching the pool, and every fresh shard becomes a cache entry
     /// that later single-spectrum requests hit.  Uncached shards run as
     /// ordinary pooled jobs with the next *uncached* shard as their
-    /// tag-13 prefetch hint, so workers warm the next cosmology's
-    /// physics tables while the current shard's tail chunks finish.
+    /// tag-13 hint, so one worker builds the next cosmology's physics
+    /// tables while the others start on the current shard's modes.
     ///
     /// A shard whose job fails is retried once (the inner
     /// requeue/respawn machinery already absorbed anything survivable;
@@ -1295,6 +1327,45 @@ mod tests {
         let mut body = encode_spectrum_body(&outputs, wall);
         body.push(0.0);
         assert!(decode_spectrum_body(&body).is_err());
+    }
+
+    #[test]
+    fn admission_refuses_curved_cosmologies_with_bad_request() {
+        // an open budget decodes fine — the wire has no notion of
+        // curvature — so admission is what keeps it off the pool
+        let mut open = tiny_spec(vec![0.001]);
+        open.cosmo.omega_c -= 2.0 * boltzmann::FLATNESS_TOLERANCE;
+        let single = SpectrumRequest::decode(&SpectrumRequest::new(open.clone()).encode())
+            .expect("curved spec still decodes");
+        let err = single.admit().expect_err("open single request admitted");
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.contains("not flat"), "{}", err.message);
+
+        // a sweep keeps its base's curvature in every shard: a curved
+        // base is refused, and so is a NaN axis value in one shard
+        let sweep = |base: RunSpec, h: Vec<f64>| {
+            EnsembleRequest::new(EnsembleSpec {
+                omega_b: vec![0.04, 0.06],
+                h,
+                n_s: vec![1.0],
+                base,
+            })
+        };
+        let err = sweep(open, vec![0.5]).admit().expect_err("curved base");
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.starts_with("ensemble base"), "{}", err.message);
+        let err = sweep(tiny_spec(vec![0.001]), vec![0.5, f64::NAN])
+            .admit()
+            .expect_err("NaN shard");
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.starts_with("shard 1"), "{}", err.message);
+
+        // flat requests pass, at the tolerance the evolver asserts on
+        assert_eq!(SpectrumRequest::new(tiny_spec(vec![0.001])).admit(), Ok(()));
+        assert_eq!(
+            sweep(tiny_spec(vec![0.001]), vec![0.5, 0.7]).admit(),
+            Ok(())
+        );
     }
 
     #[test]

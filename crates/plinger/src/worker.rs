@@ -1,13 +1,12 @@
 //! The worker subroutine (`kidsub` in Appendix A).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use background::Background;
-use boltzmann::{evolve_mode, evolve_mode_observed, evolve_mode_scratch, ModeOutput};
+use boltzmann::evolve_mode_scratch;
 use msgpass::wrappers::*;
 use msgpass::Transport;
 use ode::Integrator;
-use recomb::ThermoHistory;
 use telemetry::{SpanEvent, SpanRecorder};
 
 use crate::error::FarmError;
@@ -15,6 +14,7 @@ use crate::protocol::{
     cosmo_hash, job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL, TAG_HEADER,
     TAG_HEARTBEAT, TAG_INIT, TAG_NEWJOB, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
 };
+use crate::tables::{PhysicsTables, TableCache};
 
 /// How many accepted integrator steps pass between heartbeat-clock
 /// checks (checking `Instant::now` every step would be pure overhead).
@@ -49,75 +49,6 @@ pub enum WorkerFault {
     },
 }
 
-/// Per-worker state built from the tag-1 broadcast: the background
-/// expansion and thermal history every mode integration shares.
-pub struct WorkerContext {
-    /// Decoded run description.
-    pub spec: RunSpec,
-    /// Background tables (built on this "node").
-    pub bg: Background,
-    /// Thermal history tables.
-    pub thermo: ThermoHistory,
-}
-
-impl WorkerContext {
-    /// Rebuild the physics tables from a broadcast payload — the work a
-    /// PLINGER worker did once per run on its own node.  A malformed
-    /// payload is reported, not panicked on.
-    pub fn from_broadcast(wire: &[f64]) -> Result<Self, FarmError> {
-        let spec = RunSpec::decode(wire)?;
-        let bg = Background::new(spec.cosmo.clone());
-        let thermo = ThermoHistory::new(&bg);
-        Ok(Self { spec, bg, thermo })
-    }
-
-    /// Integrate one wavenumber by index.
-    pub fn run_mode(&self, ik: usize) -> Result<ModeOutput, boltzmann::EvolveError> {
-        let k = self.spec.ks[ik];
-        evolve_mode(&self.bg, &self.thermo, k, &self.spec.mode_config())
-    }
-
-    /// [`Self::run_mode`] with a per-accepted-step callback (the
-    /// heartbeat + cancellation hook).  The observer cannot perturb the
-    /// numerics; outputs are bit-identical to [`Self::run_mode`].  A
-    /// `false` return aborts the mode with `OdeError::Aborted`.
-    pub fn run_mode_observed(
-        &self,
-        ik: usize,
-        observer: Option<&mut dyn FnMut() -> bool>,
-    ) -> Result<ModeOutput, boltzmann::EvolveError> {
-        let k = self.spec.ks[ik];
-        evolve_mode_observed(
-            &self.bg,
-            &self.thermo,
-            k,
-            &self.spec.mode_config(),
-            observer,
-        )
-    }
-
-    /// [`Self::run_mode_observed`] reusing a caller-held integrator as
-    /// scratch space (bit-identical; the session loop passes one
-    /// integrator across all its assignments so stage buffers are
-    /// allocated once per worker, not once per mode).
-    pub fn run_mode_scratch(
-        &self,
-        ik: usize,
-        observer: Option<&mut dyn FnMut() -> bool>,
-        integ: &mut Integrator,
-    ) -> Result<ModeOutput, boltzmann::EvolveError> {
-        let k = self.spec.ks[ik];
-        evolve_mode_scratch(
-            &self.bg,
-            &self.thermo,
-            k,
-            &self.spec.mode_config(),
-            observer,
-            integ,
-        )
-    }
-}
-
 /// Statistics a worker reports after its stop message, shipped to the
 /// master as the tag-7 payload (10 reals; see the `protocol` module
 /// docs for the wire layout).
@@ -139,17 +70,17 @@ pub struct WorkerStats {
     pub rhs_evals: usize,
     /// Bytes received from the master (broadcast + assignments).
     pub bytes_received: usize,
-    /// Background/thermo cache rebuilds this session (0 or 1 per job:
-    /// 1 when the broadcast's cosmology hash differed from the cached
-    /// one and the physics tables were rebuilt, 0 on a warm-cache job).
+    /// Table builds this worker performed at job start (0 or 1 per
+    /// job): 1 when the job's cosmology was not in the process's
+    /// [`TableCache`] and this rank was the one that built it, 0 when
+    /// the tables were already there or another rank built them.
+    /// Summed over a report's workers this is builds per *process*.
     pub ctx_rebuilds: usize,
-    /// Context builds that happened *off* the job's critical path: the
-    /// worker rebuilt its tables while parked, answering a tag-13
-    /// prefetch hint between jobs, and the build is attributed to the
-    /// next job it serves.  A prefetched job therefore typically shows
-    /// `ctx_rebuilds == 0, prefetch_builds == 1` — same work, but
-    /// overlapped with the previous job's tail instead of serialized in
-    /// front of this one.
+    /// Table builds this worker performed answering tag-13 hints since
+    /// its previous report — the next shard's tables, built by the one
+    /// rank that claimed the hint while the others integrate.  A hinted
+    /// shard therefore opens with `ctx_rebuilds == 0` on every rank; its
+    /// build shows here, in the report of the shard it overlapped.
     pub prefetch_builds: usize,
 }
 
@@ -243,30 +174,20 @@ pub struct WorkerOutcome {
 /// * after the stop, the worker ships its statistics as tag 7 so the
 ///   master's report is transport-independent.
 pub fn worker_loop<T: Transport>(t: &mut T) -> Result<WorkerStats, FarmError> {
-    worker_session(t, None, Instant::now()).map(|o| o.stats)
+    worker_session(t, None, Instant::now(), &TableCache::new()).map(|o| o.stats)
 }
 
-/// [`worker_loop`] with an optional mode budget: after completing
-/// `max_modes` assignments the worker returns silently on its next
-/// assignment, exactly as if its thread or node had died mid-run.  This
-/// is the fault-injection hook behind `FaultPlan::DropWorker`; real
-/// deployments pass `None` via [`worker_loop`].
-pub fn worker_loop_limited<T: Transport>(
-    t: &mut T,
-    max_modes: Option<usize>,
-) -> Result<WorkerStats, FarmError> {
-    let fault = max_modes.map(|after_modes| WorkerFault::Vanish { after_modes });
-    worker_session(t, fault, Instant::now()).map(|o| o.stats)
-}
-
-/// The full worker session: [`worker_loop_limited`] plus telemetry.
+/// The full worker session: [`worker_loop`] plus fault injection,
+/// telemetry, and the farm's shared [`TableCache`].
 ///
 /// `epoch` anchors this worker's span timestamps; the farm passes one
 /// epoch to every rank so the per-rank tracks align in a trace viewer.
-/// Two span kinds are recorded on the worker's track: `mode` (one per
-/// integration, with `ik` and `k` arguments) and `wait` (the interval
+/// Three span kinds are recorded on the worker's track: `mode` (one
+/// per integration, with `ik` and `k` arguments), `wait` (the interval
 /// spent blocked on the master between finishing one result and
-/// receiving the next assignment).
+/// receiving the next assignment), and `build_ctx` on the one rank that
+/// built the run's tables — the others wait for that build and share
+/// its result.
 ///
 /// During each integration the worker emits tag-9 heartbeats between
 /// DVERK step batches, at most one per `HEARTBEAT_MIN_INTERVAL`
@@ -278,6 +199,7 @@ pub fn worker_session<T: Transport>(
     t: &mut T,
     fault: Option<WorkerFault>,
     epoch: Instant,
+    cache: &TableCache,
 ) -> Result<WorkerOutcome, FarmError> {
     let (mytid, mastid) = initpass(t);
     let mut buf = Vec::new();
@@ -304,8 +226,8 @@ pub fn worker_session<T: Transport>(
     let n = myrecvreal(t, &mut buf, TAG_INIT, mastid)?;
     stats.bytes_received += n * 8;
     let t_start = Instant::now();
-    let ctx = WorkerContext::from_broadcast(&buf)?;
-    stats.ctx_rebuilds = 1;
+    let spec = RunSpec::decode(&buf)?;
+    let tables = job_tables(cache, &spec, &mut stats, &mut rec);
 
     // ask for a wavenumber from master
     mysendreal(t, &[0.0], TAG_REQUEST, mastid)?;
@@ -318,9 +240,8 @@ pub fn worker_session<T: Transport>(
     let released = serve_assignments(
         t,
         mastid,
-        &ctx.spec,
-        &ctx.bg,
-        &ctx.thermo,
+        &spec,
+        &tables,
         fault,
         &mut modes_done,
         &mut stats,
@@ -361,6 +282,37 @@ impl Heartbeat {
     }
 }
 
+/// The tables a job integrates against, from the process's cache; when
+/// this rank is the one that builds them, the build is counted in
+/// `stats.ctx_rebuilds` and recorded as a `build_ctx` span.
+fn job_tables(
+    cache: &TableCache,
+    spec: &RunSpec,
+    stats: &mut WorkerStats,
+    rec: &mut SpanRecorder,
+) -> Arc<PhysicsTables> {
+    let t_build = Instant::now();
+    let (tables, built) = cache.get_or_build(&spec.cosmo);
+    if built {
+        stats.ctx_rebuilds = 1;
+        record_build(rec, "build_ctx", t_build, spec);
+    }
+    tables
+}
+
+fn record_build(rec: &mut SpanRecorder, name: &'static str, began: Instant, spec: &RunSpec) {
+    rec.record(
+        name,
+        "worker",
+        began,
+        Instant::now(),
+        &[
+            ("cosmo_hash", format!("{:016x}", cosmo_hash(&spec.cosmo))),
+            ("job", telemetry::log::job_hex(job_hash(spec))),
+        ],
+    );
+}
+
 /// Serve tag-3 assignments until any other tag arrives, integrating
 /// each mode and answering with a tag-4/5 pair or a tag-8 failure.
 /// The terminating message's payload is consumed (and counted into
@@ -376,8 +328,7 @@ fn serve_assignments<T: Transport>(
     t: &mut T,
     mastid: msgpass::Rank,
     spec: &RunSpec,
-    bg: &Background,
-    thermo: &ThermoHistory,
+    tables: &PhysicsTables,
     fault: Option<WorkerFault>,
     modes_done: &mut usize,
     stats: &mut WorkerStats,
@@ -468,7 +419,14 @@ fn serve_assignments<T: Transport>(
                     }
                     true
                 };
-                evolve_mode_scratch(bg, thermo, k, &cfg, Some(&mut observer), integ)
+                evolve_mode_scratch(
+                    &tables.bg,
+                    &tables.thermo,
+                    k,
+                    &cfg,
+                    Some(&mut observer),
+                    integ,
+                )
             };
             if cancel_seen {
                 // consume the cancel frame, abandon the remaining chunk,
@@ -538,14 +496,6 @@ fn serve_assignments<T: Transport>(
     }
 }
 
-/// The warm physics tables a persistent worker keeps between jobs,
-/// keyed by the canonical cosmology hash of the job that built them.
-struct PhysicsCache {
-    hash: u64,
-    bg: Background,
-    thermo: ThermoHistory,
-}
-
 /// What one persistent worker accumulated over its whole pool lifetime.
 #[derive(Debug, Default)]
 pub struct PoolWorkerOutcome {
@@ -554,7 +504,7 @@ pub struct PoolWorkerOutcome {
     /// Whole-lifetime statistics: the per-job reports summed.
     pub stats: WorkerStats,
     /// Local wall-clock spans across all jobs, on one timeline
-    /// (`mode`, `wait`, and `build_ctx` events).
+    /// (`mode`, `wait`, `build_ctx`, and `prefetch_ctx` events).
     pub spans: Vec<SpanEvent>,
 }
 
@@ -562,16 +512,22 @@ pub struct PoolWorkerOutcome {
 /// until the master sends a final tag-6 stop.
 ///
 /// Where [`worker_session`] lives exactly one run, this loop parks
-/// between jobs holding its [`Background`]/[`ThermoHistory`] tables,
-/// its integrator scratch, and its heartbeat clock, and:
+/// between jobs holding its integrator scratch and its heartbeat clock
+/// (the physics tables live in the pool's [`TableCache`], shared with
+/// the other ranks of this process), and:
 ///
 /// * treats tag 10 (`NewJob`) and tag 1 (`Init`) identically as a job
 ///   start — a respawned rank is re-initialised with tag 1 mid-job, and
 ///   a one-shot master over this session speaks tag 1 throughout;
-/// * rebuilds the physics tables **only when the job's canonical
-///   cosmology hash differs** from the cached one, recording a
-///   `build_ctx` span and setting [`WorkerStats::ctx_rebuilds`] for the
-///   job, so cache reuse is visible in the run report;
+/// * takes the job's physics tables from the cache, building them
+///   **only when no rank of this process has or is building that
+///   cosmology** — the builder records a `build_ctx` span and sets
+///   [`WorkerStats::ctx_rebuilds`] for the job, so cache reuse is
+///   visible in the run report;
+/// * answers a tag-13 hint claim-or-skip: the first rank to see an
+///   unclaimed cosmology builds it (`prefetch_ctx` span, counted in
+///   [`WorkerStats::prefetch_builds`] of its next report), every other
+///   rank goes straight on to the job that follows the hint;
 /// * answers the per-job release (tag 11, or tag 6 under a one-shot
 ///   master) with that job's own tag-7 stats — fresh counters every
 ///   job, so idle/imbalance accounting never bleeds across sessions;
@@ -585,17 +541,17 @@ pub fn worker_pool_session<T: Transport>(
     t: &mut T,
     fault: Option<WorkerFault>,
     epoch: Instant,
+    cache: &TableCache,
 ) -> Result<PoolWorkerOutcome, FarmError> {
     let (mytid, mastid) = initpass(t);
     let mut buf = Vec::new();
     let mut rec = SpanRecorder::new(epoch, 0, mytid as u64);
     let mut out = PoolWorkerOutcome::default();
-    let mut cache: Option<PhysicsCache> = None;
     let mut integ = Integrator::new();
     let mut hb = Heartbeat::new();
     let mut modes_done = 0usize;
-    // context builds answered from tag-13 hints while parked, waiting
-    // to be attributed to the next job's stats
+    // table builds done answering tag-13 hints, waiting to be
+    // attributed to the next job's stats
     let mut pending_prefetch_builds = 0usize;
 
     loop {
@@ -610,27 +566,14 @@ pub fn worker_pool_session<T: Transport>(
                 return Ok(out);
             }
             if tag == TAG_PREFETCH {
-                // a hint, not a job: warm the physics cache for the
-                // announced cosmology and park again.  A malformed
-                // payload is ignored — prefetch must never be able to
+                // a hint, not a job: build the announced cosmology's
+                // tables unless some rank already has.  A malformed
+                // payload is ignored — a hint must never be able to
                 // kill a healthy worker.
                 if let Ok(spec) = RunSpec::decode(&buf[..n]) {
-                    let hash = cosmo_hash(&spec.cosmo);
-                    if cache.as_ref().map(|c| c.hash) != Some(hash) {
-                        let t_build = Instant::now();
-                        let bg = Background::new(spec.cosmo.clone());
-                        let thermo = ThermoHistory::new(&bg);
-                        rec.record(
-                            "prefetch_ctx",
-                            "worker",
-                            t_build,
-                            Instant::now(),
-                            &[
-                                ("cosmo_hash", format!("{hash:016x}")),
-                                ("job", telemetry::log::job_hex(job_hash(&spec))),
-                            ],
-                        );
-                        cache = Some(PhysicsCache { hash, bg, thermo });
+                    let t_build = Instant::now();
+                    if cache.prefetch(&spec.cosmo) {
+                        record_build(&mut rec, "prefetch_ctx", t_build, &spec);
                         pending_prefetch_builds += 1;
                     }
                 }
@@ -650,38 +593,14 @@ pub fn worker_pool_session<T: Transport>(
         };
         let t_start = Instant::now();
         let spec = RunSpec::decode(&buf)?;
-        let hash = cosmo_hash(&spec.cosmo);
-        if cache.as_ref().map(|c| c.hash) != Some(hash) {
-            let t_build = Instant::now();
-            let bg = Background::new(spec.cosmo.clone());
-            let thermo = ThermoHistory::new(&bg);
-            rec.record(
-                "build_ctx",
-                "worker",
-                t_build,
-                Instant::now(),
-                &[
-                    ("cosmo_hash", format!("{hash:016x}")),
-                    ("job", telemetry::log::job_hex(job_hash(&spec))),
-                ],
-            );
-            cache = Some(PhysicsCache { hash, bg, thermo });
-            stats.ctx_rebuilds = 1;
-        }
-        let Some(pc) = cache.as_ref() else {
-            return Err(FarmError::Protocol {
-                rank: t.rank(),
-                detail: "physics cache missing after job init".to_string(),
-            });
-        };
+        let tables = job_tables(cache, &spec, &mut stats, &mut rec);
 
         mysendreal(t, &[0.0], TAG_REQUEST, mastid)?;
         let released = serve_assignments(
             t,
             mastid,
             &spec,
-            &pc.bg,
-            &pc.thermo,
+            &tables,
             fault,
             &mut modes_done,
             &mut stats,
@@ -715,28 +634,6 @@ pub fn worker_pool_session<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boltzmann::Preset;
-
-    #[test]
-    fn context_from_broadcast_builds_physics() {
-        let mut spec = RunSpec::standard_cdm(vec![0.01]);
-        spec.preset = Preset::Draft;
-        let ctx = WorkerContext::from_broadcast(&spec.encode()).unwrap();
-        assert_eq!(ctx.spec.ks.len(), 1);
-        assert!(ctx.bg.tau0() > 10_000.0);
-        let out = ctx.run_mode(0).unwrap();
-        assert!(out.delta_c.is_finite());
-        assert_eq!(out.k, 0.01);
-    }
-
-    #[test]
-    fn context_rejects_malformed_broadcast() {
-        match WorkerContext::from_broadcast(&[1.0, 2.0]) {
-            Err(FarmError::SpecDecode(_)) => {}
-            Err(other) => panic!("expected SpecDecode, got {other}"),
-            Ok(_) => panic!("malformed broadcast must not decode"),
-        }
-    }
 
     #[test]
     fn stats_wire_roundtrip() {

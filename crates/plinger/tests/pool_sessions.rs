@@ -1,11 +1,12 @@
 //! Warm-pool determinism and cache discipline.
 //!
 //! A [`FarmPool`] must serve consecutive jobs bit-identical to fresh
-//! `Farm::run` calls on every thread-backed transport, rebuild the
-//! worker physics caches only when the canonical cosmology hash
-//! changes (counter evidence in the run report, span evidence in the
-//! pool shutdown), and reset per-job accounting — worker stats, idle
-//! time, comm tables — between jobs instead of accumulating it.
+//! `Farm::run` calls on every thread-backed transport, build a
+//! cosmology's physics tables once per process and only when the
+//! canonical cosmology hash changes (counter evidence in the run
+//! report, span evidence in the pool shutdown), and reset per-job
+//! accounting — worker stats, idle time, comm tables — between jobs
+//! instead of accumulating it.
 
 use boltzmann::Preset;
 use msgpass::channel::ChannelWorld;
@@ -13,8 +14,9 @@ use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{
-    build_run_report, run_serial, Farm, FarmPool, FarmReport, RunSpec, SchedulePolicy, TAG_INIT,
-    TAG_JOBDONE, TAG_NEWJOB, TAG_STOP,
+    build_run_report, run_serial, Farm, FarmPool, FarmReport, FaultPlan, MasterConfig, PoolOptions,
+    RecoveryPolicy, RunSpec, SchedulePolicy, TcpFarmOptions, TcpFarmPool, TAG_INIT, TAG_JOBDONE,
+    TAG_NEWJOB, TAG_STOP,
 };
 
 fn spec_of(ks: &[f64]) -> RunSpec {
@@ -75,16 +77,17 @@ fn pool_matches_fresh_farms<W: World>() {
         assert_eq!(modes, spec.ks.len(), "stats accumulated across jobs");
     }
 
-    // caches rebuilt exactly when the cosmology hash changed
-    assert_eq!(rebuilds(&reps[0]), n_workers, "cold pool builds per rank");
+    // tables built exactly when the cosmology hash changed, and once
+    // for the whole pool: the ranks are threads of one process
+    assert_eq!(rebuilds(&reps[0]), 1, "cold pool builds once per process");
     assert_eq!(rebuilds(&reps[1]), 0, "warm same-cosmology job rebuilt");
-    assert_eq!(rebuilds(&reps[2]), n_workers, "cosmology change missed");
+    assert_eq!(rebuilds(&reps[2]), 1, "cosmology change missed");
     let builds = shutdown
         .worker_spans
         .iter()
         .filter(|s| s.name == "build_ctx")
         .count();
-    assert_eq!(builds, 2 * n_workers, "build_ctx spans disagree");
+    assert_eq!(builds, 2, "build_ctx spans disagree");
 }
 
 #[test]
@@ -100,6 +103,83 @@ fn pool_matches_fresh_farms_shmem() {
 #[test]
 fn pool_matches_fresh_farms_tcp() {
     pool_matches_fresh_farms::<TcpWorld>();
+}
+
+#[test]
+fn tcp_process_pool_builds_once_per_child_process() {
+    // child processes share nothing: each owns a table cache, so the
+    // same three jobs cost one build per *process* — `workers` of them
+    // when the cosmology is new, none when it is warm
+    let n_workers = 2;
+    let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
+    let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4]);
+    let mut job3 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
+    job3.cosmo = background::CosmoParams::lcdm();
+
+    let exe = std::path::Path::new(env!("CARGO_BIN_EXE_plinger"));
+    let mut pool =
+        TcpFarmPool::start(n_workers, exe, &TcpFarmOptions::default()).expect("tcp pool start");
+    for (spec, want) in [(&job1, n_workers), (&job2, 0), (&job3, n_workers)] {
+        let rep = pool
+            .run_job(spec, SchedulePolicy::LargestFirst)
+            .expect("pooled job");
+        let (serial, _) = run_serial(spec).expect("serial");
+        assert_bitwise(&rep.outputs, &serial);
+        assert_eq!(rebuilds(&rep), want, "builds per child process");
+    }
+    assert_eq!(pool.shutdown(), 3);
+}
+
+#[test]
+fn respawned_rank_inherits_the_pools_tables() {
+    // rank 1 dies on its first assignment (the master holds a mode back
+    // for every rank that has not asked yet, so it always gets one) and
+    // is respawned into the pool mid-job.  Its tables were built before
+    // it died — by it or by rank 2 — so the replacement, handed the
+    // pool's cache, reports no build in this job or the next
+    let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
+    let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3]);
+    let config = MasterConfig {
+        poll: std::time::Duration::from_millis(10),
+        drain_timeout: std::time::Duration::from_millis(500),
+        recovery: RecoveryPolicy::requeue(),
+        ..MasterConfig::default()
+    };
+    let opts = PoolOptions {
+        respawn_limit: 1,
+        fault: Some(FaultPlan::DropWorker {
+            rank: 1,
+            after_modes: 0,
+        }),
+    };
+    let mut pool = FarmPool::<ChannelWorld>::start_with(2, config, opts).expect("pool start");
+    let rep1 = pool
+        .session(SchedulePolicy::Fifo)
+        .run(&job1)
+        .expect("job 1 survives the kill");
+    assert_eq!(rep1.recovery.respawns, 1, "{:?}", rep1.recovery);
+    assert!(rep1.recovery.requeues >= 1, "{:?}", rep1.recovery);
+    assert_eq!(
+        rep1.worker_stats[0].ctx_rebuilds, 0,
+        "respawned rank rebuilt tables the pool already had"
+    );
+    let rep2 = pool
+        .session(SchedulePolicy::Fifo)
+        .run(&job2)
+        .expect("job 2 on the healed pool");
+    assert_eq!(rebuilds(&rep2), 0, "warm job rebuilt after a respawn");
+    assert!(rep2.worker_stats[0].modes >= 1, "respawned rank idle");
+    for (spec, rep) in [(&job1, &rep1), (&job2, &rep2)] {
+        let (serial, _) = run_serial(spec).expect("serial");
+        assert_bitwise(&rep.outputs, &serial);
+    }
+    let shutdown = pool.shutdown();
+    let builds = shutdown
+        .worker_spans
+        .iter()
+        .filter(|s| s.name == "build_ctx")
+        .count();
+    assert_eq!(builds, 1, "one cosmology, one build, respawn or not");
 }
 
 /// A line-of-sight job through the warm pool must match the serial
@@ -191,7 +271,8 @@ fn pooled_jobs_open_with_tag_10_and_close_with_tag_11() {
 #[test]
 fn run_report_carries_ctx_rebuild_counters() {
     // the cache-discipline evidence must survive into the run report:
-    // workers[].ctx_rebuilds is 1 on the cold job and 0 on the warm one
+    // workers[].ctx_rebuilds sums to 1 on the cold job (the one rank
+    // that built for the process) and to 0 on the warm one
     let spec = spec_of(&[2.0e-4, 8.0e-4]);
     let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
     let cold = pool.session(SchedulePolicy::Fifo).run(&spec).expect("cold");
@@ -204,13 +285,15 @@ fn run_report_carries_ctx_rebuild_counters() {
             .and_then(|w| w.as_array())
             .expect("workers block");
         assert_eq!(workers.len(), 2);
-        for w in workers {
-            let n = w
-                .get("ctx_rebuilds")
-                .and_then(|v| v.as_f64())
-                .expect("ctx_rebuilds field");
-            assert_eq!(n, want, "report rebuild counter wrong");
-        }
+        let builds: f64 = workers
+            .iter()
+            .map(|w| {
+                w.get("ctx_rebuilds")
+                    .and_then(|v| v.as_f64())
+                    .expect("ctx_rebuilds field")
+            })
+            .sum();
+        assert_eq!(builds, want, "report rebuild counters wrong");
     }
 }
 

@@ -475,6 +475,39 @@ fn expired_deadline_cancels_but_the_pool_survives() {
 }
 
 #[test]
+fn curved_cosmology_is_refused_at_admission_and_the_pool_survives() {
+    let (mut server, mut reader, addr) = start_server_with(3, &[]);
+
+    // an explicit --omega-c pins an open budget (Ω_k = 0.69): it used
+    // to reach the workers, trip the evolver's flatness assert, and
+    // hang the pool; now it never leaves admission
+    let open = ["--nk", "3", "--omega-b", "0.06", "--omega-c", "0.25"];
+    for extra in [
+        &open[..],
+        &[&open[..], &["--ensemble", "--sweep-h", "0.5,0.7"]].concat(),
+    ] {
+        let out = client_raw(&addr, extra);
+        assert!(!out.status.success(), "curved request served");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bad-request") && stderr.contains("not flat"),
+            "client stderr: {stderr:?}"
+        );
+    }
+
+    // no worker ever saw either request: the pool serves the next one
+    let ok = client(&addr, &["--nk", "3"]);
+    assert_eq!(ok["cache_hit"], "0");
+    assert_eq!(ok["outputs"], "3");
+
+    let status = server.wait().expect("server exit");
+    assert!(status.success(), "server exited with {status}");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("read summary");
+    assert!(rest.contains("pool jobs=1"), "unexpected summary: {rest:?}");
+}
+
+#[test]
 fn killed_worker_leaves_a_flight_recorder_dump() {
     let dir = std::env::temp_dir().join(format!("plinger_flight_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -286,9 +286,9 @@ cargo test -q -p plinger --test tcp_recovery --test protocol_compat
 cargo test -q -p msgpass fault::
 
 echo "== warm-pool determinism =="
-# pooled jobs must stay bitwise-identical to fresh farms with caches
-# rebuilt only on cosmology change, and the canonical hashes the
-# caches key on are pinned to golden values
+# pooled jobs must stay bitwise-identical to fresh farms with tables
+# built once per process and only on cosmology change, and the canonical
+# hashes the table cache keys on are pinned to golden values
 cargo test -q -p plinger --test pool_sessions --test canonical_hash --test serve
 
 echo "== ensemble differential layer =="
@@ -298,11 +298,30 @@ echo "== ensemble differential layer =="
 # the ensemble smoke gate above (shmem/tcp legs ride the same suite)
 cargo test -q --test ensemble_pinning
 
-echo "== ensemble bench smoke =="
-# compile-and-run-once smoke of the sweep-throughput bench behind
-# BENCH_ensemble.json (2 workers, 2 modes/shard); the bin itself
-# asserts the warm-pool cube is bitwise-identical to fresh farms
-cargo run -q --release -p bench --bin ensemble 2 2 \
-    | grep -q "^bench: ensemble/3x2x2/w2 "
+echo "== exact build counts x10 =="
+# both suites pin table builds exactly (one per cosmology per process,
+# claimed by exactly one rank); a scheduling race would show as a count
+# off by one in some run, so one green run proves little
+for i in $(seq 1 10); do
+    cargo test -q --test ensemble_pinning >/dev/null \
+        || { echo "ensemble_pinning failed on run $i"; exit 1; }
+    cargo test -q -p plinger --test pool_sessions >/dev/null \
+        || { echo "pool_sessions failed on run $i"; exit 1; }
+done
+
+echo "== ensemble bench gate =="
+# run the sweep-throughput bench behind BENCH_ensemble.json once
+# (2 workers, 2 modes/shard; the bin itself asserts the warm-pool cube
+# is bitwise-identical to fresh farms) and gate on the count that is
+# exact on any machine: 12 shards, 12 table builds for the warm pool
+bench_line="$(cargo run -q --release -p bench --bin ensemble 2 2 \
+    | grep "^bench: ensemble/3x2x2/w2 ")"
+python3 - "$bench_line" <<'PY'
+import sys
+fields = dict(kv.split("=") for kv in sys.argv[1].split()[2:])
+builds = int(fields["ctx_rebuilds"]) + int(fields["prefetch_builds"])
+assert builds == 12, f"warm pool built {builds} contexts for 12 shards: {sys.argv[1]}"
+print(f"ensemble bench gate: {builds} builds for {fields['shards']} shards")
+PY
 
 echo "ci: all green"
