@@ -14,8 +14,13 @@
 //! los`:
 //!
 //! ```text
-//! bench: los_speedup/lmax1500 full_s=… los_s=… speedup=… modes=… band_dev=…
+//! bench: los_speedup/lmax1500 full_s=… los_s=… speedup=… modes=… band_dev=… jltable_mb=… jltable_build_ms=… recorder_kb_per_mode=…
 //! ```
+//!
+//! The last three are what the two line-of-sight stages hold: heap of
+//! the Bessel table `los_spectrum` left in the process-wide cache (its
+//! node rows), the time to build that table afresh, and the most any
+//! one mode's source recorder held.
 
 use background::{Background, CosmoParams};
 use boltzmann::SpectrumMethod;
@@ -81,6 +86,16 @@ fn main() {
     drop(full_cl);
     drop(los_cl);
 
+    // what the LOS stages held.  Asking the cache for no more than it
+    // has returns the table `los_spectrum` used, without rebuilding it.
+    let nodes = spectra::los::node_multipoles(l_max);
+    let table = special::JlTable::shared_rows(&nodes, 0.0);
+    let jltable_mb = table.heap_bytes() as f64 / (1u64 << 20) as f64;
+    let t0 = std::time::Instant::now();
+    std::hint::black_box(special::JlTable::build_rows(&nodes, table.x_max()));
+    let jltable_build_ms = 1e3 * t0.elapsed().as_secs_f64();
+    let recorder_kb = (boltzmann::source::recorder_high_water_reals() * 8) as f64 / 1024.0;
+
     // matched-l agreement on representative modes: hierarchy Δ_l vs
     // projected Θ_l, relative to the band amplitude.  Compare only the
     // band where mode k feeds C_l — l ∈ [0.4, 0.9]·k·τ₀.  The C_l
@@ -88,7 +103,6 @@ fn main() {
     // regime of near-total oscillatory cancellation whose quadrature
     // noise never reaches the spectrum, and l ≳ k·τ₀ is beyond the
     // hierarchy's own trust range.
-    let nodes = spectra::los::node_multipoles(l_max);
     let n = spec.ks.len();
     let mut band_dev = 0.0f64;
     for idx in [n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5] {
@@ -117,7 +131,9 @@ fn main() {
     }
 
     println!(
-        "bench: los_speedup/lmax{l_max} full_s={full_s:.3} los_s={los_s:.3} speedup={:.2} modes={} band_dev={band_dev:.4}",
+        "bench: los_speedup/lmax{l_max} full_s={full_s:.3} los_s={los_s:.3} speedup={:.2} modes={} \
+         band_dev={band_dev:.4} jltable_mb={jltable_mb:.3} jltable_build_ms={jltable_build_ms:.1} \
+         recorder_kb_per_mode={recorder_kb:.1}",
         full_s / los_s,
         spec.ks.len()
     );

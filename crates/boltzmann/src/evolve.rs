@@ -267,11 +267,11 @@ pub fn evolve_mode_scratch(
     let mut trajectory = Vec::new();
     let mut tau = tau_start;
 
-    // line-of-sight mode snapshots (τ, y) at every accepted step; the
-    // projector coefficients are evaluated after the integration (the
-    // recorder cannot borrow `rhs` while the integrator holds it)
+    // line-of-sight mode evaluates the projector coefficients at every
+    // accepted step, through the recorder's own metric evaluator (it
+    // cannot borrow `rhs` while the integrator holds it)
     let mut recorder = los.then(|| {
-        let mut rec = SourceRecorder::new(layout.dim());
+        let mut rec = SourceRecorder::new(bg, thermo, layout.clone(), k);
         rec.push(tau_start, &y);
         rec
     });
@@ -326,7 +326,7 @@ pub fn evolve_mode_scratch(
         trajectory.extend(sol.trajectory);
     }
 
-    let sources = recorder.map(|rec| rec.finish(&rhs, bg, thermo, tau_end, preset));
+    let sources = recorder.map(|rec| rec.finish(tau_end, preset));
     let cpu_seconds = wall_start.elapsed().as_secs_f64();
     let mut out = ModeOutput::from_state(&rhs, bg, tau_end, &y, stats, cpu_seconds, trajectory);
     out.sources = sources;

@@ -29,13 +29,17 @@
 //! polarization uses the single projector `3(j_l + j_l'')` with
 //! coefficient `s_P = g Π/4`.
 //!
-//! The recorder captures `(τ, y)` on the integrator's natural accepted
-//! steps (via the read-only observer hook — zero extra RHS work), then
-//! resamples the four coefficient histories onto a compact two-block
-//! grid: a fine uniform block across the recombination window where the
-//! visibility peaks, and a coarse uniform tail to `τ₀` for the ISW
-//! contribution.  The result is small (a few hundred points independent
-//! of `l_max`), which is what shrinks the farm's per-mode message.
+//! The recorder evaluates the four coefficients on the integrator's
+//! natural accepted steps (via the read-only observer hook — zero extra
+//! RHS work) and keeps them, five reals a step with `τ`; the state
+//! vector they were read from is not kept.  At the end it resamples the
+//! four histories onto a compact two-block grid: a fine uniform block
+//! across the recombination window where the visibility peaks, and a
+//! coarse uniform tail to `τ₀` for the ISW contribution.  The result is
+//! small (a few hundred points independent of `l_max`), which is what
+//! shrinks the farm's per-mode message.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use background::Background;
 use recomb::ThermoHistory;
@@ -131,87 +135,115 @@ impl ModeSources {
     }
 }
 
-/// Accumulates `(τ, y)` snapshots on the integrator's accepted steps.
-///
-/// The observer fires with the freshly accepted state; the handoff patch
-/// at the TCA switch re-pushes the same `τ` with the slaved moments
-/// filled in, which replaces the previous snapshot so the sample times
-/// stay strictly increasing.
-pub(crate) struct SourceRecorder {
-    dim: usize,
-    taus: Vec<f64>,
-    ys: Vec<f64>, // flattened, stride = dim
+/// Most reals any one recorder of this process held when it finished.
+static RECORDER_HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+
+/// The most reals (by capacity: `τ` and four coefficients per accepted
+/// step) that any single mode's source recorder has held in this
+/// process — a statistic for the memory gate in `scripts/ci.sh`.
+pub fn recorder_high_water_reals() -> usize {
+    RECORDER_HIGH_WATER.load(Ordering::Relaxed)
 }
 
-impl SourceRecorder {
-    pub(crate) fn new(dim: usize) -> Self {
+/// Accumulates `(τ, s₀, s₁, s₂, s_P)` on the integrator's accepted steps.
+///
+/// The observer fires with the freshly accepted state, which is boiled
+/// down to the four projector coefficients on the spot.  That needs the
+/// metric at `(τ, y)`, and the integrator holds the mode's `LingerRhs`
+/// mutably while the observer runs, so the recorder carries its own:
+/// same background, thermal history, layout and `k`, used for
+/// [`LingerRhs::metrics`] only, which reads no integrator state.
+///
+/// The handoff patch at the TCA switch re-pushes the same `τ` with the
+/// slaved moments filled in, which replaces the previous sample so the
+/// sample times stay strictly increasing.
+pub(crate) struct SourceRecorder<'a> {
+    rhs: LingerRhs<'a>,
+    taus: Vec<f64>,
+    /// `s₀, s₁, s₂, s_P` histories, each as long as `taus`.
+    cols: [Vec<f64>; 4],
+}
+
+impl<'a> SourceRecorder<'a> {
+    pub(crate) fn new(
+        bg: &'a Background,
+        thermo: &'a ThermoHistory,
+        layout: StateLayout,
+        k: f64,
+    ) -> Self {
         Self {
-            dim,
+            rhs: LingerRhs::new(bg, thermo, layout, k),
             taus: Vec::with_capacity(1024),
-            ys: Vec::with_capacity(1024 * dim),
+            cols: std::array::from_fn(|_| Vec::with_capacity(1024)),
         }
     }
 
     pub(crate) fn push(&mut self, tau: f64, y: &[f64]) {
-        debug_assert_eq!(y.len(), self.dim);
-        if let Some(&last) = self.taus.last() {
+        debug_assert_eq!(y.len(), self.rhs.layout.dim());
+        match self.taus.last() {
             // the TCA handoff re-pushes the switch time (and endpoint
             // clamping can land one ulp past it): overwrite the last
-            // snapshot so the sample times stay strictly increasing
-            if tau <= last {
-                let at = self.ys.len() - self.dim;
-                self.ys[at..].copy_from_slice(y);
-                return;
+            // sample, at the time already recorded for it, so the
+            // sample times stay strictly increasing
+            Some(&last) if tau <= last => {
+                let coefs = self.coefficients(last, y);
+                for (col, v) in self.cols.iter_mut().zip(coefs) {
+                    *col.last_mut().expect("one entry per recorded time") = v;
+                }
+            }
+            _ => {
+                let coefs = self.coefficients(tau, y);
+                self.taus.push(tau);
+                for (col, v) in self.cols.iter_mut().zip(coefs) {
+                    col.push(v);
+                }
             }
         }
-        self.taus.push(tau);
-        self.ys.extend_from_slice(y);
     }
 
-    /// Evaluate the projector coefficients at every snapshot and
-    /// resample them onto the compact two-block grid.
-    pub(crate) fn finish(
-        self,
-        rhs: &LingerRhs<'_>,
-        bg: &Background,
-        thermo: &ThermoHistory,
-        tau_end: f64,
-        preset: Preset,
-    ) -> ModeSources {
-        let lay = &rhs.layout;
-        let k = rhs.k;
-        let n = self.taus.len();
-        let mut s0 = Vec::with_capacity(n);
-        let mut s1 = Vec::with_capacity(n);
-        let mut s2 = Vec::with_capacity(n);
-        let mut sp = Vec::with_capacity(n);
-        for (i, &tau) in self.taus.iter().enumerate() {
-            let y = &self.ys[i * self.dim..(i + 1) * self.dim];
-            let a = bg.a_of_tau(tau);
-            let g = thermo.visibility(tau, a);
-            let expmk = (-thermo.optical_depth(tau)).exp();
-            let m = rhs.metrics(tau, y);
-            let theta0 = 0.25 * y[lay.fg(0)];
-            let pi_q = 0.25 * (y[lay.fg(2)] + y[lay.gg(0)] + y[lay.gg(2)]);
-            let theta_b = y[StateLayout::THETA_B];
-            let (v0, v1, v2) = match lay.gauge {
-                Gauge::Synchronous => (
-                    g * theta0 - expmk * m.hdot / 6.0,
-                    g * theta_b / k,
-                    g * pi_q / 4.0 + expmk * (m.hdot + 6.0 * m.etadot) / 6.0,
-                ),
-                Gauge::ConformalNewtonian => (
-                    g * theta0 + expmk * m.phidot,
-                    g * theta_b / k + expmk * k * m.psi,
-                    g * pi_q / 4.0,
-                ),
-            };
-            s0.push(v0);
-            s1.push(v1);
-            s2.push(v2);
-            sp.push(g * pi_q / 4.0);
-        }
-        resample(&self.taus, [&s0, &s1, &s2, &sp], thermo, tau_end, preset)
+    /// The projector coefficients `[s₀, s₁, s₂, s_P]` of state `y` at `tau`.
+    fn coefficients(&self, tau: f64, y: &[f64]) -> [f64; 4] {
+        let lay = &self.rhs.layout;
+        let k = self.rhs.k;
+        let thermo = self.rhs.thermo();
+        let a = self.rhs.background().a_of_tau(tau);
+        let g = thermo.visibility(tau, a);
+        let expmk = (-thermo.optical_depth(tau)).exp();
+        let m = self.rhs.metrics(tau, y);
+        let theta0 = 0.25 * y[lay.fg(0)];
+        let pi_q = 0.25 * (y[lay.fg(2)] + y[lay.gg(0)] + y[lay.gg(2)]);
+        let theta_b = y[StateLayout::THETA_B];
+        let (s0, s1, s2) = match lay.gauge {
+            Gauge::Synchronous => (
+                g * theta0 - expmk * m.hdot / 6.0,
+                g * theta_b / k,
+                g * pi_q / 4.0 + expmk * (m.hdot + 6.0 * m.etadot) / 6.0,
+            ),
+            Gauge::ConformalNewtonian => (
+                g * theta0 + expmk * m.phidot,
+                g * theta_b / k + expmk * k * m.psi,
+                g * pi_q / 4.0,
+            ),
+        };
+        [s0, s1, s2, g * pi_q / 4.0]
+    }
+
+    /// Reals held, by capacity.
+    fn reals(&self) -> usize {
+        self.taus.capacity() + self.cols.iter().map(Vec::capacity).sum::<usize>()
+    }
+
+    /// Resample the recorded histories onto the compact two-block grid.
+    pub(crate) fn finish(self, tau_end: f64, preset: Preset) -> ModeSources {
+        RECORDER_HIGH_WATER.fetch_max(self.reals(), Ordering::Relaxed);
+        let [s0, s1, s2, sp] = &self.cols;
+        resample(
+            &self.taus,
+            [s0, s1, s2, sp],
+            self.rhs.thermo(),
+            tau_end,
+            preset,
+        )
     }
 }
 
@@ -263,7 +295,7 @@ fn resample(
 
     let interp = |ys: &Vec<f64>| -> Vec<f64> {
         if taus.len() >= 4 {
-            let sp = numutil::interp::CubicSpline::natural(taus.to_vec(), ys.clone());
+            let sp = numutil::interp::CubicSpline::natural(taus, ys.clone());
             let mut hint = 0usize;
             grid.iter().map(|&t| sp.eval_hunt(t, &mut hint)).collect()
         } else if taus.len() >= 2 {
@@ -322,11 +354,42 @@ mod tests {
 
     #[test]
     fn recorder_replaces_equal_time_samples() {
-        let mut rec = SourceRecorder::new(2);
-        rec.push(1.0, &[10.0, 20.0]);
-        rec.push(2.0, &[30.0, 40.0]);
-        rec.push(2.0, &[31.0, 41.0]); // TCA handoff re-push
-        assert_eq!(rec.taus, vec![1.0, 2.0]);
-        assert_eq!(rec.ys, vec![10.0, 20.0, 31.0, 41.0]);
+        use background::CosmoParams;
+
+        let bg = Background::new(CosmoParams::standard_cdm());
+        let th = ThermoHistory::new(&bg);
+        let layout = StateLayout::new(Gauge::Synchronous, 8, 8, 0, 0);
+        let state = |seed: f64| -> Vec<f64> {
+            (0..layout.dim())
+                .map(|i| seed * (1.0 + i as f64).sin())
+                .collect()
+        };
+        let (first, early, patched) = (state(1.0), state(2.0), state(3.0));
+        let mut rec = SourceRecorder::new(&bg, &th, layout.clone(), 0.03);
+        rec.push(100.0, &first);
+        rec.push(250.0, &early);
+        rec.push(250.0, &patched); // TCA handoff re-push
+        rec.push(250.0 - 1e-13, &patched); // an ulp short of it: same sample
+        assert_eq!(rec.taus, vec![100.0, 250.0]);
+
+        // five reals a step, and the re-push overwrote the last four
+        let reference = SourceRecorder::new(&bg, &th, layout.clone(), 0.03);
+        let want = [
+            reference.coefficients(100.0, &first),
+            reference.coefficients(250.0, &patched),
+        ];
+        for (c, col) in rec.cols.iter().enumerate() {
+            let got: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, [want[0][c].to_bits(), want[1][c].to_bits()], "col {c}");
+        }
+        assert_ne!(
+            reference.coefficients(250.0, &early),
+            reference.coefficients(250.0, &patched)
+        );
+
+        let held = rec.reals();
+        assert_eq!(held, 5 * 1024, "τ and four coefficients a step");
+        rec.finish(bg.tau0(), Preset::Draft);
+        assert!(recorder_high_water_reals() >= held);
     }
 }

@@ -129,22 +129,26 @@ impl LinearInterp {
 }
 
 /// Natural cubic spline with precomputed second derivatives.
+///
+/// The abscissa `X` is owned (`Vec<f64>`, the default) or borrowed
+/// (`&[f64]`): several splines over the same knots can share one
+/// vector instead of each holding a copy.
 #[derive(Debug, Clone)]
-pub struct CubicSpline {
-    xs: Vec<f64>,
+pub struct CubicSpline<X = Vec<f64>> {
+    xs: X,
     ys: Vec<f64>,
     y2: Vec<f64>,
 }
 
-impl CubicSpline {
+impl<X: std::ops::Deref<Target = [f64]>> CubicSpline<X> {
     /// Construct a natural spline (zero second derivative at both ends).
-    pub fn natural(xs: Vec<f64>, ys: Vec<f64>) -> Self {
+    pub fn natural(xs: X, ys: Vec<f64>) -> Self {
         Self::with_bc(xs, ys, None, None)
     }
 
     /// Construct a clamped spline with prescribed end-point first
     /// derivatives where given (`None` = natural end).
-    pub fn with_bc(xs: Vec<f64>, ys: Vec<f64>, yp0: Option<f64>, ypn: Option<f64>) -> Self {
+    pub fn with_bc(xs: X, ys: Vec<f64>, yp0: Option<f64>, ypn: Option<f64>) -> Self {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         let n = xs.len();
         assert!(n >= 3, "need at least three points for a cubic spline");

@@ -184,6 +184,25 @@ fn jl_window_lmax(x: f64) -> usize {
     l
 }
 
+/// `(j_l(x), j_l'(x))` evaluated directly: the scalar recurrences for
+/// `j_l`, and `j_l' = j_{l−1} − (l+1)/x · j_l` for the derivative (its
+/// `x → 0` limit is `δ_{l1}/3`).
+pub fn sph_bessel_jl_pair(l: usize, x: f64) -> (f64, f64) {
+    let j = sph_bessel_jl(l, x);
+    let dj = if l == 0 {
+        -sph_bessel_jl(1, x)
+    } else if x < 1e-14 {
+        if l == 1 {
+            1.0 / 3.0
+        } else {
+            0.0
+        }
+    } else {
+        sph_bessel_jl(l - 1, x) - (l as f64 + 1.0) / x * j
+    };
+    (j, dj)
+}
+
 /// One windowed row of the table: values and derivatives of `j_l` at
 /// the uniform nodes `x = i·JL_TABLE_DX`, `i ≥ i0`.
 #[derive(Debug, Clone)]
@@ -197,15 +216,23 @@ struct JlRow {
     dj: Vec<f64>,
 }
 
-/// Precomputed `j_l(x)` / `j_l'(x)` over the projection grid with
-/// interpolated lookup.
+/// Slot-map entry of a multipole the table has no row for.
+const NO_ROW: u32 = u32::MAX;
+
+/// Precomputed `j_l(x)` / `j_l'(x)` at *requested* multipoles over the
+/// projection grid, with interpolated lookup.
 ///
-/// Rows are *windowed*: row `l` starts at [`jl_window_start`]`(l)`
-/// (where the function rises from zero), which cuts the memory for an
-/// `l_max = 1500` table from ~240 MB to ~50 MB.  Node values depend
-/// only on `(l, x)` — one downward Miller sweep per node, carried to
-/// the node's own window `l_max` regardless of the table size — so
-/// growing a cached table never changes an existing entry.
+/// The table holds one row per requested `l` and nothing else: the
+/// line-of-sight assembly reads `j_l` at its ~60 node multipoles only,
+/// and a row is up to 32 kB per 1 000 of `x_max`, so the 63 node rows of
+/// `l_max = 1500` at `x_max = 3010` take 5 MB where all 1 501 rows took
+/// 106 MB.  Rows are also *windowed*: row `l` starts at
+/// [`jl_window_start`]`(l)`, where the function rises from zero.
+///
+/// Node values depend only on `(l, x)` — one downward Miller sweep per
+/// node, carried to the node's own window `l_max` whatever rows were
+/// asked for — so a row is bit-identical in every table that has it,
+/// and growing a cached table never changes an existing entry.
 ///
 /// Lookup is cubic-Hermite in both `j` and `j'`: each uses the exact
 /// node value and the exact node derivative of the quantity being
@@ -213,23 +240,41 @@ struct JlRow {
 /// identity), giving `O(dx⁴)` accuracy for both.
 #[derive(Debug, Clone)]
 pub struct JlTable {
-    l_max: usize,
+    /// The tabulated multipoles, strictly increasing.
+    ls: Vec<usize>,
+    /// `l → index into rows`, [`NO_ROW`] where `l` was not requested.
+    slot: Vec<u32>,
     x_max: f64,
     rows: Vec<JlRow>,
 }
 
 impl JlTable {
-    /// Build a fresh table covering `l = 0..=l_max`, `x ∈ [0, x_max]`.
-    pub fn build(l_max: usize, x_max: f64) -> Self {
+    /// Build a fresh table with a row for each of `ls` (any order,
+    /// repeats ignored), covering `x ∈ [0, x_max]`.
+    pub fn build_rows(ls: &[usize], x_max: f64) -> Self {
+        let mut ls = ls.to_vec();
+        ls.sort_unstable();
+        ls.dedup();
+        let l_top = ls.last().copied().unwrap_or(0);
+        assert!(
+            l_top < NO_ROW as usize,
+            "multipole {l_top} is beyond the table's slot map"
+        );
         let x_max = x_max.max(JL_TABLE_DX);
         let i_max = (x_max / JL_TABLE_DX).ceil() as usize + 1;
-        let mut rows: Vec<JlRow> = (0..=l_max)
-            .map(|l| JlRow {
-                i0: (jl_window_start(l) / JL_TABLE_DX).ceil() as usize,
-                j: Vec::new(),
-                dj: Vec::new(),
-            })
-            .collect();
+        let mut slot = vec![NO_ROW; if ls.is_empty() { 0 } else { l_top + 1 }];
+        let mut rows = Vec::with_capacity(ls.len());
+        for (at, &l) in ls.iter().enumerate() {
+            slot[l] = at as u32;
+            let i0 = (jl_window_start(l) / JL_TABLE_DX).ceil() as usize;
+            // a row takes every node from its window to the table's end
+            let len = (i_max + 1).saturating_sub(i0);
+            rows.push(JlRow {
+                i0,
+                j: Vec::with_capacity(len),
+                dj: Vec::with_capacity(len),
+            });
+        }
         let mut buf = Vec::new();
         for i in 0..=i_max {
             let x = i as f64 * JL_TABLE_DX;
@@ -238,7 +283,10 @@ impl JlTable {
             let wl = jl_window_lmax(x);
             buf.resize(wl + 2, 0.0);
             sph_bessel_jl_array(x, &mut buf);
-            for (l, row) in rows.iter_mut().enumerate().take(wl.min(l_max) + 1) {
+            for (&l, row) in ls.iter().zip(rows.iter_mut()) {
+                if l > wl {
+                    break;
+                }
                 if i < row.i0 {
                     continue;
                 }
@@ -257,12 +305,22 @@ impl JlTable {
                 });
             }
         }
-        Self { l_max, x_max, rows }
+        Self {
+            ls,
+            slot,
+            x_max,
+            rows,
+        }
+    }
+
+    /// Build a fresh table with every row `l = 0..=l_max`.
+    pub fn build(l_max: usize, x_max: f64) -> Self {
+        Self::build_rows(&(0..=l_max).collect::<Vec<_>>(), x_max)
     }
 
     /// Largest tabulated multipole.
     pub fn l_max(&self) -> usize {
-        self.l_max
+        self.ls.last().copied().unwrap_or(0)
     }
 
     /// Largest tabulated argument.
@@ -270,34 +328,73 @@ impl JlTable {
         self.x_max
     }
 
-    /// A process-wide cached table covering at least `(l_max, x_max)`.
-    /// The cache only ever grows; because node values are independent of
-    /// the table dimensions, entries shared between the old and new
-    /// coverage are bitwise identical after growth.
+    /// Whether the table has a row for `l`.
+    pub fn has(&self, l: usize) -> bool {
+        self.slot.get(l).is_some_and(|&at| at != NO_ROW)
+    }
+
+    /// Bytes of heap the table holds, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ls.capacity() * size_of::<usize>()
+            + self.slot.capacity() * size_of::<u32>()
+            + self.rows.capacity() * size_of::<JlRow>()
+            + self
+                .rows
+                .iter()
+                .map(|r| (r.j.capacity() + r.dj.capacity()) * size_of::<f64>())
+                .sum::<usize>()
+    }
+
+    /// The process-wide cached table, grown to hold every row
+    /// `0..=l_max` out to `x_max` — see [`Self::shared_rows`].
     pub fn shared(l_max: usize, x_max: f64) -> std::sync::Arc<JlTable> {
-        use std::sync::{Arc, Mutex, OnceLock};
-        static CACHE: OnceLock<Mutex<Option<Arc<JlTable>>>> = OnceLock::new();
-        let mut slot = CACHE.get_or_init(|| Mutex::new(None)).lock().unwrap();
+        Self::shared_rows(&(0..=l_max).collect::<Vec<_>>(), x_max)
+    }
+
+    /// The process-wide cached table, grown to hold at least the rows
+    /// `ls` out to `x_max`.  The cache only ever grows (to the union of
+    /// the rows and the largest `x_max` asked of it); because node
+    /// values are independent of what else is tabulated, entries shared
+    /// between the old and new coverage are bitwise identical after
+    /// growth.
+    pub fn shared_rows(ls: &[usize], x_max: f64) -> std::sync::Arc<JlTable> {
+        use std::sync::{Arc, Mutex, PoisonError};
+        static CACHE: Mutex<Option<Arc<JlTable>>> = Mutex::new(None);
+        // a build that panicked left the slot empty or holding a
+        // finished table — both valid — so a poisoned lock is recovered
+        let mut slot = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(t) = slot.as_ref() {
-            if t.l_max >= l_max && t.x_max >= x_max {
+            if t.x_max >= x_max && ls.iter().all(|&l| t.has(l)) {
                 return Arc::clone(t);
             }
         }
-        let (l_cur, x_cur) = slot
-            .as_ref()
-            .map(|t| (t.l_max, t.x_max))
-            .unwrap_or((0, 0.0));
-        let fresh = Arc::new(JlTable::build(l_max.max(l_cur), x_max.max(x_cur)));
+        // let go of the old table before building its successor, so the
+        // two are never resident together
+        let (mut union, x_cur) = match slot.take() {
+            Some(old) => (old.ls.clone(), old.x_max),
+            None => (Vec::new(), 0.0),
+        };
+        union.extend_from_slice(ls);
+        let fresh = Arc::new(JlTable::build_rows(&union, x_max.max(x_cur)));
         *slot = Some(Arc::clone(&fresh));
         fresh
     }
 
     /// `(j_l(x), j_l'(x))` by cubic-Hermite interpolation.  Exactly zero
-    /// below the row window (where `j_l` is negligible); `x` must not
-    /// exceed the built `x_max`.
+    /// below the row window (where `j_l` is negligible).
+    ///
+    /// A query outside the table's coverage — an `l` it has no row for,
+    /// or `x` beyond [`Self::x_max`] — is a caller bug and fails a
+    /// `debug_assert!`.  In release builds it is answered by direct
+    /// evaluation ([`sph_bessel_jl_pair`]: exact, and much slower),
+    /// never by extrapolating the last interval.
     #[inline]
     pub fn eval(&self, l: usize, x: f64) -> (f64, f64) {
-        let row = &self.rows[l];
+        let row = match self.slot.get(l) {
+            Some(&at) if at != NO_ROW && x <= self.x_max => &self.rows[at as usize],
+            _ => return self.uncovered(l, x),
+        };
         let u = x / JL_TABLE_DX - row.i0 as f64;
         if u < 0.0 {
             return (0.0, 0.0);
@@ -339,6 +436,19 @@ impl JlTable {
         let ddb = (ll1 / (xb * xb) - 1.0) * jb - 2.0 / xb * db;
         let dj = h00 * da + h10 * dx * dda + h01 * db + h11 * dx * ddb;
         (j, dj)
+    }
+
+    /// The out-of-coverage arm of [`Self::eval`].
+    #[cold]
+    fn uncovered(&self, l: usize, x: f64) -> (f64, f64) {
+        debug_assert!(
+            false,
+            "JlTable::eval(l = {l}, x = {x}) outside the table: {} rows up to l = {}, x_max = {}",
+            self.rows.len(),
+            self.l_max(),
+            self.x_max
+        );
+        sph_bessel_jl_pair(l, x)
     }
 }
 
@@ -569,13 +679,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_table_growth_preserves_entries() {
+    fn shared_table_grows_by_union_and_survives_a_panicking_build() {
         let small = JlTable::shared(20, 30.0);
         let probe: Vec<(usize, f64)> =
             vec![(0, 7.25), (3, 12.1), (11, 22.9), (20, 29.3), (17, 0.75)];
         let before: Vec<(f64, f64)> = probe.iter().map(|&(l, x)| small.eval(l, x)).collect();
-        let big = JlTable::shared(45, 90.0);
-        assert!(big.l_max() >= 45 && big.x_max() >= 90.0);
+        drop(small);
+        // more rows, scattered, and a longer reach
+        let big = JlTable::shared_rows(&[45, 33, 2], 90.0);
+        assert!(big.x_max() >= 90.0);
+        assert!((0..=20).chain([33, 45]).all(|l| big.has(l)));
         for (&(l, x), &(j0v, dj0v)) in probe.iter().zip(&before) {
             let (j1v, dj1v) = big.eval(l, x);
             assert_eq!(
@@ -585,9 +698,80 @@ mod tests {
             );
             assert_eq!(dj0v.to_bits(), dj1v.to_bits());
         }
-        // the cache answers repeat requests without rebuilding
-        let again = JlTable::shared(10, 10.0);
-        assert!(std::sync::Arc::ptr_eq(&big, &again) || again.l_max() >= 45);
+        // covered requests are answered without rebuilding
+        let again = JlTable::shared_rows(&[33, 7], 10.0);
+        assert!(std::sync::Arc::ptr_eq(&big, &again));
+
+        // the build runs under the cache's lock: a multipole beyond the
+        // slot map makes it panic there and poisons the mutex, which
+        // must not take the cache down with it.  (Same test as the
+        // growth above because both own the process-wide slot.)
+        let poisoned = std::thread::spawn(|| JlTable::shared_rows(&[usize::MAX], 1.0)).join();
+        assert!(poisoned.is_err());
+        let t = JlTable::shared_rows(&[4], 12.0);
+        assert!(t.has(4) && t.x_max() >= 12.0);
+        assert_eq!(t.eval(4, 9.3).0.to_bits(), big.eval(4, 9.3).0.to_bits());
+    }
+
+    #[test]
+    fn only_requested_rows_are_tabulated() {
+        let t = JlTable::build_rows(&[7, 3, 7, 40], 50.0);
+        assert_eq!(t.l_max(), 40);
+        for l in 0..=45 {
+            assert_eq!(t.has(l), [3, 7, 40].contains(&l), "l = {l}");
+        }
+        assert!(!JlTable::build_rows(&[], 5.0).has(0));
+        // the dense builder is the same table with every row asked for
+        // (row-for-row bit equality is a property test in tests/prop.rs)
+        let dense = JlTable::build(40, 50.0);
+        assert!((0..=40).all(|l| dense.has(l)) && !dense.has(41));
+    }
+
+    #[test]
+    fn rows_are_allocated_to_their_exact_length() {
+        let t = JlTable::build_rows(&[2, 30, 200, 1500], 400.0);
+        let mut reals = 0;
+        for row in &t.rows {
+            assert_eq!(row.j.len(), row.j.capacity());
+            assert_eq!(row.dj.len(), row.dj.capacity());
+            assert_eq!(row.j.len(), row.dj.len());
+            reals += 2 * row.j.len();
+        }
+        // l = 1500 opens beyond x = 400: an empty row, no allocation
+        assert!(t.rows[3].j.is_empty());
+        let overhead = t.heap_bytes() - reals * std::mem::size_of::<f64>();
+        assert!(
+            overhead < 8 * 1024,
+            "slot map and row headers: {overhead} bytes"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the table")]
+    fn eval_beyond_x_max_is_caught_in_debug_builds() {
+        JlTable::build_rows(&[5], 20.0).eval(5, 20.5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the table")]
+    fn eval_of_a_missing_row_is_caught_in_debug_builds() {
+        JlTable::build_rows(&[5, 9], 20.0).eval(7, 10.0);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn eval_outside_the_table_is_exact_in_release_builds() {
+        let t = JlTable::build_rows(&[5, 9], 20.0);
+        // beyond x_max (even past the last node), a row never asked for,
+        // and an l above every row: the direct value, to the bit
+        for (l, x) in [(5usize, 20.5), (5, 47.3), (7, 10.0), (12, 3.0)] {
+            let (j, dj) = t.eval(l, x);
+            let (jd, djd) = sph_bessel_jl_pair(l, x);
+            assert_eq!(j.to_bits(), jd.to_bits(), "j l={l} x={x}");
+            assert_eq!(dj.to_bits(), djd.to_bits(), "j' l={l} x={x}");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@ pub mod bessel;
 pub mod fermi;
 pub mod legendre;
 
-pub use bessel::{jl_window_start, sph_bessel_jl, sph_bessel_jl_array, JlTable, JL_TABLE_DX};
+pub use bessel::{
+    jl_window_start, sph_bessel_jl, sph_bessel_jl_array, sph_bessel_jl_pair, JlTable, JL_TABLE_DX,
+};
 pub use fermi::{fermi_dirac_energy, fermi_dirac_number, fermi_dirac_pressure};
 pub use legendre::{assoc_legendre_norm, legendre_pl, legendre_pl_array};
 

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! with `j_l″` reduced through the Bessel ODE, so only `(j_l, j_l′)`
-//! from the shared [`special::JlTable`] are needed:
+//! from a [`special::JlTable`] are needed:
 //!
 //! ```text
 //! 3j_l″ + j_l   = (3l(l+1)/y² − 2) j_l − (6/y) j_l′,
@@ -35,8 +35,7 @@
 
 use boltzmann::ModeOutput;
 use numutil::interp::CubicSpline;
-use special::{jl_window_start, sph_bessel_jl, JlTable};
-use std::sync::Arc;
+use special::{jl_window_start, sph_bessel_jl_pair, JlTable};
 
 use crate::cl::ClSpectrum;
 use crate::primordial::PrimordialSpectrum;
@@ -61,19 +60,7 @@ fn jl_pair(table: &JlTable, l: usize, y: f64) -> (f64, f64) {
     if y <= jl_window_start(l) {
         return (0.0, 0.0);
     }
-    let j = sph_bessel_jl(l, y);
-    let dj = if l == 0 {
-        -sph_bessel_jl(1, y)
-    } else if y < 1e-14 {
-        if l == 1 {
-            1.0 / 3.0
-        } else {
-            0.0
-        }
-    } else {
-        sph_bessel_jl(l - 1, y) - (l as f64 + 1.0) / y * j
-    };
-    (j, dj)
+    sph_bessel_jl_pair(l, y)
 }
 
 /// The two source kernels `(3j″+j, 3(j+j″))` at argument `y`, with the
@@ -92,7 +79,8 @@ fn kernels(l: usize, y: f64, j: f64, dj: f64) -> (f64, f64) {
 }
 
 /// Project one recorded mode onto `(Θ_l, Θᴾ_l)` for each requested
-/// multipole.  Returns `None` when the mode carries no source record.
+/// multipole; `table` must have a row for each.  Returns `None` when
+/// the mode carries no source record.
 pub fn project_mode(
     out: &ModeOutput,
     ls: &[usize],
@@ -107,11 +95,13 @@ pub fn project_mode(
     let tau_obs = src.tau_obs;
     let y_max = k * (tau_obs - src.tau[0]);
 
-    // smooth interpolants for the four source components
-    let sp0 = CubicSpline::natural(src.tau.clone(), src.s0.clone());
-    let sp1 = CubicSpline::natural(src.tau.clone(), src.s1.clone());
-    let sp2 = CubicSpline::natural(src.tau.clone(), src.s2.clone());
-    let spp = CubicSpline::natural(src.tau.clone(), src.sp.clone());
+    // smooth interpolants for the four source components, on one
+    // shared knot vector
+    let knots = src.tau.as_slice();
+    let sp0 = CubicSpline::natural(knots, src.s0.clone());
+    let sp1 = CubicSpline::natural(knots, src.s1.clone());
+    let sp2 = CubicSpline::natural(knots, src.s2.clone());
+    let spp = CubicSpline::natural(knots, src.sp.clone());
 
     let h_osc = 2.0 * std::f64::consts::PI / (k * OSC_SAMPLES);
     let mut theta = vec![0.0; ls.len()];
@@ -173,10 +163,10 @@ pub fn project_mode(
     Some((theta, theta_p))
 }
 
-/// The `x` range the shared Bessel table must cover for these modes.
-fn required_x_max(outputs: &[ModeOutput]) -> f64 {
+/// The `x` range a Bessel table must cover to project these modes.
+fn required_x_max<'a>(outputs: impl IntoIterator<Item = &'a ModeOutput>) -> f64 {
     outputs
-        .iter()
+        .into_iter()
         .filter_map(|o| {
             let s = o.sources.as_ref()?;
             Some(o.k * (s.tau_obs - s.tau[0]))
@@ -185,17 +175,16 @@ fn required_x_max(outputs: &[ModeOutput]) -> f64 {
         + 10.0
 }
 
-/// Fetch the process-wide Bessel table sized for these modes.
-fn table_for(outputs: &[ModeOutput], l_max: usize) -> Arc<JlTable> {
-    JlTable::shared(l_max, required_x_max(outputs))
-}
-
 /// Replace each mode's moment ladder with the line-of-sight projection
 /// at every `l ≤ l_max` — the exact (dense) path, suitable for
 /// cross-checks and modest `l_max`.  Modes without a source record are
 /// passed through unchanged.
+///
+/// The all-rows Bessel table this needs is built privately and dropped
+/// on return: put in the process-wide cache it would stay dense (~70 kB
+/// per row per 3 000 of `x`) for the life of the process.
 pub fn project_outputs(outputs: &[ModeOutput], l_max: usize) -> Vec<ModeOutput> {
-    let table = table_for(outputs, l_max);
+    let table = JlTable::build(l_max, required_x_max(outputs));
     let ls: Vec<usize> = (0..=l_max).collect();
     outputs
         .iter()
@@ -267,15 +256,8 @@ pub fn los_spectrum_with_nodes(
             && nodes.windows(2).all(|w| w[1] > w[0]),
         "nodes must increase from l ≥ 2 to exactly l_max"
     );
-    let x_need = with_src
-        .iter()
-        .map(|o| {
-            let s = o.sources.as_ref().unwrap();
-            o.k * (s.tau_obs - s.tau[0])
-        })
-        .fold(0.0f64, f64::max)
-        + 10.0;
-    let table = JlTable::shared(l_max, x_need);
+    // the projection reads j_l at the node multipoles only
+    let table = JlTable::shared_rows(nodes, required_x_max(with_src.iter().copied()));
 
     let lnk: Vec<f64> = with_src.iter().map(|o| o.k.ln()).collect();
     let projected: Vec<(Vec<f64>, Vec<f64>)> = with_src
@@ -300,9 +282,9 @@ pub fn los_spectrum_with_nodes(
             f_x.push(p * t * g);
         }
         let top = lnk[lnk.len() - 1];
-        let st = CubicSpline::natural(lnk.clone(), f_t);
-        let sp = CubicSpline::natural(lnk.clone(), f_p);
-        let sx = CubicSpline::natural(lnk.clone(), f_x);
+        let st = CubicSpline::natural(lnk.as_slice(), f_t);
+        let sp = CubicSpline::natural(lnk.as_slice(), f_p);
+        let sx = CubicSpline::natural(lnk.as_slice(), f_x);
         let lf = l as f64;
         let ll1 = lf * (lf + 1.0);
         band_t.push(ll1 * four_pi * st.integral_to(top).max(0.0));
@@ -312,9 +294,9 @@ pub fn los_spectrum_with_nodes(
 
     // the band power l(l+1)C_l is smooth in l — spline it across nodes
     let lsf: Vec<f64> = nodes.iter().map(|&l| l as f64).collect();
-    let bt = CubicSpline::natural(lsf.clone(), band_t);
-    let bp = CubicSpline::natural(lsf.clone(), band_p);
-    let bx = CubicSpline::natural(lsf, band_x);
+    let bt = CubicSpline::natural(lsf.as_slice(), band_t);
+    let bp = CubicSpline::natural(lsf.as_slice(), band_p);
+    let bx = CubicSpline::natural(lsf.as_slice(), band_x);
 
     let mut cl = vec![0.0; l_max + 1];
     let mut cl_pol = vec![0.0; l_max + 1];
@@ -350,17 +332,23 @@ mod tests {
     }
 
     #[test]
+    fn node_rows_of_the_largest_preset_fit_in_8_mb() {
+        // scripts/ci.sh runs this by name: the table `los_spectrum`
+        // asks for at l_max 1500 (x_max 3010 is the `los_cl` benchmark's
+        // reach); all 1 501 rows would be 106 MB
+        let nodes = node_multipoles(1500);
+        let bytes = JlTable::build_rows(&nodes, 3010.0).heap_bytes();
+        println!("{} node rows: {bytes} bytes", nodes.len());
+        assert!(bytes <= 8 << 20, "{} rows take {bytes} bytes", nodes.len());
+    }
+
+    #[test]
     fn kernels_match_their_limits() {
         // continuity of the y → 0 limits against the explicit formula
         for l in [0usize, 1, 2, 3] {
             // the limits are approached linearly (slope −4l/15-ish)
             let y = 1e-4;
-            let j = sph_bessel_jl(l, y);
-            let dj = if l == 0 {
-                -sph_bessel_jl(1, y)
-            } else {
-                sph_bessel_jl(l - 1, y) - (l as f64 + 1.0) / y * j
-            };
+            let (j, dj) = sph_bessel_jl_pair(l, y);
             let (kq, kp) = kernels(l, y, j, dj);
             let (kq0, kp0) = kernels(l, 0.0, 0.0, 0.0);
             assert!((kq - kq0).abs() < 1e-4, "l={l}: {kq} vs {kq0}");

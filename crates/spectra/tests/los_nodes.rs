@@ -136,3 +136,27 @@ fn nodes_not_reaching_l_max_are_rejected() {
     let prim = PrimordialSpectrum::unit(1.0);
     los_spectrum_with_nodes(outs, &prim, l_max, &[2, 5, 10, 20]);
 }
+
+#[test]
+fn default_spectrum_matches_the_parent_commit() {
+    // captured before the Bessel table went from all rows 0..=l_max to
+    // the node rows only: the node values, hence every bit of the
+    // spectrum, must not depend on which other rows share the table
+    let l_max = 30;
+    let cl = los_spectrum(shared_outputs(l_max), &PrimordialSpectrum::unit(1.0), l_max);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in cl.cl.iter().chain(&cl.cl_pol).chain(&cl.cl_cross) {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    // optimised and unoptimised builds differ in the last bits of the
+    // evolved modes, so each profile pins its own value
+    let want: u64 = if cfg!(debug_assertions) {
+        0x583f_bee2_cd89_1778
+    } else {
+        0x8390_93fe_d9fd_6587
+    };
+    assert_eq!(h, want, "got {h:#018x}");
+}

@@ -21,7 +21,10 @@
 # LOS mode: end-to-end wall clock of the full moment hierarchy versus
 # the line-of-sight fast path on the identical thinned k-grid (demo
 # preset) at l_max 500 and 1500, plus the matched-l band deviation
-# between the two methods (see crates/bench/src/bin/los_speedup.rs).
+# between the two methods and what the two LOS stages hold in memory:
+# the node-row Bessel table's megabytes and build time, and the most
+# any one mode's source recorder held (see
+# crates/bench/src/bin/los_speedup.rs).
 #
 # Ensemble mode: the 3×2×2 Ω_b × h × n_s transfer-function cube on one
 # warm pool (shard queue + prefetch) versus a fresh farm per cosmology
@@ -55,11 +58,13 @@ thin = {"500": 8, "1500": 24}
 cases = {}
 for m in re.finditer(
     r"^bench: los_speedup/lmax(\d+) full_s=([0-9.]+) los_s=([0-9.]+) "
-    r"speedup=([0-9.]+) modes=(\d+) band_dev=([0-9.]+)$",
+    r"speedup=([0-9.]+) modes=(\d+) band_dev=([0-9.]+) "
+    r"jltable_mb=([0-9.]+) jltable_build_ms=([0-9.]+) "
+    r"recorder_kb_per_mode=([0-9.]+)$",
     out,
     re.M,
 ):
-    lmax, full_s, los_s, speedup, modes, dev = m.groups()
+    lmax, full_s, los_s, speedup, modes, dev, mb, build_ms, rec_kb = m.groups()
     cases[f"lmax{lmax}"] = {
         "l_max": int(lmax),
         "modes": int(modes),
@@ -68,6 +73,9 @@ for m in re.finditer(
         "line_of_sight_s": float(los_s),
         "speedup_vs_baseline": float(speedup),
         "matched_l_band_dev": float(dev),
+        "jltable_mb": float(mb),
+        "jltable_build_ms": float(build_ms),
+        "recorder_kb_per_mode": float(rec_kb),
     }
 assert set(cases) == {"lmax500", "lmax1500"}, f"cases: {sorted(cases)}"
 

@@ -266,13 +266,25 @@ echo "== rhs bench smoke =="
 # (full measurement is scripts/bench_snapshot.sh, not a CI gate)
 cargo bench -p bench --bench rhs_eval -- --test
 
-echo "== los bench smoke =="
+echo "== los bench smoke + memory gates =="
 # compile-and-run-once smoke of the end-to-end method comparison behind
-# BENCH_los.json (tiny grid: l_max 60, every 16th k) — asserts nothing
-# beyond "runs and prints a parseable line"; full measurement is
-# scripts/bench_snapshot.sh los
-cargo run -q --release -p bench --bin los_speedup 60 16 \
-    | grep -q "^bench: los_speedup/lmax60 "
+# BENCH_los.json (tiny grid: l_max 60, every 16th k; full measurement is
+# scripts/bench_snapshot.sh los).  No timing is asserted; the gates are
+# on bytes, which are the same on any machine: a mode's source recorder
+# holds five reals per accepted step (not the state vector), and the
+# Bessel table holds the node rows (not every l up to l_max; gated at
+# full size by the named test below)
+los_line="$(cargo run -q --release -p bench --bin los_speedup 60 16 \
+    | grep "^bench: los_speedup/lmax60 ")"
+python3 - "$los_line" <<'PY'
+import sys
+fields = dict(kv.split("=") for kv in sys.argv[1].split()[2:])
+rec_kb = float(fields["recorder_kb_per_mode"])
+assert 0 < rec_kb <= 1024, f"a source recorder held {rec_kb} kB: {sys.argv[1]}"
+print(f"los memory gate: recorder {rec_kb} kB per mode, table {fields['jltable_mb']} MB")
+PY
+# the table los_spectrum asks for at l_max 1500, x_max 3010: <= 8 MB
+cargo test -q -p spectra --lib node_rows_of_the_largest_preset_fit_in_8_mb
 
 echo "== fault matrix =="
 # the recovery tests sweep every FaultPlan variant over the channel and
