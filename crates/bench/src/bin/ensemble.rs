@@ -16,8 +16,11 @@
 //! * **fresh** — one farm spawned per cosmology, cold tables each
 //!   time (shards builds, every rank waiting on its farm's one);
 //! * **warm** — one persistent pool running the whole ensemble through
-//!   the shard queue, each shard's tables built one shard ahead by the
-//!   one rank that claims the tag-13 hint (shards builds, overlapped).
+//!   `run_ensemble`: one job per (Ω_b, h) point — the mode equations
+//!   never read n_s, so the other shards of an n_s group are handed the
+//!   evolved shard's outputs — each job's tables built one job ahead by
+//!   the one rank that claims the tag-13 hint (evolutions builds,
+//!   overlapped).
 //!
 //! All three must produce the cube bit-for-bit identically (checked
 //! here via the canonical real-vector hash); the measured differences
@@ -25,8 +28,8 @@
 //! `scripts/bench_snapshot.sh ensemble`:
 //!
 //! ```text
-//! bench: ensemble/3x2x2/w2 shards=12 modes=6 naive_s=… fresh_s=… warm_s=… \
-//!   speedup_naive=… speedup=… shards_per_hour=… ctx_rebuilds=… \
+//! bench: ensemble/3x2x2/w2 shards=12 evolutions=6 modes=6 naive_s=… fresh_s=… \
+//!   warm_s=… speedup_naive=… speedup=… shards_per_hour=… ctx_rebuilds=… \
 //!   prefetch_builds=… cube_fnv=…
 //! ```
 
@@ -122,7 +125,7 @@ fn main() {
     let fresh_s = t0.elapsed().as_secs_f64();
     println!("# fresh farms: {fresh_s:.2} s ({n} spawns, cold tables)");
 
-    // --- one warm pool, shard queue + next-shard hints ----------------
+    // --- one warm pool, one job per evolution + next-job hints ---------
     let t0 = std::time::Instant::now();
     let mut pool = FarmPool::<ChannelWorld>::start(workers).expect("pool start");
     let rep = run_ensemble(
@@ -138,8 +141,9 @@ fn main() {
     for res in &rep.results {
         push_transfer(&mut warm_cube, &res.report.outputs);
     }
+    let evolutions = rep.evolutions();
     println!(
-        "# warm pool: {warm_s:.2} s ({} ctx rebuilds, {} prefetch builds)",
+        "# warm pool: {warm_s:.2} s ({evolutions} evolutions, {} ctx rebuilds, {} prefetch builds)",
         rep.ctx_rebuilds, rep.prefetch_builds
     );
 
@@ -157,8 +161,8 @@ fn main() {
     );
 
     println!(
-        "bench: ensemble/3x2x2/w{workers} shards={n} modes={nk} naive_s={naive_s:.3} \
-         fresh_s={fresh_s:.3} warm_s={warm_s:.3} speedup_naive={:.2} speedup={:.2} \
+        "bench: ensemble/3x2x2/w{workers} shards={n} evolutions={evolutions} modes={nk} \
+         naive_s={naive_s:.3} fresh_s={fresh_s:.3} warm_s={warm_s:.3} speedup_naive={:.2} speedup={:.2} \
          shards_per_hour={:.0} ctx_rebuilds={} prefetch_builds={} cube_fnv={fresh_fnv:016x}",
         naive_s / warm_s,
         fresh_s / warm_s,

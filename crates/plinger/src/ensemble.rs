@@ -5,39 +5,54 @@
 //! cosmology grid, not one.  The farm already parallelizes over `k`
 //! *within* one cosmology; this module adds the outer level: an
 //! [`EnsembleSpec`] names axes over `Ω_b`, `h`, and `n_s` against a
-//! base [`RunSpec`], and [`run_ensemble`] drives the resulting shard
-//! queue over a [`FarmPool`], one pooled job per
-//! shard, multiplexed onto the inner chunked k-scheduler.
+//! base [`RunSpec`], and [`run_ensemble`] drives the resulting sweep
+//! over a [`FarmPool`], one pooled job per *evolution*, multiplexed
+//! onto the inner chunked k-scheduler.
 //!
-//! Three properties make this more than a `for` loop:
+//! Four properties make this more than a `for` loop:
 //!
-//! * **Determinism** — each shard runs as an ordinary pooled job with
-//!   identical dispatch semantics, so the sweep's outputs are bitwise
-//!   identical to a serial loop of single-cosmology
+//! * **Determinism** — each evolution runs as an ordinary pooled job
+//!   with identical dispatch semantics, so the sweep's outputs are
+//!   bitwise identical to a serial loop of single-cosmology
 //!   [`run_job`](crate::FarmPool::run_job) calls (pinned per transport
-//!   in `tests/ensemble_pinning.rs`).  Shard priorities reorder which
-//!   shard runs *when*, never what a shard computes.
-//! * **One context build per cosmology, one shard ahead** — every
-//!   shard opens with a tag-13 hint naming the *next* shard, sent to
-//!   each rank just before its tag-10 job start.  The pool's ranks share
-//!   one [`TableCache`](crate::TableCache), so exactly one of them
-//!   claims the hint and builds the next cosmology's background/thermo
-//!   tables while the others start on this shard's largest modes; the
-//!   next shard then opens with `ctx_rebuilds == 0` everywhere and the
-//!   build shows up as this shard's one
-//!   [`prefetch_builds`](crate::WorkerStats::prefetch_builds).  A sweep
-//!   of `n` shards builds `n` contexts per process.
-//! * **Two-level recovery** — inside a shard the existing
+//!   in `tests/ensemble_pinning.rs`).
+//! * **One evolution per `(Ω_b, h)` grid point** — the mode equations
+//!   never read `n_s`: the transfer functions are the product, and the
+//!   primordial power law is applied when C_l or P(k) is assembled from
+//!   them.  `n_s` is the fastest canonical index, so shards
+//!   `g·n_ns … g·n_ns + n_ns − 1` are one *group*: the group's first
+//!   shard runs as a pooled job, and every other shard of the group
+//!   (a *twin*) is handed a clone of its outputs under its own index,
+//!   hash and cosmology ([`ShardResult::evolved_by`] names the shard
+//!   that ran).  The rule is the index arithmetic — no hash, no cache,
+//!   no option — and the per-shard comparison with
+//!   [`run_serial`](crate::run_serial) in `tests/ensemble_pinning.rs`
+//!   is its guard: an `n_s` dependence added to the mode equations
+//!   fails there.
+//! * **One context build per evolution, one evolution ahead** — every
+//!   job opens with a tag-13 hint naming the first shard of the *next*
+//!   group, sent to each rank just before its tag-10 job start.  The
+//!   pool's ranks share one [`TableCache`](crate::TableCache), so
+//!   exactly one of them claims the hint and builds the next
+//!   cosmology's background/thermo tables while the others start on
+//!   this job's largest modes; the next job then opens with
+//!   `ctx_rebuilds == 0` everywhere and the build shows up as this
+//!   job's one [`prefetch_builds`](crate::WorkerStats::prefetch_builds).
+//!   A sweep builds one context per evolution per process —
+//!   `n_shards / n_ns`, twins never open a job.
+//! * **Two-level recovery** — inside a job the existing
 //!   requeue/heartbeat/respawn machinery applies unchanged, and each
-//!   shard keeps its own recovery ledger (its [`FarmReport`]); a shard
-//!   whose *job* fails outright is requeued whole, budgeted by
-//!   [`EnsembleOptions::max_shard_attempts`], and quarantined into
-//!   [`EnsembleReport::failed`] once the budget is spent.
+//!   evolved shard keeps its own recovery ledger (its [`FarmReport`]);
+//!   an evolution whose *job* fails outright is re-run whole, budgeted
+//!   by [`EnsembleOptions::max_shard_attempts`], and once the budget is
+//!   spent every shard of its group is quarantined into
+//!   [`EnsembleReport::failed`] — it is not tried again under a twin's
+//!   name.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use background::CosmoParams;
+use boltzmann::ModeOutput;
 use msgpass::World;
 use telemetry::log::{self as tlog, Level};
 
@@ -45,7 +60,9 @@ use crate::error::FarmError;
 use crate::farm::FarmReport;
 use crate::master::JobControl;
 use crate::pool::{FarmPool, TcpFarmPool};
-use crate::protocol::{hash_reals, job_hash, RunSpec, SpecDecodeError};
+use crate::protocol::{count_from_real, hash_reals, job_hash, RunSpec, SpecDecodeError};
+use crate::recovery::RecoveryLog;
+use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
 
 /// A parameter sweep: axes over `Ω_b`, `h`, and `n_s` applied to a base
@@ -83,11 +100,21 @@ pub enum EnsembleDecodeError {
         /// Actual length.
         got: usize,
     },
+    /// An axis count is not a count: NaN, infinite, negative,
+    /// fractional, or past what a `usize` holds.
+    BadCount {
+        /// Which of the three leading reals (0 = Ω_b, 1 = h, 2 = n_s).
+        axis: usize,
+        /// Bit pattern of the real that was sent (bits, so that the
+        /// error stays `Eq` with a NaN inside).
+        bits: u64,
+    },
     /// An axis count is zero (an empty axis defines no shards).
     EmptyAxis,
     /// Payload too short for the axis lengths it declares.
     AxisMismatch {
-        /// Reals needed for the declared axes (counts included).
+        /// Reals needed for the declared axes (counts included;
+        /// `usize::MAX` when the sum itself does not fit).
         want: usize,
         /// Actual length.
         got: usize,
@@ -102,6 +129,11 @@ impl std::fmt::Display for EnsembleDecodeError {
             EnsembleDecodeError::TooShort { got } => {
                 write!(f, "ensemble payload too short: {got} reals (need ≥ 3)")
             }
+            EnsembleDecodeError::BadCount { axis, bits } => write!(
+                f,
+                "ensemble axis {axis} count is not a count: {}",
+                f64::from_bits(*bits)
+            ),
             EnsembleDecodeError::EmptyAxis => write!(f, "ensemble axis is empty"),
             EnsembleDecodeError::AxisMismatch { want, got } => {
                 write!(f, "ensemble axes need {want} reals, got {got}")
@@ -212,19 +244,28 @@ impl EnsembleSpec {
     }
 
     /// Decode the payload written by [`EnsembleSpec::encode`].  The
-    /// base spec's own decoder polices the tail, so a truncated or
-    /// padded payload is an error, not a garbled sweep.
+    /// payload comes off a socket: the three counts are checked (a
+    /// count, at least 1, and together no more than the payload holds)
+    /// before anything is indexed by them, and the base spec's own
+    /// decoder polices the tail, so a truncated or padded payload is an
+    /// error, not a garbled sweep.
     pub fn decode(v: &[f64]) -> Result<Self, EnsembleDecodeError> {
         if v.len() < 3 {
             return Err(EnsembleDecodeError::TooShort { got: v.len() });
         }
-        let n_ob = v[0] as usize;
-        let n_h = v[1] as usize;
-        let n_ns = v[2] as usize;
-        if n_ob == 0 || n_h == 0 || n_ns == 0 {
-            return Err(EnsembleDecodeError::EmptyAxis);
-        }
-        let want = 3 + n_ob + n_h + n_ns;
+        let count = |axis: usize| match count_from_real(v[axis]) {
+            None => Err(EnsembleDecodeError::BadCount {
+                axis,
+                bits: v[axis].to_bits(),
+            }),
+            Some(0) => Err(EnsembleDecodeError::EmptyAxis),
+            Some(n) => Ok(n),
+        };
+        let (n_ob, n_h, n_ns) = (count(0)?, count(1)?, count(2)?);
+        let want = [n_ob, n_h, n_ns]
+            .iter()
+            .try_fold(3usize, |want, &n| want.checked_add(n))
+            .unwrap_or(usize::MAX);
         if v.len() < want {
             return Err(EnsembleDecodeError::AxisMismatch { want, got: v.len() });
         }
@@ -252,18 +293,12 @@ pub fn ensemble_hash(ens: &EnsembleSpec) -> u64 {
 /// Knobs of one ensemble run.
 #[derive(Debug, Clone)]
 pub struct EnsembleOptions {
-    /// Inner k-scheduling policy, applied to every shard.
+    /// Inner k-scheduling policy, applied to every evolution.
     pub policy: SchedulePolicy,
-    /// Optional shard priorities, one per shard in canonical index
-    /// order: higher runs first (stable on ties, so equal priorities
-    /// preserve canonical order).  `None` visits shards canonically.
-    /// Priorities change only the visit order — per-shard results and
-    /// hashes are order-independent.
-    pub priorities: Option<Vec<f64>>,
-    /// Whole-shard attempt budget: a shard whose job returns an error
-    /// (other than cancellation) is requeued at the front of the shard
-    /// queue until it has been attempted this many times, then recorded
-    /// in [`EnsembleReport::failed`].  Minimum 1.
+    /// Whole-job attempt budget: an evolution whose job returns an
+    /// error (other than cancellation) is re-run at once until it has
+    /// been attempted this many times, then every shard of its group is
+    /// recorded in [`EnsembleReport::failed`].  Minimum 1.
     pub max_shard_attempts: usize,
 }
 
@@ -271,25 +306,8 @@ impl Default for EnsembleOptions {
     fn default() -> Self {
         Self {
             policy: SchedulePolicy::LargestFirst,
-            priorities: None,
             max_shard_attempts: 2,
         }
-    }
-}
-
-impl EnsembleOptions {
-    /// The shard visit order: canonical indices, stably sorted by
-    /// descending priority when priorities are given.
-    fn order(&self, n_shards: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n_shards).collect();
-        if let Some(prio) = &self.priorities {
-            order.sort_by(|&a, &b| {
-                let pa = prio.get(a).copied().unwrap_or(0.0);
-                let pb = prio.get(b).copied().unwrap_or(0.0);
-                pb.partial_cmp(&pa).unwrap_or(std::cmp::Ordering::Equal)
-            });
-        }
-        order
     }
 }
 
@@ -297,6 +315,13 @@ impl EnsembleOptions {
 /// report (whose recovery ledger is the shard's own — requeues,
 /// heartbeat misses, and respawns inside this shard never bleed into
 /// its neighbours).
+///
+/// A shard that evolved (`evolved_by == shard`) carries the report of
+/// its pooled job.  A twin carries a clone of that job's `outputs` and
+/// nothing else — no wall time, worker statistics, completion log,
+/// telemetry or recovery entries, and `attempts == 0` — so that sums
+/// over a sweep's reports count every piece of work once, where it
+/// happened.
 #[derive(Debug)]
 pub struct ShardResult {
     /// Canonical shard index.
@@ -305,8 +330,12 @@ pub struct ShardResult {
     pub job: u64,
     /// The shard's cosmology.
     pub cosmo: CosmoParams,
-    /// Job attempts this shard consumed (1 on an undisturbed run).
+    /// Job attempts this shard consumed (1 on an undisturbed run, 0 for
+    /// a twin).
     pub attempts: usize,
+    /// The shard whose pooled job produced `report.outputs`: the first
+    /// shard of this one's `n_s` group.
+    pub evolved_by: usize,
     /// The shard's own per-job farm report.
     pub report: FarmReport,
 }
@@ -317,25 +346,37 @@ pub struct ShardResult {
 pub struct EnsembleReport {
     /// Finished shards, sorted by canonical index.
     pub results: Vec<ShardResult>,
-    /// Shards that exhausted their attempt budget: `(index, error)`.
+    /// Shards whose evolution exhausted its attempt budget, a whole
+    /// group at a time: `(index, error)`.
     pub failed: Vec<(usize, String)>,
     /// Wall-clock seconds of the whole sweep.
     pub wall_seconds: f64,
-    /// Whole-shard requeues taken (0 on an undisturbed sweep).
+    /// Whole-job re-runs taken (0 on an undisturbed sweep).
     pub shard_requeues: usize,
-    /// Table builds done at a shard's start, summed over all shard
+    /// Table builds done at a job's start, summed over all shard
     /// reports: cosmologies no hint had announced (the sweep's first
-    /// shard, and any shard whose hint was lost).
+    /// evolution, and any whose hint was lost).
     pub ctx_rebuilds: usize,
-    /// Table builds done answering next-shard hints, one shard ahead of
-    /// their use.  `ctx_rebuilds + prefetch_builds` is builds per
-    /// process: `n_shards` on an undisturbed sweep over a thread pool,
-    /// `n_shards × workers` over a [`TcpFarmPool`]'s child processes.
+    /// Table builds done answering next-evolution hints, one job ahead
+    /// of their use.  `ctx_rebuilds + prefetch_builds` is builds per
+    /// process: [`EnsembleReport::evolutions`] on an undisturbed sweep
+    /// over a thread pool, that × workers over a [`TcpFarmPool`]'s
+    /// child processes.
     pub prefetch_builds: usize,
 }
 
 impl EnsembleReport {
-    /// Modes completed across every shard.
+    /// Finished shards that ran as a pooled job of their own — the rest
+    /// are twins holding a clone.
+    pub fn evolutions(&self) -> usize {
+        self.results
+            .iter()
+            .filter(|r| r.evolved_by == r.shard)
+            .count()
+    }
+
+    /// Modes integrated across the sweep (a twin's cloned outputs are
+    /// not counted twice: its completion log is empty).
     pub fn total_modes(&self) -> usize {
         self.results
             .iter()
@@ -349,7 +390,7 @@ impl EnsembleReport {
 /// [`FarmPool`] and [`TcpFarmPool`]; tests substitute a scripted pool
 /// to exercise shard-level recovery without physics.
 pub trait ShardRunner {
-    /// Run one shard's job, optionally announcing the next shard.
+    /// Run one shard's job, optionally announcing the next one to run.
     fn run_shard(
         &mut self,
         spec: &RunSpec,
@@ -383,13 +424,28 @@ impl ShardRunner for TcpFarmPool {
     }
 }
 
-/// Drive a whole sweep over one warm pool: pop shards off the outer
-/// queue (in priority order), run each as an ordinary pooled job with
-/// the *next* queued shard as its prefetch hint, requeue a shard whose
-/// job fails (budgeted), and collect per-shard reports.
+/// A report that holds `outputs` and an empty ledger: what a twin
+/// carries (the work is on the report of the shard that evolved).
+fn outputs_only(outputs: Vec<ModeOutput>) -> FarmReport {
+    FarmReport {
+        outputs,
+        wall_seconds: 0.0,
+        worker_stats: Vec::new(),
+        bytes_received: 0,
+        completion_log: Vec::new(),
+        telemetry: FarmTelemetry::default(),
+        recovery: RecoveryLog::default(),
+    }
+}
+
+/// Drive a whole sweep over one warm pool: visit the `n_s` groups in
+/// canonical order, run each group's first shard as an ordinary pooled
+/// job with the *next* group's first shard as its prefetch hint, hand
+/// the group's other shards a clone of the outputs, re-run a job that
+/// fails (budgeted), and collect per-shard reports.
 ///
 /// Cancellation propagates immediately: a fired deadline or cancel flag
-/// in `ctrl` aborts the in-flight shard cooperatively and returns
+/// in `ctrl` aborts the in-flight job cooperatively and returns
 /// [`FarmError::Cancelled`]; finished shards' results are dropped with
 /// the error exactly as a cancelled single job drops its partial
 /// outputs (callers that want partial sweeps run shard-sized requests
@@ -402,9 +458,8 @@ pub fn run_ensemble<P: ShardRunner>(
 ) -> Result<EnsembleReport, FarmError> {
     let t0 = Instant::now();
     let n = ens.n_shards();
+    let n_ns = ens.n_s.len();
     let sweep = ensemble_hash(ens);
-    let mut queue: VecDeque<usize> = opts.order(n).into();
-    let mut attempts = vec![0usize; n];
     let mut rep = EnsembleReport::default();
     tlog::log(
         Level::Info,
@@ -415,92 +470,106 @@ pub fn run_ensemble<P: ShardRunner>(
             ("shards", n.to_string()),
         ],
     );
-    while let Some(si) = queue.pop_front() {
-        if let Some(reason) = ctrl.triggered() {
-            // between shards: nothing in flight to drain, but the sweep
-            // must stop just as promptly as a mid-shard trigger would
-            return Err(FarmError::Cancelled {
-                reason,
-                unfinished: Vec::new(),
-            });
-        }
-        attempts[si] += 1;
+    // `si` is the shard that evolves for its group `si .. si + n_ns`
+    for si in (0..n).step_by(n_ns.max(1)) {
         let spec = ens.shard_spec(si);
         let job = job_hash(&spec);
         let label = tlog::shard_label(sweep, si);
-        let prefetch_spec = queue.front().map(|&nj| ens.shard_spec(nj));
-        tlog::log(
-            Level::Info,
-            "ensemble",
-            "shard_start",
-            &[
-                ("shard", label.clone()),
-                ("job", tlog::job_hex(job)),
-                ("attempt", attempts[si].to_string()),
-            ],
-        );
-        match pool.run_shard(&spec, opts.policy, ctrl, prefetch_spec.as_ref()) {
-            Ok(report) => {
-                rep.ctx_rebuilds += report
-                    .worker_stats
-                    .iter()
-                    .map(|w| w.ctx_rebuilds)
-                    .sum::<usize>();
-                rep.prefetch_builds += report
-                    .worker_stats
-                    .iter()
-                    .map(|w| w.prefetch_builds)
-                    .sum::<usize>();
-                tlog::log(
-                    Level::Info,
-                    "ensemble",
-                    "shard_done",
-                    &[
-                        ("shard", label),
-                        ("job", tlog::job_hex(job)),
-                        ("modes", report.completion_log.len().to_string()),
-                        ("requeues", report.recovery.requeues.to_string()),
-                    ],
-                );
-                rep.results.push(ShardResult {
-                    shard: si,
-                    job,
-                    cosmo: spec.cosmo,
-                    attempts: attempts[si],
-                    report,
+        let prefetch_spec = (si + n_ns < n).then(|| ens.shard_spec(si + n_ns));
+        let mut attempts = 0usize;
+        loop {
+            if let Some(reason) = ctrl.triggered() {
+                // between jobs: nothing in flight to drain, but the sweep
+                // must stop just as promptly as a mid-job trigger would
+                return Err(FarmError::Cancelled {
+                    reason,
+                    unfinished: Vec::new(),
                 });
             }
-            Err(e @ FarmError::Cancelled { .. }) => return Err(e),
-            Err(e) if attempts[si] < opts.max_shard_attempts.max(1) => {
-                rep.shard_requeues += 1;
-                tlog::log(
-                    Level::Warn,
-                    "ensemble",
-                    "shard_requeue",
-                    &[
-                        ("shard", label),
-                        ("job", tlog::job_hex(job)),
-                        ("reason", e.to_string()),
-                    ],
-                );
-                queue.push_front(si);
-            }
-            Err(e) => {
-                tlog::log(
-                    Level::Error,
-                    "ensemble",
-                    "shard_failed",
-                    &[
-                        ("shard", label),
-                        ("job", tlog::job_hex(job)),
-                        ("reason", e.to_string()),
-                    ],
-                );
-                rep.failed.push((si, e.to_string()));
+            attempts += 1;
+            tlog::log(
+                Level::Info,
+                "ensemble",
+                "shard_start",
+                &[
+                    ("shard", label.clone()),
+                    ("job", tlog::job_hex(job)),
+                    ("attempt", attempts.to_string()),
+                ],
+            );
+            match pool.run_shard(&spec, opts.policy, ctrl, prefetch_spec.as_ref()) {
+                Ok(report) => {
+                    rep.ctx_rebuilds += report
+                        .worker_stats
+                        .iter()
+                        .map(|w| w.ctx_rebuilds)
+                        .sum::<usize>();
+                    rep.prefetch_builds += report
+                        .worker_stats
+                        .iter()
+                        .map(|w| w.prefetch_builds)
+                        .sum::<usize>();
+                    let twins: Vec<FarmReport> = (1..n_ns)
+                        .map(|_| outputs_only(report.outputs.clone()))
+                        .collect();
+                    for (shard, report) in (si..).zip(std::iter::once(report).chain(twins)) {
+                        let spec = ens.shard_spec(shard);
+                        let job = job_hash(&spec);
+                        tlog::log(
+                            Level::Info,
+                            "ensemble",
+                            "shard_done",
+                            &[
+                                ("shard", tlog::shard_label(sweep, shard)),
+                                ("job", tlog::job_hex(job)),
+                                ("modes", report.completion_log.len().to_string()),
+                                ("requeues", report.recovery.requeues.to_string()),
+                                ("evolved_by", si.to_string()),
+                            ],
+                        );
+                        rep.results.push(ShardResult {
+                            shard,
+                            job,
+                            cosmo: spec.cosmo,
+                            attempts: if shard == si { attempts } else { 0 },
+                            evolved_by: si,
+                            report,
+                        });
+                    }
+                    break;
+                }
+                Err(e @ FarmError::Cancelled { .. }) => return Err(e),
+                Err(e) if attempts < opts.max_shard_attempts.max(1) => {
+                    rep.shard_requeues += 1;
+                    tlog::log(
+                        Level::Warn,
+                        "ensemble",
+                        "shard_requeue",
+                        &[
+                            ("shard", label.clone()),
+                            ("job", tlog::job_hex(job)),
+                            ("reason", e.to_string()),
+                        ],
+                    );
+                }
+                Err(e) => {
+                    tlog::log(
+                        Level::Error,
+                        "ensemble",
+                        "shard_failed",
+                        &[
+                            ("shard", label.clone()),
+                            ("job", tlog::job_hex(job)),
+                            ("reason", e.to_string()),
+                        ],
+                    );
+                    rep.failed
+                        .extend((si..si + n_ns).map(|shard| (shard, e.to_string())));
+                    break;
+                }
             }
         }
     }
-    rep.results.sort_by_key(|r| r.shard);
     rep.wall_seconds = t0.elapsed().as_secs_f64();
     tlog::log(
         Level::Info,
@@ -523,7 +592,6 @@ pub fn run_ensemble<P: ShardRunner>(
 mod tests {
     use super::*;
     use crate::error::CancelReason;
-    use crate::recovery::RecoveryLog;
     use boltzmann::Preset;
     use std::sync::atomic::AtomicBool;
 
@@ -577,6 +645,25 @@ mod tests {
             EnsembleSpec::decode(&wire[..6]),
             Err(EnsembleDecodeError::AxisMismatch { want: 10, got: 6 })
         );
+        for (axis, bad) in [(0, f64::INFINITY), (1, 2.5), (2, f64::NAN), (2, -1.0)] {
+            let mut wire = wire.clone();
+            wire[axis] = bad;
+            let bits = bad.to_bits();
+            assert_eq!(
+                EnsembleSpec::decode(&wire),
+                Err(EnsembleDecodeError::BadCount { axis, bits })
+            );
+        }
+        // each a count, together past `usize`: still a length error
+        let mut huge = wire.clone();
+        huge[..3].fill(1.8e19);
+        assert_eq!(
+            EnsembleSpec::decode(&huge),
+            Err(EnsembleDecodeError::AxisMismatch {
+                want: usize::MAX,
+                got: wire.len()
+            })
+        );
         let mut truncated = wire.clone();
         truncated.pop();
         assert!(matches!(
@@ -614,24 +701,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn priorities_reorder_but_preserve_canonical_ties() {
-        let opts = EnsembleOptions {
-            priorities: Some(vec![0.0, 5.0, 1.0, 5.0]),
-            ..EnsembleOptions::default()
-        };
-        assert_eq!(opts.order(4), vec![1, 3, 2, 0]);
-        let default = EnsembleOptions::default();
-        assert_eq!(default.order(4), vec![0, 1, 2, 3]);
-    }
-
-    /// A scripted pool: returns an empty report per shard, failing the
-    /// first `fail_first` attempts of one poisoned shard.
+    /// A scripted pool: returns an empty report per job, failing the
+    /// first `failures_left` attempts of one poisoned job.
     struct ScriptedPool {
         poisoned: u64,
         failures_left: usize,
         jobs: Vec<u64>,
         prefetches: Vec<Option<u64>>,
+    }
+
+    impl ScriptedPool {
+        fn new(poisoned: u64, failures_left: usize) -> Self {
+            Self {
+                poisoned,
+                failures_left,
+                jobs: Vec::new(),
+                prefetches: Vec::new(),
+            }
+        }
+
+        fn sweep(&mut self, ens: &EnsembleSpec) -> EnsembleReport {
+            run_ensemble(
+                self,
+                ens,
+                &EnsembleOptions::default(),
+                &JobControl::default(),
+            )
+            .expect("scripted sweep")
+        }
     }
 
     impl ShardRunner for ScriptedPool {
@@ -649,103 +746,104 @@ mod tests {
                 self.failures_left -= 1;
                 return Err(FarmError::AllWorkersLost { unfinished: vec![] });
             }
-            Ok(FarmReport {
-                outputs: Vec::new(),
-                wall_seconds: 0.0,
-                worker_stats: Vec::new(),
-                bytes_received: 0,
-                completion_log: Vec::new(),
-                telemetry: crate::report::FarmTelemetry::default(),
-                recovery: RecoveryLog::default(),
-            })
+            Ok(outputs_only(Vec::new()))
         }
     }
 
+    /// `(shard, evolved_by, attempts)` of every result, in report order.
+    fn ledger(rep: &EnsembleReport) -> Vec<(usize, usize, usize)> {
+        rep.results
+            .iter()
+            .map(|r| (r.shard, r.evolved_by, r.attempts))
+            .collect()
+    }
+
     #[test]
-    fn failed_shard_is_requeued_whole_then_succeeds() {
+    fn pool_sees_one_job_per_evolution_and_hints_name_the_next_group() {
         let ens = sweep_3x2x2();
-        let mut pool = ScriptedPool {
-            poisoned: ens.shard_hash(5),
-            failures_left: 1,
-            jobs: Vec::new(),
-            prefetches: Vec::new(),
+        let mut pool = ScriptedPool::new(0, 0);
+        let rep = pool.sweep(&ens);
+        // 3×2 (Ω_b, h) points, each evolved under its first n_s shard
+        let evolved: Vec<u64> = (0..12).step_by(2).map(|i| ens.shard_hash(i)).collect();
+        assert_eq!(pool.jobs, evolved);
+        let mut hints: Vec<Option<u64>> = evolved[1..].iter().copied().map(Some).collect();
+        hints.push(None);
+        assert_eq!(pool.prefetches, hints, "a hint names the next group");
+        // every shard reported, canonically, under its own identity
+        let want: Vec<_> = (0..12).map(|i| (i, i - i % 2, 1 - i % 2)).collect();
+        assert_eq!(ledger(&rep), want);
+        for r in &rep.results {
+            assert_eq!(r.job, ens.shard_hash(r.shard));
+            assert_eq!(r.cosmo, ens.shard_cosmo(r.shard));
+        }
+        assert_eq!(rep.evolutions(), 6);
+        assert!(rep.failed.is_empty());
+        assert_eq!(rep.shard_requeues, 0);
+    }
+
+    #[test]
+    fn single_point_ns_axis_runs_every_shard_with_its_successor_as_hint() {
+        let ens = EnsembleSpec {
+            n_s: vec![0.95],
+            ..sweep_3x2x2()
         };
-        let rep = run_ensemble(
-            &mut pool,
-            &ens,
-            &EnsembleOptions::default(),
-            &JobControl::default(),
-        )
-        .unwrap();
+        let mut pool = ScriptedPool::new(0, 0);
+        let rep = pool.sweep(&ens);
+        let n = ens.n_shards();
+        assert_eq!(n, 6);
+        for i in 0..n {
+            assert_eq!(pool.jobs[i], ens.shard_hash(i));
+            let next = (i + 1 < n).then(|| ens.shard_hash(i + 1));
+            assert_eq!(
+                pool.prefetches[i], next,
+                "shard {i} must announce its successor"
+            );
+        }
+        assert_eq!(pool.jobs.len(), n);
+        let want: Vec<_> = (0..n).map(|i| (i, i, 1)).collect();
+        assert_eq!(ledger(&rep), want);
+    }
+
+    #[test]
+    fn failed_evolution_is_rerun_at_once_then_serves_its_group() {
+        let ens = sweep_3x2x2();
+        let mut pool = ScriptedPool::new(ens.shard_hash(4), 1);
+        let rep = pool.sweep(&ens);
         assert_eq!(rep.results.len(), 12, "every shard finishes");
         assert_eq!(rep.shard_requeues, 1);
         assert!(rep.failed.is_empty());
-        // the retry ran immediately after the failure (front requeue)
-        assert_eq!(pool.jobs[5], ens.shard_hash(5));
-        assert_eq!(pool.jobs[6], ens.shard_hash(5));
-        assert_eq!(rep.results[5].attempts, 2);
-        assert_eq!(rep.results[4].attempts, 1);
+        // the retry ran immediately after the failure, with the same hint
+        assert_eq!(pool.jobs.len(), 7);
+        assert_eq!(pool.jobs[2], ens.shard_hash(4));
+        assert_eq!(pool.jobs[3], ens.shard_hash(4));
+        assert_eq!(pool.prefetches[2], pool.prefetches[3]);
+        let want: Vec<_> = (0..12)
+            .map(|i| (i, i - i % 2, if i == 4 { 2 } else { 1 - i % 2 }))
+            .collect();
+        assert_eq!(ledger(&rep), want);
     }
 
     #[test]
-    fn attempt_budget_exhaustion_quarantines_the_shard() {
+    fn attempt_budget_exhaustion_quarantines_the_whole_group() {
         let ens = sweep_3x2x2();
-        let mut pool = ScriptedPool {
-            poisoned: ens.shard_hash(0),
-            failures_left: 99,
-            jobs: Vec::new(),
-            prefetches: Vec::new(),
-        };
-        let rep = run_ensemble(
-            &mut pool,
-            &ens,
-            &EnsembleOptions::default(),
-            &JobControl::default(),
-        )
-        .unwrap();
-        assert_eq!(rep.results.len(), 11);
-        assert_eq!(rep.failed.len(), 1);
-        assert_eq!(rep.failed[0].0, 0);
+        let mut pool = ScriptedPool::new(ens.shard_hash(0), 99);
+        let rep = pool.sweep(&ens);
         assert_eq!(rep.shard_requeues, 1, "budget is 2 attempts by default");
-    }
-
-    #[test]
-    fn prefetch_hints_name_the_next_queued_shard() {
-        let ens = sweep_3x2x2();
-        let mut pool = ScriptedPool {
-            poisoned: 0,
-            failures_left: 0,
-            jobs: Vec::new(),
-            prefetches: Vec::new(),
-        };
-        run_ensemble(
-            &mut pool,
-            &ens,
-            &EnsembleOptions::default(),
-            &JobControl::default(),
-        )
-        .unwrap();
-        let n = ens.n_shards();
-        for i in 0..n - 1 {
-            assert_eq!(
-                pool.prefetches[i],
-                Some(ens.shard_hash(i + 1)),
-                "shard {i} must announce shard {}",
-                i + 1
-            );
-        }
-        assert_eq!(pool.prefetches[n - 1], None, "last shard has no successor");
+        let failed: Vec<usize> = rep.failed.iter().map(|(i, _)| *i).collect();
+        assert_eq!(failed, [0, 1], "a twin falls with the shard that evolves");
+        let finished: Vec<usize> = rep.results.iter().map(|r| r.shard).collect();
+        assert_eq!(finished, (2..12).collect::<Vec<_>>());
+        // two attempts under shard 0's name, none under its twin's
+        assert_eq!(pool.jobs[..2], [ens.shard_hash(0); 2]);
+        assert!(!pool.jobs[2..].contains(&ens.shard_hash(0)));
+        assert!(!pool.jobs.contains(&ens.shard_hash(1)));
+        assert_eq!(pool.jobs.len(), 7);
     }
 
     #[test]
     fn cancel_between_shards_propagates() {
         let ens = sweep_3x2x2();
-        let mut pool = ScriptedPool {
-            poisoned: 0,
-            failures_left: 0,
-            jobs: Vec::new(),
-            prefetches: Vec::new(),
-        };
+        let mut pool = ScriptedPool::new(0, 0);
         let flag = AtomicBool::new(true);
         let ctrl = JobControl {
             cancel: Some(&flag),

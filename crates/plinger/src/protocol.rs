@@ -176,6 +176,13 @@ pub enum SpecDecodeError {
         /// Actual length.
         got: usize,
     },
+    /// The k-count is not a count: NaN, infinite, negative, fractional,
+    /// or past what a `usize` holds.
+    BadCount {
+        /// Bit pattern of the real that was sent (bits, so that the
+        /// error stays `Eq` with a NaN inside).
+        bits: u64,
+    },
     /// Payload length disagrees with the k-count it declares.
     LengthMismatch {
         /// k-count read from the first real.
@@ -193,6 +200,11 @@ impl std::fmt::Display for SpecDecodeError {
             SpecDecodeError::TooShort { got } => {
                 write!(f, "broadcast too short: {got} reals (need ≥ 19)")
             }
+            SpecDecodeError::BadCount { bits } => write!(
+                f,
+                "broadcast mode count is not a count: {}",
+                f64::from_bits(*bits)
+            ),
             SpecDecodeError::LengthMismatch { nk, want, got } => write!(
                 f,
                 "broadcast length mismatch: {nk} modes need {want} reals, got {got}"
@@ -202,6 +214,15 @@ impl std::fmt::Display for SpecDecodeError {
 }
 
 impl std::error::Error for SpecDecodeError {}
+
+/// Read a count that arrived as a real from outside the program: `None`
+/// unless it is finite, integral, non-negative and exactly a `usize`
+/// (`as usize` alone saturates ±∞ and anything ≥ 2⁶⁴, turns NaN into 0
+/// and drops fractions without a word).
+pub(crate) fn count_from_real(x: f64) -> Option<usize> {
+    // `usize::MAX as f64` rounds up to 2⁶⁴, so `<` keeps the cast exact
+    (x >= 0.0 && x < usize::MAX as f64 && x.fract() == 0.0).then_some(x as usize)
+}
 
 /// Complete description of a PLINGER run, broadcast to every worker as
 /// the tag-1 message so each worker can rebuild the background and
@@ -316,24 +337,26 @@ impl RunSpec {
 
     /// Decode a tag-1 broadcast payload.  A truncated or inconsistent
     /// payload is a [`SpecDecodeError`], not a panic — a worker that
-    /// receives garbage must be able to fail the session cleanly.
+    /// receives garbage must be able to fail the session cleanly, and
+    /// `plinger-serve` hands this function what a socket sent it: the
+    /// k-count is checked before anything is indexed by it.
     pub fn decode(v: &[f64]) -> Result<Self, SpecDecodeError> {
         if v.len() < 19 {
             return Err(SpecDecodeError::TooShort { got: v.len() });
         }
-        let nk = v[0] as usize;
+        let bad_count = || SpecDecodeError::BadCount {
+            bits: v[0].to_bits(),
+        };
+        let nk = count_from_real(v[0]).ok_or_else(bad_count)?;
+        let want = nk.checked_add(19).ok_or_else(bad_count)?;
         // legacy frames are exactly 19 + nk reals; a line-of-sight job
         // appends one trailing method discriminant
-        let method = match v.len() - 19 {
-            n if n == nk => SpectrumMethod::FullHierarchy,
-            n if n == nk + 1 && v[19 + nk] == 1.0 => SpectrumMethod::LineOfSight,
-            _ => {
-                return Err(SpecDecodeError::LengthMismatch {
-                    nk,
-                    want: 19 + nk,
-                    got: v.len(),
-                })
+        let method = match v.len() {
+            got if got == want => SpectrumMethod::FullHierarchy,
+            got if want.checked_add(1) == Some(got) && v[want] == 1.0 => {
+                SpectrumMethod::LineOfSight
             }
+            got => return Err(SpecDecodeError::LengthMismatch { nk, want, got }),
         };
         Ok(Self {
             method,
@@ -369,7 +392,7 @@ impl RunSpec {
                 m_nu_ev: v[17],
                 n_s: v[18],
             },
-            ks: v[19..19 + nk].to_vec(),
+            ks: v[19..want].to_vec(),
         })
     }
 }
@@ -493,6 +516,36 @@ mod tests {
         assert_eq!(
             RunSpec::decode(&[0.0; 5]).unwrap_err(),
             SpecDecodeError::TooShort { got: 5 }
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_mode_count_that_is_not_a_count() {
+        // n_s = 1.0 sits in the last fixed real: with no k at all an
+        // unchecked count of 2⁶⁴ − 1 wraps `19 + nk + 1` round to this
+        // length and reads that real as the line-of-sight discriminant
+        let wire = RunSpec::standard_cdm(Vec::new()).encode();
+        assert_eq!(wire.len(), 19);
+        for bad in [f64::INFINITY, f64::NAN, -1.0, 2.5, 1.8446744073709552e19] {
+            let mut wire = wire.clone();
+            wire[0] = bad;
+            assert_eq!(
+                RunSpec::decode(&wire).unwrap_err(),
+                SpecDecodeError::BadCount {
+                    bits: bad.to_bits()
+                }
+            );
+        }
+        // a count, but more modes than the payload holds
+        let mut wire = wire.clone();
+        wire[0] = 1.8e19;
+        assert_eq!(
+            RunSpec::decode(&wire).unwrap_err(),
+            SpecDecodeError::LengthMismatch {
+                nk: 18_000_000_000_000_000_000,
+                want: 18_000_000_000_000_000_019,
+                got: 19
+            }
         );
     }
 }

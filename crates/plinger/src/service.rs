@@ -1021,9 +1021,17 @@ impl<W: World> SpectrumService<W> {
     /// for the same cosmology — are streamed from the cache without
     /// touching the pool, and every fresh shard becomes a cache entry
     /// that later single-spectrum requests hit.  Uncached shards run as
-    /// ordinary pooled jobs with the next *uncached* shard as their
-    /// tag-13 hint, so one worker builds the next cosmology's physics
-    /// tables while the others start on the current shard's modes.
+    /// ordinary pooled jobs with the next *uncached* shard past their
+    /// own `n_s` group as their tag-13 hint, so one worker builds the
+    /// next cosmology's physics tables while the others start on the
+    /// current shard's modes.
+    ///
+    /// The mode equations never read `n_s`, so a fresh shard's body is
+    /// also stored under the key of every other shard of its `n_s`
+    /// group (see [`run_ensemble`](crate::run_ensemble)) that has no
+    /// entry yet: those stream as cache hits sharing the one
+    /// allocation, and a cold sweep costs one pool job per `(Ω_b, h)`
+    /// point.
     ///
     /// A shard whose job fails is retried once (the inner
     /// requeue/respawn machinery already absorbed anything survivable;
@@ -1045,6 +1053,7 @@ impl<W: World> SpectrumService<W> {
         self.requests += 1;
         self.metrics.ensemble_requests.inc();
         let n = ens.n_shards();
+        let n_ns = ens.n_s.len();
         let sweep = ensemble_hash(ens);
         tlog::log(
             Level::Info,
@@ -1105,7 +1114,9 @@ impl<W: World> SpectrumService<W> {
                 continue;
             }
             let spec = ens.shard_spec(i);
-            let prefetch = (i + 1..n)
+            // this job's body answers the rest of shard i's n_s group
+            let group = i - i % n_ns;
+            let prefetch = (group + n_ns..n)
                 .find(|&j| !self.cache.contains(keys[j]))
                 .map(|j| ens.shard_spec(j));
             tlog::log(
@@ -1130,8 +1141,12 @@ impl<W: World> SpectrumService<W> {
                         .fold_comm(report.telemetry.merged_comm().to_telemetry());
                     let body = Arc::new(encode_spectrum_body(&report.outputs, report.wall_seconds));
                     self.metrics.cache_bytes_served.add(body.len() as u64 * 8);
-                    if self.cache.insert(key, Arc::clone(&body)) {
-                        self.metrics.cache_persist_writes.inc();
+                    // an entry already there is a body some client has
+                    // seen: it keeps its bytes
+                    for &k in &keys[group..group + n_ns] {
+                        if !self.cache.contains(k) && self.cache.insert(k, Arc::clone(&body)) {
+                            self.metrics.cache_persist_writes.inc();
+                        }
                     }
                     sink(&ShardReply {
                         shard: i,
@@ -1293,6 +1308,16 @@ mod tests {
         let mut spec = RunSpec::standard_cdm(ks);
         spec.preset = Preset::Draft;
         spec
+    }
+
+    /// Every bit a mode carries over the wire except its timing real.
+    fn physics_bits(out: &ModeOutput) -> Vec<u64> {
+        let timeless = ModeOutput {
+            cpu_seconds: 0.0,
+            ..out.clone()
+        };
+        let (header, payload) = timeless.to_wire(0);
+        header.iter().chain(&payload).map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -1620,14 +1645,17 @@ mod tests {
             base: tiny_spec(vec![0.001, 0.02]),
             omega_b: vec![0.04, 0.06],
             h: vec![0.5, 0.7],
-            n_s: vec![1.0],
+            n_s: vec![0.95, 1.0],
         };
         let n = ens.n_shards();
+        let evolutions = ens.omega_b.len() * ens.h.len();
 
         // pre-warm one shard through the ordinary spectrum path: the
-        // sweep must treat it as already done
-        let warm = svc.handle(&ens.shard_spec(2)).unwrap();
+        // sweep must treat it as already done — and leave its bytes be,
+        // though it is the twin of a shard the sweep runs fresh
+        let warm = svc.handle(&ens.shard_spec(5)).unwrap();
         assert!(!warm.cache_hit);
+        let jobs_before = svc.pool().jobs_run();
 
         let mut frames: Vec<ShardReply> = Vec::new();
         let summary = svc
@@ -1637,24 +1665,40 @@ mod tests {
             })
             .unwrap();
         assert_eq!(summary.n_ok, n);
-        assert_eq!(summary.cache_hits, 1, "the pre-warmed shard hit");
+        assert_eq!(summary.cache_hits, n - evolutions, "every twin hit");
+        assert_eq!(
+            svc.pool().jobs_run() - jobs_before,
+            evolutions,
+            "one pool job per (omega_b, h) point"
+        );
         assert_eq!(frames.len(), n);
         for (i, f) in frames.iter().enumerate() {
             assert_eq!(f.shard, i, "canonical order");
             assert_eq!(f.n_shards, n);
             assert_eq!(f.key, ens.shard_hash(i));
-            assert_eq!(f.cache_hit, i == 2);
-            // each shard's body is bitwise the serial answer
+            assert_eq!(f.cache_hit, i % 2 == 1, "shard {i}");
+            // each shard's body is bitwise the serial answer to its
+            // OWN spec, whichever shard's job produced it
             let (serial, _) = run_serial(&ens.shard_spec(i)).unwrap();
             let (decoded, _) = decode_spectrum_body(&f.body).unwrap();
             assert_eq!(decoded.len(), serial.len());
             for (d, s) in decoded.iter().zip(&serial) {
-                assert_eq!(d.delta_c.to_bits(), s.delta_c.to_bits());
+                assert_eq!(physics_bits(d), physics_bits(s), "shard {i}");
             }
         }
+        for pair in frames.chunks(2) {
+            let shared = Arc::ptr_eq(&pair[0].body, &pair[1].body);
+            // shard 5 keeps the body its single request was answered with
+            assert_eq!(shared, pair[1].shard != 5, "shard {}", pair[1].shard);
+        }
+        assert!(Arc::ptr_eq(&frames[5].body, &warm.body));
         assert_eq!(metrics.ensemble_requests.get(), 1);
         assert_eq!(metrics.ensemble_shards.get(), n as u64);
-        assert_eq!(metrics.ensemble_shard_hits.get(), 1);
+        assert_eq!(
+            metrics.ensemble_shard_hits.get(),
+            (n - evolutions) as u64,
+            "twins count as shard hits"
+        );
 
         // the whole sweep repeats from the cache: no new pool jobs
         let jobs_before = svc.pool().jobs_run();
@@ -1662,6 +1706,7 @@ mod tests {
         let again = svc
             .handle_ensemble_with(&ens, &JobControl::default(), |r| {
                 assert!(r.cache_hit);
+                assert!(Arc::ptr_eq(&r.body, &frames[r.shard].body));
                 rerun += 1;
                 Ok(())
             })

@@ -242,8 +242,9 @@ proptest! {
     ) {
         // a shard's identity is its grid index, never its position in
         // the work queue: hashing shards in any visit order yields the
-        // same per-index keys, so priority reordering and requeues
-        // cannot move a result to the wrong cache slot
+        // same per-index keys, so requeues and the service's
+        // skip-what-is-cached order cannot move a result to the wrong
+        // cache slot
         let ens = make_ensemble(omega_b, h, n_s, ks);
         let n = ens.n_shards();
         let forward: Vec<u64> = (0..n).map(|i| ens.shard_hash(i)).collect();

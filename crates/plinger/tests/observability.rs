@@ -2,9 +2,13 @@
 //! service exposes is catalogued in `docs/OBSERVABILITY.md`, and the
 //! Prometheus rendering carries the full histogram surface.  A name
 //! drifting out of the doc (or a new family landing undocumented)
-//! fails here before it breaks someone's dashboard.
+//! fails here before it breaks someone's dashboard.  The sweep's
+//! per-shard event is held to its documented row the same way.
 
-use plinger::ServiceMetrics;
+use plinger::{
+    run_ensemble, EnsembleOptions, EnsembleSpec, FarmError, FarmReport, FarmTelemetry, JobControl,
+    RecoveryLog, RunSpec, SchedulePolicy, ServiceMetrics, ShardRunner,
+};
 
 /// The frozen family list (sans `plinger_` prefix).  Extending the
 /// surface means adding here AND to `docs/OBSERVABILITY.md`.
@@ -107,4 +111,63 @@ fn exposition_carries_prefix_and_histogram_surface() {
     assert!(text.contains("plinger_request_total_ns_sum 5000"));
     assert!(text.contains("plinger_request_total_ns_count 1"));
     assert!(text.contains("# TYPE plinger_request_total_ns_p99 gauge"));
+}
+
+/// A pool that finishes every job at once with nothing in it.
+struct EmptyPool;
+
+impl ShardRunner for EmptyPool {
+    fn run_shard(
+        &mut self,
+        _spec: &RunSpec,
+        _policy: SchedulePolicy,
+        _ctrl: &JobControl<'_>,
+        _prefetch: Option<&RunSpec>,
+    ) -> Result<FarmReport, FarmError> {
+        Ok(FarmReport {
+            outputs: Vec::new(),
+            wall_seconds: 0.0,
+            worker_stats: Vec::new(),
+            bytes_received: 0,
+            completion_log: Vec::new(),
+            telemetry: FarmTelemetry::default(),
+            recovery: RecoveryLog::default(),
+        })
+    }
+}
+
+#[test]
+fn shard_done_carries_the_documented_fields_for_evolved_shard_and_twin() {
+    let doc = doc();
+    let row = doc
+        .lines()
+        .find(|l| l.starts_with("| `ensemble` | `shard_done` |"))
+        .expect("shard_done row in docs/OBSERVABILITY.md");
+    let fields = row.split('|').nth(4).expect("fields column");
+    let fields = fields.split(" — ").next().unwrap_or(fields);
+    let documented: Vec<&str> = fields.split('`').skip(1).step_by(2).collect();
+    assert!(documented.contains(&"evolved_by"), "row: {row}");
+
+    // one (omega_b, h) point, two n_s: shard 0 evolves, shard 1 is its twin
+    let ens = EnsembleSpec {
+        n_s: vec![0.93, 0.97],
+        ..EnsembleSpec::singleton(RunSpec::standard_cdm(vec![0.0123]))
+    };
+    run_ensemble(
+        &mut EmptyPool,
+        &ens,
+        &EnsembleOptions::default(),
+        &JobControl::default(),
+    )
+    .expect("scripted sweep");
+    for shard in 0..2 {
+        let events = telemetry::log::for_job(ens.shard_hash(shard), 16);
+        let done = events
+            .iter()
+            .find(|e| e.target == "ensemble" && e.message == "shard_done")
+            .unwrap_or_else(|| panic!("no shard_done for shard {shard}"));
+        let emitted: Vec<&str> = done.fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(emitted, documented, "shard {shard}");
+        assert_eq!(done.field("evolved_by"), Some("0"), "shard {shard}");
+    }
 }

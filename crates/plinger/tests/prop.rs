@@ -1,6 +1,10 @@
 //! Property tests for the farm's protocol pieces and simulator.
 
-use plinger::{simulate_farm, RunSpec, SchedulePolicy, SimParams};
+use boltzmann::SpectrumMethod;
+use plinger::{
+    simulate_farm, EnsembleRequest, EnsembleSpec, RunSpec, SchedulePolicy, SimParams,
+    SpectrumRequest,
+};
 use proptest::prelude::*;
 
 fn arb_policy() -> impl Strategy<Value = SchedulePolicy> {
@@ -12,7 +16,67 @@ fn arb_policy() -> impl Strategy<Value = SchedulePolicy> {
     ]
 }
 
+/// Reals a socket can put where a decoder expects a count: the ones
+/// `as usize` mangles without a word (NaN → 0, ±∞ and anything ≥ 2⁶⁴ →
+/// saturated, fractions truncated, negatives → 0), integers far past any
+/// payload, and raw bit patterns.
+fn arb_hostile_count() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-1.0),
+        Just(2.5),
+        Just(9007199254740992.0),     // 2^53
+        Just(1.8e19),                 // the largest decade below 2^64
+        Just(18446744073709551616.0), // 2^64
+        any::<f64>(),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn hostile_counts_are_decode_errors_never_panics(
+        ks in proptest::collection::vec(1e-4f64..1.0, 0..6),
+        n_ob in 1usize..4,
+        n_h in 1usize..4,
+        n_ns in 1usize..4,
+        los in proptest::bool::ANY,
+        counts in proptest::collection::vec(arb_hostile_count(), 4),
+        overwrite in 1usize..16,
+    ) {
+        let mut base = RunSpec::standard_cdm(ks);
+        if los {
+            base.method = SpectrumMethod::LineOfSight;
+        }
+        let ens = EnsembleSpec {
+            omega_b: vec![0.05; n_ob],
+            h: vec![0.5; n_h],
+            n_s: vec![1.0; n_ns],
+            base,
+        };
+        // the four count reals of a sweep: three axes, then the base
+        // spec's k-count behind the axis values
+        let at = [0, 1, 2, 3 + n_ob + n_h + n_ns];
+        let mut wire = ens.encode();
+        for (bit, (&i, &bad)) in at.iter().zip(&counts).enumerate() {
+            if overwrite >> bit & 1 == 1 {
+                wire[i] = bad;
+            }
+        }
+        prop_assert!(EnsembleSpec::decode(&wire).is_err());
+        let mut framed = vec![-1.0, 50.0];
+        framed.extend_from_slice(&wire);
+        prop_assert!(EnsembleRequest::decode(&framed).is_err());
+
+        let mut wire = ens.base.encode();
+        wire[0] = counts[3];
+        prop_assert!(RunSpec::decode(&wire).is_err());
+        let mut framed = vec![-1.0, 50.0];
+        framed.extend_from_slice(&wire);
+        prop_assert!(SpectrumRequest::decode(&framed).is_err());
+    }
+
     #[test]
     fn schedule_order_is_a_permutation(
         ks in proptest::collection::vec(1e-4f64..1.0, 1..60),

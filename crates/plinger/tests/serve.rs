@@ -319,6 +319,28 @@ fn overload_sheds_busy_and_clients_retry_to_success() {
     );
 }
 
+/// Speak the wire protocol directly: send one frame on `stream` and
+/// read the next one back.
+fn exchange(
+    stream: &mut TcpStream,
+    buf: &mut bytes::BytesMut,
+    tag: msgpass::Tag,
+    data: &[f64],
+) -> msgpass::Message {
+    stream
+        .write_all(&msgpass::codec::encode(0, tag, data))
+        .expect("send raw frame");
+    loop {
+        if let Some(msg) = msgpass::codec::decode(buf).expect("well-formed frame") {
+            return msg;
+        }
+        let mut chunk = [0u8; 8192];
+        let n = stream.read(&mut chunk).expect("read reply");
+        assert!(n > 0, "server hung up before answering");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
 #[test]
 fn sigterm_drain_flips_healthz_and_closes_idle_connections() {
     use bytes::BytesMut;
@@ -343,23 +365,12 @@ fn sigterm_drain_flips_healthz_and_closes_idle_connections() {
     let mut spec = RunSpec::standard_cdm(vec![2.0e-4, 5.0e-4, 1.0e-3]);
     spec.preset = boltzmann::Preset::Draft;
     let mut stream = TcpStream::connect(&addr).expect("raw connection");
-    stream
-        .write_all(&msgpass::codec::encode(
-            0,
-            TAG_REQ_SPECTRUM,
-            &SpectrumRequest::new(spec).encode(),
-        ))
-        .expect("send raw request");
-    let mut buf = BytesMut::new();
-    let reply = loop {
-        if let Some(msg) = msgpass::codec::decode(&mut buf).expect("well-formed frame") {
-            break msg;
-        }
-        let mut chunk = [0u8; 8192];
-        let n = stream.read(&mut chunk).expect("read reply");
-        assert!(n > 0, "server hung up before answering");
-        buf.extend_from_slice(&chunk[..n]);
-    };
+    let reply = exchange(
+        &mut stream,
+        &mut BytesMut::new(),
+        TAG_REQ_SPECTRUM,
+        &SpectrumRequest::new(spec).encode(),
+    );
     assert_eq!(reply.tag, TAG_RESP_SPECTRUM, "raw request failed");
 
     // the connection was served and is now idle; its read-timeout
@@ -472,6 +483,51 @@ fn expired_deadline_cancels_but_the_pool_survives() {
         rest.contains("served 2 requests"),
         "unexpected summary: {rest:?}"
     );
+}
+
+#[test]
+fn infinite_counts_are_bad_requests_and_leave_the_queue() {
+    use plinger::service::{
+        ErrorCode, ServiceError, TAG_REQ_ENSEMBLE, TAG_REQ_METRICS, TAG_REQ_SPECTRUM,
+        TAG_RESP_ERROR, TAG_RESP_METRICS, TAG_RESP_SPECTRUM,
+    };
+    use plinger::{EnsembleSpec, RunSpec};
+
+    let (mut server, mut reader, addr) = start_server(1);
+    let mut spec = RunSpec::standard_cdm(vec![2.0e-4, 5.0e-4, 1.0e-3]);
+    spec.preset = boltzmann::Preset::Draft;
+    let mut stream = TcpStream::connect(&addr).expect("raw connection");
+    let mut buf = bytes::BytesMut::new();
+
+    // a count of +inf used to saturate, wrap the length check and index
+    // out of range: the connection thread died between entering the
+    // queue and leaving it, and the depth stayed one too high for good
+    let mut sweep = EnsembleSpec::singleton(spec.clone()).encode();
+    sweep[0] = f64::INFINITY;
+    let mut single = spec.encode();
+    single[0] = f64::INFINITY;
+    for (tag, payload) in [(TAG_REQ_ENSEMBLE, &sweep), (TAG_REQ_SPECTRUM, &single)] {
+        let reply = exchange(&mut stream, &mut buf, tag, payload);
+        assert_eq!(reply.tag, TAG_RESP_ERROR, "tag {tag}: no typed refusal");
+        let err = ServiceError::decode(&reply.data);
+        assert_eq!(err.code, ErrorCode::BadRequest, "tag {tag}: {err}");
+    }
+
+    let reply = exchange(&mut stream, &mut buf, TAG_REQ_METRICS, &[]);
+    assert_eq!(reply.tag, TAG_RESP_METRICS);
+    assert_eq!(reply.data[6], 0.0, "a refused request stayed in the queue");
+    assert_eq!(reply.data[7], 2.0, "both refusals count as errors");
+
+    // the same connection, the same server: an honest request is served
+    let reply = exchange(&mut stream, &mut buf, TAG_REQ_SPECTRUM, &spec.encode());
+    assert_eq!(reply.tag, TAG_RESP_SPECTRUM, "server did not recover");
+    drop(stream);
+
+    let status = server.wait().expect("server exit");
+    assert!(status.success(), "server exited with {status}");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("read summary");
+    assert!(rest.contains("pool jobs=1"), "unexpected summary: {rest:?}");
 }
 
 #[test]

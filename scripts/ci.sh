@@ -198,11 +198,14 @@ echo "== ensemble smoke =="
 # streams four tag-23 shard frames (all cold), the identical repeat is
 # served entirely from the result cache with bitwise-equal bodies, and
 # a single-spectrum request for one swept cosmology crosses over into
-# the shard cache (shared job-hash keys).  The bitwise-vs-serial leg of
-# the gate is the dedicated differential suite below.
+# the shard cache (shared job-hash keys).  A third sweep adds an n_s
+# axis over a fresh Ω_b × h pair: the mode equations never read n_s, so
+# of its eight cold shards the four twins are hits carrying their
+# sibling's bytes.  The bitwise-vs-serial leg of the gate is the
+# dedicated differential suite below.
 ens_log="$smoke_dir/ens.log"
 "$serve_bin" --listen 127.0.0.1:0 --transport channel --workers 2 \
-    --max-requests 3 > "$ens_log" 2> "$smoke_dir/ens.err" &
+    --max-requests 4 > "$ens_log" 2> "$smoke_dir/ens.err" &
 ens_pid=$!
 ens_addr=""
 for _ in $(seq 1 100); do
@@ -216,13 +219,14 @@ ereq() { "$serve_bin" --connect "$ens_addr" --preset draft \
 e1="$(ereq --ensemble --sweep-omega-b 0.03,0.06 --sweep-h 0.5,0.7)"
 e2="$(ereq --ensemble --sweep-omega-b 0.03,0.06 --sweep-h 0.5,0.7)"
 e3="$(ereq --omega-b 0.06 --h 0.7)"
+e4="$(ereq --ensemble --sweep-omega-b 0.04,0.05 --sweep-h 0.55,0.65 --sweep-ns 0.95,1.0)"
 wait "$ens_pid"
-python3 - "$e1" "$e2" "$e3" <<'EOF'
+python3 - "$e1" "$e2" "$e3" "$e4" <<'EOF'
 import sys
-def shards(out):
+def shards(out, n=4):
     rows = [dict(kv.split("=", 1) for kv in l.split())
             for l in out.splitlines() if l.startswith("shard=")]
-    assert [r["shard"] for r in rows] == [f"{i}/4" for i in range(4)], rows
+    assert [r["shard"] for r in rows] == [f"{i}/{n}" for i in range(n)], rows
     return rows
 s1, s2 = shards(sys.argv[1]), shards(sys.argv[2])
 assert all(r["cache_hit"] == "0" for r in s1), s1
@@ -235,7 +239,15 @@ single = dict(kv.split("=", 1) for kv in sys.argv[3].split())
 assert single["cache_hit"] == "1", "single request missed the shard cache"
 # canonical shard order is omega_b-major, h-fast: (0.06, 0.7) is shard 3
 assert single["fnv"] == s1[3]["fnv"], (single["fnv"], s1[3]["fnv"])
-print(f"ensemble smoke: 4 cold + 4 cached shards, crossover hit, fnv {single['fnv']}")
+# n_s is the fastest index: shards 2g and 2g+1 are one evolution
+s4 = shards(sys.argv[4], 8)
+assert "ensemble shards=8 ok=8 hits=4" in sys.argv[4], sys.argv[4]
+for first, twin in zip(s4[0::2], s4[1::2]):
+    assert (first["cache_hit"], twin["cache_hit"]) == ("0", "1"), (first, twin)
+    assert first["fnv"] == twin["fnv"], "a twin's bytes differ from its sibling's"
+assert len({r["fnv"] for r in s4}) == 4, "distinct (omega_b, h) points collided"
+print(f"ensemble smoke: 4 cold + 4 cached shards, crossover hit, fnv {single['fnv']}; "
+      f"n_s axis: 4 evolutions for 8 shards")
 EOF
 
 echo "== metric-name stability =="
@@ -324,16 +336,19 @@ done
 echo "== ensemble bench gate =="
 # run the sweep-throughput bench behind BENCH_ensemble.json once
 # (2 workers, 2 modes/shard; the bin itself asserts the warm-pool cube
-# is bitwise-identical to fresh farms) and gate on the count that is
-# exact on any machine: 12 shards, 12 table builds for the warm pool
+# is bitwise-identical to fresh farms) and gate on the counts that are
+# exact on any machine: 12 shards on a two-point n_s axis are 6
+# evolutions, and the warm pool builds one table set for each
 bench_line="$(cargo run -q --release -p bench --bin ensemble 2 2 \
     | grep "^bench: ensemble/3x2x2/w2 ")"
 python3 - "$bench_line" <<'PY'
 import sys
 fields = dict(kv.split("=") for kv in sys.argv[1].split()[2:])
 builds = int(fields["ctx_rebuilds"]) + int(fields["prefetch_builds"])
-assert builds == 12, f"warm pool built {builds} contexts for 12 shards: {sys.argv[1]}"
-print(f"ensemble bench gate: {builds} builds for {fields['shards']} shards")
+evolutions = int(fields["evolutions"])
+assert fields["shards"] == "12" and builds == evolutions == 6, \
+    f"{builds} builds, {evolutions} evolutions for {fields['shards']} shards: {sys.argv[1]}"
+print(f"ensemble bench gate: {builds} builds, {evolutions} evolutions for 12 shards")
 PY
 
 echo "ci: all green"

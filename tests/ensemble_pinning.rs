@@ -7,11 +7,13 @@
 //! The 3×2×2 Ω_b × h × n_s sweep is the reference workload from the
 //! acceptance criteria: 12 distinct cosmologies multiplexed onto one
 //! warm pool.  Each shard's outputs are compared bit-for-bit against
-//! `run_serial` on that shard's spec — the ensemble layer may reorder,
-//! requeue, and prefetch, but it may never change a single bit of
-//! physics.
+//! `run_serial` on that shard's OWN spec — the ensemble layer may
+//! requeue, prefetch, and evolve one shard per n_s group for all of
+//! them, but it may never change a single bit of physics.  That
+//! comparison is the guard of the grouping rule itself: the day a mode
+//! equation reads n_s, every twin fails here.
 
-use boltzmann::Preset;
+use boltzmann::{ModeOutput, Preset, SpectrumMethod};
 use msgpass::channel::ChannelWorld;
 use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
@@ -39,28 +41,36 @@ fn sweep_3x2x2() -> EnsembleSpec {
     }
 }
 
-fn assert_bitwise(outputs: &[boltzmann::ModeOutput], reference: &[boltzmann::ModeOutput]) {
+/// Everything a mode carries over the wire — final state, both moment
+/// ladders, step counts, the line-of-sight source block — except its
+/// timing real.
+fn physics_bits(out: &ModeOutput) -> Vec<u64> {
+    let timeless = ModeOutput {
+        cpu_seconds: 0.0,
+        ..out.clone()
+    };
+    let (header, payload) = timeless.to_wire(0);
+    header.iter().chain(&payload).map(|x| x.to_bits()).collect()
+}
+
+fn assert_bitwise(outputs: &[ModeOutput], reference: &[ModeOutput]) {
     assert_eq!(outputs.len(), reference.len(), "mode count mismatch");
     for (out, r) in outputs.iter().zip(reference) {
         assert_eq!(out.k, r.k, "grid order mismatch");
-        assert_eq!(out.delta_c.to_bits(), r.delta_c.to_bits());
-        assert_eq!(out.psi.to_bits(), r.psi.to_bits());
-        for (a, b) in out.delta_t.iter().zip(&r.delta_t) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in out.delta_p.iter().zip(&r.delta_p) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(physics_bits(out), physics_bits(r), "k = {}", out.k);
     }
 }
 
-/// Every shard of the report, bit-for-bit against the serial loop.
+/// Every shard of the report, bit-for-bit against the serial loop, and
+/// filed under the first shard of its n_s group.
 fn assert_sweep_matches_serial(ens: &EnsembleSpec, rep: &EnsembleReport) {
     assert!(rep.failed.is_empty(), "failed shards: {:?}", rep.failed);
     assert_eq!(rep.results.len(), ens.n_shards());
     for (i, res) in rep.results.iter().enumerate() {
         assert_eq!(res.shard, i, "results not in canonical order");
         assert_eq!(res.job, ens.shard_hash(i), "shard keyed wrong");
+        assert_eq!(res.cosmo, ens.shard_cosmo(i), "shard {i} cosmology");
+        assert_eq!(res.evolved_by, i - i % ens.n_s.len(), "shard {i}");
         let (serial, _) = run_serial(&ens.shard_spec(i)).expect("serial reference");
         assert_bitwise(&res.report.outputs, &serial);
     }
@@ -68,8 +78,8 @@ fn assert_sweep_matches_serial(ens: &EnsembleSpec, rep: &EnsembleReport) {
 
 /// The full 12-cosmology sweep on one warm pool of two workers, on one
 /// transport: bitwise against serial, and the shared table cache
-/// visible in the ledger — the pool's threads build each cosmology's
-/// tables exactly once between them.
+/// visible in the ledger — the pool's threads build the tables of each
+/// cosmology that evolves exactly once between them, and a twin's never.
 fn sweep_matches_serial<W: World>() {
     let ens = sweep_3x2x2();
     let n_workers = 2;
@@ -85,15 +95,25 @@ fn sweep_matches_serial<W: World>() {
 
     assert_sweep_matches_serial(&ens, &rep);
     assert_eq!(rep.shard_requeues, 0, "undisturbed sweep requeued");
-    assert_eq!(rep.total_modes(), ens.n_shards() * ens.base.ks.len());
-    // one build per cosmology per process: the first shard's at its
-    // job start, every later shard's one shard ahead on a hint that
-    // exactly one rank claims
+    let evolutions = ens.omega_b.len() * ens.h.len();
+    assert_eq!(rep.evolutions(), evolutions);
+    assert_eq!(rep.total_modes(), evolutions * ens.base.ks.len());
+    // one build per evolution per process: the first one's at its job
+    // start, every later one's a job ahead on a hint that exactly one
+    // rank claims
     assert_eq!(
         (rep.ctx_rebuilds, rep.prefetch_builds),
-        (1, ens.n_shards() - 1),
+        (1, evolutions - 1),
         "builds at job start / on hints"
     );
+    for res in &rep.results {
+        let twin = res.evolved_by != res.shard;
+        assert_eq!(res.attempts, usize::from(!twin), "shard {}", res.shard);
+        // work is on the ledger of the shard that did it, once
+        assert_eq!(res.report.worker_stats.is_empty(), twin);
+        assert_eq!(res.report.completion_log.is_empty(), twin);
+        assert_eq!(res.report.wall_seconds == 0.0, twin);
+    }
 }
 
 #[test]
@@ -140,11 +160,12 @@ impl<P: ShardRunner> ShardRunner for KillFirstAttempt<P> {
 
 #[test]
 fn killed_shard_is_requeued_and_stays_bitwise() {
-    // shard 5 dies on its first attempt mid-sweep; the scheduler's
-    // shard ledger must requeue the *whole* shard, rerun it, and the
-    // sweep still pins bitwise with exactly one extra attempt recorded
+    // shard 4 — the one that evolves for shards 4 and 5 — dies on its
+    // first attempt mid-sweep; the scheduler's shard ledger must requeue
+    // the *whole* job, rerun it, and the sweep still pins bitwise with
+    // exactly one extra attempt recorded, none of it under the twin
     let ens = sweep_3x2x2();
-    let victim = 5;
+    let victim = 4;
     let mut pool = KillFirstAttempt {
         inner: FarmPool::<ChannelWorld>::start(2).expect("pool start"),
         poisoned_job: ens.shard_hash(victim),
@@ -162,9 +183,39 @@ fn killed_shard_is_requeued_and_stays_bitwise() {
     assert_sweep_matches_serial(&ens, &rep);
     assert_eq!(rep.shard_requeues, 1, "kill did not requeue the shard");
     for res in &rep.results {
-        let want = if res.shard == victim { 2 } else { 1 };
+        let want = match res.shard {
+            s if s == victim => 2,
+            s if s % 2 == 0 => 1,
+            _ => 0,
+        };
         assert_eq!(res.attempts, want, "attempt ledger wrong at {}", res.shard);
     }
+}
+
+#[test]
+fn line_of_sight_twin_carries_the_source_block() {
+    // the line-of-sight payload is the one part of a mode that lives
+    // behind an Option: a twin must be handed that too
+    let mut base = base_spec(&[4.0e-4, 1.2e-3]);
+    base.method = SpectrumMethod::LineOfSight;
+    let ens = EnsembleSpec {
+        n_s: vec![0.9, 1.0],
+        ..EnsembleSpec::singleton(base)
+    };
+    let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
+    let rep = run_ensemble(
+        &mut pool,
+        &ens,
+        &EnsembleOptions::default(),
+        &JobControl::default(),
+    )
+    .expect("sweep");
+    pool.shutdown();
+
+    assert_sweep_matches_serial(&ens, &rep);
+    assert_eq!(rep.evolutions(), 1);
+    let twin = &rep.results[1].report.outputs;
+    assert!(twin.iter().all(|o| o.sources.is_some()), "sources dropped");
 }
 
 #[test]
