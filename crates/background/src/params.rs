@@ -1,7 +1,6 @@
 //! Cosmological parameter sets and the presets used by the paper.
 
 use numutil::constants;
-use serde::{Deserialize, Serialize};
 
 /// Species labels used for density queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +25,7 @@ pub enum Species {
 /// `omega_k` is derived, not stored, so the parameter set is always
 /// self-consistent.  The defaults reproduce the paper's "standard Cold
 /// Dark Matter" model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CosmoParams {
     /// Hubble parameter `h` (`H0 = 100 h km/s/Mpc`).
     pub h: f64,

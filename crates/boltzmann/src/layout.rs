@@ -19,10 +19,8 @@
 //! unused zero (kept so both gauges share one layout and the wire format
 //! never branches).
 
-use serde::{Deserialize, Serialize};
-
 /// Gauge selector for the perturbation equations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
     /// Synchronous gauge (CDM at rest; LINGER's primary gauge).
     Synchronous,
@@ -32,7 +30,7 @@ pub enum Gauge {
 }
 
 /// Index map for the flat state vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateLayout {
     /// Gauge of the evolved equations.
     pub gauge: Gauge,

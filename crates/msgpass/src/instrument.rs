@@ -56,17 +56,28 @@ impl EndpointStats {
         Self::default()
     }
 
-    /// Record one sent message of `words` `f64`s under `tag`, taking
-    /// `elapsed` inside the transport's send call.
+    /// Count one message of `words` `f64`s about to be sent under
+    /// `tag`.  Counting *before* the transport's send call means the
+    /// receiver can never observe a message its sender has not counted
+    /// yet — a per-job table cut the moment the last reply arrives is
+    /// closed-world.  Says whether anything was recorded.
     #[inline]
-    pub fn on_send(&self, tag: Tag, words: usize, elapsed: Duration) {
+    fn count_send(&self, tag: Tag, words: usize) -> bool {
         if !telemetry::enabled() {
-            return;
+            return false;
         }
         let s = slot(tag);
         self.sent_count[s].fetch_add(1, Ordering::Relaxed);
         self.sent_bytes[s].fetch_add((words * 8) as u64, Ordering::Relaxed);
-        self.send_ns.record(elapsed.as_nanos() as u64);
+        true
+    }
+
+    /// Take back a [`count_send`](Self::count_send) whose send failed.
+    #[inline]
+    fn uncount_send(&self, tag: Tag, words: usize) {
+        let s = slot(tag);
+        self.sent_count[s].fetch_sub(1, Ordering::Relaxed);
+        self.sent_bytes[s].fetch_sub((words * 8) as u64, Ordering::Relaxed);
     }
 
     /// Record one received message of `words` `f64`s under `tag`,
@@ -272,10 +283,14 @@ impl<T: Transport> Transport for Instrumented<T> {
     }
 
     fn send(&mut self, dest: Rank, tag: Tag, data: &[f64]) -> Result<(), CommError> {
+        let counted = self.stats.count_send(tag, data.len());
         let t0 = Instant::now();
         let r = self.inner.send(dest, tag, data);
-        if r.is_ok() {
-            self.stats.on_send(tag, data.len(), t0.elapsed());
+        if counted {
+            match r {
+                Ok(()) => self.stats.send_ns.record(t0.elapsed().as_nanos() as u64),
+                Err(_) => self.stats.uncount_send(tag, data.len()),
+            }
         }
         r
     }

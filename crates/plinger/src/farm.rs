@@ -1,42 +1,38 @@
-//! Transport-generic farm sessions and the timing report behind
+//! The one-job front of the farm and the timing report behind
 //! Figure 1.
 //!
-//! [`Farm`] owns one complete master/worker session over any
-//! [`World`]: it assembles the endpoints, spawns the worker threads,
-//! runs the master loop (broadcast → dispatch → collect → stop), joins
-//! the workers, and folds everything into a [`FarmReport`].  The same
-//! `Farm::<W>::run` drives the channel, shared-memory, and in-process
-//! TCP transports — the paper's "same Fortran over PVM, MPI, MPL, PVMe"
-//! claim, as one generic type.  The multi-process TCP deployment, whose
-//! workers are OS subprocesses rather than threads, is the separate
-//! [`run_tcp_processes`]/[`run_tcp_worker`] pair built on the same
-//! master loop.
+//! [`Farm`] is the paper's run shape — start the workers, farm one
+//! k-grid, stop them — over any [`World`]: `Farm::<W>::run` starts a
+//! [`FarmPool`], gives it one job and shuts it down, so the channel,
+//! shared-memory, and in-process TCP transports (the paper's "same
+//! Fortran over PVM, MPI, MPL, PVMe" claim, as one generic type) and
+//! the resident pools behind the service all run the same master and
+//! worker sessions.  [`run_tcp_processes`] is the same shape over
+//! [`TcpFarmPool`], whose workers are OS subprocesses running
+//! [`run_tcp_worker`].
 
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use background::Background;
 use boltzmann::{evolve_mode_scratch, ModeOutput};
-use msgpass::fault::{FaultAction, FaultRule, FaultSpec, FaultWhen, FaultyTransport};
-use msgpass::instrument::Instrumented;
-use msgpass::tcp::{connect_worker, PendingMaster};
+use msgpass::fault::{FaultAction, FaultRule, FaultSpec, FaultWhen};
+use msgpass::tcp::connect_worker;
 use msgpass::{Rank, Tag, World};
 use ode::Integrator;
 use recomb::ThermoHistory;
 
 use crate::error::FarmError;
-use crate::master::{master_session, MasterConfig};
+use crate::master::MasterConfig;
+use crate::pool::{FarmPool, PoolOptions, TcpFarmPool};
 use crate::protocol::RunSpec;
-use crate::recovery::{RecoveryLog, RecoveryPolicy, WorkerEvent};
+use crate::recovery::{RecoveryLog, RecoveryPolicy};
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
-use crate::worker::{worker_pool_session, worker_session, WorkerFault, WorkerStats};
+use crate::worker::{worker_pool_session, WorkerFault, WorkerStats};
 
 /// Timing and throughput report of a farm run — the quantities Figure 1
 /// and §5.1 of the paper plot.
@@ -132,13 +128,13 @@ impl FarmReport {
 /// Fault injection for session-layer tests: what to break, where.
 ///
 /// Worker-level plans (`DropWorker`, `StallWorker`, `FailMode`) are
-/// carried into the worker loop as a [`WorkerFault`]; message-level
+/// carried into the worker session as a [`WorkerFault`]; message-level
 /// plans (`CorruptPayload`, `DropMessage`) become a deterministic
 /// [`FaultSpec`] applied at the transport seam of every endpoint — a
 /// rule only fires on the endpoint that actually sends the targeted
-/// tag.  Thread farms support all variants; `run_tcp_processes`
-/// supports the worker-level ones (the fault rides a hidden CLI
-/// argument into the subprocess).
+/// tag.  Thread pools support all variants; subprocess pools support
+/// the worker-level ones (the fault rides a hidden CLI argument into
+/// the subprocess).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultPlan {
@@ -203,7 +199,7 @@ impl FaultPlan {
 
     /// The transport-level fault script this plan injects (passthrough
     /// for worker-level plans).
-    fn fault_spec(&self) -> FaultSpec {
+    pub(crate) fn fault_spec(&self) -> FaultSpec {
         match *self {
             FaultPlan::CorruptPayload { tag } => FaultSpec {
                 seed: 0,
@@ -226,7 +222,7 @@ impl FaultPlan {
     }
 }
 
-/// A transport-generic farm session.
+/// A transport-generic farm run: a [`FarmPool`] of one job.
 ///
 /// ```no_run
 /// use msgpass::channel::ChannelWorld;
@@ -242,9 +238,6 @@ pub struct Farm<W: World> {
     n_workers: usize,
     config: MasterConfig,
     fault: Option<FaultPlan>,
-    /// The physics tables this farm's worker threads share: one build
-    /// per cosmology per farm, not one per rank.
-    tables: TableCache,
     _world: PhantomData<W>,
 }
 
@@ -256,7 +249,6 @@ impl<W: World> Farm<W> {
             n_workers,
             config: MasterConfig::default(),
             fault: None,
-            tables: TableCache::new(),
             _world: PhantomData,
         }
     }
@@ -309,159 +301,33 @@ impl<W: World> Farm<W> {
         self
     }
 
-    /// Run one complete session: assemble a `(n_workers + 1)`-rank
-    /// world, spawn the workers, drive the master loop, join everyone,
-    /// and account the run.
+    /// Run one complete session: start a `(n_workers + 1)`-rank pool
+    /// (never respawning — a one-job farm redistributes instead), run
+    /// the job, stop the workers, and account the run.  The workers'
+    /// span timelines, harvested at the shutdown joins, are appended to
+    /// the report's.
     pub fn run(&self, spec: &RunSpec, policy: SchedulePolicy) -> Result<FarmReport, FarmError> {
-        if self.n_workers < 1 {
-            return Err(FarmError::Setup(msgpass::CommError::Unsupported(
-                "a farm needs at least one worker",
-            )));
-        }
-        let eps = W::endpoints(self.n_workers + 1).map_err(FarmError::Setup)?;
-        if eps.len() != self.n_workers + 1 {
-            return Err(FarmError::Setup(msgpass::CommError::Protocol(format!(
-                "transport {} built {} endpoints for {} ranks",
-                W::NAME,
-                eps.len(),
-                self.n_workers + 1
-            ))));
-        }
-
-        // one epoch anchors every span recorder, and every endpoint is
-        // wrapped so the run's message table is a measurement, not a
-        // reconstruction; the Arc handles survive the move into threads.
-        // The fault wrapper sits outside the instrumentation so a
-        // dropped message is never counted as sent (closed-world
-        // telemetry survives fault runs); with no message-level fault
-        // the wrapper is a passthrough.
-        let epoch = Instant::now();
-        let fault_spec = self
-            .fault
-            .map(|f| f.fault_spec())
-            .unwrap_or_else(FaultSpec::passthrough);
-        let mut comm_handles = Vec::with_capacity(eps.len());
-        let mut eps: Vec<_> = eps
-            .into_iter()
-            .map(|ep| {
-                let (wrapped, stats) = Instrumented::new(ep);
-                comm_handles.push(stats);
-                let (faulty, _log) = FaultyTransport::new(wrapped, fault_spec.clone());
-                faulty
-            })
-            .collect();
-
-        let alive: Vec<Arc<AtomicBool>> = (0..self.n_workers)
-            .map(|_| Arc::new(AtomicBool::new(true)))
-            .collect();
-        let fault = self.fault;
-        let tables = &self.tables;
-
-        let mut session: Option<Result<FarmReport, FarmError>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = eps
-                .drain(1..)
-                .enumerate()
-                .map(|(i, mut ep)| {
-                    let flag = Arc::clone(&alive[i]);
-                    let worker_fault = fault.and_then(|f| f.worker_fault(i + 1));
-                    scope.spawn(move || {
-                        let out = worker_session(&mut ep, worker_fault, epoch, tables);
-                        flag.store(false, Ordering::SeqCst);
-                        out
-                    })
-                })
-                .collect();
-
-            let mut watch = || -> Vec<WorkerEvent> {
-                alive
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| !a.load(Ordering::SeqCst))
-                    .map(|(i, _)| WorkerEvent::Dead(i + 1))
-                    .collect()
-            };
-
-            let master = eps.pop().map_or_else(
-                || {
-                    Err(FarmError::Setup(msgpass::CommError::Protocol(
-                        "world produced no master endpoint".into(),
-                    )))
-                },
-                Ok,
-            );
-            let outcome = master.and_then(|mut master_ep| {
-                master_session(
-                    &mut master_ep,
-                    spec,
-                    policy,
-                    &self.config,
-                    &mut watch,
-                    epoch,
-                )
-            });
-
-            // join every worker regardless of how the master fared; a
-            // faulted worker returning Ok early is part of the plan, and
-            // under the Requeue policy even a panicked worker is a
-            // casualty the session already recovered from
-            let mut join_error = None;
-            let mut worker_spans = Vec::new();
-            for (i, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(Ok(out)) => worker_spans.extend(out.spans),
-                    Ok(Err(_)) => {}
-                    Err(panic) => {
-                        if join_error.is_none() && !self.config.recovery.recovers() {
-                            join_error = Some(FarmError::WorkerJoin {
-                                rank: i + 1,
-                                detail: panic_text(&panic),
-                            });
-                        }
-                    }
-                }
-            }
-
-            session = Some(match (outcome, join_error) {
-                (Err(e), _) => Err(e),
-                (Ok(_), Some(e)) => Err(e),
-                (Ok(ledger), None) => {
-                    let comm = comm_handles
-                        .iter()
-                        .enumerate()
-                        .map(|(rank, h)| h.snapshot(rank))
-                        .collect();
-                    finish_report(ledger, comm, worker_spans)
-                }
-            });
-        });
-        session.unwrap_or_else(|| {
-            Err(FarmError::Protocol {
-                rank: 0,
-                detail: "farm scope ended without a result".into(),
-            })
-        })
+        let opts = PoolOptions {
+            respawn_limit: 0,
+            fault: self.fault,
+        };
+        let mut pool = FarmPool::<W>::start_with(self.n_workers, self.config, opts)?;
+        let report = pool.run_job(spec, policy);
+        let worker_spans = pool.shutdown().worker_spans;
+        let mut report = report?;
+        report.telemetry.spans.extend(worker_spans);
+        Ok(report)
     }
-}
-
-fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "worker panicked".into())
 }
 
 /// Fold a completed ledger into a report, verifying every mode slot is
 /// filled (the master loop guarantees this on success) — except slots
 /// the session explicitly quarantined, which are accounted in the
-/// recovery log instead.  `comm` and `worker_spans` carry the measured
-/// telemetry: per-endpoint counters in rank order and the workers'
-/// local span timelines.
+/// recovery log instead.  `comm` carries the measured per-endpoint
+/// counters in rank order.
 pub(crate) fn finish_report(
     ledger: crate::master::MasterLedger,
     comm: Vec<msgpass::instrument::CommSnapshot>,
-    worker_spans: Vec<telemetry::SpanEvent>,
 ) -> Result<FarmReport, FarmError> {
     let quarantined: std::collections::HashSet<usize> =
         ledger.recovery.failed_modes.iter().map(|f| f.ik).collect();
@@ -478,8 +344,6 @@ pub(crate) fn finish_report(
             }
         }
     }
-    let mut spans = ledger.spans;
-    spans.extend(worker_spans);
     Ok(FarmReport {
         outputs,
         wall_seconds: ledger.wall_seconds,
@@ -488,7 +352,7 @@ pub(crate) fn finish_report(
         completion_log: ledger.completion_log,
         telemetry: FarmTelemetry {
             comm,
-            spans,
+            spans: ledger.spans,
             master_idle_seconds: ledger.idle_seconds,
         },
         recovery: ledger.recovery,
@@ -528,7 +392,7 @@ pub struct TcpFarmOptions {
     /// Timing and recovery configuration for the master loop.
     pub master: MasterConfig,
     /// How many times a dead worker process may be relaunched and
-    /// re-handshaked mid-run (total across all ranks).  Respawn also
+    /// re-handshaked mid-job (total across all ranks and jobs).  Respawn also
     /// requires `master.recovery` to be
     /// `RecoveryPolicy::Requeue { respawn: true, .. }`.
     pub respawn_limit: usize,
@@ -546,18 +410,6 @@ impl Default for TcpFarmOptions {
             respawn_limit: 2,
             fault: None,
         }
-    }
-}
-
-/// Render the worker-level fault of `plan` for `rank` as the hidden CLI
-/// argument `--tcp-worker` understands (see [`parse_worker_fault`]).
-pub(crate) fn worker_fault_arg(plan: Option<FaultPlan>, rank: Rank) -> Option<String> {
-    match plan?.worker_fault(rank)? {
-        WorkerFault::Vanish { after_modes } => Some(format!("vanish:{after_modes}")),
-        WorkerFault::Stall { after_modes, stall } => {
-            Some(format!("stall:{after_modes}:{}", stall.as_millis()))
-        }
-        WorkerFault::FailMode { ik } => Some(format!("failmode:{ik}")),
     }
 }
 
@@ -580,39 +432,8 @@ pub fn parse_worker_fault(s: &str) -> Option<WorkerFault> {
     }
 }
 
-pub(crate) fn spawn_tcp_worker(
-    exe: &Path,
-    addr: SocketAddr,
-    rank: Rank,
-    size: usize,
-    fault: Option<String>,
-) -> Result<Child, FarmError> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("--tcp-worker")
-        .arg(addr.to_string())
-        .arg(rank.to_string())
-        .arg(size.to_string());
-    if let Some(f) = fault {
-        cmd.arg(f);
-    }
-    cmd.stdin(Stdio::null()).spawn().map_err(|e| {
-        FarmError::Setup(msgpass::CommError::Protocol(format!(
-            "spawning worker {rank} failed: {e}"
-        )))
-    })
-}
-
-/// Run the farm with OS-subprocess workers over localhost TCP: the
-/// master binds an ephemeral port, spawns `n_workers` copies of `exe`
-/// with the hidden `--tcp-worker ADDR RANK SIZE [FAULT]` arguments, and
-/// drives the same master loop the thread farms use.  Worker liveness
-/// is tracked through `Child::try_wait`.  Under
-/// [`RecoveryPolicy::FailFast`] a dead subprocess surfaces as
-/// [`FarmError::WorkerLost`]; under [`RecoveryPolicy::Requeue`] a
-/// process that exited abnormally is relaunched (up to
-/// `opts.respawn_limit` times) and re-handshaked into the running star
-/// through the kept listening socket, or — when respawn is off or
-/// exhausted — its work is redistributed to the survivors.
+/// Run the farm with OS-subprocess workers over localhost TCP: a
+/// [`TcpFarmPool`] of `n_workers` copies of `exe`, one job, shutdown.
 pub fn run_tcp_processes(
     spec: &RunSpec,
     policy: SchedulePolicy,
@@ -620,166 +441,17 @@ pub fn run_tcp_processes(
     exe: &Path,
     opts: &TcpFarmOptions,
 ) -> Result<FarmReport, FarmError> {
-    if n_workers < 1 {
-        return Err(FarmError::Setup(msgpass::CommError::Unsupported(
-            "a farm needs at least one worker",
-        )));
-    }
-    let pending = PendingMaster::bind(n_workers)
-        .map_err(|e| FarmError::Setup(msgpass::CommError::Protocol(format!("bind failed: {e}"))))?;
-    let addr = pending.addr();
-    let size = n_workers + 1;
-    let mut children: Vec<Child> = Vec::with_capacity(n_workers);
-    for rank in 1..=n_workers {
-        match spawn_tcp_worker(exe, addr, rank, size, worker_fault_arg(opts.fault, rank)) {
-            Ok(c) => children.push(c),
-            Err(e) => {
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(e);
-            }
-        }
-    }
-    let (master_ep, port) = match pending.accept_all_keep() {
-        Ok(pair) => pair,
-        Err(e) => {
-            for mut c in children {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-            return Err(FarmError::Setup(e));
-        }
-    };
-    // Only the master side is instrumented here: subprocess workers
-    // keep their in-process telemetry to themselves (their wire-shipped
-    // tag-7 statistics still arrive), so `comm` holds one snapshot.
-    let epoch = Instant::now();
-    let (mut master_ep, comm_handle) = Instrumented::new(master_ep);
-
-    let cfg = opts.master;
-    let respawn_allowed = matches!(cfg.recovery, RecoveryPolicy::Requeue { respawn: true, .. });
-    let mut respawns_left = if respawn_allowed {
-        opts.respawn_limit
-    } else {
-        0
-    };
-    // ranks whose corpse we already reported (or replaced) — try_wait
-    // keeps answering for a reaped child, so gate on this to attempt
-    // each respawn exactly once
-    let mut handled: Vec<bool> = vec![false; n_workers];
-    let mut watch_adapter = || -> Vec<WorkerEvent> {
-        watch_tcp_children(
-            &mut children,
-            &mut handled,
-            &mut respawns_left,
-            exe,
-            addr,
-            size,
-            &port,
-        )
-    };
-    let outcome = master_session(
-        &mut master_ep,
-        spec,
-        policy,
-        &cfg,
-        &mut watch_adapter,
-        epoch,
-    );
-
-    let mut join_error = None;
-    for (i, mut c) in children.into_iter().enumerate() {
-        match c.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                if join_error.is_none() && outcome.is_ok() && !cfg.recovery.recovers() {
-                    join_error = Some(FarmError::WorkerJoin {
-                        rank: i + 1,
-                        detail: format!("worker process exited with {status}"),
-                    });
-                }
-            }
-            Err(e) => {
-                if join_error.is_none() && outcome.is_ok() && !cfg.recovery.recovers() {
-                    join_error = Some(FarmError::WorkerJoin {
-                        rank: i + 1,
-                        detail: format!("wait failed: {e}"),
-                    });
-                }
-            }
-        }
-    }
-
-    match (outcome, join_error) {
-        (Err(e), _) => Err(e),
-        (Ok(_), Some(e)) => Err(e),
-        (Ok(ledger), None) => finish_report(ledger, vec![comm_handle.snapshot(0)], Vec::new()),
-    }
-}
-
-/// One poll of the subprocess liveness watch: reap exited children,
-/// relaunch abnormal exits while the respawn budget lasts (re-admitting
-/// the replacement under the same rank through the kept listening
-/// `port`), and report the casualties.  `handled[i]` records that rank
-/// `i + 1`'s corpse was already reported or replaced — `try_wait` keeps
-/// answering for a reaped child, so the gate makes each respawn attempt
-/// happen exactly once.  Shared by [`run_tcp_processes`] (one job) and
-/// the TCP farm pool (many jobs on the same children).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn watch_tcp_children(
-    children: &mut [Child],
-    handled: &mut [bool],
-    respawns_left: &mut usize,
-    exe: &Path,
-    addr: SocketAddr,
-    size: usize,
-    port: &msgpass::tcp::RespawnPort,
-) -> Vec<WorkerEvent> {
-    let mut events = Vec::new();
-    for i in 0..children.len() {
-        let rank = i + 1;
-        let status = match children[i].try_wait() {
-            Ok(None) => continue,
-            Ok(Some(st)) => Some(st),
-            Err(_) => None,
-        };
-        if handled[i] {
-            events.push(WorkerEvent::Dead(rank));
-            continue;
-        }
-        handled[i] = true;
-        // a clean exit is a worker that took its stop (or a scripted
-        // vanish, which exits with a marker code); only abnormal
-        // exits are worth a replacement process
-        let abnormal = status.map(|st| !st.success()).unwrap_or(true);
-        if abnormal && *respawns_left > 0 {
-            let replacement = spawn_tcp_worker(exe, addr, rank, size, None)
-                .ok()
-                .and_then(|c| port.admit(rank, Duration::from_secs(10)).ok().map(|_| c));
-            if let Some(c) = replacement {
-                *respawns_left -= 1;
-                children[i] = c;
-                handled[i] = false;
-                events.push(WorkerEvent::Respawned(rank));
-                continue;
-            }
-        }
-        events.push(WorkerEvent::Dead(rank));
-    }
-    events
+    let mut pool = TcpFarmPool::start(n_workers, exe, opts)?;
+    let report = pool.run_job(spec, policy);
+    pool.shutdown();
+    report
 }
 
 /// Entry point for a `--tcp-worker` subprocess: connect to the master
 /// and serve jobs until stopped, under an optional scripted fault.
 ///
-/// Runs the *persistent* worker session, which is wire-compatible with
-/// a one-shot master (tag 1 opens the job, tag 6 releases it and ends
-/// the session) and additionally serves back-to-back tag-10 jobs from
-/// a TCP farm pool.  The process owns its own [`TableCache`], so its
-/// physics tables stay warm between jobs and each tag-13 hint is its
-/// alone to claim.
+/// The process owns its own [`TableCache`], so its physics tables stay
+/// warm between jobs and each tag-13 hint is its alone to claim.
 pub fn run_tcp_worker(
     addr: SocketAddr,
     rank: Rank,

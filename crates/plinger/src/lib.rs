@@ -8,17 +8,20 @@
 //! back (150 bytes – 80 kB, "roughly in proportion to the CPU time").
 //!
 //! This crate reproduces that farm over the `msgpass` wrapper routines:
-//! the message tags of Appendix A (1–6, plus tags 7–8 for statistics
-//! and failure reports), the master subroutine (`parentsub`) hardened
-//! into a liveness-aware session loop, the worker subroutine
-//! (`kidsub`), largest-k-first scheduling ("one simple method by which
-//! we minimized this idle time"), and the timing accounting behind the
-//! paper's Figure 1 and §5.1 flop rates.
+//! the message tags of Appendix A (1–6, plus extensions 7–13 for
+//! statistics, failure reports, liveness and resident workers), one
+//! master subroutine (`parentsub`, [`master_job_session`]) hardened
+//! into a liveness-aware session loop, one worker subroutine (`kidsub`,
+//! [`worker_pool_session`]), largest-k-first scheduling ("one simple
+//! method by which we minimized this idle time"), and the timing
+//! accounting behind the paper's Figure 1 and §5.1 flop rates.
 //!
-//! The entry point is [`Farm`]: one transport-generic session type that
-//! assembles a world, spawns workers, runs the master loop, and returns
-//! a [`FarmReport`] — or a typed [`FarmError`] naming exactly what
-//! failed, with no panics on the communication path.
+//! Workers live in a [`FarmPool`] (threads over any transport) or a
+//! [`TcpFarmPool`] (subprocesses) and serve any number of jobs.  The
+//! entry point [`Farm`] is the pool of one job: it starts the workers,
+//! runs the master loop once, stops them, and returns a [`FarmReport`]
+//! — or a typed [`FarmError`] naming exactly what failed, with no
+//! panics on the communication path.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -48,15 +51,12 @@ pub use farm::{
     parse_worker_fault, run_serial, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan,
     TcpFarmOptions,
 };
-pub use master::{
-    master_job_session, master_loop, master_session, JobControl, MasterConfig, MasterLedger,
-    SessionKind,
-};
-pub use pool::{FarmPool, PoolOptions, PoolShutdown, Session, TcpFarmPool};
+pub use master::{master_job_session, JobControl, MasterConfig, MasterLedger};
+pub use pool::{FarmPool, PoolOptions, PoolShutdown, TcpFarmPool};
 pub use protocol::{
     cosmo_hash, hash_reals, job_hash, RunSpec, SpecDecodeError, TAG_ASSIGN, TAG_CANCEL, TAG_DATA,
-    TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_JOBDONE, TAG_NEWJOB, TAG_PREFETCH,
-    TAG_REQUEST, TAG_STATS, TAG_STOP,
+    TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_JOBDONE, TAG_PREFETCH, TAG_REQUEST,
+    TAG_STATS, TAG_STOP,
 };
 pub use recovery::{FailedMode, RecoveryLog, RecoveryPolicy, WorkerEvent};
 pub use report::{build_run_report, render_pretty, FarmTelemetry};
@@ -70,7 +70,4 @@ pub use service::{
 };
 pub use simulate::{simulate_farm, synthetic_costs, SimParams, SimResult};
 pub use tables::{PhysicsTables, TableCache};
-pub use worker::{
-    worker_loop, worker_pool_session, worker_session, PoolWorkerOutcome, WorkerFault,
-    WorkerOutcome, WorkerStats,
-};
+pub use worker::{worker_pool_session, WorkerFault, WorkerStats, WorkerTotals};

@@ -9,9 +9,9 @@
 //!
 //! * under [`RecoveryPolicy::FailFast`] any abnormal event — worker
 //!   death, a tag-8 failure report, an unexpected tag, a malformed
-//!   result — routes through one drain-and-stop shutdown that flushes
-//!   tag-6 stops to all surviving workers and collects what statistics
-//!   it can before returning the typed error;
+//!   result — routes through one drain-and-release shutdown that
+//!   flushes tag-11 releases to all surviving workers and collects what
+//!   statistics it can before returning the typed error;
 //! * under [`RecoveryPolicy::Requeue`] the dead rank's in-flight mode
 //!   goes back to the head of the work queue and is redistributed to
 //!   survivors (state machine: *in-flight → requeued*, or *in-flight →
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use boltzmann::ModeOutput;
 use msgpass::wrappers::*;
-use msgpass::{Rank, Tag, Transport};
+use msgpass::{Rank, Transport};
 use telemetry::{SpanEvent, SpanRecorder};
 
 use telemetry::log::{self as tlog, Level};
@@ -37,7 +37,7 @@ use telemetry::log::{self as tlog, Level};
 use crate::error::{CancelReason, FarmError};
 use crate::protocol::{
     job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT,
-    TAG_INIT, TAG_JOBDONE, TAG_NEWJOB, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
+    TAG_INIT, TAG_JOBDONE, TAG_PREFETCH, TAG_REQUEST, TAG_STATS,
 };
 use crate::recovery::{FailedMode, RecoveryLog, RecoveryPolicy, WorkerEvent};
 use crate::schedule::{SchedulePolicy, WorkQueue};
@@ -78,38 +78,6 @@ impl Default for MasterConfig {
     }
 }
 
-/// How a master session relates to its workers' lifetimes.
-///
-/// The session loop itself is identical either way — hand out modes,
-/// collect results, recover casualties — but the messages that open and
-/// close a job differ:
-///
-/// * [`SessionKind::OneShot`]: the historical `Farm::run` shape.  The
-///   job opens with a tag-1 broadcast and closes by *stopping* workers
-///   (tag 6); their session ends with the job.
-/// * [`SessionKind::Pooled`]: a `FarmPool` job.  The job opens with
-///   per-rank tag-10 `NewJob` sends (skipping ranks already known dead
-///   from earlier jobs) and closes by *releasing* workers (tag 11);
-///   they answer with per-job stats and park warm for the next job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionKind {
-    /// One job, one worker lifetime (tag 1 open, tag 6 close).
-    OneShot,
-    /// One job on resident workers (tag 10 open, tag 11 close).
-    Pooled,
-}
-
-impl SessionKind {
-    /// The tag that idles a worker at the end of this session: a stop
-    /// for one-shot workers, a job-done release for pooled ones.
-    fn release_tag(self) -> Tag {
-        match self {
-            SessionKind::OneShot => TAG_STOP,
-            SessionKind::Pooled => TAG_JOBDONE,
-        }
-    }
-}
-
 /// External control of a running job: a wall-clock deadline and/or a
 /// shared cancel flag, both optional.  The master checks it once per
 /// poll interval; when either trigger fires it broadcasts tag-12
@@ -145,7 +113,7 @@ pub struct MasterLedger {
     /// Finished modes, indexed like `spec.ks` (every slot filled on
     /// success; quarantined modes leave `None` holes).
     pub outputs: Vec<Option<ModeOutput>>,
-    /// Wall-clock seconds of the master loop (broadcast → last stop).
+    /// Wall-clock seconds of the master loop (job open → last release).
     pub wall_seconds: f64,
     /// Bytes received from workers (tags 4 + 5).
     pub bytes_received: usize,
@@ -172,11 +140,8 @@ struct Session {
     outputs: Vec<Option<ModeOutput>>,
     completion_log: Vec<(usize, usize)>,
     bytes_received: usize,
-    /// Ranks the stop message has been sent to.
+    /// Ranks the tag-11 release has been sent to.
     stopped: HashSet<Rank>,
-    /// The tag that idles a worker when its part of the job is over
-    /// (tag 6 one-shot, tag 11 pooled) — see [`SessionKind`].
-    release_tag: Tag,
     /// Statistics by worker index (rank − 1).
     stats: Vec<Option<WorkerStats>>,
     n_workers: usize,
@@ -193,7 +158,7 @@ struct Session {
     dead: HashSet<Rank>,
     /// Last time each rank sent *anything* (index = rank − 1).
     last_seen: Vec<Instant>,
-    /// Idle ranks held back from their stop because another worker still
+    /// Idle ranks held back from their release because another worker still
     /// carries a mode that may yet be requeued (Requeue policy only).
     parked: HashSet<Rank>,
     /// Modes that exhausted their attempt budget.
@@ -207,12 +172,13 @@ struct Session {
     /// Accumulated idle seconds.
     idle_seconds: f64,
     /// Ranks offered this job that have not yet sent their first work
-    /// request.  Each is owed one mode: the queue's last
-    /// `awaiting.len()` modes are held back from ranks asking for more,
-    /// so a rank that arrives late — the one that claimed a tag-13 hint
-    /// spends a table build first — is still dealt work whenever the
-    /// grid has a mode per rank.  Fault plans that kill a rank "on its
-    /// first assignment" rest on this being a guarantee, not a race.
+    /// request.  Each is owed one assignment: the queue's last
+    /// `awaiting.len() * chunk` modes are held back from ranks asking
+    /// for more, so a rank that arrives late — the one that claimed a
+    /// tag-13 hint spends a table build first — is still dealt a full
+    /// first chunk whenever the grid has `chunk` modes per rank.  Fault
+    /// plans that kill a rank inside its first assignment rest on this
+    /// being a guarantee, not a race.
     awaiting: HashSet<Rank>,
     /// Canonical request identity ([`job_hash`] of the spec, rendered
     /// as 16 hex digits) — stamped on every span and log event this
@@ -242,7 +208,7 @@ impl Session {
     /// Session exit condition.  Under FailFast this is exactly the
     /// historical one (all modes done, all workers stopped and
     /// reported); under Requeue a dead rank counts as resolved — it will
-    /// never stop or report.
+    /// never be released or report.
     fn finished(&self) -> bool {
         if !self.all_settled() {
             return false;
@@ -266,7 +232,7 @@ impl Session {
     }
 
     /// Reply to a ready worker: next assignment (a chunk of up to
-    /// `self.chunk` modes in one tag-3 message), or stop.  A worker
+    /// `self.chunk` modes in one tag-3 message), or release.  A worker
     /// still part-way through a chunk gets nothing — it is refilled
     /// only once its last in-flight mode resolves.  A worker with no
     /// work to take is *parked* (no reply yet) while the queue still
@@ -277,7 +243,8 @@ impl Session {
         if !self.in_flight[rank - 1].is_empty() {
             return Ok(());
         }
-        let spare = self.queue.len().saturating_sub(self.awaiting.len());
+        let owed = self.awaiting.len() * self.chunk;
+        let spare = self.queue.len().saturating_sub(owed);
         let iks = if spare == 0 {
             Vec::new()
         } else {
@@ -315,16 +282,16 @@ impl Session {
         Ok(())
     }
 
-    /// Send a rank its release (tag 6 one-shot, tag 11 pooled).
+    /// Send a rank its tag-11 release.
     fn release<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
-        mysendreal(t, &[0.0], self.release_tag, rank)?;
+        mysendreal(t, &[0.0], TAG_JOBDONE, rank)?;
         self.stopped.insert(rank);
         Ok(())
     }
 
     /// Offer every parked worker the queue again — after a requeue, or
     /// once a rank the queue's tail was held back for has been dealt
-    /// its mode or died.  Lowest rank first, so who takes scarce work
+    /// its chunk or died.  Lowest rank first, so who takes scarce work
     /// does not depend on hash order.
     fn wake_parked<T: Transport>(&mut self, t: &mut T) -> Result<(), FarmError> {
         let mut ranks: Vec<Rank> = self.parked.drain().collect();
@@ -357,7 +324,10 @@ impl Session {
         // requeue back-to-front so requeue_front leaves the chunk's
         // first mode first in the queue
         for &ik in chunk.iter().rev() {
-            self.requeue_or_quarantine(t, ik, reason)?;
+            // a previous incarnation's late result may have settled it
+            if self.outputs[ik].is_none() {
+                self.requeue_or_quarantine(t, ik, reason)?;
+            }
         }
         Ok(())
     }
@@ -459,7 +429,7 @@ impl Session {
         self.parked.remove(&rank);
         self.recover_chunk(t, rank, reason)?;
         if self.awaiting.remove(&rank) {
-            // the mode held back for it is anyone's now
+            // the chunk held back for it is anyone's now
             self.wake_parked(t)?;
         }
         Ok(())
@@ -503,9 +473,9 @@ impl Session {
                     self.recover_chunk(t, rank, "worker respawned")?;
                     self.last_seen[rank - 1] = Instant::now();
                     self.recovery.respawns += 1;
-                    // the replacement process missed the tag-1 broadcast;
-                    // re-send the spec point-to-point, it will answer with
-                    // a tag-2 work request like any fresh worker
+                    // the replacement missed the job's tag-1 open; re-send
+                    // the spec, it will answer with a tag-2 work request
+                    // like any fresh worker
                     mysendreal(t, spec_wire, TAG_INIT, rank)?;
                     self.rec.record(
                         "recover",
@@ -562,7 +532,7 @@ impl Session {
         let ws = WorkerStats::from_wire(payload).ok_or_else(|| FarmError::Protocol {
             rank,
             detail: format!(
-                "stats message must be 4, 8, 9, or 10 finite non-negative reals, got {} values",
+                "stats message must be 10 finite non-negative reals, got {} values",
                 payload.len()
             ),
         })?;
@@ -572,7 +542,7 @@ impl Session {
         Ok(())
     }
 
-    /// Flush stops to every worker not yet stopped, then drain pending
+    /// Flush releases to every worker not yet released, then drain pending
     /// messages (collecting statistics) until the deadline or until
     /// every live worker has reported.  Send errors are ignored: some of
     /// these workers may already be gone, and the point is to unblock
@@ -585,7 +555,7 @@ impl Session {
     ) {
         for rank in 1..=self.n_workers {
             if !self.stopped.contains(&rank) {
-                let _ = mysendreal(t, &[0.0], self.release_tag, rank);
+                let _ = mysendreal(t, &[0.0], TAG_JOBDONE, rank);
                 self.stopped.insert(rank);
             }
         }
@@ -624,7 +594,7 @@ impl Session {
     /// Cooperatively cancel the job: tag-12 to every live un-stopped
     /// rank (integrating workers abort mid-chunk at their next observer
     /// poll; parked workers take it as their release), then the normal
-    /// drain — stats are collected and pooled workers park consistently
+    /// drain — stats are collected and the workers park consistently
     /// for the next job.  Returns the error the session ends with.
     fn cancel_job<T: Transport>(
         &mut self,
@@ -705,71 +675,43 @@ impl Session {
     }
 }
 
-/// Run the master loop: broadcast the spec, hand out wavenumbers in
-/// `policy` order, collect the two-part results, stop every worker,
-/// gather their statistics.
-///
-/// `watch` is polled between probes and must report liveness changes
-/// (thread farms report workers whose loop returned; process farms
-/// report children that exited, and may report a respawn after
-/// re-handshaking a replacement).  Under [`RecoveryPolicy::FailFast`] a
-/// dead rank that was never stopped aborts the session with
-/// [`FarmError::WorkerLost`] after draining the survivors; under
-/// [`RecoveryPolicy::Requeue`] its work is redistributed.
-pub fn master_loop<T: Transport>(
-    t: &mut T,
-    spec: &RunSpec,
-    policy: SchedulePolicy,
-    cfg: &MasterConfig,
-    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
-) -> Result<MasterLedger, FarmError> {
-    master_session(t, spec, policy, cfg, watch, Instant::now())
-}
-
-/// [`master_loop`] with an explicit span epoch: every span the master
-/// records is stamped relative to `epoch`, so a farm that hands the same
-/// epoch to its workers gets one aligned timeline across all tracks.
-pub fn master_session<T: Transport>(
-    t: &mut T,
-    spec: &RunSpec,
-    policy: SchedulePolicy,
-    cfg: &MasterConfig,
-    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
-    epoch: Instant,
-) -> Result<MasterLedger, FarmError> {
-    master_job_session(
-        t,
-        spec,
-        policy,
-        cfg,
-        watch,
-        epoch,
-        SessionKind::OneShot,
-        &JobControl::default(),
-        None,
-    )
-}
-
-/// [`master_session`] generalized over the worker-lifetime relation.
+/// Run one job on the workers behind `t`: open it with the paper's
+/// tag-1 run parameters to every live rank, hand out wavenumbers in
+/// `policy` order, collect the two-part results, release every worker
+/// (tag 11), gather their statistics.  The workers stay resident; what
+/// stops them (tag 6) is their pool's shutdown, not the job.
 ///
 /// Every per-job structure — the work queue, output slots, recovery
 /// ledger, heartbeat clocks, idle accounting, span timeline — is built
-/// fresh here, which is what makes a pooled session *reset* without
-/// tearing anything down: the state lives on the stack of this call,
-/// not in the world.  Only the transport endpoints (and, worker-side,
-/// the process's table cache) persist between calls.
+/// fresh here, which is what makes a session *reset* without tearing
+/// anything down: the state lives on the stack of this call, not in the
+/// world.  Only the transport endpoints (and, worker-side, the
+/// process's table cache) persist between calls.
+///
+/// `watch` is polled between probes and must report liveness changes
+/// (thread pools report workers whose session returned; process pools
+/// report children that exited; both may report a respawn after
+/// installing a replacement).  Casualties of earlier jobs are folded in
+/// before the job opens, so a dead rank is never offered it.  Under
+/// [`RecoveryPolicy::FailFast`] a dead rank that was never released
+/// aborts the session with [`FarmError::WorkerLost`] after draining the
+/// survivors; under [`RecoveryPolicy::Requeue`] its work is
+/// redistributed.
+///
+/// Every span the master records is stamped relative to `epoch`, so a
+/// pool that hands the same epoch to its workers gets one aligned
+/// timeline across all tracks.
 ///
 /// `ctrl` is checked once per poll interval; a fired deadline or cancel
 /// flag cancels the job cooperatively (see [`JobControl`]).
 ///
-/// `prefetch` names the *next* job, if the caller knows it: a
-/// [`SessionKind::Pooled`] session then sends every live rank a tag-13
-/// [`TAG_PREFETCH`] carrying that spec immediately before its tag-10
-/// job start, so one worker per process builds the next job's physics
-/// tables while its peers start on this job's largest modes.  This is
-/// the ensemble scheduler's overlap mechanism; it never changes results
-/// (tables depend on the cosmology alone) and one-shot sessions ignore
-/// it.
+/// `prefetch` names the *next* job, if the caller knows it: every live
+/// rank is then sent a tag-13 [`TAG_PREFETCH`] carrying that spec
+/// immediately before its tag-1 job start, so one worker per process
+/// builds the next job's physics tables while its peers start on this
+/// job's largest modes.  This is the ensemble scheduler's overlap
+/// mechanism; it never changes results (tables depend on the cosmology
+/// alone).
 #[allow(clippy::too_many_arguments)]
 pub fn master_job_session<T: Transport>(
     t: &mut T,
@@ -778,7 +720,6 @@ pub fn master_job_session<T: Transport>(
     cfg: &MasterConfig,
     watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
     epoch: Instant,
-    kind: SessionKind,
     ctrl: &JobControl<'_>,
     prefetch: Option<&RunSpec>,
 ) -> Result<MasterLedger, FarmError> {
@@ -794,7 +735,6 @@ pub fn master_job_session<T: Transport>(
         completion_log: Vec::with_capacity(nk),
         bytes_received: 0,
         stopped: HashSet::new(),
-        release_tag: kind.release_tag(),
         stats: vec![None; n_workers],
         n_workers,
         policy: cfg.recovery,
@@ -823,70 +763,59 @@ pub fn master_job_session<T: Transport>(
     );
 
     let spec_wire = spec.encode();
-    match kind {
-        SessionKind::OneShot => {
-            // broadcast data to all node programs; a partial broadcast
-            // leaves the world inconsistent, so any failure here is
-            // fatal for the session
-            mybcastreal(t, &spec_wire, TAG_INIT).map_err(FarmError::Setup)?;
-            s.awaiting.extend(1..=n_workers);
-        }
-        SessionKind::Pooled => {
-            // fold in casualties from earlier jobs first, so a rank
-            // that died on the pool is never offered this job; a rank
-            // respawned between jobs is a fresh worker that picks the
-            // job up from the tag-10 send like everyone else
-            for ev in watch() {
-                match ev {
-                    WorkerEvent::Dead(rank) => {
-                        if rank == 0 || rank > n_workers || s.dead.contains(&rank) {
-                            continue;
-                        }
-                        if s.policy.recovers() {
-                            s.mark_dead(t, rank, "dead before job start")?;
-                        } else {
-                            return Err(FarmError::WorkerLost {
-                                rank,
-                                unfinished: s.unfinished(),
-                            });
-                        }
-                    }
-                    WorkerEvent::Respawned(rank) => {
-                        if rank == 0 || rank > n_workers {
-                            continue;
-                        }
-                        s.dead.remove(&rank);
-                        s.recovery.respawns += 1;
-                    }
-                }
-            }
-            let hint_wire = prefetch.map(RunSpec::encode);
-            for rank in 1..=n_workers {
-                if s.dead.contains(&rank) {
+    // fold in casualties from earlier jobs first, so a rank that died
+    // on the pool is never offered this job; a rank respawned between
+    // jobs is a fresh worker that picks the job up from the tag-1 send
+    // like everyone else
+    for ev in watch() {
+        match ev {
+            WorkerEvent::Dead(rank) => {
+                if rank == 0 || rank > n_workers || s.dead.contains(&rank) {
                     continue;
                 }
-                if let Some(wire) = &hint_wire {
-                    // best-effort: a rank that cannot take the hint
-                    // fails the job start below, and the next job names
-                    // its own cosmology anyway
-                    let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
-                }
-                match mysendreal(t, &spec_wire, TAG_NEWJOB, rank) {
-                    Ok(()) => {
-                        s.awaiting.insert(rank);
-                    }
-                    Err(_) if s.policy.recovers() => {
-                        s.mark_dead(t, rank, "unreachable at job start")?;
-                    }
-                    Err(e) => return Err(FarmError::Setup(e)),
+                if s.policy.recovers() {
+                    s.mark_dead(t, rank, "dead before job start")?;
+                } else {
+                    return Err(FarmError::WorkerLost {
+                        rank,
+                        unfinished: s.unfinished(),
+                    });
                 }
             }
-            if s.dead.len() == s.n_workers {
-                return Err(FarmError::AllWorkersLost {
-                    unfinished: s.unfinished(),
-                });
+            WorkerEvent::Respawned(rank) => {
+                if rank == 0 || rank > n_workers {
+                    continue;
+                }
+                s.dead.remove(&rank);
+                s.recovery.respawns += 1;
             }
         }
+    }
+    let hint_wire = prefetch.map(RunSpec::encode);
+    for rank in 1..=n_workers {
+        if s.dead.contains(&rank) {
+            continue;
+        }
+        if let Some(wire) = &hint_wire {
+            // best-effort: a rank that cannot take the hint fails the
+            // job start below, and the next job names its own cosmology
+            // anyway
+            let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
+        }
+        match mysendreal(t, &spec_wire, TAG_INIT, rank) {
+            Ok(()) => {
+                s.awaiting.insert(rank);
+            }
+            Err(_) if s.policy.recovers() => {
+                s.mark_dead(t, rank, "unreachable at job start")?;
+            }
+            Err(e) => return Err(FarmError::Setup(e)),
+        }
+    }
+    if s.dead.len() == s.n_workers {
+        return Err(FarmError::AllWorkersLost {
+            unfinished: s.unfinished(),
+        });
     }
 
     let mut header = Vec::new();
@@ -984,7 +913,7 @@ pub fn master_job_session<T: Transport>(
                 let first = s.awaiting.remove(&itid);
                 s.dispatch(t, itid)?;
                 if first {
-                    // one mode fewer is held back for late arrivals
+                    // one chunk fewer is held back for late arrivals
                     s.wake_parked(t)?;
                 }
             }
@@ -1067,6 +996,17 @@ pub fn master_job_session<T: Transport>(
                         });
                     }
                 };
+                if ik < nk && s.outputs[ik].is_some() && cfg.recovery.recovers() {
+                    // a respawned rank's previous incarnation can have a
+                    // result in the pipe when its chunk is requeued: the
+                    // mode is then integrated twice, and whichever copy
+                    // lands second (bit-identical to the first) is
+                    // redundant, not a protocol violation
+                    s.recovery.late_results += 1;
+                    s.resolve_in_flight(itid, ik);
+                    s.dispatch(t, itid)?;
+                    continue;
+                }
                 if ik >= nk || s.outputs[ik].is_some() {
                     s.drain_and_stop(t, cfg, watch);
                     return Err(FarmError::Protocol {
@@ -1144,11 +1084,11 @@ pub fn master_job_session<T: Transport>(
     if cfg.recovery.recovers() {
         // collect goodbye statistics that raced a death report, then give
         // ranks we declared dead on heartbeat evidence (which may in fact
-        // be alive, just stalled) a best-effort stop so they can exit
+        // be alive, just stalled) a best-effort release so they can park
         s.sweep_stats(t, cfg);
         for rank in 1..=n_workers {
             if !s.stopped.contains(&rank) {
-                let _ = mysendreal(t, &[0.0], s.release_tag, rank);
+                let _ = mysendreal(t, &[0.0], TAG_JOBDONE, rank);
             }
         }
     }
@@ -1172,13 +1112,54 @@ pub fn master_job_session<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::worker_loop;
+    use crate::protocol::TAG_STOP;
+    use crate::tables::TableCache;
+    use crate::worker::worker_pool_session;
     use boltzmann::Preset;
-    use msgpass::channel::ChannelWorld;
+    use msgpass::channel::{ChannelEndpoint, ChannelWorld};
     use std::thread;
 
-    fn no_watch() -> impl FnMut() -> Vec<WorkerEvent> {
-        Vec::new
+    fn fast_cfg() -> MasterConfig {
+        MasterConfig {
+            poll: Duration::from_millis(5),
+            drain_timeout: Duration::from_millis(300),
+            ..MasterConfig::default()
+        }
+    }
+
+    /// One job on `master_ep`, no liveness watch, no control, no hint.
+    fn run_job(
+        master_ep: &mut ChannelEndpoint,
+        spec: &RunSpec,
+        policy: SchedulePolicy,
+    ) -> Result<MasterLedger, FarmError> {
+        master_job_session(
+            master_ep,
+            spec,
+            policy,
+            &fast_cfg(),
+            &mut Vec::new,
+            Instant::now(),
+            &JobControl::default(),
+            None,
+        )
+    }
+
+    /// A master and one hand-driven peer that has taken the job's tag-1
+    /// open and asked for work.
+    fn rogue_pair(
+        after_request: impl FnOnce(&mut ChannelEndpoint) + Send + 'static,
+    ) -> (ChannelEndpoint, thread::JoinHandle<()>) {
+        let mut eps = ChannelWorld::new(2);
+        let mut rogue = eps.pop().unwrap();
+        let master_ep = eps.pop().unwrap();
+        let h = thread::spawn(move || {
+            let mut buf = Vec::new();
+            rogue.recv(0, TAG_INIT, &mut buf).unwrap();
+            rogue.send(0, TAG_REQUEST, &[0.0]).unwrap();
+            after_request(&mut rogue);
+        });
+        (master_ep, h)
     }
 
     #[test]
@@ -1188,18 +1169,14 @@ mod tests {
         let mut eps = ChannelWorld::new(3);
         let workers: Vec<_> = eps
             .drain(1..)
-            .map(|mut ep| thread::spawn(move || worker_loop(&mut ep).unwrap()))
+            .map(|mut ep| {
+                thread::spawn(move || {
+                    worker_pool_session(&mut ep, None, Instant::now(), &TableCache::new()).unwrap()
+                })
+            })
             .collect();
         let mut master_ep = eps.pop().unwrap();
-        let cfg = MasterConfig::default();
-        let ledger = master_loop(
-            &mut master_ep,
-            &spec,
-            SchedulePolicy::LargestFirst,
-            &cfg,
-            &mut no_watch(),
-        )
-        .unwrap();
+        let ledger = run_job(&mut master_ep, &spec, SchedulePolicy::LargestFirst).unwrap();
 
         assert_eq!(ledger.completion_log.len(), 4);
         assert!(ledger.outputs.iter().all(|o| o.is_some()));
@@ -1212,8 +1189,13 @@ mod tests {
         // (can't be strict with 2 workers, but the first *assignment* is
         // k = 0.03 → ik 2 must not complete last)
         assert!(ledger.completion_log.iter().any(|&(ik, _)| ik == 2));
+        // the job released the workers; the tag-6 stop ends their session
+        for rank in 1..=2 {
+            master_ep.send(rank, TAG_STOP, &[0.0]).unwrap();
+        }
         let local: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
-        let total: usize = local.iter().map(|s| s.modes).sum();
+        assert!(local.iter().all(|o| o.jobs == 1));
+        let total: usize = local.iter().map(|o| o.stats.modes).sum();
         assert_eq!(total, 4);
         // the wire-carried statistics must agree with the workers' own
         assert_eq!(ledger.worker_stats.len(), 2);
@@ -1235,30 +1217,15 @@ mod tests {
     #[test]
     fn unexpected_tag_drains_and_errors() {
         let spec = RunSpec::standard_cdm(vec![0.01]);
-        let mut eps = ChannelWorld::new(2);
-        let mut rogue = eps.pop().unwrap();
-        let mut master_ep = eps.pop().unwrap();
-        let h = thread::spawn(move || {
+        let (mut master_ep, h) = rogue_pair(|rogue| {
             let mut buf = Vec::new();
-            // swallow the init broadcast, then send garbage
-            rogue.recv(0, TAG_INIT, &mut buf).unwrap();
+            // swallow the assignment, then send garbage
+            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
             rogue.send(0, 99, &[1.0]).unwrap();
-            // the drain must still deliver our stop
-            rogue.recv(0, TAG_STOP, &mut buf).unwrap();
+            // the drain must still deliver our release
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
         });
-        let cfg = MasterConfig {
-            poll: Duration::from_millis(5),
-            drain_timeout: Duration::from_millis(300),
-            ..MasterConfig::default()
-        };
-        let err = master_loop(
-            &mut master_ep,
-            &spec,
-            SchedulePolicy::Fifo,
-            &cfg,
-            &mut no_watch(),
-        )
-        .unwrap_err();
+        let err = run_job(&mut master_ep, &spec, SchedulePolicy::Fifo).unwrap_err();
         match err {
             FarmError::Protocol { rank, detail } => {
                 assert_eq!(rank, 1);
@@ -1267,5 +1234,102 @@ mod tests {
             other => panic!("expected Protocol, got {other}"),
         }
         h.join().unwrap();
+    }
+
+    #[test]
+    fn stale_result_of_a_respawned_rank_is_not_a_duplicate_error() {
+        // rank 1 holds the chunk [0, 1], delivers mode 0 and is replaced
+        // before the master has read that result: the chunk is requeued
+        // whole, the replacement integrates mode 0 again, and the second
+        // copy must be dropped as late, not fail the job
+        use std::sync::mpsc::channel;
+        let mut spec = RunSpec::standard_cdm(vec![0.002, 0.004]);
+        spec.preset = Preset::Draft;
+        let (outputs, _) = crate::farm::run_serial(&spec).unwrap();
+        let wires: Vec<_> = outputs
+            .iter()
+            .enumerate()
+            .map(|(ik, o)| o.to_wire(ik))
+            .collect();
+        let (die, dying) = channel::<()>();
+        let (sent, delivered) = channel::<()>();
+        let (mut master_ep, h) = rogue_pair(move |rogue| {
+            let mut buf = Vec::new();
+            let send_result = |rogue: &mut ChannelEndpoint, ik: usize| {
+                rogue.send(0, TAG_HEADER, &wires[ik].0).unwrap();
+                rogue.send(0, TAG_DATA, &wires[ik].1).unwrap();
+            };
+            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+            assert_eq!(buf, [0.0, 1.0]);
+            // the old incarnation's last words, timed by the watch
+            dying.recv().unwrap();
+            send_result(rogue, 0);
+            sent.send(()).unwrap();
+            // the replacement: re-initialised, dealt the same chunk
+            rogue.recv(0, TAG_INIT, &mut buf).unwrap();
+            rogue.send(0, TAG_REQUEST, &[0.0]).unwrap();
+            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+            assert_eq!(buf, [0.0, 1.0]);
+            send_result(rogue, 0);
+            send_result(rogue, 1);
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+            rogue
+                .send(0, TAG_STATS, &WorkerStats::default().to_wire())
+                .unwrap();
+        });
+        let mut polls = 0;
+        let mut watch = || {
+            // poll 1 is the job-open fold; poll 2 the first silence
+            polls += 1;
+            if polls != 2 {
+                return Vec::new();
+            }
+            die.send(()).unwrap();
+            delivered.recv().unwrap();
+            vec![WorkerEvent::Respawned(1)]
+        };
+        let cfg = MasterConfig {
+            chunk: 2,
+            recovery: RecoveryPolicy::requeue(),
+            ..fast_cfg()
+        };
+        let ledger = master_job_session(
+            &mut master_ep,
+            &spec,
+            SchedulePolicy::Fifo,
+            &cfg,
+            &mut watch,
+            Instant::now(),
+            &JobControl::default(),
+            None,
+        )
+        .unwrap();
+        h.join().unwrap();
+        assert!(ledger.outputs.iter().all(Option::is_some));
+        assert_eq!(ledger.recovery.respawns, 1);
+        assert_eq!(ledger.recovery.late_results, 1);
+    }
+
+    #[test]
+    fn garbled_stats_payload_is_a_protocol_error() {
+        // an empty k-grid reduces the protocol to its bookkeeping frame:
+        // open → request → release → stats
+        let spec = RunSpec::standard_cdm(Vec::new());
+        let (mut master_ep, h) = rogue_pair(|rogue| {
+            let mut buf = Vec::new();
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+            // not the 10 reals of a tag-7 report: must be rejected, not
+            // zero-padded
+            rogue.send(0, TAG_STATS, &[3.0, 1.25, 2.5, 4096.0]).unwrap();
+        });
+        let err = run_job(&mut master_ep, &spec, SchedulePolicy::Fifo).unwrap_err();
+        h.join().unwrap();
+        match err {
+            FarmError::Protocol { rank, detail } => {
+                assert_eq!(rank, 1);
+                assert!(detail.contains("stats"), "{detail}");
+            }
+            other => panic!("expected Protocol, got {other}"),
+        }
     }
 }

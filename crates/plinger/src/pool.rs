@@ -1,62 +1,57 @@
-//! Persistent farm sessions: a worker pool that outlives any one run.
+//! The farm's one worker lifetime: a pool of resident workers.
 //!
-//! [`Farm`](crate::Farm) assembles a world, runs one job, and tears
-//! everything down; every run pays the worker-side
-//! [`Background`](background::Background)/
-//! [`ThermoHistory`](recomb::ThermoHistory) construction again even
-//! when consecutive runs share a cosmology.  [`FarmPool`] splits that
-//! lifetime: the pool owns the world, its resident workers (threads
-//! running [`crate::worker::worker_pool_session`], with warm integrator
+//! [`FarmPool`] owns a world, its workers (threads running
+//! [`crate::worker::worker_pool_session`], with warm integrator
 //! scratch) and the one [`TableCache`] they all share — a cosmology's
-//! physics tables are built once per pool, not once per rank — while a
-//! [`Session`] borrows the pool for exactly one k-grid job.  Per-job
-//! state — work queue, recovery ledger, heartbeat clocks, idle
-//! accounting, telemetry — lives inside
+//! physics tables are built once per pool, not once per rank — and
+//! serves any number of k-grid jobs through [`FarmPool::run_job`].
+//! [`Farm::run`](crate::Farm::run) is this pool started, given one job
+//! and shut down.  Per-job state — work queue, recovery ledger,
+//! heartbeat clocks, idle accounting, telemetry — lives inside
 //! [`crate::master::master_job_session`] and is rebuilt from scratch
 //! every job; only endpoints and the table cache persist.
 //!
 //! Self-healing persists across jobs too.  A worker that dies mid-job
 //! is respawned *into the pool*, not just the run: the dead thread is
-//! joined, its endpoint recovered, and a fresh persistent session
-//! spawned on it with the pool's table cache (budgeted by
+//! joined, its endpoint recovered, and a fresh session spawned on it
+//! with the pool's table cache (budgeted by
 //! [`PoolOptions::respawn_limit`]), so the replacement rank serves
 //! every later job, the current cosmology's tables already in hand.  A
-//! thread that panicked
-//! takes its endpoint down with it and the rank stays dead.  The
-//! multi-process analogue is [`TcpFarmPool`], which keeps the
-//! subprocess workers, the respawn listener, and the master socket
-//! alive between jobs.
+//! thread that panicked takes its endpoint down with it and the rank
+//! stays dead.  The multi-process analogue is [`TcpFarmPool`], which
+//! keeps the subprocess workers, the respawn listener, and the master
+//! socket alive between jobs; [`crate::run_tcp_processes`] is that pool
+//! for one job.
 //!
-//! Determinism: a pooled job runs the same master loop, the same
-//! dispatch order, and bit-identical mode integrations as a fresh
-//! [`Farm::run`](crate::Farm::run) — cached tables are keyed on the
-//! canonical cosmology hash and built whenever a new one arrives, and
-//! sharing them never alters results, only skips table construction.  The
+//! Determinism: every job runs the same master loop, the same dispatch
+//! order, and bit-identical mode integrations whether it is a pool's
+//! first or its hundredth — cached tables are keyed on the canonical
+//! cosmology hash and built whenever a new one arrives, and sharing
+//! them never alters results, only skips table construction.  The
 //! pool-vs-fresh bitwise tests in `tests/pool_sessions.rs` pin this.
 
+use std::net::SocketAddr;
 use std::path::Path;
-use std::process::Child;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use msgpass::fault::{FaultSpec, FaultyTransport};
 use msgpass::instrument::{CommSnapshot, EndpointStats, Instrumented};
 use msgpass::tcp::{PendingMaster, RespawnPort, TcpEndpoint};
-use msgpass::{Transport, World};
+use msgpass::{Rank, Transport, World};
 use telemetry::SpanEvent;
 
 use crate::error::FarmError;
-use crate::farm::{
-    finish_report, spawn_tcp_worker, watch_tcp_children, worker_fault_arg, FarmReport, FaultPlan,
-    TcpFarmOptions,
-};
-use crate::master::{master_job_session, JobControl, MasterConfig, SessionKind};
+use crate::farm::{finish_report, FarmReport, FaultPlan, TcpFarmOptions};
+use crate::master::{master_job_session, JobControl, MasterConfig};
 use crate::protocol::{RunSpec, TAG_STOP};
 use crate::recovery::{RecoveryPolicy, WorkerEvent};
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
-use crate::worker::{worker_pool_session, PoolWorkerOutcome, WorkerFault};
+use crate::worker::{worker_pool_session, WorkerFault, WorkerTotals};
 
 /// Pool-level knobs (the per-job knobs live in [`MasterConfig`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,8 +60,25 @@ pub struct PoolOptions {
     /// also requires the recovery policy to be
     /// `RecoveryPolicy::Requeue { respawn: true, .. }`.
     pub respawn_limit: usize,
-    /// Worker-level fault to script into the initial workers (tests).
+    /// Fault to script into the pool (tests): worker-level plans ride
+    /// into the initial workers, message-level plans into every
+    /// endpoint's [`FaultyTransport`].
     pub fault: Option<FaultPlan>,
+}
+
+/// What every rank of a thread pool talks through: the world's
+/// endpoint, counted per tag, under the pool's fault script.  The fault
+/// wrapper sits outside the instrumentation so a dropped message is
+/// never counted as sent (closed-world telemetry survives fault runs);
+/// without a message-level fault it is a passthrough.
+type PoolEndpoint<W> = FaultyTransport<Instrumented<<W as World>::Endpoint>>;
+
+fn wrap_endpoint<W: World>(
+    ep: W::Endpoint,
+    fault: &FaultSpec,
+) -> (PoolEndpoint<W>, Arc<EndpointStats>) {
+    let (counted, stats) = Instrumented::new(ep);
+    (FaultyTransport::new(counted, fault.clone()).0, stats)
 }
 
 /// One resident worker of a thread pool: its liveness flag, its thread
@@ -81,23 +93,30 @@ struct PoolWorker<W: World> {
     handled: bool,
 }
 
-type WorkerReturn<W> = (
-    Result<PoolWorkerOutcome, FarmError>,
-    Instrumented<<W as World>::Endpoint>,
-);
+type WorkerReturn<W> = (Result<WorkerTotals, FarmError>, PoolEndpoint<W>);
 type WorkerHandle<W> = JoinHandle<WorkerReturn<W>>;
 
+/// Clears a worker's liveness flag when its thread ends — by return or
+/// by unwinding, so a panicked worker reads dead, not busy forever.
+struct ClearOnDrop(Arc<AtomicBool>);
+
+impl Drop for ClearOnDrop {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
 fn spawn_pool_worker<W: World>(
-    mut ep: Instrumented<W::Endpoint>,
+    mut ep: PoolEndpoint<W>,
     fault: Option<WorkerFault>,
     epoch: Instant,
     tables: Arc<TableCache>,
 ) -> (Arc<AtomicBool>, WorkerHandle<W>) {
     let alive = Arc::new(AtomicBool::new(true));
-    let flag = Arc::clone(&alive);
+    let flag = ClearOnDrop(Arc::clone(&alive));
     let handle = std::thread::spawn(move || {
+        let _flag = flag;
         let out = worker_pool_session(&mut ep, fault, epoch, &tables);
-        flag.store(false, Ordering::SeqCst);
         // hand the endpoint back: a vanished-but-clean worker's endpoint
         // is reusable by a replacement session under the same rank
         (out, ep)
@@ -126,14 +145,14 @@ pub struct PoolShutdown {
 ///
 /// let mut pool = FarmPool::<ChannelWorld>::start(4).expect("pool");
 /// let a = RunSpec::standard_cdm(vec![0.001, 0.01]);
-/// let rep1 = pool.session(SchedulePolicy::LargestFirst).run(&a).expect("job 1");
-/// let rep2 = pool.session(SchedulePolicy::LargestFirst).run(&a).expect("job 2");
+/// let rep1 = pool.run_job(&a, SchedulePolicy::LargestFirst).expect("job 1");
+/// let rep2 = pool.run_job(&a, SchedulePolicy::LargestFirst).expect("job 2");
 /// // same cosmology: job 2 rebuilt no physics tables
 /// assert_eq!(rep2.worker_stats.iter().map(|w| w.ctx_rebuilds).sum::<usize>(), 0);
 /// let _ = (rep1, pool.shutdown());
 /// ```
 pub struct FarmPool<W: World> {
-    master: Option<Instrumented<W::Endpoint>>,
+    master: Option<PoolEndpoint<W>>,
     master_stats: Arc<EndpointStats>,
     workers: Vec<PoolWorker<W>>,
     /// The physics tables every rank of this pool integrates against,
@@ -180,11 +199,13 @@ impl<W: World> FarmPool<W> {
                 n_workers + 1
             ))));
         }
+        // one epoch anchors every span recorder, master's and workers'
         let epoch = Instant::now();
         let tables = Arc::new(TableCache::new());
+        let fault_spec = opts.fault.map(|f| f.fault_spec()).unwrap_or_default();
         let mut eps = eps.into_iter();
         let (master, master_stats) = match eps.next() {
-            Some(ep) => Instrumented::new(ep),
+            Some(ep) => wrap_endpoint::<W>(ep, &fault_spec),
             None => {
                 return Err(FarmError::Setup(msgpass::CommError::Protocol(
                     "world produced no master endpoint".into(),
@@ -194,7 +215,7 @@ impl<W: World> FarmPool<W> {
         let workers: Vec<PoolWorker<W>> = eps
             .enumerate()
             .map(|(i, ep)| {
-                let (wrapped, stats) = Instrumented::new(ep);
+                let (wrapped, stats) = wrap_endpoint::<W>(ep, &fault_spec);
                 let fault = opts.fault.and_then(|f| f.worker_fault(i + 1));
                 let (alive, handle) =
                     spawn_pool_worker::<W>(wrapped, fault, epoch, Arc::clone(&tables));
@@ -258,19 +279,9 @@ impl<W: World> FarmPool<W> {
         self.jobs_run
     }
 
-    /// Borrow the pool for one job under `policy`.
-    pub fn session(&mut self, policy: SchedulePolicy) -> Session<'_, W> {
-        Session {
-            pool: self,
-            policy,
-            ctrl: JobControl::default(),
-        }
-    }
-
     /// Run one k-grid job on the resident workers and cut its report.
     ///
-    /// Equivalent to `self.session(policy).run(spec)`.  The report's
-    /// worker statistics, idle/imbalance accounting, recovery ledger,
+    /// The report's worker statistics, idle/imbalance accounting, recovery ledger,
     /// and comm table cover *this job only* — comm counters are deltas
     /// against a between-jobs baseline, and each worker reports fresh
     /// per-job stats on its tag-11 release.
@@ -380,15 +391,7 @@ impl<W: World> FarmPool<W> {
             events
         };
         let outcome = master_job_session(
-            master,
-            spec,
-            policy,
-            &config,
-            &mut watch,
-            epoch,
-            SessionKind::Pooled,
-            ctrl,
-            prefetch,
+            master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
         );
         // refresh the comm baseline even on error, so a failed job's
         // traffic never leaks into the next job's table
@@ -408,7 +411,7 @@ impl<W: World> FarmPool<W> {
         self.comm_prev = snaps;
         let ledger = outcome?;
         self.jobs_run += 1;
-        finish_report(ledger, comm, Vec::new())
+        finish_report(ledger, comm)
     }
 
     /// Stop every resident worker (tag 6), join their threads, and
@@ -455,46 +458,58 @@ impl<W: World> Drop for FarmPool<W> {
     }
 }
 
-/// One k-grid job borrowed onto a [`FarmPool`].  Consuming [`run`]
-/// keeps the borrow honest: a session is exactly one job.
-///
-/// [`run`]: Session::run
-pub struct Session<'p, W: World> {
-    pool: &'p mut FarmPool<W>,
-    policy: SchedulePolicy,
-    ctrl: JobControl<'p>,
+/// Render the worker-level fault of `plan` for `rank` as the hidden CLI
+/// argument `--tcp-worker` understands (see
+/// [`parse_worker_fault`](crate::parse_worker_fault)).
+fn worker_fault_arg(plan: Option<FaultPlan>, rank: Rank) -> Option<String> {
+    match plan?.worker_fault(rank)? {
+        WorkerFault::Vanish { after_modes } => Some(format!("vanish:{after_modes}")),
+        WorkerFault::Stall { after_modes, stall } => {
+            Some(format!("stall:{after_modes}:{}", stall.as_millis()))
+        }
+        WorkerFault::FailMode { ik } => Some(format!("failmode:{ik}")),
+    }
 }
 
-impl<'p, W: World> Session<'p, W> {
-    /// Attach external [`JobControl`] — a deadline and/or cancel flag —
-    /// to this session's job.  Without it the job runs to completion
-    /// (the historical behaviour); with it a fired trigger cancels the
-    /// job cooperatively exactly as [`FarmPool::run_job_with`] would.
-    pub fn with_control(mut self, ctrl: JobControl<'p>) -> Self {
-        self.ctrl = ctrl;
-        self
+fn spawn_tcp_worker(
+    exe: &Path,
+    addr: SocketAddr,
+    rank: Rank,
+    size: usize,
+    fault: Option<String>,
+) -> Result<Child, FarmError> {
+    let mut cmd = Command::new(exe);
+    cmd.arg("--tcp-worker")
+        .arg(addr.to_string())
+        .arg(rank.to_string())
+        .arg(size.to_string());
+    if let Some(f) = fault {
+        cmd.arg(f);
     }
-
-    /// Run the job and cut its per-job report.  Routes through
-    /// [`FarmPool::run_job_with`] so any control attached with
-    /// [`Session::with_control`] — deadline or cancel flag — applies to
-    /// session-scoped jobs too.
-    pub fn run(self, spec: &RunSpec) -> Result<FarmReport, FarmError> {
-        self.pool.run_job_with(spec, self.policy, &self.ctrl)
-    }
+    cmd.stdin(Stdio::null()).spawn().map_err(|e| {
+        FarmError::Setup(msgpass::CommError::Protocol(format!(
+            "spawning worker {rank} failed: {e}"
+        )))
+    })
 }
 
 /// The multi-process analogue of [`FarmPool`]: subprocess workers over
 /// localhost TCP stay resident — and respawnable through the kept
 /// listening socket — across jobs.
 ///
-/// Workers are the same `--tcp-worker` subprocesses
-/// [`crate::run_tcp_processes`] spawns (they always run the persistent
-/// session), so a pool needs no new worker-side plumbing: jobs open
-/// with tag 10, close with tag 11, and the final shutdown is a tag-6
-/// stop.  A child that exits abnormally mid-job is relaunched and
-/// re-handshaked under its rank (budget permitting) exactly as in a
-/// one-shot run — but here the replacement keeps serving later jobs.
+/// Workers are copies of `exe` launched with the hidden `--tcp-worker
+/// ADDR RANK SIZE [FAULT]` arguments; each runs the same
+/// [`worker_pool_session`] a thread worker does, on its own
+/// [`TableCache`].  Liveness is tracked through `Child::try_wait`: under
+/// [`RecoveryPolicy::FailFast`] a dead subprocess surfaces as
+/// [`FarmError::WorkerLost`]; under [`RecoveryPolicy::Requeue`] a child
+/// that exited abnormally mid-job is relaunched (up to the respawn
+/// budget) and re-handshaked under its rank, and keeps serving later
+/// jobs — or, when respawn is off or exhausted, its work is
+/// redistributed to the survivors.  Only the master side is
+/// instrumented: subprocess workers keep their in-process telemetry to
+/// themselves (their wire-shipped tag-7 statistics still arrive), so a
+/// report's `comm` holds one snapshot.
 pub struct TcpFarmPool {
     master: Option<Instrumented<TcpEndpoint>>,
     master_stats: Arc<EndpointStats>,
@@ -503,7 +518,7 @@ pub struct TcpFarmPool {
     handled: Vec<bool>,
     respawns_left: usize,
     exe: std::path::PathBuf,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     size: usize,
     config: MasterConfig,
     epoch: Instant,
@@ -625,26 +640,57 @@ impl TcpFarmPool {
         let handled = &mut self.handled;
         let respawns_left = &mut self.respawns_left;
         let (exe, addr, size, port) = (&self.exe, self.addr, self.size, &self.port);
+        // One poll of the subprocess liveness watch: reap exited
+        // children, relaunch abnormal exits while the respawn budget
+        // lasts (re-admitting the replacement under the same rank
+        // through the kept listening port), and report the casualties.
+        // `handled[i]` records that rank `i + 1`'s corpse was already
+        // reported or replaced — `try_wait` keeps answering for a reaped
+        // child, so the gate makes each respawn attempt happen exactly
+        // once.
         let mut watch = || -> Vec<WorkerEvent> {
-            watch_tcp_children(children, handled, respawns_left, exe, addr, size, port)
+            let mut events = Vec::new();
+            for i in 0..children.len() {
+                let rank = i + 1;
+                let status = match children[i].try_wait() {
+                    Ok(None) => continue,
+                    Ok(Some(st)) => Some(st),
+                    Err(_) => None,
+                };
+                if handled[i] {
+                    events.push(WorkerEvent::Dead(rank));
+                    continue;
+                }
+                handled[i] = true;
+                // a clean exit is a worker that took its stop; only
+                // abnormal exits (a scripted vanish exits with a marker
+                // code) are worth a replacement process
+                let abnormal = status.map(|st| !st.success()).unwrap_or(true);
+                if abnormal && *respawns_left > 0 {
+                    let replacement = spawn_tcp_worker(exe, addr, rank, size, None)
+                        .ok()
+                        .and_then(|c| port.admit(rank, Duration::from_secs(10)).ok().map(|_| c));
+                    if let Some(c) = replacement {
+                        *respawns_left -= 1;
+                        children[i] = c;
+                        handled[i] = false;
+                        events.push(WorkerEvent::Respawned(rank));
+                        continue;
+                    }
+                }
+                events.push(WorkerEvent::Dead(rank));
+            }
+            events
         };
         let outcome = master_job_session(
-            master,
-            spec,
-            policy,
-            &config,
-            &mut watch,
-            epoch,
-            SessionKind::Pooled,
-            ctrl,
-            prefetch,
+            master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
         );
         let snap = self.master_stats.snapshot(0);
         let comm = snap.delta(&self.comm_prev);
         self.comm_prev = snap;
         let ledger = outcome?;
         self.jobs_run += 1;
-        finish_report(ledger, vec![comm], Vec::new())
+        finish_report(ledger, vec![comm])
     }
 
     /// Stop every resident worker and wait for the subprocesses.

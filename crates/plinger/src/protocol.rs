@@ -13,15 +13,18 @@
 //!   reconstruct the full [`ode::StepStats`] on the master side, so
 //!   per-mode timing ledgers survive the wire even when workers are OS
 //!   subprocesses.
-//! * **Tag 7 (stats)** — a 9-real worker self-report (see
-//!   [`TAG_STATS`]); 4- and 8-real payloads from older workers still
-//!   decode, with the newer counters zero-filled.
+//! * **Tag 7 (stats)** — a 10-real worker self-report per job (see
+//!   [`TAG_STATS`]).
 
 use background::CosmoParams;
 use boltzmann::{Gauge, InitialConditions, ModeConfig, Preset, SpectrumMethod};
 use msgpass::Tag;
 
-/// Tag 1: first message from master to workers (run parameters).
+/// Tag 1: first message of a job from master to workers (run
+/// parameters, `19 + nk` reals), sent to every live rank — and re-sent
+/// to a rank respawned mid-job.  The worker takes the job's physics
+/// tables from its process's [`TableCache`](crate::TableCache),
+/// building them only if that cosmology is not there yet.
 pub const TAG_INIT: Tag = 1;
 /// Tag 2: from worker, asking for a wavenumber.
 pub const TAG_REQUEST: Tag = 2;
@@ -35,19 +38,14 @@ pub const TAG_ASSIGN: Tag = 3;
 pub const TAG_HEADER: Tag = 4;
 /// Tag 5: from worker, second set of data (`2·lmax + 8` reals).
 pub const TAG_DATA: Tag = 5;
-/// Tag 6: from master, telling the worker to stop.
+/// Tag 6: from master, telling the worker to stop — the end of its
+/// session, sent by its pool's shutdown once no job is open.
 pub const TAG_STOP: Tag = 6;
-/// Tag 7: from worker, after its release — its session statistics as
-/// 10 reals: `[modes, busy seconds, total seconds, bytes sent,
+/// Tag 7: from worker, after its tag-11 release — that job's statistics
+/// as 10 reals: `[modes, busy seconds, total seconds, bytes sent,
 /// steps accepted, steps rejected, rhs evals, bytes received,
-/// ctx rebuilds, prefetch builds]`.  In a one-shot farm the release is
-/// the tag-6 stop and the statistics cover the whole session; a pooled
-/// worker sends one such report per job on its tag-11 release,
-/// covering that job alone.
-///
-/// Legacy 4-, 8-, and 9-real payloads (field prefixes) also decode,
-/// with the rest zero-filled; any other length, or any non-finite or
-/// negative value, is rejected by
+/// ctx rebuilds, prefetch builds]`.  Any other length, or any
+/// non-finite or negative value, is rejected by
 /// [`crate::worker::WorkerStats::from_wire`].  Not in the paper's
 /// table; carrying the counters over the wire keeps the report uniform
 /// whether workers are threads or OS processes.
@@ -66,18 +64,12 @@ pub const TAG_FAIL: Tag = 8;
 /// while data messages still flow.  Not in the paper's table — the
 /// 1995 codes had no liveness detection beyond socket close.
 pub const TAG_HEARTBEAT: Tag = 9;
-/// Tag 10: from master, the job broadcast of a *pooled* session — the
-/// same `19 + nk` payload as [`TAG_INIT`], sent to workers that are
-/// already resident from a previous job.  A persistent worker treats
-/// tags 1 and 10 identically (a respawned rank is re-initialised with
-/// tag 1 mid-job, so both must start a job); the distinct tag exists so
-/// traces and per-tag counters separate pool reuse from cold starts.
-pub const TAG_NEWJOB: Tag = 10;
-/// Tag 11: from master, releasing workers at the end of a pooled job
-/// *without* ending their session (1 real, ignored).  The worker
-/// answers with its per-job tag-7 stats — exactly as it would answer
-/// [`TAG_STOP`] — and then parks, keeping its background/thermo caches
-/// warm, until the next tag-10/1 job or a final tag-6 stop.
+/// Tag 11: from master, releasing a worker at the end of a job
+/// *without* ending its session (1 real, ignored).  The worker answers
+/// with its per-job tag-7 stats and then parks, keeping its integrator
+/// scratch and the process's tables warm, until the next tag-1 job or
+/// the tag-6 stop.  (Tag 10 is retired: it once opened jobs on resident
+/// workers, which tag 1 now does for every job.)
 pub const TAG_JOBDONE: Tag = 11;
 /// Tag 12: from master, cooperative job cancellation (1 real, ignored).
 /// Workers poll for it inside the heartbeat observer (every
@@ -86,23 +78,22 @@ pub const TAG_JOBDONE: Tag = 11;
 /// its ranks mid-chunk instead of finishing dead work.  A worker that
 /// sees it abandons the rest of its chunk, answers with its per-job
 /// tag-7 stats — exactly as it would answer [`TAG_JOBDONE`] — and then
-/// parks (pooled) or exits (one-shot).  Results already in flight when
-/// the cancel lands are consumed blindly by the master's drain.
+/// parks.  Results already in flight when the cancel lands are consumed
+/// blindly by the master's drain.
 pub const TAG_CANCEL: Tag = 12;
-/// Tag 13: from master, a next-job table hint for a pooled worker —
-/// the same spec payload as [`TAG_NEWJOB`], but it does **not** start a
-/// job.  The master sends it to every live rank immediately before the
-/// tag-10 of the job that *precedes* the announced one; the first rank
+/// Tag 13: from master, a next-job table hint — the same spec payload
+/// as [`TAG_INIT`], but it does **not** start a job.  The master sends
+/// it to every live rank immediately before the tag-1 of the job that
+/// *precedes* the announced one; the first rank
 /// of a process to see an unclaimed cosmology builds its
 /// background/thermo tables into the process's
 /// [`TableCache`](crate::TableCache) while its peers start on the
 /// current job's modes, and every other rank skips the hint at once.
 /// This is how an ensemble sweep overlaps shard `i+1`'s per-cosmology
 /// table construction with shard `i`'s integration: when the real
-/// tag-10 job for that cosmology arrives, the tables are already there
-/// and `ctx_rebuilds` is 0 on every rank.  Workers of one-shot sessions
-/// never see it; a worker may safely ignore it (it is a hint, not a
-/// job), and it never changes results — tables are keyed on the
+/// tag-1 job for that cosmology arrives, the tables are already there
+/// and `ctx_rebuilds` is 0 on every rank.  A worker may safely ignore it
+/// (it is a hint, not a job), and it never changes results — tables are keyed on the
 /// canonical cosmology hash and bit-identical wherever they are built.
 pub const TAG_PREFETCH: Tag = 13;
 
@@ -414,13 +405,11 @@ mod tests {
         assert_eq!(TAG_STATS, 7);
         assert_eq!(TAG_FAIL, 8);
         assert_eq!(TAG_HEARTBEAT, 9);
-        // pooled-session extensions: job start / job release for
-        // workers that stay resident between k-grids
-        assert_eq!(TAG_NEWJOB, 10);
+        // resident-worker extensions (10 is retired): job release and
+        // cancel for workers that stay parked between k-grids
         assert_eq!(TAG_JOBDONE, 11);
         assert_eq!(TAG_CANCEL, 12);
-        // ensemble extension: next-shard table hint for pooled
-        // workers
+        // ensemble extension: next-shard table hint
         assert_eq!(TAG_PREFETCH, 13);
     }
 

@@ -30,8 +30,10 @@ pub enum RecoveryPolicy {
     Requeue {
         /// Dispatch budget per mode (≥ 1; the first dispatch counts).
         max_attempts: usize,
-        /// Allow process-level respawn where the deployment supports it
-        /// (`run_tcp_processes`); ignored by thread-backed farms.
+        /// Allow a dead rank to be respawned where the pool has a
+        /// budget for it (`PoolOptions::respawn_limit`,
+        /// `TcpFarmOptions::respawn_limit`); a one-job `Farm` never
+        /// respawns.
         respawn: bool,
     },
 }
@@ -62,7 +64,7 @@ impl RecoveryPolicy {
 }
 
 /// Liveness/membership change reported by the deployment layer's watch
-/// callback into `master_session`.
+/// callback into `master_job_session`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerEvent {
     /// The rank's thread exited or its process died.
@@ -97,8 +99,10 @@ pub struct RecoveryLog {
     pub heartbeats: usize,
     /// Worker processes relaunched and re-handshaked mid-run.
     pub respawns: usize,
-    /// Messages consumed from ranks already marked dead (stale results
-    /// racing the death detection).
+    /// Results discarded as stale: sent by a rank already marked dead
+    /// (racing the death detection), or the second copy of a mode whose
+    /// first copy a respawned rank's previous incarnation had already
+    /// delivered.
     pub late_results: usize,
     /// Modes that exhausted their attempt budget.
     pub failed_modes: Vec<FailedMode>,

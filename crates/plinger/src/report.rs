@@ -63,7 +63,6 @@ pub fn tag_name(tag: usize) -> &'static str {
         7 => "stats",
         8 => "fail",
         9 => "heartbeat",
-        10 => "newjob",
         11 => "jobdone",
         _ => "other",
     }
@@ -385,7 +384,7 @@ mod tests {
         assert_eq!(tag_name(1), "init");
         assert_eq!(tag_name(7), "stats");
         assert_eq!(tag_name(9), "heartbeat");
-        assert_eq!(tag_name(10), "newjob");
+        assert_eq!(tag_name(10), "other", "tag 10 is retired");
         assert_eq!(tag_name(11), "jobdone");
         assert_eq!(tag_name(15), "other");
     }

@@ -271,10 +271,41 @@ impl SpectrumRequest {
     }
 
     /// Admission check, run before the request is queued: a cosmology
-    /// the flat-space equations cannot evolve is the client's error
+    /// the flat-space equations cannot evolve, or a real that would
+    /// size an absurd allocation, is the client's error
     /// ([`ErrorCode::BadRequest`]), not a worker panic mid-job.
     pub fn admit(&self) -> Result<(), ServiceError> {
+        require_bounded(&self.spec)?;
         require_flat(&self.spec.cosmo, "request")
+    }
+}
+
+/// Ceiling on a requested photon or massless-neutrino ladder: the
+/// paper's "up to 10,000 moments", which `Preset::Production` caps at.
+const MAX_LMAX: usize = 10_000;
+/// Ceiling on a requested massive-neutrino ladder (per momentum bin).
+const MAX_LMAX_H: usize = 1_000;
+/// Ceiling on requested massive-neutrino momentum bins.
+const MAX_NQ: usize = 256;
+/// Ceiling on the number of massive neutrino species.
+const MAX_NU_MASSIVE: usize = 16;
+
+/// Refuse a spec whose untrusted reals would size a state vector beyond
+/// the ceilings above (a wire `1e18` decodes to a `usize` just fine).
+fn require_bounded(spec: &RunSpec) -> Result<(), ServiceError> {
+    let sized = [
+        ("lmax_g", spec.lmax_g.unwrap_or(0), MAX_LMAX),
+        ("lmax_nu", spec.lmax_nu.unwrap_or(0), MAX_LMAX),
+        ("lmax_h", spec.lmax_h, MAX_LMAX_H),
+        ("nq", spec.nq.unwrap_or(0), MAX_NQ),
+        ("n_nu_massive", spec.cosmo.n_nu_massive, MAX_NU_MASSIVE),
+    ];
+    match sized.into_iter().find(|(_, got, max)| got > max) {
+        None => Ok(()),
+        Some((name, got, max)) => Err(ServiceError::new(
+            ErrorCode::BadRequest,
+            format!("{name} = {got} is beyond this service's ceiling of {max}"),
+        )),
     }
 }
 
@@ -346,10 +377,11 @@ impl EnsembleRequest {
         Ok(Self::new(EnsembleSpec::decode(data)?))
     }
 
-    /// Admission check, run before the sweep is queued: the base and
-    /// every shard cosmology must be flat (see
-    /// [`SpectrumRequest::admit`]).
+    /// Admission check, run before the sweep is queued: the base (whose
+    /// sizes every shard shares) must be bounded, and it and every shard
+    /// cosmology flat (see [`SpectrumRequest::admit`]).
     pub fn admit(&self) -> Result<(), ServiceError> {
+        require_bounded(&self.ens.base)?;
         require_flat(&self.ens.base.cosmo, "ensemble base")?;
         (0..self.ens.n_shards())
             .try_for_each(|i| require_flat(&self.ens.shard_cosmo(i), &format!("shard {i}")))
@@ -1391,6 +1423,42 @@ mod tests {
             sweep(tiny_spec(vec![0.001]), vec![0.5, 0.7]).admit(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn admission_refuses_reals_that_size_beyond_the_ceilings() {
+        // each sizing real decodes from the wire as whatever usize the
+        // client named; one past its ceiling is refused by name, the
+        // ceiling itself is served
+        type Set = fn(&mut RunSpec, usize);
+        let cases: [(&str, usize, Set); 5] = [
+            ("lmax_g", MAX_LMAX, |s, n| s.lmax_g = Some(n)),
+            ("lmax_nu", MAX_LMAX, |s, n| s.lmax_nu = Some(n)),
+            ("lmax_h", MAX_LMAX_H, |s, n| s.lmax_h = n),
+            ("nq", MAX_NQ, |s, n| s.nq = Some(n)),
+            ("n_nu_massive", MAX_NU_MASSIVE, |s, n| {
+                s.cosmo.n_nu_massive = n
+            }),
+        ];
+        for (name, max, set) in cases {
+            let mut spec = tiny_spec(vec![0.001]);
+            set(&mut spec, max);
+            let wire = SpectrumRequest::new(spec.clone()).encode();
+            let at = SpectrumRequest::decode(&wire).expect("decodes");
+            assert_eq!(at.admit(), Ok(()), "{name} at its ceiling");
+
+            set(&mut spec, max + 1);
+            let wire = SpectrumRequest::new(spec.clone()).encode();
+            let over = SpectrumRequest::decode(&wire).expect("decodes");
+            let err = over.admit().expect_err("oversized single admitted");
+            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert!(err.message.starts_with(name), "{}", err.message);
+            let err = EnsembleRequest::new(EnsembleSpec::singleton(spec))
+                .admit()
+                .expect_err("oversized sweep admitted");
+            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert!(err.message.starts_with(name), "{}", err.message);
+        }
     }
 
     #[test]

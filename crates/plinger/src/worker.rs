@@ -12,7 +12,7 @@ use telemetry::{SpanEvent, SpanRecorder};
 use crate::error::FarmError;
 use crate::protocol::{
     cosmo_hash, job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL, TAG_HEADER,
-    TAG_HEARTBEAT, TAG_INIT, TAG_NEWJOB, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
+    TAG_HEARTBEAT, TAG_INIT, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
 };
 use crate::tables::{PhysicsTables, TableCache};
 
@@ -49,7 +49,7 @@ pub enum WorkerFault {
     },
 }
 
-/// Statistics a worker reports after its stop message, shipped to the
+/// Statistics a worker reports after each job's release, shipped to the
 /// master as the tag-7 payload (10 reals; see the `protocol` module
 /// docs for the wire layout).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -58,7 +58,7 @@ pub struct WorkerStats {
     pub modes: usize,
     /// Seconds spent inside mode integrations (busy time).
     pub busy_seconds: f64,
-    /// Total seconds between receiving the broadcast and stopping.
+    /// Total seconds between receiving the job and its release.
     pub total_seconds: f64,
     /// Bytes sent back to the master (header + data payloads).
     pub bytes_sent: usize,
@@ -101,38 +101,31 @@ impl WorkerStats {
         ]
     }
 
-    /// Decode a tag-7 payload.
-    ///
-    /// Accepts the current 10-real layout plus the three earlier shapes
-    /// — 9 reals (pre-prefetch), 8 reals (pre-pool, no rebuild counter)
-    /// and 4 reals (the 1995 field set) — with missing trailing
-    /// counters read as zero.  Returns `None` for any other length and
-    /// for payloads containing NaN, non-finite, or negative values — a
-    /// garbled stats message must not silently become a
+    /// Decode a tag-7 payload: exactly the 10 reals of
+    /// [`WorkerStats::to_wire`].  Returns `None` for any other length
+    /// and for payloads containing NaN, non-finite, or negative values
+    /// — a garbled stats message must not silently become a
     /// plausible-looking report.
     pub fn from_wire(v: &[f64]) -> Option<Self> {
-        if v.len() != 4 && v.len() != 8 && v.len() != 9 && v.len() != 10 {
-            return None;
-        }
+        let v: &[f64; 10] = v.try_into().ok()?;
         if v.iter().any(|x| !x.is_finite() || *x < 0.0) {
             return None;
         }
-        let at = |i: usize| v.get(i).copied().unwrap_or(0.0);
         Some(Self {
-            modes: at(0) as usize,
-            busy_seconds: at(1),
-            total_seconds: at(2),
-            bytes_sent: at(3) as usize,
-            steps_accepted: at(4) as usize,
-            steps_rejected: at(5) as usize,
-            rhs_evals: at(6) as usize,
-            bytes_received: at(7) as usize,
-            ctx_rebuilds: at(8) as usize,
-            prefetch_builds: at(9) as usize,
+            modes: v[0] as usize,
+            busy_seconds: v[1],
+            total_seconds: v[2],
+            bytes_sent: v[3] as usize,
+            steps_accepted: v[4] as usize,
+            steps_rejected: v[5] as usize,
+            rhs_evals: v[6] as usize,
+            bytes_received: v[7] as usize,
+            ctx_rebuilds: v[8] as usize,
+            prefetch_builds: v[9] as usize,
         })
     }
 
-    /// Field-wise accumulate `other` into `self` — a pooled worker's
+    /// Field-wise accumulate `other` into `self` — a worker's
     /// whole-session totals are the sum of its per-job reports.
     pub fn absorb(&mut self, other: &WorkerStats) {
         self.modes += other.modes;
@@ -148,126 +141,9 @@ impl WorkerStats {
     }
 }
 
-/// What one worker accumulated over a session: the wire-shipped
-/// statistics plus its local span timeline (mode and wait intervals,
-/// stamped against the session epoch).
-#[derive(Debug, Default)]
-pub struct WorkerOutcome {
-    /// The statistics also shipped to the master as tag 7.
-    pub stats: WorkerStats,
-    /// Local wall-clock spans (`mode` and `wait` events on this rank's
-    /// track).  Empty when telemetry is disabled.
-    pub spans: Vec<SpanEvent>,
-}
-
-/// Run the worker loop until the master sends tag 6.
-///
-/// Mirrors Appendix A line by line — receive the initial data, ask for a
-/// wavenumber, keep integrating until told to stop — with three
-/// session-layer refinements over the paper's listing:
-///
-/// * the first wait accepts *any* tag from the master, so a stop sent
-///   before (or instead of) the init broadcast still unblocks the
-///   worker — the master's drain path relies on this;
-/// * a failed mode integration is reported with tag 8 (ik, k) instead of
-///   killing the worker, after which the worker parks until stopped;
-/// * after the stop, the worker ships its statistics as tag 7 so the
-///   master's report is transport-independent.
-pub fn worker_loop<T: Transport>(t: &mut T) -> Result<WorkerStats, FarmError> {
-    worker_session(t, None, Instant::now(), &TableCache::new()).map(|o| o.stats)
-}
-
-/// The full worker session: [`worker_loop`] plus fault injection,
-/// telemetry, and the farm's shared [`TableCache`].
-///
-/// `epoch` anchors this worker's span timestamps; the farm passes one
-/// epoch to every rank so the per-rank tracks align in a trace viewer.
-/// Three span kinds are recorded on the worker's track: `mode` (one
-/// per integration, with `ik` and `k` arguments), `wait` (the interval
-/// spent blocked on the master between finishing one result and
-/// receiving the next assignment), and `build_ctx` on the one rank that
-/// built the run's tables — the others wait for that build and share
-/// its result.
-///
-/// During each integration the worker emits tag-9 heartbeats between
-/// DVERK step batches, at most one per `HEARTBEAT_MIN_INTERVAL`
-/// (100 ms).
-/// Heartbeat sends are best-effort (a send error is swallowed — the
-/// master will notice the silence) and excluded from
-/// [`WorkerStats::bytes_sent`], which accounts result traffic only.
-pub fn worker_session<T: Transport>(
-    t: &mut T,
-    fault: Option<WorkerFault>,
-    epoch: Instant,
-    cache: &TableCache,
-) -> Result<WorkerOutcome, FarmError> {
-    let (mytid, mastid) = initpass(t);
-    let mut buf = Vec::new();
-    let mut stats = WorkerStats::default();
-    let mut rec = SpanRecorder::new(epoch, 0, mytid as u64);
-
-    // First wait: any tag from the master.  Normally this is the tag-1
-    // broadcast; a drain-and-stop can arrive first instead.
-    let first = mychecktid(t, mastid)?;
-    if first == TAG_STOP {
-        myrecvreal(t, &mut buf, TAG_STOP, mastid)?;
-        mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
-        return Ok(WorkerOutcome {
-            stats,
-            spans: rec.into_events(),
-        });
-    }
-    if first != TAG_INIT {
-        return Err(FarmError::Protocol {
-            rank: t.rank(),
-            detail: format!("worker expected init or stop, got tag {first}"),
-        });
-    }
-    let n = myrecvreal(t, &mut buf, TAG_INIT, mastid)?;
-    stats.bytes_received += n * 8;
-    let t_start = Instant::now();
-    let spec = RunSpec::decode(&buf)?;
-    let tables = job_tables(cache, &spec, &mut stats, &mut rec);
-
-    // ask for a wavenumber from master
-    mysendreal(t, &[0.0], TAG_REQUEST, mastid)?;
-
-    let mut hb = Heartbeat::new();
-    // one integrator for the whole session: scratch buffers warm up on
-    // the first mode and are reused (bit-identically) for every mode after
-    let mut integ = Integrator::new();
-    let mut modes_done = 0usize;
-    let released = serve_assignments(
-        t,
-        mastid,
-        &spec,
-        &tables,
-        fault,
-        &mut modes_done,
-        &mut stats,
-        &mut integ,
-        &mut hb,
-        &mut rec,
-        &mut buf,
-    )?;
-    if released.is_none() {
-        // scripted vanish/stall: disappear without the goodbye
-        return Ok(WorkerOutcome {
-            stats,
-            spans: rec.into_events(),
-        });
-    }
-    stats.total_seconds = t_start.elapsed().as_secs_f64();
-    mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
-    Ok(WorkerOutcome {
-        stats,
-        spans: rec.into_events(),
-    })
-}
-
-/// Heartbeat emission state, carried across assignments (and, for a
-/// pooled worker, across jobs — the ~100 ms spacing is a per-rank
-/// property, not a per-job one).
+/// Heartbeat emission state, carried across assignments and across
+/// jobs — the ~100 ms spacing is a per-rank property, not a per-job
+/// one.
 struct Heartbeat {
     last: Instant,
     seq: f64,
@@ -317,12 +193,12 @@ fn record_build(rec: &mut SpanRecorder, name: &'static str, began: Instant, spec
 /// each mode and answering with a tag-4/5 pair or a tag-8 failure.
 /// The terminating message's payload is consumed (and counted into
 /// `stats.bytes_received`) and its tag returned, so the caller decides
-/// what stop/job-done/new-job means for its lifetime.
+/// what job-done/cancel/stop means for its lifetime.
 ///
 /// Returns `Ok(None)` when a scripted [`WorkerFault`] says to vanish —
 /// the caller must then return without a goodbye.  `modes_done` counts
 /// completed modes across the whole worker lifetime (fault triggers key
-/// on it), while `stats` is the caller's per-session or per-job ledger.
+/// on it), while `stats` is the caller's per-job ledger.
 #[allow(clippy::too_many_arguments)]
 fn serve_assignments<T: Transport>(
     t: &mut T,
@@ -431,7 +307,7 @@ fn serve_assignments<T: Transport>(
             if cancel_seen {
                 // consume the cancel frame, abandon the remaining chunk,
                 // and release like any other terminating tag — the caller
-                // sends its stats and parks (pooled) or exits (one-shot)
+                // sends its stats and parks
                 let n = myrecvreal(t, buf, TAG_CANCEL, mastid)?;
                 stats.bytes_received += n * 8;
                 rec.record(
@@ -487,7 +363,7 @@ fn serve_assignments<T: Transport>(
                     );
                     stats.busy_seconds += t_mode.elapsed().as_secs_f64();
                     // report the failure and go back to waiting: a
-                    // fail-fast master answers with the stop, a requeueing
+                    // fail-fast master answers with the release, a requeueing
                     // master with the next assignment
                     mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
                 }
@@ -496,9 +372,9 @@ fn serve_assignments<T: Transport>(
     }
 }
 
-/// What one persistent worker accumulated over its whole pool lifetime.
+/// What one worker accumulated over its whole lifetime.
 #[derive(Debug, Default)]
-pub struct PoolWorkerOutcome {
+pub struct WorkerTotals {
     /// Jobs served to completion (each answered with a tag-7 report).
     pub jobs: usize,
     /// Whole-lifetime statistics: the per-job reports summed.
@@ -508,17 +384,16 @@ pub struct PoolWorkerOutcome {
     pub spans: Vec<SpanEvent>,
 }
 
-/// The persistent worker session of a [`crate::FarmPool`]: serve jobs
-/// until the master sends a final tag-6 stop.
+/// The worker session: serve jobs until the master sends a tag-6 stop.
 ///
-/// Where [`worker_session`] lives exactly one run, this loop parks
-/// between jobs holding its integrator scratch and its heartbeat clock
-/// (the physics tables live in the pool's [`TableCache`], shared with
-/// the other ranks of this process), and:
+/// Mirrors Appendix A line by line — receive the run parameters (tag
+/// 1), ask for a wavenumber (tag 2), integrate what tag 3 assigns and
+/// answer each mode with a tag-4/5 pair — wrapped in a loop over jobs:
+/// between jobs the worker parks holding its integrator scratch and its
+/// heartbeat clock (the physics tables live in the process's
+/// [`TableCache`], shared with the other ranks of this process).  A
+/// `Farm::run` is a session of one job.  The session:
 ///
-/// * treats tag 10 (`NewJob`) and tag 1 (`Init`) identically as a job
-///   start — a respawned rank is re-initialised with tag 1 mid-job, and
-///   a one-shot master over this session speaks tag 1 throughout;
 /// * takes the job's physics tables from the cache, building them
 ///   **only when no rank of this process has or is building that
 ///   cosmology** — the builder records a `build_ctx` span and sets
@@ -528,25 +403,33 @@ pub struct PoolWorkerOutcome {
 ///   unclaimed cosmology builds it (`prefetch_ctx` span, counted in
 ///   [`WorkerStats::prefetch_builds`] of its next report), every other
 ///   rank goes straight on to the job that follows the hint;
-/// * answers the per-job release (tag 11, or tag 6 under a one-shot
-///   master) with that job's own tag-7 stats — fresh counters every
-///   job, so idle/imbalance accounting never bleeds across sessions;
+/// * reports a failed mode integration with tag 8 (ik, k) instead of
+///   dying, and emits best-effort tag-9 heartbeats between DVERK step
+///   batches, at most one per `HEARTBEAT_MIN_INTERVAL` (100 ms),
+///   excluded from [`WorkerStats::bytes_sent`];
+/// * answers the per-job release (tag 11, or a tag-12 cancel) with that
+///   job's own tag-7 stats — fresh counters every job, so
+///   idle/imbalance accounting never bleeds across jobs;
 /// * consumes and ignores stale traffic between jobs (e.g. an
 ///   assignment addressed to this rank's previous incarnation that was
 ///   already requeued elsewhere);
-/// * on an idle tag-6 stop, reports its stats (zeroed if it never saw a
-///   job, summed over jobs otherwise) and exits, mirroring the one-shot
-///   early-stop handshake.
+/// * on a tag-6 stop, reports its stats (this job's if one is open,
+///   lifetime totals — zero if it never saw a job — when idle) and
+///   exits.
+///
+/// `epoch` anchors the span timestamps; the pool passes one epoch to
+/// every rank so the per-rank tracks (`mode`, `wait`, `build_ctx`,
+/// `prefetch_ctx`) align in a trace viewer.
 pub fn worker_pool_session<T: Transport>(
     t: &mut T,
     fault: Option<WorkerFault>,
     epoch: Instant,
     cache: &TableCache,
-) -> Result<PoolWorkerOutcome, FarmError> {
+) -> Result<WorkerTotals, FarmError> {
     let (mytid, mastid) = initpass(t);
     let mut buf = Vec::new();
     let mut rec = SpanRecorder::new(epoch, 0, mytid as u64);
-    let mut out = PoolWorkerOutcome::default();
+    let mut out = WorkerTotals::default();
     let mut integ = Integrator::new();
     let mut hb = Heartbeat::new();
     let mut modes_done = 0usize;
@@ -556,11 +439,10 @@ pub fn worker_pool_session<T: Transport>(
 
     loop {
         let tag = mychecktid(t, mastid)?;
-        if tag != TAG_INIT && tag != TAG_NEWJOB {
+        if tag != TAG_INIT {
             let n = myrecvreal(t, &mut buf, tag, mastid)?;
             if tag == TAG_STOP {
-                // session over; report lifetime totals like the
-                // one-shot early-stop path does
+                // session over; report lifetime totals
                 mysendreal(t, &out.stats.to_wire(), TAG_STATS, mastid)?;
                 out.spans = rec.into_events();
                 return Ok(out);
@@ -584,7 +466,7 @@ pub fn worker_pool_session<T: Transport>(
             continue;
         }
 
-        // job start: tag 1 (init / respawn re-init) or tag 10 (pooled)
+        // job start
         let n = myrecvreal(t, &mut buf, tag, mastid)?;
         let mut stats = WorkerStats {
             bytes_received: n * 8,
@@ -620,14 +502,11 @@ pub fn worker_pool_session<T: Transport>(
         out.jobs += 1;
         out.stats.absorb(&stats);
         if release_tag == TAG_STOP {
-            // a one-shot master ends its only job with the session stop
+            // the pool is shutting down under an open job
             out.spans = rec.into_events();
             return Ok(out);
         }
-        // tag 11 (or a back-to-back job start already consumed? no —
-        // serve_assignments returns the tag unhandled only after
-        // consuming its payload, and job starts are re-entered above):
-        // park warm and wait for the next job
+        // released or cancelled: park warm and wait for the next job
     }
 }
 
@@ -654,50 +533,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_legacy_nine_real_payload_decodes() {
-        // pre-prefetch workers ship 9 reals; the prefetch counter
-        // zero-fills
-        let got = WorkerStats::from_wire(&[3.0, 1.5, 2.0, 4096.0, 900.0, 12.0, 7300.0, 512.0, 1.0])
-            .unwrap();
-        assert_eq!(got.ctx_rebuilds, 1);
-        assert_eq!(got.prefetch_builds, 0);
-    }
-
-    #[test]
-    fn stats_legacy_four_real_payload_decodes() {
-        let got = WorkerStats::from_wire(&[3.0, 1.5, 2.0, 4096.0]).unwrap();
-        assert_eq!(got.modes, 3);
-        assert_eq!(got.bytes_sent, 4096);
-        assert_eq!(got.steps_accepted, 0);
-        assert_eq!(got.bytes_received, 0);
-    }
-
-    #[test]
     fn stats_rejects_garbage_payloads() {
+        let good = [1.0; 10];
+        assert!(WorkerStats::from_wire(&good).is_some());
         // NaN, infinities, and negatives must not decode
-        assert_eq!(
-            WorkerStats::from_wire(&[f64::NAN, 1.0, 2.0, 3.0]),
-            None,
-            "NaN modes"
-        );
-        assert_eq!(
-            WorkerStats::from_wire(&[1.0, f64::INFINITY, 2.0, 3.0]),
-            None,
-            "infinite busy"
-        );
-        assert_eq!(
-            WorkerStats::from_wire(&[1.0, 1.0, -2.0, 3.0]),
-            None,
-            "negative total"
-        );
-        assert_eq!(
-            WorkerStats::from_wire(&[1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, f64::NEG_INFINITY]),
-            None,
-            "non-finite bytes_received"
-        );
-        // wrong geometry
-        assert_eq!(WorkerStats::from_wire(&[1.0; 5]), None);
-        assert_eq!(WorkerStats::from_wire(&[1.0; 11]), None);
-        assert_eq!(WorkerStats::from_wire(&[]), None);
+        for (at, bad, why) in [
+            (0, f64::NAN, "NaN modes"),
+            (1, f64::INFINITY, "infinite busy"),
+            (2, -2.0, "negative total"),
+            (7, f64::NEG_INFINITY, "non-finite bytes_received"),
+        ] {
+            let mut v = good;
+            v[at] = bad;
+            assert_eq!(WorkerStats::from_wire(&v), None, "{why}");
+        }
+        // wrong geometry, the retired 4/8/9-real layouts included
+        for len in [0, 4, 5, 8, 9, 11] {
+            assert_eq!(WorkerStats::from_wire(&vec![1.0; len]), None, "{len} reals");
+        }
     }
 }

@@ -16,7 +16,7 @@ use msgpass::World;
 use plinger::{
     build_run_report, run_serial, Farm, FarmPool, FarmReport, FaultPlan, MasterConfig, PoolOptions,
     RecoveryPolicy, RunSpec, SchedulePolicy, TcpFarmOptions, TcpFarmPool, TAG_INIT, TAG_JOBDONE,
-    TAG_NEWJOB, TAG_STOP,
+    TAG_STOP,
 };
 
 fn spec_of(ks: &[f64]) -> RunSpec {
@@ -55,8 +55,7 @@ fn pool_matches_fresh_farms<W: World>() {
     let reps: Vec<FarmReport> = [&job1, &job2, &job3]
         .iter()
         .map(|spec| {
-            pool.session(SchedulePolicy::LargestFirst)
-                .run(spec)
+            pool.run_job(spec, SchedulePolicy::LargestFirst)
                 .expect("pooled job")
         })
         .collect();
@@ -132,7 +131,7 @@ fn tcp_process_pool_builds_once_per_child_process() {
 
 #[test]
 fn respawned_rank_inherits_the_pools_tables() {
-    // rank 1 dies on its first assignment (the master holds a mode back
+    // rank 1 dies on its first assignment (the master holds a chunk back
     // for every rank that has not asked yet, so it always gets one) and
     // is respawned into the pool mid-job.  Its tables were built before
     // it died — by it or by rank 2 — so the replacement, handed the
@@ -154,8 +153,7 @@ fn respawned_rank_inherits_the_pools_tables() {
     };
     let mut pool = FarmPool::<ChannelWorld>::start_with(2, config, opts).expect("pool start");
     let rep1 = pool
-        .session(SchedulePolicy::Fifo)
-        .run(&job1)
+        .run_job(&job1, SchedulePolicy::Fifo)
         .expect("job 1 survives the kill");
     assert_eq!(rep1.recovery.respawns, 1, "{:?}", rep1.recovery);
     assert!(rep1.recovery.requeues >= 1, "{:?}", rep1.recovery);
@@ -164,8 +162,7 @@ fn respawned_rank_inherits_the_pools_tables() {
         "respawned rank rebuilt tables the pool already had"
     );
     let rep2 = pool
-        .session(SchedulePolicy::Fifo)
-        .run(&job2)
+        .run_job(&job2, SchedulePolicy::Fifo)
         .expect("job 2 on the healed pool");
     assert_eq!(rebuilds(&rep2), 0, "warm job rebuilt after a respawn");
     assert!(rep2.worker_stats[0].modes >= 1, "respawned rank idle");
@@ -191,8 +188,7 @@ fn los_pool_matches_serial<W: World>() {
 
     let mut pool = FarmPool::<W>::start(2).expect("pool start");
     let rep = pool
-        .session(SchedulePolicy::LargestFirst)
-        .run(&spec)
+        .run_job(&spec, SchedulePolicy::LargestFirst)
         .expect("pooled LOS job");
     pool.shutdown();
 
@@ -235,35 +231,105 @@ fn los_pool_matches_serial_tcp() {
 }
 
 #[test]
-fn pooled_jobs_open_with_tag_10_and_close_with_tag_11() {
+fn every_job_opens_with_tag_1_and_closes_with_tag_11() {
     // per-job comm tables are deltas against the between-jobs baseline:
-    // every job shows its own tag-10 opens and tag-11 releases, never a
-    // tag-1 broadcast (no respawn happened) or a tag-6 stop (the pool
-    // outlives the job)
+    // every job shows its own tag-1 opens and tag-11 releases, never a
+    // tag-6 stop (the pool outlives the job)
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
     for _ in 0..2 {
         let rep = pool
-            .session(SchedulePolicy::Fifo)
-            .run(&spec)
+            .run_job(&spec, SchedulePolicy::Fifo)
             .expect("pooled job");
         let merged = rep.telemetry.merged_comm();
-        assert_eq!(
-            merged.sent_count[TAG_NEWJOB as usize], 2,
-            "one open per rank"
-        );
+        assert_eq!(merged.sent_count[TAG_INIT as usize], 2, "one open per rank");
         assert_eq!(
             merged.sent_count[TAG_JOBDONE as usize], 2,
             "one release per rank"
         );
-        assert_eq!(
-            merged.sent_count[TAG_INIT as usize], 0,
-            "one-shot broadcast leaked"
-        );
+        assert_eq!(merged.sent_count[10], 0, "retired tag 10 on the wire");
         assert_eq!(
             merged.sent_count[TAG_STOP as usize], 0,
             "job stopped the pool"
         );
+    }
+    pool.shutdown();
+}
+
+/// `Farm::run` is a pool of one job: everything a report can show —
+/// outputs, completion order, per-tag message counts, table builds —
+/// must agree with the first job of a pool the caller started itself.
+fn farm_run_is_the_first_job_of_a_fresh_pool<W: World>() {
+    let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
+    for n_workers in [1, 2] {
+        let farm = Farm::<W>::new(n_workers)
+            .run(&spec, SchedulePolicy::LargestFirst)
+            .expect("farm run");
+        let mut pool = FarmPool::<W>::start(n_workers).expect("pool start");
+        let first = pool
+            .run_job(&spec, SchedulePolicy::LargestFirst)
+            .expect("first pooled job");
+        let worker_spans = pool.shutdown().worker_spans;
+
+        assert_bitwise(&farm.outputs, &first.outputs);
+        if n_workers == 1 {
+            // one worker: completion order is dispatch order
+            assert_eq!(farm.completion_log, first.completion_log);
+        }
+        // heartbeats ride a wall clock, not the protocol
+        let protocol = |rep: &FarmReport| {
+            let mut merged = rep.telemetry.merged_comm();
+            let beat = plinger::TAG_HEARTBEAT as usize;
+            (merged.sent_count[beat], merged.recv_count[beat]) = (0, 0);
+            merged.sent_bytes[beat] = 0;
+            merged
+        };
+        let (a, b) = (protocol(&farm), protocol(&first));
+        assert_eq!(a.sent_count, b.sent_count, "per-tag sends differ");
+        assert_eq!(a.recv_count, b.recv_count, "per-tag receives differ");
+        assert_eq!(a.sent_bytes, b.sent_bytes, "per-tag bytes differ");
+        assert_eq!(rebuilds(&farm), 1);
+        assert_eq!(rebuilds(&first), 1);
+        // the farm's report carries what the pool hands back at shutdown
+        let modes =
+            |spans: &[telemetry::SpanEvent]| spans.iter().filter(|s| s.name == "mode").count();
+        assert_eq!(modes(&farm.telemetry.spans), spec.ks.len());
+        assert_eq!(modes(&worker_spans), spec.ks.len());
+    }
+}
+
+#[test]
+fn farm_run_is_the_first_job_of_a_fresh_pool_channel() {
+    farm_run_is_the_first_job_of_a_fresh_pool::<ChannelWorld>();
+}
+
+#[test]
+fn farm_run_is_the_first_job_of_a_fresh_pool_shmem() {
+    farm_run_is_the_first_job_of_a_fresh_pool::<ShmemWorld>();
+}
+
+#[test]
+fn farm_run_is_the_first_job_of_a_fresh_pool_tcp() {
+    farm_run_is_the_first_job_of_a_fresh_pool::<TcpWorld>();
+}
+
+#[test]
+fn per_job_comm_tables_are_closed_world() {
+    // a worker counts its tag-7 before the master can receive it, so a
+    // table cut the moment the last report arrives never lends a
+    // message to the next job's: per tag, sent == recv, every job
+    let spec = spec_of(&[2.0e-4]);
+    let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
+    for job in 0..200 {
+        let rep = pool
+            .run_job(&spec, SchedulePolicy::Fifo)
+            .expect("pooled job");
+        let merged = rep.telemetry.merged_comm();
+        assert_eq!(
+            merged.sent_count, merged.recv_count,
+            "job {job}: comm table not closed"
+        );
+        assert_eq!(merged.sent_count[plinger::TAG_STATS as usize], 2);
     }
     pool.shutdown();
 }
@@ -275,8 +341,8 @@ fn run_report_carries_ctx_rebuild_counters() {
     // that built for the process) and to 0 on the warm one
     let spec = spec_of(&[2.0e-4, 8.0e-4]);
     let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
-    let cold = pool.session(SchedulePolicy::Fifo).run(&spec).expect("cold");
-    let warm = pool.session(SchedulePolicy::Fifo).run(&spec).expect("warm");
+    let cold = pool.run_job(&spec, SchedulePolicy::Fifo).expect("cold");
+    let warm = pool.run_job(&spec, SchedulePolicy::Fifo).expect("warm");
     pool.shutdown();
     for (rep, want) in [(&cold, 1.0), (&warm, 0.0)] {
         let json = build_run_report(rep, "channel");
@@ -307,8 +373,7 @@ fn per_job_idle_accounting_does_not_accumulate() {
     let mut last = None;
     for _ in 0..3 {
         last = Some(
-            pool.session(SchedulePolicy::Fifo)
-                .run(&spec)
+            pool.run_job(&spec, SchedulePolicy::Fifo)
                 .expect("pooled job"),
         );
     }
@@ -325,48 +390,4 @@ fn per_job_idle_accounting_does_not_accumulate() {
     }
     // derived idle/imbalance come from the same per-job stats
     assert!(rep.idle_seconds() < 3.0 * rep.wall_seconds.max(0.05));
-}
-
-/// Regression: `Session::run` used to build its own default
-/// `JobControl`, silently discarding anything attached with
-/// [`plinger::FarmPool::session`] + `with_control` — a session-scoped
-/// job could never be cancelled.  Both levers must now reach the
-/// master: a pre-fired cancel flag aborts before any mode completes,
-/// and the same pool then serves the next session bitwise-clean.
-#[test]
-fn session_control_is_not_dropped() {
-    use plinger::{CancelReason, FarmError, JobControl};
-    use std::sync::atomic::AtomicBool;
-
-    let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
-    let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4]);
-    let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
-
-    let abandon = AtomicBool::new(true);
-    let err = pool
-        .session(SchedulePolicy::Fifo)
-        .with_control(JobControl {
-            deadline: None,
-            cancel: Some(&abandon),
-        })
-        .run(&job1)
-        .expect_err("pre-fired cancel flag was ignored by the session");
-    match err {
-        FarmError::Cancelled { reason, unfinished } => {
-            assert_eq!(reason, CancelReason::Cancelled);
-            assert_eq!(unfinished.len(), job1.ks.len(), "job partially ran");
-        }
-        other => panic!("expected Cancelled, got {other}"),
-    }
-
-    // a session without control still runs to completion on the same
-    // pool, and the cancelled job never counted
-    let rep = pool
-        .session(SchedulePolicy::Fifo)
-        .run(&job2)
-        .expect("clean session after cancel");
-    let (serial, _) = run_serial(&job2).expect("serial");
-    assert_bitwise(&rep.outputs, &serial);
-    assert_eq!(pool.jobs_run(), 1);
-    pool.shutdown();
 }

@@ -506,7 +506,16 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
     sweep[0] = f64::INFINITY;
     let mut single = spec.encode();
     single[0] = f64::INFINITY;
-    for (tag, payload) in [(TAG_REQ_ENSEMBLE, &sweep), (TAG_REQ_SPECTRUM, &single)] {
+    // a well-formed frame whose ladder length would size an exabyte
+    // state vector never reaches a worker either
+    let mut huge = spec.clone();
+    huge.lmax_g = Some(1_000_000_000_000_000_000);
+    let huge = huge.encode();
+    for (tag, payload) in [
+        (TAG_REQ_ENSEMBLE, &sweep),
+        (TAG_REQ_SPECTRUM, &single),
+        (TAG_REQ_SPECTRUM, &huge),
+    ] {
         let reply = exchange(&mut stream, &mut buf, tag, payload);
         assert_eq!(reply.tag, TAG_RESP_ERROR, "tag {tag}: no typed refusal");
         let err = ServiceError::decode(&reply.data);
@@ -516,7 +525,7 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
     let reply = exchange(&mut stream, &mut buf, TAG_REQ_METRICS, &[]);
     assert_eq!(reply.tag, TAG_RESP_METRICS);
     assert_eq!(reply.data[6], 0.0, "a refused request stayed in the queue");
-    assert_eq!(reply.data[7], 2.0, "both refusals count as errors");
+    assert_eq!(reply.data[7], 3.0, "every refusal counts as an error");
 
     // the same connection, the same server: an honest request is served
     let reply = exchange(&mut stream, &mut buf, TAG_REQ_SPECTRUM, &spec.encode());

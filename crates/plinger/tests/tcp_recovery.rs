@@ -1,5 +1,5 @@
-//! Process-level self-healing: `run_tcp_processes` must survive a
-//! worker subprocess that dies mid-run, either by relaunching it
+//! Process-level self-healing: the subprocess pool must survive a
+//! worker subprocess that dies mid-job, either by relaunching it
 //! (respawn budget > 0) or by redistributing its work onto the
 //! survivors (respawn budget 0), finishing bit-identical to the serial
 //! reference either way.
@@ -50,7 +50,12 @@ fn killed_worker_is_respawned_and_run_finishes() {
     // rank, and the farm finishes with a respawn on the ledger
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
     let opts = TcpFarmOptions {
-        master: fast_master(RecoveryPolicy::requeue()),
+        // chunk 2: the victim dies after one mode, i.e. inside the first
+        // assignment the master guarantees it is dealt
+        master: MasterConfig {
+            chunk: 2,
+            ..fast_master(RecoveryPolicy::requeue())
+        },
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,
@@ -96,7 +101,12 @@ fn tcp_pool_respawns_killed_worker_across_jobs() {
     let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 6.0e-4]);
     let opts = TcpFarmOptions {
-        master: fast_master(RecoveryPolicy::requeue()),
+        // chunk 2: the victim dies after one mode, i.e. inside the first
+        // assignment the master guarantees it is dealt
+        master: MasterConfig {
+            chunk: 2,
+            ..fast_master(RecoveryPolicy::requeue())
+        },
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,

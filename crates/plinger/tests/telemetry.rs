@@ -94,19 +94,21 @@ fn telemetry_agrees_across_transports() {
         );
     }
 
-    // the counts themselves follow from the protocol: one init broadcast
-    // per worker, one assignment per mode, one header + one payload per
-    // mode, one stop and one stats report per worker
+    // the counts themselves follow from the protocol: one job open per
+    // worker, one assignment per mode, one header + one payload per
+    // mode, one release and one stats report per worker — and no stop:
+    // the job's table is cut before the pool shuts down
     let nk = spec.ks.len() as u64;
     let nw = workers as u64;
     let m = &reference;
-    assert_eq!(m.sent_count[1], nw, "tag 1 (init)");
+    assert_eq!(m.sent_count[1], nw, "tag 1 (job open)");
     assert_eq!(m.sent_count[3], nk, "tag 3 (assign)");
     assert_eq!(m.sent_count[4], nk, "tag 4 (header)");
     assert_eq!(m.sent_count[5], nk, "tag 5 (data)");
-    assert_eq!(m.sent_count[6], nw, "tag 6 (stop)");
+    assert_eq!(m.sent_count[6], 0, "tag 6 (stop)");
     assert_eq!(m.sent_count[7], nw, "tag 7 (stats)");
     assert_eq!(m.sent_count[8], 0, "tag 8 (fail)");
+    assert_eq!(m.sent_count[11], nw, "tag 11 (release)");
 }
 
 proptest! {

@@ -306,8 +306,22 @@ echo "== fault matrix =="
 # farm_transports.  Run them explicitly so a fault-handling regression
 # names itself in the CI log.
 cargo test -q --test recovery_matrix
-cargo test -q -p plinger --test tcp_recovery --test protocol_compat
+cargo test -q -p plinger --test tcp_recovery
 cargo test -q -p msgpass fault::
+
+echo "== chaos determinism (x20) =="
+# every scripted kill lands inside an assignment the master guarantees
+# its victim holds, so the chaos suites pass every run, not most runs:
+# twenty in a row, any failure fatal
+cargo test -q --release --no-run --test farm_transports --test recovery_matrix
+cargo test -q --release --no-run -p plinger --test tcp_recovery
+for round in $(seq 1 20); do
+    cargo test -q --release --test farm_transports --test recovery_matrix > /dev/null \
+        || { echo "chaos round $round failed (farm_transports/recovery_matrix)"; exit 1; }
+    cargo test -q --release -p plinger --test tcp_recovery > /dev/null \
+        || { echo "chaos round $round failed (tcp_recovery)"; exit 1; }
+done
+echo "chaos determinism: 20/20"
 
 echo "== warm-pool determinism =="
 # pooled jobs must stay bitwise-identical to fresh farms with tables

@@ -14,8 +14,9 @@
 //! // 1. pick a cosmology and build the wavenumber grid
 //! let spec = RunSpec::standard_cdm(vec![1e-3, 5e-3, 1e-2]);
 //!
-//! // 2. run the farm (4 workers, largest-k-first as in the paper);
-//! //    swap ChannelWorld for ShmemWorld or TcpWorld to change the
+//! // 2. run the farm (4 workers, largest-k-first as in the paper) —
+//! //    a `FarmPool` started, given this one job and shut down; swap
+//! //    ChannelWorld for ShmemWorld or TcpWorld to change the
 //! //    message-passing substrate without touching the farm code
 //! let report = Farm::<ChannelWorld>::new(4)
 //!     .run(&spec, SchedulePolicy::LargestFirst)

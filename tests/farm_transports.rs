@@ -129,13 +129,15 @@ fn completion_log_respects_scheduling() {
 
 #[test]
 fn dropped_worker_yields_error_not_deadlock() {
-    // worker 1 completes one mode, then silently dies on its next
-    // assignment; the master must detect the loss, drain worker 2, and
-    // report which modes never finished — all within bounded time.
+    // worker 1 completes one mode, then silently dies holding the second
+    // mode of its first chunk (which the master guarantees it is dealt);
+    // the master must detect the loss, drain worker 2, and report which
+    // modes never finished — all within bounded time.
     let mut spec = RunSpec::standard_cdm(vec![2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
     spec.preset = Preset::Draft;
     let t0 = Instant::now();
     let err = Farm::<ChannelWorld>::new(2)
+        .chunk(2)
         .poll(Duration::from_millis(10))
         .drain_timeout(Duration::from_millis(500))
         .fault_plan(FaultPlan::DropWorker {

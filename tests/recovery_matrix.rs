@@ -46,10 +46,12 @@ fn report_number(report: &FarmReport, field: &str) -> f64 {
 
 #[test]
 fn requeue_finishes_after_worker_loss_bitwise() {
-    // worker 1 dies holding a mode; under Requeue the mode returns to
-    // the queue and worker 2 finishes the run, bit-identical to serial
+    // worker 1 dies holding the second mode of its first chunk (which
+    // the master guarantees it is dealt); under Requeue the mode returns
+    // to the queue and worker 2 finishes the run, bit-identical to serial
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
+        .chunk(2)
         .poll(Duration::from_millis(10))
         .drain_timeout(Duration::from_millis(500))
         .recovery(RecoveryPolicy::requeue())
@@ -93,8 +95,8 @@ fn worker_lost_mid_chunk_requeues_the_rest_of_the_chunk() {
     // chunk = 4 and worker 1 vanishes after completing one mode of its
     // chunk: the three modes it still held all return to the queue (in
     // chunk order) and the survivor finishes the run bit-identically;
-    // eight modes so both workers hold a full four-mode chunk whichever
-    // requests first
+    // eight modes, so the master holds a full four-mode chunk back for
+    // each worker whichever requests first
     let spec = spec_of(&[
         2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4, 9.0e-4, 3.0e-4, 1.0e-3,
     ]);
@@ -318,9 +320,8 @@ fn pooled_worker_killed_in_job_one_serves_job_two() {
     };
     // after_modes: 0 — vanish on the first assignment, which initial
     // dispatch guarantees rank 1 receives, so a mode is always in
-    // flight when the worker dies.  A later kill (after_modes >= 1)
-    // races the survivor: if rank 2 drains the queue before rank 1's
-    // fatal next assignment, the fault never fires and requeues == 0.
+    // flight when the worker dies.  (A kill after N >= 1 modes needs
+    // chunk = N + 1 for the same guarantee.)
     let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
@@ -330,7 +331,7 @@ fn pooled_worker_killed_in_job_one_serves_job_two() {
     };
     let mut pool = FarmPool::<ChannelWorld>::start_with(2, config, opts).unwrap();
 
-    let rep1 = pool.session(SchedulePolicy::Fifo).run(&job1).unwrap();
+    let rep1 = pool.run_job(&job1, SchedulePolicy::Fifo).unwrap();
     let (serial1, _) = run_serial(&job1).unwrap();
     assert_bitwise(&rep1.outputs, &serial1);
     assert_eq!(rep1.recovery.respawns, 1, "{:?}", rep1.recovery);
@@ -338,7 +339,7 @@ fn pooled_worker_killed_in_job_one_serves_job_two() {
     assert!(rep1.recovery.failed_modes.is_empty());
     assert!(report_number(&rep1, "respawns") >= 1.0);
 
-    let rep2 = pool.session(SchedulePolicy::Fifo).run(&job2).unwrap();
+    let rep2 = pool.run_job(&job2, SchedulePolicy::Fifo).unwrap();
     let (serial2, _) = run_serial(&job2).unwrap();
     assert_bitwise(&rep2.outputs, &serial2);
     assert!(rep2.recovery.is_clean(), "{:?}", rep2.recovery);
@@ -380,13 +381,13 @@ fn pool_without_respawn_budget_degrades_but_keeps_serving() {
     };
     let mut pool = FarmPool::<ChannelWorld>::start_with(2, config, opts).unwrap();
 
-    let rep1 = pool.session(SchedulePolicy::Fifo).run(&job1).unwrap();
+    let rep1 = pool.run_job(&job1, SchedulePolicy::Fifo).unwrap();
     let (serial1, _) = run_serial(&job1).unwrap();
     assert_bitwise(&rep1.outputs, &serial1);
     assert_eq!(rep1.recovery.respawns, 0);
     assert!(rep1.recovery.requeues >= 1, "{:?}", rep1.recovery);
 
-    let rep2 = pool.session(SchedulePolicy::Fifo).run(&job2).unwrap();
+    let rep2 = pool.run_job(&job2, SchedulePolicy::Fifo).unwrap();
     let (serial2, _) = run_serial(&job2).unwrap();
     assert_bitwise(&rep2.outputs, &serial2);
     assert_eq!(rep2.worker_stats[0].modes, 0, "dead rank served a mode");
@@ -485,6 +486,44 @@ fn explicit_cancel_flag_aborts_the_job() {
         cancel: Some(&abandon),
     };
     assert_cancel_then_serve::<ChannelWorld>(&ctrl, CancelReason::Cancelled);
+}
+
+/// A worker that panics — here on the evolve flatness assert, both
+/// ranks, first mode — must read dead, not busy forever: the farm ends
+/// with a typed error instead of polling a liveness flag nobody clears.
+fn panicking_workers_surface_as_typed_errors<W: msgpass::World>() {
+    let mut spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
+    spec.cosmo.omega_lambda += 0.2;
+    let farm = || {
+        Farm::<W>::new(2)
+            .poll(Duration::from_millis(10))
+            .drain_timeout(Duration::from_millis(500))
+    };
+    let t0 = Instant::now();
+    let failfast = farm().run(&spec, SchedulePolicy::Fifo).map(|_| ());
+    assert!(
+        matches!(failfast, Err(FarmError::WorkerLost { .. })),
+        "FailFast: {failfast:?}"
+    );
+    let requeue = farm()
+        .recovery(RecoveryPolicy::requeue())
+        .run(&spec, SchedulePolicy::Fifo)
+        .map(|_| ());
+    assert!(
+        matches!(requeue, Err(FarmError::AllWorkersLost { .. })),
+        "Requeue: {requeue:?}"
+    );
+    assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+}
+
+#[test]
+fn panicking_workers_surface_as_typed_errors_channel() {
+    panicking_workers_surface_as_typed_errors::<ChannelWorld>();
+}
+
+#[test]
+fn panicking_workers_surface_as_typed_errors_shmem() {
+    panicking_workers_surface_as_typed_errors::<ShmemWorld>();
 }
 
 #[test]
