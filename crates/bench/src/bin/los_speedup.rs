@@ -14,9 +14,11 @@
 //! los`:
 //!
 //! ```text
-//! bench: los_speedup/lmax1500 full_s=… los_s=… speedup=… modes=… band_dev=… jltable_mb=… jltable_build_ms=… recorder_kb_per_mode=…
+//! bench: los_speedup/lmax1500 full_s=… los_s=… evolve_s=… project_s=… threads=… speedup=… modes=… band_dev=… jltable_mb=… jltable_build_ms=… recorder_kb_per_mode=…
 //! ```
 //!
+//! `los_s` is `evolve_s` (the farm, on `threads` workers) plus
+//! `project_s` (`los_spectrum`, which projects on as many threads).
 //! The last three are what the two line-of-sight stages hold: heap of
 //! the Bessel table `los_spectrum` left in the process-wide cache (its
 //! node rows), the time to build that table afresh, and the most any
@@ -74,10 +76,8 @@ fn main() {
     let evolve_s = t0.elapsed().as_secs_f64();
     let los_cl = los_spectrum(&los_report.outputs, &prim, l_max);
     let los_s = t0.elapsed().as_secs_f64();
-    println!(
-        "# line of sight: {los_s:.2} s ({evolve_s:.2} s evolve, {:.2} s project)",
-        los_s - evolve_s
-    );
+    let project_s = los_s - evolve_s;
+    println!("# line of sight: {los_s:.2} s ({evolve_s:.2} s evolve, {project_s:.2} s project)");
 
     // Both assemblies stay inside the timed windows above; the numbers
     // themselves are not comparable on a thinned grid (shared
@@ -131,7 +131,8 @@ fn main() {
     }
 
     println!(
-        "bench: los_speedup/lmax{l_max} full_s={full_s:.3} los_s={los_s:.3} speedup={:.2} modes={} \
+        "bench: los_speedup/lmax{l_max} full_s={full_s:.3} los_s={los_s:.3} evolve_s={evolve_s:.3} \
+         project_s={project_s:.3} threads={workers} speedup={:.2} modes={} \
          band_dev={band_dev:.4} jltable_mb={jltable_mb:.3} jltable_build_ms={jltable_build_ms:.1} \
          recorder_kb_per_mode={recorder_kb:.1}",
         full_s / los_s,

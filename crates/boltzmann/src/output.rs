@@ -431,10 +431,38 @@ mod tests {
             s2: vec![5.0, 6.0],
             sp: vec![7.0, 8.0],
         });
-        let (h, mut p) = out.to_wire(0);
-        p.pop(); // extension now 11 reals, not 2 + 5·2
-        let err = ModeOutput::from_wire(&h, &p).unwrap_err();
-        assert!(matches!(err, WireError::BadPayloadLen { lmax_g: 10, .. }));
+        let (h, p) = out.to_wire(0);
+        assert_eq!(
+            ModeOutput::from_wire(&h, &p).unwrap().1.sources,
+            out.sources
+        );
+        let rejected = |p: &[f64]| {
+            let err = ModeOutput::from_wire(&h, p).unwrap_err();
+            assert!(matches!(err, WireError::BadPayloadLen { lmax_g: 10, .. }));
+        };
+        rejected(&p[..p.len() - 1]); // extension now 11 reals, not 2 + 5·2
+
+        // a count real that does not say what the length says
+        let count = p.len() - 12;
+        assert_eq!(p[count], 2.0);
+        for garbled in [f64::NAN, f64::INFINITY, -2.0, 2.5, 1e300, 3.0] {
+            let mut q = p.clone();
+            q[count] = garbled;
+            rejected(&q);
+        }
+
+        // sample times that are not finite and strictly increasing
+        let tau = count + 2;
+        for (t0, t1) in [
+            (200.0, 100.0),
+            (100.0, 100.0),
+            (100.0, f64::NAN),
+            (100.0, f64::INFINITY),
+        ] {
+            let mut q = p.clone();
+            (q[tau], q[tau + 1]) = (t0, t1);
+            rejected(&q);
+        }
     }
 
     #[test]

@@ -114,13 +114,19 @@ impl ModeSources {
     }
 
     /// Parse the extension written by [`Self::to_wire_ext`].  Returns
-    /// `None` when `ext` is not exactly `2 + 5n` reals.
+    /// `None` when `ext` is not exactly `2 + 5n` reals with `n` the
+    /// count it opens with, or when the sample times are not finite and
+    /// strictly increasing (the projection splines on them).
     pub fn from_wire_ext(ext: &[f64]) -> Option<Self> {
-        if ext.len() < 2 {
+        // the count is whatever the length says; the real on the wire
+        // (NaN, ±inf, negative, fractional, 1e300) only has to agree
+        let body = ext.len().checked_sub(2)?;
+        let n = body / 5;
+        if body % 5 != 0 || ext[0] != n as f64 {
             return None;
         }
-        let n = ext[0] as usize;
-        if ext.len() != 2 + 5 * n {
+        let tau = &ext[2..2 + n];
+        if tau.iter().any(|t| !t.is_finite()) || tau.windows(2).any(|w| w[1] <= w[0]) {
             return None;
         }
         let block = |i: usize| ext[2 + i * n..2 + (i + 1) * n].to_vec();

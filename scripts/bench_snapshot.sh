@@ -20,7 +20,9 @@
 #
 # LOS mode: end-to-end wall clock of the full moment hierarchy versus
 # the line-of-sight fast path on the identical thinned k-grid (demo
-# preset) at l_max 500 and 1500, plus the matched-l band deviation
+# preset) at l_max 500 and 1500 — the line-of-sight side split into its
+# farm (evolve) and projection seconds, with the thread count both ran
+# on and the host's nproc — plus the matched-l band deviation
 # between the two methods and what the two LOS stages hold in memory:
 # the node-row Bessel table's megabytes and build time, and the most
 # any one mode's source recorder held (see
@@ -48,7 +50,7 @@ if [ "$mode" = "los" ]; then
         echo "$run"
         out="$out$run"$'\n'
     done
-    BENCH_OUT="$out" python3 - <<'EOF'
+    BENCH_OUT="$out" NPROC="$(nproc)" python3 - <<'EOF'
 import json, os, re
 
 out = os.environ["BENCH_OUT"]
@@ -59,19 +61,25 @@ thin = {"500": 8, "1500": 24}
 cases = {}
 for m in re.finditer(
     r"^bench: los_speedup/lmax(\d+) full_s=([0-9.]+) los_s=([0-9.]+) "
+    r"evolve_s=([0-9.]+) project_s=([0-9.]+) threads=(\d+) "
     r"speedup=([0-9.]+) modes=(\d+) band_dev=([0-9.]+) "
     r"jltable_mb=([0-9.]+) jltable_build_ms=([0-9.]+) "
     r"recorder_kb_per_mode=([0-9.]+)$",
     out,
     re.M,
 ):
-    lmax, full_s, los_s, speedup, modes, dev, mb, build_ms, rec_kb = m.groups()
+    (lmax, full_s, los_s, evolve_s, project_s, threads, speedup, modes, dev,
+     mb, build_ms, rec_kb) = m.groups()
     cases[f"lmax{lmax}"] = {
         "l_max": int(lmax),
         "modes": int(modes),
         "thin": thin[lmax],
         "full_hierarchy_s": float(full_s),
         "line_of_sight_s": float(los_s),
+        "los_evolve_s": float(evolve_s),
+        "los_project_s": float(project_s),
+        "threads": int(threads),
+        "nproc": int(os.environ["NPROC"]),
         "speedup_vs_baseline": float(speedup),
         "matched_l_band_dev": float(dev),
         "jltable_mb": float(mb),

@@ -270,8 +270,22 @@ echo "== los differential smoke =="
 # Bessel projection) pinned against the untruncated hierarchy on a
 # matched l band at draft accuracy — the full Demo-grade crosschecks
 # and golden C_l gates ride the workspace suite above; this names the
-# fast path explicitly in the CI log
+# fast path explicitly in the CI log.  The projection itself (fine grid
+# and sources once per mode, modes dealt to threads) is pinned to the
+# bit against the loop it replaced, kept as the test's reference
 cargo test -q --test los_crosscheck draft_smoke
+cargo test -q -p spectra --lib project_mode_is_bit_identical_to_the_reference_loop
+
+echo "== benchmark verify smoke =="
+# the benchmark harness's own checks on a shrunken los_cl: the farm's
+# outputs bitwise against run_serial and the matched-l band deviation
+# of the projected spectrum; its last stdout line is the result object
+e2e_last="$(bash crates/e2ebench/bench.sh --workload los_cl --seed 1 --seconds 1 \
+    --trace 0 --smoke | tail -n 1)" || true
+case "$e2e_last" in
+    *'"correct":true'*) echo "e2ebench los_cl smoke: correct" ;;
+    *) echo "e2ebench los_cl smoke did not verify: $e2e_last" >&2; exit 1 ;;
+esac
 
 echo "== rhs bench smoke =="
 # compile-and-run-once smoke of the microbench behind BENCH_rhs.json
