@@ -22,6 +22,32 @@ use special::fermi::{fermi_dirac_energy, fermi_dirac_pressure};
 /// arithmetic operations, cheap enough for the inner ODE loop.
 pub struct Background {
     params: CosmoParams,
+    /// `H0²`, Mpc⁻².  This and the fields down to `r_nu_early` depend
+    /// on `params` alone and are computed once in [`Self::new`]: with a
+    /// massive species `Ω_k` is a Fermi–Dirac quadrature, which must not
+    /// run per lookup.
+    h0sq: f64,
+    /// `Ω_k` — [`CosmoParams::omega_k`], evaluated once.
+    omega_k: f64,
+    /// `H0² Ω_k`, the curvature term of `ℋ²`.
+    curv: f64,
+    /// `H0² Ω_c`.
+    g_cdm: f64,
+    /// `H0² Ω_b`.
+    g_baryon: f64,
+    /// `H0² Ω_γ`.
+    g_photon: f64,
+    /// `H0² Ω_ν` of the massless species.
+    g_nu_massless: f64,
+    /// `H0² Ω_Λ`.
+    g_lambda: f64,
+    /// `H0² Ω_ν1 · n_massive`, the relativistic normalization of the
+    /// massive species.
+    g_nu_massive_rel: f64,
+    /// `k_B T_ν0` in eV.
+    t_nu0_ev: f64,
+    /// See [`Self::r_nu_early`].
+    r_nu_early: f64,
     /// `ln I_ρ(r)` vs `ln r` for the massive-neutrino energy kernel.
     nu_rho_spline: Option<CubicSpline>,
     /// `ln I_p(r)` vs `ln r` for the pressure kernel.
@@ -92,7 +118,24 @@ impl Background {
         };
         let nu_kernel_rel = fermi_dirac_energy(0.0);
 
+        let h0sq = params.h0() * params.h0();
+        let omega_k = params.omega_k();
+        let nu_rel = params.omega_nu_massless()
+            + params.omega_nu_one_relativistic() * params.n_nu_massive as f64;
         let mut bg = Self {
+            h0sq,
+            omega_k,
+            curv: h0sq * omega_k,
+            g_cdm: h0sq * params.omega_c,
+            g_baryon: h0sq * params.omega_b,
+            g_photon: h0sq * params.omega_gamma(),
+            g_nu_massless: h0sq * params.omega_nu_massless(),
+            g_lambda: h0sq * params.omega_lambda,
+            g_nu_massive_rel: h0sq
+                * params.omega_nu_one_relativistic()
+                * params.n_nu_massive as f64,
+            t_nu0_ev: constants::K_B_EV_K * params.t_cmb_k * constants::T_NU_T_GAMMA,
+            r_nu_early: nu_rel / (nu_rel + params.omega_gamma()),
             params,
             nu_rho_spline,
             nu_p_spline,
@@ -111,6 +154,12 @@ impl Background {
         &self.params
     }
 
+    /// Curvature parameter `Ω_k` of the parameter set, evaluated once
+    /// at construction ([`CosmoParams::omega_k`] integrates).
+    pub fn omega_curvature(&self) -> f64 {
+        self.omega_k
+    }
+
     fn build_time_map(&mut self) {
         // τ(a) = ∫₀^a da' / (a'² H(a')) = ∫ da' / (a' ℋ(a')).
         // Deep in radiation domination τ ≈ a / (H0 √Ω_r), which anchors the
@@ -121,14 +170,22 @@ impl Background {
         let mut lnas = Vec::with_capacity(n);
         let mut taus = Vec::with_capacity(n);
         let a_start = lna_start.exp();
-        let mut tau = a_start / (a_start * self.conformal_hubble(a_start));
+        // the abscissae only ever move up, so one hunted reader serves
+        // all of them; it reads the kernel tables, never the time map
+        let mut reader = self.cache();
+        let mut tau = a_start / (a_start * reader.conformal_hubble(a_start));
         lnas.push(lna_start);
         taus.push(tau);
         for i in 1..n {
             let lna0 = lna_start + (lna_end - lna_start) * (i - 1) as f64 / (n - 1) as f64;
             let lna1 = lna_start + (lna_end - lna_start) * i as f64 / (n - 1) as f64;
             // dτ = d(ln a) / ℋ
-            tau += gl_integrate(|lna| 1.0 / self.conformal_hubble(lna.exp()), lna0, lna1, 8);
+            tau += gl_integrate(
+                |lna| 1.0 / reader.conformal_hubble(lna.exp()),
+                lna0,
+                lna1,
+                8,
+            );
             lnas.push(lna1);
             taus.push(tau);
         }
@@ -148,20 +205,18 @@ impl Background {
     /// fast path reuses literally the same expressions (and bits) as the
     /// public queries — only the spline interval search differs.
     fn densities_impl(&self, a: f64, hint: Option<&mut usize>) -> EinsteinDensities {
-        let p = &self.params;
-        let h0sq = p.h0() * p.h0();
         let mut d = EinsteinDensities {
-            cdm: h0sq * p.omega_c / a,
-            baryon: h0sq * p.omega_b / a,
-            photon: h0sq * p.omega_gamma() / (a * a),
-            nu_massless: h0sq * p.omega_nu_massless() / (a * a),
-            lambda: h0sq * p.omega_lambda * a * a,
+            cdm: self.g_cdm / a,
+            baryon: self.g_baryon / a,
+            photon: self.g_photon / (a * a),
+            nu_massless: self.g_nu_massless / (a * a),
+            lambda: self.g_lambda * a * a,
             ..Default::default()
         };
-        if p.has_massive_nu() {
+        if self.params.has_massive_nu() {
             let r = self.nu_mass_ratio(a);
             let (irho, ip) = self.nu_kernels_impl(r, hint);
-            let base = h0sq * p.omega_nu_one_relativistic() * p.n_nu_massive as f64 / (a * a);
+            let base = self.g_nu_massive_rel / (a * a);
             d.nu_massive = base * irho / self.nu_kernel_rel;
             d.nu_massive_p = base * ip / self.nu_kernel_rel;
         }
@@ -172,8 +227,7 @@ impl Background {
     /// the Fermi–Dirac kernels.
     #[inline]
     pub fn nu_mass_ratio(&self, a: f64) -> f64 {
-        let t_nu0_ev = constants::K_B_EV_K * self.params.t_cmb_k * constants::T_NU_T_GAMMA;
-        a * self.params.m_nu_ev / t_nu0_ev
+        a * self.params.m_nu_ev / self.t_nu0_ev
     }
 
     fn nu_kernels_impl(&self, r: f64, hint: Option<&mut usize>) -> (f64, f64) {
@@ -197,9 +251,7 @@ impl Background {
     /// run the identical expression.
     #[inline]
     fn hubble_from(&self, d: &EinsteinDensities) -> f64 {
-        let h0sq = self.params.h0() * self.params.h0();
-        let curv = h0sq * self.params.omega_k();
-        (d.total() + curv).max(0.0).sqrt()
+        (d.total() + self.curv).max(0.0).sqrt()
     }
 
     /// `dℋ/dτ` from densities already in hand.
@@ -249,9 +301,7 @@ impl Background {
     /// relativistic massive) neutrinos at early times,
     /// `R_ν = ρ_ν / (ρ_γ + ρ_ν)` — enters the adiabatic initial conditions.
     pub fn r_nu_early(&self) -> f64 {
-        let p = &self.params;
-        let nu = p.omega_nu_massless() + p.omega_nu_one_relativistic() * p.n_nu_massive as f64;
-        nu / (nu + p.omega_gamma())
+        self.r_nu_early
     }
 
     /// A stateful fast-path reader over this background's tables — see
@@ -268,7 +318,7 @@ impl Background {
     /// the kernel at `a = 1`).
     pub fn omega_today(&self, s: Species) -> f64 {
         let d = self.densities(1.0);
-        let h0sq = self.params.h0() * self.params.h0();
+        let h0sq = self.h0sq;
         match s {
             Species::Cdm => d.cdm / h0sq,
             Species::Baryon => d.baryon / h0sq,
@@ -318,6 +368,14 @@ impl<'a> BgCache<'a> {
         self.bg
     }
 
+    /// [`Background::conformal_hubble`] off this reader's kernel hint —
+    /// for table builders that walk `a` monotonically.
+    #[inline]
+    pub fn conformal_hubble(&mut self, a: f64) -> f64 {
+        let d = self.bg.densities_impl(a, Some(&mut self.h_nu));
+        self.bg.hubble_from(&d)
+    }
+
     /// Scale factor, expansion rates, and densities at conformal time
     /// `tau` — the per-eval background block of the RHS, in one call.
     #[inline]
@@ -333,6 +391,9 @@ impl<'a> BgCache<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

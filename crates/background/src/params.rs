@@ -148,6 +148,11 @@ impl CosmoParams {
     /// contribution is approximated by its instantaneous value at `a = 1`
     /// from the relativistic normalization times the kernel ratio; for the
     /// flat presets this is consistent to machine precision.
+    ///
+    /// With a massive species this integrates: two Fermi–Dirac
+    /// quadratures per call.  It is for building and checking parameter
+    /// sets, not for hot paths — code that holds a `Background` reads
+    /// [`crate::Background::omega_curvature`], evaluated once.
     pub fn omega_k(&self) -> f64 {
         let mut sum = self.omega_c
             + self.omega_b

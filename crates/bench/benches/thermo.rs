@@ -1,5 +1,9 @@
-//! Setup costs a PLINGER worker pays once per run: background tables and
-//! the recombination history.
+//! Setup costs a PLINGER worker pays once per run — background tables and
+//! the recombination history — and the hinted background lookup every RHS
+//! evaluation makes, each with and without a massive neutrino species.
+//! `scripts/bench_snapshot.sh` parses this bench's output into
+//! `BENCH_rhs.json`; `scripts/ci.sh` gates on the ratio of the two
+//! lookups.
 
 use background::{Background, CosmoParams};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -15,7 +19,32 @@ fn bench_background(c: &mut Criterion) {
     });
 }
 
+/// One `BgCache::at_tau` per iteration, walking τ up to today the way an
+/// integration does (the hints stay warm; one wrap-around per sweep).
+fn bench_background_lookup(c: &mut Criterion) {
+    const SWEEP: usize = 4096;
+    for (id, cosmo) in [
+        ("background_lookup_scdm", CosmoParams::standard_cdm()),
+        ("background_lookup_mdm", CosmoParams::mixed_dark_matter()),
+    ] {
+        let bg = Background::new(cosmo);
+        let tau0 = bg.tau0();
+        let mut cache = bg.cache();
+        let mut i = 0;
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                i = i % SWEEP + 1;
+                cache.at_tau(black_box(tau0 * i as f64 / SWEEP as f64))
+            })
+        });
+    }
+}
+
 fn bench_thermo(c: &mut Criterion) {
+    let mdm = Background::new(CosmoParams::mixed_dark_matter());
+    c.bench_function("thermo_history_build_mdm", |b| {
+        b.iter(|| ThermoHistory::new(black_box(&mdm)))
+    });
     let bg = Background::new(CosmoParams::standard_cdm());
     c.bench_function("thermo_history_build", |b| {
         b.iter(|| ThermoHistory::new(black_box(&bg)))
@@ -36,6 +65,6 @@ fn bench_thermo(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_background, bench_thermo
+    targets = bench_background, bench_background_lookup, bench_thermo
 }
 criterion_main!(benches);

@@ -203,10 +203,10 @@ pub fn evolve_mode_scratch(
     }
     // the perturbation equations are the flat-space MB95 set; the
     // hyperspherical generalization for open/closed models is out of scope
+    let omega_k = bg.omega_curvature();
     assert!(
-        bg.params().omega_k().abs() < FLATNESS_TOLERANCE,
-        "perturbation evolution requires a flat background (Ω_k = {})",
-        bg.params().omega_k()
+        omega_k.abs() < FLATNESS_TOLERANCE,
+        "perturbation evolution requires a flat background (Ω_k = {omega_k})"
     );
     let tau_end = config.tau_end.unwrap_or_else(|| bg.tau0());
     let preset = config.preset;

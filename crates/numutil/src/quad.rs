@@ -43,7 +43,7 @@ pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Integrate `f` over `[a, b]` with an `n`-point Gauss–Legendre rule.
-pub fn gl_integrate<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
+pub fn gl_integrate<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 {
     let (xs, ws) = gauss_legendre(n);
     let c = 0.5 * (b - a);
     let d = 0.5 * (b + a);

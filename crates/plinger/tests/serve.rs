@@ -53,15 +53,18 @@ fn start_server(max_requests: usize) -> (Child, BufReader<ChildStdout>, String) 
 
 /// One HTTP/1.0 GET over raw TCP, returning the full response text.
 fn http_get(addr: &str, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect metrics listener");
+    try_http_get(addr, path).expect("GET from the metrics listener")
+}
+
+/// [`http_get`] against a listener that may be gone.
+fn try_http_get(addr: &str, path: &str) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
     // one write_all: write! would issue one syscall per fragment and
     // the request could land at the server split mid-line
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .expect("send GET");
+    stream.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())?;
     let mut out = String::new();
-    stream.read_to_string(&mut out).expect("read response");
-    out
+    stream.read_to_string(&mut out)?;
+    Ok(out)
 }
 
 /// Run one client request and return its `key=value` output fields.
@@ -377,16 +380,26 @@ fn sigterm_drain_flips_healthz_and_closes_idle_connections() {
     // window restarts here, so the drain below has a full poll period
     // in which /healthz must report not-ready before the close lands
     sigterm(&server);
-    let mut saw_not_ready = false;
-    for _ in 0..40 {
-        let health = http_get(&maddr, "/healthz");
-        if health.starts_with("HTTP/1.0 503") {
-            saw_not_ready = true;
+    // poll until the 503 — or until the server is gone: a poll
+    // descheduled past that period has nothing left to observe, and
+    // the exit status below still pins the drain.  What may not happen
+    // is a server that neither reports the drain nor exits
+    use std::time::{Duration, Instant};
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let health = try_http_get(&maddr, "/healthz");
+        if health.is_ok_and(|h| h.starts_with("HTTP/1.0 503")) {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        if server.try_wait().expect("poll server exit").is_some() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "5 s after SIGTERM healthz has not reported the drain and the server has not exited"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(saw_not_ready, "healthz never reported the drain");
 
     // the served keep-alive connection is closed, not waited out
     let status = server.wait().expect("server exit");

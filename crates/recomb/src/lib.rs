@@ -23,7 +23,7 @@
 pub mod peebles;
 pub mod saha;
 
-use background::Background;
+use background::{Background, BgCache};
 use numutil::constants;
 use numutil::interp::CubicSpline;
 
@@ -39,6 +39,19 @@ const SAHA_SWITCH_XH: f64 = 0.985;
 /// Compton tight-coupling threshold: while `Γ_C/H` exceeds this, the
 /// matter temperature is slaved to the radiation temperature.
 const COMPTON_TIGHT: f64 = 500.0;
+
+/// RK4 substeps the Peebles and the T_b march take across one grid step.
+const SUBSTEPS: usize = 24;
+
+/// `(a, H)` with `H` in s⁻¹ at each substep of the grid step starting
+/// at `lna0`.  Both marches step through the same scale factors, so a
+/// grid step evaluates these once and whichever march runs reads them.
+fn substep_rates(hub: &mut BgCache<'_>, lna0: f64, h_step: f64) -> [(f64, f64); SUBSTEPS] {
+    std::array::from_fn(|s| {
+        let a_s = (lna0 + h_step * s as f64).exp();
+        (a_s, hub.conformal_hubble(a_s) / a_s * MPC_INV_TO_S_INV)
+    })
+}
 
 /// Tabulated thermal history of the universe.
 pub struct ThermoHistory {
@@ -102,9 +115,14 @@ impl ThermoHistory {
         let mut xh = 1.0; // hydrogen ionized fraction
         let mut tb = t_cmb * 1.0e4; // start tight-coupled
         let mut in_saha = true;
+        // the march only moves up in `a`: one hunted reader serves every
+        // ℋ it asks for
+        let mut hub = bg.cache();
+        let h_step = dlna / SUBSTEPS as f64;
 
         for i in 0..n {
             let lna = lna_start + dlna * i as f64;
+            let mut rates = None;
             let a = lna.exp();
             let z = 1.0 / a - 1.0;
             let tgamma = t_cmb * (1.0 + z);
@@ -139,15 +157,11 @@ impl ThermoHistory {
                 }
             } else {
                 // advance the Peebles ODE across [lna - dlna, lna]
-                let steps = 24;
-                let h_step = dlna / steps as f64;
-                for s in 0..steps {
-                    let lna_s = lna - dlna + h_step * s as f64;
-                    let a_s = lna_s.exp();
+                let sub = *rates.get_or_insert_with(|| substep_rates(&mut hub, lna - dlna, h_step));
+                for (a_s, h_s) in sub {
                     let z_s = 1.0 / a_s - 1.0;
                     let tg_s = t_cmb * (1.0 + z_s);
                     let nh_s = n_h0 / (a_s * a_s * a_s);
-                    let h_s = bg.conformal_hubble(a_s) / a_s * MPC_INV_TO_S_INV;
                     // RK4 on dxh/dlna
                     let f = |x: f64| peebles_dxh_dlna(x, tg_s.min(tb.max(1.0)), tg_s, nh_s, h_s);
                     let k1 = f(xh);
@@ -162,19 +176,15 @@ impl ThermoHistory {
             }
 
             // matter temperature
-            let h_sinv = bg.conformal_hubble(a) / a * MPC_INV_TO_S_INV;
+            let h_sinv = hub.conformal_hubble(a) / a * MPC_INV_TO_S_INV;
             let gamma_c = compton_rate_sinv(xe, f_he, tgamma);
             if gamma_c / h_sinv > COMPTON_TIGHT {
                 tb = tgamma * (1.0 - h_sinv / gamma_c);
             } else {
                 // RK4 on dT_b/dlna = -2 T_b + (Γ/H)(T_γ - T_b)
-                let steps = 24;
-                let h_step = dlna / steps as f64;
-                for s in 0..steps {
-                    let lna_s = lna - dlna + h_step * s as f64;
-                    let a_s = lna_s.exp();
+                let sub = *rates.get_or_insert_with(|| substep_rates(&mut hub, lna - dlna, h_step));
+                for (a_s, h_s) in sub {
                     let tg_s = t_cmb / a_s;
-                    let h_s = bg.conformal_hubble(a_s) / a_s * MPC_INV_TO_S_INV;
                     let g_s = compton_rate_sinv(xe, f_he, tg_s);
                     let f = |t: f64| -2.0 * t + g_s / h_s * (tg_s - t);
                     let k1 = f(tb);

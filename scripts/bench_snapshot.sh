@@ -11,7 +11,11 @@
 # vectorizable-kernel rework of the RHS (per-call spline bisection,
 # index-chasing hierarchy loops).  The snapshot records the current
 # medians, the flop census per evaluation, and the speedup against
-# that pinned baseline.
+# that pinned baseline.  It also runs the thermo bench — table builds
+# and the hinted background lookup, each with and without a massive
+# neutrino — against the medians of the commit before Background stopped
+# recomputing its cosmology constants per lookup, and records the
+# massive/massless lookup ratio scripts/ci.sh gates on.
 #
 # Serve mode: drives a warm plinger-serve pool with concurrent
 # clients over a repeating grid mix and records the request-latency
@@ -273,7 +277,7 @@ EOF
     exit 0
 fi
 
-out="$(cargo bench -p bench --bench rhs_eval 2>&1)"
+out="$(cargo bench -p bench --bench rhs_eval --bench thermo 2>&1)"
 echo "$out"
 
 BENCH_OUT="$out" python3 - <<'EOF'
@@ -281,12 +285,27 @@ import json, os, re
 
 out = os.environ["BENCH_OUT"]
 
-# medians the seed RHS produced before the cache/kernel rework (ns/eval)
+# medians the seed RHS produced before the cache/kernel rework (ns/eval);
+# the mixed-dark-matter case joined later and pins commit 7097a5a, where
+# every background lookup still integrated Omega_k
 baseline = {
     "lmax16_tca_off": 344.46,
     "lmax16_tca_on": 197.25,
     "lmax64_tca_off": 553.62,
     "lmax64_tca_on": 378.10,
+    "mdm_lmax16_tca_off": 993.43,
+}
+
+# the thermo bench (table builds, one hinted BgCache::at_tau per
+# iteration; ns/iter) at that same commit, before Background kept its
+# cosmology constants in fields
+tables_before = {
+    "background_build_scdm": 1915471.0,
+    "background_build_mdm": 7337599.0,
+    "background_lookup_scdm": 64.25,
+    "background_lookup_mdm": 501.55,
+    "thermo_history_build": 13932747.0,
+    "thermo_history_build_mdm": 51820649.0,
 }
 
 flops = {m.group(1): int(m.group(2))
@@ -307,15 +326,36 @@ for case, ns in sorted(medians.items()):
         "speedup_vs_baseline": round(baseline[case] / ns, 2),
     }
 
+table_ns = {m.group(1): float(m.group(2))
+            for m in re.finditer(
+                r"^bench: (\w+) median ([0-9.]+) ns/iter", out, re.M)}
+missing = set(tables_before) - set(table_ns)
+assert not missing, f"thermo bench lost cases: {sorted(missing)}"
+tables = {
+    name: {
+        "before_ns": before,
+        "median_ns": table_ns[name],
+        "speedup_vs_before": round(before / table_ns[name], 2),
+    }
+    for name, before in sorted(tables_before.items())
+}
+lookup_ratio = round(
+    table_ns["background_lookup_mdm"] / table_ns["background_lookup_scdm"], 2)
+
 snapshot = {
     "schema": "plinger.bench_rhs/1",
     "bench": "rhs_eval (single LingerRhs::eval call, seeded dense state)",
     "cases": cases,
+    "tables_bench": "thermo (table builds; one hinted BgCache::at_tau per "
+                    "iteration), before = commit 7097a5a",
+    "tables": tables,
+    "background_lookup_mdm_over_scdm": lookup_ratio,
 }
 with open("BENCH_rhs.json", "w") as fh:
     json.dump(snapshot, fh, indent=2)
     fh.write("\n")
 
 worst = min(c["speedup_vs_baseline"] for c in cases.values())
-print(f"bench_snapshot: wrote BENCH_rhs.json (worst-case speedup {worst}x)")
+print(f"bench_snapshot: wrote BENCH_rhs.json (worst-case speedup {worst}x, "
+      f"massive/massless background lookup {lookup_ratio}x)")
 EOF

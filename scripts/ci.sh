@@ -291,6 +291,18 @@ echo "== rhs bench smoke =="
 # compile-and-run-once smoke of the microbench behind BENCH_rhs.json
 # (full measurement is scripts/bench_snapshot.sh, not a CI gate)
 cargo bench -p bench --bench rhs_eval -- --test
+# one timed gate, on a ratio of two medians from the same process: a
+# massive species costs the background lookup two kernel splines, never
+# a quadrature (7.8 when every lookup integrated Omega_k, 1.9 since)
+lookups="$(cargo bench -p bench --bench thermo | grep "^bench: background_lookup_")"
+python3 - "$lookups" <<'PY'
+import re, sys
+ns = {m.group(1): float(m.group(2))
+      for m in re.finditer(r"background_lookup_(\w+) median ([0-9.]+) ns/iter", sys.argv[1])}
+ratio = ns["mdm"] / ns["scdm"]
+assert ratio <= 5, f"massive/massless background lookup {ratio:.1f}x: {ns}"
+print(f"background lookup gate: mdm {ns['mdm']} ns / scdm {ns['scdm']} ns = {ratio:.2f}x")
+PY
 
 echo "== los bench smoke + memory gates =="
 # compile-and-run-once smoke of the end-to-end method comparison behind
