@@ -47,6 +47,8 @@ fn bench_verner_step(c: &mut Criterion) {
             atol: 1e-10,
             ..Default::default()
         };
+        // machine-readable stage count for scripts/bench_snapshot.sh
+        println!("stages: {method:?} {}", method.tableau().stages);
         group.bench_function(format!("{method:?}"), |b| {
             b.iter(|| {
                 let mut y = vec![1e-3; lay.dim()];

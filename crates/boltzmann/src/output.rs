@@ -33,6 +33,13 @@ pub enum WireError {
         /// Actual payload length.
         got: usize,
     },
+    /// `header[20]` was not a whole number of multipoles in
+    /// `0..=10 000`.
+    BadLmax {
+        /// Bit pattern of the offending real (`f64::from_bits`); bits so
+        /// that the error stays `Eq` when the real is a NaN.
+        bits: u64,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -46,11 +53,36 @@ impl fmt::Display for WireError {
                 "wire payload for lmax={lmax_g} must be {want} reals (2·lmax+8, \
                  plus an optional well-formed source extension), got {got}"
             ),
+            WireError::BadLmax { bits } => write!(
+                f,
+                "wire header declares lmax = {}; must be a whole number in 0..={MAX_WIRE_LMAX}",
+                f64::from_bits(*bits)
+            ),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// Longest photon ladder a wire header may declare: the paper's "up to
+/// 10,000 moments", where `Preset::Production` caps and the ceiling the
+/// spectrum service admits requests under.
+const MAX_WIRE_LMAX: f64 = 10_000.0;
+
+/// The `lmax` real of a wire header as a count.  The real arrives from
+/// another process: `1e300 as usize` saturates, and `2·lmax + 8` on that
+/// overflows (a panic in debug, a wrapped length in release that accepts
+/// garbage as an empty spectrum).
+fn wire_lmax(real: f64) -> Result<usize, WireError> {
+    // a NaN is in no range
+    if (0.0..=MAX_WIRE_LMAX).contains(&real) && real.fract() == 0.0 {
+        Ok(real as usize)
+    } else {
+        Err(WireError::BadLmax {
+            bits: real.to_bits(),
+        })
+    }
+}
 
 /// Results of one k-mode integration.
 #[derive(Debug, Clone)]
@@ -221,7 +253,8 @@ impl ModeOutput {
     /// Only the trajectory stays behind (it is a debugging aid, not a
     /// result).
     ///
-    /// Malformed frames — a header that is not 21 reals, or a payload
+    /// Malformed frames — a header that is not 21 reals, an `lmax` real
+    /// that is not a whole number within the ceiling, or a payload
     /// whose length disagrees with the `lmax` the header declares (after
     /// accounting for an optional trailing source extension) — are
     /// reported as [`WireError`] rather than panicking, so a corrupt
@@ -230,7 +263,7 @@ impl ModeOutput {
         if header.len() != 21 {
             return Err(WireError::BadHeaderLen { got: header.len() });
         }
-        let lmax_g = header[20] as usize;
+        let lmax_g = wire_lmax(header[20])?;
         let want = 2 * lmax_g + 8;
         if payload.len() < want {
             return Err(WireError::BadPayloadLen {
@@ -398,6 +431,37 @@ mod tests {
     fn from_wire_rejects_bad_header() {
         let err = ModeOutput::from_wire(&[0.0; 20], &[0.0; 28]).unwrap_err();
         assert_eq!(err, WireError::BadHeaderLen { got: 20 });
+    }
+
+    #[test]
+    fn from_wire_rejects_a_garbled_lmax() {
+        let (h, p) = sample_output(10).to_wire(0);
+        assert!(ModeOutput::from_wire(&h, &p).is_ok());
+        for garbled in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            2.5,
+            1e300, // saturates to usize::MAX; 2·lmax + 8 then wraps to 6
+            10_001.0,
+        ] {
+            let mut h = h.clone();
+            h[20] = garbled;
+            // six reals: what the wrapped length used to accept
+            for payload in [&p[..], &p[..6]] {
+                assert_eq!(
+                    ModeOutput::from_wire(&h, payload).unwrap_err(),
+                    WireError::BadLmax {
+                        bits: garbled.to_bits()
+                    },
+                    "lmax real {garbled}"
+                );
+            }
+        }
+        // the ceiling itself is a length like any other
+        let (h, p) = sample_output(10_000).to_wire(0);
+        assert_eq!(ModeOutput::from_wire(&h, &p).unwrap().1.lmax_g, 10_000);
     }
 
     #[test]

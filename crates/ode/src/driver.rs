@@ -5,6 +5,17 @@
 //! standard mixed absolute/relative weighted RMS norm with a PI
 //! controller; this matches DVERK's behaviour closely enough that step
 //! counts agree to within ~10% on the LINGER system.
+//!
+//! Rule for every loop over the state: it runs on pre-cut slices with the
+//! tableau's zeros removed outside the loop, summation order fixed.  The
+//! non-zero `(weight, &k[s][..n])` pairs are gathered once per call into
+//! a fixed-arity array, so the loop over `j` has no branch on a
+//! coefficient, no double index and no bounds check and the compiler
+//! vectorises it — while every sum still starts from `0.0` and adds its
+//! terms in ascending stage order, which keeps results bit-identical to
+//! the plain loops (kept as the reference of the differential test below).
+//! The step's tail (`step_tail`) follows the rule; the stage-row loop
+//! inside `integrate_observed` is the one that does not yet.
 
 use crate::tableau::{Method, Tableau};
 use crate::Rhs;
@@ -369,35 +380,9 @@ impl Integrator {
                 stats.rhs_flops += flops_rhs;
             }
 
-            // combine
-            for j in 0..n {
-                let mut ynj = 0.0;
-                let mut errj = 0.0;
-                for s in 0..tab.stages {
-                    let ksj = self.k[s][j];
-                    if tab.b[s] != 0.0 {
-                        ynj += tab.b[s] * ksj;
-                    }
-                    if tab.b_err[s] != 0.0 {
-                        errj += tab.b_err[s] * ksj;
-                    }
-                }
-                self.ynew[j] = y[j] + h * ynj;
-                self.yerr[j] = h * errj;
-            }
+            let (errsum, finite) =
+                step_tail(tab, &self.k, y, h, opts, &mut self.ynew, &mut self.yerr);
             stats.stepper_flops += comb_flops;
-
-            // weighted RMS error norm
-            let mut errsum = 0.0;
-            let mut finite = true;
-            for j in 0..n {
-                let sc = opts.atol + opts.rtol * y[j].abs().max(self.ynew[j].abs());
-                let e = self.yerr[j] / sc;
-                errsum += e * e;
-                if !self.ynew[j].is_finite() {
-                    finite = false;
-                }
-            }
             let err = (errsum / n as f64).sqrt();
 
             if !finite || !err.is_finite() {
@@ -482,6 +467,84 @@ fn weighted_norm(v: &[f64], yref: &[f64], opts: &IntegrateOpts) -> f64 {
         s += e * e;
     }
     (s / v.len() as f64).sqrt()
+}
+
+/// Most stages any [`Method`]'s tableau has; the fixed-arity kernels below
+/// are instantiated for `1..=MAX_STAGES` terms.
+const MAX_STAGES: usize = 8;
+
+/// The non-zero entries of a tableau weight vector as `(stage, weight)` in
+/// ascending stage order, with their count.
+fn nonzero_weights(w: &[f64]) -> ([(usize, f64); MAX_STAGES], usize) {
+    let mut list = [(0, 0.0); MAX_STAGES];
+    let mut count = 0;
+    for (s, &ws) in w.iter().enumerate() {
+        if ws != 0.0 {
+            list[count] = (s, ws);
+            count += 1;
+        }
+    }
+    (list, count)
+}
+
+/// `out[j] = Σ_i w_i · k[s_i][j]` over exactly `N` terms, each sum started
+/// from `0.0` and taken in the order of `terms`.
+fn weighted_sums<const N: usize>(terms: &[(usize, f64)], k: &[Vec<f64>], out: &mut [f64]) {
+    let n = out.len();
+    let terms: [(f64, &[f64]); N] = std::array::from_fn(|i| (terms[i].1, &k[terms[i].0][..n]));
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (w, ks) in &terms {
+            acc += w * ks[j];
+        }
+        *o = acc;
+    }
+}
+
+/// `out[j] = Σ_s w[s] · k[s][j]` over the non-zero `w[s]`, ascending in `s`.
+fn combine_stages(w: &[f64], k: &[Vec<f64>], out: &mut [f64]) {
+    let (list, count) = nonzero_weights(w);
+    let terms = &list[..count];
+    match count {
+        1 => weighted_sums::<1>(terms, k, out),
+        2 => weighted_sums::<2>(terms, k, out),
+        3 => weighted_sums::<3>(terms, k, out),
+        4 => weighted_sums::<4>(terms, k, out),
+        5 => weighted_sums::<5>(terms, k, out),
+        6 => weighted_sums::<6>(terms, k, out),
+        7 => weighted_sums::<7>(terms, k, out),
+        8 => weighted_sums::<8>(terms, k, out),
+        _ => unreachable!("a tableau weight vector has 1..={MAX_STAGES} non-zero entries"),
+    }
+}
+
+/// The tail of one step: candidate state `ynew = y + h·Σ b_s k_s`, error
+/// estimate `yerr = h·Σ b_err,s k_s`, and over both the sum of squares of
+/// the weighted RMS error norm (added in ascending `j`) with whether every
+/// `ynew[j]` is finite.
+fn step_tail(
+    tab: &Tableau,
+    k: &[Vec<f64>],
+    y: &[f64],
+    h: f64,
+    opts: &IntegrateOpts,
+    ynew: &mut [f64],
+    yerr: &mut [f64],
+) -> (f64, bool) {
+    assert!(ynew.len() == y.len() && yerr.len() == y.len());
+    combine_stages(tab.b, k, ynew);
+    combine_stages(tab.b_err, k, yerr);
+    let mut errsum = 0.0;
+    let mut finite = true;
+    for ((yn, ye), &yj) in ynew.iter_mut().zip(yerr.iter_mut()).zip(y) {
+        *yn = yj + h * *yn;
+        *ye *= h;
+        let sc = opts.atol + opts.rtol * yj.abs().max(yn.abs());
+        let e = *ye / sc;
+        errsum += e * e;
+        finite &= yn.is_finite();
+    }
+    (errsum, finite)
 }
 
 /// One-shot convenience wrapper around [`Integrator::integrate`].
@@ -799,5 +862,167 @@ mod tests {
             .unwrap();
         assert!((y1[0] - (-1.0f64).exp()).abs() < 1e-6);
         assert!((y2[0] - 1.0f64.cos()).abs() < 1e-6);
+    }
+
+    /// The step's tail as `integrate_observed` ran it up to commit
+    /// `9db763d` — the combine loop and the error-norm loop, verbatim but
+    /// for `self.` — kept as the reference `step_tail` must match.
+    #[allow(clippy::needless_range_loop)] // the parent's loops, as they were
+    fn step_tail_reference(
+        tab: &Tableau,
+        k: &[Vec<f64>],
+        y: &[f64],
+        h: f64,
+        opts: &IntegrateOpts,
+        ynew: &mut [f64],
+        yerr: &mut [f64],
+    ) -> (f64, bool) {
+        let n = y.len();
+        // combine
+        for j in 0..n {
+            let mut ynj = 0.0;
+            let mut errj = 0.0;
+            for s in 0..tab.stages {
+                let ksj = k[s][j];
+                if tab.b[s] != 0.0 {
+                    ynj += tab.b[s] * ksj;
+                }
+                if tab.b_err[s] != 0.0 {
+                    errj += tab.b_err[s] * ksj;
+                }
+            }
+            ynew[j] = y[j] + h * ynj;
+            yerr[j] = h * errj;
+        }
+
+        // weighted RMS error norm
+        let mut errsum = 0.0;
+        let mut finite = true;
+        for j in 0..n {
+            let sc = opts.atol + opts.rtol * y[j].abs().max(ynew[j].abs());
+            let e = yerr[j] / sc;
+            errsum += e * e;
+            if !ynew[j].is_finite() {
+                finite = false;
+            }
+        }
+        (errsum, finite)
+    }
+
+    /// splitmix64
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[-1, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+
+        /// A real from the corners of the format: signed zeros,
+        /// subnormals, and (when `wide`) magnitudes from 1e-300 to 1e300
+        /// beside ordinary ones.
+        fn real(&mut self, wide: bool) -> f64 {
+            let u = self.unit();
+            match self.next() % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from_bits(self.next() >> 12).copysign(u), // subnormal
+                3 if wide => u * 1e300,
+                4 if wide => u * 1e-300,
+                5 if wide => u * 1e150,
+                _ => u,
+            }
+        }
+    }
+
+    #[test]
+    fn step_tail_is_bit_identical_to_the_reference_loops() {
+        let mut rng = Seeded(24);
+        for method in Method::ALL {
+            let tab = method.tableau();
+            for n in [1usize, 2, 7, 64, 101, 1501] {
+                for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+                    for h in [0.37, -1.0e-3] {
+                        // a poisoned run keeps to ordinary magnitudes, so
+                        // that its one NaN source is the planted entry
+                        let wide = poison.is_none();
+                        let mut k: Vec<Vec<f64>> = (0..tab.stages)
+                            .map(|_| (0..n).map(|_| rng.real(wide)).collect())
+                            .collect();
+                        let y: Vec<f64> = (0..n).map(|_| rng.real(wide)).collect();
+                        if let Some(bad) = poison {
+                            // stage 0: both weight vectors read it
+                            k[0][(rng.next() % n as u64) as usize] = bad;
+                        }
+                        let opts = IntegrateOpts {
+                            method,
+                            ..Default::default()
+                        };
+
+                        let (mut ynew, mut yerr) = (vec![1.0; n], vec![1.0; n]);
+                        let got = step_tail(tab, &k, &y, h, &opts, &mut ynew, &mut yerr);
+                        let (mut ynew_ref, mut yerr_ref) = (vec![2.0; n], vec![2.0; n]);
+                        let want = step_tail_reference(
+                            tab,
+                            &k,
+                            &y,
+                            h,
+                            &opts,
+                            &mut ynew_ref,
+                            &mut yerr_ref,
+                        );
+
+                        let ctx = format!("{method:?} n={n} {poison:?} h={h}");
+                        for j in 0..n {
+                            assert_eq!(ynew[j].to_bits(), ynew_ref[j].to_bits(), "{ctx} ynew[{j}]");
+                            assert_eq!(yerr[j].to_bits(), yerr_ref[j].to_bits(), "{ctx} yerr[{j}]");
+                        }
+                        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{ctx} errsum");
+                        assert_eq!(got.1, want.1, "{ctx} finite");
+                        if poison.is_some() {
+                            assert!(!got.1, "{ctx}: the poisoned entry must read non-finite");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tableau_fits_the_fixed_arity_kernels() {
+        for method in Method::ALL {
+            let tab = method.tableau();
+            assert!(
+                tab.stages <= MAX_STAGES,
+                "{method:?}: {} stages",
+                tab.stages
+            );
+            for w in [tab.b, tab.b_err] {
+                assert_eq!(w.len(), tab.stages);
+                let (list, count) = nonzero_weights(w);
+                assert!((1..=MAX_STAGES).contains(&count), "{method:?}: {count}");
+                let list = &list[..count];
+                assert!(
+                    list.windows(2).all(|p| p[0].0 < p[1].0),
+                    "{method:?}: order"
+                );
+                // scattered back over zeros, the list is the vector
+                let mut back = vec![0.0; tab.stages];
+                for &(s, ws) in list {
+                    back[s] = ws;
+                }
+                for s in 0..tab.stages {
+                    assert_eq!(back[s].to_bits(), w[s].to_bits(), "{method:?} stage {s}");
+                }
+            }
+        }
     }
 }

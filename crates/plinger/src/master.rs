@@ -1237,6 +1237,32 @@ mod tests {
     }
 
     #[test]
+    fn garbled_header_lmax_fails_the_job_instead_of_the_master() {
+        // `1e300 as usize` saturates and `2·lmax + 8` on it overflows: a
+        // debug master panicked, a release master took the six reals
+        // below for an empty spectrum
+        let spec = RunSpec::standard_cdm(vec![0.01]);
+        let (mut master_ep, h) = rogue_pair(|rogue| {
+            let mut buf = Vec::new();
+            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+            let mut header = [0.0; 21];
+            header[20] = 1e300;
+            rogue.send(0, TAG_HEADER, &header).unwrap();
+            rogue.send(0, TAG_DATA, &[0.0; 6]).unwrap();
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+        });
+        let err = run_job(&mut master_ep, &spec, SchedulePolicy::Fifo).unwrap_err();
+        h.join().unwrap();
+        match err {
+            FarmError::Wire { rank, source } => {
+                assert_eq!(rank, 1);
+                assert!(source.to_string().contains("lmax"), "{source}");
+            }
+            other => panic!("expected Wire, got {other}"),
+        }
+    }
+
+    #[test]
     fn stale_result_of_a_respawned_rank_is_not_a_duplicate_error() {
         // rank 1 holds the chunk [0, 1], delivers mode 0 and is replaced
         // before the master has read that result: the chunk is requeued

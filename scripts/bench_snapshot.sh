@@ -15,7 +15,14 @@
 # and the hinted background lookup, each with and without a massive
 # neutrino — against the medians of the commit before Background stopped
 # recomputing its cosmology constants per lookup, and records the
-# massive/massless lookup ratio scripts/ci.sh gates on.
+# massive/massless lookup ratio scripts/ci.sh gates on.  And it runs the
+# rhs bench — one adaptive integration per method beside the bare RHS
+# evaluation at the same layout — and records, per method, the time of
+# the integration over the time of `stages` evaluations, measured in one
+# process: the stepper's own cost as a ratio that a busy host moves
+# little.  `before` is commit 9db763d, the last whose step tail walked
+# the stage vectors element by element; scripts/ci.sh gates on the
+# Verner ratio staying at or below it.
 #
 # Serve mode: drives a warm plinger-serve pool with concurrent
 # clients over a repeating grid mix and records the request-latency
@@ -277,7 +284,7 @@ EOF
     exit 0
 fi
 
-out="$(cargo bench -p bench --bench rhs_eval --bench thermo 2>&1)"
+out="$(cargo bench -p bench --bench rhs_eval --bench thermo --bench rhs 2>&1)"
 echo "$out"
 
 BENCH_OUT="$out" python3 - <<'EOF'
@@ -308,11 +315,24 @@ tables_before = {
     "thermo_history_build_mdm": 51820649.0,
 }
 
+# the rhs bench at commit 9db763d, medians of five runs: one
+# integration (ns) per method, and the RHS evaluation at the same layout
+stepper_before = {
+    "rhs_eval_256_ns": 549.42,
+    "dverk_step_ns": {
+        "Verner65": 352784.75,
+        "DormandPrince54": 342318.75,
+        "CashKarp45": 238357.56,
+    },
+}
+
 flops = {m.group(1): int(m.group(2))
          for m in re.finditer(r"^flops: (\S+) (\d+)$", out, re.M)}
+# (the rhs bench has an `rhs_eval` group too; its cases are bare l_max numbers)
 medians = {m.group(1): float(m.group(2))
            for m in re.finditer(
-               r"^bench: rhs_eval/(\S+) median ([0-9.]+) ns/iter", out, re.M)}
+               r"^bench: rhs_eval/(\S+) median ([0-9.]+) ns/iter", out, re.M)
+           if not m.group(1).isdigit()}
 assert set(medians) == set(baseline), f"cases changed: {sorted(medians)}"
 
 cases = {}
@@ -342,6 +362,35 @@ tables = {
 lookup_ratio = round(
     table_ns["background_lookup_mdm"] / table_ns["background_lookup_scdm"], 2)
 
+stages = {m.group(1): int(m.group(2))
+          for m in re.finditer(r"^stages: (\w+) (\d+)$", out, re.M)}
+step_ns = {m.group(1): float(m.group(2))
+           for m in re.finditer(
+               r"^bench: dverk_step/(\w+) median ([0-9.]+) ns/iter", out, re.M)}
+rhs_256 = re.search(r"^bench: rhs_eval/256 median ([0-9.]+) ns/iter", out, re.M)
+assert rhs_256 and set(step_ns) == set(stages) == set(stepper_before["dverk_step_ns"]), \
+    f"rhs bench cases changed: {sorted(step_ns)} / {sorted(stages)}"
+rhs_256 = float(rhs_256.group(1))
+
+
+def stepper_row(method, step, rhs):
+    return {
+        "dverk_step_ns": step,
+        "stages_x_rhs_eval_256_ns": round(stages[method] * rhs, 2),
+        "step_over_rhs": round(step / (stages[method] * rhs), 2),
+    }
+
+
+stepper = {
+    method: {
+        "stages": stages[method],
+        **stepper_row(method, ns, rhs_256),
+        "before": stepper_row(method, stepper_before["dverk_step_ns"][method],
+                              stepper_before["rhs_eval_256_ns"]),
+    }
+    for method, ns in step_ns.items()
+}
+
 snapshot = {
     "schema": "plinger.bench_rhs/1",
     "bench": "rhs_eval (single LingerRhs::eval call, seeded dense state)",
@@ -350,12 +399,18 @@ snapshot = {
                     "iteration), before = commit 7097a5a",
     "tables": tables,
     "background_lookup_mdm_over_scdm": lookup_ratio,
+    "stepper_bench": "rhs (one adaptive integration 300 -> 302 Mpc per "
+                     "method over `stages` RHS evaluations at the same "
+                     "layout, one process), before = commit 9db763d",
+    "stepper": stepper,
 }
 with open("BENCH_rhs.json", "w") as fh:
     json.dump(snapshot, fh, indent=2)
     fh.write("\n")
 
 worst = min(c["speedup_vs_baseline"] for c in cases.values())
+verner = stepper["Verner65"]
 print(f"bench_snapshot: wrote BENCH_rhs.json (worst-case speedup {worst}x, "
-      f"massive/massless background lookup {lookup_ratio}x)")
+      f"massive/massless background lookup {lookup_ratio}x, Verner step over "
+      f"rhs {verner['before']['step_over_rhs']} -> {verner['step_over_rhs']})")
 EOF

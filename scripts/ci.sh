@@ -17,6 +17,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== cargo test --release (profile-pinned crates) =="
+# ode's step pins and differential test, boltzmann's source goldens and
+# recomb's thermal-history pins hold a value per build profile (or one
+# value both must meet); the optimised half is otherwise checked only by
+# the benchmark's verify stage
+cargo test -q --release -p ode -p boltzmann -p recomb
+
 echo "== telemetry smoke run =="
 # a tiny farm must produce a parseable run report with a sane
 # efficiency, plus a chrome-tracing span file
@@ -302,6 +309,24 @@ ns = {m.group(1): float(m.group(2))
 ratio = ns["mdm"] / ns["scdm"]
 assert ratio <= 5, f"massive/massless background lookup {ratio:.1f}x: {ns}"
 print(f"background lookup gate: mdm {ns['mdm']} ns / scdm {ns['scdm']} ns = {ratio:.2f}x")
+PY
+# and one on the stepper, again two medians of one process: a Verner
+# integration over `stages` RHS evaluations at the same layout may not
+# cost more than it did at the last commit whose step tail walked the
+# stage vectors element by element (BENCH_rhs.json records that value,
+# and a quarter below it for the tail on pre-cut slices)
+steps="$(cargo bench -p bench --bench rhs \
+    | grep -E "^(stages: Verner65|bench: rhs_eval/256|bench: dverk_step/Verner65) ")"
+python3 - "$steps" <<'PY'
+import json, re, sys
+out = sys.argv[1]
+stages = int(re.search(r"stages: Verner65 (\d+)", out).group(1))
+rhs = float(re.search(r"rhs_eval/256 median ([0-9.]+) ns/iter", out).group(1))
+step = float(re.search(r"dverk_step/Verner65 median ([0-9.]+) ns/iter", out).group(1))
+ratio = step / (stages * rhs)
+before = json.load(open("BENCH_rhs.json"))["stepper"]["Verner65"]["before"]["step_over_rhs"]
+assert ratio <= before, f"Verner step over rhs {ratio:.1f}, was {before} before: {out}"
+print(f"stepper gate: {step} ns / ({stages} x {rhs} ns) = {ratio:.1f} (<= {before})")
 PY
 
 echo "== los bench smoke + memory gates =="
