@@ -280,15 +280,30 @@ fn overload_sheds_busy_and_clients_retry_to_success() {
         .unwrap_or_else(|| panic!("unexpected metrics line: {line:?}"))
         .to_string();
 
-    let handles: Vec<_> = (3..7)
-        .map(|nk| {
+    // four single spectra and two sweeps (tag 22) over an h axis none
+    // of the singles uses, so no request can hit another's cache entry
+    let bursts: Vec<Vec<String>> = (3..7)
+        .map(|nk| vec!["--nk".to_string(), nk.to_string()])
+        .chain((3..5).map(|nk| {
+            [
+                "--nk",
+                &nk.to_string(),
+                "--ensemble",
+                "--sweep-h",
+                "0.55,0.65",
+            ]
+            .map(String::from)
+            .to_vec()
+        }))
+        .collect();
+    let handles: Vec<_> = bursts
+        .into_iter()
+        .map(|mut extra| {
             let a = addr.clone();
-            let nk = nk.to_string();
+            extra.extend(["--retries", "10", "--retry-base-ms", "40"].map(String::from));
             std::thread::spawn(move || {
-                client(
-                    &a,
-                    &["--nk", &nk, "--retries", "10", "--retry-base-ms", "40"],
-                )
+                let extra: Vec<&str> = extra.iter().map(String::as_str).collect();
+                client(&a, &extra)
             })
         })
         .collect();
@@ -299,6 +314,9 @@ fn overload_sheds_busy_and_clients_retry_to_success() {
     for r in &results {
         assert_eq!(r["cache_hit"], "0", "distinct grids cannot hit");
     }
+    for sweep in &results[4..] {
+        assert_eq!((&*sweep["ok"], &*sweep["hits"]), ("2", "0"), "{sweep:?}");
+    }
 
     // the burst overran the one-deep queue at least once
     let scrape = http_get(&maddr, "/metrics");
@@ -307,7 +325,7 @@ fn overload_sheds_busy_and_clients_retry_to_success() {
         .find_map(|l| l.strip_prefix("plinger_requests_shed_total "))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or_else(|| panic!("no shed counter in scrape: {scrape}"));
-    assert!(shed >= 1, "queue limit 1 never shed under a 4-client burst");
+    assert!(shed >= 1, "queue limit 1 never shed under a 6-client burst");
     assert!(http_get(&maddr, "/healthz").starts_with("HTTP/1.0 200"));
 
     // SIGTERM with nothing in flight: immediate clean exit
@@ -317,7 +335,7 @@ fn overload_sheds_busy_and_clients_retry_to_success() {
     let mut rest = String::new();
     reader.read_to_string(&mut rest).expect("read summary");
     assert!(
-        rest.contains("served 4 requests"),
+        rest.contains("served 6 requests"),
         "unexpected summary: {rest:?}"
     );
 }
@@ -501,8 +519,8 @@ fn expired_deadline_cancels_but_the_pool_survives() {
 #[test]
 fn infinite_counts_are_bad_requests_and_leave_the_queue() {
     use plinger::service::{
-        ErrorCode, ServiceError, TAG_REQ_ENSEMBLE, TAG_REQ_METRICS, TAG_REQ_SPECTRUM,
-        TAG_RESP_ERROR, TAG_RESP_METRICS, TAG_RESP_SPECTRUM,
+        EnsembleRequest, ErrorCode, ServiceError, SpectrumRequest, TAG_REQ_ENSEMBLE,
+        TAG_REQ_METRICS, TAG_REQ_SPECTRUM, TAG_RESP_ERROR, TAG_RESP_METRICS, TAG_RESP_SPECTRUM,
     };
     use plinger::{EnsembleSpec, RunSpec};
 
@@ -514,34 +532,42 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
 
     // a count of +inf used to saturate, wrap the length check and index
     // out of range: the connection thread died between entering the
-    // queue and leaving it, and the depth stayed one too high for good
-    let mut sweep = EnsembleSpec::singleton(spec.clone()).encode();
-    sweep[0] = f64::INFINITY;
-    let mut single = spec.encode();
-    single[0] = f64::INFINITY;
+    // queue and leaving it, and the depth stayed one too high for good.
+    // Index 2 is the first real past the [-1, deadline_ms] header
+    let mut sweep = EnsembleRequest::new(EnsembleSpec::singleton(spec.clone())).encode();
+    sweep[2] = f64::INFINITY;
+    let mut single = SpectrumRequest::new(spec.clone()).encode();
+    single[2] = f64::INFINITY;
     // a well-formed frame whose ladder length would size an exabyte
     // state vector never reaches a worker either
     let mut huge = spec.clone();
     huge.lmax_g = Some(1_000_000_000_000_000_000);
-    let huge = huge.encode();
-    for (tag, payload) in [
-        (TAG_REQ_ENSEMBLE, &sweep),
-        (TAG_REQ_SPECTRUM, &single),
-        (TAG_REQ_SPECTRUM, &huge),
+    let huge = SpectrumRequest::new(huge).encode();
+    // and a request without the header is refused, whatever follows
+    let bare_sweep = EnsembleSpec::singleton(spec.clone()).encode();
+    let bare_single = spec.encode();
+    for (tag, payload, why) in [
+        (TAG_REQ_ENSEMBLE, &sweep, "not a count"),
+        (TAG_REQ_SPECTRUM, &single, "not a count"),
+        (TAG_REQ_SPECTRUM, &huge, "ceiling"),
+        (TAG_REQ_ENSEMBLE, &bare_sweep, "header"),
+        (TAG_REQ_SPECTRUM, &bare_single, "header"),
     ] {
         let reply = exchange(&mut stream, &mut buf, tag, payload);
         assert_eq!(reply.tag, TAG_RESP_ERROR, "tag {tag}: no typed refusal");
         let err = ServiceError::decode(&reply.data);
         assert_eq!(err.code, ErrorCode::BadRequest, "tag {tag}: {err}");
+        assert!(err.message.contains(why), "tag {tag}: {err}");
     }
 
     let reply = exchange(&mut stream, &mut buf, TAG_REQ_METRICS, &[]);
     assert_eq!(reply.tag, TAG_RESP_METRICS);
     assert_eq!(reply.data[6], 0.0, "a refused request stayed in the queue");
-    assert_eq!(reply.data[7], 3.0, "every refusal counts as an error");
+    assert_eq!(reply.data[7], 5.0, "every refusal counts as an error");
 
     // the same connection, the same server: an honest request is served
-    let reply = exchange(&mut stream, &mut buf, TAG_REQ_SPECTRUM, &spec.encode());
+    let honest = SpectrumRequest::new(spec).encode();
+    let reply = exchange(&mut stream, &mut buf, TAG_REQ_SPECTRUM, &honest);
     assert_eq!(reply.tag, TAG_RESP_SPECTRUM, "server did not recover");
     drop(stream);
 

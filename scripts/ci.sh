@@ -293,6 +293,14 @@ case "$e2e_last" in
     *'"correct":true'*) echo "e2ebench los_cl smoke: correct" ;;
     *) echo "e2ebench los_cl smoke did not verify: $e2e_last" >&2; exit 1 ;;
 esac
+# and on serve_mix, which speaks the service wire: every cache hit's
+# body must equal its miss's, and miss bodies decode to run_serial
+e2e_last="$(bash crates/e2ebench/bench.sh --workload serve_mix --seed 1 --seconds 1 \
+    --trace 0 --smoke | tail -n 1)" || true
+case "$e2e_last" in
+    *'"correct":true'*) echo "e2ebench serve_mix smoke: correct" ;;
+    *) echo "e2ebench serve_mix smoke did not verify: $e2e_last" >&2; exit 1 ;;
+esac
 
 echo "== rhs bench smoke =="
 # compile-and-run-once smoke of the microbench behind BENCH_rhs.json
