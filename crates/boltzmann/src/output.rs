@@ -199,8 +199,8 @@ impl ModeOutput {
     /// Serialize to the paper's two-message wire format:
     /// a 21-real header and a `2·lmax+8`-real payload.  A line-of-sight
     /// run appends the recorded source function as a trailing
-    /// `[n, τ_obs, 5·n reals]` extension — legacy frames (no extension)
-    /// decode unchanged.
+    /// `[n, τ_obs, 5·n reals]` extension; a full-hierarchy run records
+    /// no sources and sends the payload alone.
     pub fn to_wire(&self, ik: usize) -> (Vec<f64>, Vec<f64>) {
         let header = vec![
             ik as f64,

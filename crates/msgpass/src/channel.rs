@@ -1,15 +1,16 @@
-//! In-process transport over crossbeam channels.
+//! In-process transport: one mailbox per rank.
 //!
 //! One [`ChannelWorld`] builds `n` [`ChannelEndpoint`]s that can be moved
-//! to worker threads.  Each endpoint owns an unbounded receiving channel
-//! and a sender to every peer; probes that don't match the head of the
-//! channel park messages in a local reorder queue, preserving per-pair
-//! FIFO order exactly as the 1995 libraries did.
+//! to worker threads.  Each endpoint owns its inbox and a producer into
+//! every peer's; probes scan the inbox in place, preserving per-pair
+//! FIFO order exactly as the 1995 libraries did.  A dropped endpoint
+//! closes its inbox, so a send to a rank that is gone is
+//! [`CommError::Disconnected`].
 
+use crate::mailbox::{self, Mailbox, Producer};
 use crate::{CommError, Envelope, Message, Rank, Tag, Transport, World};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Factory for a fixed-size in-process world.
 pub struct ChannelWorld;
@@ -20,22 +21,10 @@ impl ChannelWorld {
     /// the endpoint set rather than `Self`; prefer [`World::endpoints`].
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize) -> Vec<ChannelEndpoint> {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Message>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        receivers
+        mailbox::world(n)
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| ChannelEndpoint {
-                rank,
-                peers: senders.clone(),
-                rx,
-                parked: VecDeque::new(),
-            })
+            .map(|(rank, (inbox, peers))| ChannelEndpoint { rank, inbox, peers })
             .collect()
     }
 }
@@ -56,68 +45,13 @@ impl World for ChannelWorld {
 /// One rank of an in-process world.
 pub struct ChannelEndpoint {
     rank: Rank,
-    peers: Vec<Sender<Message>>,
-    rx: Receiver<Message>,
-    /// Messages pulled off the channel while searching for a match.
-    parked: VecDeque<Message>,
+    inbox: Arc<Mailbox>,
+    peers: Vec<Producer>,
 }
 
-impl ChannelEndpoint {
-    fn find_parked(&self, source: Option<Rank>, tag: Option<Tag>) -> Option<usize> {
-        self.parked.iter().position(|m| m.matches(source, tag))
-    }
-
-    fn pull_until_match(
-        &mut self,
-        source: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<usize, CommError> {
-        if let Some(i) = self.find_parked(source, tag) {
-            return Ok(i);
-        }
-        loop {
-            let msg = self.rx.recv().map_err(|_| CommError::Disconnected)?;
-            let matched = msg.matches(source, tag);
-            self.parked.push_back(msg);
-            if matched {
-                return Ok(self.parked.len() - 1);
-            }
-        }
-    }
-
-    /// Like [`Self::pull_until_match`] but bounded by a deadline;
-    /// `Ok(None)` when it passes without a match.
-    fn pull_until_deadline(
-        &mut self,
-        source: Option<Rank>,
-        tag: Option<Tag>,
-        deadline: Instant,
-    ) -> Result<Option<usize>, CommError> {
-        if let Some(i) = self.find_parked(source, tag) {
-            return Ok(Some(i));
-        }
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(msg) => {
-                    let matched = msg.matches(source, tag);
-                    self.parked.push_back(msg);
-                    if matched {
-                        return Ok(Some(self.parked.len() - 1));
-                    }
-                }
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-
-    fn take_parked(&mut self, i: usize) -> Result<Message, CommError> {
-        self.parked
-            .remove(i)
-            .ok_or_else(|| CommError::Protocol("reorder queue index vanished".into()))
+impl Drop for ChannelEndpoint {
+    fn drop(&mut self) {
+        self.inbox.close();
     }
 }
 
@@ -131,18 +65,16 @@ impl Transport for ChannelEndpoint {
     }
 
     fn send(&mut self, dest: Rank, tag: Tag, data: &[f64]) -> Result<(), CommError> {
-        let tx = self.peers.get(dest).ok_or(CommError::NoSuchRank(dest))?;
-        tx.send(Message {
+        let peer = self.peers.get(dest).ok_or(CommError::NoSuchRank(dest))?;
+        peer.push(Message {
             source: self.rank,
             tag,
             data: data.to_vec(),
         })
-        .map_err(|_| CommError::Disconnected)
     }
 
     fn probe(&mut self, source: Option<Rank>, tag: Option<Tag>) -> Result<Envelope, CommError> {
-        let i = self.pull_until_match(source, tag)?;
-        Ok(self.parked[i].envelope())
+        self.inbox.probe(source, tag)
     }
 
     fn probe_timeout(
@@ -151,19 +83,11 @@ impl Transport for ChannelEndpoint {
         tag: Option<Tag>,
         timeout: Duration,
     ) -> Result<Option<Envelope>, CommError> {
-        let deadline = Instant::now() + timeout;
-        Ok(self
-            .pull_until_deadline(source, tag, deadline)?
-            .map(|i| self.parked[i].envelope()))
+        self.inbox.probe_timeout(source, tag, timeout)
     }
 
     fn recv(&mut self, source: Rank, tag: Tag, buf: &mut Vec<f64>) -> Result<Envelope, CommError> {
-        let i = self.pull_until_match(Some(source), Some(tag))?;
-        let msg = self.take_parked(i)?;
-        let env = msg.envelope();
-        buf.clear();
-        buf.extend_from_slice(&msg.data);
-        Ok(env)
+        self.inbox.recv(source, tag, buf)
     }
 }
 
@@ -321,17 +245,25 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_world_errors() {
+    fn send_to_a_dropped_endpoint_is_disconnected() {
         let mut eps = ChannelWorld::new(2);
-        let mut a = eps.remove(0);
-        drop(eps); // rank 1 gone
-                   // sending still works (channel buffered) but receiving can't block
-                   // forever: dropping all senders to rank 0 except its own clone...
-                   // rank 0 holds a sender to itself, so the channel never closes;
-                   // emulate worker completion by a message instead.
-        a.send(0, 6, &[0.0]).unwrap();
-        let mut buf = Vec::new();
-        let env = a.recv(0, 6, &mut buf).unwrap();
-        assert_eq!(env.source, 0);
+        let mut master = eps.remove(0);
+        drop(eps); // rank 1 is gone
+        assert_eq!(
+            master.send(1, 3, &[1.0]).unwrap_err(),
+            CommError::Disconnected
+        );
+    }
+
+    #[test]
+    fn master_probe_after_every_worker_dropped_times_out_quietly() {
+        // the master holds a producer into its own inbox, so a dead
+        // worker is never a hang-up: the watch and the heartbeat clock
+        // find it, and a bounded probe simply expires
+        let mut eps = ChannelWorld::new(3);
+        let mut master = eps.remove(0);
+        drop(eps);
+        let got = master.probe_timeout(None, None, Duration::from_millis(10));
+        assert_eq!(got, Ok(None));
     }
 }

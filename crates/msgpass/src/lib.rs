@@ -10,14 +10,19 @@
 //! routine names one-for-one, and four interchangeable transports play
 //! the roles of the four 1995 libraries:
 //!
-//! * [`channel::ChannelWorld`] — in-process crossbeam channels (the
-//!   "PVM on a shared-memory node" analogue),
+//! * [`channel::ChannelWorld`] — in-process mailboxes that refuse sends
+//!   once their rank is gone (the "PVM on a shared-memory node"
+//!   analogue),
 //! * [`tcp::TcpWorld`] — localhost TCP sockets between OS processes
 //!   (the "MPI across nodes" analogue),
-//! * [`shmem::ShmemWorld`] — mutex/condvar shared-memory mailboxes
-//!   (the "MPL on the SP2 switch" analogue),
+//! * [`shmem::ShmemWorld`] — shared-memory mailboxes that outlive their
+//!   rank (the "MPL on the SP2 switch" analogue),
 //! * [`serial::LoopbackWorld`] — a deterministic single-rank loopback
 //!   for protocol unit tests.
+//!
+//! The three threaded transports share one receive side, a private
+//! mutex/condvar mailbox per rank scanned in place; they differ only in
+//! how a message gets there and in what a lost rank looks like.
 //!
 //! The [`World`] trait is the single entry point for building all the
 //! endpoints of a run at once: `W::endpoints(n)` returns one
@@ -33,6 +38,7 @@ pub mod channel;
 pub mod codec;
 pub mod fault;
 pub mod instrument;
+mod mailbox;
 pub mod serial;
 pub mod shmem;
 pub mod tcp;
@@ -113,9 +119,9 @@ pub trait Transport: Send {
     /// This is the primitive behind liveness-aware event loops: a master
     /// that polls with a short timeout can interleave peer-health checks
     /// with message handling and so never deadlocks on a worker that
-    /// died without saying goodbye (thread endpoints keep their channels
-    /// open through clones held by every peer, so a vanished worker is
-    /// otherwise indistinguishable from a slow one).
+    /// died without saying goodbye (every thread endpoint holds a
+    /// producer into its own mailbox, so a vanished worker is otherwise
+    /// indistinguishable from a slow one).
     fn probe_timeout(
         &mut self,
         source: Option<Rank>,

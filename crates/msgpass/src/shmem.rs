@@ -1,32 +1,17 @@
-//! Shared-memory transport: mutex-guarded mailboxes with condition
-//! variables (parking_lot).
+//! Shared-memory transport: one mutex/condvar mailbox per rank.
 //!
 //! The fourth transport, completing the paper's four-library portability
-//! story (PVM, MPI, MPL, PVMe → channel, TCP, loopback, shmem).  Unlike
-//! the channel transport, all pending messages live in one shared
-//! mailbox per rank, so a probe can inspect the entire pending set
-//! without draining anything — closest in spirit to MPL's behaviour on
-//! the SP2's shared switch adapters.
+//! story (PVM, MPI, MPL, PVMe → channel, TCP, loopback, shmem).  All
+//! pending messages live in one shared mailbox per rank, so a probe
+//! inspects the entire pending set without draining anything — closest
+//! in spirit to MPL's behaviour on the SP2's shared switch adapters.
+//! Unlike the channel transport a mailbox outlives its rank: a send to a
+//! rank that is gone still succeeds, and nothing ever reports the loss.
 
+use crate::mailbox::{self, Mailbox, Producer};
 use crate::{CommError, Envelope, Message, Rank, Tag, Transport, World};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct Mailbox {
-    queue: Mutex<VecDeque<Message>>,
-    bell: Condvar,
-}
-
-impl Mailbox {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            bell: Condvar::new(),
-        }
-    }
-}
+use std::time::Duration;
 
 /// Factory for a fixed-size shared-memory world.
 pub struct ShmemWorld;
@@ -37,12 +22,10 @@ impl ShmemWorld {
     /// the endpoint set rather than `Self`; prefer [`World::endpoints`].
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize) -> Vec<ShmemEndpoint> {
-        let boxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::new())).collect();
-        (0..n)
-            .map(|rank| ShmemEndpoint {
-                rank,
-                boxes: boxes.clone(),
-            })
+        mailbox::world(n)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, (inbox, peers))| ShmemEndpoint { rank, inbox, peers })
             .collect()
     }
 }
@@ -63,15 +46,8 @@ impl World for ShmemWorld {
 /// One rank of a shared-memory world.
 pub struct ShmemEndpoint {
     rank: Rank,
-    boxes: Vec<Arc<Mailbox>>,
-}
-
-impl ShmemEndpoint {
-    fn own_box(&self) -> Result<&Arc<Mailbox>, CommError> {
-        self.boxes
-            .get(self.rank)
-            .ok_or(CommError::NoSuchRank(self.rank))
-    }
+    inbox: Arc<Mailbox>,
+    peers: Vec<Producer>,
 }
 
 impl Transport for ShmemEndpoint {
@@ -80,30 +56,20 @@ impl Transport for ShmemEndpoint {
     }
 
     fn size(&self) -> usize {
-        self.boxes.len()
+        self.peers.len()
     }
 
     fn send(&mut self, dest: Rank, tag: Tag, data: &[f64]) -> Result<(), CommError> {
-        let mb = self.boxes.get(dest).ok_or(CommError::NoSuchRank(dest))?;
-        let mut q = mb.queue.lock();
-        q.push_back(Message {
+        let peer = self.peers.get(dest).ok_or(CommError::NoSuchRank(dest))?;
+        peer.push(Message {
             source: self.rank,
             tag,
             data: data.to_vec(),
-        });
-        mb.bell.notify_all();
-        Ok(())
+        })
     }
 
     fn probe(&mut self, source: Option<Rank>, tag: Option<Tag>) -> Result<Envelope, CommError> {
-        let mb = self.own_box()?;
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(m) = q.iter().find(|m| m.matches(source, tag)) {
-                return Ok(m.envelope());
-            }
-            mb.bell.wait(&mut q);
-        }
+        self.inbox.probe(source, tag)
     }
 
     fn probe_timeout(
@@ -112,43 +78,11 @@ impl Transport for ShmemEndpoint {
         tag: Option<Tag>,
         timeout: Duration,
     ) -> Result<Option<Envelope>, CommError> {
-        let deadline = Instant::now() + timeout;
-        let mb = self.own_box()?;
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(m) = q.iter().find(|m| m.matches(source, tag)) {
-                return Ok(Some(m.envelope()));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            if mb.bell.wait_for(&mut q, deadline - now).timed_out() {
-                // one final scan: a send may have slipped in right at the
-                // deadline
-                return Ok(q
-                    .iter()
-                    .find(|m| m.matches(source, tag))
-                    .map(|m| m.envelope()));
-            }
-        }
+        self.inbox.probe_timeout(source, tag, timeout)
     }
 
     fn recv(&mut self, source: Rank, tag: Tag, buf: &mut Vec<f64>) -> Result<Envelope, CommError> {
-        let mb = self.own_box()?;
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(i) = q.iter().position(|m| m.matches(Some(source), Some(tag))) {
-                let msg = q
-                    .remove(i)
-                    .ok_or_else(|| CommError::Protocol("mailbox index vanished".into()))?;
-                let env = msg.envelope();
-                buf.clear();
-                buf.extend_from_slice(&msg.data);
-                return Ok(env);
-            }
-            mb.bell.wait(&mut q);
-        }
+        self.inbox.recv(source, tag, buf)
     }
 }
 
@@ -156,6 +90,7 @@ impl Transport for ShmemEndpoint {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Instant;
 
     #[test]
     fn ping_pong() {
@@ -264,5 +199,13 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 3.5);
         }
+    }
+
+    #[test]
+    fn send_to_a_dropped_endpoint_still_succeeds() {
+        let mut eps = ShmemWorld::new(2);
+        let mut master = eps.remove(0);
+        drop(eps); // rank 1 is gone; its mailbox is not
+        assert_eq!(master.send(1, 3, &[1.0]), Ok(()));
     }
 }

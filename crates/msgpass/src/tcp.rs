@@ -7,9 +7,15 @@
 //! [`CommError::Unsupported`], which the farm never triggers.
 //!
 //! Each endpoint spawns one reader thread per socket that decodes frames
-//! ([`crate::codec`]) into an internal channel; probe/receive semantics
-//! (blocking, per-pair FIFO, reorder queue) are identical to the
-//! in-process transport, as the paper demands of its wrapper layer.
+//! ([`crate::codec`]) into the endpoint's mailbox; probe/receive
+//! semantics (blocking, per-pair FIFO, in-place scan) are those of the
+//! in-process transports, as the paper demands of its wrapper layer.
+//! A reader thread is its mailbox's producer: once a worker's reader
+//! ends (the master hung up), its blocking probe and receive return
+//! [`CommError::Disconnected`].  The master's [`RespawnPort`] holds a
+//! producer too, so a master that can re-admit workers never hangs up
+//! on itself.  A dropped endpoint shuts down the write side of its
+//! sockets, so its peers see end-of-stream at once.
 //!
 //! Two assembly paths exist: [`TcpWorld`] builds all endpoints of a
 //! star inside one process (for tests and thread-based farms over real
@@ -18,14 +24,12 @@
 //! where each worker is an OS subprocess).
 
 use crate::codec::{decode, encode};
+use crate::mailbox::{Mailbox, Producer};
 use crate::{CommError, Envelope, Message, Rank, Tag, Transport, World};
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Shared writer table: one slot per rank, swappable at respawn time.
@@ -67,9 +71,8 @@ impl PendingMaster {
     /// listening socket open and return a [`RespawnPort`] through which
     /// a replacement worker can be re-handshaked into the star mid-run.
     pub fn accept_all_keep(self) -> Result<(TcpEndpoint, RespawnPort), CommError> {
-        let (tx, rx) = unbounded::<Message>();
+        let inbox = Mailbox::new();
         let mut writers: Vec<Option<TcpStream>> = (0..=self.n_workers).map(|_| None).collect();
-        let mut readers = Vec::new();
         for _ in 0..self.n_workers {
             let (stream, _) = self
                 .listener
@@ -79,9 +82,7 @@ impl PendingMaster {
             // handshake: first frame announces the worker's rank.  Any
             // bytes that arrive behind the hello (eager first messages)
             // are carried over into the reader thread's buffer.
-            let mut hello_stream = stream
-                .try_clone()
-                .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))?;
+            let mut hello_stream = clone_stream(&stream)?;
             let (hello, carry) = read_one_frame(&mut hello_stream)?;
             if hello.tag != HELLO_TAG {
                 return Err(CommError::Protocol("expected hello frame".into()));
@@ -90,28 +91,22 @@ impl PendingMaster {
             if rank == 0 || rank > self.n_workers {
                 return Err(CommError::Protocol(format!("bad hello rank {rank}")));
             }
-            writers[rank] = Some(
-                stream
-                    .try_clone()
-                    .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))?,
-            );
-            readers.push(spawn_reader(stream, carry, tx.clone()));
+            writers[rank] = Some(clone_stream(&stream)?);
+            spawn_reader(stream, carry, inbox.producer());
         }
         let writers: WriterTable = Arc::new(Mutex::new(writers));
         let port = RespawnPort {
             listener: self.listener,
             addr: self.addr,
             n_workers: self.n_workers,
-            tx,
+            producer: inbox.producer(),
             writers: Arc::clone(&writers),
         };
         let ep = TcpEndpoint {
             rank: 0,
             size: self.n_workers + 1,
             writers,
-            rx,
-            parked: VecDeque::new(),
-            _readers: readers,
+            inbox,
         };
         Ok((ep, port))
     }
@@ -129,7 +124,7 @@ pub struct RespawnPort {
     listener: TcpListener,
     addr: SocketAddr,
     n_workers: usize,
-    tx: Sender<Message>,
+    producer: Producer,
     writers: WriterTable,
 }
 
@@ -174,9 +169,7 @@ impl RespawnPort {
             .set_nonblocking(false)
             .map_err(|e| CommError::Protocol(format!("set_blocking failed: {e}")))?;
         accepted.set_nodelay(true).ok();
-        let mut hello_stream = accepted
-            .try_clone()
-            .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))?;
+        let mut hello_stream = clone_stream(&accepted)?;
         // bound the hello read so a connect-and-hang client can't wedge us
         hello_stream
             .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
@@ -191,9 +184,7 @@ impl RespawnPort {
                 hello.source
             )));
         }
-        let writer = accepted
-            .try_clone()
-            .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))?;
+        let writer = clone_stream(&accepted)?;
         {
             let mut writers = self
                 .writers
@@ -201,8 +192,7 @@ impl RespawnPort {
                 .map_err(|_| CommError::Protocol("writer table poisoned".into()))?;
             writers[expected_rank] = Some(writer);
         }
-        // detached on purpose: the reader dies with its socket
-        let _reader = spawn_reader(accepted, carry, self.tx.clone());
+        spawn_reader(accepted, carry, self.producer.clone());
         Ok(())
     }
 }
@@ -215,27 +205,19 @@ pub fn connect_worker(addr: SocketAddr, rank: Rank, size: usize) -> Result<TcpEn
     let stream = TcpStream::connect(addr)
         .map_err(|e| CommError::Protocol(format!("connect failed: {e}")))?;
     stream.set_nodelay(true).ok();
-    let mut hello_stream = stream
-        .try_clone()
-        .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))?;
+    let mut hello_stream = clone_stream(&stream)?;
     hello_stream
         .write_all(&encode(rank, HELLO_TAG, &[]))
         .map_err(|e| CommError::Protocol(format!("hello failed: {e}")))?;
-    let (tx, rx) = unbounded::<Message>();
+    let inbox = Mailbox::new();
     let mut writers: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
-    writers[0] = Some(
-        stream
-            .try_clone()
-            .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))?,
-    );
-    let reader = spawn_reader(stream, BytesMut::new(), tx);
+    writers[0] = Some(clone_stream(&stream)?);
+    spawn_reader(stream, BytesMut::new(), inbox.producer());
     Ok(TcpEndpoint {
         rank,
         size,
         writers: Arc::new(Mutex::new(writers)),
-        rx,
-        parked: VecDeque::new(),
-        _readers: vec![reader],
+        inbox,
     })
 }
 
@@ -290,7 +272,16 @@ fn read_one_frame(stream: &mut TcpStream) -> Result<(Message, BytesMut), CommErr
     }
 }
 
-fn spawn_reader(mut stream: TcpStream, carry: BytesMut, tx: Sender<Message>) -> JoinHandle<()> {
+fn clone_stream(stream: &TcpStream) -> Result<TcpStream, CommError> {
+    stream
+        .try_clone()
+        .map_err(|e| CommError::Protocol(format!("clone failed: {e}")))
+}
+
+/// Decode frames off `stream` into the mailbox behind `producer` until
+/// the socket ends or the mailbox closes.  Detached: the thread dies
+/// with its socket.
+fn spawn_reader(mut stream: TcpStream, carry: BytesMut, producer: Producer) {
     std::thread::spawn(move || {
         let mut buf = carry;
         let mut chunk = [0u8; 1 << 16];
@@ -298,7 +289,7 @@ fn spawn_reader(mut stream: TcpStream, carry: BytesMut, tx: Sender<Message>) -> 
             loop {
                 match decode(&mut buf) {
                     Ok(Some(msg)) => {
-                        if tx.send(msg).is_err() {
+                        if producer.push(msg).is_err() {
                             return;
                         }
                     }
@@ -311,7 +302,7 @@ fn spawn_reader(mut stream: TcpStream, carry: BytesMut, tx: Sender<Message>) -> 
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
             }
         }
-    })
+    });
 }
 
 /// One rank of a TCP star world.
@@ -319,53 +310,15 @@ pub struct TcpEndpoint {
     rank: Rank,
     size: usize,
     writers: WriterTable,
-    rx: Receiver<Message>,
-    parked: VecDeque<Message>,
-    _readers: Vec<JoinHandle<()>>,
+    inbox: Arc<Mailbox>,
 }
 
-impl TcpEndpoint {
-    fn pull_until_match(
-        &mut self,
-        source: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<usize, CommError> {
-        if let Some(i) = self.parked.iter().position(|m| m.matches(source, tag)) {
-            return Ok(i);
-        }
-        loop {
-            let msg = self.rx.recv().map_err(|_| CommError::Disconnected)?;
-            let matched = msg.matches(source, tag);
-            self.parked.push_back(msg);
-            if matched {
-                return Ok(self.parked.len() - 1);
-            }
-        }
-    }
-
-    fn pull_until_deadline(
-        &mut self,
-        source: Option<Rank>,
-        tag: Option<Tag>,
-        deadline: Instant,
-    ) -> Result<Option<usize>, CommError> {
-        if let Some(i) = self.parked.iter().position(|m| m.matches(source, tag)) {
-            return Ok(Some(i));
-        }
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(msg) => {
-                    let matched = msg.matches(source, tag);
-                    self.parked.push_back(msg);
-                    if matched {
-                        return Ok(Some(self.parked.len() - 1));
-                    }
-                }
-                Err(_) => return Ok(None),
+impl Drop for TcpEndpoint {
+    fn drop(&mut self) {
+        self.inbox.close();
+        if let Ok(writers) = self.writers.lock() {
+            for stream in writers.iter().flatten() {
+                stream.shutdown(Shutdown::Write).ok();
             }
         }
     }
@@ -400,8 +353,7 @@ impl Transport for TcpEndpoint {
     }
 
     fn probe(&mut self, source: Option<Rank>, tag: Option<Tag>) -> Result<Envelope, CommError> {
-        let i = self.pull_until_match(source, tag)?;
-        Ok(self.parked[i].envelope())
+        self.inbox.probe(source, tag)
     }
 
     fn probe_timeout(
@@ -410,22 +362,11 @@ impl Transport for TcpEndpoint {
         tag: Option<Tag>,
         timeout: Duration,
     ) -> Result<Option<Envelope>, CommError> {
-        let deadline = Instant::now() + timeout;
-        Ok(self
-            .pull_until_deadline(source, tag, deadline)?
-            .map(|i| self.parked[i].envelope()))
+        self.inbox.probe_timeout(source, tag, timeout)
     }
 
     fn recv(&mut self, source: Rank, tag: Tag, buf: &mut Vec<f64>) -> Result<Envelope, CommError> {
-        let i = self.pull_until_match(Some(source), Some(tag))?;
-        let msg = self
-            .parked
-            .remove(i)
-            .ok_or_else(|| CommError::Protocol("reorder queue index vanished".into()))?;
-        let env = msg.envelope();
-        buf.clear();
-        buf.extend_from_slice(&msg.data);
-        Ok(env)
+        self.inbox.recv(source, tag, buf)
     }
 }
 
@@ -623,5 +564,23 @@ mod tests {
             assert_eq!(buf[0], i as f64);
         }
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn worker_recv_after_its_master_drops_is_disconnected() {
+        let pending = PendingMaster::bind(1).unwrap();
+        let addr = pending.addr();
+        let worker = thread::spawn(move || {
+            let mut ep = connect_worker(addr, 1, 2).unwrap();
+            let mut buf = Vec::new();
+            ep.recv(0, 1, &mut buf).unwrap();
+            // the master is gone: its reader thread ends and takes the
+            // mailbox's only producer with it
+            ep.recv(0, 1, &mut buf)
+        });
+        let mut master = pending.accept_all().unwrap();
+        master.send(1, 1, &[1.0]).unwrap();
+        drop(master);
+        assert_eq!(worker.join().unwrap(), Err(CommError::Disconnected));
     }
 }

@@ -27,7 +27,8 @@ use telemetry::log::{parse_log_flag, Level};
 /// Which message-passing substrate the parallel binary farms over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process worker threads over crossbeam channels.
+    /// In-process worker threads over mailboxes that refuse sends to a
+    /// rank that is gone.
     #[default]
     Channel,
     /// In-process worker threads over shared-memory mailboxes.

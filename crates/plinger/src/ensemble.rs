@@ -60,7 +60,9 @@ use crate::error::FarmError;
 use crate::farm::FarmReport;
 use crate::master::JobControl;
 use crate::pool::{FarmPool, TcpFarmPool};
-use crate::protocol::{count_from_real, hash_reals, job_hash, RunSpec, SpecDecodeError};
+use crate::protocol::{
+    count_from_real, hash_reals, job_hash, RunSpec, SpecDecodeError, SPEC_PREFIX,
+};
 use crate::recovery::RecoveryLog;
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
@@ -231,7 +233,11 @@ impl EnsembleSpec {
     /// `[n_ob, n_h, n_ns, ob…, h…, ns…, base…]`.
     pub fn encode(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(
-            3 + self.omega_b.len() + self.h.len() + self.n_s.len() + 19 + self.base.ks.len() + 1,
+            3 + self.omega_b.len()
+                + self.h.len()
+                + self.n_s.len()
+                + SPEC_PREFIX
+                + self.base.ks.len(),
         );
         v.push(self.omega_b.len() as f64);
         v.push(self.h.len() as f64);

@@ -21,7 +21,7 @@ use boltzmann::{Gauge, InitialConditions, ModeConfig, Preset, SpectrumMethod};
 use msgpass::Tag;
 
 /// Tag 1: first message of a job from master to workers (run
-/// parameters, `19 + nk` reals), sent to every live rank — and re-sent
+/// parameters, `20 + nk` reals), sent to every live rank — and re-sent
 /// to a rank respawned mid-job.  The worker takes the job's physics
 /// tables from its process's [`TableCache`](crate::TableCache),
 /// building them only if that cosmology is not there yet.
@@ -139,9 +139,10 @@ pub fn cosmo_hash(c: &CosmoParams) -> u64 {
 }
 
 /// Canonical hash of a whole job: FNV-1a over the bit patterns of the
-/// tag-1/10 wire encoding ([`RunSpec::encode`]), which covers the
+/// tag-1 wire encoding ([`RunSpec::encode`]), which covers the
 /// cosmology, gauge, initial conditions, accuracy preset, hierarchy
-/// sizes, integration horizon, and the full k-grid in order.
+/// sizes, integration horizon, spectrum method, and the full k-grid in
+/// order.
 ///
 /// The service's content-addressed `ResultCache` keys on this value:
 /// requests that hash equal are — by construction of the encoding —
@@ -159,10 +160,14 @@ pub fn hash_reals(xs: &[f64]) -> u64 {
     fnv1a64(xs.iter().map(|x| x.to_bits()))
 }
 
+/// Reals of a tag-1 spec ahead of its k-grid: run geometry, cosmology
+/// and the spectrum method.
+pub(crate) const SPEC_PREFIX: usize = 20;
+
 /// A tag-1 broadcast payload that cannot be decoded into a [`RunSpec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecDecodeError {
-    /// Payload shorter than the fixed 19-real prefix.
+    /// Payload shorter than the fixed 20-real prefix.
     TooShort {
         /// Actual length.
         got: usize,
@@ -178,10 +183,18 @@ pub enum SpecDecodeError {
     LengthMismatch {
         /// k-count read from the first real.
         nk: usize,
-        /// Expected total length, `19 + nk`.
+        /// Expected total length, `20 + nk`.
         want: usize,
         /// Actual length.
         got: usize,
+    },
+    /// A code real — gauge (index 1), initial conditions (2), preset
+    /// (3) or spectrum method (19) — is not exactly one of its codes.
+    BadCode {
+        /// Index of the real in the payload.
+        index: usize,
+        /// Bit pattern of the real that was sent.
+        bits: u64,
     },
 }
 
@@ -189,7 +202,7 @@ impl std::fmt::Display for SpecDecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpecDecodeError::TooShort { got } => {
-                write!(f, "broadcast too short: {got} reals (need ≥ 19)")
+                write!(f, "broadcast too short: {got} reals (need ≥ {SPEC_PREFIX})")
             }
             SpecDecodeError::BadCount { bits } => write!(
                 f,
@@ -200,11 +213,33 @@ impl std::fmt::Display for SpecDecodeError {
                 f,
                 "broadcast length mismatch: {nk} modes need {want} reals, got {got}"
             ),
+            SpecDecodeError::BadCode { index, bits } => write!(
+                f,
+                "broadcast real {index} is not a {} code: {}",
+                match index {
+                    1 => "gauge",
+                    2 => "initial-condition",
+                    3 => "preset",
+                    _ => "spectrum-method",
+                },
+                f64::from_bits(*bits)
+            ),
         }
     }
 }
 
 impl std::error::Error for SpecDecodeError {}
+
+/// Read the code real `v[index]` as an index into `codes`; anything but
+/// an exact code is [`SpecDecodeError::BadCode`].
+fn code_from_real<T: Copy>(v: &[f64], index: usize, codes: &[T]) -> Result<T, SpecDecodeError> {
+    count_from_real(v[index])
+        .and_then(|c| codes.get(c).copied())
+        .ok_or(SpecDecodeError::BadCode {
+            index,
+            bits: v[index].to_bits(),
+        })
+}
 
 /// Read a count that arrived as a real from outside the program: `None`
 /// unless it is finite, integral, non-negative and exactly a `usize`
@@ -238,11 +273,8 @@ pub struct RunSpec {
     pub nq: Option<usize>,
     /// End of the integration; `None` = today.
     pub tau_end: Option<f64>,
-    /// Full hierarchy or the line-of-sight fast path.  Rides the
-    /// broadcast as a trailing discriminant real that is appended only
-    /// for [`SpectrumMethod::LineOfSight`], so legacy encodings — and
-    /// the [`job_hash`] values the result caches key on — are untouched
-    /// for full-hierarchy jobs.
+    /// Full hierarchy or the line-of-sight fast path (real 19 of the
+    /// broadcast: 0 or 1).
     pub method: SpectrumMethod,
     /// The wavenumber grid, Mpc⁻¹.
     pub ks: Vec<f64>,
@@ -318,11 +350,12 @@ impl RunSpec {
             c.n_nu_massive as f64,
             c.m_nu_ev,
             c.n_s,
+            match self.method {
+                SpectrumMethod::FullHierarchy => 0.0,
+                SpectrumMethod::LineOfSight => 1.0,
+            },
         ];
         v.extend_from_slice(&self.ks);
-        if self.method == SpectrumMethod::LineOfSight {
-            v.push(1.0);
-        }
         v
     }
 
@@ -332,40 +365,37 @@ impl RunSpec {
     /// `plinger-serve` hands this function what a socket sent it: the
     /// k-count is checked before anything is indexed by it.
     pub fn decode(v: &[f64]) -> Result<Self, SpecDecodeError> {
-        if v.len() < 19 {
+        if v.len() < SPEC_PREFIX {
             return Err(SpecDecodeError::TooShort { got: v.len() });
         }
         let bad_count = || SpecDecodeError::BadCount {
             bits: v[0].to_bits(),
         };
         let nk = count_from_real(v[0]).ok_or_else(bad_count)?;
-        let want = nk.checked_add(19).ok_or_else(bad_count)?;
-        // legacy frames are exactly 19 + nk reals; a line-of-sight job
-        // appends one trailing method discriminant
-        let method = match v.len() {
-            got if got == want => SpectrumMethod::FullHierarchy,
-            got if want.checked_add(1) == Some(got) && v[want] == 1.0 => {
-                SpectrumMethod::LineOfSight
-            }
-            got => return Err(SpecDecodeError::LengthMismatch { nk, want, got }),
-        };
+        let want = nk.checked_add(SPEC_PREFIX).ok_or_else(bad_count)?;
+        if v.len() != want {
+            return Err(SpecDecodeError::LengthMismatch {
+                nk,
+                want,
+                got: v.len(),
+            });
+        }
         Ok(Self {
-            method,
-            gauge: if v[1] == 0.0 {
-                Gauge::Synchronous
-            } else {
-                Gauge::ConformalNewtonian
-            },
-            ic: if v[2] == 0.0 {
-                InitialConditions::Adiabatic
-            } else {
-                InitialConditions::CdmIsocurvature
-            },
-            preset: match v[3] as i64 {
-                0 => Preset::Draft,
-                1 => Preset::Demo,
-                _ => Preset::Production,
-            },
+            gauge: code_from_real(v, 1, &[Gauge::Synchronous, Gauge::ConformalNewtonian])?,
+            ic: code_from_real(
+                v,
+                2,
+                &[
+                    InitialConditions::Adiabatic,
+                    InitialConditions::CdmIsocurvature,
+                ],
+            )?,
+            preset: code_from_real(v, 3, &[Preset::Draft, Preset::Demo, Preset::Production])?,
+            method: code_from_real(
+                v,
+                19,
+                &[SpectrumMethod::FullHierarchy, SpectrumMethod::LineOfSight],
+            )?,
             lmax_g: (v[4] >= 0.0).then(|| v[4] as usize),
             lmax_nu: (v[5] >= 0.0).then(|| v[5] as usize),
             lmax_h: v[6] as usize,
@@ -383,7 +413,7 @@ impl RunSpec {
                 m_nu_ev: v[17],
                 n_s: v[18],
             },
-            ks: v[19..want].to_vec(),
+            ks: v[SPEC_PREFIX..].to_vec(),
         })
     }
 }
@@ -443,28 +473,44 @@ mod tests {
     }
 
     #[test]
-    fn method_rides_a_trailing_real_only_when_los() {
-        // legacy compatibility: a full-hierarchy spec must encode (and
-        // hash) exactly as it did before the method field existed
+    fn method_is_always_the_last_fixed_real() {
         let full = RunSpec::standard_cdm(vec![0.001, 0.01]);
-        let wire = full.encode();
-        assert_eq!(wire.len(), 19 + full.ks.len());
-        let back = RunSpec::decode(&wire).unwrap();
-        assert_eq!(back.method, SpectrumMethod::FullHierarchy);
-
         let mut los = full.clone();
         los.method = SpectrumMethod::LineOfSight;
-        let wire_los = los.encode();
-        assert_eq!(wire_los.len(), wire.len() + 1);
-        assert_eq!(wire_los[wire.len()], 1.0);
-        let back = RunSpec::decode(&wire_los).unwrap();
-        assert_eq!(back.method, SpectrumMethod::LineOfSight);
-        assert_eq!(back.ks, los.ks);
+        for (spec, code) in [(&full, 0.0), (&los, 1.0)] {
+            let wire = spec.encode();
+            assert_eq!(wire.len(), SPEC_PREFIX + spec.ks.len());
+            assert_eq!(wire[19], code);
+            assert_eq!(&wire[SPEC_PREFIX..], &spec.ks[..], "the k-grid stays last");
+            assert_eq!(RunSpec::decode(&wire).unwrap(), *spec);
+        }
+    }
 
-        // a trailing real that isn't the discriminant is a length error
-        let mut bad = wire_los.clone();
-        bad[wire.len()] = 2.0;
-        assert!(RunSpec::decode(&bad).is_err());
+    #[test]
+    fn code_reals_decode_only_from_their_exact_codes() {
+        // gauge, initial conditions, preset, method: index and code count
+        let wire = RunSpec::standard_cdm(vec![0.001]).encode();
+        for (index, n_codes) in [(1, 2.0), (2, 2.0), (3, 3.0), (19, 2.0)] {
+            for bad in [
+                0.5,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -1.0,
+                n_codes,
+            ] {
+                let mut wire = wire.clone();
+                wire[index] = bad;
+                assert_eq!(
+                    RunSpec::decode(&wire).unwrap_err(),
+                    SpecDecodeError::BadCode {
+                        index,
+                        bits: bad.to_bits()
+                    },
+                    "real {index} = {bad}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -498,8 +544,8 @@ mod tests {
             RunSpec::decode(&wire).unwrap_err(),
             SpecDecodeError::LengthMismatch {
                 nk: 2,
-                want: 21,
-                got: 20
+                want: 22,
+                got: 21
             }
         );
         assert_eq!(
@@ -510,11 +556,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_a_mode_count_that_is_not_a_count() {
-        // n_s = 1.0 sits in the last fixed real: with no k at all an
-        // unchecked count of 2⁶⁴ − 1 wraps `19 + nk + 1` round to this
-        // length and reads that real as the line-of-sight discriminant
+        // an unchecked count of 2⁶⁴ − 1 would wrap `20 + nk` round to a
+        // length a short payload can match
         let wire = RunSpec::standard_cdm(Vec::new()).encode();
-        assert_eq!(wire.len(), 19);
+        assert_eq!(wire.len(), SPEC_PREFIX);
         for bad in [f64::INFINITY, f64::NAN, -1.0, 2.5, 1.8446744073709552e19] {
             let mut wire = wire.clone();
             wire[0] = bad;
@@ -532,8 +577,8 @@ mod tests {
             RunSpec::decode(&wire).unwrap_err(),
             SpecDecodeError::LengthMismatch {
                 nk: 18_000_000_000_000_000_000,
-                want: 18_000_000_000_000_000_019,
-                got: 19
+                want: 18_000_000_000_000_000_020,
+                got: 20
             }
         );
     }

@@ -391,8 +391,10 @@ pub struct ResultCache {
     persist_discards: u64,
 }
 
-/// First word of a persisted cache entry ("PLNGRSLT" in ASCII).
-const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"PLNGRSLT");
+/// First word of a persisted cache entry ("PLNGRES2" in ASCII).  It
+/// changes whenever the spec encoding moves [`job_hash`], so entries
+/// filed under the old keys are discarded at warm-load.
+const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"PLNGRES2");
 
 /// Layout of one persisted entry: header `[magic, key, len, checksum]`
 /// as little-endian u64 words, then `len` f64 payload words (LE bit
@@ -2048,10 +2050,22 @@ mod tests {
         // and plant a truncated stray plus an orphaned temp file
         std::fs::write(dir.join(cache_entry_name(0x77)), b"short").unwrap();
         std::fs::write(dir.join(".tmp_dead_1"), b"partial").unwrap();
+        // an intact entry written under the previous encoding's magic
+        let mut stale = encode_cache_entry(0x5151, &body);
+        stale[..8].copy_from_slice(b"PLNGRSLT");
+        std::fs::write(dir.join(cache_entry_name(0x5151)), &stale).unwrap();
 
         let mut warm = ResultCache::with_dir(&dir).unwrap();
         assert_eq!(warm.persist_loads(), 1, "only the intact entry loads");
-        assert_eq!(warm.persist_discards(), 2, "corrupt + truncated dropped");
+        assert_eq!(
+            warm.persist_discards(),
+            3,
+            "corrupt + truncated + old magic dropped"
+        );
+        assert!(
+            warm.lookup(0x5151).is_none(),
+            "old-magic entry never served"
+        );
         assert!(!victim.exists(), "corrupt file deleted");
         assert!(!dir.join(".tmp_dead_1").exists(), "orphaned temp removed");
         let hit = warm.lookup(0xabcd).expect("persisted entry survives");

@@ -4,14 +4,15 @@
 //! workers key their physics tables on [`cosmo_hash`] and the service's
 //! `ResultCache` keys on [`job_hash`].  Both must be *stable* — across
 //! platforms, across wire round-trips, and across releases — so the
-//! three preset cosmologies are pinned to golden values here, and a
+//! three preset cosmologies and a standard-CDM job per spectrum method
+//! are pinned to golden values here, and a
 //! property test checks that encode/decode round-trips never move a
 //! hash.  If an intentional parameter or encoding change shifts a
 //! golden value, update it here *and* remember that every persisted
 //! cache keyed on the old value silently invalidates.
 
 use background::CosmoParams;
-use boltzmann::Preset;
+use boltzmann::{Preset, SpectrumMethod};
 use plinger::{cosmo_hash, hash_reals, job_hash, RunSpec};
 use proptest::prelude::*;
 
@@ -36,6 +37,32 @@ fn preset_cosmologies_hash_to_golden_values() {
             want,
             "canonical hash of {name} moved — physics caches keyed on \
              the old value are invalidated"
+        );
+    }
+}
+
+/// `job_hash` of the standard-CDM spec on [`golden_grid`], per method.
+const GOLD_JOB_HIERARCHY: u64 = 0x7f8c_8f9d_17a2_267a;
+const GOLD_JOB_LOS: u64 = 0x84f1_3c91_40b9_e997;
+
+fn golden_grid() -> Vec<f64> {
+    vec![1.0e-3, 1.0e-2, 0.1]
+}
+
+#[test]
+fn standard_jobs_hash_to_golden_values() {
+    let hierarchy = RunSpec::standard_cdm(golden_grid());
+    let mut los = hierarchy.clone();
+    los.method = SpectrumMethod::LineOfSight;
+    for (name, spec, want) in [
+        ("hierarchy", hierarchy, GOLD_JOB_HIERARCHY),
+        ("line-of-sight", los, GOLD_JOB_LOS),
+    ] {
+        assert_eq!(
+            job_hash(&spec),
+            want,
+            "job hash of the {name} standard_cdm spec moved — result caches \
+             keyed on the old value are invalidated (change CACHE_MAGIC)"
         );
     }
 }

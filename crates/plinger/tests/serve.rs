@@ -543,6 +543,10 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
     let mut huge = spec.clone();
     huge.lmax_g = Some(1_000_000_000_000_000_000);
     let huge = SpectrumRequest::new(huge).encode();
+    // a code real that is none of its codes: a NaN preset used to run
+    // as Draft
+    let mut nan_preset = SpectrumRequest::new(spec.clone()).encode();
+    nan_preset[2 + 3] = f64::NAN;
     // and a request without the header is refused, whatever follows
     let bare_sweep = EnsembleSpec::singleton(spec.clone()).encode();
     let bare_single = spec.encode();
@@ -550,6 +554,7 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
         (TAG_REQ_ENSEMBLE, &sweep, "not a count"),
         (TAG_REQ_SPECTRUM, &single, "not a count"),
         (TAG_REQ_SPECTRUM, &huge, "ceiling"),
+        (TAG_REQ_SPECTRUM, &nan_preset, "not a preset code"),
         (TAG_REQ_ENSEMBLE, &bare_sweep, "header"),
         (TAG_REQ_SPECTRUM, &bare_single, "header"),
     ] {
@@ -563,7 +568,7 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
     let reply = exchange(&mut stream, &mut buf, TAG_REQ_METRICS, &[]);
     assert_eq!(reply.tag, TAG_RESP_METRICS);
     assert_eq!(reply.data[6], 0.0, "a refused request stayed in the queue");
-    assert_eq!(reply.data[7], 5.0, "every refusal counts as an error");
+    assert_eq!(reply.data[7], 6.0, "every refusal counts as an error");
 
     // the same connection, the same server: an honest request is served
     let honest = SpectrumRequest::new(spec).encode();

@@ -7,7 +7,6 @@ use numutil::interp::CubicSpline;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// A realization of the potential on a periodic 2-D slice.
 pub struct PotentialField {
@@ -130,7 +129,6 @@ impl PotentialField {
             .map(|m| m.amp * self.shells[m.shell].eval(tau))
             .collect();
         (0..n * n)
-            .into_par_iter()
             .map(|idx| {
                 let i = idx / n;
                 let j = idx % n;

@@ -2,7 +2,6 @@
 # Re-measure a benchmark and snapshot the result at the repo root.
 #
 #   bench_snapshot.sh          # RHS microbench         -> BENCH_rhs.json
-#   bench_snapshot.sh serve    # service under load     -> BENCH_serve.json
 #   bench_snapshot.sh los      # LOS vs full hierarchy  -> BENCH_los.json
 #   bench_snapshot.sh ensemble # sweep vs fresh farms   -> BENCH_ensemble.json
 #
@@ -23,11 +22,6 @@
 # little.  `before` is commit 9db763d, the last whose step tail walked
 # the stage vectors element by element; scripts/ci.sh gates on the
 # Verner ratio staying at or below it.
-#
-# Serve mode: drives a warm plinger-serve pool with concurrent
-# clients over a repeating grid mix and records the request-latency
-# quantiles (total / queue-wait / run, milliseconds) from the
-# service's own tag-26 metrics payload (see docs/OBSERVABILITY.md).
 #
 # LOS mode: end-to-end wall clock of the full moment hierarchy versus
 # the line-of-sight fast path on the identical thinned k-grid (demo
@@ -195,90 +189,6 @@ peak = max(c["shards_per_hour"] for c in cases.values())
 print(
     f"bench_snapshot: wrote BENCH_ensemble.json "
     f"(best speedup {best}x vs rebuild-per-task, peak {peak} shards/hour)"
-)
-EOF
-    exit 0
-fi
-
-if [ "$mode" = "serve" ]; then
-    clients=4
-    per_client=8
-    total=$((clients * per_client))
-    cargo build -q --release -p plinger --bin plinger-serve
-    serve_bin="target/release/plinger-serve"
-    bench_dir="$(mktemp -d)"
-    trap 'rm -rf "$bench_dir"' EXIT
-    serve_log="$bench_dir/serve.log"
-    # +1 connection for the final metrics query
-    "$serve_bin" --listen 127.0.0.1:0 --transport channel --workers 2 \
-        --max-requests $((total + 1)) \
-        > "$serve_log" 2> "$bench_dir/serve.err" &
-    serve_pid=$!
-    serve_addr=""
-    for _ in $(seq 1 100); do
-        serve_addr="$(sed -n 's/^plinger-serve: listening on //p' "$serve_log")"
-        [ -n "$serve_addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$serve_addr" ] || { echo "plinger-serve never came up"; cat "$bench_dir/serve.err"; exit 1; }
-    # concurrent load: each client cycles a small grid mix, so the pool
-    # sees a hit-heavy stream with a cold miss per distinct grid
-    load_pids=()
-    for c in $(seq 1 "$clients"); do
-        (
-            for r in $(seq 1 "$per_client"); do
-                nk=$((3 + (c + r) % 4))
-                "$serve_bin" --connect "$serve_addr" --preset draft \
-                    --kmin 4e-4 --kmax 2e-3 --nk "$nk" > /dev/null
-            done
-        ) &
-        load_pids+=("$!")
-    done
-    for p in "${load_pids[@]}"; do wait "$p"; done
-    "$serve_bin" --connect "$serve_addr" --preset draft \
-        --kmin 4e-4 --kmax 2e-3 --nk 3 --metrics > "$bench_dir/metrics.txt"
-    wait "$serve_pid"
-    BENCH_DIR="$bench_dir" CLIENTS="$clients" PER_CLIENT="$per_client" python3 - <<'EOF'
-import json, os, re
-
-d = os.environ["BENCH_DIR"]
-out = open(os.path.join(d, "metrics.txt")).read()
-
-counters = dict(kv.split("=", 1) for kv in out.split() if "=" in kv)
-lat = re.search(
-    r"total_ms p50=([\d.]+) p99=([\d.]+)\s+"
-    r"queue_ms p50=([\d.]+) p99=([\d.]+)\s+"
-    r"run_ms p50=([\d.]+) p99=([\d.]+)",
-    out,
-)
-assert lat, f"no latency summary in client output: {out!r}"
-v = [float(x) for x in lat.groups()]
-
-snapshot = {
-    "schema": "plinger.bench_serve/1",
-    "bench": "plinger-serve under concurrent client load (draft preset)",
-    "load": {
-        "clients": int(os.environ["CLIENTS"]),
-        "requests_per_client": int(os.environ["PER_CLIENT"]),
-        "distinct_grids": 4,
-        "workers": 2,
-    },
-    "requests": int(counters["requests"]),
-    "cache_hits": int(counters["hits"]),
-    "cache_misses": int(counters["misses"]),
-    "pool_jobs": int(counters["jobs"]),
-    "latency_ms": {
-        "total": {"p50": v[0], "p99": v[1]},
-        "queue_wait": {"p50": v[2], "p99": v[3]},
-        "run": {"p50": v[4], "p99": v[5]},
-    },
-}
-with open("BENCH_serve.json", "w") as fh:
-    json.dump(snapshot, fh, indent=2)
-    fh.write("\n")
-print(
-    f"bench_snapshot: wrote BENCH_serve.json "
-    f"(total p50 {v[0]} ms, p99 {v[1]} ms over {counters['requests']} requests)"
 )
 EOF
     exit 0

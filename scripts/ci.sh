@@ -8,6 +8,18 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== vendored crates =="
+# every in-repo stand-in under vendor/ is used by some crate, and the
+# retired concurrency stand-ins stay retired
+for dir in vendor/*/; do
+    name="$(basename "$dir")"
+    grep -q "^$name\.workspace = true" Cargo.toml crates/*/Cargo.toml \
+        || { echo "vendor/$name is named by no crate manifest"; exit 1; }
+done
+if grep -nE "^(crossbeam|parking_lot|rayon)\b" Cargo.toml crates/*/Cargo.toml; then
+    echo "a manifest names a retired stand-in"; exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -371,14 +383,18 @@ cargo test -q -p msgpass fault::
 echo "== chaos determinism (x20) =="
 # every scripted kill lands inside an assignment the master guarantees
 # its victim holds, so the chaos suites pass every run, not most runs:
-# twenty in a row, any failure fatal
+# twenty in a row, any failure fatal.  Every case waits on the msgpass
+# mailbox, whose own tests ride along
 cargo test -q --release --no-run --test farm_transports --test recovery_matrix
 cargo test -q --release --no-run -p plinger --test tcp_recovery
+cargo test -q --release --no-run -p msgpass
 for round in $(seq 1 20); do
     cargo test -q --release --test farm_transports --test recovery_matrix > /dev/null \
         || { echo "chaos round $round failed (farm_transports/recovery_matrix)"; exit 1; }
     cargo test -q --release -p plinger --test tcp_recovery > /dev/null \
         || { echo "chaos round $round failed (tcp_recovery)"; exit 1; }
+    cargo test -q --release -p msgpass > /dev/null \
+        || { echo "chaos round $round failed (msgpass)"; exit 1; }
 done
 echo "chaos determinism: 20/20"
 
