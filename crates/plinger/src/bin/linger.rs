@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    opts.apply_log();
+    opts.farm.apply_log();
 
     eprintln!(
         "linger: {} modes, k ∈ [{:.3e}, {:.3e}] Mpc⁻¹, gauge {:?}, preset {:?}",

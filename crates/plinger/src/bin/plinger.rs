@@ -22,7 +22,7 @@ use plinger::cli::{parse, CliOptions, Parsed, TelemetryMode, TransportKind, USAG
 use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
 use plinger::{
     parse_worker_fault, render_pretty, run_tcp_processes, run_tcp_worker, Farm, FarmReport,
-    SchedulePolicy, TcpFarmOptions,
+    PoolOptions, SchedulePolicy,
 };
 
 /// Exit code used by scripted-fault workers so the master's respawn
@@ -76,13 +76,14 @@ fn run_master(opts: CliOptions) -> ExitCode {
     if opts.telemetry == TelemetryMode::Off {
         telemetry::set_enabled(false);
     }
-    opts.apply_log();
-    let transport_name = match opts.transport {
+    let farm = &opts.farm;
+    farm.apply_log();
+    let transport_name = match farm.transport {
         TransportKind::Channel => "channel threads",
         TransportKind::Shmem => "shmem threads",
         TransportKind::Tcp => "TCP processes",
     };
-    let transport_tag = match opts.transport {
+    let transport_tag = match farm.transport {
         TransportKind::Channel => "channel",
         TransportKind::Shmem => "shmem",
         TransportKind::Tcp => "tcp",
@@ -90,26 +91,25 @@ fn run_master(opts: CliOptions) -> ExitCode {
     eprintln!(
         "plinger: {} modes on {} workers ({transport_name}), largest-k-first",
         opts.spec.ks.len(),
-        opts.workers,
+        farm.workers,
     );
     let t0 = std::time::Instant::now();
     let policy = SchedulePolicy::LargestFirst;
-    let cfg = opts.master_config();
-    let report: Result<FarmReport, _> = match opts.transport {
-        TransportKind::Channel => Farm::<ChannelWorld>::new(opts.workers)
+    let cfg = farm.master_config();
+    let report: Result<FarmReport, _> = match farm.transport {
+        TransportKind::Channel => Farm::<ChannelWorld>::new(farm.workers)
             .master_config(cfg)
             .run(&opts.spec, policy),
-        TransportKind::Shmem => Farm::<ShmemWorld>::new(opts.workers)
+        TransportKind::Shmem => Farm::<ShmemWorld>::new(farm.workers)
             .master_config(cfg)
             .run(&opts.spec, policy),
         TransportKind::Tcp => match std::env::current_exe() {
             Ok(exe) => {
-                let tcp_opts = TcpFarmOptions {
-                    master: cfg,
-                    respawn_limit: opts.respawn_limit,
+                let pool = PoolOptions {
+                    respawn_limit: farm.respawn_limit,
                     fault: None,
                 };
-                run_tcp_processes(&opts.spec, policy, opts.workers, &exe, &tcp_opts)
+                run_tcp_processes(&opts.spec, policy, farm.workers, &exe, cfg, pool)
             }
             Err(e) => {
                 eprintln!("plinger: cannot locate own executable: {e}");

@@ -56,52 +56,13 @@ pub struct CliOptions {
     pub spec: RunSpec,
     /// Output file prefix (writes `<prefix>.linger` + `<prefix>.lingerd`).
     pub output: String,
-    /// Worker count (parallel binary only).
-    pub workers: usize,
-    /// Transport selection (parallel binary only).
-    pub transport: TransportKind,
     /// Run-report surfacing mode.
     pub telemetry: TelemetryMode,
     /// Optional chrome-tracing output path (`--trace-out trace.json`).
     pub trace_out: Option<String>,
-    /// Master idle-poll interval override (`--poll MS`).
-    pub poll: Option<Duration>,
-    /// Worker drain timeout override (`--drain-timeout MS`).
-    pub drain_timeout: Option<Duration>,
-    /// Heartbeat silence threshold override (`--heartbeat-timeout MS`).
-    pub heartbeat_timeout: Option<Duration>,
-    /// Recovery policy assembled from `--recovery` / `--max-attempts`.
-    pub recovery: RecoveryPolicy,
-    /// Subprocess respawn budget (`--respawn-limit N`, TCP only).
-    pub respawn_limit: usize,
-    /// Modes per assignment message (`--chunk N`).
-    pub chunk: usize,
-    /// Structured-log stderr sink (`--log level[,json]`); `None` keeps
-    /// stderr silent (the flight recorder records regardless).
-    pub log: Option<(Level, bool)>,
-}
-
-impl CliOptions {
-    /// Apply the `--log` flag to the process-wide stderr sink (no-op
-    /// when the flag was absent).
-    pub fn apply_log(&self) {
-        if let Some((level, json)) = self.log {
-            telemetry::log::set_stderr(Some(level), json);
-        }
-    }
-
-    /// Assemble a [`MasterConfig`] from the parsed farm knobs, leaving
-    /// unset timings at their library defaults.
-    pub fn master_config(&self) -> MasterConfig {
-        let d = MasterConfig::default();
-        MasterConfig {
-            poll: self.poll.unwrap_or(d.poll),
-            drain_timeout: self.drain_timeout.unwrap_or(d.drain_timeout),
-            heartbeat_timeout: self.heartbeat_timeout.unwrap_or(d.heartbeat_timeout),
-            recovery: self.recovery,
-            chunk: self.chunk,
-        }
-    }
+    /// Workers, transport, recovery, timings and `--log` — the same
+    /// settings `plinger-serve` builds its pool from.
+    pub farm: FarmSettings,
 }
 
 /// Internal marker for TCP worker subprocesses:
@@ -282,8 +243,8 @@ impl SpecArgs {
             }
             "--kmin" => self.kmin = num(take(flag, it)?)?,
             "--kmax" => self.kmax = num(take(flag, it)?)?,
-            "--nk" => self.nk = num(take(flag, it)?)? as usize,
-            "--lmax" => self.lmax = Some(num(take(flag, it)?)? as usize),
+            "--nk" => self.nk = count(flag, it)?,
+            "--lmax" => self.lmax = Some(count(flag, it)?),
             "--method" => {
                 self.method = match take(flag, it)?.as_str() {
                     "hierarchy" | "full" => SpectrumMethod::FullHierarchy,
@@ -512,7 +473,7 @@ impl FarmArgs {
         it: &mut std::slice::Iter<'_, String>,
     ) -> Result<bool, String> {
         match flag {
-            "--workers" => self.workers = num(take(flag, it)?)? as usize,
+            "--workers" => self.workers = count(flag, it)?,
             "--transport" => {
                 self.transport = match take(flag, it)?.as_str() {
                     "channel" => TransportKind::Channel,
@@ -529,16 +490,14 @@ impl FarmArgs {
                     other => return Err(format!("unknown recovery mode {other}")),
                 }
             }
-            "--max-attempts" => self.max_attempts = num(take(flag, it)?)? as usize,
-            "--poll" => self.poll = Some(Duration::from_millis(num(take(flag, it)?)? as u64)),
-            "--drain-timeout" => {
-                self.drain_timeout = Some(Duration::from_millis(num(take(flag, it)?)? as u64))
-            }
+            "--max-attempts" => self.max_attempts = count(flag, it)?,
+            "--poll" => self.poll = Some(Duration::from_millis(count(flag, it)?)),
+            "--drain-timeout" => self.drain_timeout = Some(Duration::from_millis(count(flag, it)?)),
             "--heartbeat-timeout" => {
-                self.heartbeat_timeout = Some(Duration::from_millis(num(take(flag, it)?)? as u64))
+                self.heartbeat_timeout = Some(Duration::from_millis(count(flag, it)?))
             }
-            "--respawn-limit" => self.respawn_limit = num(take(flag, it)?)? as usize,
-            "--chunk" => self.chunk = num(take(flag, it)?)? as usize,
+            "--respawn-limit" => self.respawn_limit = count(flag, it)?,
+            "--chunk" => self.chunk = count(flag, it)?,
             "--log" => self.log = Some(parse_log_flag(take(flag, it)?)?),
             _ => return Ok(false),
         }
@@ -630,9 +589,9 @@ impl ServeArgs {
         match flag {
             "--listen" => self.listen = Some(take(flag, it)?.clone()),
             "--metrics-addr" => self.metrics_addr = Some(take(flag, it)?.clone()),
-            "--max-requests" => self.max_requests = num(take(flag, it)?)? as usize,
+            "--max-requests" => self.max_requests = count(flag, it)?,
             "--report-dir" => self.report_dir = Some(PathBuf::from(take(flag, it)?)),
-            "--queue-limit" => self.queue_limit = Some(num(take(flag, it)?)? as u64),
+            "--queue-limit" => self.queue_limit = Some(count(flag, it)?),
             "--cache-dir" => self.cache_dir = Some(PathBuf::from(take(flag, it)?)),
             _ => return Ok(false),
         }
@@ -707,27 +666,29 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    let spec = spec.build()?;
-    let farm = farm.build()?;
     Ok(Parsed::Run(Box::new(CliOptions {
-        spec,
+        spec: spec.build()?,
         output,
-        workers: farm.workers,
-        transport: farm.transport,
         telemetry,
         trace_out,
-        poll: farm.poll,
-        drain_timeout: farm.drain_timeout,
-        heartbeat_timeout: farm.heartbeat_timeout,
-        recovery: farm.recovery,
-        respawn_limit: farm.respawn_limit,
-        chunk: farm.chunk,
-        log: farm.log,
+        farm: farm.build()?,
     })))
 }
 
 fn num(s: &str) -> Result<f64, String> {
     s.parse().map_err(|_| format!("not a number: {s}"))
+}
+
+/// Pop the value of a count or millisecond flag: a whole number that
+/// fits the field, or a usage error naming the flag (`2.5`, `1e300`,
+/// `nan` and `-1` are all refused, never truncated or wrapped).
+fn count<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String> {
+    let v = take(flag, it)?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs a whole number, got {v:?}"))
 }
 
 #[cfg(test)]
@@ -746,7 +707,7 @@ mod tests {
             Parsed::Run(o) => {
                 assert_eq!(o.spec.ks.len(), 32);
                 assert_eq!(o.output, "linger_out");
-                assert_eq!(o.transport, TransportKind::Channel);
+                assert_eq!(o.farm.transport, TransportKind::Channel);
             }
             _ => panic!("expected run"),
         }
@@ -769,8 +730,8 @@ mod tests {
                 assert_eq!(o.spec.lmax_g, Some(40));
                 assert_eq!(o.spec.tau_end, Some(250.0));
                 assert_eq!(o.output, "foo");
-                assert_eq!(o.workers, 3);
-                assert_eq!(o.transport, TransportKind::Tcp);
+                assert_eq!(o.farm.workers, 3);
+                assert_eq!(o.farm.transport, TransportKind::Tcp);
             }
             _ => panic!("expected run"),
         }
@@ -876,7 +837,7 @@ mod tests {
             ("--tcp", TransportKind::Tcp),
         ] {
             match parse(&argv(arg)).unwrap() {
-                Parsed::Run(o) => assert_eq!(o.transport, want, "{arg}"),
+                Parsed::Run(o) => assert_eq!(o.farm.transport, want, "{arg}"),
                 _ => panic!("expected run for {arg}"),
             }
         }
@@ -917,20 +878,20 @@ mod tests {
         match parse(&[]).unwrap() {
             Parsed::Run(o) => {
                 assert_eq!(
-                    o.recovery,
+                    o.farm.recovery,
                     RecoveryPolicy::Requeue {
                         max_attempts: 2,
                         respawn: true
                     }
                 );
-                assert_eq!(o.respawn_limit, 2);
-                let cfg = o.master_config();
+                assert_eq!(o.farm.respawn_limit, 2);
+                let cfg = o.farm.master_config();
                 assert_eq!(cfg.poll, MasterConfig::default().poll);
             }
             _ => panic!("expected run"),
         }
         match parse(&argv("--recovery failfast")).unwrap() {
-            Parsed::Run(o) => assert_eq!(o.recovery, RecoveryPolicy::FailFast),
+            Parsed::Run(o) => assert_eq!(o.farm.recovery, RecoveryPolicy::FailFast),
             _ => panic!("expected run"),
         }
         match parse(&argv(
@@ -941,14 +902,14 @@ mod tests {
         {
             Parsed::Run(o) => {
                 assert_eq!(
-                    o.recovery,
+                    o.farm.recovery,
                     RecoveryPolicy::Requeue {
                         max_attempts: 3,
                         respawn: false
                     }
                 );
-                assert_eq!(o.respawn_limit, 0);
-                let cfg = o.master_config();
+                assert_eq!(o.farm.respawn_limit, 0);
+                let cfg = o.farm.master_config();
                 assert_eq!(cfg.poll, Duration::from_millis(10));
                 assert_eq!(cfg.drain_timeout, Duration::from_millis(750));
                 assert_eq!(cfg.heartbeat_timeout, Duration::from_millis(2000));
@@ -989,15 +950,15 @@ mod tests {
     #[test]
     fn log_flag_parses() {
         match parse(&[]).unwrap() {
-            Parsed::Run(o) => assert_eq!(o.log, None),
+            Parsed::Run(o) => assert_eq!(o.farm.log, None),
             _ => panic!("expected run"),
         }
         match parse(&argv("--log info")).unwrap() {
-            Parsed::Run(o) => assert_eq!(o.log, Some((Level::Info, false))),
+            Parsed::Run(o) => assert_eq!(o.farm.log, Some((Level::Info, false))),
             _ => panic!("expected run"),
         }
         match parse(&argv("--log debug,json")).unwrap() {
-            Parsed::Run(o) => assert_eq!(o.log, Some((Level::Debug, true))),
+            Parsed::Run(o) => assert_eq!(o.farm.log, Some((Level::Debug, true))),
             _ => panic!("expected run"),
         }
         assert!(parse(&argv("--log loud")).is_err());

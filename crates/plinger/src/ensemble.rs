@@ -31,15 +31,17 @@
 //!   fails there.
 //! * **One context build per evolution, one evolution ahead** — every
 //!   job opens with a tag-13 hint naming the first shard of the *next*
-//!   group, sent to each rank just before its tag-10 job start.  The
-//!   pool's ranks share one [`TableCache`](crate::TableCache), so
-//!   exactly one of them claims the hint and builds the next
-//!   cosmology's background/thermo tables while the others start on
-//!   this job's largest modes; the next job then opens with
-//!   `ctx_rebuilds == 0` everywhere and the build shows up as this
-//!   job's one [`prefetch_builds`](crate::WorkerStats::prefetch_builds).
-//!   A sweep builds one context per evolution per process —
-//!   `n_shards / n_ns`, twins never open a job.
+//!   group, sent to each rank just before its tag-1 job open.  The
+//!   worker threads of a pool share one
+//!   [`TableCache`](crate::TableCache), so exactly one of them claims
+//!   the hint and builds the next cosmology's background/thermo tables
+//!   while the others start on this job's largest modes; the next job
+//!   then opens with `ctx_rebuilds == 0` everywhere and the build shows
+//!   up as this job's one
+//!   [`prefetch_builds`](crate::WorkerStats::prefetch_builds).  A sweep
+//!   builds one context per evolution per process — `n_shards / n_ns`
+//!   on threads, that × workers on subprocesses (each child owns its
+//!   cache); twins never open a job.
 //! * **Two-level recovery** — inside a job the existing
 //!   requeue/heartbeat/respawn machinery applies unchanged, and each
 //!   evolved shard keeps its own recovery ledger (its [`FarmReport`]);
@@ -59,7 +61,7 @@ use telemetry::log::{self as tlog, Level};
 use crate::error::FarmError;
 use crate::farm::FarmReport;
 use crate::master::JobControl;
-use crate::pool::{FarmPool, TcpFarmPool};
+use crate::pool::FarmPool;
 use crate::protocol::{
     count_from_real, hash_reals, job_hash, RunSpec, SpecDecodeError, SPEC_PREFIX,
 };
@@ -366,8 +368,8 @@ pub struct EnsembleReport {
     /// Table builds done answering next-evolution hints, one job ahead
     /// of their use.  `ctx_rebuilds + prefetch_builds` is builds per
     /// process: [`EnsembleReport::evolutions`] on an undisturbed sweep
-    /// over a thread pool, that × workers over a [`TcpFarmPool`]'s
-    /// child processes.
+    /// over worker threads, that × workers over the child processes of
+    /// a [`FarmPool::start_processes`] pool.
     pub prefetch_builds: usize,
 }
 
@@ -392,9 +394,9 @@ impl EnsembleReport {
 }
 
 /// The pool-side contract the ensemble scheduler drives: one job with
-/// optional control and a next-job prefetch hint.  Implemented by both
-/// [`FarmPool`] and [`TcpFarmPool`]; tests substitute a scripted pool
-/// to exercise shard-level recovery without physics.
+/// optional control and a next-job prefetch hint.  Implemented by
+/// [`FarmPool`], whichever way its workers run; tests substitute a
+/// scripted pool to exercise shard-level recovery without physics.
 pub trait ShardRunner {
     /// Run one shard's job, optionally announcing the next one to run.
     fn run_shard(
@@ -407,18 +409,6 @@ pub trait ShardRunner {
 }
 
 impl<W: World> ShardRunner for FarmPool<W> {
-    fn run_shard(
-        &mut self,
-        spec: &RunSpec,
-        policy: SchedulePolicy,
-        ctrl: &JobControl<'_>,
-        prefetch: Option<&RunSpec>,
-    ) -> Result<FarmReport, FarmError> {
-        self.run_job_prefetched(spec, policy, ctrl, prefetch)
-    }
-}
-
-impl ShardRunner for TcpFarmPool {
     fn run_shard(
         &mut self,
         spec: &RunSpec,

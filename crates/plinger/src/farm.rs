@@ -3,13 +3,13 @@
 //!
 //! [`Farm`] is the paper's run shape — start the workers, farm one
 //! k-grid, stop them — over any [`World`]: `Farm::<W>::run` starts a
-//! [`FarmPool`], gives it one job and shuts it down, so the channel,
-//! shared-memory, and in-process TCP transports (the paper's "same
-//! Fortran over PVM, MPI, MPL, PVMe" claim, as one generic type) and
-//! the resident pools behind the service all run the same master and
-//! worker sessions.  [`run_tcp_processes`] is the same shape over
-//! [`TcpFarmPool`], whose workers are OS subprocesses running
-//! [`run_tcp_worker`].
+//! [`FarmPool`] of worker threads, gives it one job and shuts it down,
+//! so the channel, shared-memory, and in-process TCP transports (the
+//! paper's "same Fortran over PVM, MPI, MPL, PVMe" claim, as one
+//! generic type) and the resident pools behind the service all run the
+//! same master and worker sessions.  [`run_tcp_processes`] is the same
+//! shape over [`FarmPool::start_processes`], whose workers are OS
+//! subprocesses running [`run_tcp_worker`].
 
 use std::marker::PhantomData;
 use std::net::SocketAddr;
@@ -19,16 +19,16 @@ use std::time::{Duration, Instant};
 use background::Background;
 use boltzmann::{evolve_mode_scratch, ModeOutput};
 use msgpass::fault::{FaultAction, FaultRule, FaultSpec, FaultWhen};
-use msgpass::tcp::connect_worker;
+use msgpass::tcp::{connect_worker, TcpWorld};
 use msgpass::{Rank, Tag, World};
 use ode::Integrator;
 use recomb::ThermoHistory;
 
 use crate::error::FarmError;
 use crate::master::MasterConfig;
-use crate::pool::{FarmPool, PoolOptions, TcpFarmPool};
+use crate::pool::{FarmPool, PoolOptions};
 use crate::protocol::RunSpec;
-use crate::recovery::{RecoveryLog, RecoveryPolicy};
+use crate::recovery::RecoveryLog;
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
@@ -38,8 +38,9 @@ use crate::worker::{worker_pool_session, WorkerFault, WorkerStats};
 /// and §5.1 of the paper plot.
 #[derive(Debug)]
 pub struct FarmReport {
-    /// Finished modes in grid order.  Under [`RecoveryPolicy::Requeue`]
-    /// a quarantined mode leaves no entry here — its identity lives in
+    /// Finished modes in grid order.  Under
+    /// [`RecoveryPolicy::Requeue`](crate::RecoveryPolicy::Requeue) a
+    /// quarantined mode leaves no entry here — its identity lives in
     /// `recovery.failed_modes`, and `outputs[j]` is the `j`-th
     /// *non-quarantined* mode of the grid.
     pub outputs: Vec<ModeOutput>,
@@ -132,9 +133,12 @@ impl FarmReport {
 /// plans (`CorruptPayload`, `DropMessage`) become a deterministic
 /// [`FaultSpec`] applied at the transport seam of every endpoint — a
 /// rule only fires on the endpoint that actually sends the targeted
-/// tag.  Thread pools support all variants; subprocess pools support
-/// the worker-level ones (the fault rides a hidden CLI argument into
-/// the subprocess).
+/// tag.  On a thread pool every endpoint is wrapped, so all variants
+/// act.  On a subprocess pool ([`FarmPool::start_processes`]) the
+/// worker-level plans ride a hidden CLI argument into the children, and
+/// the message-level ones wrap the master's endpoint only: they act on
+/// the master's own sends (a tag-3 drop, a tag-1 corruption), never on
+/// what the children send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultPlan {
@@ -253,45 +257,10 @@ impl<W: World> Farm<W> {
         }
     }
 
-    /// Replace the whole master configuration at once (CLI plumbing;
-    /// the individual builders below tweak single knobs).
+    /// Replace the whole master configuration: timings, recovery
+    /// policy and chunk size (see [`MasterConfig`]).
     pub fn master_config(mut self, config: MasterConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Override the master's probe interval.
-    pub fn poll(mut self, poll: Duration) -> Self {
-        self.config.poll = poll;
-        self
-    }
-
-    /// Override the drain deadline used during shutdown.
-    pub fn drain_timeout(mut self, d: Duration) -> Self {
-        self.config.drain_timeout = d;
-        self
-    }
-
-    /// Set the recovery policy ([`RecoveryPolicy::FailFast`] is the
-    /// default; [`RecoveryPolicy::requeue`] makes the farm self-heal).
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.config.recovery = policy;
-        self
-    }
-
-    /// Override the heartbeat silence window after which a rank holding
-    /// an assignment is declared dead.
-    pub fn heartbeat_timeout(mut self, d: Duration) -> Self {
-        self.config.heartbeat_timeout = d;
-        self
-    }
-
-    /// Modes per assignment message (default 1, the paper's protocol).
-    /// A chunk is a run of the dispatch order, so results are bitwise
-    /// independent of the chunk size; bigger chunks only amortize the
-    /// request/assign round trip.  `0` is treated as `1`.
-    pub fn chunk(mut self, n: usize) -> Self {
-        self.config.chunk = n.max(1);
         self
     }
 
@@ -311,13 +280,27 @@ impl<W: World> Farm<W> {
             respawn_limit: 0,
             fault: self.fault,
         };
-        let mut pool = FarmPool::<W>::start_with(self.n_workers, self.config, opts)?;
-        let report = pool.run_job(spec, policy);
-        let worker_spans = pool.shutdown().worker_spans;
-        let mut report = report?;
-        report.telemetry.spans.extend(worker_spans);
-        Ok(report)
+        run_one_job(
+            FarmPool::<W>::start_with(self.n_workers, self.config, opts)?,
+            spec,
+            policy,
+        )
     }
+}
+
+/// The one-job tail of [`Farm::run`] and [`run_tcp_processes`]: run the
+/// job, stop the workers, and append the span timelines harvested at
+/// their joins to the report.
+fn run_one_job<W: World>(
+    mut pool: FarmPool<W>,
+    spec: &RunSpec,
+    policy: SchedulePolicy,
+) -> Result<FarmReport, FarmError> {
+    let report = pool.run_job(spec, policy);
+    let worker_spans = pool.shutdown().worker_spans;
+    let mut report = report?;
+    report.telemetry.spans.extend(worker_spans);
+    Ok(report)
 }
 
 /// Fold a completed ledger into a report, verifying every mode slot is
@@ -386,33 +369,6 @@ pub fn run_serial(spec: &RunSpec) -> Result<(Vec<ModeOutput>, f64), FarmError> {
     Ok((outputs, t0.elapsed().as_secs_f64()))
 }
 
-/// Knobs of the multi-process TCP deployment.
-#[derive(Debug, Clone)]
-pub struct TcpFarmOptions {
-    /// Timing and recovery configuration for the master loop.
-    pub master: MasterConfig,
-    /// How many times a dead worker process may be relaunched and
-    /// re-handshaked mid-job (total across all ranks and jobs).  Respawn also
-    /// requires `master.recovery` to be
-    /// `RecoveryPolicy::Requeue { respawn: true, .. }`.
-    pub respawn_limit: usize,
-    /// Worker-level fault to inject into the initial processes (tests):
-    /// `DropWorker`, `StallWorker`, and `FailMode` ride a hidden CLI
-    /// argument; message-level plans are not supported across process
-    /// boundaries and are ignored.
-    pub fault: Option<FaultPlan>,
-}
-
-impl Default for TcpFarmOptions {
-    fn default() -> Self {
-        Self {
-            master: MasterConfig::default(),
-            respawn_limit: 2,
-            fault: None,
-        }
-    }
-}
-
 /// Parse the hidden fault argument a `--tcp-worker` subprocess may
 /// receive: `vanish:N`, `stall:N:MS`, or `failmode:IK`.
 pub fn parse_worker_fault(s: &str) -> Option<WorkerFault> {
@@ -433,18 +389,21 @@ pub fn parse_worker_fault(s: &str) -> Option<WorkerFault> {
 }
 
 /// Run the farm with OS-subprocess workers over localhost TCP: a
-/// [`TcpFarmPool`] of `n_workers` copies of `exe`, one job, shutdown.
+/// [`FarmPool::start_processes`] pool of `n_workers` copies of `exe`,
+/// one job, shutdown.
 pub fn run_tcp_processes(
     spec: &RunSpec,
     policy: SchedulePolicy,
     n_workers: usize,
     exe: &Path,
-    opts: &TcpFarmOptions,
+    config: MasterConfig,
+    opts: PoolOptions,
 ) -> Result<FarmReport, FarmError> {
-    let mut pool = TcpFarmPool::start(n_workers, exe, opts)?;
-    let report = pool.run_job(spec, policy);
-    pool.shutdown();
-    report
+    run_one_job(
+        FarmPool::<TcpWorld>::start_processes(n_workers, exe, config, opts)?,
+        spec,
+        policy,
+    )
 }
 
 /// Entry point for a `--tcp-worker` subprocess: connect to the master

@@ -16,9 +16,10 @@
 //! method by which we minimized this idle time"), and the timing
 //! accounting behind the paper's Figure 1 and §5.1 flop rates.
 //!
-//! Workers live in a [`FarmPool`] (threads over any transport) or a
-//! [`TcpFarmPool`] (subprocesses) and serve any number of jobs.  The
-//! entry point [`Farm`] is the pool of one job: it starts the workers,
+//! Workers live in a [`FarmPool`] — threads over any transport, or
+//! subprocesses over localhost TCP ([`FarmPool::start_processes`]) —
+//! and serve any number of jobs.  The entry point [`Farm`] is the pool
+//! of one job: it starts the workers,
 //! runs the master loop once, stops them, and returns a [`FarmReport`]
 //! — or a typed [`FarmError`] naming exactly what failed, with no
 //! panics on the communication path.
@@ -49,10 +50,9 @@ pub use ensemble::{
 pub use error::{CancelReason, FarmError};
 pub use farm::{
     parse_worker_fault, run_serial, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan,
-    TcpFarmOptions,
 };
 pub use master::{master_job_session, JobControl, MasterConfig, MasterLedger};
-pub use pool::{FarmPool, PoolOptions, PoolShutdown, TcpFarmPool};
+pub use pool::{FarmPool, PoolOptions, PoolShutdown};
 pub use protocol::{
     cosmo_hash, hash_reals, job_hash, RunSpec, SpecDecodeError, TAG_ASSIGN, TAG_CANCEL, TAG_DATA,
     TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_JOBDONE, TAG_PREFETCH, TAG_REQUEST,

@@ -31,9 +31,8 @@ pub enum RecoveryPolicy {
         /// Dispatch budget per mode (≥ 1; the first dispatch counts).
         max_attempts: usize,
         /// Allow a dead rank to be respawned where the pool has a
-        /// budget for it (`PoolOptions::respawn_limit`,
-        /// `TcpFarmOptions::respawn_limit`); a one-job `Farm` never
-        /// respawns.
+        /// budget for it (`PoolOptions::respawn_limit`, thread or
+        /// subprocess workers alike); a one-job `Farm` never respawns.
         respawn: bool,
     },
 }

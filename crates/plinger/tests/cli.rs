@@ -89,3 +89,19 @@ fn bad_flags_fail_cleanly() {
     assert!(err.contains("unknown flag"), "stderr: {err}");
     assert!(err.contains("usage"), "usage text missing");
 }
+
+#[test]
+fn counts_must_be_whole_numbers() {
+    // a count is refused, not truncated (`2.5` → 2) or overflowed
+    // (`1e300` workers → a rank count past usize): usage error, exit 2
+    for (flag, value) in [("--workers", "1e300"), ("--nk", "2.5"), ("--nk", "nan")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_plinger"))
+            .args(["--preset", "draft", flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error:"), "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+    }
+}

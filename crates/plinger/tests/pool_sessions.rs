@@ -1,7 +1,8 @@
 //! Warm-pool determinism and cache discipline.
 //!
 //! A [`FarmPool`] must serve consecutive jobs bit-identical to fresh
-//! `Farm::run` calls on every thread-backed transport, build a
+//! `Farm::run` calls on every transport, thread or subprocess workers
+//! alike, build a
 //! cosmology's physics tables once per process and only when the
 //! canonical cosmology hash changes (counter evidence in the run
 //! report, span evidence in the pool shutdown), and reset per-job
@@ -14,9 +15,8 @@ use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{
-    build_run_report, run_serial, Farm, FarmPool, FarmReport, FaultPlan, MasterConfig, PoolOptions,
-    RecoveryPolicy, RunSpec, SchedulePolicy, TcpFarmOptions, TcpFarmPool, TAG_INIT, TAG_JOBDONE,
-    TAG_STOP,
+    build_run_report, run_serial, Farm, FarmError, FarmPool, FarmReport, FaultPlan, MasterConfig,
+    PoolOptions, RecoveryPolicy, RunSpec, SchedulePolicy, TAG_INIT, TAG_JOBDONE, TAG_STOP,
 };
 
 fn spec_of(ks: &[f64]) -> RunSpec {
@@ -105,28 +105,65 @@ fn pool_matches_fresh_farms_tcp() {
 }
 
 #[test]
-fn tcp_process_pool_builds_once_per_child_process() {
-    // child processes share nothing: each owns a table cache, so the
-    // same three jobs cost one build per *process* — `workers` of them
-    // when the cosmology is new, none when it is warm
+fn process_and_thread_pools_agree_on_what_a_report_can_show() {
+    // the same three jobs on subprocess workers and on worker threads,
+    // both over TCP: outputs bitwise vs serial, three jobs at shutdown,
+    // and the master's per-tag traffic of every job identical — the two
+    // kinds share one master endpoint and one comm baseline.  Child
+    // processes share nothing, so each builds its own tables: `workers`
+    // builds when the cosmology is new, none when it is warm; threads
+    // share the pool's cache and build once
     let n_workers = 2;
     let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4]);
     let mut job3 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     job3.cosmo = background::CosmoParams::lcdm();
+    let jobs = [&job1, &job2, &job3];
 
     let exe = std::path::Path::new(env!("CARGO_BIN_EXE_plinger"));
-    let mut pool =
-        TcpFarmPool::start(n_workers, exe, &TcpFarmOptions::default()).expect("tcp pool start");
-    for (spec, want) in [(&job1, n_workers), (&job2, 0), (&job3, n_workers)] {
-        let rep = pool
-            .run_job(spec, SchedulePolicy::LargestFirst)
-            .expect("pooled job");
-        let (serial, _) = run_serial(spec).expect("serial");
-        assert_bitwise(&rep.outputs, &serial);
-        assert_eq!(rebuilds(&rep), want, "builds per child process");
+    let processes = FarmPool::<TcpWorld>::start_processes(
+        n_workers,
+        exe,
+        MasterConfig::default(),
+        PoolOptions::default(),
+    )
+    .expect("process pool start");
+    let threads = FarmPool::<TcpWorld>::start(n_workers).expect("thread pool start");
+    let mut masters = Vec::new();
+    for (mut pool, builds) in [(processes, [n_workers, 0, n_workers]), (threads, [1, 0, 1])] {
+        let mut per_job = Vec::new();
+        for (spec, want) in jobs.iter().zip(builds) {
+            let rep = pool
+                .run_job(spec, SchedulePolicy::LargestFirst)
+                .expect("pooled job");
+            let (serial, _) = run_serial(spec).expect("serial");
+            assert_bitwise(&rep.outputs, &serial);
+            assert!(rep.recovery.is_clean(), "{:?}", rep.recovery);
+            assert_eq!(rebuilds(&rep), want, "table builds");
+            // heartbeats ride a wall clock, not the protocol
+            let mut master = rep.telemetry.comm[0].clone();
+            master.recv_count[plinger::TAG_HEARTBEAT as usize] = 0;
+            per_job.push((master.sent_count, master.recv_count));
+        }
+        assert_eq!(pool.shutdown().jobs, 3);
+        masters.push(per_job);
     }
-    assert_eq!(pool.shutdown(), 3);
+    assert_eq!(
+        masters[0], masters[1],
+        "master traffic differs by pool kind"
+    );
+}
+
+#[test]
+fn a_rank_count_past_usize_is_a_setup_error() {
+    // n_workers + 1 ranks must fit a usize: the start path refuses
+    // before any transport is asked for endpoints
+    let start = FarmPool::<ChannelWorld>::start_with(
+        usize::MAX,
+        MasterConfig::default(),
+        PoolOptions::default(),
+    );
+    assert!(matches!(start, Err(FarmError::Setup(_))));
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //! reference either way.
 
 use boltzmann::Preset;
+use msgpass::tcp::TcpWorld;
 use plinger::{
-    run_serial, run_tcp_processes, CancelReason, FarmError, FaultPlan, JobControl, MasterConfig,
-    RecoveryPolicy, RunSpec, SchedulePolicy, TcpFarmOptions, TcpFarmPool,
+    run_serial, run_tcp_processes, CancelReason, FarmError, FarmPool, FaultPlan, JobControl,
+    MasterConfig, PoolOptions, RecoveryPolicy, RunSpec, SchedulePolicy,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -49,20 +50,20 @@ fn killed_worker_is_respawned_and_run_finishes() {
     // code); the watch relaunches it, re-handshakes it under the same
     // rank, and the farm finishes with a respawn on the ledger
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
-    let opts = TcpFarmOptions {
-        // chunk 2: the victim dies after one mode, i.e. inside the first
-        // assignment the master guarantees it is dealt
-        master: MasterConfig {
-            chunk: 2,
-            ..fast_master(RecoveryPolicy::requeue())
-        },
+    // chunk 2: the victim dies after one mode, i.e. inside the first
+    // assignment the master guarantees it is dealt
+    let config = MasterConfig {
+        chunk: 2,
+        ..fast_master(RecoveryPolicy::requeue())
+    };
+    let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,
             after_modes: 1,
         }),
     };
-    let rep = run_tcp_processes(&spec, SchedulePolicy::Fifo, 2, &exe(), &opts).unwrap();
+    let rep = run_tcp_processes(&spec, SchedulePolicy::Fifo, 2, &exe(), config, opts).unwrap();
     let (serial, _) = run_serial(&spec).unwrap();
     assert_bitwise(&rep.outputs, &serial);
     assert_eq!(rep.recovery.respawns, 1, "{:?}", rep.recovery);
@@ -74,18 +75,18 @@ fn no_respawn_budget_recovers_through_survivors() {
     // same loss, but respawns are off: the single survivor must absorb
     // the whole queue via requeue alone
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
-    let opts = TcpFarmOptions {
-        master: fast_master(RecoveryPolicy::Requeue {
-            max_attempts: 2,
-            respawn: false,
-        }),
+    let config = fast_master(RecoveryPolicy::Requeue {
+        max_attempts: 2,
+        respawn: false,
+    });
+    let opts = PoolOptions {
         respawn_limit: 0,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,
             after_modes: 0,
         }),
     };
-    let rep = run_tcp_processes(&spec, SchedulePolicy::Fifo, 2, &exe(), &opts).unwrap();
+    let rep = run_tcp_processes(&spec, SchedulePolicy::Fifo, 2, &exe(), config, opts).unwrap();
     let (serial, _) = run_serial(&spec).unwrap();
     assert_bitwise(&rep.outputs, &serial);
     assert_eq!(rep.recovery.respawns, 0);
@@ -100,20 +101,20 @@ fn tcp_pool_respawns_killed_worker_across_jobs() {
     // job 2 on the same warm pool — both jobs bitwise vs serial
     let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 6.0e-4]);
-    let opts = TcpFarmOptions {
-        // chunk 2: the victim dies after one mode, i.e. inside the first
-        // assignment the master guarantees it is dealt
-        master: MasterConfig {
-            chunk: 2,
-            ..fast_master(RecoveryPolicy::requeue())
-        },
+    // chunk 2: the victim dies after one mode, i.e. inside the first
+    // assignment the master guarantees it is dealt
+    let config = MasterConfig {
+        chunk: 2,
+        ..fast_master(RecoveryPolicy::requeue())
+    };
+    let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,
             after_modes: 1,
         }),
     };
-    let mut pool = TcpFarmPool::start(2, &exe(), &opts).unwrap();
+    let mut pool = FarmPool::<TcpWorld>::start_processes(2, &exe(), config, opts).unwrap();
 
     let rep1 = pool.run_job(&job1, SchedulePolicy::Fifo).unwrap();
     let (serial1, _) = run_serial(&job1).unwrap();
@@ -133,7 +134,7 @@ fn tcp_pool_respawns_killed_worker_across_jobs() {
     );
     let modes2: usize = rep2.worker_stats.iter().map(|w| w.modes).sum();
     assert_eq!(modes2, job2.ks.len(), "job-2 stats polluted by job 1");
-    assert_eq!(pool.shutdown(), 2);
+    assert_eq!(pool.shutdown().jobs, 2);
 }
 
 #[test]
@@ -146,19 +147,16 @@ fn tcp_pool_cancelled_job_frees_the_subprocess_workers() {
         1.1e-3,
     ]);
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 7.0e-4]);
-    let opts = TcpFarmOptions {
-        master: fast_master(RecoveryPolicy::requeue()),
-        respawn_limit: 0,
-        fault: None,
-    };
-    let mut pool = TcpFarmPool::start(2, &exe(), &opts).unwrap();
+    let config = fast_master(RecoveryPolicy::requeue());
+    let mut pool =
+        FarmPool::<TcpWorld>::start_processes(2, &exe(), config, PoolOptions::default()).unwrap();
 
     let ctrl = JobControl {
         deadline: Some(Instant::now() + Duration::from_millis(15)),
         cancel: None,
     };
     let err = pool
-        .run_job_with(&job1, SchedulePolicy::Fifo, &ctrl)
+        .run_job_prefetched(&job1, SchedulePolicy::Fifo, &ctrl, None)
         .unwrap_err();
     match err {
         FarmError::Cancelled { reason, unfinished } => {
@@ -184,5 +182,5 @@ fn tcp_pool_cancelled_job_frees_the_subprocess_workers() {
         );
     }
     // only the finished job counts
-    assert_eq!(pool.shutdown(), 1);
+    assert_eq!(pool.shutdown().jobs, 1);
 }

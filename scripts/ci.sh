@@ -38,17 +38,20 @@ cargo test -q --release -p ode -p boltzmann -p recomb
 
 echo "== telemetry smoke run =="
 # a tiny farm must produce a parseable run report with a sane
-# efficiency, plus a chrome-tracing span file
+# efficiency, plus a chrome-tracing span file — on worker threads and on
+# worker subprocesses alike (the one pool type's two kinds)
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+for transport in channel tcp; do
 cargo run -q --release -p plinger --bin plinger -- \
     --preset draft --nk 3 --kmin 4e-4 --kmax 2e-3 --workers 2 \
-    --telemetry json --trace-out "$smoke_dir/trace.json" \
-    --output "$smoke_dir/smoke" > "$smoke_dir/report.json"
-python3 - "$smoke_dir" <<'EOF'
+    --transport "$transport" \
+    --telemetry json --trace-out "$smoke_dir/trace_$transport.json" \
+    --output "$smoke_dir/smoke_$transport" > "$smoke_dir/report_$transport.json"
+python3 - "$smoke_dir" "$transport" <<'EOF'
 import json, sys, os
-d = sys.argv[1]
-report = json.load(open(os.path.join(d, "report.json")))
+d, transport = sys.argv[1], sys.argv[2]
+report = json.load(open(os.path.join(d, f"report_{transport}.json")))
 assert report["schema"] == "plinger.run_report/2", report.get("schema")
 eff = report["run"]["efficiency"]
 assert 0.0 < eff <= 1.0, f"efficiency {eff} out of (0, 1]"
@@ -57,13 +60,23 @@ assert report["run"]["workers"] == 2
 rec = report["recovery"]
 assert rec["requeues"] == 0 and rec["respawns"] == 0, rec
 assert rec["failed_modes"] == [], rec
-on_disk = json.load(open(os.path.join(d, "smoke.run_report.json")))
+on_disk = json.load(open(os.path.join(d, f"smoke_{transport}.run_report.json")))
 assert on_disk == report, "stdout JSON and run_report.json file differ"
-trace = json.load(open(os.path.join(d, "trace.json")))
+trace = json.load(open(os.path.join(d, f"trace_{transport}.json")))
 assert trace and all(ev["ph"] == "X" for ev in trace), "bad trace events"
 assert all("pid" in ev and "tid" in ev and "ts" in ev and "dur" in ev for ev in trace)
-print(f"smoke: efficiency {eff:.3f}, {len(trace)} trace events")
+print(f"smoke ({transport}): efficiency {eff:.3f}, {len(trace)} trace events")
 EOF
+done
+# a count that is not a whole number is a usage error, never a panic
+# or a wrapped rank count
+set +e
+huge="$(cargo run -q --release -p plinger --bin plinger -- --workers 1e300 2>&1)"
+huge_code=$?
+set -e
+if [ "$huge_code" -ne 2 ] || grep -q panicked <<<"$huge"; then
+    echo "plinger --workers 1e300 exited $huge_code: $huge"; exit 1
+fi
 
 echo "== service smoke run =="
 # spectrum-as-a-service: a warm pool behind plinger-serve must answer

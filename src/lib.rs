@@ -52,7 +52,7 @@ pub mod prelude {
     pub use plinger::{
         cosmo_hash, job_hash, run_serial, run_tcp_processes, Farm, FarmError, FarmPool, FarmReport,
         FaultPlan, PoolOptions, RecoveryLog, RecoveryPolicy, ResultCache, RunSpec, SchedulePolicy,
-        SpectrumService, TcpFarmOptions, TcpFarmPool,
+        SpectrumService,
     };
     pub use recomb::ThermoHistory;
     pub use skymap::{AlmRealization, PotentialField, SkyMap};

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use msgpass::channel::ChannelWorld;
 use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
-use plinger::{Farm, FarmError, FaultPlan, RunSpec, SchedulePolicy};
+use plinger::{Farm, FarmError, FaultPlan, MasterConfig, RunSpec, SchedulePolicy};
 use plinger_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -78,11 +78,17 @@ fn chunked_assignment_is_bitwise_identical_to_unchunked() {
     let (serial, _) = run_serial(&spec).unwrap();
     for n_workers in [1, 2] {
         let chunked = Farm::<ChannelWorld>::new(n_workers)
-            .chunk(4)
+            .master_config(MasterConfig {
+                chunk: 4,
+                ..MasterConfig::default()
+            })
             .run(&spec, SchedulePolicy::LargestFirst)
             .unwrap();
         let single = Farm::<ChannelWorld>::new(n_workers)
-            .chunk(1)
+            .master_config(MasterConfig {
+                chunk: 1,
+                ..MasterConfig::default()
+            })
             .run(&spec, SchedulePolicy::LargestFirst)
             .unwrap();
         assert_bitwise_match(&chunked.outputs, &serial);
@@ -95,7 +101,10 @@ fn chunked_assignment_over_shmem_matches_serial() {
     let mut spec = RunSpec::standard_cdm(vec![3.0e-4, 1.5e-3, 6.0e-4, 9.0e-4, 2.0e-4]);
     spec.preset = Preset::Draft;
     let rep = Farm::<ShmemWorld>::new(2)
-        .chunk(4)
+        .master_config(MasterConfig {
+            chunk: 4,
+            ..MasterConfig::default()
+        })
         .run(&spec, SchedulePolicy::LargestFirst)
         .unwrap();
     let (serial, _) = run_serial(&spec).unwrap();
@@ -108,7 +117,10 @@ fn chunked_completion_log_keeps_dispatch_order() {
     // largest-first order because a chunk is a run of that order
     let spec = tiny_spec();
     let rep = Farm::<ChannelWorld>::new(1)
-        .chunk(8)
+        .master_config(MasterConfig {
+            chunk: 8,
+            ..MasterConfig::default()
+        })
         .run(&spec, SchedulePolicy::LargestFirst)
         .unwrap();
     let iks: Vec<usize> = rep.completion_log.iter().map(|&(ik, _)| ik).collect();
@@ -137,9 +149,12 @@ fn dropped_worker_yields_error_not_deadlock() {
     spec.preset = Preset::Draft;
     let t0 = Instant::now();
     let err = Farm::<ChannelWorld>::new(2)
-        .chunk(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            chunk: 2,
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::DropWorker {
             rank: 1,
             after_modes: 1,
@@ -172,8 +187,11 @@ fn dropped_worker_over_shmem_also_detected() {
     spec.preset = Preset::Draft;
     let t0 = Instant::now();
     let err = Farm::<ShmemWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::DropWorker {
             rank: 2,
             after_modes: 0,

@@ -14,7 +14,7 @@ use msgpass::channel::ChannelWorld;
 use msgpass::shmem::ShmemWorld;
 use plinger::{
     build_run_report, CancelReason, Farm, FarmError, FarmReport, FaultPlan, JobControl,
-    RecoveryPolicy, RunSpec, SchedulePolicy,
+    MasterConfig, RecoveryPolicy, RunSpec, SchedulePolicy,
 };
 use plinger_repro::prelude::*;
 
@@ -51,10 +51,13 @@ fn requeue_finishes_after_worker_loss_bitwise() {
     // to the queue and worker 2 finishes the run, bit-identical to serial
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .chunk(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .recovery(RecoveryPolicy::requeue())
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            recovery: RecoveryPolicy::requeue(),
+            chunk: 2,
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::DropWorker {
             rank: 1,
             after_modes: 1,
@@ -76,9 +79,12 @@ fn requeue_over_shmem_finishes_too() {
     // watch flags, same as the channel world
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.0e-3]);
     let rep = Farm::<ShmemWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .recovery(RecoveryPolicy::requeue())
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            recovery: RecoveryPolicy::requeue(),
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::DropWorker {
             rank: 2,
             after_modes: 0,
@@ -101,13 +107,15 @@ fn worker_lost_mid_chunk_requeues_the_rest_of_the_chunk() {
         2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4, 9.0e-4, 3.0e-4, 1.0e-3,
     ]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .chunk(4)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .heartbeat_timeout(Duration::from_millis(400))
-        .recovery(RecoveryPolicy::Requeue {
-            max_attempts: 3,
-            respawn: false,
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            heartbeat_timeout: Duration::from_millis(400),
+            recovery: RecoveryPolicy::Requeue {
+                max_attempts: 3,
+                respawn: false,
+            },
+            chunk: 4,
         })
         .fault_plan(FaultPlan::DropWorker {
             rank: 1,
@@ -133,12 +141,15 @@ fn chunked_poison_mode_spares_its_chunkmates() {
     let ks = [3.0e-4, 1.5e-3, 6.0e-4, 9.0e-4];
     let spec = spec_of(&ks);
     let rep = Farm::<ChannelWorld>::new(1)
-        .chunk(4)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .recovery(RecoveryPolicy::Requeue {
-            max_attempts: 2,
-            respawn: false,
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            recovery: RecoveryPolicy::Requeue {
+                max_attempts: 2,
+                respawn: false,
+            },
+            chunk: 4,
+            ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::FailMode { ik: 1 })
         .run(&spec, SchedulePolicy::Fifo)
@@ -162,10 +173,13 @@ fn stalled_worker_caught_by_heartbeat_timeout() {
     // and worker 2 absorbs the queue
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .heartbeat_timeout(Duration::from_millis(300))
-        .recovery(RecoveryPolicy::requeue())
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            heartbeat_timeout: Duration::from_millis(300),
+            recovery: RecoveryPolicy::requeue(),
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::StallWorker {
             rank: 1,
             after_modes: 0,
@@ -191,11 +205,14 @@ fn poison_mode_quarantined_after_retry_budget() {
     let ks = [3.0e-4, 1.5e-3, 6.0e-4, 9.0e-4];
     let spec = spec_of(&ks);
     let rep = Farm::<ChannelWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .recovery(RecoveryPolicy::Requeue {
-            max_attempts: 2,
-            respawn: false,
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            recovery: RecoveryPolicy::Requeue {
+                max_attempts: 2,
+                respawn: false,
+            },
+            ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::FailMode { ik: 1 })
         .run(&spec, SchedulePolicy::Fifo)
@@ -234,8 +251,11 @@ fn poison_mode_under_failfast_stays_fatal() {
     // today's behaviour: the first tag-8 failure aborts the session
     let spec = spec_of(&[3.0e-4, 1.5e-3, 6.0e-4]);
     let err = Farm::<ChannelWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::FailMode { ik: 1 })
         .run(&spec, SchedulePolicy::Fifo)
         .unwrap_err();
@@ -252,11 +272,14 @@ fn corrupted_result_payload_is_retried() {
     // and the retry (rule already consumed) comes through clean
     let spec = spec_of(&[3.0e-4, 1.5e-3, 6.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .recovery(RecoveryPolicy::Requeue {
-            max_attempts: 3,
-            respawn: false,
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            recovery: RecoveryPolicy::Requeue {
+                max_attempts: 3,
+                respawn: false,
+            },
+            ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::CorruptPayload { tag: 5 })
         .run(&spec, SchedulePolicy::Fifo)
@@ -273,8 +296,11 @@ fn corrupted_result_under_failfast_is_a_wire_error() {
     // typed wire error naming the sender
     let spec = spec_of(&[3.0e-4, 1.5e-3]);
     let err = Farm::<ChannelWorld>::new(1)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::CorruptPayload { tag: 5 })
         .run(&spec, SchedulePolicy::Fifo)
         .unwrap_err();
@@ -291,10 +317,13 @@ fn dropped_assignment_recovered_by_silence() {
     // the silence window expires, and the mode is redistributed
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .poll(Duration::from_millis(10))
-        .drain_timeout(Duration::from_millis(500))
-        .heartbeat_timeout(Duration::from_millis(300))
-        .recovery(RecoveryPolicy::requeue())
+        .master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            heartbeat_timeout: Duration::from_millis(300),
+            recovery: RecoveryPolicy::requeue(),
+            ..MasterConfig::default()
+        })
         .fault_plan(FaultPlan::DropMessage { tag: 3, nth: 0 })
         .run(&spec, SchedulePolicy::Fifo)
         .unwrap();
@@ -420,7 +449,7 @@ fn assert_cancel_then_serve<W: msgpass::World>(ctrl: &JobControl<'_>, reason: Ca
     let mut pool = FarmPool::<W>::start_with(2, cancel_config(), PoolOptions::default()).unwrap();
 
     let err = pool
-        .run_job_with(&long_job(), SchedulePolicy::Fifo, ctrl)
+        .run_job_prefetched(&long_job(), SchedulePolicy::Fifo, ctrl, None)
         .unwrap_err();
     match err {
         FarmError::Cancelled {
@@ -494,19 +523,23 @@ fn explicit_cancel_flag_aborts_the_job() {
 fn panicking_workers_surface_as_typed_errors<W: msgpass::World>() {
     let mut spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     spec.cosmo.omega_lambda += 0.2;
-    let farm = || {
-        Farm::<W>::new(2)
-            .poll(Duration::from_millis(10))
-            .drain_timeout(Duration::from_millis(500))
+    let farm = |recovery| {
+        Farm::<W>::new(2).master_config(MasterConfig {
+            poll: Duration::from_millis(10),
+            drain_timeout: Duration::from_millis(500),
+            recovery,
+            ..MasterConfig::default()
+        })
     };
     let t0 = Instant::now();
-    let failfast = farm().run(&spec, SchedulePolicy::Fifo).map(|_| ());
+    let failfast = farm(RecoveryPolicy::FailFast)
+        .run(&spec, SchedulePolicy::Fifo)
+        .map(|_| ());
     assert!(
         matches!(failfast, Err(FarmError::WorkerLost { .. })),
         "FailFast: {failfast:?}"
     );
-    let requeue = farm()
-        .recovery(RecoveryPolicy::requeue())
+    let requeue = farm(RecoveryPolicy::requeue())
         .run(&spec, SchedulePolicy::Fifo)
         .map(|_| ());
     assert!(
@@ -532,7 +565,10 @@ fn clean_requeue_run_has_clean_ledger() {
     // clean and the outputs identical to FailFast's
     let spec = spec_of(&[3.0e-4, 1.5e-3, 6.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .recovery(RecoveryPolicy::requeue())
+        .master_config(MasterConfig {
+            recovery: RecoveryPolicy::requeue(),
+            ..MasterConfig::default()
+        })
         .run(&spec, SchedulePolicy::LargestFirst)
         .unwrap();
     let (serial, _) = run_serial(&spec).unwrap();
