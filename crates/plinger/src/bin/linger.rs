@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use plinger::cli::{parse, Parsed, TelemetryMode, USAGE};
 use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
-use plinger::{render_pretty, run_serial, FarmReport, FarmTelemetry, RecoveryLog};
+use plinger::{render_pretty, run_serial, FarmReport};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,11 +71,7 @@ fn main() -> ExitCode {
     let report = FarmReport {
         outputs,
         wall_seconds: wall,
-        worker_stats: Vec::new(),
-        bytes_received: 0,
-        completion_log: Vec::new(),
-        telemetry: FarmTelemetry::default(),
-        recovery: RecoveryLog::default(),
+        ..FarmReport::default()
     };
     if opts.telemetry != TelemetryMode::Off {
         match write_run_report(&opts.output, &report, "serial") {

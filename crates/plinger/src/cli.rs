@@ -16,7 +16,7 @@
 
 use crate::ensemble::EnsembleSpec;
 use crate::master::MasterConfig;
-use crate::protocol::RunSpec;
+use crate::protocol::{require_flat, RunSpec};
 use crate::recovery::RecoveryPolicy;
 use background::CosmoParams;
 use boltzmann::{Gauge, InitialConditions, Preset, SpectrumMethod};
@@ -267,7 +267,9 @@ impl SpecArgs {
     /// equations are flat-space-only) and hash-identical with the
     /// matching sweep shard.  The adjustment is exactly `0.0` when no
     /// density flag was given; an explicit `--omega-c` pins the whole
-    /// budget and skips it.
+    /// budget and skips it, and a budget it leaves curved is refused by
+    /// [`parse`] for the farm CLIs and by the server's admission for a
+    /// `plinger-serve` client.
     pub fn build(self) -> Result<RunSpec, String> {
         if !(self.kmin > 0.0 && self.kmax > self.kmin) {
             return Err(format!("bad k range [{}, {}]", self.kmin, self.kmax));
@@ -666,8 +668,12 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    let spec = spec.build()?;
+    // the farm CLIs refuse a curved model before any worker starts (the
+    // serve client sends it on, for the server's admission to refuse)
+    require_flat(&spec.cosmo).map_err(|e| e.to_string())?;
     Ok(Parsed::Run(Box::new(CliOptions {
-        spec: spec.build()?,
+        spec,
         output,
         telemetry,
         trace_out,

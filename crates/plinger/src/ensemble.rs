@@ -9,6 +9,15 @@
 //! over a [`FarmPool`], one pooled job per *evolution*, multiplexed
 //! onto the inner chunked k-scheduler.
 //!
+//! A sweep has one scheduler, a group walk private to the crate.  It
+//! asks a *consumer* which shards it already holds, runs the jobs, and
+//! hands the consumer every shard in canonical order: held, evolved, a
+//! twin, or part of a failed group.  [`run_ensemble`] is the walk with a
+//! consumer that holds nothing and collects an [`EnsembleReport`]; a
+//! `plinger-serve` tag-22 sweep
+//! ([`SpectrumService::handle_ensemble_with`](crate::SpectrumService::handle_ensemble_with))
+//! is the walk with the service's result cache as the consumer.
+//!
 //! Four properties make this more than a `for` loop:
 //!
 //! * **Determinism** — each evolution runs as an ordinary pooled job
@@ -21,18 +30,19 @@
 //!   primordial power law is applied when C_l or P(k) is assembled from
 //!   them.  `n_s` is the fastest canonical index, so shards
 //!   `g·n_ns … g·n_ns + n_ns − 1` are one *group*: the group's first
-//!   shard runs as a pooled job, and every other shard of the group
-//!   (a *twin*) is handed a clone of its outputs under its own index,
-//!   hash and cosmology ([`ShardResult::evolved_by`] names the shard
-//!   that ran).  The rule is the index arithmetic — no hash, no cache,
+//!   shard the consumer does not hold runs as a pooled job, and every
+//!   other un-held shard of the group (a *twin*) is handed a clone of
+//!   its outputs under its own index, hash and cosmology
+//!   ([`ShardResult::evolved_by`] names the shard that ran).  The rule is the index arithmetic — no hash, no cache,
 //!   no option — and the per-shard comparison with
 //!   [`run_serial`](crate::run_serial) in `tests/ensemble_pinning.rs`
 //!   is its guard: an `n_s` dependence added to the mode equations
 //!   fails there.
 //! * **One context build per evolution, one evolution ahead** — every
-//!   job opens with a tag-13 hint naming the first shard of the *next*
-//!   group, sent to each rank just before its tag-1 job open.  The
-//!   worker threads of a pool share one
+//!   job opens with a tag-13 hint naming the first shard past its group
+//!   that the consumer does not hold (for [`run_ensemble`], the first
+//!   shard of the *next* group), sent to each rank just before its
+//!   tag-1 job open.  The worker threads of a pool share one
 //!   [`TableCache`](crate::TableCache), so exactly one of them claims
 //!   the hint and builds the next cosmology's background/thermo tables
 //!   while the others start on this job's largest modes; the next job
@@ -49,24 +59,23 @@
 //!   by [`EnsembleOptions::max_shard_attempts`], and once the budget is
 //!   spent every shard of its group is quarantined into
 //!   [`EnsembleReport::failed`] — it is not tried again under a twin's
-//!   name.
+//!   name (the service ends the sweep there instead).  The walk checks
+//!   the [`JobControl`] before every shard and every re-run.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use background::CosmoParams;
-use boltzmann::ModeOutput;
 use msgpass::World;
 use telemetry::log::{self as tlog, Level};
 
-use crate::error::FarmError;
+use crate::error::{CancelReason, FarmError};
 use crate::farm::FarmReport;
 use crate::master::JobControl;
 use crate::pool::FarmPool;
 use crate::protocol::{
     count_from_real, hash_reals, job_hash, RunSpec, SpecDecodeError, SPEC_PREFIX,
 };
-use crate::recovery::RecoveryLog;
-use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
 
 /// A parameter sweep: axes over `Ω_b`, `h`, and `n_s` applied to a base
@@ -220,6 +229,13 @@ impl EnsembleSpec {
             cosmo: self.shard_cosmo(i),
             ..self.base.clone()
         }
+    }
+
+    /// The `n_s` group of shard `i`: the shards that differ from it only
+    /// in `n_s`, which one evolution answers.
+    pub(crate) fn group(&self, i: usize) -> Range<usize> {
+        let first = i - i % self.n_s.len();
+        first..first + self.n_s.len()
     }
 
     /// Canonical per-shard job identity: the ordinary [`job_hash`] of
@@ -420,174 +436,242 @@ impl<W: World> ShardRunner for FarmPool<W> {
     }
 }
 
-/// A report that holds `outputs` and an empty ledger: what a twin
-/// carries (the work is on the report of the shard that evolved).
-fn outputs_only(outputs: Vec<ModeOutput>) -> FarmReport {
-    FarmReport {
-        outputs,
-        wall_seconds: 0.0,
-        worker_stats: Vec::new(),
-        bytes_received: 0,
-        completion_log: Vec::new(),
-        telemetry: FarmTelemetry::default(),
-        recovery: RecoveryLog::default(),
+/// A shard's turn in the sweep walk, as its consumer gets it.
+pub(crate) enum ShardTurn {
+    /// The consumer already holds this shard; no job ran for it.
+    Held(usize),
+    /// A shard its group's job answered: the one that evolved
+    /// (`evolved_by == shard`), or a twin, whose report is empty — its
+    /// outputs are those of the evolved shard, taken just before.
+    Done(Box<ShardResult>),
+    /// A group whose job spent its attempt budget, from the shard whose
+    /// job it was to the end of the group.
+    Failed(FarmError, Range<usize>),
+}
+
+/// Where the sweep walk takes the shards: [`run_ensemble`] collects
+/// them, the service streams them through its result cache.
+pub(crate) trait SweepConsumer {
+    /// What stops the walk; a cancel arrives converted.
+    type Error: From<FarmError>;
+    /// Whether `shard` is held already.  Asked at its turn and for the
+    /// next-job hint, so it has no side effects.
+    fn holds(&self, shard: usize) -> bool;
+    /// Take the next turn, in canonical order; an `Err` stops the walk.
+    fn take(&mut self, turn: ShardTurn) -> Result<(), Self::Error>;
+    /// `ctrl` fired before `shard`'s turn or a re-run of its job.
+    fn refused(&mut self, _shard: usize, _reason: CancelReason) {}
+}
+
+/// The one sweep scheduler.  It goes through the shards in canonical
+/// order, checks `ctrl` and asks `consumer` whether it holds each one at
+/// its turn, runs the first un-held shard of each `n_s` group as one
+/// pooled job through `run` — its tag-13 hint names the first un-held
+/// shard past the group — and hands the group's other un-held shards
+/// over as twins.  A job that fails other than by a cancel is re-run at
+/// once within [`EnsembleOptions::max_shard_attempts`].  The walk stops
+/// at the consumer's first error or at a cancel, and returns it;
+/// otherwise it returns the sweep's wall time, re-runs and table builds,
+/// leaving the per-shard lists to the consumer.
+pub(crate) fn walk<C: SweepConsumer>(
+    mut run: impl FnMut(
+        &RunSpec,
+        SchedulePolicy,
+        &JobControl<'_>,
+        Option<&RunSpec>,
+    ) -> Result<FarmReport, FarmError>,
+    ens: &EnsembleSpec,
+    opts: &EnsembleOptions,
+    ctrl: &JobControl<'_>,
+    consumer: &mut C,
+) -> Result<EnsembleReport, C::Error> {
+    let t0 = Instant::now();
+    let n = ens.n_shards();
+    let sweep = ensemble_hash(ens);
+    let mut rep = EnsembleReport::default();
+    let mut failed = 0;
+    let sweep_event = |message: &str, more: &[(&str, String)]| {
+        let at = [("ensemble", tlog::job_hex(sweep))];
+        tlog::log(Level::Info, "ensemble", message, &[&at[..], more].concat());
+    };
+    let shard_event =
+        |level: Level, message: &str, shard: usize, job: u64, more: &[(&str, String)]| {
+            let at = [
+                ("shard", tlog::shard_label(sweep, shard)),
+                ("job", tlog::job_hex(job)),
+            ];
+            tlog::log(level, "ensemble", message, &[&at[..], more].concat());
+        };
+    // between jobs nothing is in flight to drain, but the sweep must stop
+    // as promptly as a mid-job trigger would
+    let stop = |consumer: &mut C, shard: usize| match ctrl.triggered() {
+        None => Ok(()),
+        Some(reason) => {
+            consumer.refused(shard, reason);
+            let unfinished = Vec::new();
+            Err(C::Error::from(FarmError::Cancelled { reason, unfinished }))
+        }
+    };
+    sweep_event("sweep_start", &[("shards", n.to_string())]);
+    // the shard whose job answers the current group, once it has run
+    let mut evolved_by = None;
+    // one past the last shard of a group that failed
+    let mut skip_to = 0;
+    for shard in 0..n {
+        if ens.group(shard).start == shard {
+            evolved_by = None;
+        }
+        if shard < skip_to {
+            continue;
+        }
+        stop(consumer, shard)?;
+        if consumer.holds(shard) {
+            consumer.take(ShardTurn::Held(shard))?;
+            continue;
+        }
+        let spec = ens.shard_spec(shard);
+        let job = job_hash(&spec);
+        let answered = match evolved_by {
+            Some(first) => Ok((0, first, FarmReport::default())),
+            None => {
+                let end = ens.group(shard).end;
+                let hint = (end..n)
+                    .find(|&j| !consumer.holds(j))
+                    .map(|j| ens.shard_spec(j));
+                let mut attempts = 0;
+                loop {
+                    attempts += 1;
+                    let at = [("attempt", attempts.to_string())];
+                    shard_event(Level::Info, "shard_start", shard, job, &at);
+                    match run(&spec, opts.policy, ctrl, hint.as_ref()) {
+                        Ok(report) => break Ok((attempts, shard, report)),
+                        Err(e @ FarmError::Cancelled { .. }) => return Err(e.into()),
+                        Err(e) if attempts >= opts.max_shard_attempts.max(1) => {
+                            let why = [("reason", e.to_string())];
+                            shard_event(Level::Error, "shard_failed", shard, job, &why);
+                            break Err((e, end));
+                        }
+                        Err(e) => {
+                            rep.shard_requeues += 1;
+                            let why = [("reason", e.to_string())];
+                            shard_event(Level::Warn, "shard_requeue", shard, job, &why);
+                            stop(consumer, shard)?;
+                        }
+                    }
+                }
+            }
+        };
+        let turn = match answered {
+            Ok((attempts, by, report)) => {
+                if by == shard {
+                    let stats = &report.worker_stats;
+                    rep.ctx_rebuilds += stats.iter().map(|w| w.ctx_rebuilds).sum::<usize>();
+                    rep.prefetch_builds += stats.iter().map(|w| w.prefetch_builds).sum::<usize>();
+                    evolved_by = Some(shard);
+                }
+                let more = [
+                    ("modes", report.completion_log.len().to_string()),
+                    ("requeues", report.recovery.requeues.to_string()),
+                    ("evolved_by", by.to_string()),
+                ];
+                shard_event(Level::Info, "shard_done", shard, job, &more);
+                ShardTurn::Done(Box::new(ShardResult {
+                    shard,
+                    job,
+                    cosmo: spec.cosmo,
+                    attempts,
+                    evolved_by: by,
+                    report,
+                }))
+            }
+            Err((e, end)) => {
+                skip_to = end;
+                failed += end - shard;
+                ShardTurn::Failed(e, shard..end)
+            }
+        };
+        consumer.take(turn)?;
+    }
+    rep.wall_seconds = t0.elapsed().as_secs_f64();
+    let more = [
+        ("shards", (n - failed).to_string()),
+        ("failed", failed.to_string()),
+        ("shard_requeues", rep.shard_requeues.to_string()),
+        ("ctx_rebuilds", rep.ctx_rebuilds.to_string()),
+        ("prefetch_builds", rep.prefetch_builds.to_string()),
+        ("wall_ms", format!("{:.1}", rep.wall_seconds * 1000.0)),
+    ];
+    sweep_event("sweep_done", &more);
+    Ok(rep)
+}
+
+/// [`run_ensemble`] keeps a sweep's shards in an [`EnsembleReport`]: it
+/// holds nothing, so every group evolves; a twin gets a clone of its
+/// evolved shard's outputs, and a failed group is quarantined whole.
+impl SweepConsumer for EnsembleReport {
+    type Error = FarmError;
+
+    fn holds(&self, _shard: usize) -> bool {
+        false
+    }
+
+    fn take(&mut self, turn: ShardTurn) -> Result<(), FarmError> {
+        match turn {
+            ShardTurn::Done(mut r) => {
+                if r.evolved_by != r.shard {
+                    let first = self.results.iter().rev().find(|e| e.shard == r.evolved_by);
+                    r.report.outputs = first.map(|e| e.report.outputs.clone()).unwrap_or_default();
+                }
+                self.results.push(*r);
+            }
+            ShardTurn::Failed(e, shards) => {
+                self.failed.extend(shards.map(|i| (i, e.to_string())));
+            }
+            // it holds nothing, so no shard comes back held
+            ShardTurn::Held(_) => {}
+        }
+        Ok(())
     }
 }
 
-/// Drive a whole sweep over one warm pool: visit the `n_s` groups in
-/// canonical order, run each group's first shard as an ordinary pooled
-/// job with the *next* group's first shard as its prefetch hint, hand
-/// the group's other shards a clone of the outputs, re-run a job that
-/// fails (budgeted), and collect per-shard reports.
+/// Drive a whole sweep over one warm pool and collect every shard: visit
+/// the `n_s` groups in canonical order, run each group's first shard as
+/// an ordinary pooled job with the *next* group's first shard as its
+/// prefetch hint, hand the group's other shards a clone of the outputs,
+/// re-run a job that fails (budgeted), and quarantine a group whose
+/// budget is spent.
 ///
 /// Cancellation propagates immediately: a fired deadline or cancel flag
 /// in `ctrl` aborts the in-flight job cooperatively and returns
 /// [`FarmError::Cancelled`]; finished shards' results are dropped with
 /// the error exactly as a cancelled single job drops its partial
-/// outputs (callers that want partial sweeps run shard-sized requests
-/// through the service instead, where every finished shard is cached).
+/// outputs (callers that want partial sweeps send them to the service
+/// instead, where every finished shard is cached).
 pub fn run_ensemble<P: ShardRunner>(
     pool: &mut P,
     ens: &EnsembleSpec,
     opts: &EnsembleOptions,
     ctrl: &JobControl<'_>,
 ) -> Result<EnsembleReport, FarmError> {
-    let t0 = Instant::now();
-    let n = ens.n_shards();
-    let n_ns = ens.n_s.len();
-    let sweep = ensemble_hash(ens);
-    let mut rep = EnsembleReport::default();
-    tlog::log(
-        Level::Info,
-        "ensemble",
-        "sweep_start",
-        &[
-            ("ensemble", tlog::job_hex(sweep)),
-            ("shards", n.to_string()),
-        ],
-    );
-    // `si` is the shard that evolves for its group `si .. si + n_ns`
-    for si in (0..n).step_by(n_ns.max(1)) {
-        let spec = ens.shard_spec(si);
-        let job = job_hash(&spec);
-        let label = tlog::shard_label(sweep, si);
-        let prefetch_spec = (si + n_ns < n).then(|| ens.shard_spec(si + n_ns));
-        let mut attempts = 0usize;
-        loop {
-            if let Some(reason) = ctrl.triggered() {
-                // between jobs: nothing in flight to drain, but the sweep
-                // must stop just as promptly as a mid-job trigger would
-                return Err(FarmError::Cancelled {
-                    reason,
-                    unfinished: Vec::new(),
-                });
-            }
-            attempts += 1;
-            tlog::log(
-                Level::Info,
-                "ensemble",
-                "shard_start",
-                &[
-                    ("shard", label.clone()),
-                    ("job", tlog::job_hex(job)),
-                    ("attempt", attempts.to_string()),
-                ],
-            );
-            match pool.run_shard(&spec, opts.policy, ctrl, prefetch_spec.as_ref()) {
-                Ok(report) => {
-                    rep.ctx_rebuilds += report
-                        .worker_stats
-                        .iter()
-                        .map(|w| w.ctx_rebuilds)
-                        .sum::<usize>();
-                    rep.prefetch_builds += report
-                        .worker_stats
-                        .iter()
-                        .map(|w| w.prefetch_builds)
-                        .sum::<usize>();
-                    let twins: Vec<FarmReport> = (1..n_ns)
-                        .map(|_| outputs_only(report.outputs.clone()))
-                        .collect();
-                    for (shard, report) in (si..).zip(std::iter::once(report).chain(twins)) {
-                        let spec = ens.shard_spec(shard);
-                        let job = job_hash(&spec);
-                        tlog::log(
-                            Level::Info,
-                            "ensemble",
-                            "shard_done",
-                            &[
-                                ("shard", tlog::shard_label(sweep, shard)),
-                                ("job", tlog::job_hex(job)),
-                                ("modes", report.completion_log.len().to_string()),
-                                ("requeues", report.recovery.requeues.to_string()),
-                                ("evolved_by", si.to_string()),
-                            ],
-                        );
-                        rep.results.push(ShardResult {
-                            shard,
-                            job,
-                            cosmo: spec.cosmo,
-                            attempts: if shard == si { attempts } else { 0 },
-                            evolved_by: si,
-                            report,
-                        });
-                    }
-                    break;
-                }
-                Err(e @ FarmError::Cancelled { .. }) => return Err(e),
-                Err(e) if attempts < opts.max_shard_attempts.max(1) => {
-                    rep.shard_requeues += 1;
-                    tlog::log(
-                        Level::Warn,
-                        "ensemble",
-                        "shard_requeue",
-                        &[
-                            ("shard", label.clone()),
-                            ("job", tlog::job_hex(job)),
-                            ("reason", e.to_string()),
-                        ],
-                    );
-                }
-                Err(e) => {
-                    tlog::log(
-                        Level::Error,
-                        "ensemble",
-                        "shard_failed",
-                        &[
-                            ("shard", label.clone()),
-                            ("job", tlog::job_hex(job)),
-                            ("reason", e.to_string()),
-                        ],
-                    );
-                    rep.failed
-                        .extend((si..si + n_ns).map(|shard| (shard, e.to_string())));
-                    break;
-                }
-            }
-        }
-    }
-    rep.wall_seconds = t0.elapsed().as_secs_f64();
-    tlog::log(
-        Level::Info,
-        "ensemble",
-        "sweep_done",
-        &[
-            ("ensemble", tlog::job_hex(sweep)),
-            ("shards", rep.results.len().to_string()),
-            ("failed", rep.failed.len().to_string()),
-            ("shard_requeues", rep.shard_requeues.to_string()),
-            ("ctx_rebuilds", rep.ctx_rebuilds.to_string()),
-            ("prefetch_builds", rep.prefetch_builds.to_string()),
-            ("wall_ms", format!("{:.1}", rep.wall_seconds * 1000.0)),
-        ],
-    );
-    Ok(rep)
+    let mut kept = EnsembleReport::default();
+    let walked = walk(
+        |s, p, c, h| pool.run_shard(s, p, c, h),
+        ens,
+        opts,
+        ctrl,
+        &mut kept,
+    )?;
+    let (results, failed) = (kept.results, kept.failed);
+    Ok(EnsembleReport {
+        results,
+        failed,
+        ..walked
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CancelReason;
     use boltzmann::Preset;
     use std::sync::atomic::AtomicBool;
 
@@ -742,7 +826,7 @@ mod tests {
                 self.failures_left -= 1;
                 return Err(FarmError::AllWorkersLost { unfinished: vec![] });
             }
-            Ok(outputs_only(Vec::new()))
+            Ok(FarmReport::default())
         }
     }
 

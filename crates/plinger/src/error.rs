@@ -58,6 +58,13 @@ pub enum FarmError {
     },
     /// The tag-1 run-spec broadcast failed to decode on a worker.
     SpecDecode(SpecDecodeError),
+    /// The job's cosmology is curved (or NaN) past
+    /// [`boltzmann::FLATNESS_TOLERANCE`]: the perturbation equations are
+    /// flat-space only, so it is refused before any worker sees it.
+    NotFlat {
+        /// The refused Ω_k.
+        omega_k: f64,
+    },
     /// A mode integration failed on a worker (reported via tag 8).
     Evolve {
         /// Worker the mode was running on (0 for the serial runner).
@@ -118,6 +125,11 @@ impl fmt::Display for FarmError {
                 write!(f, "malformed result from rank {rank}: {source}")
             }
             FarmError::SpecDecode(e) => write!(f, "run spec failed to decode: {e}"),
+            FarmError::NotFlat { omega_k } => write!(
+                f,
+                "cosmology is not flat (Omega_k = {omega_k:.6}; need |Omega_k| < {})",
+                boltzmann::FLATNESS_TOLERANCE
+            ),
             FarmError::Evolve {
                 rank,
                 ik,

@@ -27,7 +27,7 @@ use recomb::ThermoHistory;
 use crate::error::FarmError;
 use crate::master::MasterConfig;
 use crate::pool::{FarmPool, PoolOptions};
-use crate::protocol::RunSpec;
+use crate::protocol::{require_flat, RunSpec};
 use crate::recovery::RecoveryLog;
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
@@ -35,8 +35,9 @@ use crate::tables::TableCache;
 use crate::worker::{worker_pool_session, WorkerFault, WorkerStats};
 
 /// Timing and throughput report of a farm run — the quantities Figure 1
-/// and §5.1 of the paper plot.
-#[derive(Debug)]
+/// and §5.1 of the paper plot.  The default is an empty report: what an
+/// ensemble twin carries besides the outputs it shares.
+#[derive(Debug, Default)]
 pub struct FarmReport {
     /// Finished modes in grid order.  Under
     /// [`RecoveryPolicy::Requeue`](crate::RecoveryPolicy::Requeue) a
@@ -345,8 +346,9 @@ pub(crate) fn finish_report(
 /// The serial reference: LINGER's main loop over `k`, no message
 /// passing.  Used for correctness comparison (the farm must be
 /// bit-identical mode for mode) and as the single-node baseline of the
-/// scaling figure.
+/// scaling figure.  A curved cosmology is [`FarmError::NotFlat`].
 pub fn run_serial(spec: &RunSpec) -> Result<(Vec<ModeOutput>, f64), FarmError> {
+    require_flat(&spec.cosmo)?;
     let t0 = std::time::Instant::now();
     let bg = Background::new(spec.cosmo.clone());
     let thermo = ThermoHistory::new(&bg);

@@ -559,23 +559,32 @@ impl Session {
                 self.stopped.insert(rank);
             }
         }
-        let deadline = Instant::now() + cfg.drain_timeout;
-        let mut buf = Vec::new();
-        while Instant::now() < deadline {
+        self.collect_stats(t, cfg, |s| {
             let dead: HashSet<Rank> = watch()
                 .into_iter()
                 .filter_map(|e| match e {
                     WorkerEvent::Dead(r) => Some(r),
                     WorkerEvent::Respawned(_) => None,
                 })
-                .chain(self.dead.iter().copied())
+                .chain(s.dead.iter().copied())
                 .collect();
-            let expected = (1..=self.n_workers)
-                .filter(|r| !dead.contains(r) && self.stats[r - 1].is_none())
-                .count();
-            if expected == 0 {
-                break;
-            }
+            (1..=s.n_workers).any(|r| !dead.contains(&r) && s.stats[r - 1].is_none())
+        });
+    }
+
+    /// Probe every `cfg.poll`, receive, and record tag-7 statistics
+    /// until `awaiting` says no rank still owes them or
+    /// `cfg.drain_timeout` passes.  `awaiting` is asked before every
+    /// probe.
+    fn collect_stats<T: Transport>(
+        &mut self,
+        t: &mut T,
+        cfg: &MasterConfig,
+        mut awaiting: impl FnMut(&Self) -> bool,
+    ) {
+        let deadline = Instant::now() + cfg.drain_timeout;
+        let mut buf = Vec::new();
+        while Instant::now() < deadline && awaiting(self) {
             match t.probe_timeout(None, None, cfg.poll) {
                 Ok(Some(env)) => {
                     if myrecvreal(t, &mut buf, env.tag, env.source).is_err() {
@@ -632,28 +641,9 @@ impl Session {
     /// stop, sent statistics, and exited can be seen dead by the watch
     /// before its last message is read).  Bounded by the drain timeout.
     fn sweep_stats<T: Transport>(&mut self, t: &mut T, cfg: &MasterConfig) {
-        let deadline = Instant::now() + cfg.drain_timeout;
-        let mut buf = Vec::new();
-        while Instant::now() < deadline {
-            let expected = (1..=self.n_workers)
-                .filter(|&r| self.stopped.contains(&r) && self.stats[r - 1].is_none())
-                .count();
-            if expected == 0 {
-                break;
-            }
-            match t.probe_timeout(None, None, cfg.poll) {
-                Ok(Some(env)) => {
-                    if myrecvreal(t, &mut buf, env.tag, env.source).is_err() {
-                        break;
-                    }
-                    if env.tag == TAG_STATS {
-                        let _ = self.record_stats(env.source, &buf);
-                    }
-                }
-                Ok(None) => continue,
-                Err(_) => break,
-            }
-        }
+        self.collect_stats(t, cfg, |s| {
+            (1..=s.n_workers).any(|r| s.stopped.contains(&r) && s.stats[r - 1].is_none())
+        });
     }
 
     fn into_ledger(mut self, t0: Instant) -> MasterLedger {

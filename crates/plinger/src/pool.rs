@@ -58,7 +58,7 @@ use telemetry::SpanEvent;
 use crate::error::FarmError;
 use crate::farm::{finish_report, FarmReport, FaultPlan};
 use crate::master::{master_job_session, JobControl, MasterConfig};
-use crate::protocol::{RunSpec, TAG_STOP};
+use crate::protocol::{require_flat, RunSpec, TAG_STOP};
 use crate::recovery::{RecoveryPolicy, WorkerEvent};
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
@@ -515,6 +515,9 @@ impl<W: World> FarmPool<W> {
     /// next job simply opens with its tables already there
     /// (`ctx_rebuilds == 0` on every rank; the build is this job's one
     /// `prefetch_builds`).
+    ///
+    /// A curved cosmology is refused with [`FarmError::NotFlat`] before
+    /// the job opens; the pool is untouched and serves the next job.
     pub fn run_job_prefetched(
         &mut self,
         spec: &RunSpec,
@@ -522,6 +525,7 @@ impl<W: World> FarmPool<W> {
         ctrl: &JobControl<'_>,
         prefetch: Option<&RunSpec>,
     ) -> Result<FarmReport, FarmError> {
+        require_flat(&spec.cosmo)?;
         let Some(master) = self.master.as_mut() else {
             return Err(FarmError::Protocol {
                 rank: 0,

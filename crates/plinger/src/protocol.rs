@@ -20,6 +20,8 @@ use background::CosmoParams;
 use boltzmann::{Gauge, InitialConditions, ModeConfig, Preset, SpectrumMethod};
 use msgpass::Tag;
 
+use crate::error::FarmError;
+
 /// Tag 1: first message of a job from master to workers (run
 /// parameters, `20 + nk` reals), sent to every live rank — and re-sent
 /// to a rank respawned mid-job.  The worker takes the job's physics
@@ -415,6 +417,21 @@ impl RunSpec {
             },
             ks: v[SPEC_PREFIX..].to_vec(),
         })
+    }
+}
+
+/// Refuse a cosmology the flat-space perturbation equations cannot
+/// evolve: `|Ω_k|` at or past [`boltzmann::FLATNESS_TOLERANCE`], or a NaN
+/// budget.  Service admission, the farm CLIs, [`crate::run_serial`] and
+/// every pooled job check it before any work starts, so a curved model
+/// is a typed [`FarmError::NotFlat`], never a worker panic.
+pub(crate) fn require_flat(cosmo: &CosmoParams) -> Result<(), FarmError> {
+    let omega_k = cosmo.omega_k();
+    // written so that a NaN budget is refused too
+    if omega_k.abs() < boltzmann::FLATNESS_TOLERANCE {
+        Ok(())
+    } else {
+        Err(FarmError::NotFlat { omega_k })
     }
 }
 

@@ -27,6 +27,10 @@
 //! admission gate, decode and admit, the service lock, the run, the
 //! reply frames.  A queue slot taken at the gate is released by its
 //! `Drop` on every way out, so no exit path can leak queue depth.
+//! Inside the service every pool job, a spectrum miss or a sweep's
+//! evolution, is run and counted at one point, and a sweep has no loop
+//! of its own: it is a consumer of the one group walk in
+//! [`crate::ensemble`], holding whatever the cache holds.
 //! Every frame has one wire form (`docs/PROTOCOL.md` §5).
 
 use std::collections::HashMap;
@@ -40,13 +44,15 @@ use msgpass::{Message, Tag, World};
 use telemetry::log::{self as tlog, Level};
 use telemetry::{Counter, Histogram, TelemetrySnapshot};
 
-use crate::ensemble::{ensemble_hash, EnsembleSpec};
+use crate::ensemble::{
+    ensemble_hash, walk, EnsembleOptions, EnsembleSpec, ShardTurn, SweepConsumer,
+};
 use crate::error::{CancelReason, FarmError};
 use crate::farm::FarmReport;
 use crate::master::JobControl;
 use crate::output_files::write_run_report;
 use crate::pool::FarmPool;
-use crate::protocol::{hash_reals, job_hash, RunSpec};
+use crate::protocol::{hash_reals, job_hash, require_flat, RunSpec};
 use crate::schedule::SchedulePolicy;
 
 /// Tag 20, client → server: request one spectrum.  Payload:
@@ -260,7 +266,7 @@ impl SpectrumRequest {
     /// ([`ErrorCode::BadRequest`]), not a worker panic mid-job.
     pub fn admit(&self) -> Result<(), ServiceError> {
         require_bounded(&self.spec)?;
-        require_flat(&self.spec.cosmo, "request")
+        admit_flat(&self.spec.cosmo, "request")
     }
 }
 
@@ -293,20 +299,9 @@ fn require_bounded(spec: &RunSpec) -> Result<(), ServiceError> {
     }
 }
 
-/// Refuse a cosmology outside [`boltzmann::FLATNESS_TOLERANCE`].
-fn require_flat(cosmo: &background::CosmoParams, what: &str) -> Result<(), ServiceError> {
-    let omega_k = cosmo.omega_k();
-    // written so that a NaN budget is refused too
-    if omega_k.abs() < boltzmann::FLATNESS_TOLERANCE {
-        return Ok(());
-    }
-    Err(ServiceError::new(
-        ErrorCode::BadRequest,
-        format!(
-            "{what} cosmology is not flat (Omega_k = {omega_k:.6}; need |Omega_k| < {})",
-            boltzmann::FLATNESS_TOLERANCE
-        ),
-    ))
+/// [`require_flat`] as a `bad-request` naming `what`.
+fn admit_flat(cosmo: &background::CosmoParams, what: &str) -> Result<(), ServiceError> {
+    require_flat(cosmo).map_err(|e| ServiceError::new(ErrorCode::BadRequest, format!("{what} {e}")))
 }
 
 /// One tag-22 request: a whole sweep plus an optional relative deadline
@@ -348,9 +343,9 @@ impl EnsembleRequest {
     /// cosmology flat (see [`SpectrumRequest::admit`]).
     pub fn admit(&self) -> Result<(), ServiceError> {
         require_bounded(&self.ens.base)?;
-        require_flat(&self.ens.base.cosmo, "ensemble base")?;
+        admit_flat(&self.ens.base.cosmo, "ensemble base")?;
         (0..self.ens.n_shards())
-            .try_for_each(|i| require_flat(&self.ens.shard_cosmo(i), &format!("shard {i}")))
+            .try_for_each(|i| admit_flat(&self.ens.shard_cosmo(i), &format!("shard {i}")))
     }
 }
 
@@ -551,8 +546,8 @@ impl ResultCache {
     }
 
     /// Whether `key` is stored, *without* counting a hit or a miss —
-    /// the ensemble planner's probe for "which shards still need a pool
-    /// job", which must not skew the request-path hit/miss telemetry.
+    /// the sweep walk's probe for "which shards the service already
+    /// holds", which must not skew the request-path hit/miss telemetry.
     pub fn contains(&self, key: u64) -> bool {
         self.entries.contains_key(&key)
     }
@@ -959,7 +954,13 @@ impl<W: World> SpectrumService<W> {
         }
         let key = job_hash(spec);
         let job = tlog::job_hex(key);
-        self.refuse_expired(ctrl, "request_expired", ("job", job.clone()))?;
+        if let Some(reason) = ctrl.triggered() {
+            log_expired(&self.metrics, reason, "request_expired", ("job", job));
+            return Err(FarmError::Cancelled {
+                reason,
+                unfinished: Vec::new(),
+            });
+        }
         let (body, report) = match self.cache.lookup(key) {
             Some(body) => {
                 self.metrics.cache_hits.inc();
@@ -970,7 +971,8 @@ impl<W: World> SpectrumService<W> {
             None => {
                 self.metrics.cache_misses.inc();
                 tlog::log(Level::Info, "service", "cache_miss", &[("job", job)]);
-                let (body, report) = self.run_miss(spec, ctrl, None, &[key])?;
+                let report = run_job(&mut self.pool, &self.metrics, spec, self.policy, ctrl, None)?;
+                let body = store(&mut self.cache, &self.metrics, &report, [key]);
                 (body, Some(report))
             }
         };
@@ -982,94 +984,21 @@ impl<W: World> SpectrumService<W> {
         })
     }
 
-    /// Refuse to start work whose control fired while it was queued:
-    /// count an expired deadline, log `event` at `at`, return the
-    /// cancel (the caller counts the error itself).
-    fn refuse_expired(
-        &self,
-        ctrl: &JobControl<'_>,
-        event: &str,
-        at: (&str, String),
-    ) -> Result<(), FarmError> {
-        let Some(reason) = ctrl.triggered() else {
-            return Ok(());
-        };
-        if reason == CancelReason::DeadlineExceeded {
-            self.metrics.deadline_expired.inc();
-        }
-        tlog::log(
-            Level::Warn,
-            "service",
-            event,
-            &[at, ("reason", reason.to_string())],
-        );
-        Err(FarmError::Cancelled {
-            reason,
-            unfinished: Vec::new(),
-        })
-    }
-
-    /// The miss step: `spec` as one pool job, its telemetry folded, its
-    /// body encoded and stored under each of `keys` with no entry yet —
-    /// an entry already there is a body some client has seen, and it
-    /// keeps its bytes.  A cancelled job is counted here.
-    fn run_miss(
-        &mut self,
-        spec: &RunSpec,
-        ctrl: &JobControl<'_>,
-        prefetch: Option<&RunSpec>,
-        keys: &[u64],
-    ) -> Result<(Arc<Vec<f64>>, FarmReport), FarmError> {
-        let outcome = self
-            .pool
-            .run_job_prefetched(spec, self.policy, ctrl, prefetch);
-        self.metrics.set_workers_alive(self.pool.workers_alive());
-        if let Err(FarmError::Cancelled { reason, .. }) = &outcome {
-            self.metrics.jobs_cancelled.inc();
-            if *reason == CancelReason::DeadlineExceeded {
-                self.metrics.deadline_expired.inc();
-            }
-        }
-        let report = outcome?;
-        self.metrics.pool_jobs.inc();
-        self.metrics
-            .fold_comm(report.telemetry.merged_comm().to_telemetry());
-        let body = Arc::new(encode_spectrum_body(&report.outputs, report.wall_seconds));
-        self.metrics.cache_bytes_served.add(body.len() as u64 * 8);
-        for &k in keys {
-            if !self.cache.contains(k) && self.cache.insert(k, Arc::clone(&body)) {
-                self.metrics.cache_persist_writes.inc();
-            }
-        }
-        Ok((body, report))
-    }
-
-    /// Serve a whole sweep through the cache, streaming each finished
-    /// shard to `sink` in canonical shard order.
+    /// Serve a whole sweep through the cache, streaming each shard to
+    /// `sink` in canonical shard order.
     ///
-    /// Every shard is keyed by its own [`job_hash`], so shards already
-    /// produced — by an earlier sweep *or* by single-spectrum requests
-    /// for the same cosmology — are streamed from the cache without
-    /// touching the pool, and every fresh shard becomes a cache entry
-    /// that later single-spectrum requests hit.  Uncached shards run as
-    /// ordinary pooled jobs with the next *uncached* shard past their
-    /// own `n_s` group as their tag-13 hint, so one worker builds the
-    /// next cosmology's physics tables while the others start on the
-    /// current shard's modes.
-    ///
-    /// The mode equations never read `n_s`, so a fresh shard's body is
-    /// also stored under the key of every other shard of its `n_s`
-    /// group (see [`run_ensemble`](crate::run_ensemble)) that has no
-    /// entry yet: those stream as cache hits sharing the one
-    /// allocation, and a cold sweep costs one pool job per `(Ω_b, h)`
-    /// point.
-    ///
-    /// A shard whose job fails is retried once (the inner
-    /// requeue/respawn machinery already absorbed anything survivable;
-    /// a second whole-job failure aborts the sweep).  Cancellation —
-    /// deadline or explicit — aborts immediately with
-    /// [`FarmError::Cancelled`]; shards already streamed stay cached,
-    /// so a retried sweep resumes where the budget ran out.
+    /// The service is a consumer of the one sweep walk (the one behind
+    /// [`run_ensemble`](crate::run_ensemble)) that holds what its cache
+    /// holds.  Every shard is keyed by its own [`job_hash`], so shards
+    /// already produced — by an earlier sweep *or* by single-spectrum
+    /// requests for the same cosmology — stream from the cache, and every
+    /// fresh body is stored under each key of its `n_s` group that has no
+    /// entry yet: the group's other shards then stream as cache hits
+    /// sharing the one allocation, and a cold sweep costs one pool job
+    /// per `(Ω_b, h)` point.  A group whose job fails twice (the default
+    /// [`EnsembleOptions`] budget) ends the sweep with its [`FarmError`],
+    /// and so does a cancel; shards already streamed stay cached, so a
+    /// retried sweep resumes where the last one stopped.
     ///
     /// The outer `Result` is the sink's: a `sink` error (client gone)
     /// stops the sweep at once and comes back as the outer `Err`, kept
@@ -1078,116 +1007,53 @@ impl<W: World> SpectrumService<W> {
         &mut self,
         ens: &EnsembleSpec,
         ctrl: &JobControl<'_>,
-        mut sink: impl FnMut(&ShardReply) -> Result<(), E>,
+        sink: impl FnMut(&ShardReply) -> Result<(), E>,
     ) -> Result<Result<EnsembleSummary, FarmError>, E> {
-        let t0 = Instant::now();
         self.metrics.ensemble_requests.inc();
         let n = ens.n_shards();
-        let n_ns = ens.n_s.len();
-        let sweep = ensemble_hash(ens);
-        tlog::log(
-            Level::Info,
-            "service",
-            "ensemble_accept",
-            &[
-                ("ensemble", tlog::job_hex(sweep)),
-                ("shards", n.to_string()),
-            ],
-        );
-        let keys: Vec<u64> = (0..n).map(|i| ens.shard_hash(i)).collect();
-        let mut attempts = vec![0usize; n];
-        let mut hits = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            let at = ("shard", tlog::shard_label(sweep, i));
-            if let Err(e) = self.refuse_expired(ctrl, "ensemble_expired", at) {
-                return Ok(Err(e));
-            }
-            let key = keys[i];
-            attempts[i] += 1;
-            let cached = self.cache.lookup(key);
-            let cache_hit = cached.is_some();
-            let body = match cached {
-                Some(body) => {
-                    hits += 1;
-                    self.metrics.ensemble_shard_hits.inc();
-                    self.metrics.cache_bytes_served.add(body.len() as u64 * 8);
-                    tlog::log(
-                        Level::Info,
-                        "service",
-                        "shard_hit",
-                        &[
-                            ("shard", tlog::shard_label(sweep, i)),
-                            ("job", tlog::job_hex(key)),
-                        ],
-                    );
-                    body
-                }
-                None => {
-                    let spec = ens.shard_spec(i);
-                    // this job's body answers the rest of shard i's n_s group
-                    let group = i - i % n_ns;
-                    let prefetch = (group + n_ns..n)
-                        .find(|&j| !self.cache.contains(keys[j]))
-                        .map(|j| ens.shard_spec(j));
-                    tlog::log(
-                        Level::Info,
-                        "service",
-                        "shard_miss",
-                        &[
-                            ("shard", tlog::shard_label(sweep, i)),
-                            ("job", tlog::job_hex(key)),
-                            ("attempt", attempts[i].to_string()),
-                        ],
-                    );
-                    let group_keys = &keys[group..group + n_ns];
-                    match self.run_miss(&spec, ctrl, prefetch.as_ref(), group_keys) {
-                        Ok((body, _)) => body,
-                        Err(e) if attempts[i] < 2 && !matches!(e, FarmError::Cancelled { .. }) => {
-                            tlog::log(
-                                Level::Warn,
-                                "service",
-                                "shard_retry",
-                                &[
-                                    ("shard", tlog::shard_label(sweep, i)),
-                                    ("job", tlog::job_hex(key)),
-                                    ("reason", e.to_string()),
-                                ],
-                            );
-                            continue;
-                        }
-                        Err(e) => return Ok(Err(e)),
-                    }
-                }
-            };
-            self.metrics.ensemble_shards.inc();
-            sink(&ShardReply {
-                shard: i,
-                n_shards: n,
-                key,
-                cache_hit,
-                body,
-            })?;
-            i += 1;
-        }
-        let summary = EnsembleSummary {
+        let sweep = tlog::job_hex(ensemble_hash(ens));
+        let accept = [("ensemble", sweep.clone()), ("shards", n.to_string())];
+        tlog::log(Level::Info, "service", "ensemble_accept", &accept);
+        let (pool, metrics) = (&mut self.pool, &*self.metrics);
+        let mut runs = 0;
+        let run = |spec: &RunSpec, policy, ctrl: &JobControl<'_>, hint: Option<&RunSpec>| {
+            runs += 1;
+            run_job(pool, metrics, spec, policy, ctrl, hint)
+        };
+        let mut shards = CacheSweep {
+            ens,
+            cache: &mut self.cache,
+            metrics: &self.metrics,
+            hits: 0,
+            sink,
+        };
+        let opts = EnsembleOptions {
+            policy: self.policy,
+            ..EnsembleOptions::default()
+        };
+        let walked = walk(run, ens, &opts, ctrl, &mut shards);
+        let hits = shards.hits;
+        // the walk runs a job only for a shard the cache lacks: each is a
+        // counted miss, as a spectrum miss's lookup is
+        self.cache.misses += runs;
+        let wall_seconds = match walked {
+            Ok(walked) => walked.wall_seconds,
+            Err(SweepStop::Farm(e)) => return Ok(Err(e)),
+            Err(SweepStop::Sink(e)) => return Err(e),
+        };
+        let done = [
+            ("ensemble", sweep),
+            ("shards", n.to_string()),
+            ("hits", hits.to_string()),
+            ("wall_ms", format!("{:.1}", wall_seconds * 1000.0)),
+        ];
+        tlog::log(Level::Info, "service", "ensemble_done", &done);
+        Ok(Ok(EnsembleSummary {
             n_ok: n,
             n_shards: n,
-            wall_seconds: t0.elapsed().as_secs_f64(),
+            wall_seconds,
             cache_hits: hits,
-        };
-        tlog::log(
-            Level::Info,
-            "service",
-            "ensemble_done",
-            &[
-                ("ensemble", tlog::job_hex(sweep)),
-                ("shards", n.to_string()),
-                ("hits", hits.to_string()),
-                ("wall_ms", format!("{:.1}", summary.wall_seconds * 1000.0)),
-            ],
-        );
-        Ok(Ok(summary))
+        }))
     }
 
     /// Requests handled, spectra and sweeps (hits and misses both count).
@@ -1216,6 +1082,141 @@ impl<W: World> SpectrumService<W> {
     pub fn shutdown(self) -> ResultCache {
         let _ = self.pool.shutdown();
         self.cache
+    }
+}
+
+/// Run one pool job for the service, a spectrum miss or a sweep's
+/// evolution alike, so that every job is counted at this one point: the
+/// workers gauge after any job, `jobs_cancelled` and `deadline_expired`
+/// for a cancelled one, `pool_jobs` and the comm fold for a finished one.
+fn run_job<W: World>(
+    pool: &mut FarmPool<W>,
+    metrics: &ServiceMetrics,
+    spec: &RunSpec,
+    policy: SchedulePolicy,
+    ctrl: &JobControl<'_>,
+    prefetch: Option<&RunSpec>,
+) -> Result<FarmReport, FarmError> {
+    let outcome = pool.run_job_prefetched(spec, policy, ctrl, prefetch);
+    metrics.set_workers_alive(pool.workers_alive());
+    if let Err(FarmError::Cancelled { reason, .. }) = &outcome {
+        metrics.jobs_cancelled.inc();
+        if *reason == CancelReason::DeadlineExceeded {
+            metrics.deadline_expired.inc();
+        }
+    }
+    let report = outcome?;
+    metrics.pool_jobs.inc();
+    metrics.fold_comm(report.telemetry.merged_comm().to_telemetry());
+    Ok(report)
+}
+
+/// Encode a finished job's body and store it under each of `keys` that
+/// has no entry yet — an entry already there is a body some client has
+/// seen, and it keeps its bytes.
+fn store(
+    cache: &mut ResultCache,
+    metrics: &ServiceMetrics,
+    report: &FarmReport,
+    keys: impl IntoIterator<Item = u64>,
+) -> Arc<Vec<f64>> {
+    let body = Arc::new(encode_spectrum_body(&report.outputs, report.wall_seconds));
+    metrics.cache_bytes_served.add(body.len() as u64 * 8);
+    for k in keys {
+        if !cache.contains(k) && cache.insert(k, Arc::clone(&body)) {
+            metrics.cache_persist_writes.inc();
+        }
+    }
+    body
+}
+
+/// Count and log work refused because its control fired before it
+/// started: `event` at `at`.
+fn log_expired(metrics: &ServiceMetrics, reason: CancelReason, event: &str, at: (&str, String)) {
+    if reason == CancelReason::DeadlineExceeded {
+        metrics.deadline_expired.inc();
+    }
+    let fields = [at, ("reason", reason.to_string())];
+    tlog::log(Level::Warn, "service", event, &fields);
+}
+
+/// Why a service sweep stopped early: the farm's failure or a cancel, or
+/// the sink's error.
+enum SweepStop<E> {
+    Farm(FarmError),
+    Sink(E),
+}
+
+impl<E> From<FarmError> for SweepStop<E> {
+    fn from(e: FarmError) -> Self {
+        SweepStop::Farm(e)
+    }
+}
+
+/// The service's side of the sweep walk: a shard is held when the
+/// result cache has its key, and each shard's turn is one tag-23 frame.
+struct CacheSweep<'a, S> {
+    ens: &'a EnsembleSpec,
+    cache: &'a mut ResultCache,
+    metrics: &'a ServiceMetrics,
+    /// Shards streamed from the cache.
+    hits: usize,
+    sink: S,
+}
+
+impl<S, E> SweepConsumer for CacheSweep<'_, S>
+where
+    S: FnMut(&ShardReply) -> Result<(), E>,
+{
+    type Error = SweepStop<E>;
+
+    fn holds(&self, shard: usize) -> bool {
+        self.cache.contains(self.ens.shard_hash(shard))
+    }
+
+    fn refused(&mut self, shard: usize, reason: CancelReason) {
+        let at = tlog::shard_label(ensemble_hash(self.ens), shard);
+        log_expired(self.metrics, reason, "ensemble_expired", ("shard", at));
+    }
+
+    fn take(&mut self, turn: ShardTurn) -> Result<(), SweepStop<E>> {
+        let (shard, key, fresh) = match turn {
+            ShardTurn::Failed(e, _) => return Err(SweepStop::Farm(e)),
+            ShardTurn::Held(shard) => (shard, self.ens.shard_hash(shard), None),
+            // a twin's key took the evolved body, so the walk finds it held
+            ShardTurn::Done(r) if r.evolved_by != r.shard => (r.shard, r.job, None),
+            ShardTurn::Done(r) => {
+                let keys = self.ens.group(r.shard).map(|i| self.ens.shard_hash(i));
+                let body = store(self.cache, self.metrics, &r.report, keys);
+                (r.shard, r.job, Some(body))
+            }
+        };
+        let cache_hit = fresh.is_none();
+        let body = match fresh {
+            Some(body) => body,
+            None => {
+                let body = self.cache.lookup(key).ok_or_else(|| FarmError::Protocol {
+                    rank: 0,
+                    detail: format!("shard {shard} left the result cache mid-sweep"),
+                })?;
+                self.hits += 1;
+                self.metrics.ensemble_shard_hits.inc();
+                self.metrics.cache_bytes_served.add(body.len() as u64 * 8);
+                let label = tlog::shard_label(ensemble_hash(self.ens), shard);
+                let at = [("shard", label), ("job", tlog::job_hex(key))];
+                tlog::log(Level::Info, "service", "shard_hit", &at);
+                body
+            }
+        };
+        self.metrics.ensemble_shards.inc();
+        let reply = ShardReply {
+            shard,
+            n_shards: self.ens.n_shards(),
+            key,
+            cache_hit,
+            body,
+        };
+        (self.sink)(&reply).map_err(SweepStop::Sink)
     }
 }
 
@@ -1796,14 +1797,12 @@ mod tests {
         let _ = svc.into_inner().unwrap().shutdown();
     }
 
-    #[test]
-    fn a_dead_pool_answers_one_internal_frame() {
+    /// One worker that dies on its first assignment, with no respawn:
+    /// every job on this pool fails.
+    fn dead_pool() -> FarmPool<ChannelWorld> {
         let config = MasterConfig {
             poll: std::time::Duration::from_millis(10),
-            recovery: RecoveryPolicy::Requeue {
-                max_attempts: 2,
-                respawn: false,
-            },
+            recovery: RecoveryPolicy::requeue(),
             ..MasterConfig::default()
         };
         let opts = PoolOptions {
@@ -1813,7 +1812,12 @@ mod tests {
                 after_modes: 0,
             }),
         };
-        let pool = FarmPool::<ChannelWorld>::start_with(1, config, opts).unwrap();
+        FarmPool::<ChannelWorld>::start_with(1, config, opts).unwrap()
+    }
+
+    #[test]
+    fn a_dead_pool_answers_one_internal_frame() {
+        let pool = dead_pool();
         let svc = SpectrumService::new(pool, SchedulePolicy::LargestFirst);
         let metrics = svc.metrics();
         let svc = Mutex::new(svc);
@@ -2322,6 +2326,145 @@ mod tests {
         // and a single-spectrum request for a swept cosmology hits too
         let cross = svc.handle(&ens.shard_spec(3)).unwrap();
         assert!(cross.cache_hit);
+        let _ = svc.shutdown();
+    }
+
+    /// Run `ens` through the service, collecting its streamed frames.
+    fn sweep_frames<W: World>(
+        svc: &mut SpectrumService<W>,
+        ens: &EnsembleSpec,
+    ) -> (Vec<ShardReply>, EnsembleSummary) {
+        let mut frames = Vec::new();
+        let summary = svc
+            .handle_ensemble_with(ens, &JobControl::default(), |r| {
+                frames.push(r.clone());
+                Ok::<_, Infallible>(())
+            })
+            .unwrap()
+            .unwrap();
+        (frames, summary)
+    }
+
+    /// `(shard, cache_hit)` of every streamed frame, in stream order.
+    fn stream(frames: &[ShardReply]) -> Vec<(usize, bool)> {
+        frames.iter().map(|f| (f.shard, f.cache_hit)).collect()
+    }
+
+    #[test]
+    fn a_sweep_streams_a_shard_a_single_request_cached_and_evolves_the_rest_of_its_group() {
+        let pool = FarmPool::<ChannelWorld>::start(2).unwrap();
+        let mut svc = SpectrumService::new(pool, SchedulePolicy::LargestFirst);
+        let metrics = svc.metrics();
+        let ens = EnsembleSpec {
+            base: tiny_spec(vec![0.001]),
+            omega_b: vec![0.04],
+            h: vec![0.5],
+            n_s: vec![0.95, 1.0],
+        };
+        let warm = svc.handle(&ens.shard_spec(0)).unwrap();
+        assert!(!warm.cache_hit);
+        assert_eq!(svc.pool().jobs_run(), 1);
+
+        let (frames, summary) = sweep_frames(&mut svc, &ens);
+        assert_eq!(stream(&frames), [(0, true), (1, false)]);
+        assert!(Arc::ptr_eq(&frames[0].body, &warm.body));
+        assert_eq!(svc.pool().jobs_run(), 2, "shard 1 evolves in one job");
+        assert_eq!(metrics.ensemble_shards.get(), 2);
+        assert_eq!(metrics.ensemble_shard_hits.get(), 1);
+        assert_eq!((svc.cache().hits(), svc.cache().misses()), (1, 2));
+        let want = EnsembleSummary {
+            wall_seconds: summary.wall_seconds,
+            n_ok: 2,
+            n_shards: 2,
+            cache_hits: 1,
+        };
+        assert_eq!(summary, want);
+        let _ = svc.shutdown();
+    }
+
+    #[test]
+    fn a_sweep_hint_skips_cached_shards() {
+        let pool = FarmPool::<ChannelWorld>::start(2).unwrap();
+        let mut svc = SpectrumService::new(pool, SchedulePolicy::LargestFirst);
+        let metrics = svc.metrics();
+        let ens = EnsembleSpec {
+            base: tiny_spec(vec![0.001]),
+            omega_b: vec![0.04, 0.05, 0.06],
+            h: vec![0.5],
+            n_s: vec![1.0],
+        };
+        assert!(!svc.handle(&ens.shard_spec(1)).unwrap().cache_hit);
+
+        let (frames, summary) = sweep_frames(&mut svc, &ens);
+        assert_eq!(stream(&frames), [(0, false), (1, true), (2, false)]);
+        assert_eq!(svc.pool().jobs_run(), 3);
+        assert_eq!(metrics.ensemble_shards.get(), 3);
+        assert_eq!(metrics.ensemble_shard_hits.get(), 1);
+        assert_eq!((svc.cache().hits(), svc.cache().misses()), (1, 3));
+        assert_eq!(
+            (summary.n_ok, summary.n_shards, summary.cache_hits),
+            (3, 3, 1)
+        );
+
+        // shard 0's job hinted shard 2, past the cached shard 1: one rank
+        // built shard 2's tables then, and shard 2's job built none
+        let SpectrumService { pool, .. } = svc;
+        let spans = pool.shutdown().worker_spans;
+        let built = |name: &str| -> Vec<String> {
+            let mut jobs: Vec<String> = spans
+                .iter()
+                .filter(|s| s.name == name)
+                .filter_map(|s| s.args.iter().find(|(k, _)| k == "job"))
+                .map(|(_, v)| v.clone())
+                .collect();
+            jobs.sort();
+            jobs
+        };
+        let mut cold = vec![
+            tlog::job_hex(ens.shard_hash(0)),
+            tlog::job_hex(ens.shard_hash(1)),
+        ];
+        cold.sort();
+        assert_eq!(built("build_ctx"), cold, "ctx_rebuilds");
+        assert_eq!(
+            built("prefetch_ctx"),
+            [tlog::job_hex(ens.shard_hash(2))],
+            "prefetch_builds"
+        );
+    }
+
+    #[test]
+    fn a_failed_sweep_job_is_tried_twice_after_the_shards_before_it_stream() {
+        let pool = dead_pool();
+        let ens = two_point_sweep(tiny_spec(vec![0.001]));
+        let mut cache = ResultCache::new();
+        let held = Arc::new(vec![0.0, 0.0]);
+        cache.insert(ens.shard_hash(0), Arc::clone(&held));
+        let svc = SpectrumService::with_cache(pool, SchedulePolicy::LargestFirst, cache);
+        let metrics = svc.metrics();
+        let svc = Mutex::new(svc);
+
+        let sweep = EnsembleRequest::new(ens.clone()).encode();
+        let frames = answer_frames(&svc, &metrics, false, TAG_REQ_ENSEMBLE, sweep);
+        let tags: Vec<Tag> = frames.iter().map(|f| f.0).collect();
+        assert_eq!(tags, [TAG_RESP_SHARD, TAG_RESP_ERROR], "no tag-24 summary");
+        let shard = ShardReply::decode_frame(&frames[0].1).unwrap();
+        assert_eq!((shard.shard, shard.cache_hit), (0, true));
+        assert_eq!(*shard.body, *held);
+        let err = ServiceError::decode(&frames[1].1);
+        assert_eq!(err.code, ErrorCode::Internal, "{err}");
+        assert!(err.message.starts_with("ensemble failed"), "{err}");
+
+        let svc = svc.into_inner().unwrap();
+        assert_eq!(svc.pool().jobs_run(), 0);
+        assert_eq!(metrics.ensemble_shards.get(), 1);
+        assert_eq!(metrics.ensemble_shard_hits.get(), 1);
+        assert_eq!(
+            (svc.cache().hits(), svc.cache().misses()),
+            (1, 2),
+            "shard 1's job is tried twice"
+        );
+        assert_eq!(metrics.errors.get(), 1);
         let _ = svc.shutdown();
     }
 

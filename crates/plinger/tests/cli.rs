@@ -105,3 +105,33 @@ fn counts_must_be_whole_numbers() {
         assert!(err.contains(flag), "{flag} {value}: {err}");
     }
 }
+
+#[test]
+fn a_curved_cosmology_is_a_usage_error_not_a_worker_panic() {
+    // an explicit --omega-c pins an open budget (Omega_k = 0.45): it used
+    // to panic every worker on the evolver's flatness assert and end in
+    // `farm failed: all workers lost`; now no worker ever starts
+    let curved = [
+        "--omega-c",
+        "0.5",
+        "--nk",
+        "3",
+        "--preset",
+        "draft",
+        "--kmax",
+        "0.01",
+    ];
+    let plinger = env!("CARGO_BIN_EXE_plinger");
+    for (exe, extra) in [
+        (plinger, &["--transport", "channel"][..]),
+        (plinger, &["--transport", "tcp"][..]),
+        (env!("CARGO_BIN_EXE_linger"), &[][..]),
+    ] {
+        let out = Command::new(exe).args(curved).args(extra).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {extra:?}: {err}");
+        assert!(err.starts_with("error:"), "{exe} {extra:?}: {err}");
+        assert!(err.contains("Omega_k"), "{exe} {extra:?}: {err}");
+        assert!(!err.contains("panicked"), "{exe} {extra:?}: {err}");
+    }
+}

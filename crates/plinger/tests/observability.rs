@@ -2,13 +2,22 @@
 //! service exposes is catalogued in `docs/OBSERVABILITY.md`, and the
 //! Prometheus rendering carries the full histogram surface.  A name
 //! drifting out of the doc (or a new family landing undocumented)
-//! fails here before it breaks someone's dashboard.  The sweep's
-//! per-shard event is held to its documented row the same way.
+//! fails here before it breaks someone's dashboard.  The sweep's events
+//! are held to their documented rows the same way, on `run_ensemble` and
+//! on a service sweep alike.
 
+use std::collections::BTreeSet;
+use std::convert::Infallible;
+use std::time::Duration;
+
+use boltzmann::Preset;
+use msgpass::channel::ChannelWorld;
 use plinger::{
-    run_ensemble, EnsembleOptions, EnsembleSpec, FarmError, FarmReport, FarmTelemetry, JobControl,
-    RecoveryLog, RunSpec, SchedulePolicy, ServiceMetrics, ShardRunner,
+    ensemble_hash, run_ensemble, EnsembleOptions, EnsembleSpec, FarmError, FarmPool, FarmReport,
+    FarmTelemetry, FaultPlan, JobControl, MasterConfig, PoolOptions, RecoveryLog, RecoveryPolicy,
+    RunSpec, SchedulePolicy, ServiceMetrics, ShardRunner, SpectrumService,
 };
+use telemetry::log::{self as tlog, LogEvent};
 
 /// The frozen family list (sans `plinger_` prefix).  Extending the
 /// surface means adding here AND to `docs/OBSERVABILITY.md`.
@@ -170,4 +179,116 @@ fn shard_done_carries_the_documented_fields_for_evolved_shard_and_twin() {
         assert_eq!(emitted, documented, "shard {shard}");
         assert_eq!(done.field("evolved_by"), Some("0"), "shard {shard}");
     }
+}
+
+/// The fields `docs/OBSERVABILITY.md` lists for `target`'s `message`.
+fn documented_fields(doc: &str, target: &str, message: &str) -> Option<Vec<String>> {
+    doc.lines().find_map(|row| {
+        // | `target` | `message` [/ `message`] | level | fields — note |
+        let cols: Vec<&str> = row.split('|').map(str::trim).collect();
+        if cols.len() != 6 || cols[1] != format!("`{target}`") {
+            return None;
+        }
+        let names: Vec<&str> = cols[2].split('`').skip(1).step_by(2).collect();
+        if !names.contains(&message) {
+            return None;
+        }
+        let fields = cols[4].split(" — ").next().unwrap_or(cols[4]);
+        Some(
+            fields
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .map(String::from)
+                .collect(),
+        )
+    })
+}
+
+/// A one-mode draft sweep over two n_s values at `k`.
+fn tiny_sweep(k: f64) -> EnsembleSpec {
+    let mut base = RunSpec::standard_cdm(vec![k]);
+    base.preset = Preset::Draft;
+    EnsembleSpec {
+        n_s: vec![0.9, 1.1],
+        ..EnsembleSpec::singleton(base)
+    }
+}
+
+/// Events of `ens`'s sweep: those naming it, or one of its shards.
+fn sweep_events(ens: &EnsembleSpec) -> Vec<LogEvent> {
+    let hex = tlog::job_hex(ensemble_hash(ens));
+    let prefix = format!("{hex}/");
+    tlog::recent(1024)
+        .into_iter()
+        .filter(|e| {
+            e.field("ensemble") == Some(hex.as_str())
+                || e.field("shard").is_some_and(|s| s.starts_with(&prefix))
+        })
+        .collect()
+}
+
+#[test]
+fn a_service_sweep_logs_the_documented_ensemble_rows() {
+    // a cold sweep: shard 0 evolves, shard 1 streams as its cached twin
+    let ok = tiny_sweep(0.0011);
+    let pool = FarmPool::<ChannelWorld>::start(1).expect("pool");
+    let mut svc = SpectrumService::new(pool, SchedulePolicy::LargestFirst);
+    svc.handle_ensemble_with(&ok, &JobControl::default(), |_| Ok::<_, Infallible>(()))
+        .expect("sink")
+        .expect("sweep");
+    let _ = svc.shutdown();
+
+    // the only worker dies on its first assignment: the group's job is
+    // re-run once and the group fails
+    let failing = tiny_sweep(0.0013);
+    let config = MasterConfig {
+        poll: Duration::from_millis(10),
+        recovery: RecoveryPolicy::Requeue {
+            max_attempts: 2,
+            respawn: false,
+        },
+        ..MasterConfig::default()
+    };
+    let opts = PoolOptions {
+        respawn_limit: 0,
+        fault: Some(FaultPlan::DropWorker {
+            rank: 1,
+            after_modes: 0,
+        }),
+    };
+    let pool = FarmPool::<ChannelWorld>::start_with(1, config, opts).expect("pool");
+    let mut svc = SpectrumService::new(pool, SchedulePolicy::LargestFirst);
+    let out = svc
+        .handle_ensemble_with(
+            &failing,
+            &JobControl::default(),
+            |_| Ok::<_, Infallible>(()),
+        )
+        .expect("sink");
+    assert!(
+        matches!(out, Err(FarmError::AllWorkersLost { .. })),
+        "{out:?}"
+    );
+    let _ = svc.shutdown();
+
+    let doc = doc();
+    let mut seen = BTreeSet::new();
+    for e in sweep_events(&ok).iter().chain(&sweep_events(&failing)) {
+        let fields = documented_fields(&doc, &e.target, &e.message)
+            .unwrap_or_else(|| panic!("{} {} is not documented", e.target, e.message));
+        let emitted: Vec<&str> = e.fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(emitted, fields, "{} {}", e.target, e.message);
+        seen.insert((e.target.clone(), e.message.clone()));
+    }
+    // every `ensemble` row shows up on a service sweep
+    let rows: BTreeSet<(String, String)> = doc
+        .lines()
+        .filter(|row| row.starts_with("| `ensemble` |"))
+        .filter_map(|row| row.split('`').nth(3))
+        .map(|m| ("ensemble".to_string(), m.to_string()))
+        .collect();
+    assert_eq!(rows.len(), 6, "{rows:?}");
+    assert!(rows.is_subset(&seen), "seen {seen:?}");
+    assert!(seen.contains(&("service".to_string(), "shard_hit".to_string())));
 }

@@ -167,6 +167,50 @@ fn a_rank_count_past_usize_is_a_setup_error() {
 }
 
 #[test]
+fn a_curved_cosmology_is_a_typed_error_and_the_pool_serves_on() {
+    // an open budget (Omega_k = -0.2) and a NaN one never reach a worker:
+    // the serial loop, the one-job farm and both pool kinds refuse them
+    // before any mode runs, and the pool serves the next job as usual
+    let flat = spec_of(&[2.0e-4, 8.0e-4]);
+    let mut closed = flat.clone();
+    closed.cosmo.omega_lambda += 0.2;
+    let mut nan = flat.clone();
+    nan.cosmo.omega_b = f64::NAN;
+    let not_flat = |r: Result<FarmReport, FarmError>| match r {
+        Err(FarmError::NotFlat { omega_k }) => omega_k,
+        other => panic!("expected NotFlat, got {other:?}"),
+    };
+    for spec in [&closed, &nan] {
+        assert!(matches!(run_serial(spec), Err(FarmError::NotFlat { .. })));
+    }
+    let omega_k = not_flat(Farm::<ChannelWorld>::new(2).run(&closed, SchedulePolicy::Fifo));
+    assert!((omega_k + 0.2).abs() < 1e-9, "{omega_k}");
+
+    let (serial, _) = run_serial(&flat).expect("serial");
+    let exe = std::path::Path::new(env!("CARGO_BIN_EXE_plinger"));
+    let processes = FarmPool::<TcpWorld>::start_processes(
+        2,
+        exe,
+        MasterConfig::default(),
+        PoolOptions::default(),
+    )
+    .expect("process pool start");
+    let threads = FarmPool::<TcpWorld>::start(2).expect("thread pool start");
+    for mut pool in [processes, threads] {
+        for spec in [&closed, &nan] {
+            not_flat(pool.run_job(spec, SchedulePolicy::Fifo));
+        }
+        let rep = pool
+            .run_job(&flat, SchedulePolicy::Fifo)
+            .expect("flat job after the refusals");
+        assert_bitwise(&rep.outputs, &serial);
+        assert!(rep.recovery.is_clean(), "{:?}", rep.recovery);
+        assert_eq!(pool.workers_alive(), 2);
+        assert_eq!(pool.shutdown().jobs, 1, "a refusal is not a job");
+    }
+}
+
+#[test]
 fn respawned_rank_inherits_the_pools_tables() {
     // rank 1 dies on its first assignment (the master holds a chunk back
     // for every rank that has not asked yet, so it always gets one) and

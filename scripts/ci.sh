@@ -77,6 +77,19 @@ set -e
 if [ "$huge_code" -ne 2 ] || grep -q panicked <<<"$huge"; then
     echo "plinger --workers 1e300 exited $huge_code: $huge"; exit 1
 fi
+# a curved cosmology is a usage error naming Omega_k, on worker threads
+# and on worker subprocesses alike — never a worker panic
+for transport in channel tcp; do
+    set +e
+    curved="$(cargo run -q --release -p plinger --bin plinger -- --omega-c 0.5 --nk 3 \
+        --preset draft --kmax 0.01 --transport "$transport" 2>&1 >/dev/null)"
+    curved_code=$?
+    set -e
+    if [ "$curved_code" -ne 2 ] || ! grep -q Omega_k <<<"$curved" \
+        || grep -q panicked <<<"$curved"; then
+        echo "curved cosmology on $transport exited $curved_code: $curved"; exit 1
+    fi
+done
 
 echo "== service smoke run =="
 # spectrum-as-a-service: a warm pool behind plinger-serve must answer
@@ -233,11 +246,14 @@ echo "== ensemble smoke =="
 # the shard cache (shared job-hash keys).  A third sweep adds an n_s
 # axis over a fresh Ω_b × h pair: the mode equations never read n_s, so
 # of its eight cold shards the four twins are hits carrying their
-# sibling's bytes.  The bitwise-vs-serial leg of the gate is the
-# dedicated differential suite below.
+# sibling's bytes.  Last, a single request caches one shard of a fresh
+# sweep, which then streams that shard as its one hit with the single
+# request's bytes (the held path through plinger-serve).  The
+# bitwise-vs-serial leg of the gate is the dedicated differential suite
+# below.
 ens_log="$smoke_dir/ens.log"
 "$serve_bin" --listen 127.0.0.1:0 --transport channel --workers 2 \
-    --max-requests 4 > "$ens_log" 2> "$smoke_dir/ens.err" &
+    --max-requests 6 > "$ens_log" 2> "$smoke_dir/ens.err" &
 ens_pid=$!
 ens_addr=""
 for _ in $(seq 1 100); do
@@ -252,8 +268,10 @@ e1="$(ereq --ensemble --sweep-omega-b 0.03,0.06 --sweep-h 0.5,0.7)"
 e2="$(ereq --ensemble --sweep-omega-b 0.03,0.06 --sweep-h 0.5,0.7)"
 e3="$(ereq --omega-b 0.06 --h 0.7)"
 e4="$(ereq --ensemble --sweep-omega-b 0.04,0.05 --sweep-h 0.55,0.65 --sweep-ns 0.95,1.0)"
+e5="$(ereq --omega-b 0.045 --h 0.6)"
+e6="$(ereq --ensemble --sweep-omega-b 0.045,0.055 --sweep-h 0.6)"
 wait "$ens_pid"
-python3 - "$e1" "$e2" "$e3" "$e4" <<'EOF'
+python3 - "$e1" "$e2" "$e3" "$e4" "$e5" "$e6" <<'EOF'
 import sys
 def shards(out, n=4):
     rows = [dict(kv.split("=", 1) for kv in l.split())
@@ -278,8 +296,15 @@ for first, twin in zip(s4[0::2], s4[1::2]):
     assert (first["cache_hit"], twin["cache_hit"]) == ("0", "1"), (first, twin)
     assert first["fnv"] == twin["fnv"], "a twin's bytes differ from its sibling's"
 assert len({r["fnv"] for r in s4}) == 4, "distinct (omega_b, h) points collided"
+# shard 0 of the last sweep was cached by the single request before it
+held = dict(kv.split("=", 1) for kv in sys.argv[5].split())
+assert held["cache_hit"] == "0", held
+s6 = shards(sys.argv[6], 2)
+assert "ensemble shards=2 ok=2 hits=1" in sys.argv[6], sys.argv[6]
+assert [r["cache_hit"] for r in s6] == ["1", "0"], s6
+assert s6[0]["fnv"] == held["fnv"], (s6[0]["fnv"], held["fnv"])
 print(f"ensemble smoke: 4 cold + 4 cached shards, crossover hit, fnv {single['fnv']}; "
-      f"n_s axis: 4 evolutions for 8 shards")
+      f"n_s axis: 4 evolutions for 8 shards; held shard fnv {held['fnv']}")
 EOF
 
 echo "== metric-name stability =="

@@ -517,12 +517,15 @@ fn explicit_cancel_flag_aborts_the_job() {
     assert_cancel_then_serve::<ChannelWorld>(&ctrl, CancelReason::Cancelled);
 }
 
-/// A worker that panics — here on the evolve flatness assert, both
-/// ranks, first mode — must read dead, not busy forever: the farm ends
-/// with a typed error instead of polling a liveness flag nobody clears.
+/// A worker that panics — here on the state layout's assert that a
+/// massive-ν ladder has at least three moments, both ranks, first mode
+/// (a curved cosmology no longer reaches a worker) — must read dead, not
+/// busy forever: the farm ends with a typed error instead of polling a
+/// liveness flag nobody clears.
 fn panicking_workers_surface_as_typed_errors<W: msgpass::World>() {
     let mut spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
-    spec.cosmo.omega_lambda += 0.2;
+    spec.nq = Some(4);
+    spec.lmax_h = 2;
     let farm = |recovery| {
         Farm::<W>::new(2).master_config(MasterConfig {
             poll: Duration::from_millis(10),
