@@ -109,7 +109,6 @@ server options:
   --max-attempts N          dispatches per mode before quarantine [2]
   --poll MS / --drain-timeout MS / --heartbeat-timeout MS
   --respawn-limit N         pooled worker respawn budget     [2]
-  --chunk N                 modes per assignment message     [1]
   --log LEVEL[,json]        structured events on stderr
                             (error|warn|info|debug)          [off]
 SIGTERM/SIGINT drain gracefully: stop accepting, finish the queue

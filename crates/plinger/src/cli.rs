@@ -120,7 +120,6 @@ options:
   --drain-timeout MS        worker drain window on error  [5000]
   --heartbeat-timeout MS    silence before a worker is dead [30000]
   --respawn-limit N         TCP subprocess respawn budget [2]
-  --chunk N                 modes per assignment message  [1]
   --log LEVEL[,json]        structured events on stderr
                             (error|warn|info|debug)       [off]
 ";
@@ -376,7 +375,7 @@ fn parse_axis(flag: &str, list: &str) -> Result<Vec<f64>, String> {
 }
 
 /// Builder for the farm flag group: worker count, transport, recovery
-/// policy, master timings, respawn budget, and chunking.
+/// policy, master timings, and respawn budget.
 #[derive(Debug, Clone)]
 pub struct FarmArgs {
     /// Worker count (defaults to the core count).
@@ -395,8 +394,6 @@ pub struct FarmArgs {
     pub heartbeat_timeout: Option<Duration>,
     /// Worker respawn budget.
     pub respawn_limit: usize,
-    /// Modes per assignment message.
-    pub chunk: usize,
     /// Structured-log stderr sink.
     pub log: Option<(Level, bool)>,
 }
@@ -414,7 +411,6 @@ impl Default for FarmArgs {
             drain_timeout: None,
             heartbeat_timeout: None,
             respawn_limit: 2,
-            chunk: 1,
             log: None,
         }
     }
@@ -437,8 +433,6 @@ pub struct FarmSettings {
     pub heartbeat_timeout: Option<Duration>,
     /// Worker respawn budget.
     pub respawn_limit: usize,
-    /// Modes per assignment message (≥ 1).
-    pub chunk: usize,
     /// Structured-log stderr sink (`--log level[,json]`).
     pub log: Option<(Level, bool)>,
 }
@@ -453,7 +447,6 @@ impl FarmSettings {
             drain_timeout: self.drain_timeout.unwrap_or(d.drain_timeout),
             heartbeat_timeout: self.heartbeat_timeout.unwrap_or(d.heartbeat_timeout),
             recovery: self.recovery,
-            chunk: self.chunk,
         }
     }
 
@@ -499,7 +492,6 @@ impl FarmArgs {
                 self.heartbeat_timeout = Some(Duration::from_millis(count(flag, it)?))
             }
             "--respawn-limit" => self.respawn_limit = count(flag, it)?,
-            "--chunk" => self.chunk = count(flag, it)?,
             "--log" => self.log = Some(parse_log_flag(take(flag, it)?)?),
             _ => return Ok(false),
         }
@@ -513,9 +505,6 @@ impl FarmArgs {
         }
         if self.max_attempts < 1 {
             return Err("need at least one attempt per mode".into());
-        }
-        if self.chunk < 1 {
-            return Err("need at least one mode per assignment".into());
         }
         let recovery = if self.requeue {
             RecoveryPolicy::Requeue {
@@ -533,7 +522,6 @@ impl FarmArgs {
             drain_timeout: self.drain_timeout,
             heartbeat_timeout: self.heartbeat_timeout,
             respawn_limit: self.respawn_limit,
-            chunk: self.chunk,
             log: self.log,
         })
     }

@@ -6,8 +6,8 @@
 //! *within* one cosmology; this module adds the outer level: an
 //! [`EnsembleSpec`] names axes over `Ω_b`, `h`, and `n_s` against a
 //! base [`RunSpec`], and [`run_ensemble`] drives the resulting sweep
-//! over a [`FarmPool`], one pooled job per *evolution*, multiplexed
-//! onto the inner chunked k-scheduler.
+//! over a [`FarmPool`], one pooled job per *evolution*, whose modes the
+//! master deals to the workers one at a time.
 //!
 //! A sweep has one scheduler, a group walk private to the crate.  It
 //! asks a *consumer* which shards it already holds, runs the jobs, and

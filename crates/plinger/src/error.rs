@@ -102,7 +102,7 @@ pub enum FarmError {
         unfinished: Vec<usize>,
     },
     /// The job was cancelled cooperatively (tag-12): its deadline
-    /// expired or the caller gave up.  Workers released their chunks
+    /// expired or the caller gave up.  Workers abandoned their modes
     /// mid-flight and the session drained cleanly — a pooled farm stays
     /// healthy and serves the next job.
     Cancelled {

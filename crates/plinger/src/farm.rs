@@ -258,8 +258,8 @@ impl<W: World> Farm<W> {
         }
     }
 
-    /// Replace the whole master configuration: timings, recovery
-    /// policy and chunk size (see [`MasterConfig`]).
+    /// Replace the whole master configuration: timings and recovery
+    /// policy (see [`MasterConfig`]).
     pub fn master_config(mut self, config: MasterConfig) -> Self {
         self.config = config;
         self

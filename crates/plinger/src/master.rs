@@ -43,7 +43,8 @@ use crate::recovery::{FailedMode, RecoveryLog, RecoveryPolicy, WorkerEvent};
 use crate::schedule::{SchedulePolicy, WorkQueue};
 use crate::worker::WorkerStats;
 
-/// Timing and recovery knobs of the master loop.
+/// Timing and recovery knobs of the master loop.  Dispatch has none: a
+/// tag-3 assignment is one mode, as in the paper.
 #[derive(Debug, Clone, Copy)]
 pub struct MasterConfig {
     /// How long one bounded probe waits before re-checking liveness.
@@ -58,12 +59,6 @@ pub struct MasterConfig {
     pub heartbeat_timeout: Duration,
     /// What to do when a worker is lost.
     pub recovery: RecoveryPolicy,
-    /// Modes per tag-3 assignment.  `1` (the default) is the paper's
-    /// one-at-a-time protocol; larger chunks amortize the
-    /// request/assign round trip when modes are cheap.  A chunk is a
-    /// *run* of the dispatch order, so largest-first remains
-    /// largest-first across chunks; `0` is treated as `1`.
-    pub chunk: usize,
 }
 
 impl Default for MasterConfig {
@@ -73,7 +68,6 @@ impl Default for MasterConfig {
             drain_timeout: Duration::from_secs(5),
             heartbeat_timeout: Duration::from_secs(30),
             recovery: RecoveryPolicy::FailFast,
-            chunk: 1,
         }
     }
 }
@@ -148,12 +142,8 @@ struct Session {
     /// Recovery knobs (copied out of the config so helpers don't need
     /// the whole config threaded through).
     policy: RecoveryPolicy,
-    /// Modes per tag-3 assignment (≥ 1; copied from the config).
-    chunk: usize,
-    /// Modes currently held by each worker (index = rank − 1), in the
-    /// order they were assigned — the worker reports them back in this
-    /// order, one result (or tag-8 failure) per mode.
-    in_flight: Vec<Vec<usize>>,
+    /// The mode each worker holds, if any (index = rank − 1).
+    in_flight: Vec<Option<usize>>,
     /// Ranks declared dead (watch report or heartbeat silence).
     dead: HashSet<Rank>,
     /// Last time each rank sent *anything* (index = rank − 1).
@@ -173,12 +163,11 @@ struct Session {
     idle_seconds: f64,
     /// Ranks offered this job that have not yet sent their first work
     /// request.  Each is owed one assignment: the queue's last
-    /// `awaiting.len() * chunk` modes are held back from ranks asking
-    /// for more, so a rank that arrives late — the one that claimed a
-    /// tag-13 hint spends a table build first — is still dealt a full
-    /// first chunk whenever the grid has `chunk` modes per rank.  Fault
-    /// plans that kill a rank inside its first assignment rest on this
-    /// being a guarantee, not a race.
+    /// `awaiting.len()` modes are held back from ranks asking for more,
+    /// so a rank that arrives late — the one that claimed a tag-13 hint
+    /// spends a table build first — is still dealt a mode whenever the
+    /// grid has one per rank.  Fault plans that kill a rank on its first
+    /// assignment rest on this being a guarantee, not a race.
     awaiting: HashSet<Rank>,
     /// Canonical request identity ([`job_hash`] of the spec, rendered
     /// as 16 hex digits) — stamped on every span and log event this
@@ -231,45 +220,35 @@ impl Session {
         }
     }
 
-    /// Reply to a ready worker: next assignment (a chunk of up to
-    /// `self.chunk` modes in one tag-3 message), or release.  A worker
-    /// still part-way through a chunk gets nothing — it is refilled
-    /// only once its last in-flight mode resolves.  A worker with no
+    /// Reply to a ready worker: its next mode (one tag-3), or release.
+    /// A worker that still holds a mode gets nothing.  A worker with no
     /// work to take is *parked* (no reply yet) while the queue still
     /// holds modes owed to ranks in `awaiting`, or, under the Requeue
     /// policy, while other workers still carry modes that may come back
     /// to the queue.
     fn dispatch<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
-        if !self.in_flight[rank - 1].is_empty() {
+        if self.in_flight[rank - 1].is_some() {
             return Ok(());
         }
-        let owed = self.awaiting.len() * self.chunk;
-        let spare = self.queue.len().saturating_sub(owed);
-        let iks = if spare == 0 {
-            Vec::new()
+        let next = if self.queue.len() > self.awaiting.len() {
+            self.queue.pop()
         } else {
-            self.queue.pop_chunk(self.chunk.min(spare))
+            None
         };
-        if !iks.is_empty() {
+        if let Some(ik) = next {
             let t0 = Instant::now();
-            let wire: Vec<f64> = iks.iter().map(|&ik| ik as f64).collect();
-            mysendreal(t, &wire, TAG_ASSIGN, rank)?;
-            self.in_flight[rank - 1] = iks;
+            mysendreal(t, &[ik as f64], TAG_ASSIGN, rank)?;
+            self.in_flight[rank - 1] = Some(ik);
             // the silence clock measures the worker against *this*
             // assignment; a long park before it must not count
             self.last_seen[rank - 1] = Instant::now();
-            let iks_str = self.in_flight[rank - 1]
-                .iter()
-                .map(|ik| ik.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
             self.rec.record(
                 "assign",
                 "master",
                 t0,
                 Instant::now(),
                 &[
-                    ("ik", iks_str),
+                    ("ik", ik.to_string()),
                     ("worker", rank.to_string()),
                     ("job", self.job.clone()),
                 ],
@@ -291,8 +270,8 @@ impl Session {
 
     /// Offer every parked worker the queue again — after a requeue, or
     /// once a rank the queue's tail was held back for has been dealt
-    /// its chunk or died.  Lowest rank first, so who takes scarce work
-    /// does not depend on hash order.
+    /// its first mode or died.  Lowest rank first, so who takes scarce
+    /// work does not depend on hash order.
     fn wake_parked<T: Transport>(&mut self, t: &mut T) -> Result<(), FarmError> {
         let mut ranks: Vec<Rank> = self.parked.drain().collect();
         ranks.sort_unstable();
@@ -302,34 +281,27 @@ impl Session {
         Ok(())
     }
 
-    /// Strike one resolved mode off a rank's in-flight list (no-op if
-    /// it was not held — e.g. already recovered through another path).
+    /// Clear a rank's in-flight slot if it holds `ik` (no-op otherwise —
+    /// e.g. already recovered through another path).
     fn resolve_in_flight(&mut self, rank: Rank, ik: usize) {
         let held = &mut self.in_flight[rank - 1];
-        if let Some(pos) = held.iter().position(|&x| x == ik) {
-            held.remove(pos);
+        if *held == Some(ik) {
+            *held = None;
         }
     }
 
-    /// Take everything a lost rank was holding and requeue (or
-    /// quarantine) it, front-of-queue, preserving the chunk's internal
-    /// dispatch order.
-    fn recover_chunk<T: Transport>(
+    /// Requeue (or quarantine) the mode a lost rank was holding, unless
+    /// a previous incarnation's late result has settled it already.
+    fn recover_mode<T: Transport>(
         &mut self,
         t: &mut T,
         rank: Rank,
         reason: &str,
     ) -> Result<(), FarmError> {
-        let chunk = std::mem::take(&mut self.in_flight[rank - 1]);
-        // requeue back-to-front so requeue_front leaves the chunk's
-        // first mode first in the queue
-        for &ik in chunk.iter().rev() {
-            // a previous incarnation's late result may have settled it
-            if self.outputs[ik].is_none() {
-                self.requeue_or_quarantine(t, ik, reason)?;
-            }
+        match self.in_flight[rank - 1].take() {
+            Some(ik) if self.outputs[ik].is_none() => self.requeue_or_quarantine(t, ik, reason),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// A mode came back without a result (its worker died, stalled, or
@@ -393,7 +365,7 @@ impl Session {
             tlog::log(
                 Level::Warn,
                 "master",
-                "chunk_requeue",
+                "mode_requeue",
                 &[
                     ("job", self.job.clone()),
                     ("ik", ik.to_string()),
@@ -427,9 +399,9 @@ impl Session {
             ],
         );
         self.parked.remove(&rank);
-        self.recover_chunk(t, rank, reason)?;
+        self.recover_mode(t, rank, reason)?;
         if self.awaiting.remove(&rank) {
-            // the chunk held back for it is anyone's now
+            // the mode held back for it is anyone's now
             self.wake_parked(t)?;
         }
         Ok(())
@@ -470,7 +442,7 @@ impl Session {
                     // a watch that replaces a child reports Respawned
                     // without a Dead first; whatever the old incarnation
                     // was holding died with it
-                    self.recover_chunk(t, rank, "worker respawned")?;
+                    self.recover_mode(t, rank, "worker respawned")?;
                     self.last_seen[rank - 1] = Instant::now();
                     self.recovery.respawns += 1;
                     // the replacement missed the job's tag-1 open; re-send
@@ -513,8 +485,7 @@ impl Session {
             if self.dead.contains(&rank) || self.stopped.contains(&rank) {
                 continue;
             }
-            if !self.in_flight[rank - 1].is_empty() && self.last_seen[rank - 1].elapsed() > timeout
-            {
+            if self.in_flight[rank - 1].is_some() && self.last_seen[rank - 1].elapsed() > timeout {
                 self.recovery.heartbeat_misses += 1;
                 tlog::log(
                     Level::Warn,
@@ -601,10 +572,11 @@ impl Session {
     }
 
     /// Cooperatively cancel the job: tag-12 to every live un-stopped
-    /// rank (integrating workers abort mid-chunk at their next observer
-    /// poll; parked workers take it as their release), then the normal
-    /// drain — stats are collected and the workers park consistently
-    /// for the next job.  Returns the error the session ends with.
+    /// rank (integrating workers abandon their mode at their next
+    /// observer poll; parked workers take it as their release), then
+    /// the normal drain — stats are collected and the workers park
+    /// consistently for the next job.  Returns the error the session
+    /// ends with.
     fn cancel_job<T: Transport>(
         &mut self,
         t: &mut T,
@@ -728,8 +700,7 @@ pub fn master_job_session<T: Transport>(
         stats: vec![None; n_workers],
         n_workers,
         policy: cfg.recovery,
-        chunk: cfg.chunk.max(1),
-        in_flight: vec![Vec::new(); n_workers],
+        in_flight: vec![None; n_workers],
         dead: HashSet::new(),
         last_seen: vec![Instant::now(); n_workers],
         parked: HashSet::new(),
@@ -903,7 +874,7 @@ pub fn master_job_session<T: Transport>(
                 let first = s.awaiting.remove(&itid);
                 s.dispatch(t, itid)?;
                 if first {
-                    // one chunk fewer is held back for late arrivals
+                    // one mode fewer is held back for late arrivals
                     s.wake_parked(t)?;
                 }
             }
@@ -962,21 +933,11 @@ pub fn master_job_session<T: Transport>(
                     Ok(pair) => pair,
                     Err(e) => {
                         if cfg.recovery.recovers() {
-                            let held = s.in_flight[itid - 1].len();
                             // a corrupted result is recoverable: the
-                            // mode goes back to the queue
-                            s.recover_chunk(t, itid, &format!("malformed result: {e}"))?;
-                            if held <= 1 {
-                                // single-mode protocol: the worker is
-                                // between modes, hand it fresh work
-                                s.dispatch(t, itid)?;
-                            } else {
-                                // mid-chunk the result stream can no
-                                // longer be trusted mode-for-mode:
-                                // retire the rank so its remaining
-                                // sends are consumed as late traffic
-                                s.mark_dead(t, itid, "result stream desynchronized")?;
-                            }
+                            // mode goes back to the queue, and the
+                            // worker, now between modes, gets fresh work
+                            s.recover_mode(t, itid, &format!("malformed result: {e}"))?;
+                            s.dispatch(t, itid)?;
                             continue;
                         }
                         s.drain_and_stop(t, cfg, watch);
@@ -988,7 +949,7 @@ pub fn master_job_session<T: Transport>(
                 };
                 if ik < nk && s.outputs[ik].is_some() && cfg.recovery.recovers() {
                     // a respawned rank's previous incarnation can have a
-                    // result in the pipe when its chunk is requeued: the
+                    // result in the pipe when its mode is requeued: the
                     // mode is then integrated twice, and whichever copy
                     // lands second (bit-identical to the first) is
                     // redundant, not a protocol violation
@@ -1029,9 +990,8 @@ pub fn master_job_session<T: Transport>(
                 let ik = payload.first().copied().unwrap_or(-1.0) as usize;
                 let k = payload.get(1).copied().unwrap_or(f64::NAN);
                 if cfg.recovery.recovers() {
-                    // the worker survives its failed mode (and keeps
-                    // working through the rest of its chunk); budget
-                    // the mode and refill the worker once it runs dry
+                    // the worker survives its failed mode: budget the
+                    // mode and hand the worker its next one
                     s.resolve_in_flight(itid, ik);
                     if ik < nk && s.outputs[ik].is_none() && !s.quarantined.contains(&ik) {
                         s.requeue_or_quarantine(
@@ -1254,10 +1214,10 @@ mod tests {
 
     #[test]
     fn stale_result_of_a_respawned_rank_is_not_a_duplicate_error() {
-        // rank 1 holds the chunk [0, 1], delivers mode 0 and is replaced
-        // before the master has read that result: the chunk is requeued
-        // whole, the replacement integrates mode 0 again, and the second
-        // copy must be dropped as late, not fail the job
+        // rank 1 holds mode 0, delivers it and is replaced before the
+        // master has read that result: the mode is requeued, the
+        // replacement integrates it again, and the second copy must be
+        // dropped as late, not fail the job
         use std::sync::mpsc::channel;
         let mut spec = RunSpec::standard_cdm(vec![0.002, 0.004]);
         spec.preset = Preset::Draft;
@@ -1276,17 +1236,19 @@ mod tests {
                 rogue.send(0, TAG_DATA, &wires[ik].1).unwrap();
             };
             rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
-            assert_eq!(buf, [0.0, 1.0]);
+            assert_eq!(buf, [0.0]);
             // the old incarnation's last words, timed by the watch
             dying.recv().unwrap();
             send_result(rogue, 0);
             sent.send(()).unwrap();
-            // the replacement: re-initialised, dealt the same chunk
+            // the replacement: re-initialised, dealt the same mode
             rogue.recv(0, TAG_INIT, &mut buf).unwrap();
             rogue.send(0, TAG_REQUEST, &[0.0]).unwrap();
             rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
-            assert_eq!(buf, [0.0, 1.0]);
+            assert_eq!(buf, [0.0]);
             send_result(rogue, 0);
+            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+            assert_eq!(buf, [1.0]);
             send_result(rogue, 1);
             rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
             rogue
@@ -1305,7 +1267,6 @@ mod tests {
             vec![WorkerEvent::Respawned(1)]
         };
         let cfg = MasterConfig {
-            chunk: 2,
             recovery: RecoveryPolicy::requeue(),
             ..fast_cfg()
         };

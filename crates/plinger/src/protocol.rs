@@ -30,11 +30,11 @@ use crate::error::FarmError;
 pub const TAG_INIT: Tag = 1;
 /// Tag 2: from worker, asking for a wavenumber.
 pub const TAG_REQUEST: Tag = 2;
-/// Tag 3: from master, giving the worker one or more mode indices to
-/// work on.  The payload is `[ik0, ik1, ...]` — a *chunk*, a run of the
-/// dispatch order; the worker answers each index in payload order with
-/// a tag-4/5 result pair or a tag-8 failure.  A single-element payload
-/// is the paper's one-mode-at-a-time protocol (and the default).
+/// Tag 3: from master, giving the worker one mode to work on — the
+/// paper's one-wavenumber-at-a-time protocol.  The payload is `[ik]`,
+/// exactly one index into the job's k-grid; the worker answers it with
+/// a tag-4/5 result pair or a tag-8 failure, and refuses any other
+/// payload with [`FarmError::Protocol`].
 pub const TAG_ASSIGN: Tag = 3;
 /// Tag 4: from worker, first set of data (21 reals, `y(21) = lmax`).
 pub const TAG_HEADER: Tag = 4;
@@ -77,8 +77,8 @@ pub const TAG_JOBDONE: Tag = 11;
 /// Workers poll for it inside the heartbeat observer (every
 /// `HEARTBEAT_CHECK_STEPS` accepted DVERK steps) and between
 /// assignments, so a deadline-expired or client-abandoned job releases
-/// its ranks mid-chunk instead of finishing dead work.  A worker that
-/// sees it abandons the rest of its chunk, answers with its per-job
+/// its ranks mid-mode instead of finishing dead work.  A worker that
+/// sees it abandons its mode, answers with its per-job
 /// tag-7 stats — exactly as it would answer [`TAG_JOBDONE`] — and then
 /// parks.  Results already in flight when the cancel lands are consumed
 /// blindly by the master's drain.

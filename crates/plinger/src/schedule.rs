@@ -77,33 +77,9 @@ impl WorkQueue {
         Some(ik)
     }
 
-    /// Pop up to `n` modes in dispatch order (counting an attempt for
-    /// each), for one chunked tag-3 assignment.  Returns fewer than `n`
-    /// — possibly none — when the queue runs dry, so the tail of the
-    /// run degrades gracefully to smaller chunks.
-    pub fn pop_chunk(&mut self, n: usize) -> Vec<usize> {
-        let mut chunk = Vec::with_capacity(n.max(1).min(self.pending.len()));
-        while chunk.len() < n.max(1) {
-            match self.pop() {
-                Some(ik) => chunk.push(ik),
-                None => break,
-            }
-        }
-        chunk
-    }
-
     /// Return a lost mode to the head of the queue.
     pub fn requeue_front(&mut self, ik: usize) {
         self.pending.push_front(ik);
-    }
-
-    /// Return a whole lost chunk to the head of the queue, preserving
-    /// its internal dispatch order (the chunk's first mode is retried
-    /// first).
-    pub fn requeue_chunk_front(&mut self, iks: &[usize]) {
-        for &ik in iks.iter().rev() {
-            self.pending.push_front(ik);
-        }
     }
 
     /// How many times `ik` has been handed out so far.
@@ -165,38 +141,6 @@ mod tests {
         assert_eq!(rest, vec![3, 2, 0, 4]);
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_chunk_keeps_dispatch_order_across_chunks() {
-        let order = SchedulePolicy::LargestFirst.order(&KS);
-        let mut q = WorkQueue::new(&order, KS.len());
-        // chunk = 2: successive chunks walk the same largest-first order
-        assert_eq!(q.pop_chunk(2), vec![1, 3]);
-        assert_eq!(q.pop_chunk(2), vec![2, 0]);
-        // tail chunk is short, then empty
-        assert_eq!(q.pop_chunk(2), vec![4]);
-        assert!(q.pop_chunk(2).is_empty());
-        // every pop counted an attempt
-        for ik in 0..KS.len() {
-            assert_eq!(q.attempts(ik), 1);
-        }
-        // chunk = 0 still hands out one mode at a time
-        q.requeue_front(4);
-        assert_eq!(q.pop_chunk(0), vec![4]);
-    }
-
-    #[test]
-    fn requeue_chunk_front_preserves_internal_order() {
-        let order = SchedulePolicy::LargestFirst.order(&KS);
-        let mut q = WorkQueue::new(&order, KS.len());
-        let chunk = q.pop_chunk(3);
-        assert_eq!(chunk, vec![1, 3, 2]);
-        // the worker holding [1, 3, 2] died: the whole chunk goes back
-        // to the front in its original order, ahead of untouched work
-        q.requeue_chunk_front(&chunk);
-        let drained: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![1, 3, 2, 0, 4]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! responses are comparable by hashing the reals' bit patterns.
 //!
 //! Requests are served strictly in arrival order on the pool (the
-//! chunked master scheduler already multiplexes each job's modes over
-//! every worker); concurrency lives one layer up, in the server bin,
+//! master already deals each job's modes, one at a time, to every
+//! worker); concurrency lives one layer up, in the server bin,
 //! which runs one connection per thread and hands every frame it reads
 //! to [`answer`].  Tag 20 and tag 22 take the one request path there:
 //! admission gate, decode and admit, the service lock, the run, the
@@ -52,7 +52,7 @@ use crate::farm::FarmReport;
 use crate::master::JobControl;
 use crate::output_files::write_run_report;
 use crate::pool::FarmPool;
-use crate::protocol::{hash_reals, job_hash, require_flat, RunSpec};
+use crate::protocol::{count_from_real, hash_reals, job_hash, require_flat, RunSpec};
 use crate::schedule::SchedulePolicy;
 
 /// Tag 20, client → server: request one spectrum.  Payload:
@@ -1571,31 +1571,28 @@ pub fn encode_spectrum_body(outputs: &[ModeOutput], wall_seconds: f64) -> Vec<f6
 
 /// Inverse of [`encode_spectrum_body`].  Malformed bodies (truncated
 /// frames, header/payload lengths that disagree with the declared
-/// counts) are reported as a `String` rather than panicking, so a
-/// corrupt service response fails one request, not the client.
+/// counts, counts or lengths that are not whole numbers) are reported
+/// as a `String` rather than panicking, so a corrupt service response
+/// fails one request, not the client.
 pub fn decode_spectrum_body(body: &[f64]) -> Result<(Vec<ModeOutput>, f64), String> {
-    if body.len() < 2 {
+    let [count, wall_seconds, ..] = *body else {
         return Err(format!("body too short: {} reals", body.len()));
-    }
-    let n = body[0] as usize;
-    let wall_seconds = body[1];
-    let mut outputs = Vec::with_capacity(n);
+    };
+    let n = count_from_real(count).ok_or_else(|| format!("output count {count} is not a count"))?;
+    // every output takes at least its two length reals
+    let mut outputs = Vec::with_capacity(n.min(body.len() / 2));
     let mut at = 2usize;
     for i in 0..n {
-        let [hlen, plen] = *body
-            .get(at..at + 2)
+        let len = |x: f64| {
+            count_from_real(x).ok_or_else(|| format!("output {i}: length {x} is not a count"))
+        };
+        let [hlen, plen] = *take_reals(body, &mut at, 2)
             .and_then(|s| <&[f64; 2]>::try_from(s).ok())
             .ok_or_else(|| format!("output {i}: truncated length prefix at {at}"))?;
-        let (hlen, plen) = (hlen as usize, plen as usize);
-        at += 2;
-        let header = body
-            .get(at..at + hlen)
+        let header = take_reals(body, &mut at, len(hlen)?)
             .ok_or_else(|| format!("output {i}: truncated header"))?;
-        at += hlen;
-        let payload = body
-            .get(at..at + plen)
+        let payload = take_reals(body, &mut at, len(plen)?)
             .ok_or_else(|| format!("output {i}: truncated payload"))?;
-        at += plen;
         let (_ik, out) =
             ModeOutput::from_wire(header, payload).map_err(|e| format!("output {i}: {e}"))?;
         outputs.push(out);
@@ -1607,6 +1604,15 @@ pub fn decode_spectrum_body(body: &[f64]) -> Result<(Vec<ModeOutput>, f64), Stri
         ));
     }
     Ok((outputs, wall_seconds))
+}
+
+/// The `len` reals of `body` from `*at` on, moving `*at` past them;
+/// `None` when the body ends first.
+fn take_reals<'a>(body: &'a [f64], at: &mut usize, len: usize) -> Option<&'a [f64]> {
+    let end = at.checked_add(len)?;
+    let reals = body.get(*at..end)?;
+    *at = end;
+    Some(reals)
 }
 
 #[cfg(test)]
@@ -1892,6 +1898,18 @@ mod tests {
         let mut body = encode_spectrum_body(&outputs, wall);
         body.push(0.0);
         assert!(decode_spectrum_body(&body).is_err());
+        // counts and lengths that are not whole numbers, or that no body
+        // could hold: an error each, never a capacity or offset overflow
+        for hostile in [
+            &[1e300, 0.0][..],
+            &[1e18, 0.0],
+            &[f64::NAN, 0.0],
+            &[-1.0, 0.0],
+            &[1.0, 0.0, 1e300, 1.0, 0.0],
+            &[1.0, 0.0, 1.0, f64::NAN, 0.0],
+        ] {
+            assert!(decode_spectrum_body(hostile).is_err(), "{hostile:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use telemetry::{SpanEvent, SpanRecorder};
 
 use crate::error::FarmError;
 use crate::protocol::{
-    cosmo_hash, job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL, TAG_HEADER,
-    TAG_HEARTBEAT, TAG_INIT, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
+    cosmo_hash, count_from_real, job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL,
+    TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
 };
 use crate::tables::{PhysicsTables, TableCache};
 
@@ -190,7 +190,9 @@ fn record_build(rec: &mut SpanRecorder, name: &'static str, began: Instant, spec
 }
 
 /// Serve tag-3 assignments until any other tag arrives, integrating
-/// each mode and answering with a tag-4/5 pair or a tag-8 failure.
+/// each mode and answering with a tag-4/5 pair or a tag-8 failure.  A
+/// tag-3 carries exactly one mode index of the job's k-grid; any other
+/// payload is a [`FarmError::Protocol`].
 /// The terminating message's payload is consumed (and counted into
 /// `stats.bytes_received`) and its tag returned, so the caller decides
 /// what job-done/cancel/stop means for its lifetime.
@@ -233,83 +235,98 @@ fn serve_assignments<T: Transport>(
         if tag != TAG_ASSIGN {
             return Ok(Some(tag));
         }
-        // a tag-3 assignment carries one or more mode indices (a
-        // chunk); work through them in assignment order, answering
-        // each with a header+data pair or a tag-8 failure before
-        // touching the next — the master strikes them off one by one
-        let iks: Vec<usize> = buf.iter().map(|&v| v as usize).collect();
-        for ik in iks {
-            if ik >= spec.ks.len() {
-                return Err(FarmError::Protocol {
-                    rank: t.rank(),
-                    detail: format!("assignment ik={ik} outside the k-grid"),
-                });
+        // a tag-3 assignment carries exactly one in-grid mode index
+        let ik = match buf[..] {
+            [v] => count_from_real(v).filter(|&ik| ik < spec.ks.len()),
+            _ => None,
+        }
+        .ok_or_else(|| FarmError::Protocol {
+            rank: t.rank(),
+            detail: format!(
+                "assignment {:?} is not one mode index of a {}-mode k-grid",
+                &buf[..],
+                spec.ks.len()
+            ),
+        })?;
+        let k = spec.ks[ik];
+        match fault {
+            Some(WorkerFault::Vanish { after_modes }) if *modes_done >= after_modes => {
+                // fault injection: vanish without a goodbye
+                return Ok(None);
             }
-            let k = spec.ks[ik];
-            // fault checks run per *mode*, not per assignment, so a fault
-            // can strike mid-chunk (the recovery tests depend on this)
-            match fault {
-                Some(WorkerFault::Vanish { after_modes }) if *modes_done >= after_modes => {
-                    // fault injection: vanish without a goodbye
-                    return Ok(None);
-                }
-                Some(WorkerFault::Stall { after_modes, stall }) if *modes_done >= after_modes => {
-                    // fault injection: hang silently, then vanish — the
-                    // master's heartbeat timeout must catch this
-                    std::thread::sleep(stall);
-                    return Ok(None);
-                }
-                Some(WorkerFault::FailMode { ik: bad }) if bad == ik => {
-                    // fault injection: report the mode as failed
-                    mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
-                    continue;
-                }
-                _ => {}
+            Some(WorkerFault::Stall { after_modes, stall }) if *modes_done >= after_modes => {
+                // fault injection: hang silently, then vanish — the
+                // master's heartbeat timeout must catch this
+                std::thread::sleep(stall);
+                return Ok(None);
             }
-            let t_mode = Instant::now();
-            let mut cancel_seen = false;
-            let result = {
-                let cancel = &mut cancel_seen;
-                let mut steps_since = 0usize;
-                let mut observer = || {
-                    steps_since += 1;
-                    if steps_since >= HEARTBEAT_CHECK_STEPS {
-                        steps_since = 0;
-                        // cancel poll: a pending tag-12 from the master
-                        // aborts this mode (and the rest of the chunk)
-                        // mid-integration; probe errors are ignored — a
-                        // dead master surfaces on the next real send
-                        if let Ok(Some(_)) =
-                            t.probe_timeout(Some(mastid), Some(TAG_CANCEL), Duration::ZERO)
-                        {
-                            *cancel = true;
-                            return false;
-                        }
-                        if hb.last.elapsed() >= HEARTBEAT_MIN_INTERVAL {
-                            hb.seq += 1.0;
-                            // best-effort: not counted in bytes_sent, and a
-                            // dead master will surface on the next real send
-                            let _ = t.send(mastid, TAG_HEARTBEAT, &[hb.seq]);
-                            hb.last = Instant::now();
-                        }
+            Some(WorkerFault::FailMode { ik: bad }) if bad == ik => {
+                // fault injection: report the mode as failed
+                mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
+                continue;
+            }
+            _ => {}
+        }
+        let t_mode = Instant::now();
+        let mut cancel_seen = false;
+        let result = {
+            let cancel = &mut cancel_seen;
+            let mut steps_since = 0usize;
+            let mut observer = || {
+                steps_since += 1;
+                if steps_since >= HEARTBEAT_CHECK_STEPS {
+                    steps_since = 0;
+                    // cancel poll: a pending tag-12 from the master
+                    // aborts this mode mid-integration; probe errors are
+                    // ignored — a dead master surfaces on the next real
+                    // send
+                    if let Ok(Some(_)) =
+                        t.probe_timeout(Some(mastid), Some(TAG_CANCEL), Duration::ZERO)
+                    {
+                        *cancel = true;
+                        return false;
                     }
-                    true
-                };
-                evolve_mode_scratch(
-                    &tables.bg,
-                    &tables.thermo,
-                    k,
-                    &cfg,
-                    Some(&mut observer),
-                    integ,
-                )
+                    if hb.last.elapsed() >= HEARTBEAT_MIN_INTERVAL {
+                        hb.seq += 1.0;
+                        // best-effort: not counted in bytes_sent, and a
+                        // dead master will surface on the next real send
+                        let _ = t.send(mastid, TAG_HEARTBEAT, &[hb.seq]);
+                        hb.last = Instant::now();
+                    }
+                }
+                true
             };
-            if cancel_seen {
-                // consume the cancel frame, abandon the remaining chunk,
-                // and release like any other terminating tag — the caller
-                // sends its stats and parks
-                let n = myrecvreal(t, buf, TAG_CANCEL, mastid)?;
-                stats.bytes_received += n * 8;
+            evolve_mode_scratch(
+                &tables.bg,
+                &tables.thermo,
+                k,
+                &cfg,
+                Some(&mut observer),
+                integ,
+            )
+        };
+        if cancel_seen {
+            // consume the cancel frame, abandon the mode, and release
+            // like any other terminating tag — the caller sends its
+            // stats and parks
+            let n = myrecvreal(t, buf, TAG_CANCEL, mastid)?;
+            stats.bytes_received += n * 8;
+            rec.record(
+                "mode",
+                "worker",
+                t_mode,
+                Instant::now(),
+                &[
+                    ("ik", ik.to_string()),
+                    ("cancelled", "true".to_string()),
+                    ("job", job.clone()),
+                ],
+            );
+            stats.busy_seconds += t_mode.elapsed().as_secs_f64();
+            return Ok(Some(TAG_CANCEL));
+        }
+        match result {
+            Ok(out) => {
                 rec.record(
                     "mode",
                     "worker",
@@ -317,56 +334,39 @@ fn serve_assignments<T: Transport>(
                     Instant::now(),
                     &[
                         ("ik", ik.to_string()),
-                        ("cancelled", "true".to_string()),
+                        ("k", format!("{k:.6e}")),
                         ("job", job.clone()),
                     ],
                 );
                 stats.busy_seconds += t_mode.elapsed().as_secs_f64();
-                return Ok(Some(TAG_CANCEL));
+                stats.modes += 1;
+                *modes_done += 1;
+                stats.steps_accepted += out.stats.accepted;
+                stats.steps_rejected += out.stats.rejected;
+                stats.rhs_evals += out.stats.rhs_evals;
+                // send results to master: header (tag 4) then data (tag 5)
+                let (header, payload) = out.to_wire(ik);
+                stats.bytes_sent += (header.len() + payload.len()) * 8;
+                mysendreal(t, &header, TAG_HEADER, mastid)?;
+                mysendreal(t, &payload, TAG_DATA, mastid)?;
             }
-            match result {
-                Ok(out) => {
-                    rec.record(
-                        "mode",
-                        "worker",
-                        t_mode,
-                        Instant::now(),
-                        &[
-                            ("ik", ik.to_string()),
-                            ("k", format!("{k:.6e}")),
-                            ("job", job.clone()),
-                        ],
-                    );
-                    stats.busy_seconds += t_mode.elapsed().as_secs_f64();
-                    stats.modes += 1;
-                    *modes_done += 1;
-                    stats.steps_accepted += out.stats.accepted;
-                    stats.steps_rejected += out.stats.rejected;
-                    stats.rhs_evals += out.stats.rhs_evals;
-                    // send results to master: header (tag 4) then data (tag 5)
-                    let (header, payload) = out.to_wire(ik);
-                    stats.bytes_sent += (header.len() + payload.len()) * 8;
-                    mysendreal(t, &header, TAG_HEADER, mastid)?;
-                    mysendreal(t, &payload, TAG_DATA, mastid)?;
-                }
-                Err(_) => {
-                    rec.record(
-                        "mode",
-                        "worker",
-                        t_mode,
-                        Instant::now(),
-                        &[
-                            ("ik", ik.to_string()),
-                            ("failed", "true".to_string()),
-                            ("job", job.clone()),
-                        ],
-                    );
-                    stats.busy_seconds += t_mode.elapsed().as_secs_f64();
-                    // report the failure and go back to waiting: a
-                    // fail-fast master answers with the release, a requeueing
-                    // master with the next assignment
-                    mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
-                }
+            Err(_) => {
+                rec.record(
+                    "mode",
+                    "worker",
+                    t_mode,
+                    Instant::now(),
+                    &[
+                        ("ik", ik.to_string()),
+                        ("failed", "true".to_string()),
+                        ("job", job.clone()),
+                    ],
+                );
+                stats.busy_seconds += t_mode.elapsed().as_secs_f64();
+                // report the failure and go back to waiting: a
+                // fail-fast master answers with the release, a requeueing
+                // master with the next assignment
+                mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
             }
         }
     }
@@ -513,6 +513,52 @@ pub fn worker_pool_session<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::TAG_JOBDONE;
+    use msgpass::channel::ChannelWorld;
+
+    #[test]
+    fn an_assignment_is_exactly_one_in_grid_mode_index() {
+        // `v as usize` used to turn NaN, −1 and 0.5 into mode 0 and
+        // integrate it, and two reals into two modes
+        let mut spec = RunSpec::standard_cdm(vec![2.0e-3, 4.0e-3]);
+        spec.preset = boltzmann::Preset::Draft;
+        let bad: [&[f64]; 7] = [
+            &[0.0, 1.0],
+            &[],
+            &[f64::NAN],
+            &[-1.0],
+            &[0.5],
+            &[1e300],
+            &[2.0],
+        ];
+        for payload in bad {
+            let mut eps = ChannelWorld::new(2);
+            let mut worker = eps.pop().unwrap();
+            let mut master = eps.pop().unwrap();
+            let h = std::thread::spawn(move || {
+                worker_pool_session(&mut worker, None, Instant::now(), &TableCache::new())
+            });
+            let mut buf = Vec::new();
+            master.send(1, TAG_INIT, &spec.encode()).unwrap();
+            master.recv(1, TAG_REQUEST, &mut buf).unwrap();
+            // release and stop follow, so a worker that takes the
+            // payload for work still ends its session cleanly
+            for (tag, frame) in [
+                (TAG_ASSIGN, payload),
+                (TAG_JOBDONE, &[0.0]),
+                (TAG_STOP, &[0.0]),
+            ] {
+                let _ = master.send(1, tag, frame);
+            }
+            match h.join().unwrap() {
+                Err(FarmError::Protocol { rank, detail }) => {
+                    assert_eq!(rank, 1, "{payload:?}");
+                    assert!(detail.contains("assignment"), "{payload:?}: {detail}");
+                }
+                other => panic!("{payload:?}: expected Protocol, got {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn stats_wire_roundtrip() {

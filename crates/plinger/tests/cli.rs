@@ -91,6 +91,27 @@ fn bad_flags_fail_cleanly() {
 }
 
 #[test]
+fn there_is_no_assignment_size_flag() {
+    // a tag-3 carries one mode, so `--chunk` is as unknown as `--bogus`
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_plinger"), &["--chunk", "2"][..]),
+        (
+            env!("CARGO_BIN_EXE_plinger-serve"),
+            &["--listen", "127.0.0.1:0", "--chunk", "2"][..],
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe}: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert!(
+            first.contains("unknown") && first.contains("--chunk"),
+            "{exe}: {err}"
+        );
+    }
+}
+
+#[test]
 fn counts_must_be_whole_numbers() {
     // a count is refused, not truncated (`2.5` → 2) or overflowed
     // (`1e300` workers → a rank count past usize): usage error, exit 2

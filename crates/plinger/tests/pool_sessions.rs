@@ -212,7 +212,7 @@ fn a_curved_cosmology_is_a_typed_error_and_the_pool_serves_on() {
 
 #[test]
 fn respawned_rank_inherits_the_pools_tables() {
-    // rank 1 dies on its first assignment (the master holds a chunk back
+    // rank 1 dies on its first assignment (the master holds a mode back
     // for every rank that has not asked yet, so it always gets one) and
     // is respawned into the pool mid-job.  Its tables were built before
     // it died — by it or by rank 2 — so the replacement, handed the

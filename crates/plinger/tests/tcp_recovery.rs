@@ -40,27 +40,22 @@ fn fast_master(recovery: RecoveryPolicy) -> MasterConfig {
         drain_timeout: Duration::from_secs(2),
         heartbeat_timeout: Duration::from_secs(5),
         recovery,
-        ..MasterConfig::default()
     }
 }
 
 #[test]
 fn killed_worker_is_respawned_and_run_finishes() {
-    // worker 1 exits after one mode (scripted vanish, abnormal exit
-    // code); the watch relaunches it, re-handshakes it under the same
-    // rank, and the farm finishes with a respawn on the ledger
+    // worker 1 exits on its first assignment, which the master
+    // guarantees it is dealt (scripted vanish, abnormal exit code); the
+    // watch relaunches it, re-handshakes it under the same rank, and the
+    // farm finishes with a respawn on the ledger
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
-    // chunk 2: the victim dies after one mode, i.e. inside the first
-    // assignment the master guarantees it is dealt
-    let config = MasterConfig {
-        chunk: 2,
-        ..fast_master(RecoveryPolicy::requeue())
-    };
+    let config = fast_master(RecoveryPolicy::requeue());
     let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,
-            after_modes: 1,
+            after_modes: 0,
         }),
     };
     let rep = run_tcp_processes(&spec, SchedulePolicy::Fifo, 2, &exe(), config, opts).unwrap();
@@ -101,17 +96,14 @@ fn tcp_pool_respawns_killed_worker_across_jobs() {
     // job 2 on the same warm pool — both jobs bitwise vs serial
     let job1 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 6.0e-4]);
-    // chunk 2: the victim dies after one mode, i.e. inside the first
-    // assignment the master guarantees it is dealt
-    let config = MasterConfig {
-        chunk: 2,
-        ..fast_master(RecoveryPolicy::requeue())
-    };
+    // the victim dies on the first assignment the master guarantees it
+    // is dealt
+    let config = fast_master(RecoveryPolicy::requeue());
     let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
             rank: 1,
-            after_modes: 1,
+            after_modes: 0,
         }),
     };
     let mut pool = FarmPool::<TcpWorld>::start_processes(2, &exe(), config, opts).unwrap();

@@ -36,7 +36,7 @@ pub enum Level {
     Warn = 1,
     /// Normal control-plane milestones (job accepted, job done).
     Info = 2,
-    /// Chatty detail (cache probes, chunk assignment).
+    /// Chatty detail (cache probes, mode assignment).
     Debug = 3,
 }
 
@@ -90,7 +90,7 @@ pub struct LogEvent {
     pub level: Level,
     /// Emitting subsystem (`master`, `pool`, `worker`, `service`, ...).
     pub target: String,
-    /// Event kind (`job_accepted`, `chunk_requeue`, ...).
+    /// Event kind (`job_accepted`, `mode_requeue`, ...).
     pub message: String,
     /// Structured `key=value` payload.
     pub fields: Vec<(String, String)>,
@@ -308,19 +308,19 @@ mod tests {
         log(
             Level::Warn,
             "test-ring",
-            "chunk_requeue",
+            "mode_requeue",
             &[("job", job_hex(job)), ("ik", "3".into())],
         );
         let trail = for_job(job, 16);
         assert_eq!(trail.len(), 2);
         assert_eq!(trail[0].message, "job_accepted");
-        assert_eq!(trail[1].message, "chunk_requeue");
+        assert_eq!(trail[1].message, "mode_requeue");
         assert_eq!(trail[1].field("ik"), Some("3"));
         assert!(trail[0].seq < trail[1].seq);
 
         let dump = render_flight_dump(&trail);
         assert_eq!(dump.lines().count(), 2);
-        assert!(dump.contains("\"chunk_requeue\""));
+        assert!(dump.contains("\"mode_requeue\""));
         assert!(dump.contains(&job_hex(job)));
     }
 

@@ -60,6 +60,10 @@ assert report["run"]["workers"] == 2
 rec = report["recovery"]
 assert rec["requeues"] == 0 and rec["respawns"] == 0, rec
 assert rec["failed_modes"] == [], rec
+# one tag-3 per mode, each carrying one real
+assign = [m for m in report["messages"] if m["tag"] == 3]
+assert len(assign) == 1 and assign[0]["sent"] == 3, assign
+assert assign[0]["sent_bytes"] == 24, assign
 on_disk = json.load(open(os.path.join(d, f"smoke_{transport}.run_report.json")))
 assert on_disk == report, "stdout JSON and run_report.json file differ"
 trace = json.load(open(os.path.join(d, f"trace_{transport}.json")))
@@ -313,14 +317,11 @@ echo "== metric-name stability =="
 cargo test -q -p plinger --test observability
 
 echo "== hot-path differential layer =="
-# the RHS fast path (hunted spline caches, chunked assignment) is
-# pinned against the direct implementations by dedicated differential
-# suites; run them explicitly so a cache-coherence regression names
-# itself in the CI log
+# the RHS fast path (hunted spline caches) is pinned against the
+# direct implementations by dedicated differential suites; run them
+# explicitly so a cache-coherence regression names itself in the CI log
 cargo test -q -p background --test cache_differential
 cargo test -q -p recomb --test cache_differential
-cargo test -q --test farm_transports chunked
-cargo test -q --test recovery_matrix chunk
 
 echo "== los differential smoke =="
 # the line-of-sight fast path (truncated hierarchy + source recorder +

@@ -69,65 +69,6 @@ fn farm_over_shared_memory_matches_serial() {
 }
 
 #[test]
-fn chunked_assignment_is_bitwise_identical_to_unchunked() {
-    // six modes, two workers, four modes per assignment: the mode set a
-    // worker receives in one message must produce exactly the bits that
-    // six single-mode assignments (and the serial loop) produce
-    let mut spec = RunSpec::standard_cdm(vec![3.0e-4, 1.5e-3, 6.0e-4, 9.0e-4, 2.0e-4, 1.1e-3]);
-    spec.preset = Preset::Draft;
-    let (serial, _) = run_serial(&spec).unwrap();
-    for n_workers in [1, 2] {
-        let chunked = Farm::<ChannelWorld>::new(n_workers)
-            .master_config(MasterConfig {
-                chunk: 4,
-                ..MasterConfig::default()
-            })
-            .run(&spec, SchedulePolicy::LargestFirst)
-            .unwrap();
-        let single = Farm::<ChannelWorld>::new(n_workers)
-            .master_config(MasterConfig {
-                chunk: 1,
-                ..MasterConfig::default()
-            })
-            .run(&spec, SchedulePolicy::LargestFirst)
-            .unwrap();
-        assert_bitwise_match(&chunked.outputs, &serial);
-        assert_bitwise_match(&single.outputs, &serial);
-    }
-}
-
-#[test]
-fn chunked_assignment_over_shmem_matches_serial() {
-    let mut spec = RunSpec::standard_cdm(vec![3.0e-4, 1.5e-3, 6.0e-4, 9.0e-4, 2.0e-4]);
-    spec.preset = Preset::Draft;
-    let rep = Farm::<ShmemWorld>::new(2)
-        .master_config(MasterConfig {
-            chunk: 4,
-            ..MasterConfig::default()
-        })
-        .run(&spec, SchedulePolicy::LargestFirst)
-        .unwrap();
-    let (serial, _) = run_serial(&spec).unwrap();
-    assert_bitwise_match(&rep.outputs, &serial);
-}
-
-#[test]
-fn chunked_completion_log_keeps_dispatch_order() {
-    // one worker, one big chunk: completions still arrive in
-    // largest-first order because a chunk is a run of that order
-    let spec = tiny_spec();
-    let rep = Farm::<ChannelWorld>::new(1)
-        .master_config(MasterConfig {
-            chunk: 8,
-            ..MasterConfig::default()
-        })
-        .run(&spec, SchedulePolicy::LargestFirst)
-        .unwrap();
-    let iks: Vec<usize> = rep.completion_log.iter().map(|&(ik, _)| ik).collect();
-    assert_eq!(iks, vec![1, 2, 0]);
-}
-
-#[test]
 fn completion_log_respects_scheduling() {
     // with one worker the completion order IS the dispatch order
     let spec = tiny_spec();
@@ -141,10 +82,10 @@ fn completion_log_respects_scheduling() {
 
 #[test]
 fn dropped_worker_yields_error_not_deadlock() {
-    // worker 1 completes one mode, then silently dies holding the second
-    // mode of its first chunk (which the master guarantees it is dealt);
-    // the master must detect the loss, drain worker 2, and report which
-    // modes never finished — all within bounded time.
+    // worker 1 silently dies holding its first mode (which the master
+    // guarantees it is dealt); the master must detect the loss, drain
+    // worker 2, and report which modes never finished — all within
+    // bounded time.
     let mut spec = RunSpec::standard_cdm(vec![2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
     spec.preset = Preset::Draft;
     let t0 = Instant::now();
@@ -152,12 +93,11 @@ fn dropped_worker_yields_error_not_deadlock() {
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
-            chunk: 2,
             ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::DropWorker {
             rank: 1,
-            after_modes: 1,
+            after_modes: 0,
         })
         .run(&spec, SchedulePolicy::Fifo)
         .unwrap_err();

@@ -46,21 +46,20 @@ fn report_number(report: &FarmReport, field: &str) -> f64 {
 
 #[test]
 fn requeue_finishes_after_worker_loss_bitwise() {
-    // worker 1 dies holding the second mode of its first chunk (which
-    // the master guarantees it is dealt); under Requeue the mode returns
-    // to the queue and worker 2 finishes the run, bit-identical to serial
+    // worker 1 dies holding its first mode (which the master guarantees
+    // it is dealt); under Requeue the mode returns to the queue and
+    // worker 2 finishes the run, bit-identical to serial
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
             recovery: RecoveryPolicy::requeue(),
-            chunk: 2,
             ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::DropWorker {
             rank: 1,
-            after_modes: 1,
+            after_modes: 0,
         })
         .run(&spec, SchedulePolicy::Fifo)
         .unwrap();
@@ -97,76 +96,6 @@ fn requeue_over_shmem_finishes_too() {
 }
 
 #[test]
-fn worker_lost_mid_chunk_requeues_the_rest_of_the_chunk() {
-    // chunk = 4 and worker 1 vanishes after completing one mode of its
-    // chunk: the three modes it still held all return to the queue (in
-    // chunk order) and the survivor finishes the run bit-identically;
-    // eight modes, so the master holds a full four-mode chunk back for
-    // each worker whichever requests first
-    let spec = spec_of(&[
-        2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3, 6.0e-4, 9.0e-4, 3.0e-4, 1.0e-3,
-    ]);
-    let rep = Farm::<ChannelWorld>::new(2)
-        .master_config(MasterConfig {
-            poll: Duration::from_millis(10),
-            drain_timeout: Duration::from_millis(500),
-            heartbeat_timeout: Duration::from_millis(400),
-            recovery: RecoveryPolicy::Requeue {
-                max_attempts: 3,
-                respawn: false,
-            },
-            chunk: 4,
-        })
-        .fault_plan(FaultPlan::DropWorker {
-            rank: 1,
-            after_modes: 1,
-        })
-        .run(&spec, SchedulePolicy::Fifo)
-        .unwrap();
-    let (serial, _) = run_serial(&spec).unwrap();
-    assert_bitwise(&rep.outputs, &serial);
-    assert!(
-        rep.recovery.requeues >= 3,
-        "the whole remaining chunk must be requeued: {:?}",
-        rep.recovery
-    );
-    assert!(rep.recovery.failed_modes.is_empty());
-}
-
-#[test]
-fn chunked_poison_mode_spares_its_chunkmates() {
-    // the poison mode rides in a chunk with healthy modes; a tag-8
-    // failure must only strike the poisoned ik off the worker's chunk —
-    // its chunk-mates still complete on the same worker
-    let ks = [3.0e-4, 1.5e-3, 6.0e-4, 9.0e-4];
-    let spec = spec_of(&ks);
-    let rep = Farm::<ChannelWorld>::new(1)
-        .master_config(MasterConfig {
-            poll: Duration::from_millis(10),
-            drain_timeout: Duration::from_millis(500),
-            recovery: RecoveryPolicy::Requeue {
-                max_attempts: 2,
-                respawn: false,
-            },
-            chunk: 4,
-            ..MasterConfig::default()
-        })
-        .fault_plan(FaultPlan::FailMode { ik: 1 })
-        .run(&spec, SchedulePolicy::Fifo)
-        .unwrap();
-    assert_eq!(rep.recovery.failed_modes.len(), 1, "{:?}", rep.recovery);
-    assert_eq!(rep.recovery.failed_modes[0].ik, 1);
-    let (serial, _) = run_serial(&spec).unwrap();
-    let surviving: Vec<_> = serial
-        .into_iter()
-        .enumerate()
-        .filter(|(ik, _)| *ik != 1)
-        .map(|(_, o)| o)
-        .collect();
-    assert_bitwise(&rep.outputs, &surviving);
-}
-
-#[test]
 fn stalled_worker_caught_by_heartbeat_timeout() {
     // worker 1 hangs on its first assignment; integration heartbeats
     // stop arriving, so the master declares it dead on silence alone
@@ -178,7 +107,6 @@ fn stalled_worker_caught_by_heartbeat_timeout() {
             drain_timeout: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_millis(300),
             recovery: RecoveryPolicy::requeue(),
-            ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::StallWorker {
             rank: 1,
@@ -322,7 +250,6 @@ fn dropped_assignment_recovered_by_silence() {
             drain_timeout: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_millis(300),
             recovery: RecoveryPolicy::requeue(),
-            ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::DropMessage { tag: 3, nth: 0 })
         .run(&spec, SchedulePolicy::Fifo)
@@ -349,8 +276,9 @@ fn pooled_worker_killed_in_job_one_serves_job_two() {
     };
     // after_modes: 0 — vanish on the first assignment, which initial
     // dispatch guarantees rank 1 receives, so a mode is always in
-    // flight when the worker dies.  (A kill after N >= 1 modes needs
-    // chunk = N + 1 for the same guarantee.)
+    // flight when the worker dies.  (A kill after N >= 1 modes runs on
+    // a one-worker pool, where no peer can take the mode it dies on:
+    // `lone_worker_dies_after_a_completed_mode_and_its_respawn_finishes`.)
     let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
@@ -424,6 +352,36 @@ fn pool_without_respawn_budget_degrades_but_keeps_serving() {
     pool.shutdown();
 }
 
+#[test]
+fn lone_worker_dies_after_a_completed_mode_and_its_respawn_finishes() {
+    // a kill after one completed mode, made deterministic by having no
+    // peer: the only worker must take the second mode, vanishes on it,
+    // and its respawned rank finishes the job
+    let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
+    let config = MasterConfig {
+        poll: Duration::from_millis(10),
+        drain_timeout: Duration::from_millis(500),
+        recovery: RecoveryPolicy::requeue(),
+        ..MasterConfig::default()
+    };
+    let opts = PoolOptions {
+        respawn_limit: 1,
+        fault: Some(FaultPlan::DropWorker {
+            rank: 1,
+            after_modes: 1,
+        }),
+    };
+    let mut pool = FarmPool::<ChannelWorld>::start_with(1, config, opts).unwrap();
+    let rep = pool.run_job(&spec, SchedulePolicy::Fifo).unwrap();
+    let (serial, _) = run_serial(&spec).unwrap();
+    assert_bitwise(&rep.outputs, &serial);
+    assert_eq!(rep.completion_log[0], (0, 1), "{:?}", rep.completion_log);
+    assert_eq!(rep.recovery.respawns, 1, "{:?}", rep.recovery);
+    assert_eq!(rep.recovery.requeues, 1, "{:?}", rep.recovery);
+    assert!(rep.recovery.failed_modes.is_empty());
+    pool.shutdown();
+}
+
 /// A twelve-mode grid: long enough (≈15 ms/mode in debug) that a
 /// short deadline reliably fires while workers are mid-integration.
 fn long_job() -> RunSpec {
@@ -487,7 +445,7 @@ fn assert_cancel_then_serve<W: msgpass::World>(ctrl: &JobControl<'_>, reason: Ca
 
 #[test]
 fn deadline_mid_job_cancels_and_frees_the_pool() {
-    // the deadline expires while workers hold modes mid-chunk; the
+    // the deadline expires while workers are mid-mode; the
     // cooperative tag-12 path must pull them back without wedging
     let ctrl = JobControl {
         deadline: Some(Instant::now() + Duration::from_millis(15)),
