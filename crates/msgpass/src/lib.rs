@@ -7,8 +7,8 @@
 //! exactly that architecture in Rust: the [`Transport`] trait captures
 //! the primitives (tagged send, blocking probe by source and/or tag,
 //! receive), the [`wrappers`] module spells out the paper's Fortran
-//! routine names one-for-one, and four interchangeable transports play
-//! the roles of the four 1995 libraries:
+//! routine names one-for-one, and three interchangeable transports play
+//! the roles of the 1995 libraries:
 //!
 //! * [`channel::ChannelWorld`] — in-process mailboxes that refuse sends
 //!   once their rank is gone (the "PVM on a shared-memory node"
@@ -16,11 +16,9 @@
 //! * [`tcp::TcpWorld`] — localhost TCP sockets between OS processes
 //!   (the "MPI across nodes" analogue),
 //! * [`shmem::ShmemWorld`] — shared-memory mailboxes that outlive their
-//!   rank (the "MPL on the SP2 switch" analogue),
-//! * [`serial::LoopbackWorld`] — a deterministic single-rank loopback
-//!   for protocol unit tests.
+//!   rank (the "MPL on the SP2 switch" analogue).
 //!
-//! The three threaded transports share one receive side, a private
+//! The three transports share one receive side, a private
 //! mutex/condvar mailbox per rank scanned in place; they differ only in
 //! how a message gets there and in what a lost rank looks like.
 //!
@@ -39,7 +37,6 @@ pub mod codec;
 pub mod fault;
 pub mod instrument;
 mod mailbox;
-pub mod serial;
 pub mod shmem;
 pub mod tcp;
 pub mod wrappers;
@@ -255,6 +252,5 @@ mod tests {
         shape::<channel::ChannelWorld>(3);
         shape::<shmem::ShmemWorld>(3);
         shape::<tcp::TcpWorld>(3);
-        shape::<serial::LoopbackWorld>(1);
     }
 }

@@ -105,9 +105,7 @@ server options:
   --queue-limit N           shed requests past N in flight   [64]
   --cache-dir DIR           crash-safe result cache directory
   --report-dir DIR          write a run_report JSON per cache miss
-  --recovery MODE           failfast|requeue                 [requeue]
-  --max-attempts N          dispatches per mode before quarantine [2]
-  --poll MS / --drain-timeout MS / --heartbeat-timeout MS
+  --drain-timeout MS        worker drain window on error     [5000]
   --respawn-limit N         pooled worker respawn budget     [2]
   --log LEVEL[,json]        structured events on stderr
                             (error|warn|info|debug)          [off]

@@ -4,9 +4,9 @@
 //! A tiny hand-rolled parser (no external CLI crates): flags are
 //! `--name value` pairs; unknown flags abort with usage.  The flags are
 //! grouped into reusable builders — [`SpecArgs`] (cosmology, grid,
-//! accuracy → a [`RunSpec`]), [`FarmArgs`] (workers, transport,
-//! recovery, timing → [`FarmSettings`]), and [`ServeArgs`] (listen
-//! addresses, admission control, persistent cache →
+//! accuracy → a [`RunSpec`]), [`FarmArgs`] (workers, transport, drain
+//! timeout, respawn budget → [`FarmSettings`]), and [`ServeArgs`]
+//! (listen addresses, admission control, persistent cache →
 //! [`ServeSettings`]) — so each binary composes exactly the groups it
 //! understands: `linger`/`plinger` take the first two through
 //! [`parse`], the `plinger-serve` server takes [`FarmArgs`] plus
@@ -17,7 +17,6 @@
 use crate::ensemble::EnsembleSpec;
 use crate::master::MasterConfig;
 use crate::protocol::{require_flat, RunSpec};
-use crate::recovery::RecoveryPolicy;
 use background::CosmoParams;
 use boltzmann::{Gauge, InitialConditions, Preset, SpectrumMethod};
 use std::path::PathBuf;
@@ -60,8 +59,8 @@ pub struct CliOptions {
     pub telemetry: TelemetryMode,
     /// Optional chrome-tracing output path (`--trace-out trace.json`).
     pub trace_out: Option<String>,
-    /// Workers, transport, recovery, timings and `--log` — the same
-    /// settings `plinger-serve` builds its pool from.
+    /// Workers, transport, drain timeout, respawn budget and `--log` —
+    /// the same settings `plinger-serve` builds its pool from.
     pub farm: FarmSettings,
 }
 
@@ -114,11 +113,7 @@ options:
   --tcp                     shorthand for --transport tcp
   --telemetry MODE          pretty|json|off               [pretty]
   --trace-out FILE          write chrome-tracing JSON spans to FILE
-  --recovery MODE           failfast|requeue              [requeue]
-  --max-attempts N          dispatches per mode before quarantine [2]
-  --poll MS                 master idle-poll interval     [25]
   --drain-timeout MS        worker drain window on error  [5000]
-  --heartbeat-timeout MS    silence before a worker is dead [30000]
   --respawn-limit N         TCP subprocess respawn budget [2]
   --log LEVEL[,json]        structured events on stderr
                             (error|warn|info|debug)       [off]
@@ -374,24 +369,16 @@ fn parse_axis(flag: &str, list: &str) -> Result<Vec<f64>, String> {
     Ok(axis)
 }
 
-/// Builder for the farm flag group: worker count, transport, recovery
-/// policy, master timings, and respawn budget.
+/// Builder for the farm flag group: worker count, transport, drain
+/// timeout, and respawn budget.
 #[derive(Debug, Clone)]
 pub struct FarmArgs {
     /// Worker count (defaults to the core count).
     pub workers: usize,
     /// Transport selection.
     pub transport: TransportKind,
-    /// `--recovery requeue` (the default) vs `failfast`.
-    pub requeue: bool,
-    /// Dispatches per mode before quarantine.
-    pub max_attempts: usize,
-    /// Master idle-poll interval override.
-    pub poll: Option<Duration>,
     /// Worker drain timeout override.
     pub drain_timeout: Option<Duration>,
-    /// Heartbeat silence threshold override.
-    pub heartbeat_timeout: Option<Duration>,
     /// Worker respawn budget.
     pub respawn_limit: usize,
     /// Structured-log stderr sink.
@@ -405,11 +392,7 @@ impl Default for FarmArgs {
                 .map(|n| n.get())
                 .unwrap_or(1),
             transport: TransportKind::default(),
-            requeue: true,
-            max_attempts: 2,
-            poll: None,
             drain_timeout: None,
-            heartbeat_timeout: None,
             respawn_limit: 2,
             log: None,
         }
@@ -423,14 +406,8 @@ pub struct FarmSettings {
     pub workers: usize,
     /// Transport selection.
     pub transport: TransportKind,
-    /// Assembled recovery policy.
-    pub recovery: RecoveryPolicy,
-    /// Master idle-poll interval override.
-    pub poll: Option<Duration>,
     /// Worker drain timeout override.
     pub drain_timeout: Option<Duration>,
-    /// Heartbeat silence threshold override.
-    pub heartbeat_timeout: Option<Duration>,
     /// Worker respawn budget.
     pub respawn_limit: usize,
     /// Structured-log stderr sink (`--log level[,json]`).
@@ -438,15 +415,13 @@ pub struct FarmSettings {
 }
 
 impl FarmSettings {
-    /// Assemble a [`MasterConfig`], leaving unset timings at their
-    /// library defaults.
+    /// Assemble a [`MasterConfig`]: the library defaults, with the
+    /// drain timeout overridden when `--drain-timeout` was given.
     pub fn master_config(&self) -> MasterConfig {
         let d = MasterConfig::default();
         MasterConfig {
-            poll: self.poll.unwrap_or(d.poll),
             drain_timeout: self.drain_timeout.unwrap_or(d.drain_timeout),
-            heartbeat_timeout: self.heartbeat_timeout.unwrap_or(d.heartbeat_timeout),
-            recovery: self.recovery,
+            ..d
         }
     }
 
@@ -478,19 +453,7 @@ impl FarmArgs {
                 }
             }
             "--tcp" => self.transport = TransportKind::Tcp,
-            "--recovery" => {
-                self.requeue = match take(flag, it)?.as_str() {
-                    "failfast" => false,
-                    "requeue" => true,
-                    other => return Err(format!("unknown recovery mode {other}")),
-                }
-            }
-            "--max-attempts" => self.max_attempts = count(flag, it)?,
-            "--poll" => self.poll = Some(Duration::from_millis(count(flag, it)?)),
             "--drain-timeout" => self.drain_timeout = Some(Duration::from_millis(count(flag, it)?)),
-            "--heartbeat-timeout" => {
-                self.heartbeat_timeout = Some(Duration::from_millis(count(flag, it)?))
-            }
             "--respawn-limit" => self.respawn_limit = count(flag, it)?,
             "--log" => self.log = Some(parse_log_flag(take(flag, it)?)?),
             _ => return Ok(false),
@@ -503,24 +466,10 @@ impl FarmArgs {
         if self.workers < 1 {
             return Err("need at least one worker".into());
         }
-        if self.max_attempts < 1 {
-            return Err("need at least one attempt per mode".into());
-        }
-        let recovery = if self.requeue {
-            RecoveryPolicy::Requeue {
-                max_attempts: self.max_attempts,
-                respawn: self.respawn_limit > 0,
-            }
-        } else {
-            RecoveryPolicy::FailFast
-        };
         Ok(FarmSettings {
             workers: self.workers,
             transport: self.transport,
-            recovery,
-            poll: self.poll,
             drain_timeout: self.drain_timeout,
-            heartbeat_timeout: self.heartbeat_timeout,
             respawn_limit: self.respawn_limit,
             log: self.log,
         })
@@ -868,50 +817,26 @@ mod tests {
     }
 
     #[test]
-    fn recovery_flags_parse() {
-        match parse(&[]).unwrap() {
+    fn farm_timing_flags_parse_and_recovery_knobs_are_unknown() {
+        match parse(&argv("--drain-timeout 750 --respawn-limit 0")).unwrap() {
             Parsed::Run(o) => {
-                assert_eq!(
-                    o.farm.recovery,
-                    RecoveryPolicy::Requeue {
-                        max_attempts: 2,
-                        respawn: true
-                    }
-                );
-                assert_eq!(o.farm.respawn_limit, 2);
+                assert_eq!(o.farm.respawn_limit, 0);
                 let cfg = o.farm.master_config();
+                assert_eq!(cfg.drain_timeout, Duration::from_millis(750));
                 assert_eq!(cfg.poll, MasterConfig::default().poll);
             }
             _ => panic!("expected run"),
         }
-        match parse(&argv("--recovery failfast")).unwrap() {
-            Parsed::Run(o) => assert_eq!(o.farm.recovery, RecoveryPolicy::FailFast),
-            _ => panic!("expected run"),
+        // one recovery path with fixed master timings: nothing to pick
+        for flag in [
+            "--recovery failfast",
+            "--max-attempts 3",
+            "--poll 5",
+            "--heartbeat-timeout 2000",
+        ] {
+            let err = parse(&argv(flag)).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{flag}: {err}");
         }
-        match parse(&argv(
-            "--recovery requeue --max-attempts 3 --respawn-limit 0 \
-             --poll 10 --drain-timeout 750 --heartbeat-timeout 2000",
-        ))
-        .unwrap()
-        {
-            Parsed::Run(o) => {
-                assert_eq!(
-                    o.farm.recovery,
-                    RecoveryPolicy::Requeue {
-                        max_attempts: 3,
-                        respawn: false
-                    }
-                );
-                assert_eq!(o.farm.respawn_limit, 0);
-                let cfg = o.farm.master_config();
-                assert_eq!(cfg.poll, Duration::from_millis(10));
-                assert_eq!(cfg.drain_timeout, Duration::from_millis(750));
-                assert_eq!(cfg.heartbeat_timeout, Duration::from_millis(2000));
-            }
-            _ => panic!("expected run"),
-        }
-        assert!(parse(&argv("--recovery maybe")).is_err());
-        assert!(parse(&argv("--max-attempts 0")).is_err());
     }
 
     #[test]
@@ -1033,7 +958,7 @@ mod tests {
         assert!(!spec.try_flag(flag, &mut it).unwrap());
 
         // the serve server path: farm flags only
-        let args = argv("--workers 2 --transport shmem --recovery failfast");
+        let args = argv("--workers 2 --transport shmem");
         let mut farm = FarmArgs::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -1042,7 +967,6 @@ mod tests {
         let farm = farm.build().unwrap();
         assert_eq!(farm.workers, 2);
         assert_eq!(farm.transport, TransportKind::Shmem);
-        assert_eq!(farm.recovery, RecoveryPolicy::FailFast);
 
         // a value-less flag errors inside the builder, not at build()
         let args = argv("--kmin");

@@ -3,15 +3,18 @@
 //! Everything that can go wrong between `Farm::run`'s broadcast and its
 //! final report is named here, so callers (the CLI, the bench binaries,
 //! the tests) can distinguish a transport that failed to assemble from a
-//! worker that died mid-mode from a mode integration that blew up —
-//! instead of the panics the first version of the farm used.
+//! farm that lost every worker from a spectrum whose modes could not be
+//! finished — instead of the panics the first version of the farm used.
+//! A lone worker loss or mode failure is not an error at all: the master
+//! requeues the mode (see [`crate::recovery`]).
 
 use std::fmt;
 
-use boltzmann::{EvolveError, WireError};
+use boltzmann::EvolveError;
 use msgpass::{CommError, Rank};
 
 use crate::protocol::SpecDecodeError;
+use crate::recovery::FailedMode;
 
 /// Why a job was cancelled mid-run (see [`FarmError::Cancelled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +52,6 @@ pub enum FarmError {
         /// Human-readable description.
         detail: String,
     },
-    /// A result message failed wire validation.
-    Wire {
-        /// Worker that sent the malformed record.
-        rank: Rank,
-        /// The decode failure.
-        source: WireError,
-    },
     /// The tag-1 run-spec broadcast failed to decode on a worker.
     SpecDecode(SpecDecodeError),
     /// The job's cosmology is curved (or NaN) past
@@ -65,38 +61,20 @@ pub enum FarmError {
         /// The refused Ω_k.
         omega_k: f64,
     },
-    /// A mode integration failed on a worker (reported via tag 8).
+    /// A mode integration of the serial runner failed.
     Evolve {
-        /// Worker the mode was running on (0 for the serial runner).
+        /// Always 0: the serial runner is the master.
         rank: Rank,
         /// Index of the failed mode in the k-grid.
         ik: usize,
         /// Wavenumber of the failed mode, Mpc⁻¹.
         k: f64,
-        /// The underlying integrator error when it is available locally
-        /// (serial runs); `None` when the failure arrived over the wire.
+        /// The underlying integrator error.
         source: Option<EvolveError>,
     },
-    /// A worker stopped responding before the run finished.  The farm
-    /// drained the survivors and shut the session down; `unfinished`
-    /// names every mode index that had no result when the loss was
-    /// detected.
-    WorkerLost {
-        /// The rank that died.
-        rank: Rank,
-        /// Mode indices (into the k-grid) left without results.
-        unfinished: Vec<usize>,
-    },
-    /// A worker thread or process could not be joined cleanly.
-    WorkerJoin {
-        /// The rank that failed to join.
-        rank: Rank,
-        /// Panic payload or exit-status description.
-        detail: String,
-    },
-    /// Under [`crate::RecoveryPolicy::Requeue`], every worker died (and
-    /// respawn, if any, was exhausted) while modes were still pending.
-    /// Requeue can survive any loss but the last.
+    /// Every worker died (and respawn, if any, was exhausted) while
+    /// modes were still pending.  The farm survives any loss but the
+    /// last.
     AllWorkersLost {
         /// Mode indices (into the k-grid) left without results.
         unfinished: Vec<usize>,
@@ -111,6 +89,13 @@ pub enum FarmError {
         /// Mode indices (into the k-grid) left without results.
         unfinished: Vec<usize>,
     },
+    /// The spectrum service refused to answer with a job whose report
+    /// quarantined modes: a spectrum missing them is never served or
+    /// cached.
+    Quarantined {
+        /// The modes the job finished without.
+        modes: Vec<FailedMode>,
+    },
 }
 
 impl fmt::Display for FarmError {
@@ -120,9 +105,6 @@ impl fmt::Display for FarmError {
             FarmError::Comm(e) => write!(f, "communication failed: {e}"),
             FarmError::Protocol { rank, detail } => {
                 write!(f, "protocol violation at rank {rank}: {detail}")
-            }
-            FarmError::Wire { rank, source } => {
-                write!(f, "malformed result from rank {rank}: {source}")
             }
             FarmError::SpecDecode(e) => write!(f, "run spec failed to decode: {e}"),
             FarmError::NotFlat { omega_k } => write!(
@@ -142,15 +124,6 @@ impl fmt::Display for FarmError {
                 }
                 Ok(())
             }
-            FarmError::WorkerLost { rank, unfinished } => write!(
-                f,
-                "worker rank {rank} lost; {} mode(s) unfinished: {:?}",
-                unfinished.len(),
-                unfinished
-            ),
-            FarmError::WorkerJoin { rank, detail } => {
-                write!(f, "worker rank {rank} failed to join: {detail}")
-            }
             FarmError::AllWorkersLost { unfinished } => write!(
                 f,
                 "all workers lost; {} mode(s) unfinished: {:?}",
@@ -162,6 +135,17 @@ impl fmt::Display for FarmError {
                 "job cancelled ({reason}); {} mode(s) unfinished",
                 unfinished.len()
             ),
+            FarmError::Quarantined { modes } => {
+                write!(f, "{} mode(s) quarantined", modes.len())?;
+                for m in modes {
+                    write!(
+                        f,
+                        "; ik={} (k={} 1/Mpc) after {} attempt(s): {}",
+                        m.ik, m.k, m.attempts, m.reason
+                    )?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -170,7 +154,6 @@ impl std::error::Error for FarmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FarmError::Setup(e) | FarmError::Comm(e) => Some(e),
-            FarmError::Wire { source, .. } => Some(source),
             FarmError::SpecDecode(e) => Some(e),
             FarmError::Evolve {
                 source: Some(e), ..
@@ -198,12 +181,11 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        let e = FarmError::WorkerLost {
-            rank: 3,
+        let e = FarmError::AllWorkersLost {
             unfinished: vec![1, 4],
         };
         let s = e.to_string();
-        assert!(s.contains("rank 3"));
+        assert!(s.contains("all workers lost"));
         assert!(s.contains("[1, 4]"));
 
         let e = FarmError::Evolve {

@@ -39,11 +39,9 @@ use crate::worker::{worker_pool_session, WorkerFault, WorkerStats};
 /// ensemble twin carries besides the outputs it shares.
 #[derive(Debug, Default)]
 pub struct FarmReport {
-    /// Finished modes in grid order.  Under
-    /// [`RecoveryPolicy::Requeue`](crate::RecoveryPolicy::Requeue) a
-    /// quarantined mode leaves no entry here — its identity lives in
-    /// `recovery.failed_modes`, and `outputs[j]` is the `j`-th
-    /// *non-quarantined* mode of the grid.
+    /// Finished modes in grid order.  A quarantined mode leaves no
+    /// entry here — its identity lives in `recovery.failed_modes`, and
+    /// `outputs[j]` is the `j`-th *non-quarantined* mode of the grid.
     pub outputs: Vec<ModeOutput>,
     /// Master wall-clock seconds.
     pub wall_seconds: f64,
@@ -258,8 +256,7 @@ impl<W: World> Farm<W> {
         }
     }
 
-    /// Replace the whole master configuration: timings and recovery
-    /// policy (see [`MasterConfig`]).
+    /// Replace the master timings (see [`MasterConfig`]).
     pub fn master_config(mut self, config: MasterConfig) -> Self {
         self.config = config;
         self

@@ -58,7 +58,7 @@ pub use protocol::{
     TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_JOBDONE, TAG_PREFETCH, TAG_REQUEST,
     TAG_STATS, TAG_STOP,
 };
-pub use recovery::{FailedMode, RecoveryLog, RecoveryPolicy, WorkerEvent};
+pub use recovery::{FailedMode, RecoveryLog, WorkerEvent};
 pub use report::{build_run_report, render_pretty, FarmTelemetry};
 pub use schedule::{SchedulePolicy, WorkQueue};
 pub use service::{

@@ -4,19 +4,16 @@
 //! The paper's listing drives the farm with a blocking `mycheckany`; a
 //! worker that dies without a goodbye would park that master forever.
 //! This version polls with [`Transport::probe_timeout`] and consults a
-//! caller-supplied liveness watch between polls.  What happens when a
-//! worker is lost is governed by [`RecoveryPolicy`]:
-//!
-//! * under [`RecoveryPolicy::FailFast`] any abnormal event — worker
-//!   death, a tag-8 failure report, an unexpected tag, a malformed
-//!   result — routes through one drain-and-release shutdown that
-//!   flushes tag-11 releases to all surviving workers and collects what
-//!   statistics it can before returning the typed error;
-//! * under [`RecoveryPolicy::Requeue`] the dead rank's in-flight mode
-//!   goes back to the head of the work queue and is redistributed to
-//!   survivors (state machine: *in-flight → requeued*, or *in-flight →
-//!   quarantined* once the mode's attempt budget is spent), and the run
-//!   finishes as long as one worker lives.
+//! caller-supplied liveness watch between polls.  A worker that dies,
+//! stalls, reports a tag-8 failure or sends a malformed result loses
+//! its in-flight mode: the mode goes back to the head of the work queue
+//! and is redistributed to survivors (state machine: *in-flight →
+//! requeued*, or *in-flight → quarantined* once the mode has been
+//! dispatched twice, `MAX_ATTEMPTS`), and the run finishes as long as
+//! one worker lives.  A protocol violation (an unexpected tag, a result
+//! for a mode outside the grid) routes through one drain-and-release
+//! shutdown that flushes tag-11 releases to all surviving workers and
+//! collects what statistics it can before returning the typed error.
 //!
 //! Liveness has two sources: the watch callback (thread joins, process
 //! exits, socket closes) and tag-9 heartbeats — a rank holding an
@@ -39,12 +36,16 @@ use crate::protocol::{
     job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT,
     TAG_INIT, TAG_JOBDONE, TAG_PREFETCH, TAG_REQUEST, TAG_STATS,
 };
-use crate::recovery::{FailedMode, RecoveryLog, RecoveryPolicy, WorkerEvent};
+use crate::recovery::{FailedMode, RecoveryLog, WorkerEvent};
 use crate::schedule::{SchedulePolicy, WorkQueue};
 use crate::worker::WorkerStats;
 
-/// Timing and recovery knobs of the master loop.  Dispatch has none: a
-/// tag-3 assignment is one mode, as in the paper.
+/// Dispatches a mode gets before it is quarantined: one retry after a
+/// lost worker, a failed integration or a malformed result.
+const MAX_ATTEMPTS: usize = 2;
+
+/// Timing knobs of the master loop.  Dispatch has none: a tag-3
+/// assignment is one mode, as in the paper.
 #[derive(Debug, Clone, Copy)]
 pub struct MasterConfig {
     /// How long one bounded probe waits before re-checking liveness.
@@ -57,8 +58,6 @@ pub struct MasterConfig {
     /// Workers heartbeat at ~100 ms intervals while integrating, so the
     /// default is generous by orders of magnitude.
     pub heartbeat_timeout: Duration,
-    /// What to do when a worker is lost.
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for MasterConfig {
@@ -67,7 +66,6 @@ impl Default for MasterConfig {
             poll: Duration::from_millis(25),
             drain_timeout: Duration::from_secs(5),
             heartbeat_timeout: Duration::from_secs(30),
-            recovery: RecoveryPolicy::FailFast,
         }
     }
 }
@@ -139,9 +137,6 @@ struct Session {
     /// Statistics by worker index (rank − 1).
     stats: Vec<Option<WorkerStats>>,
     n_workers: usize,
-    /// Recovery knobs (copied out of the config so helpers don't need
-    /// the whole config threaded through).
-    policy: RecoveryPolicy,
     /// The mode each worker holds, if any (index = rank − 1).
     in_flight: Vec<Option<usize>>,
     /// Ranks declared dead (watch report or heartbeat silence).
@@ -149,7 +144,7 @@ struct Session {
     /// Last time each rank sent *anything* (index = rank − 1).
     last_seen: Vec<Instant>,
     /// Idle ranks held back from their release because another worker still
-    /// carries a mode that may yet be requeued (Requeue policy only).
+    /// carries a mode that may yet be requeued.
     parked: HashSet<Rank>,
     /// Modes that exhausted their attempt budget.
     quarantined: HashSet<usize>,
@@ -194,17 +189,15 @@ impl Session {
         self.ikdone() + self.quarantined.len() >= self.outputs.len()
     }
 
-    /// Session exit condition.  Under FailFast this is exactly the
-    /// historical one (all modes done, all workers stopped and
-    /// reported); under Requeue a dead rank counts as resolved — it will
+    /// Session exit condition: every mode settled, every live worker
+    /// released and reported.  A dead rank counts as resolved — it will
     /// never be released or report.
     fn finished(&self) -> bool {
         if !self.all_settled() {
             return false;
         }
         (1..=self.n_workers).all(|r| {
-            (self.policy.recovers() && self.dead.contains(&r))
-                || (self.stopped.contains(&r) && self.stats[r - 1].is_some())
+            self.dead.contains(&r) || (self.stopped.contains(&r) && self.stats[r - 1].is_some())
         })
     }
 
@@ -223,9 +216,8 @@ impl Session {
     /// Reply to a ready worker: its next mode (one tag-3), or release.
     /// A worker that still holds a mode gets nothing.  A worker with no
     /// work to take is *parked* (no reply yet) while the queue still
-    /// holds modes owed to ranks in `awaiting`, or, under the Requeue
-    /// policy, while other workers still carry modes that may come back
-    /// to the queue.
+    /// holds modes owed to ranks in `awaiting`, or while other workers
+    /// still carry modes that may come back to the queue.
     fn dispatch<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
         if self.in_flight[rank - 1].is_some() {
             return Ok(());
@@ -253,7 +245,7 @@ impl Session {
                     ("job", self.job.clone()),
                 ],
             );
-        } else if !self.queue.is_empty() || (self.policy.recovers() && !self.all_settled()) {
+        } else if !self.queue.is_empty() || !self.all_settled() {
             self.parked.insert(rank);
         } else {
             self.release(t, rank)?;
@@ -316,7 +308,7 @@ impl Session {
     ) -> Result<(), FarmError> {
         let t0 = Instant::now();
         let attempts = self.queue.attempts(ik);
-        if attempts >= self.policy.max_attempts() {
+        if attempts >= MAX_ATTEMPTS {
             self.quarantined.insert(ik);
             self.recovery.failed_modes.push(FailedMode {
                 ik,
@@ -377,8 +369,7 @@ impl Session {
         Ok(())
     }
 
-    /// Declare a rank dead and recover its in-flight mode (Requeue
-    /// policy only).
+    /// Declare a rank dead and recover its in-flight mode.
     fn mark_dead<T: Transport>(
         &mut self,
         t: &mut T,
@@ -407,28 +398,20 @@ impl Session {
         Ok(())
     }
 
-    /// Fold a batch of watch events into the session.  Returns
-    /// `Ok(Some(rank))` when the FailFast policy demands the session
-    /// abort with [`FarmError::WorkerLost`] for that rank.
+    /// Fold a batch of watch events into the session.
     fn apply_events<T: Transport>(
         &mut self,
         t: &mut T,
         spec_wire: &[f64],
         events: Vec<WorkerEvent>,
-    ) -> Result<Option<Rank>, FarmError> {
+    ) -> Result<(), FarmError> {
         for ev in events {
             match ev {
                 WorkerEvent::Dead(rank) => {
-                    if rank == 0 || rank > self.n_workers || self.dead.contains(&rank) {
+                    if rank == 0 || rank > self.n_workers {
                         continue;
                     }
-                    if self.policy.recovers() {
-                        self.mark_dead(t, rank, "worker lost")?;
-                    } else if !self.stopped.contains(&rank) {
-                        return Ok(Some(rank));
-                    }
-                    // FailFast + already stopped: the idle branch's
-                    // missing-statistics check handles it (WorkerJoin).
+                    self.mark_dead(t, rank, "worker lost")?;
                 }
                 WorkerEvent::Respawned(rank) => {
                     if rank == 0 || rank > self.n_workers {
@@ -469,13 +452,13 @@ impl Session {
                 }
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Declare dead any live rank that holds an assignment but has been
-    /// silent past the heartbeat timeout (Requeue policy only): workers
-    /// heartbeat every ~100 ms while integrating, so prolonged silence
-    /// means the worker is hung, not busy.
+    /// silent past the heartbeat timeout: workers heartbeat every
+    /// ~100 ms while integrating, so prolonged silence means the worker
+    /// is hung, not busy.
     fn scan_heartbeats<T: Transport>(
         &mut self,
         t: &mut T,
@@ -654,11 +637,9 @@ impl Session {
 /// (thread pools report workers whose session returned; process pools
 /// report children that exited; both may report a respawn after
 /// installing a replacement).  Casualties of earlier jobs are folded in
-/// before the job opens, so a dead rank is never offered it.  Under
-/// [`RecoveryPolicy::FailFast`] a dead rank that was never released
-/// aborts the session with [`FarmError::WorkerLost`] after draining the
-/// survivors; under [`RecoveryPolicy::Requeue`] its work is
-/// redistributed.
+/// before the job opens, so a dead rank is never offered it; a rank that
+/// dies mid-job has its work redistributed, and the job fails with
+/// [`FarmError::AllWorkersLost`] only when no worker is left.
 ///
 /// Every span the master records is stamped relative to `epoch`, so a
 /// pool that hands the same epoch to its workers gets one aligned
@@ -699,7 +680,6 @@ pub fn master_job_session<T: Transport>(
         stopped: HashSet::new(),
         stats: vec![None; n_workers],
         n_workers,
-        policy: cfg.recovery,
         in_flight: vec![None; n_workers],
         dead: HashSet::new(),
         last_seen: vec![Instant::now(); n_workers],
@@ -731,17 +711,10 @@ pub fn master_job_session<T: Transport>(
     for ev in watch() {
         match ev {
             WorkerEvent::Dead(rank) => {
-                if rank == 0 || rank > n_workers || s.dead.contains(&rank) {
+                if rank == 0 || rank > n_workers {
                     continue;
                 }
-                if s.policy.recovers() {
-                    s.mark_dead(t, rank, "dead before job start")?;
-                } else {
-                    return Err(FarmError::WorkerLost {
-                        rank,
-                        unfinished: s.unfinished(),
-                    });
-                }
+                s.mark_dead(t, rank, "dead before job start")?;
             }
             WorkerEvent::Respawned(rank) => {
                 if rank == 0 || rank > n_workers {
@@ -763,14 +736,10 @@ pub fn master_job_session<T: Transport>(
             // anyway
             let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
         }
-        match mysendreal(t, &spec_wire, TAG_INIT, rank) {
-            Ok(()) => {
-                s.awaiting.insert(rank);
-            }
-            Err(_) if s.policy.recovers() => {
-                s.mark_dead(t, rank, "unreachable at job start")?;
-            }
-            Err(e) => return Err(FarmError::Setup(e)),
+        if mysendreal(t, &spec_wire, TAG_INIT, rank).is_ok() {
+            s.awaiting.insert(rank);
+        } else {
+            s.mark_dead(t, rank, "unreachable at job start")?;
         }
     }
     if s.dead.len() == s.n_workers {
@@ -807,42 +776,12 @@ pub fn master_job_session<T: Transport>(
                 s.idle_since = Some(poll_start);
             }
             // silence: check for casualties before waiting again
-            let events = watch();
-            let dead_now: Vec<Rank> = events
-                .iter()
-                .filter_map(|e| match e {
-                    WorkerEvent::Dead(r) => Some(*r),
-                    WorkerEvent::Respawned(_) => None,
-                })
-                .collect();
-            if let Some(rank) = s.apply_events(t, &spec_wire, events)? {
-                s.drain_and_stop(t, cfg, watch);
-                return Err(FarmError::WorkerLost {
-                    rank,
+            s.apply_events(t, &spec_wire, watch())?;
+            s.scan_heartbeats(t, cfg.heartbeat_timeout)?;
+            if s.dead.len() == s.n_workers && !s.all_settled() {
+                return Err(FarmError::AllWorkersLost {
                     unfinished: s.unfinished(),
                 });
-            }
-            if cfg.recovery.recovers() {
-                s.scan_heartbeats(t, cfg.heartbeat_timeout)?;
-                if s.dead.len() == s.n_workers && !s.all_settled() {
-                    return Err(FarmError::AllWorkersLost {
-                        unfinished: s.unfinished(),
-                    });
-                }
-            } else {
-                // a stopped worker that died before reporting statistics
-                // can never report; don't wait for it forever
-                if let Some(&rank) = dead_now
-                    .iter()
-                    .find(|&&r| r >= 1 && r <= n_workers && s.stats[r - 1].is_none())
-                {
-                    if s.ikdone() == nk && s.stopped.len() == n_workers {
-                        return Err(FarmError::WorkerJoin {
-                            rank,
-                            detail: "worker exited without reporting statistics".into(),
-                        });
-                    }
-                }
             }
             continue;
         };
@@ -895,30 +834,16 @@ pub fn master_job_session<T: Transport>(
                     match t.probe_timeout(Some(itid), Some(TAG_DATA), cfg.poll)? {
                         Some(_) => break,
                         None => {
-                            let events = watch();
-                            if let Some(rank) = s.apply_events(t, &spec_wire, events)? {
-                                s.drain_and_stop(t, cfg, watch);
-                                return Err(FarmError::WorkerLost {
-                                    rank,
-                                    unfinished: s.unfinished(),
-                                });
-                            }
+                            s.apply_events(t, &spec_wire, watch())?;
                             if s.dead.contains(&itid) {
                                 // apply_events already requeued its mode
                                 lost = true;
                                 break;
                             }
                             if Instant::now() >= data_deadline {
-                                if cfg.recovery.recovers() {
-                                    s.mark_dead(t, itid, "silent between header and data")?;
-                                    lost = true;
-                                    break;
-                                }
-                                s.drain_and_stop(t, cfg, watch);
-                                return Err(FarmError::WorkerLost {
-                                    rank: itid,
-                                    unfinished: s.unfinished(),
-                                });
+                                s.mark_dead(t, itid, "silent between header and data")?;
+                                lost = true;
+                                break;
                             }
                         }
                     }
@@ -932,22 +857,15 @@ pub fn master_job_session<T: Transport>(
                 let (ik, out) = match ModeOutput::from_wire(&header, &payload) {
                     Ok(pair) => pair,
                     Err(e) => {
-                        if cfg.recovery.recovers() {
-                            // a corrupted result is recoverable: the
-                            // mode goes back to the queue, and the
-                            // worker, now between modes, gets fresh work
-                            s.recover_mode(t, itid, &format!("malformed result: {e}"))?;
-                            s.dispatch(t, itid)?;
-                            continue;
-                        }
-                        s.drain_and_stop(t, cfg, watch);
-                        return Err(FarmError::Wire {
-                            rank: itid,
-                            source: e,
-                        });
+                        // a corrupted result is recoverable: the mode
+                        // goes back to the queue, and the worker, now
+                        // between modes, gets fresh work
+                        s.recover_mode(t, itid, &format!("malformed result: {e}"))?;
+                        s.dispatch(t, itid)?;
+                        continue;
                     }
                 };
-                if ik < nk && s.outputs[ik].is_some() && cfg.recovery.recovers() {
+                if ik < nk && s.outputs[ik].is_some() {
                     // a respawned rank's previous incarnation can have a
                     // result in the pipe when its mode is requeued: the
                     // mode is then integrated twice, and whichever copy
@@ -958,11 +876,11 @@ pub fn master_job_session<T: Transport>(
                     s.dispatch(t, itid)?;
                     continue;
                 }
-                if ik >= nk || s.outputs[ik].is_some() {
+                if ik >= nk {
                     s.drain_and_stop(t, cfg, watch);
                     return Err(FarmError::Protocol {
                         rank: itid,
-                        detail: format!("result for invalid or duplicate mode ik={ik}"),
+                        detail: format!("result for invalid mode ik={ik}"),
                     });
                 }
                 s.rec.record(
@@ -988,30 +906,15 @@ pub fn master_job_session<T: Transport>(
             TAG_FAIL => {
                 myrecvreal(t, &mut payload, TAG_FAIL, itid)?;
                 let ik = payload.first().copied().unwrap_or(-1.0) as usize;
-                let k = payload.get(1).copied().unwrap_or(f64::NAN);
-                if cfg.recovery.recovers() {
-                    // the worker survives its failed mode: budget the
-                    // mode and hand the worker its next one
-                    s.resolve_in_flight(itid, ik);
-                    if ik < nk && s.outputs[ik].is_none() && !s.quarantined.contains(&ik) {
-                        s.requeue_or_quarantine(
-                            t,
-                            ik,
-                            &format!("integration failed on rank {itid}"),
-                        )?;
-                    }
-                    s.dispatch(t, itid)?;
-                    if s.all_settled() {
-                        s.wake_parked(t)?;
-                    }
-                } else {
-                    s.drain_and_stop(t, cfg, watch);
-                    return Err(FarmError::Evolve {
-                        rank: itid,
-                        ik,
-                        k,
-                        source: None,
-                    });
+                // the worker survives its failed mode: budget the mode
+                // and hand the worker its next one
+                s.resolve_in_flight(itid, ik);
+                if ik < nk && s.outputs[ik].is_none() && !s.quarantined.contains(&ik) {
+                    s.requeue_or_quarantine(t, ik, &format!("integration failed on rank {itid}"))?;
+                }
+                s.dispatch(t, itid)?;
+                if s.all_settled() {
+                    s.wake_parked(t)?;
                 }
             }
             TAG_STATS => {
@@ -1031,15 +934,13 @@ pub fn master_job_session<T: Transport>(
         }
     }
 
-    if cfg.recovery.recovers() {
-        // collect goodbye statistics that raced a death report, then give
-        // ranks we declared dead on heartbeat evidence (which may in fact
-        // be alive, just stalled) a best-effort release so they can park
-        s.sweep_stats(t, cfg);
-        for rank in 1..=n_workers {
-            if !s.stopped.contains(&rank) {
-                let _ = mysendreal(t, &[0.0], TAG_JOBDONE, rank);
-            }
+    // collect goodbye statistics that raced a death report, then give
+    // ranks we declared dead on heartbeat evidence (which may in fact be
+    // alive, just stalled) a best-effort release so they can park
+    s.sweep_stats(t, cfg);
+    for rank in 1..=n_workers {
+        if !s.stopped.contains(&rank) {
+            let _ = mysendreal(t, &[0.0], TAG_JOBDONE, rank);
         }
     }
 
@@ -1190,26 +1091,29 @@ mod tests {
     fn garbled_header_lmax_fails_the_job_instead_of_the_master() {
         // `1e300 as usize` saturates and `2·lmax + 8` on it overflows: a
         // debug master panicked, a release master took the six reals
-        // below for an empty spectrum
+        // below for an empty spectrum.  Sent on both dispatches, the
+        // typed decode failure quarantines the mode.
         let spec = RunSpec::standard_cdm(vec![0.01]);
         let (mut master_ep, h) = rogue_pair(|rogue| {
             let mut buf = Vec::new();
-            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
             let mut header = [0.0; 21];
             header[20] = 1e300;
-            rogue.send(0, TAG_HEADER, &header).unwrap();
-            rogue.send(0, TAG_DATA, &[0.0; 6]).unwrap();
-            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
-        });
-        let err = run_job(&mut master_ep, &spec, SchedulePolicy::Fifo).unwrap_err();
-        h.join().unwrap();
-        match err {
-            FarmError::Wire { rank, source } => {
-                assert_eq!(rank, 1);
-                assert!(source.to_string().contains("lmax"), "{source}");
+            for _ in 0..MAX_ATTEMPTS {
+                rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+                rogue.send(0, TAG_HEADER, &header).unwrap();
+                rogue.send(0, TAG_DATA, &[0.0; 6]).unwrap();
             }
-            other => panic!("expected Wire, got {other}"),
-        }
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+            rogue
+                .send(0, TAG_STATS, &WorkerStats::default().to_wire())
+                .unwrap();
+        });
+        let ledger = run_job(&mut master_ep, &spec, SchedulePolicy::Fifo).unwrap();
+        h.join().unwrap();
+        let failed = &ledger.recovery.failed_modes;
+        assert_eq!(failed.len(), 1, "{:?}", ledger.recovery);
+        assert_eq!((failed[0].ik, failed[0].attempts), (0, MAX_ATTEMPTS));
+        assert!(failed[0].reason.contains("lmax"), "{}", failed[0].reason);
     }
 
     #[test]
@@ -1266,15 +1170,11 @@ mod tests {
             delivered.recv().unwrap();
             vec![WorkerEvent::Respawned(1)]
         };
-        let cfg = MasterConfig {
-            recovery: RecoveryPolicy::requeue(),
-            ..fast_cfg()
-        };
         let ledger = master_job_session(
             &mut master_ep,
             &spec,
             SchedulePolicy::Fifo,
-            &cfg,
+            &fast_cfg(),
             &mut watch,
             Instant::now(),
             &JobControl::default(),

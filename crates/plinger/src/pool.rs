@@ -59,7 +59,7 @@ use crate::error::FarmError;
 use crate::farm::{finish_report, FarmReport, FaultPlan};
 use crate::master::{master_job_session, JobControl, MasterConfig};
 use crate::protocol::{require_flat, RunSpec, TAG_STOP};
-use crate::recovery::{RecoveryPolicy, WorkerEvent};
+use crate::recovery::WorkerEvent;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
 use crate::worker::{worker_pool_session, WorkerFault, WorkerTotals};
@@ -67,9 +67,8 @@ use crate::worker::{worker_pool_session, WorkerFault, WorkerTotals};
 /// Pool-level knobs (the per-job knobs live in [`MasterConfig`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolOptions {
-    /// Total worker respawns allowed over the pool's lifetime.  Respawn
-    /// also requires the recovery policy to be
-    /// `RecoveryPolicy::Requeue { respawn: true, .. }`.
+    /// Total worker respawns allowed over the pool's lifetime; 0 never
+    /// respawns, and a lost rank's modes go to the survivors.
     pub respawn_limit: usize,
     /// Fault to script into the pool (tests): worker-level plans ride
     /// into the initial workers, message-level plans into every
@@ -369,7 +368,7 @@ pub struct FarmPool<W: World> {
 
 impl<W: World> FarmPool<W> {
     /// Start a pool of `n_workers` resident worker threads with the
-    /// default master configuration (FailFast; see [`MasterConfig`]).
+    /// default master timings and no respawn budget.
     pub fn start(n_workers: usize) -> Result<Self, FarmError> {
         Self::start_with(n_workers, MasterConfig::default(), PoolOptions::default())
     }
@@ -427,10 +426,6 @@ impl<W: World> FarmPool<W> {
     ) -> Self {
         let fault_spec = opts.fault.map(|f| f.fault_spec()).unwrap_or_default();
         let (master, master_stats) = wrap_endpoint::<W>(master, &fault_spec);
-        let respawn_allowed = matches!(
-            config.recovery,
-            RecoveryPolicy::Requeue { respawn: true, .. }
-        );
         let mut pool = Self {
             master: Some(master),
             master_stats,
@@ -438,11 +433,7 @@ impl<W: World> FarmPool<W> {
             workers,
             config,
             epoch,
-            respawns_left: if respawn_allowed {
-                opts.respawn_limit
-            } else {
-                0
-            },
+            respawns_left: opts.respawn_limit,
             comm_prev: Vec::new(),
             spans: Vec::new(),
             jobs_run: 0,
@@ -631,11 +622,9 @@ impl FarmPool<TcpWorld> {
     ///
     /// Only the master endpoint is instrumented: a report's `comm` holds
     /// one snapshot, and the children's wire-shipped tag-7 statistics
-    /// still arrive.  Liveness comes from `Child::try_wait`; under
-    /// [`RecoveryPolicy::FailFast`] a dead child surfaces as
-    /// [`FarmError::WorkerLost`], under [`RecoveryPolicy::Requeue`] an
-    /// abnormal exit is relaunched while the respawn budget lasts, or
-    /// its work is redistributed to the survivors.
+    /// still arrive.  Liveness comes from `Child::try_wait`: an abnormal
+    /// exit is relaunched while the respawn budget lasts, or its work is
+    /// redistributed to the survivors.
     pub fn start_processes(
         n_workers: usize,
         exe: &Path,

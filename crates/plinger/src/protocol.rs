@@ -53,11 +53,8 @@ pub const TAG_STOP: Tag = 6;
 /// whether workers are threads or OS processes.
 pub const TAG_STATS: Tag = 7;
 /// Tag 8: from worker, a mode integration failed (2 reals: ik, k).
-/// Under [`crate::RecoveryPolicy::FailFast`] the master drains and
-/// stops the farm, returning a typed error; under
-/// [`crate::RecoveryPolicy::Requeue`] the mode goes back into the
-/// queue (or is quarantined once its attempt budget is spent) and the
-/// worker stays in rotation.
+/// The mode goes back into the queue (or is quarantined once its
+/// attempt budget is spent) and the worker stays in rotation.
 pub const TAG_FAIL: Tag = 8;
 /// Tag 9: from worker, a liveness heartbeat (1 real: a monotonically
 /// increasing sequence number).  Workers emit one between DVERK step

@@ -1,66 +1,17 @@
-//! Recovery policy and bookkeeping for a self-healing farm.
+//! Recovery bookkeeping for a self-healing farm.
 //!
 //! The paper's farm is embarrassingly restartable: every k-mode is
 //! independent, so any unfinished mode can be handed to any surviving
-//! worker.  [`RecoveryPolicy`] decides what the master does with that
-//! freedom when a worker is lost mid-run:
-//!
-//! * [`RecoveryPolicy::FailFast`] — the historical behaviour: drain the
-//!   survivors and return [`crate::FarmError::WorkerLost`].
-//! * [`RecoveryPolicy::Requeue`] — return the dead rank's in-flight
-//!   mode to the queue and redistribute; the run finishes as long as at
-//!   least one worker lives.  A mode that kills or fails workers
-//!   `max_attempts` times is *quarantined* into
-//!   [`RecoveryLog::failed_modes`] instead of failing the run.
+//! worker.  The master does exactly that, always: the mode a lost or
+//! failing worker held goes back to the head of the queue, and the run
+//! finishes as long as at least one worker lives.  A mode that kills or
+//! fails workers on every one of its two dispatches is *quarantined*
+//! into [`RecoveryLog::failed_modes`] instead of failing the run.
 //!
 //! Every recovery action is counted in [`RecoveryLog`], which rides in
 //! `FarmReport` and lands in `run_report.json` under `"recovery"`.
 
 use msgpass::Rank;
-
-/// What the master does when a worker is lost mid-run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Drain survivors and fail the run with
-    /// [`crate::FarmError::WorkerLost`] — the pre-recovery behaviour.
-    #[default]
-    FailFast,
-    /// Requeue the lost rank's in-flight work onto survivors and keep
-    /// going; quarantine a mode after `max_attempts` dispatches.
-    Requeue {
-        /// Dispatch budget per mode (≥ 1; the first dispatch counts).
-        max_attempts: usize,
-        /// Allow a dead rank to be respawned where the pool has a
-        /// budget for it (`PoolOptions::respawn_limit`, thread or
-        /// subprocess workers alike); a one-job `Farm` never respawns.
-        respawn: bool,
-    },
-}
-
-impl RecoveryPolicy {
-    /// The default self-healing configuration: two attempts per mode,
-    /// respawn allowed.
-    pub fn requeue() -> Self {
-        RecoveryPolicy::Requeue {
-            max_attempts: 2,
-            respawn: true,
-        }
-    }
-
-    /// True for any `Requeue` variant.
-    pub fn recovers(&self) -> bool {
-        matches!(self, RecoveryPolicy::Requeue { .. })
-    }
-
-    /// The per-mode dispatch budget (usize::MAX under `FailFast`, which
-    /// never requeues, so the budget is moot).
-    pub fn max_attempts(&self) -> usize {
-        match self {
-            RecoveryPolicy::FailFast => usize::MAX,
-            RecoveryPolicy::Requeue { max_attempts, .. } => (*max_attempts).max(1),
-        }
-    }
-}
 
 /// Liveness/membership change reported by the deployment layer's watch
 /// callback into `master_job_session`.
@@ -127,25 +78,6 @@ impl RecoveryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn failfast_is_the_default() {
-        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::FailFast);
-        assert!(!RecoveryPolicy::FailFast.recovers());
-        assert_eq!(RecoveryPolicy::FailFast.max_attempts(), usize::MAX);
-    }
-
-    #[test]
-    fn requeue_ctor_and_budget_floor() {
-        let p = RecoveryPolicy::requeue();
-        assert!(p.recovers());
-        assert_eq!(p.max_attempts(), 2);
-        let degenerate = RecoveryPolicy::Requeue {
-            max_attempts: 0,
-            respawn: false,
-        };
-        assert_eq!(degenerate.max_attempts(), 1, "budget is floored at 1");
-    }
 
     #[test]
     fn clean_log_detects_any_action() {

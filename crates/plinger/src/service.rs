@@ -1089,6 +1089,9 @@ impl<W: World> SpectrumService<W> {
 /// evolution alike, so that every job is counted at this one point: the
 /// workers gauge after any job, `jobs_cancelled` and `deadline_expired`
 /// for a cancelled one, `pool_jobs` and the comm fold for a finished one.
+/// A finished job that quarantined modes is [`FarmError::Quarantined`]:
+/// a spectrum missing modes is never served, so it never reaches the
+/// cache either.
 fn run_job<W: World>(
     pool: &mut FarmPool<W>,
     metrics: &ServiceMetrics,
@@ -1108,6 +1111,11 @@ fn run_job<W: World>(
     let report = outcome?;
     metrics.pool_jobs.inc();
     metrics.fold_comm(report.telemetry.merged_comm().to_telemetry());
+    if !report.recovery.failed_modes.is_empty() {
+        return Err(FarmError::Quarantined {
+            modes: report.recovery.failed_modes,
+        });
+    }
     Ok(report)
 }
 
@@ -1403,7 +1411,7 @@ fn farm_failure(e: &FarmError, message: String) -> ServiceError {
 }
 
 /// The spectrum half of [`answer`]: its reply frame, with the run
-/// report of a miss and the flight dump of a failed or degraded job.
+/// report of a miss and the flight dump of a failed job.
 fn answer_spectrum<W: World>(
     service: &Mutex<SpectrumService<W>>,
     slot: QueueSlot<'_>,
@@ -1453,21 +1461,14 @@ fn answer_spectrum<W: World>(
         }
         farm_failure(&e, text)
     })?;
-    if let Some(report) = reply.report.as_ref() {
-        // quarantined modes mean the answer is incomplete: keep the
-        // evidence even though the request itself succeeded
-        if !report.recovery.failed_modes.is_empty() {
-            write_flight_dump(report_dir, key, &job);
-        }
-        if let Some(dir) = report_dir {
-            let prefix = dir
-                .join(format!("req{:04}_{:016x}", requests, reply.key))
-                .to_string_lossy()
-                .into_owned();
-            match write_run_report(&prefix, report, W::NAME) {
-                Ok((path, _)) => eprintln!("plinger-serve: run report written to {path}"),
-                Err(e) => eprintln!("plinger-serve: writing run report failed: {e}"),
-            }
+    if let (Some(report), Some(dir)) = (reply.report.as_ref(), report_dir) {
+        let prefix = dir
+            .join(format!("req{:04}_{:016x}", requests, reply.key))
+            .to_string_lossy()
+            .into_owned();
+        match write_run_report(&prefix, report, W::NAME) {
+            Ok((path, _)) => eprintln!("plinger-serve: run report written to {path}"),
+            Err(e) => eprintln!("plinger-serve: writing run report failed: {e}"),
         }
     }
     tlog::log(
@@ -1517,7 +1518,7 @@ fn answer_ensemble<W: World, E>(
 }
 
 /// Dump the flight recorder's last events for `key` next to the run
-/// reports, so a failed or degraded job leaves its story behind.
+/// reports, so a failed job leaves its story behind.
 fn write_flight_dump(report_dir: Option<&Path>, key: u64, job: &str) {
     let Some(dir) = report_dir else { return };
     let events = tlog::for_job(key, FLIGHT_DUMP_EVENTS);
@@ -1621,7 +1622,6 @@ mod tests {
     use crate::farm::{run_serial, FaultPlan};
     use crate::master::MasterConfig;
     use crate::pool::PoolOptions;
-    use crate::recovery::RecoveryPolicy;
     use boltzmann::Preset;
     use msgpass::channel::ChannelWorld;
     use std::convert::Infallible;
@@ -1803,22 +1803,51 @@ mod tests {
         let _ = svc.into_inner().unwrap().shutdown();
     }
 
-    /// One worker that dies on its first assignment, with no respawn:
-    /// every job on this pool fails.
-    fn dead_pool() -> FarmPool<ChannelWorld> {
+    /// One worker under `fault`, with no respawn.
+    fn faulty_pool(fault: FaultPlan) -> FarmPool<ChannelWorld> {
         let config = MasterConfig {
             poll: std::time::Duration::from_millis(10),
-            recovery: RecoveryPolicy::requeue(),
             ..MasterConfig::default()
         };
         let opts = PoolOptions {
             respawn_limit: 0,
-            fault: Some(FaultPlan::DropWorker {
-                rank: 1,
-                after_modes: 0,
-            }),
+            fault: Some(fault),
         };
         FarmPool::<ChannelWorld>::start_with(1, config, opts).unwrap()
+    }
+
+    /// One worker that dies on its first assignment, with no respawn:
+    /// every job on this pool fails.
+    fn dead_pool() -> FarmPool<ChannelWorld> {
+        faulty_pool(FaultPlan::DropWorker {
+            rank: 1,
+            after_modes: 0,
+        })
+    }
+
+    #[test]
+    fn a_spectrum_with_quarantined_modes_is_an_error_and_never_cached() {
+        // mode 1 fails on every dispatch, so every job quarantines it:
+        // each identical request runs its own job, fails naming the mode,
+        // and leaves nothing for the next one to hit
+        let mut svc = SpectrumService::new(
+            faulty_pool(FaultPlan::FailMode { ik: 1 }),
+            SchedulePolicy::LargestFirst,
+        );
+        let spec = tiny_spec(vec![0.001, 0.002]);
+        for _ in 0..2 {
+            match svc.handle(&spec) {
+                Err(FarmError::Quarantined { modes }) => {
+                    assert_eq!(modes.len(), 1, "{modes:?}");
+                    assert_eq!(modes[0].ik, 1);
+                }
+                Err(e) => panic!("expected Quarantined, got {e}"),
+                Ok(reply) => panic!("served a partial spectrum (hit={})", reply.cache_hit),
+            }
+        }
+        assert_eq!(svc.metrics().pool_jobs.get(), 2);
+        assert_eq!(svc.cache().len(), 0);
+        svc.shutdown();
     }
 
     #[test]

@@ -90,25 +90,43 @@ fn bad_flags_fail_cleanly() {
     assert!(err.contains("usage"), "usage text missing");
 }
 
+/// `exe args` is a usage error (exit 2) whose first line names `flag`
+/// as unknown.
+fn assert_unknown_flag(exe: &str, args: &[&str], flag: &str) {
+    let out = Command::new(exe).args(args).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {err}");
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("unknown") && first.contains(flag),
+        "{exe} {args:?}: {err}"
+    );
+    assert!(!err.contains("panicked"), "{exe} {args:?}: {err}");
+}
+
 #[test]
 fn there_is_no_assignment_size_flag() {
     // a tag-3 carries one mode, so `--chunk` is as unknown as `--bogus`
-    for (exe, args) in [
-        (env!("CARGO_BIN_EXE_plinger"), &["--chunk", "2"][..]),
-        (
-            env!("CARGO_BIN_EXE_plinger-serve"),
-            &["--listen", "127.0.0.1:0", "--chunk", "2"][..],
-        ),
-    ] {
-        let out = Command::new(exe).args(args).output().unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{exe}: {err}");
-        let first = err.lines().next().unwrap_or_default();
-        assert!(
-            first.contains("unknown") && first.contains("--chunk"),
-            "{exe}: {err}"
-        );
-    }
+    assert_unknown_flag(env!("CARGO_BIN_EXE_plinger"), &["--chunk", "2"], "--chunk");
+    assert_unknown_flag(
+        env!("CARGO_BIN_EXE_plinger-serve"),
+        &["--listen", "127.0.0.1:0", "--chunk", "2"],
+        "--chunk",
+    );
+}
+
+#[test]
+fn there_is_no_recovery_policy_to_pick() {
+    // the master always requeues a lost mode, on fixed timings
+    let plinger = env!("CARGO_BIN_EXE_plinger");
+    assert_unknown_flag(plinger, &["--recovery", "failfast"], "--recovery");
+    assert_unknown_flag(plinger, &["--max-attempts", "3"], "--max-attempts");
+    assert_unknown_flag(plinger, &["--poll", "5"], "--poll");
+    assert_unknown_flag(
+        env!("CARGO_BIN_EXE_plinger-serve"),
+        &["--listen", "127.0.0.1:0", "--max-attempts", "3"],
+        "--max-attempts",
+    );
 }
 
 #[test]

@@ -14,8 +14,8 @@ use boltzmann::Preset;
 use msgpass::channel::ChannelWorld;
 use plinger::{
     ensemble_hash, run_ensemble, EnsembleOptions, EnsembleSpec, FarmError, FarmPool, FarmReport,
-    FarmTelemetry, FaultPlan, JobControl, MasterConfig, PoolOptions, RecoveryLog, RecoveryPolicy,
-    RunSpec, SchedulePolicy, ServiceMetrics, ShardRunner, SpectrumService,
+    FarmTelemetry, FaultPlan, JobControl, MasterConfig, PoolOptions, RecoveryLog, RunSpec,
+    SchedulePolicy, ServiceMetrics, ShardRunner, SpectrumService,
 };
 use telemetry::log::{self as tlog, LogEvent};
 
@@ -244,10 +244,6 @@ fn a_service_sweep_logs_the_documented_ensemble_rows() {
     let failing = tiny_sweep(0.0013);
     let config = MasterConfig {
         poll: Duration::from_millis(10),
-        recovery: RecoveryPolicy::Requeue {
-            max_attempts: 2,
-            respawn: false,
-        },
         ..MasterConfig::default()
     };
     let opts = PoolOptions {

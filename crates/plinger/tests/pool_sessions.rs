@@ -16,7 +16,7 @@ use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{
     build_run_report, run_serial, Farm, FarmError, FarmPool, FarmReport, FaultPlan, MasterConfig,
-    PoolOptions, RecoveryPolicy, RunSpec, SchedulePolicy, TAG_INIT, TAG_JOBDONE, TAG_STOP,
+    PoolOptions, RunSpec, SchedulePolicy, TAG_INIT, TAG_JOBDONE, TAG_STOP,
 };
 
 fn spec_of(ks: &[f64]) -> RunSpec {
@@ -222,7 +222,6 @@ fn respawned_rank_inherits_the_pools_tables() {
     let config = MasterConfig {
         poll: std::time::Duration::from_millis(10),
         drain_timeout: std::time::Duration::from_millis(500),
-        recovery: RecoveryPolicy::requeue(),
         ..MasterConfig::default()
     };
     let opts = PoolOptions {

@@ -8,7 +8,7 @@ use boltzmann::Preset;
 use msgpass::tcp::TcpWorld;
 use plinger::{
     run_serial, run_tcp_processes, CancelReason, FarmError, FarmPool, FaultPlan, JobControl,
-    MasterConfig, PoolOptions, RecoveryPolicy, RunSpec, SchedulePolicy,
+    MasterConfig, PoolOptions, RunSpec, SchedulePolicy,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -34,12 +34,11 @@ fn assert_bitwise(outputs: &[boltzmann::ModeOutput], serial: &[boltzmann::ModeOu
     }
 }
 
-fn fast_master(recovery: RecoveryPolicy) -> MasterConfig {
+fn fast_master() -> MasterConfig {
     MasterConfig {
         poll: Duration::from_millis(10),
         drain_timeout: Duration::from_secs(2),
         heartbeat_timeout: Duration::from_secs(5),
-        recovery,
     }
 }
 
@@ -50,7 +49,7 @@ fn killed_worker_is_respawned_and_run_finishes() {
     // watch relaunches it, re-handshakes it under the same rank, and the
     // farm finishes with a respawn on the ledger
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
-    let config = fast_master(RecoveryPolicy::requeue());
+    let config = fast_master();
     let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
@@ -70,10 +69,7 @@ fn no_respawn_budget_recovers_through_survivors() {
     // same loss, but respawns are off: the single survivor must absorb
     // the whole queue via requeue alone
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
-    let config = fast_master(RecoveryPolicy::Requeue {
-        max_attempts: 2,
-        respawn: false,
-    });
+    let config = fast_master();
     let opts = PoolOptions {
         respawn_limit: 0,
         fault: Some(FaultPlan::DropWorker {
@@ -98,7 +94,7 @@ fn tcp_pool_respawns_killed_worker_across_jobs() {
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 6.0e-4]);
     // the victim dies on the first assignment the master guarantees it
     // is dealt
-    let config = fast_master(RecoveryPolicy::requeue());
+    let config = fast_master();
     let opts = PoolOptions {
         respawn_limit: 2,
         fault: Some(FaultPlan::DropWorker {
@@ -139,7 +135,7 @@ fn tcp_pool_cancelled_job_frees_the_subprocess_workers() {
         1.1e-3,
     ]);
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 7.0e-4]);
-    let config = fast_master(RecoveryPolicy::requeue());
+    let config = fast_master();
     let mut pool =
         FarmPool::<TcpWorld>::start_processes(2, &exe(), config, PoolOptions::default()).unwrap();
 

@@ -81,6 +81,22 @@ set -e
 if [ "$huge_code" -ne 2 ] || grep -q panicked <<<"$huge"; then
     echo "plinger --workers 1e300 exited $huge_code: $huge"; exit 1
 fi
+# there is one recovery path: the flags that picked another are unknown
+set +e
+failfast="$(cargo run -q --release -p plinger --bin plinger -- --recovery failfast 2>&1)"
+failfast_code=$?
+attempts="$(cargo run -q --release -p plinger --bin plinger-serve -- \
+    --listen 127.0.0.1:0 --max-attempts 3 2>&1)"
+attempts_code=$?
+set -e
+if [ "$failfast_code" -ne 2 ] || ! grep -q "unknown flag --recovery" <<<"$failfast" \
+    || grep -q panicked <<<"$failfast"; then
+    echo "plinger --recovery failfast exited $failfast_code: $failfast"; exit 1
+fi
+if [ "$attempts_code" -ne 2 ] || ! grep -q "unknown server flag --max-attempts" <<<"$attempts" \
+    || grep -q panicked <<<"$attempts"; then
+    echo "plinger-serve --max-attempts 3 exited $attempts_code: $attempts"; exit 1
+fi
 # a curved cosmology is a usage error naming Omega_k, on worker threads
 # and on worker subprocesses alike — never a worker panic
 for transport in channel tcp; do
@@ -179,7 +195,7 @@ chaos_out="$smoke_dir/chaos_out"
 mkdir -p "$chaos_cache" "$chaos_out"
 chaos_log="$smoke_dir/chaos.log"
 "$serve_bin" --listen 127.0.0.1:0 --transport channel --workers 2 \
-    --recovery requeue --respawn-limit 4 --fault stall:1:0:200 \
+    --respawn-limit 4 --fault stall:1:0:200 \
     --queue-limit 2 --drain-timeout 5000 --cache-dir "$chaos_cache" \
     > "$chaos_log" 2> "$smoke_dir/chaos.err" &
 chaos_pid=$!
@@ -412,9 +428,9 @@ echo "== fault matrix =="
 # the recovery tests sweep every FaultPlan variant over the channel and
 # shmem worlds (recovery_matrix), the raw fault seam (msgpass fault
 # unit tests), and the TCP subprocess deployment (tcp_recovery:
-# respawn and requeue-only); FailFast semantics are pinned by
-# farm_transports.  Run them explicitly so a fault-handling regression
-# names itself in the CI log.
+# respawn and requeue-only); farm_transports pins that a default-config
+# farm takes the same requeue path.  Run them explicitly so a
+# fault-handling regression names itself in the CI log.
 cargo test -q --test recovery_matrix
 cargo test -q -p plinger --test tcp_recovery
 cargo test -q -p msgpass fault::

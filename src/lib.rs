@@ -51,8 +51,7 @@ pub mod prelude {
     pub use msgpass::{CommError, Rank, Tag, Transport, World};
     pub use plinger::{
         cosmo_hash, job_hash, run_serial, run_tcp_processes, Farm, FarmError, FarmPool, FarmReport,
-        FaultPlan, PoolOptions, RecoveryLog, RecoveryPolicy, ResultCache, RunSpec, SchedulePolicy,
-        SpectrumService,
+        FaultPlan, PoolOptions, RecoveryLog, ResultCache, RunSpec, SchedulePolicy, SpectrumService,
     };
     pub use recomb::ThermoHistory;
     pub use skymap::{AlmRealization, PotentialField, SkyMap};

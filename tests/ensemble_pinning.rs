@@ -20,8 +20,7 @@ use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{
     run_ensemble, run_serial, EnsembleOptions, EnsembleReport, EnsembleSpec, FarmError, FarmPool,
-    FarmReport, FaultPlan, JobControl, PoolOptions, RecoveryPolicy, RunSpec, SchedulePolicy,
-    ShardRunner,
+    FarmReport, FaultPlan, JobControl, PoolOptions, RunSpec, SchedulePolicy, ShardRunner,
 };
 use std::time::Duration;
 
@@ -149,8 +148,7 @@ impl<P: ShardRunner> ShardRunner for KillFirstAttempt<P> {
     ) -> Result<FarmReport, FarmError> {
         if self.armed && plinger::job_hash(spec) == self.poisoned_job {
             self.armed = false;
-            return Err(FarmError::WorkerLost {
-                rank: 1,
+            return Err(FarmError::AllWorkersLost {
                 unfinished: (0..spec.ks.len()).collect(),
             });
         }
@@ -233,7 +231,6 @@ fn worker_killed_mid_shard_recovers_inside_the_shard_ledger() {
     let config = plinger::MasterConfig {
         poll: Duration::from_millis(10),
         drain_timeout: Duration::from_millis(500),
-        recovery: RecoveryPolicy::requeue(),
         ..plinger::MasterConfig::default()
     };
     // after_modes: 0 — the victim vanishes on its *first* assignment.

@@ -1,12 +1,11 @@
 //! The self-healing farm under every fault the plan can inject.
 //!
 //! Each test disturbs a run — a vanished worker, a hung worker, a
-//! poison mode, a corrupted or dropped message — and checks that under
-//! `RecoveryPolicy::Requeue` the farm still finishes, that the surviving
+//! poison mode, a corrupted or dropped message — and checks that the
+//! farm still finishes (the master requeues every lost mode and
+//! quarantines one that fails both its dispatches), that the surviving
 //! outputs are bit-identical to the undisturbed serial reference, and
-//! that the recovery ledger records exactly what happened.  FailFast
-//! runs of the same faults must keep today's drain-and-stop semantics
-//! (those live in `farm_transports.rs`; one poison-mode case is here).
+//! that the recovery ledger records exactly what happened.
 
 use std::time::{Duration, Instant};
 
@@ -14,7 +13,7 @@ use msgpass::channel::ChannelWorld;
 use msgpass::shmem::ShmemWorld;
 use plinger::{
     build_run_report, CancelReason, Farm, FarmError, FarmReport, FaultPlan, JobControl,
-    MasterConfig, RecoveryPolicy, RunSpec, SchedulePolicy,
+    MasterConfig, RunSpec, SchedulePolicy,
 };
 use plinger_repro::prelude::*;
 
@@ -54,7 +53,6 @@ fn requeue_finishes_after_worker_loss_bitwise() {
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
-            recovery: RecoveryPolicy::requeue(),
             ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::DropWorker {
@@ -81,7 +79,6 @@ fn requeue_over_shmem_finishes_too() {
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
-            recovery: RecoveryPolicy::requeue(),
             ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::DropWorker {
@@ -106,7 +103,6 @@ fn stalled_worker_caught_by_heartbeat_timeout() {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_millis(300),
-            recovery: RecoveryPolicy::requeue(),
         })
         .fault_plan(FaultPlan::StallWorker {
             rank: 1,
@@ -136,10 +132,6 @@ fn poison_mode_quarantined_after_retry_budget() {
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
-            recovery: RecoveryPolicy::Requeue {
-                max_attempts: 2,
-                respawn: false,
-            },
             ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::FailMode { ik: 1 })
@@ -175,38 +167,15 @@ fn poison_mode_quarantined_after_retry_budget() {
 }
 
 #[test]
-fn poison_mode_under_failfast_stays_fatal() {
-    // today's behaviour: the first tag-8 failure aborts the session
-    let spec = spec_of(&[3.0e-4, 1.5e-3, 6.0e-4]);
-    let err = Farm::<ChannelWorld>::new(2)
-        .master_config(MasterConfig {
-            poll: Duration::from_millis(10),
-            drain_timeout: Duration::from_millis(500),
-            ..MasterConfig::default()
-        })
-        .fault_plan(FaultPlan::FailMode { ik: 1 })
-        .run(&spec, SchedulePolicy::Fifo)
-        .unwrap_err();
-    match err {
-        FarmError::Evolve { ik, .. } => assert_eq!(ik, 1),
-        other => panic!("expected Evolve, got {other}"),
-    }
-}
-
-#[test]
 fn corrupted_result_payload_is_retried() {
-    // the first tag-5 payload each endpoint sends arrives truncated and
+    // the first tag-5 payload the one worker sends arrives truncated and
     // NaN-poisoned; the master rejects it at decode, requeues the mode,
     // and the retry (rule already consumed) comes through clean
     let spec = spec_of(&[3.0e-4, 1.5e-3, 6.0e-4]);
-    let rep = Farm::<ChannelWorld>::new(2)
+    let rep = Farm::<ChannelWorld>::new(1)
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
-            recovery: RecoveryPolicy::Requeue {
-                max_attempts: 3,
-                respawn: false,
-            },
             ..MasterConfig::default()
         })
         .fault_plan(FaultPlan::CorruptPayload { tag: 5 })
@@ -216,26 +185,6 @@ fn corrupted_result_payload_is_retried() {
     assert_bitwise(&rep.outputs, &serial);
     assert!(rep.recovery.requeues >= 1, "{:?}", rep.recovery);
     assert!(rep.recovery.failed_modes.is_empty());
-}
-
-#[test]
-fn corrupted_result_under_failfast_is_a_wire_error() {
-    // same fault, old policy: the malformed tag-5 payload surfaces as a
-    // typed wire error naming the sender
-    let spec = spec_of(&[3.0e-4, 1.5e-3]);
-    let err = Farm::<ChannelWorld>::new(1)
-        .master_config(MasterConfig {
-            poll: Duration::from_millis(10),
-            drain_timeout: Duration::from_millis(500),
-            ..MasterConfig::default()
-        })
-        .fault_plan(FaultPlan::CorruptPayload { tag: 5 })
-        .run(&spec, SchedulePolicy::Fifo)
-        .unwrap_err();
-    match err {
-        FarmError::Wire { rank, .. } => assert_eq!(rank, 1),
-        other => panic!("expected Wire, got {other}"),
-    }
 }
 
 #[test]
@@ -249,7 +198,6 @@ fn dropped_assignment_recovered_by_silence() {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_millis(300),
-            recovery: RecoveryPolicy::requeue(),
         })
         .fault_plan(FaultPlan::DropMessage { tag: 3, nth: 0 })
         .run(&spec, SchedulePolicy::Fifo)
@@ -271,7 +219,6 @@ fn pooled_worker_killed_in_job_one_serves_job_two() {
     let config = plinger::MasterConfig {
         poll: Duration::from_millis(10),
         drain_timeout: Duration::from_millis(500),
-        recovery: RecoveryPolicy::requeue(),
         ..plinger::MasterConfig::default()
     };
     // after_modes: 0 — vanish on the first assignment, which initial
@@ -321,10 +268,6 @@ fn pool_without_respawn_budget_degrades_but_keeps_serving() {
     let config = plinger::MasterConfig {
         poll: Duration::from_millis(10),
         drain_timeout: Duration::from_millis(500),
-        recovery: RecoveryPolicy::Requeue {
-            max_attempts: 2,
-            respawn: false,
-        },
         ..plinger::MasterConfig::default()
     };
     // after_modes: 0 for the same determinism as the respawn test
@@ -361,7 +304,6 @@ fn lone_worker_dies_after_a_completed_mode_and_its_respawn_finishes() {
     let config = MasterConfig {
         poll: Duration::from_millis(10),
         drain_timeout: Duration::from_millis(500),
-        recovery: RecoveryPolicy::requeue(),
         ..MasterConfig::default()
     };
     let opts = PoolOptions {
@@ -395,7 +337,6 @@ fn cancel_config() -> plinger::MasterConfig {
     plinger::MasterConfig {
         poll: Duration::from_millis(5),
         drain_timeout: Duration::from_millis(500),
-        recovery: RecoveryPolicy::requeue(),
         ..plinger::MasterConfig::default()
     }
 }
@@ -484,28 +425,18 @@ fn panicking_workers_surface_as_typed_errors<W: msgpass::World>() {
     let mut spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     spec.nq = Some(4);
     spec.lmax_h = 2;
-    let farm = |recovery| {
-        Farm::<W>::new(2).master_config(MasterConfig {
+    let t0 = Instant::now();
+    let outcome = Farm::<W>::new(2)
+        .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
-            recovery,
             ..MasterConfig::default()
         })
-    };
-    let t0 = Instant::now();
-    let failfast = farm(RecoveryPolicy::FailFast)
         .run(&spec, SchedulePolicy::Fifo)
         .map(|_| ());
     assert!(
-        matches!(failfast, Err(FarmError::WorkerLost { .. })),
-        "FailFast: {failfast:?}"
-    );
-    let requeue = farm(RecoveryPolicy::requeue())
-        .run(&spec, SchedulePolicy::Fifo)
-        .map(|_| ());
-    assert!(
-        matches!(requeue, Err(FarmError::AllWorkersLost { .. })),
-        "Requeue: {requeue:?}"
+        matches!(outcome, Err(FarmError::AllWorkersLost { .. })),
+        "{outcome:?}"
     );
     assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
 }
@@ -522,14 +453,10 @@ fn panicking_workers_surface_as_typed_errors_shmem() {
 
 #[test]
 fn clean_requeue_run_has_clean_ledger() {
-    // Requeue enabled but nothing goes wrong: the ledger must stay
-    // clean and the outputs identical to FailFast's
+    // nothing goes wrong: the ledger must stay clean and the outputs
+    // identical to serial
     let spec = spec_of(&[3.0e-4, 1.5e-3, 6.0e-4]);
     let rep = Farm::<ChannelWorld>::new(2)
-        .master_config(MasterConfig {
-            recovery: RecoveryPolicy::requeue(),
-            ..MasterConfig::default()
-        })
         .run(&spec, SchedulePolicy::LargestFirst)
         .unwrap();
     let (serial, _) = run_serial(&spec).unwrap();
