@@ -8,7 +8,7 @@
 
 pub mod params;
 
-pub use params::{CosmoParams, Species};
+pub use params::{CosmoParams, ParamError, Species};
 
 use numutil::constants;
 use numutil::interp::CubicSpline;
@@ -92,8 +92,12 @@ impl EinsteinDensities {
 impl Background {
     /// Build the background for `params`, tabulating kernels and the
     /// conformal-time map from `a = 10⁻¹²` to today.
+    ///
+    /// Panics on parameters [`CosmoParams::validate`] refuses.
     pub fn new(params: CosmoParams) -> Self {
-        params.validate();
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         let (nu_rho_spline, nu_p_spline) = if params.has_massive_nu() {
             // r spans ultra-relativistic (early) to deeply non-relativistic.
             let n = 256;
@@ -401,6 +405,14 @@ mod tests {
 
     fn scdm() -> Background {
         Background::new(CosmoParams::standard_cdm())
+    }
+
+    #[test]
+    #[should_panic(expected = "omega_b = 0 out of range")]
+    fn new_panics_on_a_refused_parameter() {
+        let mut p = CosmoParams::standard_cdm();
+        p.omega_b = 0.0;
+        Background::new(p);
     }
 
     #[test]

@@ -175,24 +175,57 @@ impl CosmoParams {
         self.omega_b * self.h * self.h
     }
 
-    /// Panic on unphysical parameters; called by `Background::new`.
-    pub fn validate(&self) {
-        assert!(self.h > 0.1 && self.h < 2.0, "h out of range: {}", self.h);
-        assert!(self.omega_c >= 0.0, "negative Ω_c");
-        assert!(
-            self.omega_b > 0.0,
-            "Ω_b must be positive (baryons required)"
-        );
-        assert!(self.t_cmb_k > 0.0, "T_cmb must be positive");
-        assert!(
+    /// Refuse unphysical parameters, naming the first one out of range.
+    /// `Background::new` panics on a refusal, so callers that take
+    /// parameters from outside check here first.  NaN fails every check.
+    pub fn validate(&self) -> Result<(), ParamError> {
+        let check = |param, value: f64, ok: bool, need| {
+            if ok {
+                Ok(())
+            } else {
+                Err(ParamError { param, value, need })
+            }
+        };
+        check("h", self.h, self.h > 0.1 && self.h < 2.0, "0.1 < h < 2")?;
+        check("omega_c", self.omega_c, self.omega_c >= 0.0, ">= 0")?;
+        check("omega_b", self.omega_b, self.omega_b > 0.0, "> 0")?;
+        check("t_cmb_k", self.t_cmb_k, self.t_cmb_k > 0.0, "> 0")?;
+        check(
+            "y_helium",
+            self.y_helium,
             (0.0..0.5).contains(&self.y_helium),
-            "Y_He out of range: {}",
-            self.y_helium
-        );
-        assert!(self.n_nu_massless >= 0.0, "negative N_ν");
-        assert!(self.m_nu_ev >= 0.0, "negative neutrino mass");
+            "in [0, 0.5)",
+        )?;
+        check(
+            "n_nu_massless",
+            self.n_nu_massless,
+            self.n_nu_massless >= 0.0,
+            ">= 0",
+        )?;
+        check("m_nu_ev", self.m_nu_ev, self.m_nu_ev >= 0.0, ">= 0")
     }
 }
+
+/// A cosmological parameter out of the range [`CosmoParams::validate`]
+/// accepts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParamError {
+    /// The field of [`CosmoParams`] that is out of range.
+    pub param: &'static str,
+    /// Its value.
+    pub value: f64,
+    /// The range it must lie in.
+    pub need: &'static str,
+}
+
+impl std::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ParamError { param, value, need } = self;
+        write!(f, "{param} = {value} out of range (need {need})")
+    }
+}
+
+impl std::error::Error for ParamError {}
 
 #[cfg(test)]
 mod tests {
@@ -235,11 +268,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Ω_b must be positive")]
-    fn validate_rejects_zero_baryons() {
+    fn validate_names_the_parameter_out_of_range() {
+        assert_eq!(CosmoParams::standard_cdm().validate(), Ok(()));
         let mut p = CosmoParams::standard_cdm();
         p.omega_b = 0.0;
-        p.validate();
+        assert_eq!(p.validate().unwrap_err().param, "omega_b");
+        p = CosmoParams::standard_cdm();
+        p.h = -0.5;
+        let e = p.validate().unwrap_err();
+        assert_eq!(e.param, "h");
+        assert!(e.to_string().starts_with("h = -0.5 out of range"), "{e}");
+        p.h = f64::NAN;
+        assert_eq!(p.validate().unwrap_err().param, "h");
     }
 
     #[test]

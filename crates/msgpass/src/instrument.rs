@@ -8,9 +8,9 @@
 //! harvest a [`CommSnapshot`] after the join.
 //!
 //! Because the wrapper works at the [`Transport`] seam it measures all
-//! four substrates identically — the per-tag message table of the
-//! paper's §4 becomes one merged snapshot regardless of whether the run
-//! farmed over channels, shared memory, or TCP.  Bytes are counted as
+//! substrates identically — the per-tag message table of the paper's
+//! §4 becomes one merged snapshot whether the run farmed over channels
+//! or TCP.  Bytes are counted as
 //! `8 ×` the `f64` payload length (the same convention as
 //! [`Transport::payload_bytes`] and the worker's own `bytes_sent`
 //! ledger), so transport-level framing overhead is excluded and the

@@ -7,20 +7,21 @@
 //! exactly that architecture in Rust: the [`Transport`] trait captures
 //! the primitives (tagged send, blocking probe by source and/or tag,
 //! receive), the [`wrappers`] module spells out the paper's Fortran
-//! routine names one-for-one, and three interchangeable transports play
+//! routine names one-for-one, and two interchangeable transports play
 //! the roles of the 1995 libraries:
 //!
 //! * [`channel::ChannelWorld`] — in-process mailboxes that refuse sends
 //!   once their rank is gone (the "PVM on a shared-memory node"
 //!   analogue),
 //! * [`tcp::TcpWorld`] — localhost TCP sockets between OS processes
-//!   (the "MPI across nodes" analogue),
-//! * [`shmem::ShmemWorld`] — shared-memory mailboxes that outlive their
-//!   rank (the "MPL on the SP2 switch" analogue).
+//!   (the "MPI across nodes" analogue).
 //!
-//! The three transports share one receive side, a private
-//! mutex/condvar mailbox per rank scanned in place; they differ only in
-//! how a message gets there and in what a lost rank looks like.
+//! MPL and PVMe need no transport of their own: what the paper carried
+//! over to them is the wrapper layer, and that layer is exercised in
+//! full by one in-process and one cross-process transport.  The two
+//! share one receive side, a private mutex/condvar mailbox per rank
+//! scanned in place; they differ only in how a message gets there and
+//! in what a lost rank looks like.
 //!
 //! The [`World`] trait is the single entry point for building all the
 //! endpoints of a run at once: `W::endpoints(n)` returns one
@@ -37,7 +38,6 @@ pub mod codec;
 pub mod fault;
 pub mod instrument;
 mod mailbox;
-pub mod shmem;
 pub mod tcp;
 pub mod wrappers;
 
@@ -171,10 +171,10 @@ pub trait Transport: Send {
 /// rank order (index `i` is rank `i`; rank 0 is the master by the
 /// farm's convention).  Each endpoint is `Send + 'static` so it can be
 /// moved to a worker thread.  This is the single seam through which the
-/// farm selects a transport: `Farm::<ChannelWorld>`,
-/// `Farm::<ShmemWorld>`, `Farm::<TcpWorld>` are the same code over
-/// different message-passing substrates, exactly as PLINGER was the
-/// same Fortran over PVM, MPI, MPL, and PVMe.
+/// farm selects a transport: `Farm::<ChannelWorld>` and
+/// `Farm::<TcpWorld>` are the same code over different message-passing
+/// substrates, exactly as PLINGER was the same Fortran over PVM, MPI,
+/// MPL, and PVMe.
 pub trait World {
     /// The endpoint type of this transport.
     type Endpoint: Transport + Send + 'static;
@@ -250,7 +250,6 @@ mod tests {
             }
         }
         shape::<channel::ChannelWorld>(3);
-        shape::<shmem::ShmemWorld>(3);
         shape::<tcp::TcpWorld>(3);
     }
 }

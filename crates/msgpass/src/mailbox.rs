@@ -9,8 +9,7 @@
 //! the transports' failure semantics:
 //!
 //! * **closed** — [`Mailbox::close`] makes every later push fail with
-//!   [`CommError::Disconnected`] (a channel endpoint closes on drop, a
-//!   shared-memory one never does);
+//!   [`CommError::Disconnected`] (a channel endpoint closes on drop);
 //! * **no producer left** — a blocking probe or receive that finds no
 //!   match returns [`CommError::Disconnected`] (a TCP worker's only
 //!   producer is its reader thread), while a bounded probe just waits

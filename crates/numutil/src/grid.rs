@@ -1,8 +1,4 @@
-//! Grid builders: linear, logarithmic, and the LINGER composite k-grid.
-//!
-//! LINGER samples wavenumbers densely where the transfer functions
-//! oscillate (sub-horizon scales at recombination) and sparsely at the
-//! largest scales; the composite builder reproduces that layout.
+//! Grid builders: linear and logarithmic.
 
 /// `n` points uniformly spaced on `[a, b]` inclusive.
 pub fn linspace(a: f64, b: f64, n: usize) -> Vec<f64> {
@@ -19,24 +15,6 @@ pub fn logspace(a: f64, b: f64, n: usize) -> Vec<f64> {
         .into_iter()
         .map(f64::exp)
         .collect()
-}
-
-/// Composite k-grid: logarithmic below the pivot `k_split`, linear above,
-/// deduplicated and sorted.  This mirrors LINGER's practice of covering
-/// the COBE scales logarithmically while resolving the acoustic
-/// oscillations with uniform spacing `dk ~ π / τ₀`.
-pub fn composite_k_grid(
-    k_min: f64,
-    k_split: f64,
-    k_max: f64,
-    n_log: usize,
-    n_lin: usize,
-) -> Vec<f64> {
-    assert!(k_min > 0.0 && k_min < k_split && k_split < k_max);
-    let mut ks = logspace(k_min, k_split, n_log);
-    let lin = linspace(k_split, k_max, n_lin);
-    ks.extend_from_slice(&lin[1..]);
-    ks
 }
 
 /// Strictly-increasing check used by grid consumers.
@@ -66,20 +44,5 @@ mod tests {
         }
         assert!((g[0] - 1e-4).abs() < 1e-18);
         assert!((g[4] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composite_grid_monotone() {
-        let g = composite_k_grid(1e-4, 1e-2, 0.5, 20, 100);
-        assert!(is_strictly_increasing(&g));
-        assert_eq!(g.len(), 20 + 100 - 1);
-        assert!((g[0] - 1e-4).abs() < 1e-18);
-        assert!((g.last().unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn composite_grid_rejects_bad_order() {
-        let _ = composite_k_grid(1e-2, 1e-4, 0.5, 10, 10);
     }
 }

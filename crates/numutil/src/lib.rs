@@ -2,59 +2,20 @@
 //!
 //! This crate provides the low-level numerics the physics crates are built
 //! on: physical constants in the unit system of the code (comoving Mpc,
-//! c = 1), cubic-spline and linear interpolation, Gauss–Legendre and
-//! Gauss–Laguerre quadrature, Romberg integration, and bracketing root
-//! finders.  Everything here is deterministic, allocation-conscious, and
-//! extensively unit- and property-tested, because the Boltzmann solver
-//! leans on these primitives in its innermost loops.
+//! c = 1), linear and logarithmic grids, cubic-spline and linear
+//! interpolation, Gauss–Legendre and Gauss–Laguerre quadrature, Romberg
+//! integration, bracketing root finders, and the FFT behind the initial
+//! conditions.  Everything here is deterministic, allocation-conscious,
+//! and unit- and property-tested, because the Boltzmann solver leans on
+//! these primitives in its innermost loops.
 
 pub mod constants;
 pub mod fft;
 pub mod grid;
 pub mod interp;
-pub mod linalg;
 pub mod quad;
 pub mod roots;
 
 pub use interp::{CubicSpline, LinearInterp};
 pub use quad::{gauss_laguerre, gauss_legendre, romberg};
 pub use roots::{bisect, brent};
-
-/// Relative difference `|a-b| / max(|a|,|b|)`, zero-safe.
-///
-/// Used throughout the test suites to compare floating-point results.
-#[inline]
-pub fn rel_diff(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(b.abs());
-    if denom == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / denom
-    }
-}
-
-/// True when `a` and `b` agree to relative tolerance `tol`, with an
-/// absolute floor `abs_floor` so that comparisons near zero do not blow up.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64, abs_floor: f64) -> bool {
-    (a - b).abs() <= abs_floor + tol * a.abs().max(b.abs())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rel_diff_basics() {
-        assert_eq!(rel_diff(0.0, 0.0), 0.0);
-        assert!((rel_diff(1.0, 1.1) - 0.1 / 1.1).abs() < 1e-15);
-        assert_eq!(rel_diff(-2.0, -2.0), 0.0);
-    }
-
-    #[test]
-    fn approx_eq_floor() {
-        assert!(approx_eq(1e-30, 0.0, 1e-10, 1e-20));
-        assert!(!approx_eq(1.0, 2.0, 1e-10, 1e-20));
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-10, 0.0));
-    }
-}

@@ -1,5 +1,4 @@
-//! Quadrature: Gauss–Legendre, Gauss–Laguerre, Romberg, and trapezoid
-//! helpers.
+//! Quadrature: Gauss–Legendre, Gauss–Laguerre, and Romberg.
 //!
 //! Gauss–Laguerre rules integrate the massive-neutrino Fermi–Dirac moments
 //! (∫₀^∞ f(q) e^{-q} w(q) dq after factoring the exponential), while
@@ -145,16 +144,6 @@ pub fn romberg<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> (f64, f64) 
     (r[last][last], (r[last][last] - r[last - 1][last - 1]).abs())
 }
 
-/// Composite trapezoid rule over tabulated samples `(xs, ys)`.
-pub fn trapz(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let mut sum = 0.0;
-    for i in 1..xs.len() {
-        sum += 0.5 * (ys[i] + ys[i - 1]) * (xs[i] - xs[i - 1]);
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,12 +222,5 @@ mod tests {
         let (v, _) = romberg(|x: f64| (-x * x / 0.02).exp(), -1.0, 1.0, 1e-10);
         let exact = (0.02f64 * std::f64::consts::PI).sqrt(); // erf(≫1) ≈ 1
         assert!((v - exact).abs() / exact < 1e-8, "v={v}");
-    }
-
-    #[test]
-    fn trapz_linear_exact() {
-        let xs = vec![0.0, 0.5, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
-        assert!((trapz(&xs, &ys) - 12.0).abs() < 1e-12);
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests for the numerical utility layer.
 
 use numutil::interp::{locate, CubicSpline, LinearInterp};
-use numutil::linalg::solve_tridiag;
-use numutil::quad::{gauss_laguerre, gauss_legendre, gl_integrate, trapz};
+use numutil::quad::{gauss_laguerre, gauss_legendre, gl_integrate};
 use numutil::roots::brent;
 use proptest::prelude::*;
 
@@ -75,37 +74,9 @@ proptest! {
     }
 
     #[test]
-    fn trapz_respects_sign(grid in sorted_grid(10), off in 0.1f64..2.0) {
-        let ys: Vec<f64> = grid.iter().map(|_| off).collect();
-        let v = trapz(&grid, &ys);
-        let exact = off * (grid[grid.len()-1] - grid[0]);
-        prop_assert!((v - exact).abs() < 1e-10 * (1.0 + exact));
-    }
-
-    #[test]
     fn brent_finds_root_of_shifted_cubic(r in -2.0f64..2.0) {
         let f = move |x: f64| (x - r) * ((x - r).powi(2) + 0.5);
         let root = brent(f, -10.0, 10.0, 1e-13).unwrap();
         prop_assert!((root - r).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tridiag_residual_small(n in 3usize..12, seed in 0u64..1000) {
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let sub: Vec<f64> = (0..n).map(|_| rng()).collect();
-        let sup: Vec<f64> = (0..n).map(|_| rng()).collect();
-        let diag: Vec<f64> = (0..n).map(|_| 4.0 + rng()).collect();
-        let rhs: Vec<f64> = (0..n).map(|_| rng()).collect();
-        let x = solve_tridiag(&sub, &diag, &sup, &rhs).unwrap();
-        for i in 0..n {
-            let mut lhs = diag[i]*x[i];
-            if i > 0 { lhs += sub[i]*x[i-1]; }
-            if i + 1 < n { lhs += sup[i]*x[i+1]; }
-            prop_assert!((lhs - rhs[i]).abs() < 1e-9);
-        }
     }
 }

@@ -54,12 +54,8 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use msgpass::channel::ChannelWorld;
-use msgpass::shmem::ShmemWorld;
 use msgpass::{codec, Message, Tag, World};
-use plinger::cli::{
-    EnsembleArgs, FarmArgs, FarmSettings, ServeArgs, ServeSettings, SpecArgs, TransportKind,
-};
-use plinger::master::MasterConfig;
+use plinger::cli::{EnsembleArgs, FarmArgs, ServeArgs, ServeSettings, SpecArgs, TransportKind};
 use plinger::pool::PoolOptions;
 use plinger::service::{
     answer, EnsembleRequest, EnsembleSummary, ErrorCode, ResultCache, ServiceError, ServiceMetrics,
@@ -100,7 +96,7 @@ server options:
   --metrics-addr ADDR       also serve HTTP GET /metrics (Prometheus
                             text) and /healthz on this address
   --workers N               resident pool workers            [cores]
-  --transport channel|shmem pool transport                   [channel]
+  --transport channel       pool transport                   [channel]
   --max-requests N          drain after N connections        [serve forever]
   --queue-limit N           shed requests past N in flight   [64]
   --cache-dir DIR           crash-safe result cache directory
@@ -208,10 +204,9 @@ fn server_main(args: &[String]) -> Result<(), String> {
     settings.apply_log();
     install_term_handler();
     match settings.transport {
-        TransportKind::Channel => serve::<ChannelWorld>(&settings, &cfg, fault),
-        TransportKind::Shmem => serve::<ShmemWorld>(&settings, &cfg, fault),
+        TransportKind::Channel => serve(&settings, &cfg, fault),
         TransportKind::Tcp => {
-            Err("plinger-serve pools thread transports; use --transport channel|shmem".into())
+            Err("plinger-serve pools thread transports; use --transport channel".into())
         }
     }
 }
@@ -239,8 +234,8 @@ fn parse_fault_plan(s: &str) -> Option<FaultPlan> {
 
 /// What the accept loop shares with every connection handler: the
 /// service and its metrics, the settings, and the drain state.
-struct Server<'a, W: World> {
-    service: Mutex<SpectrumService<W>>,
+struct Server<'a> {
+    service: Mutex<SpectrumService<ChannelWorld>>,
     metrics: Arc<ServiceMetrics>,
     cfg: &'a ServeSettings,
     /// Set when the drain deadline passes: every in-flight pool job's
@@ -252,7 +247,7 @@ struct Server<'a, W: World> {
     drain_deadline: OnceLock<Instant>,
 }
 
-impl<W: World> Server<'_, W> {
+impl Server<'_> {
     /// Stop admitting new connections and set the drain deadline.
     fn begin_drain(&self, timeout: Duration) {
         let _ = self.drain_deadline.set(Instant::now() + timeout);
@@ -304,12 +299,8 @@ impl<W: World> Server<'_, W> {
     }
 }
 
-fn serve<W: World>(
-    settings: &FarmSettings,
-    cfg: &ServeSettings,
-    fault: Option<FaultPlan>,
-) -> Result<(), String> {
-    let pool = FarmPool::<W>::start_with(
+fn serve(settings: &FarmArgs, cfg: &ServeSettings, fault: Option<FaultPlan>) -> Result<(), String> {
+    let pool = FarmPool::<ChannelWorld>::start_with(
         settings.workers,
         settings.master_config(),
         PoolOptions {
@@ -350,16 +341,14 @@ fn serve<W: World>(
     eprintln!(
         "plinger-serve: pool of {} {} workers warm",
         settings.workers,
-        W::NAME
+        ChannelWorld::NAME
     );
 
     // non-blocking accepts so the loop can poll the TERM flag
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("set_nonblocking failed: {e}"))?;
-    let drain_timeout = settings
-        .drain_timeout
-        .unwrap_or(MasterConfig::default().drain_timeout);
+    let drain_timeout = settings.master_config().drain_timeout;
     if let Some(dir) = cfg.report_dir.as_deref() {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("creating report dir {} failed: {e}", dir.display()))?;

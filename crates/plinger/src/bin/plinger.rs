@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! plinger --model scdm --nk 64 --workers 8 --output run1                 # threads
-//! plinger --model scdm --nk 64 --workers 8 --transport shmem ...        # threads, shmem
 //! plinger --model scdm --nk 64 --workers 4 --transport tcp --output r1  # processes
 //! ```
 //!
@@ -17,7 +16,6 @@
 use std::process::ExitCode;
 
 use msgpass::channel::ChannelWorld;
-use msgpass::shmem::ShmemWorld;
 use plinger::cli::{parse, CliOptions, Parsed, TelemetryMode, TransportKind, USAGE};
 use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
 use plinger::{
@@ -78,15 +76,9 @@ fn run_master(opts: CliOptions) -> ExitCode {
     }
     let farm = &opts.farm;
     farm.apply_log();
-    let transport_name = match farm.transport {
-        TransportKind::Channel => "channel threads",
-        TransportKind::Shmem => "shmem threads",
-        TransportKind::Tcp => "TCP processes",
-    };
-    let transport_tag = match farm.transport {
-        TransportKind::Channel => "channel",
-        TransportKind::Shmem => "shmem",
-        TransportKind::Tcp => "tcp",
+    let (transport_name, transport_tag) = match farm.transport {
+        TransportKind::Channel => ("channel threads", "channel"),
+        TransportKind::Tcp => ("TCP processes", "tcp"),
     };
     eprintln!(
         "plinger: {} modes on {} workers ({transport_name}), largest-k-first",
@@ -98,9 +90,6 @@ fn run_master(opts: CliOptions) -> ExitCode {
     let cfg = farm.master_config();
     let report: Result<FarmReport, _> = match farm.transport {
         TransportKind::Channel => Farm::<ChannelWorld>::new(farm.workers)
-            .master_config(cfg)
-            .run(&opts.spec, policy),
-        TransportKind::Shmem => Farm::<ShmemWorld>::new(farm.workers)
             .master_config(cfg)
             .run(&opts.spec, policy),
         TransportKind::Tcp => match std::env::current_exe() {
@@ -130,17 +119,22 @@ fn run_master(opts: CliOptions) -> ExitCode {
         report.mflops(),
         100.0 * report.parallel_efficiency()
     );
-    if let Err(e) = write_ascii(
-        format!("{}.linger", opts.output),
-        &opts.spec,
-        &report.outputs,
-    ) {
-        eprintln!("plinger: writing ASCII output failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = write_binary(format!("{}.lingerd", opts.output), &report.outputs) {
-        eprintln!("plinger: writing binary output failed: {e}");
-        return ExitCode::FAILURE;
+    // a spectrum missing quarantined modes is never written; the run
+    // report, whose recovery ledger lists them, still is
+    let complete = report.require_complete();
+    if complete.is_ok() {
+        if let Err(e) = write_ascii(
+            format!("{}.linger", opts.output),
+            &opts.spec,
+            &report.outputs,
+        ) {
+            eprintln!("plinger: writing ASCII output failed: {e}");
+            return ExitCode::FAILURE;
+        }
+        if let Err(e) = write_binary(format!("{}.lingerd", opts.output), &report.outputs) {
+            eprintln!("plinger: writing binary output failed: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     if opts.telemetry != TelemetryMode::Off {
         match write_run_report(&opts.output, &report, transport_tag) {
@@ -164,6 +158,10 @@ fn run_master(opts: CliOptions) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("plinger: chrome trace written to {path}");
+    }
+    if let Err(e) = complete {
+        eprintln!("plinger: farm failed: {e}");
+        return ExitCode::FAILURE;
     }
     eprintln!("plinger: total {:.2} s", t0.elapsed().as_secs_f64());
     ExitCode::SUCCESS

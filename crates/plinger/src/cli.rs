@@ -5,7 +5,7 @@
 //! `--name value` pairs; unknown flags abort with usage.  The flags are
 //! grouped into reusable builders — [`SpecArgs`] (cosmology, grid,
 //! accuracy → a [`RunSpec`]), [`FarmArgs`] (workers, transport, drain
-//! timeout, respawn budget → [`FarmSettings`]), and [`ServeArgs`]
+//! timeout, respawn budget, log sink), and [`ServeArgs`]
 //! (listen addresses, admission control, persistent cache →
 //! [`ServeSettings`]) — so each binary composes exactly the groups it
 //! understands: `linger`/`plinger` take the first two through
@@ -16,7 +16,7 @@
 
 use crate::ensemble::EnsembleSpec;
 use crate::master::MasterConfig;
-use crate::protocol::{require_flat, RunSpec};
+use crate::protocol::{require_evolvable, RunSpec};
 use background::CosmoParams;
 use boltzmann::{Gauge, InitialConditions, Preset, SpectrumMethod};
 use std::path::PathBuf;
@@ -30,8 +30,6 @@ pub enum TransportKind {
     /// rank that is gone.
     #[default]
     Channel,
-    /// In-process worker threads over shared-memory mailboxes.
-    Shmem,
     /// OS-subprocess workers over localhost TCP sockets.
     Tcp,
 }
@@ -61,7 +59,7 @@ pub struct CliOptions {
     pub trace_out: Option<String>,
     /// Workers, transport, drain timeout, respawn budget and `--log` —
     /// the same settings `plinger-serve` builds its pool from.
-    pub farm: FarmSettings,
+    pub farm: FarmArgs,
 }
 
 /// Internal marker for TCP worker subprocesses:
@@ -109,7 +107,7 @@ options:
   --tau-end MPC             stop early (conformal time)   [today]
   --output PREFIX           output file prefix            [linger_out]
   --workers N               parallel workers              [cores]
-  --transport KIND          channel|shmem|tcp             [channel]
+  --transport KIND          channel|tcp                   [channel]
   --tcp                     shorthand for --transport tcp
   --telemetry MODE          pretty|json|off               [pretty]
   --trace-out FILE          write chrome-tracing JSON spans to FILE
@@ -265,7 +263,7 @@ impl SpecArgs {
     /// [`parse`] for the farm CLIs and by the server's admission for a
     /// `plinger-serve` client.
     pub fn build(self) -> Result<RunSpec, String> {
-        if !(self.kmin > 0.0 && self.kmax > self.kmin) {
+        if !(self.kmin > 0.0 && self.kmax > self.kmin && self.kmax.is_finite()) {
             return Err(format!("bad k range [{}, {}]", self.kmin, self.kmax));
         }
         if self.nk < 1 {
@@ -369,11 +367,12 @@ fn parse_axis(flag: &str, list: &str) -> Result<Vec<f64>, String> {
     Ok(axis)
 }
 
-/// Builder for the farm flag group: worker count, transport, drain
-/// timeout, and respawn budget.
+/// The farm flag group: worker count, transport, drain timeout,
+/// respawn budget and log sink.  [`FarmArgs::try_flag`] fills it and
+/// [`FarmArgs::build`] hands it back validated.
 #[derive(Debug, Clone)]
 pub struct FarmArgs {
-    /// Worker count (defaults to the core count).
+    /// Worker count (defaults to the core count; ≥ 1 once built).
     pub workers: usize,
     /// Transport selection.
     pub transport: TransportKind,
@@ -381,7 +380,7 @@ pub struct FarmArgs {
     pub drain_timeout: Option<Duration>,
     /// Worker respawn budget.
     pub respawn_limit: usize,
-    /// Structured-log stderr sink.
+    /// Structured-log stderr sink (`--log level[,json]`).
     pub log: Option<(Level, bool)>,
 }
 
@@ -399,22 +398,40 @@ impl Default for FarmArgs {
     }
 }
 
-/// Validated farm settings out of [`FarmArgs::build`].
-#[derive(Debug, Clone)]
-pub struct FarmSettings {
-    /// Worker count (≥ 1).
-    pub workers: usize,
-    /// Transport selection.
-    pub transport: TransportKind,
-    /// Worker drain timeout override.
-    pub drain_timeout: Option<Duration>,
-    /// Worker respawn budget.
-    pub respawn_limit: usize,
-    /// Structured-log stderr sink (`--log level[,json]`).
-    pub log: Option<(Level, bool)>,
-}
+impl FarmArgs {
+    /// Consume `flag` (and its value from `it`) if it belongs to this
+    /// group.  `Ok(true)` means handled; `Ok(false)` means not ours.
+    pub fn try_flag(
+        &mut self,
+        flag: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--workers" => self.workers = count(flag, it)?,
+            "--transport" => {
+                self.transport = match take(flag, it)?.as_str() {
+                    "channel" => TransportKind::Channel,
+                    "tcp" => TransportKind::Tcp,
+                    other => return Err(format!("unknown transport {other}")),
+                }
+            }
+            "--tcp" => self.transport = TransportKind::Tcp,
+            "--drain-timeout" => self.drain_timeout = Some(Duration::from_millis(count(flag, it)?)),
+            "--respawn-limit" => self.respawn_limit = count(flag, it)?,
+            "--log" => self.log = Some(parse_log_flag(take(flag, it)?)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 
-impl FarmSettings {
+    /// Validate the group: at least one worker.
+    pub fn build(self) -> Result<Self, String> {
+        if self.workers < 1 {
+            return Err("need at least one worker".into());
+        }
+        Ok(self)
+    }
+
     /// Assemble a [`MasterConfig`]: the library defaults, with the
     /// drain timeout overridden when `--drain-timeout` was given.
     pub fn master_config(&self) -> MasterConfig {
@@ -431,48 +448,6 @@ impl FarmSettings {
         if let Some((level, json)) = self.log {
             telemetry::log::set_stderr(Some(level), json);
         }
-    }
-}
-
-impl FarmArgs {
-    /// Consume `flag` (and its value from `it`) if it belongs to this
-    /// group.  `Ok(true)` means handled; `Ok(false)` means not ours.
-    pub fn try_flag(
-        &mut self,
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--workers" => self.workers = count(flag, it)?,
-            "--transport" => {
-                self.transport = match take(flag, it)?.as_str() {
-                    "channel" => TransportKind::Channel,
-                    "shmem" => TransportKind::Shmem,
-                    "tcp" => TransportKind::Tcp,
-                    other => return Err(format!("unknown transport {other}")),
-                }
-            }
-            "--tcp" => self.transport = TransportKind::Tcp,
-            "--drain-timeout" => self.drain_timeout = Some(Duration::from_millis(count(flag, it)?)),
-            "--respawn-limit" => self.respawn_limit = count(flag, it)?,
-            "--log" => self.log = Some(parse_log_flag(take(flag, it)?)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Validate and assemble the [`FarmSettings`].
-    pub fn build(self) -> Result<FarmSettings, String> {
-        if self.workers < 1 {
-            return Err("need at least one worker".into());
-        }
-        Ok(FarmSettings {
-            workers: self.workers,
-            transport: self.transport,
-            drain_timeout: self.drain_timeout,
-            respawn_limit: self.respawn_limit,
-            log: self.log,
-        })
     }
 }
 
@@ -606,9 +581,10 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
         }
     }
     let spec = spec.build()?;
-    // the farm CLIs refuse a curved model before any worker starts (the
-    // serve client sends it on, for the server's admission to refuse)
-    require_flat(&spec.cosmo).map_err(|e| e.to_string())?;
+    // the farm CLIs refuse a cosmology out of range or curved before
+    // any worker starts (the serve client sends it on, for the server's
+    // admission to refuse)
+    require_evolvable(&spec.cosmo).map_err(|e| e.to_string())?;
     Ok(Parsed::Run(Box::new(CliOptions {
         spec,
         output,
@@ -775,7 +751,6 @@ mod tests {
     fn transport_flag_selects_substrate() {
         for (arg, want) in [
             ("--transport channel", TransportKind::Channel),
-            ("--transport shmem", TransportKind::Shmem),
             ("--transport tcp", TransportKind::Tcp),
             ("--tcp", TransportKind::Tcp),
         ] {
@@ -784,7 +759,8 @@ mod tests {
                 _ => panic!("expected run for {arg}"),
             }
         }
-        assert!(parse(&argv("--transport carrier-pigeon")).is_err());
+        let err = parse(&argv("--transport carrier-pigeon")).unwrap_err();
+        assert_eq!(err, "unknown transport carrier-pigeon");
     }
 
     #[test]
@@ -936,6 +912,7 @@ mod tests {
         assert!(parse(&argv("--frobnicate 3")).is_err());
         assert!(parse(&argv("--kmin -1")).is_err());
         assert!(parse(&argv("--kmin 0.1 --kmax 0.01")).is_err());
+        assert!(parse(&argv("--kmax inf")).is_err());
     }
 
     #[test]
@@ -958,7 +935,7 @@ mod tests {
         assert!(!spec.try_flag(flag, &mut it).unwrap());
 
         // the serve server path: farm flags only
-        let args = argv("--workers 2 --transport shmem");
+        let args = argv("--workers 2 --transport channel");
         let mut farm = FarmArgs::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -966,7 +943,8 @@ mod tests {
         }
         let farm = farm.build().unwrap();
         assert_eq!(farm.workers, 2);
-        assert_eq!(farm.transport, TransportKind::Shmem);
+        assert_eq!(farm.transport, TransportKind::Channel);
+        assert!(FarmArgs { workers: 0, ..farm }.build().is_err());
 
         // a value-less flag errors inside the builder, not at build()
         let args = argv("--kmin");

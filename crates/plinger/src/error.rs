@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use background::ParamError;
 use boltzmann::EvolveError;
 use msgpass::{CommError, Rank};
 
@@ -54,6 +55,10 @@ pub enum FarmError {
     },
     /// The tag-1 run-spec broadcast failed to decode on a worker.
     SpecDecode(SpecDecodeError),
+    /// A cosmological parameter is out of the range the background
+    /// accepts (see [`background::CosmoParams::validate`]): refused
+    /// before any worker sees it.
+    BadParam(ParamError),
     /// The job's cosmology is curved (or NaN) past
     /// [`boltzmann::FLATNESS_TOLERANCE`]: the perturbation equations are
     /// flat-space only, so it is refused before any worker sees it.
@@ -63,14 +68,12 @@ pub enum FarmError {
     },
     /// A mode integration of the serial runner failed.
     Evolve {
-        /// Always 0: the serial runner is the master.
-        rank: Rank,
         /// Index of the failed mode in the k-grid.
         ik: usize,
         /// Wavenumber of the failed mode, Mpc⁻¹.
         k: f64,
         /// The underlying integrator error.
-        source: Option<EvolveError>,
+        source: EvolveError,
     },
     /// Every worker died (and respawn, if any, was exhausted) while
     /// modes were still pending.  The farm survives any loss but the
@@ -89,9 +92,10 @@ pub enum FarmError {
         /// Mode indices (into the k-grid) left without results.
         unfinished: Vec<usize>,
     },
-    /// The spectrum service refused to answer with a job whose report
-    /// quarantined modes: a spectrum missing them is never served or
-    /// cached.
+    /// The job finished but quarantined modes
+    /// ([`crate::FarmReport::require_complete`]): the service never
+    /// serves or caches a spectrum missing them, and `plinger` never
+    /// writes one.
     Quarantined {
         /// The modes the job finished without.
         modes: Vec<FailedMode>,
@@ -107,22 +111,14 @@ impl fmt::Display for FarmError {
                 write!(f, "protocol violation at rank {rank}: {detail}")
             }
             FarmError::SpecDecode(e) => write!(f, "run spec failed to decode: {e}"),
+            FarmError::BadParam(e) => write!(f, "cosmology parameter {e}"),
             FarmError::NotFlat { omega_k } => write!(
                 f,
                 "cosmology is not flat (Omega_k = {omega_k:.6}; need |Omega_k| < {})",
                 boltzmann::FLATNESS_TOLERANCE
             ),
-            FarmError::Evolve {
-                rank,
-                ik,
-                k,
-                source,
-            } => {
-                write!(f, "mode ik={ik} (k={k} 1/Mpc) failed on rank {rank}")?;
-                if let Some(e) = source {
-                    write!(f, ": {e}")?;
-                }
-                Ok(())
+            FarmError::Evolve { ik, k, source } => {
+                write!(f, "mode ik={ik} (k={k} 1/Mpc) failed: {source}")
             }
             FarmError::AllWorkersLost { unfinished } => write!(
                 f,
@@ -155,9 +151,8 @@ impl std::error::Error for FarmError {
         match self {
             FarmError::Setup(e) | FarmError::Comm(e) => Some(e),
             FarmError::SpecDecode(e) => Some(e),
-            FarmError::Evolve {
-                source: Some(e), ..
-            } => Some(e),
+            FarmError::BadParam(e) => Some(e),
+            FarmError::Evolve { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -189,12 +184,13 @@ mod tests {
         assert!(s.contains("[1, 4]"));
 
         let e = FarmError::Evolve {
-            rank: 2,
             ik: 7,
-            k: 0.05,
-            source: None,
+            k: -1.0,
+            source: EvolveError::BadWavenumber { k: -1.0 },
         };
-        assert!(e.to_string().contains("ik=7"));
+        let s = e.to_string();
+        assert!(s.contains("ik=7") && s.contains("not positive"), "{s}");
+        assert!(!s.contains("rank"), "{s}");
     }
 
     #[test]

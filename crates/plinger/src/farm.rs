@@ -4,10 +4,10 @@
 //! [`Farm`] is the paper's run shape — start the workers, farm one
 //! k-grid, stop them — over any [`World`]: `Farm::<W>::run` starts a
 //! [`FarmPool`] of worker threads, gives it one job and shuts it down,
-//! so the channel, shared-memory, and in-process TCP transports (the
-//! paper's "same Fortran over PVM, MPI, MPL, PVMe" claim, as one
-//! generic type) and the resident pools behind the service all run the
-//! same master and worker sessions.  [`run_tcp_processes`] is the same
+//! so the channel and in-process TCP transports (the paper's "same
+//! Fortran over PVM, MPI, MPL, PVMe" claim, as one generic type) and
+//! the resident pools behind the service all run the same master and
+//! worker sessions.  [`run_tcp_processes`] is the same
 //! shape over [`FarmPool::start_processes`], whose workers are OS
 //! subprocesses running [`run_tcp_worker`].
 
@@ -27,7 +27,7 @@ use recomb::ThermoHistory;
 use crate::error::FarmError;
 use crate::master::MasterConfig;
 use crate::pool::{FarmPool, PoolOptions};
-use crate::protocol::{require_flat, RunSpec};
+use crate::protocol::{require_evolvable, RunSpec};
 use crate::recovery::RecoveryLog;
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
@@ -61,6 +61,18 @@ pub struct FarmReport {
 }
 
 impl FarmReport {
+    /// Refuse a report that quarantined modes, as
+    /// [`FarmError::Quarantined`] naming them: a spectrum missing modes
+    /// is never served, cached or written out.
+    pub fn require_complete(&self) -> Result<(), FarmError> {
+        if self.recovery.failed_modes.is_empty() {
+            return Ok(());
+        }
+        Err(FarmError::Quarantined {
+            modes: self.recovery.failed_modes.clone(),
+        })
+    }
+
     /// Total CPU time summed over workers (the filled circles of
     /// Figure 1), in seconds.
     pub fn total_cpu_seconds(&self) -> f64 {
@@ -343,9 +355,10 @@ pub(crate) fn finish_report(
 /// The serial reference: LINGER's main loop over `k`, no message
 /// passing.  Used for correctness comparison (the farm must be
 /// bit-identical mode for mode) and as the single-node baseline of the
-/// scaling figure.  A curved cosmology is [`FarmError::NotFlat`].
+/// scaling figure.  A cosmology the pools would refuse is refused here
+/// too ([`FarmError::BadParam`], [`FarmError::NotFlat`]).
 pub fn run_serial(spec: &RunSpec) -> Result<(Vec<ModeOutput>, f64), FarmError> {
-    require_flat(&spec.cosmo)?;
+    require_evolvable(&spec.cosmo)?;
     let t0 = std::time::Instant::now();
     let bg = Background::new(spec.cosmo.clone());
     let thermo = ThermoHistory::new(&bg);
@@ -355,14 +368,8 @@ pub fn run_serial(spec: &RunSpec) -> Result<(Vec<ModeOutput>, f64), FarmError> {
     // their capacity from mode to mode (bit-identical to a fresh one)
     let mut integ = Integrator::new();
     for (ik, &k) in spec.ks.iter().enumerate() {
-        let out = evolve_mode_scratch(&bg, &thermo, k, &cfg, None, &mut integ).map_err(|e| {
-            FarmError::Evolve {
-                rank: 0,
-                ik,
-                k,
-                source: Some(e),
-            }
-        })?;
+        let out = evolve_mode_scratch(&bg, &thermo, k, &cfg, None, &mut integ)
+            .map_err(|source| FarmError::Evolve { ik, k, source })?;
         outputs.push(out);
     }
     Ok((outputs, t0.elapsed().as_secs_f64()))
@@ -424,9 +431,9 @@ pub fn run_tcp_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::FailedMode;
     use boltzmann::Preset;
     use msgpass::channel::ChannelWorld;
-    use msgpass::shmem::ShmemWorld;
 
     fn tiny_spec() -> RunSpec {
         let mut spec = RunSpec::standard_cdm(vec![0.001, 0.004, 0.02, 0.008]);
@@ -503,17 +510,18 @@ mod tests {
     }
 
     #[test]
-    fn shmem_farm_matches_channel_farm() {
-        let spec = tiny_spec();
-        let a = Farm::<ChannelWorld>::new(2)
-            .run(&spec, SchedulePolicy::LargestFirst)
-            .unwrap();
-        let b = Farm::<ShmemWorld>::new(2)
-            .run(&spec, SchedulePolicy::LargestFirst)
-            .unwrap();
-        for (x, y) in a.outputs.iter().zip(&b.outputs) {
-            assert_eq!(x.delta_c.to_bits(), y.delta_c.to_bits());
-            assert_eq!(x.phi.to_bits(), y.phi.to_bits());
+    fn a_report_with_a_quarantined_mode_is_incomplete() {
+        let mut rep = FarmReport::default();
+        assert!(rep.require_complete().is_ok(), "a clean report passes");
+        rep.recovery.failed_modes.push(FailedMode {
+            ik: 2,
+            k: 0.02,
+            attempts: 2,
+            reason: "poisoned".into(),
+        });
+        match rep.require_complete() {
+            Err(FarmError::Quarantined { modes }) => assert_eq!(modes, rep.recovery.failed_modes),
+            other => panic!("expected Quarantined, got {other:?}"),
         }
     }
 
@@ -632,12 +640,12 @@ mod tests {
         spec.ks = vec![0.001, f64::NAN];
         let err = run_serial(&spec).unwrap_err();
         match err {
-            FarmError::Evolve {
-                rank, ik, source, ..
-            } => {
-                assert_eq!(rank, 0);
+            FarmError::Evolve { ik, source, .. } => {
                 assert_eq!(ik, 1);
-                assert!(source.is_some());
+                assert!(matches!(
+                    source,
+                    boltzmann::EvolveError::BadWavenumber { .. }
+                ));
             }
             other => panic!("expected Evolve, got {other}"),
         }

@@ -75,7 +75,7 @@ pub fn write_binary<P: AsRef<Path>>(path: P, outputs: &[ModeOutput]) -> io::Resu
 /// the serialized JSON text (so callers can also print it).
 ///
 /// `transport` names the substrate the farm ran over (`"channel"`,
-/// `"shmem"`, `"tcp"`, or `"serial"`).
+/// `"tcp"`, or `"serial"`).
 pub fn write_run_report(
     prefix: &str,
     report: &FarmReport,

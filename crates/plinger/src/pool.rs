@@ -58,7 +58,7 @@ use telemetry::SpanEvent;
 use crate::error::FarmError;
 use crate::farm::{finish_report, FarmReport, FaultPlan};
 use crate::master::{master_job_session, JobControl, MasterConfig};
-use crate::protocol::{require_flat, RunSpec, TAG_STOP};
+use crate::protocol::{require_evolvable, RunSpec, TAG_STOP};
 use crate::recovery::WorkerEvent;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
@@ -507,8 +507,11 @@ impl<W: World> FarmPool<W> {
     /// (`ctx_rebuilds == 0` on every rank; the build is this job's one
     /// `prefetch_builds`).
     ///
-    /// A curved cosmology is refused with [`FarmError::NotFlat`] before
-    /// the job opens; the pool is untouched and serves the next job.
+    /// A cosmology out of range or curved is refused with
+    /// [`FarmError::BadParam`] or [`FarmError::NotFlat`] before the job
+    /// opens; the pool is untouched and serves the next job.  A hint
+    /// naming such a cosmology is dropped, so no worker builds its
+    /// tables; its own job is refused when it comes.
     pub fn run_job_prefetched(
         &mut self,
         spec: &RunSpec,
@@ -516,7 +519,8 @@ impl<W: World> FarmPool<W> {
         ctrl: &JobControl<'_>,
         prefetch: Option<&RunSpec>,
     ) -> Result<FarmReport, FarmError> {
-        require_flat(&spec.cosmo)?;
+        require_evolvable(&spec.cosmo)?;
+        let prefetch = prefetch.filter(|p| require_evolvable(&p.cosmo).is_ok());
         let Some(master) = self.master.as_mut() else {
             return Err(FarmError::Protocol {
                 rank: 0,

@@ -417,12 +417,16 @@ impl RunSpec {
     }
 }
 
-/// Refuse a cosmology the flat-space perturbation equations cannot
-/// evolve: `|Ω_k|` at or past [`boltzmann::FLATNESS_TOLERANCE`], or a NaN
-/// budget.  Service admission, the farm CLIs, [`crate::run_serial`] and
-/// every pooled job check it before any work starts, so a curved model
-/// is a typed [`FarmError::NotFlat`], never a worker panic.
-pub(crate) fn require_flat(cosmo: &CosmoParams) -> Result<(), FarmError> {
+/// Refuse a cosmology the workers cannot evolve: a parameter out of
+/// the range [`CosmoParams::validate`] accepts ([`FarmError::BadParam`],
+/// where `Background::new` would panic), or `|Ω_k|` at or past
+/// [`boltzmann::FLATNESS_TOLERANCE`] or a NaN budget
+/// ([`FarmError::NotFlat`]: the perturbation equations are flat-space
+/// only).  Service admission, the farm CLIs, [`crate::run_serial`] and
+/// every pooled job check it before any work starts, so a bad cosmology
+/// is a typed error, never a worker panic.
+pub(crate) fn require_evolvable(cosmo: &CosmoParams) -> Result<(), FarmError> {
+    cosmo.validate().map_err(FarmError::BadParam)?;
     let omega_k = cosmo.omega_k();
     // written so that a NaN budget is refused too
     if omega_k.abs() < boltzmann::FLATNESS_TOLERANCE {

@@ -52,7 +52,7 @@ use crate::farm::FarmReport;
 use crate::master::JobControl;
 use crate::output_files::write_run_report;
 use crate::pool::FarmPool;
-use crate::protocol::{count_from_real, hash_reals, job_hash, require_flat, RunSpec};
+use crate::protocol::{count_from_real, hash_reals, job_hash, require_evolvable, RunSpec};
 use crate::schedule::SchedulePolicy;
 
 /// Tag 20, client → server: request one spectrum.  Payload:
@@ -261,12 +261,13 @@ impl SpectrumRequest {
     }
 
     /// Admission check, run before the request is queued: a cosmology
-    /// the flat-space equations cannot evolve, or a real that would
-    /// size an absurd allocation, is the client's error
+    /// the workers cannot evolve (a parameter out of range, a curved
+    /// budget), or a real that would size an absurd allocation, is the
+    /// client's error
     /// ([`ErrorCode::BadRequest`]), not a worker panic mid-job.
     pub fn admit(&self) -> Result<(), ServiceError> {
         require_bounded(&self.spec)?;
-        admit_flat(&self.spec.cosmo, "request")
+        admit_cosmology(&self.spec.cosmo, "request")
     }
 }
 
@@ -299,9 +300,10 @@ fn require_bounded(spec: &RunSpec) -> Result<(), ServiceError> {
     }
 }
 
-/// [`require_flat`] as a `bad-request` naming `what`.
-fn admit_flat(cosmo: &background::CosmoParams, what: &str) -> Result<(), ServiceError> {
-    require_flat(cosmo).map_err(|e| ServiceError::new(ErrorCode::BadRequest, format!("{what} {e}")))
+/// [`require_evolvable`] as a `bad-request` naming `what`.
+fn admit_cosmology(cosmo: &background::CosmoParams, what: &str) -> Result<(), ServiceError> {
+    require_evolvable(cosmo)
+        .map_err(|e| ServiceError::new(ErrorCode::BadRequest, format!("{what} {e}")))
 }
 
 /// One tag-22 request: a whole sweep plus an optional relative deadline
@@ -340,12 +342,12 @@ impl EnsembleRequest {
 
     /// Admission check, run before the sweep is queued: the base (whose
     /// sizes every shard shares) must be bounded, and it and every shard
-    /// cosmology flat (see [`SpectrumRequest::admit`]).
+    /// cosmology evolvable (see [`SpectrumRequest::admit`]).
     pub fn admit(&self) -> Result<(), ServiceError> {
         require_bounded(&self.ens.base)?;
-        admit_flat(&self.ens.base.cosmo, "ensemble base")?;
+        admit_cosmology(&self.ens.base.cosmo, "ensemble base")?;
         (0..self.ens.n_shards())
-            .try_for_each(|i| admit_flat(&self.ens.shard_cosmo(i), &format!("shard {i}")))
+            .try_for_each(|i| admit_cosmology(&self.ens.shard_cosmo(i), &format!("shard {i}")))
     }
 }
 
@@ -1089,9 +1091,9 @@ impl<W: World> SpectrumService<W> {
 /// evolution alike, so that every job is counted at this one point: the
 /// workers gauge after any job, `jobs_cancelled` and `deadline_expired`
 /// for a cancelled one, `pool_jobs` and the comm fold for a finished one.
-/// A finished job that quarantined modes is [`FarmError::Quarantined`]:
-/// a spectrum missing modes is never served, so it never reaches the
-/// cache either.
+/// A finished job that quarantined modes is [`FarmError::Quarantined`]
+/// ([`FarmReport::require_complete`]): a spectrum missing modes is never
+/// served, so it never reaches the cache either.
 fn run_job<W: World>(
     pool: &mut FarmPool<W>,
     metrics: &ServiceMetrics,
@@ -1111,11 +1113,7 @@ fn run_job<W: World>(
     let report = outcome?;
     metrics.pool_jobs.inc();
     metrics.fold_comm(report.telemetry.merged_comm().to_telemetry());
-    if !report.recovery.failed_modes.is_empty() {
-        return Err(FarmError::Quarantined {
-            modes: report.recovery.failed_modes,
-        });
-    }
+    report.require_complete()?;
     Ok(report)
 }
 
@@ -1952,6 +1950,14 @@ mod tests {
         let err = single.admit().expect_err("open single request admitted");
         assert_eq!(err.code, ErrorCode::BadRequest);
         assert!(err.message.contains("not flat"), "{}", err.message);
+        // a flat budget with a parameter out of range is refused by name
+        let mut negative_h = tiny_spec(vec![0.001]);
+        negative_h.cosmo.h = -0.5;
+        let err = SpectrumRequest::new(negative_h)
+            .admit()
+            .expect_err("h = -0.5 admitted");
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.contains("h = -0.5"), "{}", err.message);
 
         // a sweep keeps its base's curvature in every shard: a curved
         // base is refused, and so is a NaN axis value in one shard

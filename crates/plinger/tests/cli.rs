@@ -146,31 +146,60 @@ fn counts_must_be_whole_numbers() {
 }
 
 #[test]
-fn a_curved_cosmology_is_a_usage_error_not_a_worker_panic() {
+fn a_bad_cosmology_is_a_usage_error_not_a_worker_panic() {
     // an explicit --omega-c pins an open budget (Omega_k = 0.45): it used
     // to panic every worker on the evolver's flatness assert and end in
-    // `farm failed: all workers lost`; now no worker ever starts
-    let curved = [
-        "--omega-c",
-        "0.5",
-        "--nk",
-        "3",
-        "--preset",
-        "draft",
-        "--kmax",
-        "0.01",
-    ];
+    // `farm failed: all workers lost`.  h = -0.5 and Omega_b = -0.1 keep
+    // the budget flat (Omega_gamma goes as 1/h^2; Omega_c is re-closed)
+    // but are out of range: they panicked every worker in the background
+    // build and exited 1.  Now no worker ever starts
+    let base = ["--nk", "3", "--preset", "draft", "--kmax", "0.01"];
     let plinger = env!("CARGO_BIN_EXE_plinger");
-    for (exe, extra) in [
-        (plinger, &["--transport", "channel"][..]),
-        (plinger, &["--transport", "tcp"][..]),
-        (env!("CARGO_BIN_EXE_linger"), &[][..]),
+    for (cosmology, refusal) in [
+        (&["--omega-c", "0.5"], "Omega_k"),
+        (&["--h", "-0.5"], "h = -0.5"),
+        (&["--omega-b", "-0.1"], "omega_b = -0.1"),
     ] {
-        let out = Command::new(exe).args(curved).args(extra).output().unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{exe} {extra:?}: {err}");
-        assert!(err.starts_with("error:"), "{exe} {extra:?}: {err}");
-        assert!(err.contains("Omega_k"), "{exe} {extra:?}: {err}");
-        assert!(!err.contains("panicked"), "{exe} {extra:?}: {err}");
+        for (exe, extra) in [
+            (plinger, &["--transport", "channel"][..]),
+            (plinger, &["--transport", "tcp"][..]),
+            (env!("CARGO_BIN_EXE_linger"), &[][..]),
+        ] {
+            let out = Command::new(exe)
+                .args(base)
+                .args(cosmology)
+                .args(extra)
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            let run = format!("{exe} {cosmology:?} {extra:?}");
+            assert_eq!(out.status.code(), Some(2), "{run}: {err}");
+            assert!(err.starts_with("error:"), "{run}: {err}");
+            assert!(err.contains(refusal), "{run}: {err}");
+            assert!(!err.contains("panicked"), "{run}: {err}");
+        }
     }
+}
+
+#[test]
+fn an_infinite_kmax_is_a_usage_error() {
+    // every mode of an infinite grid edge is quarantined; the run used
+    // to exit 0 with a `.linger` reading `nk = 0`
+    let out = Command::new(env!("CARGO_BIN_EXE_plinger"))
+        .args([
+            "--preset",
+            "draft",
+            "--workers",
+            "2",
+            "--nk",
+            "3",
+            "--kmax",
+            "inf",
+        ])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error: bad k range"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }

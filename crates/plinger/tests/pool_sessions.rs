@@ -1,7 +1,7 @@
 //! Warm-pool determinism and cache discipline.
 //!
 //! A [`FarmPool`] must serve consecutive jobs bit-identical to fresh
-//! `Farm::run` calls on every transport, thread or subprocess workers
+//! `Farm::run` calls on both transports, thread or subprocess workers
 //! alike, build a
 //! cosmology's physics tables once per process and only when the
 //! canonical cosmology hash changes (counter evidence in the run
@@ -11,12 +11,11 @@
 
 use boltzmann::Preset;
 use msgpass::channel::ChannelWorld;
-use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{
-    build_run_report, run_serial, Farm, FarmError, FarmPool, FarmReport, FaultPlan, MasterConfig,
-    PoolOptions, RunSpec, SchedulePolicy, TAG_INIT, TAG_JOBDONE, TAG_STOP,
+    build_run_report, run_serial, Farm, FarmError, FarmPool, FarmReport, FaultPlan, JobControl,
+    MasterConfig, PoolOptions, RunSpec, SchedulePolicy, TAG_INIT, TAG_JOBDONE, TAG_STOP,
 };
 
 fn spec_of(ks: &[f64]) -> RunSpec {
@@ -95,11 +94,6 @@ fn pool_matches_fresh_farms_channel() {
 }
 
 #[test]
-fn pool_matches_fresh_farms_shmem() {
-    pool_matches_fresh_farms::<ShmemWorld>();
-}
-
-#[test]
 fn pool_matches_fresh_farms_tcp() {
     pool_matches_fresh_farms::<TcpWorld>();
 }
@@ -168,20 +162,38 @@ fn a_rank_count_past_usize_is_a_setup_error() {
 
 #[test]
 fn a_curved_cosmology_is_a_typed_error_and_the_pool_serves_on() {
-    // an open budget (Omega_k = -0.2) and a NaN one never reach a worker:
-    // the serial loop, the one-job farm and both pool kinds refuse them
-    // before any mode runs, and the pool serves the next job as usual
+    // an open budget (Omega_k = -0.2), a NaN one, and a parameter out
+    // of range (h = -0.5 keeps the budget flat; a NaN Omega_b) never
+    // reach a worker: the serial loop, the one-job farm and both pool
+    // kinds refuse them before any mode runs, and the pool serves the
+    // next job as usual
     let flat = spec_of(&[2.0e-4, 8.0e-4]);
     let mut closed = flat.clone();
     closed.cosmo.omega_lambda += 0.2;
     let mut nan = flat.clone();
-    nan.cosmo.omega_b = f64::NAN;
+    nan.cosmo.omega_lambda = f64::NAN;
+    let mut negative_h = flat.clone();
+    negative_h.cosmo.h = -0.5;
+    let mut nan_b = flat.clone();
+    nan_b.cosmo.omega_b = f64::NAN;
+    let out_of_range = [(&negative_h, "h"), (&nan_b, "omega_b")];
     let not_flat = |r: Result<FarmReport, FarmError>| match r {
         Err(FarmError::NotFlat { omega_k }) => omega_k,
         other => panic!("expected NotFlat, got {other:?}"),
     };
+    let bad_param = |r: Result<FarmReport, FarmError>| match r {
+        Err(FarmError::BadParam(e)) => e.param,
+        other => panic!("expected BadParam, got {other:?}"),
+    };
     for spec in [&closed, &nan] {
         assert!(matches!(run_serial(spec), Err(FarmError::NotFlat { .. })));
+    }
+    for (spec, param) in out_of_range {
+        let err = run_serial(spec).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, FarmError::BadParam(ref e) if e.param == param),
+            "{err}"
+        );
     }
     let omega_k = not_flat(Farm::<ChannelWorld>::new(2).run(&closed, SchedulePolicy::Fifo));
     assert!((omega_k + 0.2).abs() < 1e-9, "{omega_k}");
@@ -200,8 +212,18 @@ fn a_curved_cosmology_is_a_typed_error_and_the_pool_serves_on() {
         for spec in [&closed, &nan] {
             not_flat(pool.run_job(spec, SchedulePolicy::Fifo));
         }
+        for (spec, param) in out_of_range {
+            assert_eq!(bad_param(pool.run_job(spec, SchedulePolicy::Fifo)), param);
+        }
+        // a prefetch hint naming a refused cosmology is dropped, so no
+        // worker builds (and panics on) its tables
         let rep = pool
-            .run_job(&flat, SchedulePolicy::Fifo)
+            .run_job_prefetched(
+                &flat,
+                SchedulePolicy::Fifo,
+                &JobControl::default(),
+                Some(&negative_h),
+            )
             .expect("flat job after the refusals");
         assert_bitwise(&rep.outputs, &serial);
         assert!(rep.recovery.is_clean(), "{:?}", rep.recovery);
@@ -301,11 +323,6 @@ fn los_pool_matches_serial_channel() {
 }
 
 #[test]
-fn los_pool_matches_serial_shmem() {
-    los_pool_matches_serial::<ShmemWorld>();
-}
-
-#[test]
 fn los_pool_matches_serial_tcp() {
     los_pool_matches_serial::<TcpWorld>();
 }
@@ -381,11 +398,6 @@ fn farm_run_is_the_first_job_of_a_fresh_pool<W: World>() {
 #[test]
 fn farm_run_is_the_first_job_of_a_fresh_pool_channel() {
     farm_run_is_the_first_job_of_a_fresh_pool::<ChannelWorld>();
-}
-
-#[test]
-fn farm_run_is_the_first_job_of_a_fresh_pool_shmem() {
-    farm_run_is_the_first_job_of_a_fresh_pool::<ShmemWorld>();
 }
 
 #[test]

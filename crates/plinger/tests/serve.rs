@@ -584,23 +584,33 @@ fn infinite_counts_are_bad_requests_and_leave_the_queue() {
 }
 
 #[test]
-fn curved_cosmology_is_refused_at_admission_and_the_pool_survives() {
-    let (mut server, mut reader, addr) = start_server_with(3, &[]);
+fn a_bad_cosmology_is_refused_at_admission_and_the_pool_survives() {
+    let (mut server, mut reader, addr) = start_server_with(5, &[]);
 
     // an explicit --omega-c pins an open budget (Ω_k = 0.69): it used
     // to reach the workers, trip the evolver's flatness assert, and
-    // hang the pool; now it never leaves admission
+    // hang the pool.  h = -0.5 is flat (Ω_γ goes as 1/h²) but out of
+    // range: it used to panic both workers in the background build and
+    // leave every later reply `internal`.  Now neither leaves admission
     let open = ["--nk", "3", "--omega-b", "0.06", "--omega-c", "0.25"];
-    for extra in [
-        &open[..],
-        &[&open[..], &["--ensemble", "--sweep-h", "0.5,0.7"]].concat(),
+    for (extra, refusal) in [
+        (&open[..], "not flat"),
+        (
+            &[&open[..], &["--ensemble", "--sweep-h", "0.5,0.7"]].concat(),
+            "not flat",
+        ),
+        (&["--nk", "2", "--h", "-0.5"][..], "h = -0.5"),
+        (
+            &["--nk", "2", "--ensemble", "--sweep-h", "0.5,-0.5"][..],
+            "h = -0.5",
+        ),
     ] {
         let out = client_raw(&addr, extra);
-        assert!(!out.status.success(), "curved request served");
+        assert!(!out.status.success(), "{extra:?} served");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("bad-request") && stderr.contains("not flat"),
-            "client stderr: {stderr:?}"
+            stderr.contains("bad-request") && stderr.contains(refusal),
+            "{extra:?}: client stderr: {stderr:?}"
         );
     }
 

@@ -1,14 +1,13 @@
 //! Cross-transport telemetry invariants.
 //!
 //! The farm's measured message ledger must (a) agree with the workers'
-//! own byte accounting, and (b) be *identical* across the channel,
-//! shmem, and TCP substrates — the protocol is deterministic, so the
+//! own byte accounting, and (b) be *identical* across the channel and
+//! TCP substrates — the protocol is deterministic, so the
 //! per-tag message counts are a property of the run, not the wire.
 
 use boltzmann::Preset;
 use msgpass::channel::ChannelWorld;
 use msgpass::instrument::TRACKED_TAGS;
-use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{Farm, FarmReport, RunSpec, SchedulePolicy};
@@ -71,7 +70,6 @@ fn telemetry_agrees_across_transports() {
 
     let reps: Vec<(&str, FarmReport)> = vec![
         ("channel", run_farm::<ChannelWorld>(&spec, workers)),
-        ("shmem", run_farm::<ShmemWorld>(&spec, workers)),
         ("tcp", run_farm::<TcpWorld>(&spec, workers)),
     ];
     for (name, rep) in &reps {
@@ -114,19 +112,12 @@ fn telemetry_agrees_across_transports() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Byte accounting holds for arbitrary small farms on both
-    /// thread-backed substrates.
+    /// Byte accounting holds for arbitrary small in-process farms.
     #[test]
     fn byte_ledger_matches_worker_stats(nk in 1usize..4, workers in 1usize..3) {
         let ks: Vec<f64> = (0..nk).map(|i| 1.0e-3 * (i + 1) as f64).collect();
         let spec = spec_for(ks);
         let channel = run_farm::<ChannelWorld>(&spec, workers);
         check_internal_consistency(&channel, "channel");
-        let shmem = run_farm::<ShmemWorld>(&spec, workers);
-        check_internal_consistency(&shmem, "shmem");
-        prop_assert_eq!(
-            mask_heartbeat(channel.telemetry.merged_comm().sent_count),
-            mask_heartbeat(shmem.telemetry.merged_comm().sent_count)
-        );
     }
 }

@@ -97,6 +97,22 @@ if [ "$attempts_code" -ne 2 ] || ! grep -q "unknown server flag --max-attempts" 
     || grep -q panicked <<<"$attempts"; then
     echo "plinger-serve --max-attempts 3 exited $attempts_code: $attempts"; exit 1
 fi
+# there is no shmem transport: both bins refuse it as unknown
+set +e
+shmem_cli="$(cargo run -q --release -p plinger --bin plinger -- --transport shmem 2>&1)"
+shmem_cli_code=$?
+shmem_serve="$(cargo run -q --release -p plinger --bin plinger-serve -- \
+    --listen 127.0.0.1:0 --transport shmem 2>&1)"
+shmem_serve_code=$?
+set -e
+for pair in "plinger:$shmem_cli_code" "plinger-serve:$shmem_serve_code"; do
+    [ "${pair#*:}" -eq 2 ] || { echo "${pair%%:*} --transport shmem exited ${pair#*:}"; exit 1; }
+done
+for out in "$shmem_cli" "$shmem_serve"; do
+    if ! grep -q "unknown transport shmem" <<<"$out" || grep -q panicked <<<"$out"; then
+        echo "--transport shmem was not refused as unknown: $out"; exit 1
+    fi
+done
 # a curved cosmology is a usage error naming Omega_k, on worker threads
 # and on worker subprocesses alike — never a worker panic
 for transport in channel tcp; do
@@ -180,6 +196,33 @@ for needle in (
     assert needle in scrape, f"scrape missing {needle!r}"
 print(f"service smoke: 1 hit / 2 misses, body fnv {r1['fnv']}, /metrics live")
 EOF
+# an out-of-range parameter is refused at admission (h = -0.5 is flat,
+# so only the range check catches it) and the pool serves the next
+# request: no worker ever saw the bad one
+"$serve_bin" --listen 127.0.0.1:0 --transport channel --workers 2 \
+    --max-requests 2 > "$serve_log" 2> "$smoke_dir/serve.err" &
+serve_pid=$!
+serve_addr=""
+for _ in $(seq 1 100); do
+    serve_addr="$(sed -n 's/^plinger-serve: listening on //p' "$serve_log")"
+    [ -n "$serve_addr" ] && break
+    sleep 0.1
+done
+[ -n "$serve_addr" ] || { echo "plinger-serve never came up"; cat "$smoke_dir/serve.err"; exit 1; }
+set +e
+bad_h="$(req --nk 2 --h -0.5 2>&1)"
+bad_h_code=$?
+set -e
+if [ "$bad_h_code" -eq 0 ] || ! grep -q "bad-request" <<<"$bad_h" \
+    || ! grep -q "h = -0.5" <<<"$bad_h"; then
+    echo "h = -0.5 was not refused as a bad request (exit $bad_h_code): $bad_h"; exit 1
+fi
+good="$(req --nk 2)"
+wait "$serve_pid"
+grep -q "cache_hit=0" <<<"$good" && grep -q "outputs=2" <<<"$good" \
+    || { echo "the request after a refused one failed: $good"; exit 1; }
+grep -q "pool jobs=1" "$serve_log" || { echo "unexpected summary: $(cat "$serve_log")"; exit 1; }
+echo "service smoke: h = -0.5 refused at admission, next request served"
 
 echo "== chaos soak =="
 # request-lifecycle robustness under fire: a stall-and-vanish worker
@@ -425,8 +468,8 @@ PY
 cargo test -q -p spectra --lib node_rows_of_the_largest_preset_fit_in_8_mb
 
 echo "== fault matrix =="
-# the recovery tests sweep every FaultPlan variant over the channel and
-# shmem worlds (recovery_matrix), the raw fault seam (msgpass fault
+# the recovery tests sweep every FaultPlan variant over the channel
+# world (recovery_matrix), the raw fault seam (msgpass fault
 # unit tests), and the TCP subprocess deployment (tcp_recovery:
 # respawn and requeue-only); farm_transports pins that a default-config
 # farm takes the same requeue path.  Run them explicitly so a
@@ -463,7 +506,7 @@ echo "== ensemble differential layer =="
 # the two-level sweep scheduler pinned bitwise against the serial loop
 # of single-cosmology jobs, with shard requeue and mid-shard worker
 # kill; the channel-transport leg is the bitwise-vs-serial assert of
-# the ensemble smoke gate above (shmem/tcp legs ride the same suite)
+# the ensemble smoke gate above (the tcp leg rides the same suite)
 cargo test -q --test ensemble_pinning
 
 echo "== exact build counts x10 =="

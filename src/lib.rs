@@ -16,8 +16,8 @@
 //!
 //! // 2. run the farm (4 workers, largest-k-first as in the paper) —
 //! //    a `FarmPool` started, given this one job and shut down; swap
-//! //    ChannelWorld for ShmemWorld or TcpWorld to change the
-//! //    message-passing substrate without touching the farm code
+//! //    ChannelWorld for TcpWorld to change the message-passing
+//! //    substrate without touching the farm code
 //! let report = Farm::<ChannelWorld>::new(4)
 //!     .run(&spec, SchedulePolicy::LargestFirst)
 //!     .expect("farm session");
@@ -46,7 +46,6 @@ pub mod prelude {
     pub use background::{Background, CosmoParams, Species};
     pub use boltzmann::{evolve_mode, Gauge, InitialConditions, ModeConfig, ModeOutput, Preset};
     pub use msgpass::channel::ChannelWorld;
-    pub use msgpass::shmem::ShmemWorld;
     pub use msgpass::tcp::TcpWorld;
     pub use msgpass::{CommError, Rank, Tag, Transport, World};
     pub use plinger::{

@@ -1,6 +1,6 @@
 //! Ensemble-scheduler pinning: a parameter sweep through the two-level
 //! scheduler must be *bitwise* identical to the obvious serial loop of
-//! single-cosmology jobs, on every transport, with the per-shard
+//! single-cosmology jobs, on both transports, with the per-shard
 //! recovery ledgers and the one-build-per-cosmology table cache doing
 //! their jobs along the way.
 //!
@@ -15,7 +15,6 @@
 
 use boltzmann::{ModeOutput, Preset, SpectrumMethod};
 use msgpass::channel::ChannelWorld;
-use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
 use msgpass::World;
 use plinger::{
@@ -118,11 +117,6 @@ fn sweep_matches_serial<W: World>() {
 #[test]
 fn sweep_matches_serial_channel() {
     sweep_matches_serial::<ChannelWorld>();
-}
-
-#[test]
-fn sweep_matches_serial_shmem() {
-    sweep_matches_serial::<ShmemWorld>();
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Transport-independence of the farm: the same `Farm` session runs
-//! over the channel, shared-memory, and TCP transports, producing
+//! over the channel and TCP transports, producing
 //! identical physics — the paper's claim that "the choice of which
 //! library to use has no effect" beyond convenience.  Also the
 //! session-layer fault test: a worker that dies mid-run costs the
@@ -8,7 +8,6 @@
 use std::time::{Duration, Instant};
 
 use msgpass::channel::ChannelWorld;
-use msgpass::shmem::ShmemWorld;
 use msgpass::tcp::TcpWorld;
 use plinger::{Farm, FaultPlan, RunSpec, SchedulePolicy};
 use plinger_repro::prelude::*;
@@ -59,16 +58,6 @@ fn channel_and_tcp_agree_with_each_other() {
 }
 
 #[test]
-fn farm_over_shared_memory_matches_serial() {
-    let spec = tiny_spec();
-    let rep = Farm::<ShmemWorld>::new(2)
-        .run(&spec, SchedulePolicy::LargestFirst)
-        .unwrap();
-    let (serial, _) = run_serial(&spec).unwrap();
-    assert_bitwise_match(&rep.outputs, &serial);
-}
-
-#[test]
 fn completion_log_respects_scheduling() {
     // with one worker the completion order IS the dispatch order
     let spec = tiny_spec();
@@ -110,8 +99,9 @@ fn default_farm_survives_a_dropped_worker() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// For random tiny k-sets, the farm over every in-process transport
-    /// reproduces the serial reference bit for bit.
+    /// For random tiny k-sets, the in-process farm reproduces the
+    /// serial reference bit for bit whichever end of the grid it
+    /// dispatches first.
     #[test]
     fn farm_is_bit_identical_across_transports(
         ks in proptest::collection::vec(2.0e-4f64..2.0e-3, 1..4),
@@ -123,10 +113,10 @@ proptest! {
         let chan = Farm::<ChannelWorld>::new(n_workers)
             .run(&spec, SchedulePolicy::LargestFirst)
             .unwrap();
-        let shm = Farm::<ShmemWorld>::new(n_workers)
+        let smallest = Farm::<ChannelWorld>::new(n_workers)
             .run(&spec, SchedulePolicy::SmallestFirst)
             .unwrap();
-        for ((s, c), m) in serial.iter().zip(&chan.outputs).zip(&shm.outputs) {
+        for ((s, c), m) in serial.iter().zip(&chan.outputs).zip(&smallest.outputs) {
             prop_assert_eq!(s.delta_c.to_bits(), c.delta_c.to_bits());
             prop_assert_eq!(s.delta_c.to_bits(), m.delta_c.to_bits());
             prop_assert_eq!(s.psi.to_bits(), c.psi.to_bits());

@@ -10,7 +10,6 @@
 use std::time::{Duration, Instant};
 
 use msgpass::channel::ChannelWorld;
-use msgpass::shmem::ShmemWorld;
 use plinger::{
     build_run_report, CancelReason, Farm, FarmError, FarmReport, FaultPlan, JobControl,
     MasterConfig, RunSpec, SchedulePolicy,
@@ -71,11 +70,11 @@ fn requeue_finishes_after_worker_loss_bitwise() {
 }
 
 #[test]
-fn requeue_over_shmem_finishes_too() {
-    // shmem has no disconnect signal; recovery rides purely on the
-    // watch flags, same as the channel world
+fn requeue_finishes_after_losing_the_last_rank() {
+    // the same loss on the last rank instead of the first: rank 2's
+    // mode returns to the queue and rank 1 finishes the run
     let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.0e-3]);
-    let rep = Farm::<ShmemWorld>::new(2)
+    let rep = Farm::<ChannelWorld>::new(2)
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
@@ -343,9 +342,10 @@ fn cancel_config() -> plinger::MasterConfig {
 
 /// Cancel job 1 (either lever), then prove the pool still serves job 2
 /// bitwise-identically with every rank participating.
-fn assert_cancel_then_serve<W: msgpass::World>(ctrl: &JobControl<'_>, reason: CancelReason) {
+fn assert_cancel_then_serve(ctrl: &JobControl<'_>, reason: CancelReason) {
     let job2 = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4, 1.0e-3, 7.0e-4, 1.4e-3]);
-    let mut pool = FarmPool::<W>::start_with(2, cancel_config(), PoolOptions::default()).unwrap();
+    let mut pool =
+        FarmPool::<ChannelWorld>::start_with(2, cancel_config(), PoolOptions::default()).unwrap();
 
     let err = pool
         .run_job_prefetched(&long_job(), SchedulePolicy::Fifo, ctrl, None)
@@ -392,16 +392,7 @@ fn deadline_mid_job_cancels_and_frees_the_pool() {
         deadline: Some(Instant::now() + Duration::from_millis(15)),
         cancel: None,
     };
-    assert_cancel_then_serve::<ChannelWorld>(&ctrl, CancelReason::DeadlineExceeded);
-}
-
-#[test]
-fn deadline_mid_job_cancels_over_shmem_too() {
-    let ctrl = JobControl {
-        deadline: Some(Instant::now() + Duration::from_millis(15)),
-        cancel: None,
-    };
-    assert_cancel_then_serve::<ShmemWorld>(&ctrl, CancelReason::DeadlineExceeded);
+    assert_cancel_then_serve(&ctrl, CancelReason::DeadlineExceeded);
 }
 
 #[test]
@@ -413,7 +404,7 @@ fn explicit_cancel_flag_aborts_the_job() {
         deadline: None,
         cancel: Some(&abandon),
     };
-    assert_cancel_then_serve::<ChannelWorld>(&ctrl, CancelReason::Cancelled);
+    assert_cancel_then_serve(&ctrl, CancelReason::Cancelled);
 }
 
 /// A worker that panics — here on the state layout's assert that a
@@ -421,12 +412,13 @@ fn explicit_cancel_flag_aborts_the_job() {
 /// (a curved cosmology no longer reaches a worker) — must read dead, not
 /// busy forever: the farm ends with a typed error instead of polling a
 /// liveness flag nobody clears.
-fn panicking_workers_surface_as_typed_errors<W: msgpass::World>() {
+#[test]
+fn panicking_workers_surface_as_typed_errors_channel() {
     let mut spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     spec.nq = Some(4);
     spec.lmax_h = 2;
     let t0 = Instant::now();
-    let outcome = Farm::<W>::new(2)
+    let outcome = Farm::<ChannelWorld>::new(2)
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
@@ -439,16 +431,6 @@ fn panicking_workers_surface_as_typed_errors<W: msgpass::World>() {
         "{outcome:?}"
     );
     assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
-}
-
-#[test]
-fn panicking_workers_surface_as_typed_errors_channel() {
-    panicking_workers_surface_as_typed_errors::<ChannelWorld>();
-}
-
-#[test]
-fn panicking_workers_surface_as_typed_errors_shmem() {
-    panicking_workers_surface_as_typed_errors::<ShmemWorld>();
 }
 
 #[test]
