@@ -7,7 +7,7 @@
 //! closes its inbox, so a send to a rank that is gone is
 //! [`CommError::Disconnected`].
 
-use crate::mailbox::{self, Mailbox, Producer};
+use crate::mailbox::{Mailbox, Producer};
 use crate::{CommError, Envelope, Message, Rank, Tag, Transport, World};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,10 +21,16 @@ impl ChannelWorld {
     /// the endpoint set rather than `Self`; prefer [`World::endpoints`].
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize) -> Vec<ChannelEndpoint> {
-        mailbox::world(n)
-            .into_iter()
+        let boxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Mailbox::new()).collect();
+        boxes
+            .iter()
             .enumerate()
-            .map(|(rank, (inbox, peers))| ChannelEndpoint { rank, inbox, peers })
+            .map(|(rank, inbox)| ChannelEndpoint {
+                rank,
+                inbox: Arc::clone(inbox),
+                // a producer into every rank's inbox, its own included
+                peers: boxes.iter().map(Mailbox::producer).collect(),
+            })
             .collect()
     }
 }

@@ -180,21 +180,6 @@ impl Drop for Producer {
     }
 }
 
-/// Mailboxes for an `n`-rank world: for each rank its inbox and a
-/// producer into every rank's inbox (its own included), in rank order.
-pub(crate) fn world(n: usize) -> Vec<(Arc<Mailbox>, Vec<Producer>)> {
-    let boxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Mailbox::new()).collect();
-    boxes
-        .iter()
-        .map(|inbox| {
-            (
-                Arc::clone(inbox),
-                boxes.iter().map(Mailbox::producer).collect(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

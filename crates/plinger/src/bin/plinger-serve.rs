@@ -100,7 +100,7 @@ server options:
   --max-requests N          drain after N connections        [serve forever]
   --queue-limit N           shed requests past N in flight   [64]
   --cache-dir DIR           crash-safe result cache directory
-  --report-dir DIR          write a run_report JSON per cache miss
+  --report-dir DIR          write a run report and trace per cache miss
   --drain-timeout MS        worker drain window on error     [5000]
   --respawn-limit N         pooled worker respawn budget     [2]
   --log LEVEL[,json]        structured events on stderr

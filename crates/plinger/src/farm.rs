@@ -23,6 +23,7 @@ use msgpass::tcp::{connect_worker, TcpWorld};
 use msgpass::{Rank, Tag, World};
 use ode::Integrator;
 use recomb::ThermoHistory;
+use telemetry::SpanEvent;
 
 use crate::error::FarmError;
 use crate::master::MasterConfig;
@@ -282,9 +283,10 @@ impl<W: World> Farm<W> {
 
     /// Run one complete session: start a `(n_workers + 1)`-rank pool
     /// (never respawning — a one-job farm redistributes instead), run
-    /// the job, stop the workers, and account the run.  The workers'
-    /// span timelines, harvested at the shutdown joins, are appended to
-    /// the report's.
+    /// the job, stop the workers, and account the run.  The report
+    /// carries every worker span once: those the job's report took,
+    /// and what the pool hands back at shutdown (a hand-over that
+    /// missed the job's report).
     pub fn run(&self, spec: &RunSpec, policy: SchedulePolicy) -> Result<FarmReport, FarmError> {
         let opts = PoolOptions {
             respawn_limit: 0,
@@ -299,8 +301,8 @@ impl<W: World> Farm<W> {
 }
 
 /// The one-job tail of [`Farm::run`] and [`run_tcp_processes`]: run the
-/// job, stop the workers, and append the span timelines harvested at
-/// their joins to the report.
+/// job, stop the workers, and append the worker spans the job's report
+/// did not take to it.
 fn run_one_job<W: World>(
     mut pool: FarmPool<W>,
     spec: &RunSpec,
@@ -317,10 +319,12 @@ fn run_one_job<W: World>(
 /// filled (the master loop guarantees this on success) — except slots
 /// the session explicitly quarantined, which are accounted in the
 /// recovery log instead.  `comm` carries the measured per-endpoint
-/// counters in rank order.
+/// counters in rank order, `worker_spans` the spans the workers handed
+/// over for this job.
 pub(crate) fn finish_report(
     ledger: crate::master::MasterLedger,
     comm: Vec<msgpass::instrument::CommSnapshot>,
+    worker_spans: Vec<SpanEvent>,
 ) -> Result<FarmReport, FarmError> {
     let quarantined: std::collections::HashSet<usize> =
         ledger.recovery.failed_modes.iter().map(|f| f.ik).collect();
@@ -337,6 +341,8 @@ pub(crate) fn finish_report(
             }
         }
     }
+    let mut spans = ledger.spans;
+    spans.extend(worker_spans);
     Ok(FarmReport {
         outputs,
         wall_seconds: ledger.wall_seconds,
@@ -345,7 +351,7 @@ pub(crate) fn finish_report(
         completion_log: ledger.completion_log,
         telemetry: FarmTelemetry {
             comm,
-            spans: ledger.spans,
+            spans,
             master_idle_seconds: ledger.idle_seconds,
         },
         recovery: ledger.recovery,
@@ -416,7 +422,8 @@ pub fn run_tcp_processes(
 /// and serve jobs until stopped, under an optional scripted fault.
 ///
 /// The process owns its own [`TableCache`], so its physics tables stay
-/// warm between jobs and each tag-13 hint is its alone to claim.
+/// warm between jobs and each tag-13 hint is its alone to claim.  It
+/// keeps no span past its job: no report ever carries a child's.
 pub fn run_tcp_worker(
     addr: SocketAddr,
     rank: Rank,
@@ -424,7 +431,7 @@ pub fn run_tcp_worker(
     fault: Option<WorkerFault>,
 ) -> Result<(), FarmError> {
     let mut ep = connect_worker(addr, rank, size).map_err(FarmError::Setup)?;
-    worker_pool_session(&mut ep, fault, Instant::now(), &TableCache::new())?;
+    worker_pool_session(&mut ep, fault, Instant::now(), &TableCache::new(), None)?;
     Ok(())
 }
 

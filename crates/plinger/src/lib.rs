@@ -70,4 +70,4 @@ pub use service::{
 };
 pub use simulate::{simulate_farm, synthetic_costs, SimParams, SimResult};
 pub use tables::{PhysicsTables, TableCache};
-pub use worker::{worker_pool_session, WorkerFault, WorkerStats, WorkerTotals};
+pub use worker::{worker_pool_session, SpanSink, WorkerFault, WorkerStats, WorkerTotals};

@@ -1022,7 +1022,8 @@ mod tests {
             .drain(1..)
             .map(|mut ep| {
                 thread::spawn(move || {
-                    worker_pool_session(&mut ep, None, Instant::now(), &TableCache::new()).unwrap()
+                    worker_pool_session(&mut ep, None, Instant::now(), &TableCache::new(), None)
+                        .unwrap()
                 })
             })
             .collect();

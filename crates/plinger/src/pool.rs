@@ -6,14 +6,18 @@
 //! [`World`], running [`crate::worker::worker_pool_session`] with warm
 //! integrator scratch and the one [`TableCache`] they all share — a
 //! cosmology's physics tables are built once per pool, not once per
-//! rank) or OS subprocesses ([`FarmPool::start_processes`], over
+//! rank — and the one [`SpanSink`] they hand each job's spans to) or OS
+//! subprocesses ([`FarmPool::start_processes`], over
 //! localhost TCP, each running the same session on a cache of its own).
 //! [`Farm::run`](crate::Farm::run) is a thread pool started, given one
 //! job and shut down; [`crate::run_tcp_processes`] is the same over
 //! subprocesses.  Per-job state — work queue, recovery ledger,
 //! heartbeat clocks, idle accounting, telemetry — lives inside
 //! [`crate::master::master_job_session`] and is rebuilt from scratch
-//! every job; only endpoints, workers and tables persist.
+//! every job; only endpoints, workers and tables persist.  A job's
+//! worker spans leave with its report too: the pool drains the sink
+//! into every job's [`FarmReport`], so a resident pool keeps nothing per
+//! mode it serves.
 //!
 //! The two kinds differ only in how a worker is kept alive, and that is
 //! one private enum here: how a dead rank is detected, how it is
@@ -62,7 +66,7 @@ use crate::protocol::{require_evolvable, RunSpec, TAG_STOP};
 use crate::recovery::WorkerEvent;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
-use crate::worker::{worker_pool_session, WorkerFault, WorkerTotals};
+use crate::worker::{worker_pool_session, SpanSink, WorkerFault, WorkerTotals};
 
 /// Pool-level knobs (the per-job knobs live in [`MasterConfig`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -119,12 +123,13 @@ fn spawn_pool_worker<W: World>(
     fault: Option<WorkerFault>,
     epoch: Instant,
     tables: Arc<TableCache>,
+    sink: Arc<SpanSink>,
 ) -> (Arc<AtomicBool>, WorkerHandle<W>) {
     let alive = Arc::new(AtomicBool::new(true));
     let flag = ClearOnDrop(Arc::clone(&alive));
     let handle = std::thread::spawn(move || {
         let _flag = flag;
-        let out = worker_pool_session(&mut ep, fault, epoch, &tables);
+        let out = worker_pool_session(&mut ep, fault, epoch, &tables, Some(&sink));
         // hand the endpoint back: a vanished-but-clean worker's endpoint
         // is reusable by a replacement session under the same rank
         (out, ep)
@@ -194,10 +199,12 @@ enum Liveness {
 /// How a pool keeps its workers alive — the one thing the two kinds do
 /// differently.
 enum Workers<W: World> {
-    /// Session threads in this process, sharing `tables`.
+    /// Session threads in this process, sharing `tables` and handing
+    /// each job's spans to `sink`.
     Threads {
         ranks: Vec<PoolWorker<W>>,
         tables: Arc<TableCache>,
+        sink: Arc<SpanSink>,
     },
     /// Copies of `exe` started with the hidden `--tcp-worker` arguments,
     /// re-admitted through `port` when relaunched.
@@ -216,6 +223,15 @@ impl<W: World> Workers<W> {
         }
     }
 
+    /// The spans thread workers handed over since the last call; none
+    /// from subprocesses, which keep none.
+    fn handed_over(&self) -> Vec<SpanEvent> {
+        match self {
+            Workers::Threads { sink, .. } => sink.drain(),
+            Workers::Processes { .. } => Vec::new(),
+        }
+    }
+
     /// Rank `i + 1` is believed to be running.  A subprocess counts as
     /// running until the liveness watch reaps it.
     fn running(&self, i: usize) -> bool {
@@ -227,18 +243,15 @@ impl<W: World> Workers<W> {
 
     /// Poll rank `i + 1`; if it died, replace it when `may_respawn` and
     /// the rank is replaceable (a thread that returned its endpoint, a
-    /// child that exited abnormally).  Spans of a reaped thread go to
-    /// `spans`.
-    fn poll(
-        &mut self,
-        i: usize,
-        may_respawn: bool,
-        epoch: Instant,
-        spans: &mut Vec<SpanEvent>,
-    ) -> Liveness {
+    /// child that exited abnormally).
+    fn poll(&mut self, i: usize, may_respawn: bool, epoch: Instant) -> Liveness {
         let rank = i + 1;
         match self {
-            Workers::Threads { ranks, tables } => {
+            Workers::Threads {
+                ranks,
+                tables,
+                sink,
+            } => {
                 let w = &mut ranks[i];
                 if w.alive.load(Ordering::SeqCst) {
                     return Liveness::Running;
@@ -249,16 +262,16 @@ impl<W: World> Workers<W> {
                     .handle
                     .take()
                     .and_then(|h| h.join().ok())
-                    .map(|(outcome, ep)| {
-                        if let Ok(out) = outcome {
-                            spans.extend(out.spans);
-                        }
-                        ep
-                    });
+                    .map(|(_, ep)| ep);
                 match endpoint {
                     Some(ep) if may_respawn => {
-                        let (alive, handle) =
-                            spawn_pool_worker::<W>(ep, None, epoch, Arc::clone(tables));
+                        let (alive, handle) = spawn_pool_worker::<W>(
+                            ep,
+                            None,
+                            epoch,
+                            Arc::clone(tables),
+                            Arc::clone(sink),
+                        );
                         w.alive = alive;
                         w.handle = Some(handle);
                         Liveness::Respawned
@@ -298,12 +311,12 @@ impl<W: World> Workers<W> {
     /// master: threads answer the stop with a tag-7 the master must
     /// still accept, so it outlives their joins; a subprocess that
     /// missed its stop sees the hang-up, so it goes first.
-    fn join(&mut self, master: Option<PoolEndpoint<W>>, spans: &mut Vec<SpanEvent>) {
+    fn join(&mut self, master: Option<PoolEndpoint<W>>) {
         match self {
             Workers::Threads { ranks, .. } => {
                 for w in ranks.iter_mut() {
-                    if let Some(Ok((Ok(out), _ep))) = w.handle.take().map(|h| h.join()) {
-                        spans.extend(out.spans);
+                    if let Some(h) = w.handle.take() {
+                        let _ = h.join();
                     }
                 }
                 drop(master);
@@ -323,10 +336,13 @@ impl<W: World> Workers<W> {
 pub struct PoolShutdown {
     /// Jobs the pool ran to a report.
     pub jobs: usize,
-    /// Worker-side span timelines across all jobs (harvested at thread
-    /// joins; per-job reports carry master spans only, because worker
-    /// threads are still running when a job's report is cut).  Empty
-    /// for a subprocess pool: children keep their spans to themselves.
+    /// Worker spans no job's report carries: a job's that ended without
+    /// a report (cancelled, past its deadline, failed), any handed over
+    /// after their job's report was cut, and what the threads handed
+    /// over at their stop (hint builds no job followed).  Every
+    /// reported job's `wait`/`mode`/`build_ctx`/`prefetch_ctx` spans are
+    /// in that job's [`FarmReport`] instead.  Empty for a subprocess
+    /// pool: children keep none.
     pub worker_spans: Vec<SpanEvent>,
 }
 
@@ -360,8 +376,9 @@ pub struct FarmPool<W: World> {
     /// (master first, then thread workers in rank order) — the baseline
     /// the next job's per-job comm table is a delta against.
     comm_prev: Vec<CommSnapshot>,
-    /// Worker spans harvested from joined (dead or stopped) threads.
-    spans: Vec<SpanEvent>,
+    /// Worker spans no report took: a job's that cut none, and
+    /// hand-overs that missed their job's report.
+    unreported: Vec<SpanEvent>,
     jobs_run: usize,
     closed: bool,
 }
@@ -391,6 +408,7 @@ impl<W: World> FarmPool<W> {
         // one epoch anchors every span recorder, master's and workers'
         let epoch = Instant::now();
         let tables = Arc::new(TableCache::new());
+        let sink = Arc::new(SpanSink::default());
         let fault_spec = opts.fault.map(|f| f.fault_spec()).unwrap_or_default();
         let mut eps = eps.into_iter();
         let Some(master) = eps.next() else {
@@ -403,8 +421,13 @@ impl<W: World> FarmPool<W> {
             .map(|(i, ep)| {
                 let (wrapped, stats) = wrap_endpoint::<W>(ep, &fault_spec);
                 let fault = opts.fault.and_then(|f| f.worker_fault(i + 1));
-                let (alive, handle) =
-                    spawn_pool_worker::<W>(wrapped, fault, epoch, Arc::clone(&tables));
+                let (alive, handle) = spawn_pool_worker::<W>(
+                    wrapped,
+                    fault,
+                    epoch,
+                    Arc::clone(&tables),
+                    Arc::clone(&sink),
+                );
                 PoolWorker {
                     alive,
                     handle: Some(handle),
@@ -412,7 +435,11 @@ impl<W: World> FarmPool<W> {
                 }
             })
             .collect();
-        let workers = Workers::Threads { ranks, tables };
+        let workers = Workers::Threads {
+            ranks,
+            tables,
+            sink,
+        };
         Ok(Self::assemble(master, workers, config, opts, epoch))
     }
 
@@ -435,7 +462,7 @@ impl<W: World> FarmPool<W> {
             epoch,
             respawns_left: opts.respawn_limit,
             comm_prev: Vec::new(),
-            spans: Vec::new(),
+            unreported: Vec::new(),
             jobs_run: 0,
             closed: false,
         };
@@ -480,9 +507,10 @@ impl<W: World> FarmPool<W> {
     /// Run one k-grid job on the resident workers and cut its report.
     ///
     /// The report's worker statistics, idle/imbalance accounting, recovery ledger,
-    /// and comm table cover *this job only* — comm counters are deltas
-    /// against a between-jobs baseline, and each worker reports fresh
-    /// per-job stats on its tag-11 release.
+    /// comm table and spans cover *this job only* — comm counters are
+    /// deltas against a between-jobs baseline, each worker reports fresh
+    /// per-job stats on its tag-11 release, and a thread worker hands
+    /// over the job's spans just before it.
     pub fn run_job(
         &mut self,
         spec: &RunSpec,
@@ -527,12 +555,13 @@ impl<W: World> FarmPool<W> {
                 detail: "pool already shut down".into(),
             });
         };
+        // a hand-over that missed the last job's report is not this job's
+        self.unreported.extend(self.workers.handed_over());
         let epoch = self.epoch;
         let config = self.config;
         let workers = &mut self.workers;
         let retired = &mut self.retired;
         let respawns_left = &mut self.respawns_left;
-        let spans = &mut self.spans;
         let mut watch = || -> Vec<WorkerEvent> {
             let mut events = Vec::new();
             for (i, gone) in retired.iter_mut().enumerate() {
@@ -541,7 +570,7 @@ impl<W: World> FarmPool<W> {
                     events.push(WorkerEvent::Dead(rank));
                     continue;
                 }
-                match workers.poll(i, *respawns_left > 0, epoch, spans) {
+                match workers.poll(i, *respawns_left > 0, epoch) {
                     Liveness::Running => {}
                     Liveness::Respawned => {
                         *respawns_left -= 1;
@@ -573,8 +602,10 @@ impl<W: World> FarmPool<W> {
         let outcome = master_job_session(
             master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
         );
-        // refresh the comm baseline even on error, so a failed job's
-        // traffic never leaks into the next job's table
+        // refresh the comm baseline and drain the workers' spans even on
+        // error, so a failed job's traffic and tracks never leak into
+        // the next job's report
+        let worker_spans = self.workers.handed_over();
         let snaps = self.comm_snapshots();
         let comm: Vec<CommSnapshot> = snaps
             .iter()
@@ -582,19 +613,27 @@ impl<W: World> FarmPool<W> {
             .map(|(now, prev)| now.delta(prev))
             .collect();
         self.comm_prev = snaps;
-        let ledger = outcome?;
+        let ledger = match outcome {
+            Ok(ledger) => ledger,
+            Err(e) => {
+                self.unreported.extend(worker_spans);
+                return Err(e);
+            }
+        };
         self.jobs_run += 1;
-        finish_report(ledger, comm)
+        finish_report(ledger, comm, worker_spans)
     }
 
     /// Stop every resident worker (tag 6), join them, and return the
-    /// pool-lifetime leftovers: job count and the worker threads' span
-    /// timelines.
+    /// pool-lifetime leftovers: job count and the worker spans no job's
+    /// report took.
     pub fn shutdown(mut self) -> PoolShutdown {
         self.close();
+        let mut worker_spans = std::mem::take(&mut self.unreported);
+        worker_spans.extend(self.workers.handed_over());
         PoolShutdown {
             jobs: self.jobs_run,
-            worker_spans: std::mem::take(&mut self.spans),
+            worker_spans,
         }
     }
 
@@ -613,7 +652,7 @@ impl<W: World> FarmPool<W> {
                 }
             }
         }
-        self.workers.join(master, &mut self.spans);
+        self.workers.join(master);
     }
 }
 

@@ -68,11 +68,13 @@ pub fn tag_name(tag: usize) -> &'static str {
     }
 }
 
-/// Everything telemetry-shaped that one farm run produced.
+/// Everything telemetry-shaped that one farm job produced.
 ///
-/// The thread farms fill all fields; the multi-process TCP farm only
-/// carries the master-side endpoint and spans (a subprocess worker's
-/// in-process telemetry dies with it — its wire-shipped
+/// On thread workers every field is filled, per job: each worker hands
+/// over its spans for the job just before its tag-7, so the timeline
+/// holds the master's track and every worker's.  Subprocess workers
+/// fill only the master-side endpoint and spans (a child's endpoint is
+/// not counted and it drops its spans at each tag-7 — its wire-shipped
 /// [`WorkerStats`](crate::WorkerStats) still arrive as tag 7).
 /// Everything is empty when telemetry was disabled.
 #[derive(Debug, Clone, Default)]

@@ -50,7 +50,7 @@ use crate::ensemble::{
 use crate::error::{CancelReason, FarmError};
 use crate::farm::FarmReport;
 use crate::master::JobControl;
-use crate::output_files::write_run_report;
+use crate::output_files::{write_run_report, write_trace};
 use crate::pool::FarmPool;
 use crate::protocol::{count_from_real, hash_reals, job_hash, require_evolvable, RunSpec};
 use crate::schedule::SchedulePolicy;
@@ -1307,8 +1307,9 @@ impl Drop for QueueSlot<'_> {
 /// decode and admit, the service lock, the run under the request's
 /// deadline and `cancel`, and every reply frame through `send` (a
 /// tag-21; tag-23 shards and the tag-24 summary; or one tag-29).  With
-/// `report_dir` a spectrum miss leaves its run report there, a failed
-/// spectrum job its flight dump.  [`TAG_REQ_METRICS`] is answered off
+/// `report_dir` a spectrum miss leaves its run report and its trace
+/// (master and worker tracks) there, a failed spectrum job its flight
+/// dump.  [`TAG_REQ_METRICS`] is answered off
 /// `metrics` alone, never the service lock, and any other tag is a
 /// `bad-request`; neither passes the gate.  An `Err` from `send` (client
 /// gone) ends the request at once, is not counted as an error, and
@@ -1467,6 +1468,10 @@ fn answer_spectrum<W: World>(
         match write_run_report(&prefix, report, W::NAME) {
             Ok((path, _)) => eprintln!("plinger-serve: run report written to {path}"),
             Err(e) => eprintln!("plinger-serve: writing run report failed: {e}"),
+        }
+        // the job's master and worker tracks, beside its report
+        if let Err(e) = write_trace(format!("{prefix}.trace.json"), report) {
+            eprintln!("plinger-serve: writing trace failed: {e}");
         }
     }
     tlog::log(
@@ -2446,7 +2451,16 @@ mod tests {
             h: vec![0.5],
             n_s: vec![1.0],
         };
-        assert!(!svc.handle(&ens.shard_spec(1)).unwrap().cache_hit);
+        let single = svc.handle(&ens.shard_spec(1)).unwrap();
+        assert!(!single.cache_hit);
+        // the single request's job built shard 1's tables, and its
+        // report carries the worker span that says so
+        let built: Vec<String> = (single.report.unwrap().telemetry.spans.iter())
+            .filter(|s| s.name == "build_ctx")
+            .filter_map(|s| s.args.iter().find(|(k, _)| k == "job"))
+            .map(|(_, v)| v.clone())
+            .collect();
+        assert_eq!(built, [tlog::job_hex(ens.shard_hash(1))]);
 
         let (frames, summary) = sweep_frames(&mut svc, &ens);
         assert_eq!(stream(&frames), [(0, false), (1, true), (2, false)]);
@@ -2460,30 +2474,18 @@ mod tests {
         );
 
         // shard 0's job hinted shard 2, past the cached shard 1: one rank
-        // built shard 2's tables then, and shard 2's job built none
-        let SpectrumService { pool, .. } = svc;
-        let spans = pool.shutdown().worker_spans;
-        let built = |name: &str| -> Vec<String> {
-            let mut jobs: Vec<String> = spans
-                .iter()
-                .filter(|s| s.name == name)
-                .filter_map(|s| s.args.iter().find(|(k, _)| k == "job"))
-                .map(|(_, v)| v.clone())
-                .collect();
-            jobs.sort();
-            jobs
-        };
-        let mut cold = vec![
-            tlog::job_hex(ens.shard_hash(0)),
-            tlog::job_hex(ens.shard_hash(1)),
-        ];
-        cold.sort();
-        assert_eq!(built("build_ctx"), cold, "ctx_rebuilds");
-        assert_eq!(
-            built("prefetch_ctx"),
-            [tlog::job_hex(ens.shard_hash(2))],
-            "prefetch_builds"
-        );
+        // built shard 2's tables then, and shard 2's job built none.  A
+        // hint at shard 1 would have found its tables built, and shard
+        // 2's job would have built its own (2 rebuilds, 0 prefetches).
+        // The walk sums both counts over its jobs' reports.
+        let sweep = tlog::job_hex(ensemble_hash(&ens));
+        let done = tlog::recent(tlog::FLIGHT_CAPACITY)
+            .into_iter()
+            .rfind(|e| e.message == "sweep_done" && e.field("ensemble") == Some(sweep.as_str()))
+            .expect("the sweep's sweep_done event");
+        assert_eq!(done.field("ctx_rebuilds"), Some("1"), "ctx_rebuilds");
+        assert_eq!(done.field("prefetch_builds"), Some("1"), "prefetch_builds");
+        let _ = svc.shutdown();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The worker subroutine (`kidsub` in Appendix A).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use boltzmann::evolve_mode_scratch;
@@ -372,6 +372,37 @@ fn serve_assignments<T: Transport>(
     }
 }
 
+/// Where the worker threads of a pool hand over their spans: each
+/// job's just before that job's tag-7 report, and whatever is left when
+/// the session ends (a vanished job's, hint builds no job followed).
+/// The pool drains it into each job's [`FarmReport`](crate::FarmReport)
+/// once the master has every report, so a resident rank keeps no span
+/// past the job it served.  Shared by a pool's threads the way its
+/// [`TableCache`] is.
+#[derive(Debug, Default)]
+pub struct SpanSink(Mutex<Vec<SpanEvent>>);
+
+/// Hand what `rec` recorded to `sink`, or drop it without one: a
+/// subprocess worker's spans reach no report.
+fn hand_over(sink: Option<&SpanSink>, rec: SpanRecorder) {
+    let spans = rec.into_events();
+    if let Some(sink) = sink.filter(|_| !spans.is_empty()) {
+        sink.lock().extend(spans);
+    }
+}
+
+impl SpanSink {
+    /// Everything handed over since the last drain.
+    pub fn drain(&self) -> Vec<SpanEvent> {
+        std::mem::take(&mut *self.lock())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<SpanEvent>> {
+        // a push is one extend, so a panicked holder leaves a usable list
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// What one worker accumulated over its whole lifetime.
 #[derive(Debug, Default)]
 pub struct WorkerTotals {
@@ -379,9 +410,6 @@ pub struct WorkerTotals {
     pub jobs: usize,
     /// Whole-lifetime statistics: the per-job reports summed.
     pub stats: WorkerStats,
-    /// Local wall-clock spans across all jobs, on one timeline
-    /// (`mode`, `wait`, `build_ctx`, and `prefetch_ctx` events).
-    pub spans: Vec<SpanEvent>,
 }
 
 /// The worker session: serve jobs until the master sends a tag-6 stop.
@@ -409,13 +437,17 @@ pub struct WorkerTotals {
 ///   excluded from [`WorkerStats::bytes_sent`];
 /// * answers the per-job release (tag 11, or a tag-12 cancel) with that
 ///   job's own tag-7 stats — fresh counters every job, so
-///   idle/imbalance accounting never bleeds across jobs;
+///   idle/imbalance accounting never bleeds across jobs — after handing
+///   the spans recorded since the previous report to `sink`, so the
+///   session keeps nothing per job; without a sink (a subprocess
+///   worker, whose spans reach no report) they are dropped;
 /// * consumes and ignores stale traffic between jobs (e.g. an
 ///   assignment addressed to this rank's previous incarnation that was
 ///   already requeued elsewhere);
 /// * on a tag-6 stop, reports its stats (this job's if one is open,
 ///   lifetime totals — zero if it never saw a job — when idle) and
-///   exits.
+///   exits; any exit, a scripted vanish's too, hands `sink` what is
+///   left of its spans.
 ///
 /// `epoch` anchors the span timestamps; the pool passes one epoch to
 /// every rank so the per-rank tracks (`mode`, `wait`, `build_ctx`,
@@ -425,10 +457,12 @@ pub fn worker_pool_session<T: Transport>(
     fault: Option<WorkerFault>,
     epoch: Instant,
     cache: &TableCache,
+    sink: Option<&SpanSink>,
 ) -> Result<WorkerTotals, FarmError> {
     let (mytid, mastid) = initpass(t);
     let mut buf = Vec::new();
-    let mut rec = SpanRecorder::new(epoch, 0, mytid as u64);
+    let blank = SpanRecorder::new(epoch, 0, mytid as u64);
+    let mut rec = blank.clone();
     let mut out = WorkerTotals::default();
     let mut integ = Integrator::new();
     let mut hb = Heartbeat::new();
@@ -443,8 +477,8 @@ pub fn worker_pool_session<T: Transport>(
             let n = myrecvreal(t, &mut buf, tag, mastid)?;
             if tag == TAG_STOP {
                 // session over; report lifetime totals
+                hand_over(sink, rec);
                 mysendreal(t, &out.stats.to_wire(), TAG_STATS, mastid)?;
-                out.spans = rec.into_events();
                 return Ok(out);
             }
             if tag == TAG_PREFETCH {
@@ -494,16 +528,16 @@ pub fn worker_pool_session<T: Transport>(
         let Some(release_tag) = released else {
             // scripted vanish/stall: disappear without the goodbye
             out.stats.absorb(&stats);
-            out.spans = rec.into_events();
+            hand_over(sink, rec);
             return Ok(out);
         };
         stats.total_seconds = t_start.elapsed().as_secs_f64();
+        hand_over(sink, std::mem::replace(&mut rec, blank.clone()));
         mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
         out.jobs += 1;
         out.stats.absorb(&stats);
         if release_tag == TAG_STOP {
             // the pool is shutting down under an open job
-            out.spans = rec.into_events();
             return Ok(out);
         }
         // released or cancelled: park warm and wait for the next job
@@ -536,7 +570,7 @@ mod tests {
             let mut worker = eps.pop().unwrap();
             let mut master = eps.pop().unwrap();
             let h = std::thread::spawn(move || {
-                worker_pool_session(&mut worker, None, Instant::now(), &TableCache::new())
+                worker_pool_session(&mut worker, None, Instant::now(), &TableCache::new(), None)
             });
             let mut buf = Vec::new();
             master.send(1, TAG_INIT, &spec.encode()).unwrap();
@@ -558,6 +592,64 @@ mod tests {
                 other => panic!("{payload:?}: expected Protocol, got {other:?}"),
             }
         }
+    }
+
+    /// Drive one session through two 2-mode jobs and a stop over
+    /// channel endpoints, handing its spans to `sink` if there is one;
+    /// returns its totals and the `mode` spans `sink` held after each
+    /// tag-7 (one entry per job, then one for the stop).
+    fn two_jobs_and_a_stop(sink: Option<Arc<SpanSink>>) -> (WorkerTotals, Vec<usize>) {
+        let mut spec = RunSpec::standard_cdm(vec![2.0e-3, 4.0e-3]);
+        spec.preset = boltzmann::Preset::Draft;
+        let mut eps = ChannelWorld::new(2);
+        let mut worker = eps.pop().unwrap();
+        let mut master = eps.pop().unwrap();
+        let held = sink.clone();
+        let h = std::thread::spawn(move || {
+            let cache = TableCache::new();
+            worker_pool_session(&mut worker, None, Instant::now(), &cache, held.as_deref())
+        });
+        let modes = || {
+            let spans = sink.as_ref().map(|s| s.drain()).unwrap_or_default();
+            spans.iter().filter(|s| s.name == "mode").count()
+        };
+        let mut buf = Vec::new();
+        let mut per_job = Vec::new();
+        for _ in 0..2 {
+            master.send(1, TAG_INIT, &spec.encode()).unwrap();
+            master.recv(1, TAG_REQUEST, &mut buf).unwrap();
+            for ik in 0..spec.ks.len() {
+                master.send(1, TAG_ASSIGN, &[ik as f64]).unwrap();
+                master.recv(1, TAG_HEADER, &mut buf).unwrap();
+                master.recv(1, TAG_DATA, &mut buf).unwrap();
+            }
+            master.send(1, TAG_JOBDONE, &[0.0]).unwrap();
+            master.recv(1, TAG_STATS, &mut buf).unwrap();
+            assert_eq!(WorkerStats::from_wire(&buf).unwrap().modes, spec.ks.len());
+            per_job.push(modes());
+        }
+        master.send(1, TAG_STOP, &[0.0]).unwrap();
+        master.recv(1, TAG_STATS, &mut buf).unwrap();
+        let totals = h.join().unwrap().unwrap();
+        per_job.push(modes());
+        (totals, per_job)
+    }
+
+    #[test]
+    fn a_session_hands_each_jobs_spans_over_before_its_report() {
+        let (totals, per_job) = two_jobs_and_a_stop(Some(Arc::default()));
+        assert_eq!((totals.jobs, totals.stats.modes), (2, 4));
+        assert_eq!(per_job, [2, 2, 0], "mode spans in the sink at each tag-7");
+    }
+
+    #[test]
+    fn a_session_without_a_sink_keeps_no_span_past_its_job() {
+        // a subprocess worker's session: the same two jobs and stop, and
+        // nothing to hand its spans to — it drops them at each tag-7,
+        // and what it returns holds no span at all
+        let (totals, per_job) = two_jobs_and_a_stop(None);
+        assert_eq!((totals.jobs, totals.stats.modes), (2, 4));
+        assert_eq!(per_job, [0, 0, 0]);
     }
 
     #[test]

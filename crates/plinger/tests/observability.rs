@@ -4,20 +4,27 @@
 //! drifting out of the doc (or a new family landing undocumented)
 //! fails here before it breaks someone's dashboard.  The sweep's events
 //! are held to their documented rows the same way, on `run_ensemble` and
-//! on a service sweep alike.
+//! on a service sweep alike, and a miss's trace file carries every track
+//! of its job.
 
 use std::collections::BTreeSet;
 use std::convert::Infallible;
+use std::sync::atomic::AtomicBool;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use boltzmann::Preset;
 use msgpass::channel::ChannelWorld;
+use msgpass::Message;
+use plinger::service::answer;
 use plinger::{
-    ensemble_hash, run_ensemble, EnsembleOptions, EnsembleSpec, FarmError, FarmPool, FarmReport,
-    FarmTelemetry, FaultPlan, JobControl, MasterConfig, PoolOptions, RecoveryLog, RunSpec,
-    SchedulePolicy, ServiceMetrics, ShardRunner, SpectrumService,
+    ensemble_hash, job_hash, run_ensemble, EnsembleOptions, EnsembleSpec, FarmError, FarmPool,
+    FarmReport, FarmTelemetry, FaultPlan, JobControl, MasterConfig, PoolOptions, RecoveryLog,
+    RunSpec, SchedulePolicy, ServiceMetrics, ShardRunner, SpectrumRequest, SpectrumService,
+    TAG_REQ_SPECTRUM,
 };
 use telemetry::log::{self as tlog, LogEvent};
+use telemetry::Json;
 
 /// The frozen family list (sans `plinger_` prefix).  Extending the
 /// surface means adding here AND to `docs/OBSERVABILITY.md`.
@@ -287,4 +294,72 @@ fn a_service_sweep_logs_the_documented_ensemble_rows() {
     assert_eq!(rows.len(), 6, "{rows:?}");
     assert!(rows.is_subset(&seen), "seen {seen:?}");
     assert!(seen.contains(&("service".to_string(), "shard_hit".to_string())));
+}
+
+#[test]
+fn a_miss_leaves_its_trace_beside_its_run_report() {
+    // with a report directory a miss writes `<prefix>.trace.json` next
+    // to `<prefix>.run_report.json`: the master's track and one track per
+    // worker, every span stamped with the request's job hash.  The
+    // repeat is a hit and writes neither
+    let dir = std::env::temp_dir().join(format!("plinger_trace_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("report dir");
+    let mut spec = RunSpec::standard_cdm(vec![4.0e-4, 1.0e-3, 2.0e-3]);
+    spec.preset = Preset::Draft;
+    let pool = FarmPool::<ChannelWorld>::start(2).expect("pool");
+    let svc = SpectrumService::new(pool, SchedulePolicy::LargestFirst);
+    let metrics = svc.metrics();
+    let svc = Mutex::new(svc);
+    let msg = Message {
+        source: 0,
+        tag: TAG_REQ_SPECTRUM,
+        data: SpectrumRequest::new(spec.clone()).encode(),
+    };
+    for _ in 0..2 {
+        let cancel = AtomicBool::new(false);
+        let reply = |_, _: &[f64]| Ok::<_, Infallible>(());
+        answer(&svc, &metrics, 64, false, &cancel, Some(&dir), &msg, reply).expect("sink");
+    }
+    let _ = svc.into_inner().expect("service lock").shutdown();
+
+    let job = tlog::job_hex(job_hash(&spec));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read report dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let prefix = files[0]
+        .strip_suffix(".run_report.json")
+        .unwrap_or_else(|| panic!("no run report first in {files:?}"));
+    assert!(prefix.ends_with(&job), "{files:?}");
+    assert_eq!(files, [files[0].clone(), format!("{prefix}.trace.json")]);
+
+    let text = std::fs::read_to_string(dir.join(&files[1])).expect("read trace");
+    let trace = Json::parse(&text).expect("trace is JSON");
+    let events = trace.as_array().expect("trace is an array");
+    let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_owned);
+    let mut modes = Vec::new();
+    let mut tracks = BTreeSet::new();
+    for e in events {
+        let name = field(e, "name").expect("span name");
+        let tid = e.get("tid").and_then(Json::as_f64).expect("track id") as u64;
+        let args = e.get("args").expect("span args");
+        assert_eq!(
+            field(args, "job"),
+            Some(job.clone()),
+            "{name} of another job"
+        );
+        tracks.insert(tid);
+        if name == "mode" {
+            assert_ne!(tid, 0, "a mode span on the master's track");
+            modes.push(field(args, "ik").expect("mode ik"));
+        }
+    }
+    modes.sort();
+    assert_eq!(modes, ["0", "1", "2"], "one worker mode span per mode");
+    assert!(tracks.contains(&0), "no master track: {tracks:?}");
+    assert!(tracks.len() >= 2, "no worker track: {tracks:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,10 +4,9 @@
 //! `Farm::run` calls on both transports, thread or subprocess workers
 //! alike, build a
 //! cosmology's physics tables once per process and only when the
-//! canonical cosmology hash changes (counter evidence in the run
-//! report, span evidence in the pool shutdown), and reset per-job
-//! accounting — worker stats, idle time, comm tables — between jobs
-//! instead of accumulating it.
+//! canonical cosmology hash changes (counter and span evidence in the
+//! run report), and reset per-job accounting — worker stats, idle time,
+//! comm tables, worker spans — between jobs instead of accumulating it.
 
 use boltzmann::Preset;
 use msgpass::channel::ChannelWorld;
@@ -17,6 +16,9 @@ use plinger::{
     build_run_report, run_serial, Farm, FarmError, FarmPool, FarmReport, FaultPlan, JobControl,
     MasterConfig, PoolOptions, RunSpec, SchedulePolicy, TAG_INIT, TAG_JOBDONE, TAG_STOP,
 };
+use std::sync::atomic::AtomicBool;
+use telemetry::log as tlog;
+use telemetry::SpanEvent;
 
 fn spec_of(ks: &[f64]) -> RunSpec {
     let mut spec = RunSpec::standard_cdm(ks.to_vec());
@@ -38,6 +40,11 @@ fn assert_bitwise(outputs: &[boltzmann::ModeOutput], reference: &[boltzmann::Mod
 
 fn rebuilds(rep: &FarmReport) -> usize {
     rep.worker_stats.iter().map(|w| w.ctx_rebuilds).sum()
+}
+
+/// Spans called `name`.
+fn named(spans: &[SpanEvent], name: &str) -> usize {
+    spans.iter().filter(|s| s.name == name).count()
 }
 
 /// Three consecutive pooled jobs vs three fresh farms, on one
@@ -80,12 +87,12 @@ fn pool_matches_fresh_farms<W: World>() {
     assert_eq!(rebuilds(&reps[0]), 1, "cold pool builds once per process");
     assert_eq!(rebuilds(&reps[1]), 0, "warm same-cosmology job rebuilt");
     assert_eq!(rebuilds(&reps[2]), 1, "cosmology change missed");
-    let builds = shutdown
-        .worker_spans
+    let builds: usize = reps
         .iter()
-        .filter(|s| s.name == "build_ctx")
-        .count();
+        .map(|r| named(&r.telemetry.spans, "build_ctx"))
+        .sum();
     assert_eq!(builds, 2, "build_ctx spans disagree");
+    assert_eq!(named(&shutdown.worker_spans, "build_ctx"), 0);
 }
 
 #[test]
@@ -272,13 +279,87 @@ fn respawned_rank_inherits_the_pools_tables() {
         let (serial, _) = run_serial(spec).expect("serial");
         assert_bitwise(&rep.outputs, &serial);
     }
-    let shutdown = pool.shutdown();
-    let builds = shutdown
-        .worker_spans
+    // the killed rank handed its spans over as it vanished, so the one
+    // build, whichever rank made it, is in job 1's report
+    assert_eq!(
+        named(&rep1.telemetry.spans, "build_ctx"),
+        1,
+        "one cosmology, one build, respawn or not"
+    );
+    assert_eq!(named(&rep2.telemetry.spans, "build_ctx"), 0);
+    assert_eq!(named(&pool.shutdown().worker_spans, "build_ctx"), 0);
+}
+
+/// The `job` argument of every span called `name`.
+fn jobs_of(spans: &[SpanEvent], name: &str) -> Vec<String> {
+    spans
         .iter()
-        .filter(|s| s.name == "build_ctx")
-        .count();
-    assert_eq!(builds, 1, "one cosmology, one build, respawn or not");
+        .filter(|s| s.name == name)
+        .filter_map(|s| s.args.iter().find(|(k, _)| k == "job"))
+        .map(|(_, v)| v.clone())
+        .collect()
+}
+
+#[test]
+fn a_failed_jobs_worker_spans_reach_the_shutdown() {
+    // the only worker integrates two modes and vanishes on its third
+    // assignment: the job ends with no report, and the spans the rank
+    // handed over as it went are the shutdown's
+    let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]);
+    let opts = PoolOptions {
+        respawn_limit: 0,
+        fault: Some(FaultPlan::DropWorker {
+            rank: 1,
+            after_modes: 2,
+        }),
+    };
+    let mut pool =
+        FarmPool::<ChannelWorld>::start_with(1, MasterConfig::default(), opts).expect("pool start");
+    match pool.run_job(&spec, SchedulePolicy::Fifo) {
+        Err(FarmError::AllWorkersLost { .. }) => {}
+        other => panic!("expected AllWorkersLost, got {other:?}"),
+    }
+    let shutdown = pool.shutdown();
+    assert_eq!(shutdown.jobs, 0);
+    let job = tlog::job_hex(plinger::job_hash(&spec));
+    assert_eq!(
+        jobs_of(&shutdown.worker_spans, "mode"),
+        [job.clone(), job.clone()]
+    );
+    assert_eq!(jobs_of(&shutdown.worker_spans, "build_ctx"), [job]);
+}
+
+#[test]
+fn a_cancelled_jobs_worker_spans_stay_out_of_the_next_report() {
+    // a job cancelled before its first assignment still opened on every
+    // rank, and one of them built its tables; that build is reported by
+    // the shutdown, not by the next job on the same cosmology
+    let cancelled = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
+    let next = spec_of(&[3.0e-4, 9.0e-4, 5.0e-4]);
+    let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
+    let flag = AtomicBool::new(true);
+    let ctrl = JobControl {
+        deadline: None,
+        cancel: Some(&flag),
+    };
+    match pool.run_job_prefetched(&cancelled, SchedulePolicy::Fifo, &ctrl, None) {
+        Err(FarmError::Cancelled { .. }) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    let rep = pool
+        .run_job(&next, SchedulePolicy::Fifo)
+        .expect("the job after the cancel");
+    assert_eq!(rebuilds(&rep), 0, "tables built by the cancelled job");
+    let job = tlog::job_hex(plinger::job_hash(&next));
+    assert_eq!(
+        jobs_of(&rep.telemetry.spans, "mode"),
+        vec![job; next.ks.len()]
+    );
+    assert!(jobs_of(&rep.telemetry.spans, "build_ctx").is_empty());
+    let shutdown = pool.shutdown();
+    let job = tlog::job_hex(plinger::job_hash(&cancelled));
+    assert_eq!(jobs_of(&shutdown.worker_spans, "build_ctx"), [job]);
+    assert_eq!(named(&shutdown.worker_spans, "mode"), 0);
 }
 
 /// A line-of-sight job through the warm pool must match the serial
@@ -387,12 +468,64 @@ fn farm_run_is_the_first_job_of_a_fresh_pool<W: World>() {
         assert_eq!(a.sent_bytes, b.sent_bytes, "per-tag bytes differ");
         assert_eq!(rebuilds(&farm), 1);
         assert_eq!(rebuilds(&first), 1);
-        // the farm's report carries what the pool hands back at shutdown
-        let modes =
-            |spans: &[telemetry::SpanEvent]| spans.iter().filter(|s| s.name == "mode").count();
-        assert_eq!(modes(&farm.telemetry.spans), spec.ks.len());
-        assert_eq!(modes(&worker_spans), spec.ks.len());
+        // the job's report carries its workers' spans, and the farm's
+        // report no more of them than that
+        assert_eq!(named(&farm.telemetry.spans, "mode"), spec.ks.len());
+        assert_eq!(named(&first.telemetry.spans, "mode"), spec.ks.len());
+        assert_eq!(named(&worker_spans, "mode"), 0);
     }
+}
+
+#[test]
+fn worker_spans_leave_with_their_jobs_report() {
+    // a resident pool keeps nothing per mode it serves: every job's
+    // worker `mode` spans come back in that job's report, once each and
+    // stamped with its job hash, and the shutdown has none left over
+    let mut job3 = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
+    job3.cosmo = background::CosmoParams::lcdm();
+    let jobs = [
+        spec_of(&[2.0e-4, 8.0e-4, 4.0e-4, 1.2e-3]),
+        spec_of(&[3.0e-4, 9.0e-4, 5.0e-4]),
+        job3,
+    ];
+    let mut pool = FarmPool::<ChannelWorld>::start(2).expect("pool start");
+    for spec in &jobs {
+        let rep = pool
+            .run_job(spec, SchedulePolicy::LargestFirst)
+            .expect("pooled job");
+        let job = tlog::job_hex(plinger::job_hash(spec));
+        let mut iks: Vec<usize> = rep
+            .telemetry
+            .spans
+            .iter()
+            .filter(|s| s.name == "mode")
+            .map(|s| {
+                let arg = |key: &str| s.args.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                assert_eq!(arg("job"), Some(&job), "a mode span of another job");
+                arg("ik")
+                    .and_then(|ik| ik.parse().ok())
+                    .expect("mode span names its ik")
+            })
+            .collect();
+        iks.sort_unstable();
+        assert_eq!(
+            iks,
+            (0..spec.ks.len()).collect::<Vec<_>>(),
+            "one span per mode"
+        );
+    }
+    let shutdown = pool.shutdown();
+    assert_eq!(shutdown.jobs, 3);
+    assert_eq!(
+        named(&shutdown.worker_spans, "mode"),
+        0,
+        "the pool kept mode spans"
+    );
+
+    let farm = Farm::<ChannelWorld>::new(2)
+        .run(&jobs[0], SchedulePolicy::LargestFirst)
+        .expect("farm run");
+    assert_eq!(named(&farm.telemetry.spans, "mode"), jobs[0].ks.len());
 }
 
 #[test]

@@ -69,6 +69,11 @@ assert on_disk == report, "stdout JSON and run_report.json file differ"
 trace = json.load(open(os.path.join(d, f"trace_{transport}.json")))
 assert trace and all(ev["ph"] == "X" for ev in trace), "bad trace events"
 assert all("pid" in ev and "tid" in ev and "ts" in ev and "dur" in ev for ev in trace)
+# worker threads hand their spans over with the job's report, once each;
+# subprocess workers keep none and the trace carries none of theirs
+iks = sorted(ev["args"]["ik"] for ev in trace if ev["cat"] == "worker" and ev["name"] == "mode")
+want = ["0", "1", "2"] if transport == "channel" else []
+assert iks == want, f"worker mode spans {iks}, want {want}"
 print(f"smoke ({transport}): efficiency {eff:.3f}, {len(trace)} trace events")
 EOF
 done
