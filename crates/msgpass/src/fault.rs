@@ -1,174 +1,43 @@
-//! Deterministic fault injection at the [`Transport`] seam.
-//!
-//! [`FaultyTransport`] wraps any endpoint and applies a scripted set of
-//! [`FaultRule`]s to outgoing messages: drop the message on the floor,
-//! corrupt its payload, or delay it.  Every decision is driven by a
-//! counter per rule plus a seeded splitmix64 stream, never by wall-clock
-//! time, so the same [`FaultSpec`] produces the same fault schedule on
-//! every run — recovery paths can be tested bit-for-bit.
-//!
-//! The wrapper sits *outside* any instrumentation wrapper: a dropped
-//! message is then never counted as sent, so the telemetry's
-//! closed-world invariant (per-tag `sent == recv`) survives fault runs.
-//!
-//! Injected events are recorded into a shared log ([`FaultLog`]) so
-//! tests can assert the schedule itself, not just its consequences.
+//! Deterministic fault injection at the [`Transport`] seam: a
+//! [`FaultyTransport`] drops, or corrupts the payload of, the `nth`
+//! message its endpoint sends under one tag — a counter, never the
+//! clock, so a fault strikes the same message on every run.  It sits
+//! *outside* any instrumentation wrapper, so a dropped message is never
+//! counted as sent and per-tag `sent == recv` survives fault runs.
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::{CommError, Envelope, Rank, Tag, Transport};
 
-/// What a matched rule does to the outgoing message.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a [`FaultyTransport`] does to the message it strikes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Swallow the message; the send reports success.
     Drop,
-    /// Deliver a corrupted payload: the last element is removed and the
-    /// first (if any) is replaced with NaN — reliably tripping the
-    /// geometry and finiteness checks of every wire decoder in the farm.
+    /// Deliver the payload without its last real and with NaN for its
+    /// first — tripping every wire decoder's length and finiteness checks.
     Corrupt,
-    /// Deliver the message after sleeping this long.
-    Delay(Duration),
 }
 
-/// When a rule fires, counted over the messages that match its tag
-/// filter on this endpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultWhen {
-    /// Fire on the `n`-th matching message only (0-based).
-    Nth(u64),
-    /// Fire on every matching message.
-    Always,
-    /// Fire with probability `p` per matching message, decided by the
-    /// seeded splitmix64 stream (deterministic for a given seed).
-    Prob(f64),
-}
-
-/// One scripted fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRule {
-    /// Only messages with this tag match; `None` matches every tag.
-    pub tag: Option<Tag>,
-    /// What to do to a matched message.
-    pub action: FaultAction,
-    /// Which matching messages to act on.
-    pub when: FaultWhen,
-}
-
-/// A seeded fault script: rules evaluated in order, first match wins.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSpec {
-    /// Seed of the splitmix64 stream behind [`FaultWhen::Prob`].
-    pub seed: u64,
-    /// The rules, evaluated in order per outgoing message.
-    pub rules: Vec<FaultRule>,
-}
-
-impl FaultSpec {
-    /// A spec with no rules: a pure passthrough wrapper.
-    pub fn passthrough() -> Self {
-        Self::default()
-    }
-}
-
-/// One injected fault, as recorded in the shared log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Index of the rule that fired.
-    pub rule: usize,
-    /// Tag of the affected message.
-    pub tag: Tag,
-    /// Destination rank of the affected message.
-    pub dest: Rank,
-    /// `"drop"`, `"corrupt"`, or `"delay"`.
-    pub action: &'static str,
-}
-
-/// Shared, thread-safe log of injected faults.
-pub type FaultLog = Arc<Mutex<Vec<FaultEvent>>>;
-
-/// splitmix64: tiny, seedable, dependency-free PRNG (Vigna 2015).
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A [`Transport`] wrapper injecting scripted faults into `send`.
-///
-/// Receive-side behaviour is untouched: probes and recvs pass straight
-/// through, so a `FaultyTransport` wrapping a healthy peer is
-/// indistinguishable from the peer itself unless a rule fires.
+/// A [`Transport`] wrapper whose `send` applies at most one scripted
+/// fault; probes and receives pass straight through.
 #[derive(Debug)]
 pub struct FaultyTransport<T: Transport> {
     inner: T,
-    spec: FaultSpec,
-    rng: u64,
-    /// Matching-message counter per rule.
-    seen: Vec<u64>,
-    log: FaultLog,
+    /// `(action, tag, nth)`: `action` strikes the `nth` (0-based)
+    /// message sent under `tag`.  `None` is a pure passthrough.
+    strike: Option<(FaultAction, Tag, u64)>,
+    /// Messages sent so far under the struck tag.
+    seen: u64,
 }
 
 impl<T: Transport> FaultyTransport<T> {
-    /// Wrap `inner` under `spec`, returning the wrapper and a handle to
-    /// its fault log.
-    pub fn new(inner: T, spec: FaultSpec) -> (Self, FaultLog) {
-        let log: FaultLog = Arc::new(Mutex::new(Vec::new()));
-        let seen = vec![0; spec.rules.len()];
-        let rng = spec.seed;
-        (
-            Self {
-                inner,
-                spec,
-                rng,
-                seen,
-                log: Arc::clone(&log),
-            },
-            log,
-        )
-    }
-
-    /// Unwrap, dropping the fault machinery.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// Decide what (if anything) to do to a message with `tag`: returns
-    /// the index and action of the first rule that fires.
-    fn decide(&mut self, tag: Tag) -> Option<(usize, FaultAction)> {
-        for (i, rule) in self.spec.rules.iter().enumerate() {
-            if rule.tag.is_some_and(|t| t != tag) {
-                continue;
-            }
-            let n = self.seen[i];
-            self.seen[i] += 1;
-            let fire = match rule.when {
-                FaultWhen::Nth(want) => n == want,
-                FaultWhen::Always => true,
-                FaultWhen::Prob(p) => {
-                    let draw = splitmix64(&mut self.rng) as f64 / u64::MAX as f64;
-                    draw < p
-                }
-            };
-            if fire {
-                return Some((i, rule.action));
-            }
-        }
-        None
-    }
-
-    fn record(&self, rule: usize, tag: Tag, dest: Rank, action: &'static str) {
-        if let Ok(mut log) = self.log.lock() {
-            log.push(FaultEvent {
-                rule,
-                tag,
-                dest,
-                action,
-            });
+    /// Wrap `inner` under `strike` (see the field of that name).
+    pub fn new(inner: T, strike: Option<(FaultAction, Tag, u64)>) -> Self {
+        Self {
+            inner,
+            strike,
+            seen: 0,
         }
     }
 }
@@ -183,25 +52,23 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn send(&mut self, dest: Rank, tag: Tag, data: &[f64]) -> Result<(), CommError> {
-        match self.decide(tag) {
-            None => self.inner.send(dest, tag, data),
-            Some((i, FaultAction::Drop)) => {
-                self.record(i, tag, dest, "drop");
-                Ok(())
+        let action = match self.strike {
+            Some((action, struck, nth)) if struck == tag => {
+                self.seen += 1;
+                (self.seen - 1 == nth).then_some(action)
             }
-            Some((i, FaultAction::Corrupt)) => {
-                self.record(i, tag, dest, "corrupt");
+            _ => None,
+        };
+        match action {
+            None => self.inner.send(dest, tag, data),
+            Some(FaultAction::Drop) => Ok(()),
+            Some(FaultAction::Corrupt) => {
                 let mut bad = data.to_vec();
                 bad.pop();
                 if let Some(first) = bad.first_mut() {
                     *first = f64::NAN;
                 }
                 self.inner.send(dest, tag, &bad)
-            }
-            Some((i, FaultAction::Delay(d))) => {
-                self.record(i, tag, dest, "delay");
-                std::thread::sleep(d);
-                self.inner.send(dest, tag, data)
             }
         }
     }
@@ -240,15 +107,7 @@ mod tests {
     #[test]
     fn nth_drop_swallows_exactly_one_message() {
         let (a, mut b) = pair();
-        let spec = FaultSpec {
-            seed: 1,
-            rules: vec![FaultRule {
-                tag: Some(5),
-                action: FaultAction::Drop,
-                when: FaultWhen::Nth(1),
-            }],
-        };
-        let (mut a, log) = FaultyTransport::new(a, spec);
+        let mut a = FaultyTransport::new(a, Some((FaultAction::Drop, 5, 1)));
         for i in 0..3 {
             a.send(1, 5, &[i as f64]).unwrap();
         }
@@ -260,113 +119,33 @@ mod tests {
         assert_eq!(buf, vec![2.0], "message #1 must have been dropped");
         b.recv(0, 4, &mut buf).unwrap();
         assert_eq!(buf, vec![9.0]);
-        let log = log.lock().unwrap();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].tag, 5);
-        assert_eq!(log[0].action, "drop");
     }
 
     #[test]
     fn corrupt_truncates_and_poisons_payload() {
         let (a, mut b) = pair();
-        let spec = FaultSpec {
-            seed: 1,
-            rules: vec![FaultRule {
-                tag: None,
-                action: FaultAction::Corrupt,
-                when: FaultWhen::Nth(0),
-            }],
-        };
-        let (mut a, _log) = FaultyTransport::new(a, spec);
+        let mut a = FaultyTransport::new(a, Some((FaultAction::Corrupt, 5, 0)));
         a.send(1, 5, &[1.0, 2.0, 3.0]).unwrap();
+        a.send(1, 5, &[4.0, 5.0]).unwrap(); // fault spent: untouched
         let mut buf = Vec::new();
         b.recv(0, 5, &mut buf).unwrap();
         assert_eq!(buf.len(), 2, "one element removed");
         assert!(buf[0].is_nan(), "first element poisoned");
         assert_eq!(buf[1], 2.0);
-    }
-
-    #[test]
-    fn same_seed_means_identical_schedule() {
-        // the determinism guard of the probabilistic path: two wrappers
-        // with the same seed must drop exactly the same message indices
-        let schedule = |seed: u64| -> Vec<usize> {
-            let (a, mut b) = pair();
-            let spec = FaultSpec {
-                seed,
-                rules: vec![FaultRule {
-                    tag: Some(3),
-                    action: FaultAction::Drop,
-                    when: FaultWhen::Prob(0.4),
-                }],
-            };
-            let (mut a, _log) = FaultyTransport::new(a, spec);
-            for i in 0..64 {
-                a.send(1, 3, &[i as f64]).unwrap();
-            }
-            drop(a); // hang up so the drain below terminates
-            let mut got = Vec::new();
-            let mut buf = Vec::new();
-            while b
-                .probe_timeout(None, None, Duration::from_millis(10))
-                .unwrap()
-                .is_some()
-            {
-                b.recv(0, 3, &mut buf).unwrap();
-                got.push(buf[0] as usize);
-            }
-            got
-        };
-        let s1 = schedule(42);
-        let s2 = schedule(42);
-        assert_eq!(s1, s2, "same seed must reproduce the drop schedule");
-        assert!(s1.len() < 64, "some messages must actually drop");
-        let s3 = schedule(43);
-        assert_ne!(s1, s3, "a different seed should differ");
+        b.recv(0, 5, &mut buf).unwrap();
+        assert_eq!(buf, vec![4.0, 5.0]);
     }
 
     #[test]
     fn passthrough_spec_is_transparent() {
         let (a, mut b) = pair();
-        let (mut a, log) = FaultyTransport::new(a, FaultSpec::passthrough());
+        let mut a = FaultyTransport::new(a, None);
         a.send(1, 7, &[1.0, 2.0]).unwrap();
         let mut buf = Vec::new();
         let env = b.recv(0, 7, &mut buf).unwrap();
         assert_eq!(env.len, 2);
         assert_eq!(buf, vec![1.0, 2.0]);
-        assert!(log.lock().unwrap().is_empty());
         assert_eq!(a.rank(), 0);
         assert_eq!(a.size(), 2);
-    }
-
-    #[test]
-    fn first_matching_rule_wins() {
-        let (a, mut b) = pair();
-        let spec = FaultSpec {
-            seed: 0,
-            rules: vec![
-                FaultRule {
-                    tag: Some(5),
-                    action: FaultAction::Drop,
-                    when: FaultWhen::Nth(0),
-                },
-                FaultRule {
-                    tag: None,
-                    action: FaultAction::Corrupt,
-                    when: FaultWhen::Always,
-                },
-            ],
-        };
-        let (mut a, log) = FaultyTransport::new(a, spec);
-        a.send(1, 5, &[1.0, 2.0]).unwrap(); // rule 0 drops it
-        a.send(1, 5, &[3.0, 4.0]).unwrap(); // rule 0 spent; rule 1 corrupts
-        let mut buf = Vec::new();
-        b.recv(0, 5, &mut buf).unwrap();
-        assert_eq!(buf.len(), 1);
-        assert!(buf[0].is_nan());
-        let log = log.lock().unwrap();
-        assert_eq!(log[0].action, "drop");
-        assert_eq!(log[1].action, "corrupt");
-        assert_eq!(log[1].rule, 1);
     }
 }

@@ -192,9 +192,7 @@ fn server_main(args: &[String]) -> Result<(), String> {
             // hidden, test-only: script a fault into the initial workers
             "--fault" => {
                 let spec = it.next().ok_or("--fault needs a value")?;
-                fault = Some(
-                    parse_fault_plan(spec).ok_or_else(|| format!("bad --fault value {spec}"))?,
-                )
+                fault = Some(spec.parse::<FaultPlan>()?);
             }
             other => return Err(format!("unknown server flag {other}")),
         }
@@ -208,27 +206,6 @@ fn server_main(args: &[String]) -> Result<(), String> {
         TransportKind::Tcp => {
             Err("plinger-serve pools thread transports; use --transport channel".into())
         }
-    }
-}
-
-/// Parse the hidden `--fault` spec: `drop:RANK:AFTER`,
-/// `stall:RANK:AFTER:MS`, or `failmode:IK` (ranks 1-based).
-fn parse_fault_plan(s: &str) -> Option<FaultPlan> {
-    let mut parts = s.split(':');
-    match parts.next()? {
-        "drop" => Some(FaultPlan::DropWorker {
-            rank: parts.next()?.parse().ok()?,
-            after_modes: parts.next()?.parse().ok()?,
-        }),
-        "stall" => Some(FaultPlan::StallWorker {
-            rank: parts.next()?.parse().ok()?,
-            after_modes: parts.next()?.parse().ok()?,
-            stall: Duration::from_millis(parts.next()?.parse().ok()?),
-        }),
-        "failmode" => Some(FaultPlan::FailMode {
-            ik: parts.next()?.parse().ok()?,
-        }),
-        _ => None,
     }
 }
 

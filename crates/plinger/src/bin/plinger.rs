@@ -19,8 +19,8 @@ use msgpass::channel::ChannelWorld;
 use plinger::cli::{parse, CliOptions, Parsed, TelemetryMode, TransportKind, USAGE};
 use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
 use plinger::{
-    parse_worker_fault, render_pretty, run_tcp_processes, run_tcp_worker, Farm, FarmReport,
-    PoolOptions, SchedulePolicy,
+    render_pretty, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan, PoolOptions,
+    SchedulePolicy,
 };
 
 /// Exit code used by scripted-fault workers so the master's respawn
@@ -38,22 +38,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let fault = match w.fault.as_deref() {
-                Some(s) => match parse_worker_fault(s) {
-                    Some(f) => Some(f),
-                    None => {
-                        eprintln!("plinger[worker {}]: bad fault spec {s:?}", w.rank);
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            };
-            // A vanish fault simulates a crash: exit with the marker
-            // code so the master treats it as an abnormal exit worth a
-            // replacement. Stall/failmode workers run to completion and
-            // take the normal exit path.
-            let vanish = matches!(fault, Some(plinger::WorkerFault::Vanish { .. }));
-            match run_tcp_worker(addr, w.rank, w.size, fault) {
+            // A drop fault simulates a crash: its victim exits with the
+            // marker code so the master treats it as an abnormal exit
+            // worth a replacement. Every other rank, and stall/failmode
+            // workers, run to completion and take the normal exit path.
+            let vanish =
+                matches!(w.fault, Some(FaultPlan::DropWorker { rank, .. }) if rank == w.rank);
+            match run_tcp_worker(addr, w.rank, w.size, w.fault) {
                 Ok(()) if vanish => ExitCode::from(FAULT_EXIT),
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {

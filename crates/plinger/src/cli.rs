@@ -15,6 +15,7 @@
 //! default, and one error message across all binaries.
 
 use crate::ensemble::EnsembleSpec;
+use crate::farm::FaultPlan;
 use crate::master::MasterConfig;
 use crate::protocol::{require_evolvable, RunSpec};
 use background::CosmoParams;
@@ -72,9 +73,10 @@ pub struct TcpWorkerArgs {
     pub rank: usize,
     /// World size.
     pub size: usize,
-    /// Optional scripted fault (`vanish:N`, `stall:N:MS`, `failmode:IK`)
-    /// injected by the fault-plan test harness.
-    pub fault: Option<String>,
+    /// The pool's worker-level fault plan, if any, parsed from its one
+    /// string form (`drop:RANK:AFTER`, `stall:RANK:AFTER:MS`,
+    /// `failmode:IK`).
+    pub fault: Option<FaultPlan>,
 }
 
 /// Result of parsing: a normal run or a hidden TCP-worker invocation.
@@ -543,7 +545,7 @@ pub fn parse_tcp_worker(args: &[String]) -> Result<Option<TcpWorkerArgs>, String
         addr: args[1].clone(),
         rank: args[2].parse().map_err(|_| "bad rank")?,
         size: args[3].parse().map_err(|_| "bad size")?,
-        fault: args.get(4).cloned(),
+        fault: args.get(4).map(|f| f.parse()).transpose()?,
     }))
 }
 
@@ -785,11 +787,20 @@ mod tests {
             }
             _ => panic!(),
         }
-        match parse(&argv("--tcp-worker 127.0.0.1:4000 2 5 vanish:1")).unwrap() {
-            Parsed::TcpWorker(w) => assert_eq!(w.fault.as_deref(), Some("vanish:1")),
+        match parse(&argv("--tcp-worker 127.0.0.1:4000 2 5 drop:2:1")).unwrap() {
+            Parsed::TcpWorker(w) => assert_eq!(
+                w.fault,
+                Some(FaultPlan::DropWorker {
+                    rank: 2,
+                    after_modes: 1
+                })
+            ),
             _ => panic!(),
         }
-        assert!(parse(&argv("--tcp-worker 127.0.0.1:4000 2 5 vanish:1 extra")).is_err());
+        // the one fault grammar: the retired `vanish:N` child spelling
+        // is refused like any other malformed plan
+        assert!(parse(&argv("--tcp-worker 127.0.0.1:4000 2 5 vanish:1")).is_err());
+        assert!(parse(&argv("--tcp-worker 127.0.0.1:4000 2 5 drop:2:1 extra")).is_err());
     }
 
     #[test]

@@ -14,11 +14,12 @@
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use background::Background;
 use boltzmann::{evolve_mode_scratch, ModeOutput};
-use msgpass::fault::{FaultAction, FaultRule, FaultSpec, FaultWhen};
+use msgpass::fault::FaultAction;
 use msgpass::tcp::{connect_worker, TcpWorld};
 use msgpass::{Rank, Tag, World};
 use ode::Integrator;
@@ -33,7 +34,7 @@ use crate::recovery::RecoveryLog;
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
-use crate::worker::{worker_pool_session, WorkerFault, WorkerStats};
+use crate::worker::{worker_pool_session, WorkerStats};
 
 /// Timing and throughput report of a farm run — the quantities Figure 1
 /// and §5.1 of the paper plot.  The default is an empty report: what an
@@ -141,16 +142,17 @@ impl FarmReport {
 /// Fault injection for session-layer tests: what to break, where.
 ///
 /// Worker-level plans (`DropWorker`, `StallWorker`, `FailMode`) are
-/// carried into the worker session as a [`WorkerFault`]; message-level
-/// plans (`CorruptPayload`, `DropMessage`) become a deterministic
-/// [`FaultSpec`] applied at the transport seam of every endpoint — a
-/// rule only fires on the endpoint that actually sends the targeted
-/// tag.  On a thread pool every endpoint is wrapped, so all variants
-/// act.  On a subprocess pool ([`FarmPool::start_processes`]) the
-/// worker-level plans ride a hidden CLI argument into the children, and
-/// the message-level ones wrap the master's endpoint only: they act on
-/// the master's own sends (a tag-3 drop, a tag-1 corruption), never on
-/// what the children send.
+/// read by the worker session, each rank acting on what the plan says
+/// of it.  Their one string form — `drop:RANK:AFTER`,
+/// `stall:RANK:AFTER:MS` or `failmode:IK` ([`FromStr`] and
+/// [`FaultPlan::worker_arg`]) — is what `plinger-serve --fault` takes
+/// and what every child of a subprocess pool receives.  Message-level
+/// plans (`CorruptPayload`, `DropMessage`) strike at the transport seam
+/// ([`msgpass::fault::FaultyTransport`]) of every in-process endpoint,
+/// so they fire on whichever endpoint sends the targeted tag; on a
+/// subprocess pool that is the master's alone (a tag-3 drop, a tag-1
+/// corruption), never what the children send.  A respawned worker runs
+/// under no plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultPlan {
@@ -196,45 +198,60 @@ pub enum FaultPlan {
 }
 
 impl FaultPlan {
-    /// The worker-level fault rank `rank` should run under this plan.
-    pub(crate) fn worker_fault(&self, rank: Rank) -> Option<WorkerFault> {
+    /// The transport-seam fault of a message-level plan: `(action, tag,
+    /// nth)` for [`msgpass::fault::FaultyTransport::new`].
+    pub(crate) fn strike(&self) -> Option<(FaultAction, Tag, u64)> {
         match *self {
-            FaultPlan::DropWorker {
-                rank: r,
-                after_modes,
-            } if r == rank => Some(WorkerFault::Vanish { after_modes }),
-            FaultPlan::StallWorker {
-                rank: r,
-                after_modes,
-                stall,
-            } if r == rank => Some(WorkerFault::Stall { after_modes, stall }),
-            FaultPlan::FailMode { ik } => Some(WorkerFault::FailMode { ik }),
+            FaultPlan::CorruptPayload { tag } => Some((FaultAction::Corrupt, tag, 0)),
+            FaultPlan::DropMessage { tag, nth } => Some((FaultAction::Drop, tag, nth)),
             _ => None,
         }
     }
 
-    /// The transport-level fault script this plan injects (passthrough
-    /// for worker-level plans).
-    pub(crate) fn fault_spec(&self) -> FaultSpec {
+    /// A worker-level plan in the string form [`FromStr`] parses; `None`
+    /// for a message-level plan.
+    pub fn worker_arg(&self) -> Option<String> {
         match *self {
-            FaultPlan::CorruptPayload { tag } => FaultSpec {
-                seed: 0,
-                rules: vec![FaultRule {
-                    tag: Some(tag),
-                    action: FaultAction::Corrupt,
-                    when: FaultWhen::Nth(0),
-                }],
-            },
-            FaultPlan::DropMessage { tag, nth } => FaultSpec {
-                seed: 0,
-                rules: vec![FaultRule {
-                    tag: Some(tag),
-                    action: FaultAction::Drop,
-                    when: FaultWhen::Nth(nth),
-                }],
-            },
-            _ => FaultSpec::passthrough(),
+            FaultPlan::DropWorker { rank, after_modes } => {
+                Some(format!("drop:{rank}:{after_modes}"))
+            }
+            FaultPlan::StallWorker {
+                rank,
+                after_modes,
+                stall,
+            } => Some(format!("stall:{rank}:{after_modes}:{}", stall.as_millis())),
+            FaultPlan::FailMode { ik } => Some(format!("failmode:{ik}")),
+            _ => None,
         }
+    }
+}
+
+impl FromStr for FaultPlan {
+    type Err = String;
+
+    /// Parse a worker-level plan: `drop:RANK:AFTER`,
+    /// `stall:RANK:AFTER:MS` or `failmode:IK` (ranks 1-based).
+    fn from_str(s: &str) -> Result<Self, String> {
+        let parse = || {
+            let count = |f: &str| f.parse::<usize>().ok();
+            let rank = |f: &str| count(f).filter(|&r| r >= 1);
+            Some(match s.split(':').collect::<Vec<_>>()[..] {
+                ["drop", r, after] => FaultPlan::DropWorker {
+                    rank: rank(r)?,
+                    after_modes: count(after)?,
+                },
+                ["stall", r, after, ms] => FaultPlan::StallWorker {
+                    rank: rank(r)?,
+                    after_modes: count(after)?,
+                    stall: Duration::from_millis(ms.parse().ok()?),
+                },
+                ["failmode", ik] => FaultPlan::FailMode { ik: count(ik)? },
+                _ => return None,
+            })
+        };
+        parse().ok_or_else(|| {
+            format!("bad fault {s:?} (want drop:RANK:AFTER, stall:RANK:AFTER:MS or failmode:IK)")
+        })
     }
 }
 
@@ -381,25 +398,6 @@ pub fn run_serial(spec: &RunSpec) -> Result<(Vec<ModeOutput>, f64), FarmError> {
     Ok((outputs, t0.elapsed().as_secs_f64()))
 }
 
-/// Parse the hidden fault argument a `--tcp-worker` subprocess may
-/// receive: `vanish:N`, `stall:N:MS`, or `failmode:IK`.
-pub fn parse_worker_fault(s: &str) -> Option<WorkerFault> {
-    let mut parts = s.split(':');
-    match parts.next()? {
-        "vanish" => Some(WorkerFault::Vanish {
-            after_modes: parts.next()?.parse().ok()?,
-        }),
-        "stall" => Some(WorkerFault::Stall {
-            after_modes: parts.next()?.parse().ok()?,
-            stall: Duration::from_millis(parts.next()?.parse().ok()?),
-        }),
-        "failmode" => Some(WorkerFault::FailMode {
-            ik: parts.next()?.parse().ok()?,
-        }),
-        _ => None,
-    }
-}
-
 /// Run the farm with OS-subprocess workers over localhost TCP: a
 /// [`FarmPool::start_processes`] pool of `n_workers` copies of `exe`,
 /// one job, shutdown.
@@ -419,7 +417,8 @@ pub fn run_tcp_processes(
 }
 
 /// Entry point for a `--tcp-worker` subprocess: connect to the master
-/// and serve jobs until stopped, under an optional scripted fault.
+/// and serve jobs until stopped, under the pool's worker-level fault
+/// plan, if any.
 ///
 /// The process owns its own [`TableCache`], so its physics tables stay
 /// warm between jobs and each tag-13 hint is its alone to claim.  It
@@ -428,11 +427,10 @@ pub fn run_tcp_worker(
     addr: SocketAddr,
     rank: Rank,
     size: usize,
-    fault: Option<WorkerFault>,
+    fault: Option<FaultPlan>,
 ) -> Result<(), FarmError> {
     let mut ep = connect_worker(addr, rank, size).map_err(FarmError::Setup)?;
-    worker_pool_session(&mut ep, fault, Instant::now(), &TableCache::new(), None)?;
-    Ok(())
+    worker_pool_session(&mut ep, fault, Instant::now(), &TableCache::new(), None)
 }
 
 #[cfg(test)]
@@ -467,6 +465,49 @@ mod tests {
             for (a, b) in s.delta_t.iter().zip(&p.delta_t) {
                 assert_eq!(a.to_bits(), b.to_bits(), "Θ_l differs");
             }
+        }
+    }
+
+    #[test]
+    fn worker_level_plans_have_one_string_form() {
+        let plans = [
+            FaultPlan::DropWorker {
+                rank: 2,
+                after_modes: 0,
+            },
+            FaultPlan::StallWorker {
+                rank: 1,
+                after_modes: 3,
+                stall: Duration::from_millis(200),
+            },
+            FaultPlan::FailMode { ik: 7 },
+        ];
+        for plan in plans {
+            let arg = plan.worker_arg().expect("a worker-level plan renders");
+            assert_eq!(arg.parse::<FaultPlan>(), Ok(plan), "{arg}");
+        }
+        assert_eq!(FaultPlan::CorruptPayload { tag: 5 }.worker_arg(), None);
+        assert_eq!(FaultPlan::DropMessage { tag: 3, nth: 0 }.worker_arg(), None);
+        // the retired child spelling, rank 0 (the master), missing,
+        // extra and non-integer fields
+        for bad in [
+            "vanish:1",
+            "",
+            "drop",
+            "drop:1",
+            "drop:0:0",
+            "drop:-1:0",
+            "drop:1:0:9",
+            "stall:1:0",
+            "stall:1:0:1.5",
+            "failmode:",
+            "failmode:nan",
+            "failmode:1:2",
+            "Drop:1:0",
+            " failmode:1",
+        ] {
+            let err = bad.parse::<FaultPlan>().unwrap_err();
+            assert!(err.starts_with("bad fault"), "{bad:?}: {err}");
         }
     }
 

@@ -48,9 +48,7 @@ pub use ensemble::{
     EnsembleSpec, ShardResult, ShardRunner,
 };
 pub use error::{CancelReason, FarmError};
-pub use farm::{
-    parse_worker_fault, run_serial, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan,
-};
+pub use farm::{run_serial, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan};
 pub use master::{master_job_session, JobControl, MasterConfig, MasterLedger};
 pub use pool::{FarmPool, PoolOptions, PoolShutdown};
 pub use protocol::{
@@ -70,4 +68,4 @@ pub use service::{
 };
 pub use simulate::{simulate_farm, synthetic_costs, SimParams, SimResult};
 pub use tables::{PhysicsTables, TableCache};
-pub use worker::{worker_pool_session, SpanSink, WorkerFault, WorkerStats, WorkerTotals};
+pub use worker::{worker_pool_session, SpanSink, WorkerStats};

@@ -904,14 +904,16 @@ pub fn master_job_session<T: Transport>(
                 }
             }
             TAG_FAIL => {
+                // the failed mode is the one this rank was dealt, whatever
+                // the payload says; a rank that holds none sent a stale
+                // tag-8.  The worker survives its failed mode: budget the
+                // mode and hand the worker its next one
                 myrecvreal(t, &mut payload, TAG_FAIL, itid)?;
-                let ik = payload.first().copied().unwrap_or(-1.0) as usize;
-                // the worker survives its failed mode: budget the mode
-                // and hand the worker its next one
-                s.resolve_in_flight(itid, ik);
-                if ik < nk && s.outputs[ik].is_none() && !s.quarantined.contains(&ik) {
-                    s.requeue_or_quarantine(t, ik, &format!("integration failed on rank {itid}"))?;
+                if s.in_flight[itid - 1].is_none() {
+                    s.recovery.late_results += 1;
+                    continue;
                 }
+                s.recover_mode(t, itid, &format!("integration failed on rank {itid}"))?;
                 s.dispatch(t, itid)?;
                 if s.all_settled() {
                     s.wake_parked(t)?;
@@ -1045,11 +1047,10 @@ mod tests {
         for rank in 1..=2 {
             master_ep.send(rank, TAG_STOP, &[0.0]).unwrap();
         }
-        let local: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(local.iter().all(|o| o.jobs == 1));
-        let total: usize = local.iter().map(|o| o.stats.modes).sum();
-        assert_eq!(total, 4);
-        // the wire-carried statistics must agree with the workers' own
+        for h in workers {
+            h.join().unwrap();
+        }
+        // the wire-carried statistics account every mode and byte
         assert_eq!(ledger.worker_stats.len(), 2);
         assert_eq!(
             ledger.worker_stats.iter().map(|s| s.modes).sum::<usize>(),
@@ -1115,6 +1116,82 @@ mod tests {
         assert_eq!(failed.len(), 1, "{:?}", ledger.recovery);
         assert_eq!((failed[0].ik, failed[0].attempts), (0, MAX_ATTEMPTS));
         assert!(failed[0].reason.contains("lmax"), "{}", failed[0].reason);
+    }
+
+    #[test]
+    fn garbled_tag_8_requeues_the_senders_mode_and_deals_it_the_next() {
+        // `payload[0] as usize` read an empty or NaN tag-8 as mode 0:
+        // mode 0 was requeued while the sender's own mode stayed in
+        // flight, and the sender was dealt nothing until the heartbeat
+        // timeout declared it dead.  The failed mode is the one the
+        // master dealt, whatever the payload says.
+        let mut spec = RunSpec::standard_cdm(vec![0.002, 0.004, 0.01]);
+        spec.preset = Preset::Draft;
+        let (outputs, _) = crate::farm::run_serial(&spec).unwrap();
+        let wires: Vec<_> = outputs
+            .iter()
+            .enumerate()
+            .map(|(ik, o)| o.to_wire(ik))
+            .collect();
+        let cfg = MasterConfig {
+            poll: Duration::from_millis(100),
+            drain_timeout: Duration::from_millis(300),
+            heartbeat_timeout: Duration::from_secs(2),
+        };
+        let (mut master_ep, h) = rogue_pair(move |rogue| {
+            let mut buf = Vec::new();
+            // largest-k-first: rank 1 is dealt mode 2
+            rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+            assert_eq!(buf, [2.0]);
+            // each garbled failure is answered within one poll interval:
+            // mode 2 again (requeued), then mode 1 (mode 2 quarantined)
+            for (garbled, next) in [(&[][..], 2.0), (&[f64::NAN][..], 1.0)] {
+                rogue.send(0, TAG_FAIL, garbled).unwrap();
+                let dealt = rogue
+                    .probe_timeout(Some(0), Some(TAG_ASSIGN), cfg.poll)
+                    .unwrap();
+                assert!(dealt.is_some(), "no tag-3 after tag-8 {garbled:?}");
+                rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+                assert_eq!(buf, [next], "after tag-8 {garbled:?}");
+            }
+            for ik in [1, 0] {
+                rogue.send(0, TAG_HEADER, &wires[ik].0).unwrap();
+                rogue.send(0, TAG_DATA, &wires[ik].1).unwrap();
+                if ik == 1 {
+                    rogue.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+                    assert_eq!(buf, [0.0]);
+                }
+            }
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+            rogue
+                .send(0, TAG_STATS, &WorkerStats::default().to_wire())
+                .unwrap();
+        });
+        let ledger = master_job_session(
+            &mut master_ep,
+            &spec,
+            SchedulePolicy::LargestFirst,
+            &cfg,
+            &mut Vec::new,
+            Instant::now(),
+            &JobControl::default(),
+            None,
+        )
+        .unwrap();
+        h.join().unwrap();
+        let rec = &ledger.recovery;
+        assert_eq!(rec.requeues, 1, "mode 2 requeued once, mode 0 never");
+        assert_eq!(rec.failed_modes.len(), 1, "{rec:?}");
+        assert_eq!(
+            (rec.failed_modes[0].ik, rec.failed_modes[0].attempts),
+            (2, 2)
+        );
+        assert_eq!(
+            ledger.completion_log,
+            [(1, 1), (0, 1)],
+            "mode 0 integrated once"
+        );
+        assert_eq!(rec.heartbeat_misses, 0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use msgpass::fault::{FaultSpec, FaultyTransport};
+use msgpass::fault::FaultyTransport;
 use msgpass::instrument::{CommSnapshot, EndpointStats, Instrumented};
 use msgpass::tcp::{PendingMaster, RespawnPort, TcpWorld};
 use msgpass::{Rank, Transport, World};
@@ -66,7 +66,7 @@ use crate::protocol::{require_evolvable, RunSpec, TAG_STOP};
 use crate::recovery::WorkerEvent;
 use crate::schedule::SchedulePolicy;
 use crate::tables::TableCache;
-use crate::worker::{worker_pool_session, SpanSink, WorkerFault, WorkerTotals};
+use crate::worker::{worker_pool_session, SpanSink};
 
 /// Pool-level knobs (the per-job knobs live in [`MasterConfig`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,10 +74,12 @@ pub struct PoolOptions {
     /// Total worker respawns allowed over the pool's lifetime; 0 never
     /// respawns, and a lost rank's modes go to the survivors.
     pub respawn_limit: usize,
-    /// Fault to script into the pool (tests): worker-level plans ride
-    /// into the initial workers, message-level plans into every
-    /// in-process endpoint's [`FaultyTransport`] — on a subprocess pool,
-    /// the master's alone (see [`FaultPlan`]).
+    /// Fault to script into the pool (tests): every initial worker —
+    /// thread or child, which gets it as its one string form — runs
+    /// under the plan and acts on what it says of its rank; a
+    /// message-level plan wraps every in-process endpoint's
+    /// [`FaultyTransport`], on a subprocess pool the master's alone.
+    /// Respawned workers run under none.  See [`FaultPlan`].
     pub fault: Option<FaultPlan>,
 }
 
@@ -90,10 +92,11 @@ type PoolEndpoint<W> = FaultyTransport<Instrumented<<W as World>::Endpoint>>;
 
 fn wrap_endpoint<W: World>(
     ep: W::Endpoint,
-    fault: &FaultSpec,
+    fault: Option<FaultPlan>,
 ) -> (PoolEndpoint<W>, Arc<EndpointStats>) {
     let (counted, stats) = Instrumented::new(ep);
-    (FaultyTransport::new(counted, fault.clone()).0, stats)
+    let strike = fault.and_then(|f| f.strike());
+    (FaultyTransport::new(counted, strike), stats)
 }
 
 /// One resident worker of a thread pool: its liveness flag, its thread
@@ -105,7 +108,7 @@ struct PoolWorker<W: World> {
     stats: Arc<EndpointStats>,
 }
 
-type WorkerReturn<W> = (Result<WorkerTotals, FarmError>, PoolEndpoint<W>);
+type WorkerReturn<W> = (Result<(), FarmError>, PoolEndpoint<W>);
 type WorkerHandle<W> = JoinHandle<WorkerReturn<W>>;
 
 /// Clears a worker's liveness flag when its thread ends — by return or
@@ -120,7 +123,7 @@ impl Drop for ClearOnDrop {
 
 fn spawn_pool_worker<W: World>(
     mut ep: PoolEndpoint<W>,
-    fault: Option<WorkerFault>,
+    fault: Option<FaultPlan>,
     epoch: Instant,
     tables: Arc<TableCache>,
     sink: Arc<SpanSink>,
@@ -137,25 +140,12 @@ fn spawn_pool_worker<W: World>(
     (alive, handle)
 }
 
-/// Render the worker-level fault of `plan` for `rank` as the hidden CLI
-/// argument `--tcp-worker` understands (see
-/// [`parse_worker_fault`](crate::parse_worker_fault)).
-fn worker_fault_arg(plan: Option<FaultPlan>, rank: Rank) -> Option<String> {
-    match plan?.worker_fault(rank)? {
-        WorkerFault::Vanish { after_modes } => Some(format!("vanish:{after_modes}")),
-        WorkerFault::Stall { after_modes, stall } => {
-            Some(format!("stall:{after_modes}:{}", stall.as_millis()))
-        }
-        WorkerFault::FailMode { ik } => Some(format!("failmode:{ik}")),
-    }
-}
-
 fn spawn_tcp_worker(
     exe: &Path,
     addr: SocketAddr,
     rank: Rank,
     size: usize,
-    fault: Option<String>,
+    fault: Option<&str>,
 ) -> Result<Child, FarmError> {
     let mut cmd = Command::new(exe);
     cmd.arg("--tcp-worker")
@@ -308,9 +298,10 @@ impl<W: World> Workers<W> {
     }
 
     /// Wait for every worker after the stops went out, and hang up the
-    /// master: threads answer the stop with a tag-7 the master must
-    /// still accept, so it outlives their joins; a subprocess that
-    /// missed its stop sees the hang-up, so it goes first.
+    /// master: a thread whose stop caught an open job answers it with
+    /// that job's tag-7, which the master must still accept, so it
+    /// outlives their joins; a subprocess that missed its stop sees the
+    /// hang-up, so it goes first.
     fn join(&mut self, master: Option<PoolEndpoint<W>>) {
         match self {
             Workers::Threads { ranks, .. } => {
@@ -409,7 +400,6 @@ impl<W: World> FarmPool<W> {
         let epoch = Instant::now();
         let tables = Arc::new(TableCache::new());
         let sink = Arc::new(SpanSink::default());
-        let fault_spec = opts.fault.map(|f| f.fault_spec()).unwrap_or_default();
         let mut eps = eps.into_iter();
         let Some(master) = eps.next() else {
             return Err(FarmError::Setup(msgpass::CommError::Protocol(
@@ -417,13 +407,11 @@ impl<W: World> FarmPool<W> {
             )));
         };
         let ranks = eps
-            .enumerate()
-            .map(|(i, ep)| {
-                let (wrapped, stats) = wrap_endpoint::<W>(ep, &fault_spec);
-                let fault = opts.fault.and_then(|f| f.worker_fault(i + 1));
+            .map(|ep| {
+                let (wrapped, stats) = wrap_endpoint::<W>(ep, opts.fault);
                 let (alive, handle) = spawn_pool_worker::<W>(
                     wrapped,
-                    fault,
+                    opts.fault,
                     epoch,
                     Arc::clone(&tables),
                     Arc::clone(&sink),
@@ -451,8 +439,7 @@ impl<W: World> FarmPool<W> {
         opts: PoolOptions,
         epoch: Instant,
     ) -> Self {
-        let fault_spec = opts.fault.map(|f| f.fault_spec()).unwrap_or_default();
-        let (master, master_stats) = wrap_endpoint::<W>(master, &fault_spec);
+        let (master, master_stats) = wrap_endpoint::<W>(master, opts.fault);
         let mut pool = Self {
             master: Some(master),
             master_stats,
@@ -659,9 +646,9 @@ impl<W: World> FarmPool<W> {
 impl FarmPool<TcpWorld> {
     /// Start a pool of `n_workers` subprocess workers: bind the master
     /// socket on localhost, launch `n_workers` copies of `exe` with the
-    /// hidden `--tcp-worker ADDR RANK SIZE [FAULT]` arguments (the
-    /// worker-level fault of `opts.fault` rides the last one), and
-    /// complete the handshake.
+    /// hidden `--tcp-worker ADDR RANK SIZE [FAULT]` arguments (every
+    /// child gets the worker-level plan of `opts.fault` in its string
+    /// form, [`FaultPlan::worker_arg`]), and complete the handshake.
     ///
     /// Only the master endpoint is instrumented: a report's `comm` holds
     /// one snapshot, and the children's wire-shipped tag-7 statistics
@@ -679,11 +666,11 @@ impl FarmPool<TcpWorld> {
             FarmError::Setup(msgpass::CommError::Protocol(format!("bind failed: {e}")))
         })?;
         let addr = pending.addr();
+        let fault = opts.fault.and_then(|f| f.worker_arg());
         let mut children: Vec<Child> = Vec::with_capacity(n_workers);
         let accepted = (1..=n_workers)
             .try_for_each(|rank| {
-                let fault = worker_fault_arg(opts.fault, rank);
-                children.push(spawn_tcp_worker(exe, addr, rank, size, fault)?);
+                children.push(spawn_tcp_worker(exe, addr, rank, size, fault.as_deref())?);
                 Ok(())
             })
             .and_then(|()| pending.accept_all_keep().map_err(FarmError::Setup));

@@ -50,9 +50,9 @@ pub struct RecoveryLog {
     /// Worker processes relaunched and re-handshaked mid-run.
     pub respawns: usize,
     /// Results discarded as stale: sent by a rank already marked dead
-    /// (racing the death detection), or the second copy of a mode whose
+    /// (racing the death detection), the second copy of a mode whose
     /// first copy a respawned rank's previous incarnation had already
-    /// delivered.
+    /// delivered, or a tag-8 failure from a rank that holds no mode.
     pub late_results: usize,
     /// Modes that exhausted their attempt budget.
     pub failed_modes: Vec<FailedMode>,

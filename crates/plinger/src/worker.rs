@@ -10,6 +10,7 @@ use ode::Integrator;
 use telemetry::{SpanEvent, SpanRecorder};
 
 use crate::error::FarmError;
+use crate::farm::FaultPlan;
 use crate::protocol::{
     cosmo_hash, count_from_real, job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL,
     TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
@@ -22,32 +23,6 @@ const HEARTBEAT_CHECK_STEPS: usize = 64;
 
 /// Minimum wall-clock spacing between two heartbeats from one worker.
 const HEARTBEAT_MIN_INTERVAL: Duration = Duration::from_millis(100);
-
-/// A scripted worker misbehaviour, driven by the farm's fault plan.
-/// Real deployments pass `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerFault {
-    /// Return silently (no goodbye, no stats) when the next assignment
-    /// arrives after `after_modes` completed modes — a dead thread/node.
-    Vanish {
-        /// Completed modes before vanishing.
-        after_modes: usize,
-    },
-    /// Go silent for `stall` on the next assignment after `after_modes`
-    /// completed modes, then vanish — a hung worker that heartbeat
-    /// timeouts must catch.
-    Stall {
-        /// Completed modes before stalling.
-        after_modes: usize,
-        /// How long to hang before vanishing.
-        stall: Duration,
-    },
-    /// Report mode `ik` as failed (tag 8) instead of integrating it.
-    FailMode {
-        /// The poisoned mode index.
-        ik: usize,
-    },
-}
 
 /// Statistics a worker reports after each job's release, shipped to the
 /// master as the tag-7 payload (10 reals; see the `protocol` module
@@ -124,21 +99,6 @@ impl WorkerStats {
             prefetch_builds: v[9] as usize,
         })
     }
-
-    /// Field-wise accumulate `other` into `self` — a worker's
-    /// whole-session totals are the sum of its per-job reports.
-    pub fn absorb(&mut self, other: &WorkerStats) {
-        self.modes += other.modes;
-        self.busy_seconds += other.busy_seconds;
-        self.total_seconds += other.total_seconds;
-        self.bytes_sent += other.bytes_sent;
-        self.steps_accepted += other.steps_accepted;
-        self.steps_rejected += other.steps_rejected;
-        self.rhs_evals += other.rhs_evals;
-        self.bytes_received += other.bytes_received;
-        self.ctx_rebuilds += other.ctx_rebuilds;
-        self.prefetch_builds += other.prefetch_builds;
-    }
 }
 
 /// Heartbeat emission state, carried across assignments and across
@@ -197,7 +157,7 @@ fn record_build(rec: &mut SpanRecorder, name: &'static str, began: Instant, spec
 /// `stats.bytes_received`) and its tag returned, so the caller decides
 /// what job-done/cancel/stop means for its lifetime.
 ///
-/// Returns `Ok(None)` when a scripted [`WorkerFault`] says to vanish —
+/// Returns `Ok(None)` when the fault plan says this rank vanishes —
 /// the caller must then return without a goodbye.  `modes_done` counts
 /// completed modes across the whole worker lifetime (fault triggers key
 /// on it), while `stats` is the caller's per-job ledger.
@@ -207,7 +167,7 @@ fn serve_assignments<T: Transport>(
     mastid: msgpass::Rank,
     spec: &RunSpec,
     tables: &PhysicsTables,
-    fault: Option<WorkerFault>,
+    fault: Option<FaultPlan>,
     modes_done: &mut usize,
     stats: &mut WorkerStats,
     integ: &mut Integrator,
@@ -249,18 +209,25 @@ fn serve_assignments<T: Transport>(
             ),
         })?;
         let k = spec.ks[ik];
+        let me = t.rank();
         match fault {
-            Some(WorkerFault::Vanish { after_modes }) if *modes_done >= after_modes => {
+            Some(FaultPlan::DropWorker { rank, after_modes })
+                if rank == me && *modes_done >= after_modes =>
+            {
                 // fault injection: vanish without a goodbye
                 return Ok(None);
             }
-            Some(WorkerFault::Stall { after_modes, stall }) if *modes_done >= after_modes => {
+            Some(FaultPlan::StallWorker {
+                rank,
+                after_modes,
+                stall,
+            }) if rank == me && *modes_done >= after_modes => {
                 // fault injection: hang silently, then vanish — the
                 // master's heartbeat timeout must catch this
                 std::thread::sleep(stall);
                 return Ok(None);
             }
-            Some(WorkerFault::FailMode { ik: bad }) if bad == ik => {
+            Some(FaultPlan::FailMode { ik: bad }) if bad == ik => {
                 // fault injection: report the mode as failed
                 mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
                 continue;
@@ -403,15 +370,6 @@ impl SpanSink {
     }
 }
 
-/// What one worker accumulated over its whole lifetime.
-#[derive(Debug, Default)]
-pub struct WorkerTotals {
-    /// Jobs served to completion (each answered with a tag-7 report).
-    pub jobs: usize,
-    /// Whole-lifetime statistics: the per-job reports summed.
-    pub stats: WorkerStats,
-}
-
 /// The worker session: serve jobs until the master sends a tag-6 stop.
 ///
 /// Mirrors Appendix A line by line — receive the run parameters (tag
@@ -444,26 +402,28 @@ pub struct WorkerTotals {
 /// * consumes and ignores stale traffic between jobs (e.g. an
 ///   assignment addressed to this rank's previous incarnation that was
 ///   already requeued elsewhere);
-/// * on a tag-6 stop, reports its stats (this job's if one is open,
-///   lifetime totals — zero if it never saw a job — when idle) and
-///   exits; any exit, a scripted vanish's too, hands `sink` what is
-///   left of its spans.
+/// * acts on the worker-level part of `fault` that names its rank (a
+///   `FailMode` names every rank): vanishes or stalls on the assignment
+///   after `after_modes` completed ones, or reports the poisoned mode
+///   failed;
+/// * on a tag-6 stop, exits — answering with the open job's stats if
+///   the stop caught one, with nothing when idle; any exit, a scripted
+///   vanish's too, hands `sink` what is left of its spans.
 ///
 /// `epoch` anchors the span timestamps; the pool passes one epoch to
 /// every rank so the per-rank tracks (`mode`, `wait`, `build_ctx`,
 /// `prefetch_ctx`) align in a trace viewer.
 pub fn worker_pool_session<T: Transport>(
     t: &mut T,
-    fault: Option<WorkerFault>,
+    fault: Option<FaultPlan>,
     epoch: Instant,
     cache: &TableCache,
     sink: Option<&SpanSink>,
-) -> Result<WorkerTotals, FarmError> {
+) -> Result<(), FarmError> {
     let (mytid, mastid) = initpass(t);
     let mut buf = Vec::new();
     let blank = SpanRecorder::new(epoch, 0, mytid as u64);
     let mut rec = blank.clone();
-    let mut out = WorkerTotals::default();
     let mut integ = Integrator::new();
     let mut hb = Heartbeat::new();
     let mut modes_done = 0usize;
@@ -476,10 +436,8 @@ pub fn worker_pool_session<T: Transport>(
         if tag != TAG_INIT {
             let n = myrecvreal(t, &mut buf, tag, mastid)?;
             if tag == TAG_STOP {
-                // session over; report lifetime totals
                 hand_over(sink, rec);
-                mysendreal(t, &out.stats.to_wire(), TAG_STATS, mastid)?;
-                return Ok(out);
+                return Ok(());
             }
             if tag == TAG_PREFETCH {
                 // a hint, not a job: build the announced cosmology's
@@ -527,18 +485,15 @@ pub fn worker_pool_session<T: Transport>(
         )?;
         let Some(release_tag) = released else {
             // scripted vanish/stall: disappear without the goodbye
-            out.stats.absorb(&stats);
             hand_over(sink, rec);
-            return Ok(out);
+            return Ok(());
         };
         stats.total_seconds = t_start.elapsed().as_secs_f64();
         hand_over(sink, std::mem::replace(&mut rec, blank.clone()));
         mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
-        out.jobs += 1;
-        out.stats.absorb(&stats);
         if release_tag == TAG_STOP {
             // the pool is shutting down under an open job
-            return Ok(out);
+            return Ok(());
         }
         // released or cancelled: park warm and wait for the next job
     }
@@ -596,9 +551,10 @@ mod tests {
 
     /// Drive one session through two 2-mode jobs and a stop over
     /// channel endpoints, handing its spans to `sink` if there is one;
-    /// returns its totals and the `mode` spans `sink` held after each
-    /// tag-7 (one entry per job, then one for the stop).
-    fn two_jobs_and_a_stop(sink: Option<Arc<SpanSink>>) -> (WorkerTotals, Vec<usize>) {
+    /// returns the modes each job's tag-7 reported and the `mode` spans
+    /// `sink` held after each tag-7 (one entry per job, then one for
+    /// the stop, which is answered with nothing).
+    fn two_jobs_and_a_stop(sink: Option<Arc<SpanSink>>) -> (Vec<usize>, Vec<usize>) {
         let mut spec = RunSpec::standard_cdm(vec![2.0e-3, 4.0e-3]);
         spec.preset = boltzmann::Preset::Draft;
         let mut eps = ChannelWorld::new(2);
@@ -614,6 +570,7 @@ mod tests {
             spans.iter().filter(|s| s.name == "mode").count()
         };
         let mut buf = Vec::new();
+        let mut wire_modes = Vec::new();
         let mut per_job = Vec::new();
         for _ in 0..2 {
             master.send(1, TAG_INIT, &spec.encode()).unwrap();
@@ -625,30 +582,33 @@ mod tests {
             }
             master.send(1, TAG_JOBDONE, &[0.0]).unwrap();
             master.recv(1, TAG_STATS, &mut buf).unwrap();
-            assert_eq!(WorkerStats::from_wire(&buf).unwrap().modes, spec.ks.len());
+            wire_modes.push(WorkerStats::from_wire(&buf).unwrap().modes);
             per_job.push(modes());
         }
         master.send(1, TAG_STOP, &[0.0]).unwrap();
-        master.recv(1, TAG_STATS, &mut buf).unwrap();
-        let totals = h.join().unwrap().unwrap();
+        h.join().unwrap().unwrap();
+        let reply = master.probe_timeout(Some(1), Some(TAG_STATS), Duration::ZERO);
+        assert!(
+            reply.unwrap().is_none(),
+            "the stop was answered with a tag-7"
+        );
         per_job.push(modes());
-        (totals, per_job)
+        (wire_modes, per_job)
     }
 
     #[test]
     fn a_session_hands_each_jobs_spans_over_before_its_report() {
-        let (totals, per_job) = two_jobs_and_a_stop(Some(Arc::default()));
-        assert_eq!((totals.jobs, totals.stats.modes), (2, 4));
+        let (wire_modes, per_job) = two_jobs_and_a_stop(Some(Arc::default()));
+        assert_eq!(wire_modes, [2, 2], "modes on each job's tag-7");
         assert_eq!(per_job, [2, 2, 0], "mode spans in the sink at each tag-7");
     }
 
     #[test]
     fn a_session_without_a_sink_keeps_no_span_past_its_job() {
         // a subprocess worker's session: the same two jobs and stop, and
-        // nothing to hand its spans to — it drops them at each tag-7,
-        // and what it returns holds no span at all
-        let (totals, per_job) = two_jobs_and_a_stop(None);
-        assert_eq!((totals.jobs, totals.stats.modes), (2, 4));
+        // nothing to hand its spans to — it drops them at each tag-7
+        let (wire_modes, per_job) = two_jobs_and_a_stop(None);
+        assert_eq!(wire_modes, [2, 2], "modes on each job's tag-7");
         assert_eq!(per_job, [0, 0, 0]);
     }
 

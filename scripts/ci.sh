@@ -474,14 +474,22 @@ cargo test -q -p spectra --lib node_rows_of_the_largest_preset_fit_in_8_mb
 
 echo "== fault matrix =="
 # the recovery tests sweep every FaultPlan variant over the channel
-# world (recovery_matrix), the raw fault seam (msgpass fault
-# unit tests), and the TCP subprocess deployment (tcp_recovery:
-# respawn and requeue-only); farm_transports pins that a default-config
-# farm takes the same requeue path.  Run them explicitly so a
-# fault-handling regression names itself in the CI log.
+# world (recovery_matrix), the transport seam — one rule that drops or
+# corrupts the nth message sent under one tag (msgpass fault unit
+# tests), and the TCP subprocess deployment (tcp_recovery: respawn and
+# requeue-only); farm_transports pins that a default-config farm takes
+# the same requeue path.  The master's garbled-tag-8 test and the one
+# worker-fault grammar (drop:RANK:AFTER | stall:RANK:AFTER:MS |
+# failmode:IK) run by name.  Run them explicitly so a fault-handling
+# regression names itself in the CI log.
 cargo test -q --test recovery_matrix
 cargo test -q -p plinger --test tcp_recovery
 cargo test -q -p msgpass fault::
+for t in master::tests::garbled_tag_8_requeues_the_senders_mode_and_deals_it_the_next \
+         farm::tests::worker_level_plans_have_one_string_form; do
+    ran="$(cargo test -q -p plinger --lib -- --exact "$t")"
+    grep -q "1 passed" <<<"$ran" || { echo "fault matrix: $t did not run"; exit 1; }
+done
 
 echo "== chaos determinism (x20) =="
 # every scripted kill lands inside an assignment the master guarantees
