@@ -2,14 +2,14 @@
 //! the unit of work a PLINGER worker performs.
 
 use background::Background;
-use ode::{IntegrateOpts, Integrator, Method, OdeError, StepStats};
+use ode::{DenseSample, IntegrateOpts, Integrator, Method, OdeError, StepStats};
 use recomb::ThermoHistory;
 
 use crate::initial::{set_initial_conditions, InitialConditions};
 use crate::layout::{Gauge, StateLayout};
 use crate::output::ModeOutput;
 use crate::rhs::LingerRhs;
-use crate::source::{SourceRecorder, SpectrumMethod, LOS_LMAX};
+use crate::source::{SourceRecorder, SpectrumMethod, LOS_LMAX, REC_WINDOW};
 
 /// Tight-coupling validity threshold: TCA holds while
 /// `max(k, ℋ)·τ_c < EPS_TCA`.
@@ -70,9 +70,13 @@ pub struct ModeConfig {
     pub ic: InitialConditions,
     /// Accuracy preset.
     pub preset: Preset,
-    /// Photon hierarchy size; `None` = automatic `k·τ_end`-based choice.
+    /// Photon hierarchy size, carried from the first step; `None` =
+    /// automatic: [`auto_lmax`]`(k, τ_end)` from the end of the
+    /// recombination window on, and the smaller `auto_lmax` of the
+    /// window's end before it (full hierarchy only; see [`evolve_mode`]).
     pub lmax_g: Option<usize>,
-    /// Massless-neutrino hierarchy size; `None` = automatic.
+    /// Massless-neutrino hierarchy size; `None` = automatic, sized and
+    /// grown as `lmax_g` is but clamped to `16..=600`.
     pub lmax_nu: Option<usize>,
     /// Massive-neutrino hierarchy size per momentum bin.
     pub lmax_h: usize,
@@ -143,11 +147,68 @@ impl std::fmt::Display for EvolveError {
 
 impl std::error::Error for EvolveError {}
 
-/// Automatic photon hierarchy size: the paper integrates enough moments
-/// to resolve structure out to `l ≈ k·τ₀`, plus margin.
-pub fn auto_lmax(k: f64, tau_end: f64, preset: Preset) -> usize {
-    let base = (1.05 * k * tau_end) as usize + preset.lmax_margin();
+/// Automatic photon hierarchy size at conformal time `tau`: free
+/// streaming has carried structure out to `l ≈ k·τ`, so the ladder
+/// holds that many moments plus the preset's margin.  At `τ₀` this is
+/// the paper's `l ≈ k·τ₀`, the size of the output ladder; a
+/// full-hierarchy mode carries the smaller size for the end of the
+/// recombination window until then (see [`evolve_mode`]).
+pub fn auto_lmax(k: f64, tau: f64, preset: Preset) -> usize {
+    let base = (1.05 * k * tau) as usize + preset.lmax_margin();
     base.clamp(8, preset.lmax_cap())
+}
+
+/// The state layout a mode carries at conformal time `tau`: the
+/// config's explicit ladders, or [`auto_lmax`]`(k, tau)` for the photons
+/// and the same clamped to `16..=600` for the massless neutrinos.  In
+/// line-of-sight mode the automatic ladders are truncated at
+/// [`LOS_LMAX`]: the recorded source only needs the monopole through
+/// quadrupole to be accurate, so a few tens of moments suffice
+/// regardless of the output l_max.
+fn state_layout(bg: &Background, config: &ModeConfig, k: f64, tau: f64) -> StateLayout {
+    let los = config.spectrum_method == SpectrumMethod::LineOfSight;
+    let truncate = |auto: usize| if los { auto.min(LOS_LMAX) } else { auto };
+    let lmax_g = config
+        .lmax_g
+        .unwrap_or_else(|| truncate(auto_lmax(k, tau, config.preset)));
+    let lmax_nu = config
+        .lmax_nu
+        .unwrap_or_else(|| truncate(auto_lmax(k, tau, config.preset).clamp(16, 600)));
+    let nq = config
+        .nq
+        .unwrap_or(if bg.params().has_massive_nu() { 16 } else { 0 });
+    StateLayout::new(
+        config.gauge,
+        lmax_g.max(3),
+        lmax_nu.max(3),
+        config.lmax_h,
+        nq,
+    )
+}
+
+/// `y`, laid out as `from`, re-laid into `to`, whose ladders are at
+/// least as long: every moment `from` carries is copied, the moments
+/// only `to` has start at zero.
+fn grow_state(from: &StateLayout, to: &StateLayout, y: &[f64]) -> Vec<f64> {
+    debug_assert!(from.lmax_g <= to.lmax_g && from.lmax_nu <= to.lmax_nu);
+    debug_assert!(from.nq == to.nq && from.lmax_h == to.lmax_h);
+    // (first index, length) of the photon T, photon P, massless-ν and
+    // massive-ν blocks; the six fluid and metric slots lead both layouts
+    let blocks = |lay: &StateLayout| {
+        let massive = lay.fnu(lay.lmax_nu) + 1;
+        [
+            (lay.fg(0), lay.lmax_g + 1),
+            (lay.gg(0), lay.lmax_g + 1),
+            (lay.fnu(0), lay.lmax_nu + 1),
+            (massive, lay.dim() - massive),
+        ]
+    };
+    let mut out = vec![0.0; to.dim()];
+    out[..6].copy_from_slice(&y[..6]);
+    for ((src, n), (dst, _)) in blocks(from).into_iter().zip(blocks(to)) {
+        out[dst..dst + n].copy_from_slice(&y[src..src + n]);
+    }
+    out
 }
 
 /// Evolve one wavenumber and return its output record.
@@ -157,6 +218,15 @@ pub fn auto_lmax(k: f64, tau_end: f64, preset: Preset) -> usize {
 /// integrate under tight coupling while Thomson scattering is fast, then
 /// integrate the full moment hierarchies to `τ_end` with no
 /// free-streaming approximation.
+///
+/// Ladder sizes: an explicit `lmax_g`/`lmax_nu` is carried from the
+/// first step.  An automatic one ([`auto_lmax`]) is sized for `k·τ_end`
+/// from the end of the recombination window (`2.2 τ_rec`) on, so the
+/// paper's full hierarchy is carried to the final time from there; up
+/// to that point a full-hierarchy mode carries the smaller ladder sized
+/// for the window's end, and re-lays its state once onto the final one
+/// there, the new moments starting at zero.  The output is the final
+/// ladder either way.
 pub fn evolve_mode(
     bg: &Background,
     thermo: &ThermoHistory,
@@ -212,49 +282,33 @@ pub fn evolve_mode_scratch(
     let preset = config.preset;
     let los = config.spectrum_method == SpectrumMethod::LineOfSight;
 
-    // in line-of-sight mode the ladders are truncated: the recorded
-    // source only needs the monopole through quadrupole to be accurate,
-    // so a few tens of moments suffice regardless of the output l_max
-    let lmax_g = config.lmax_g.unwrap_or_else(|| {
-        let auto = auto_lmax(k, tau_end, preset);
-        if los {
-            auto.min(LOS_LMAX)
-        } else {
-            auto
-        }
-    });
-    let lmax_nu = config.lmax_nu.unwrap_or_else(|| {
-        let auto = auto_lmax(k, tau_end, preset).clamp(16, 600);
-        if los {
-            auto.min(LOS_LMAX)
-        } else {
-            auto
-        }
-    });
-    let nq = config
-        .nq
-        .unwrap_or(if bg.params().has_massive_nu() { 16 } else { 0 });
-    let layout = StateLayout::new(
-        config.gauge,
-        lmax_g.max(3),
-        lmax_nu.max(3),
-        config.lmax_h,
-        nq,
-    );
+    // A full-hierarchy mode carries ladders sized for the end of the
+    // recombination window until then, and τ_end's from there on; the
+    // line-of-sight path and explicit ladders keep one layout throughout.
+    // (`auto_lmax` grows with τ, so the early ladders never exceed the
+    // final ones)
+    let layout = state_layout(bg, config, k, tau_end);
+    let tau_window = (REC_WINDOW.1 * thermo.tau_rec()).min(tau_end);
+    let early = if los {
+        layout.clone()
+    } else {
+        state_layout(bg, config, k, tau_window)
+    };
+    let tau_grow = if early == layout { tau_end } else { tau_window };
 
-    let mut rhs = LingerRhs::new(bg, thermo, layout.clone(), k);
+    let mut rhs = LingerRhs::new(bg, thermo, early.clone(), k);
 
     // start time: kτ = 10⁻³, but no later than a = 10⁻⁵ (radiation era)
     let tau_start = (1.0e-3 / k)
         .min(bg.conformal_time(1.0e-5))
         .min(0.2 * tau_end);
-    let mut y = vec![0.0; layout.dim()];
+    let mut y = vec![0.0; early.dim()];
     set_initial_conditions(&rhs, config.ic, tau_start, bg.r_nu_early(), &mut y);
 
     // tight-coupling switch time
     let tau_switch = find_tca_switch(bg, thermo, k, tau_start, tau_end);
 
-    let mut opts = IntegrateOpts {
+    let opts = IntegrateOpts {
         rtol: preset.rtol(),
         atol: preset.rtol() * 1e-4,
         method: config.method,
@@ -264,7 +318,7 @@ pub fn evolve_mode_scratch(
     };
 
     let mut stats = StepStats::default();
-    let mut trajectory = Vec::new();
+    let mut trajectory: Vec<DenseSample> = Vec::new();
     let mut tau = tau_start;
 
     // line-of-sight mode evaluates the projector coefficients at every
@@ -276,28 +330,38 @@ pub fn evolve_mode_scratch(
         rec
     });
 
-    // trampoline: `&mut dyn FnMut(..) -> bool` is invariant in the trait
-    // object's lifetime, so the caller's observer cannot be reborrowed
-    // for two sequential integrate_observed calls; a per-phase closure
-    // over `observer` (and the recorder) can
-    macro_rules! relay {
-        () => {
-            |t: f64, y_now: &[f64]| {
-                if let Some(rec) = recorder.as_mut() {
-                    rec.push(t, y_now);
-                }
-                match observer.as_mut() {
-                    Some(obs) => obs(),
-                    None => true,
-                }
+    // The phases end at the TCA switch, where the ladders grow and at
+    // τ_end; a phase that ends where the previous one did is skipped.
+    // TCA ends by τ_rec, so it never outlasts the early ladders.  Every
+    // phase starts a fresh step controller (`opts.h0` is `None`): after
+    // the hand-off the slaved moments are only O(τ_c)-accurate, and after
+    // the growth the new moments start at zero.
+    for (phase, upper) in [tau_switch.min(tau_end), tau_grow, tau_end]
+        .into_iter()
+        .enumerate()
+    {
+        if upper <= tau {
+            continue;
+        }
+        if phase == 2 {
+            y = grow_state(&rhs.layout, &layout, &y);
+            for s in &mut trajectory {
+                s.y = grow_state(&rhs.layout, &layout, &s.y);
+                s.dydt = grow_state(&rhs.layout, &layout, &s.dydt);
+            }
+            rhs = LingerRhs::new(bg, thermo, layout.clone(), k);
+        }
+        rhs.tca = phase == 0;
+        // the caller's observer and the recorder see every accepted step
+        let mut relay = |t: f64, y_now: &[f64]| {
+            if let Some(rec) = recorder.as_mut() {
+                rec.push(t, y_now);
+            }
+            match observer.as_mut() {
+                Some(obs) => obs(),
+                None => true,
             }
         };
-    }
-
-    if tau_switch > tau_start {
-        rhs.tca = true;
-        let upper = tau_switch.min(tau_end);
-        let mut relay = relay!();
         let sol = integ
             .integrate_observed(&mut rhs, tau, upper, &mut y, &opts, Some(&mut relay))
             .map_err(|source| EvolveError::Ode { k, source })?;
@@ -305,25 +369,13 @@ pub fn evolve_mode_scratch(
         trajectory.extend(sol.trajectory);
         tau = upper;
         rhs.tca = false;
-        if tau < tau_end {
+        if phase == 0 && tau < tau_end {
             patch_tca_handoff(&rhs, thermo, tau, &mut y);
             if let Some(rec) = recorder.as_mut() {
                 // re-record the switch state with the slaved moments
                 rec.push(tau, &y);
             }
         }
-    }
-
-    if tau < tau_end {
-        // after the handoff the state is only O(τ_c)-accurate in the slaved
-        // moments; keep the same tolerances but refresh the controller
-        opts.h0 = None;
-        let mut relay = relay!();
-        let sol = integ
-            .integrate_observed(&mut rhs, tau, tau_end, &mut y, &opts, Some(&mut relay))
-            .map_err(|source| EvolveError::Ode { k, source })?;
-        stats.merge(&sol.stats);
-        trajectory.extend(sol.trajectory);
     }
 
     let sources = recorder.map(|rec| rec.finish(tau_end, preset));
@@ -345,18 +397,9 @@ pub fn potential_history(
     let mut cfg = config.clone();
     cfg.record_trajectory = true;
     let out = evolve_mode(bg, thermo, k, &cfg)?;
-    // rebuild an RHS with the same layout to evaluate the metric
-    let layout = StateLayout::new(
-        cfg.gauge,
-        out.lmax_g,
-        cfg.lmax_nu
-            .unwrap_or_else(|| auto_lmax(k, out.tau_end, cfg.preset).clamp(16, 600))
-            .max(3),
-        cfg.lmax_h,
-        cfg.nq
-            .unwrap_or(if bg.params().has_massive_nu() { 16 } else { 0 }),
-    );
-    let rhs = LingerRhs::new(bg, thermo, layout, k);
+    // every recorded sample is in the final layout; rebuild an RHS with
+    // it to evaluate the metric
+    let rhs = LingerRhs::new(bg, thermo, state_layout(bg, &cfg, k, out.tau_end), k);
     Ok(out
         .trajectory
         .iter()
@@ -505,6 +548,95 @@ mod tests {
         let out = evolve_mode(bg, th, 0.02, &draft_config()).unwrap();
         assert!(out.delta_g.abs() < 100.0, "δ_γ = {}", out.delta_g);
         assert!(out.delta_c.abs() > out.delta_g.abs());
+    }
+
+    #[test]
+    fn growing_a_state_keeps_every_moment_and_zeroes_the_new_ones() {
+        let from = StateLayout::new(Gauge::Synchronous, 4, 5, 3, 2);
+        let to = StateLayout::new(Gauge::Synchronous, 7, 9, 3, 2);
+        let y: Vec<f64> = (0..from.dim()).map(|i| 1.0 + i as f64).collect();
+        let grown = grow_state(&from, &to, &y);
+        assert_eq!(grown.len(), to.dim());
+        assert_eq!(grown[..6], y[..6]);
+        for l in 0..=to.lmax_g {
+            let kept = l <= from.lmax_g;
+            assert_eq!(grown[to.fg(l)], if kept { y[from.fg(l)] } else { 0.0 });
+            assert_eq!(grown[to.gg(l)], if kept { y[from.gg(l)] } else { 0.0 });
+        }
+        for l in 0..=to.lmax_nu {
+            let kept = l <= from.lmax_nu;
+            assert_eq!(grown[to.fnu(l)], if kept { y[from.fnu(l)] } else { 0.0 });
+        }
+        for iq in 0..to.nq {
+            for l in 0..=to.lmax_h {
+                assert_eq!(grown[to.psi(iq, l)], y[from.psi(iq, l)]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_growing_modes_history_ends_on_its_output_potentials() {
+        // the ν ladder is automatic, so it grows at the end of the
+        // recombination window; every sample, early ones included, is
+        // read in the final layout
+        let (bg, th) = setup();
+        let cfg = ModeConfig {
+            lmax_g: Some(20),
+            ..draft_config()
+        };
+        let k = 0.01;
+        let tau_end = bg.tau0();
+        assert_ne!(
+            state_layout(bg, &cfg, k, REC_WINDOW.1 * th.tau_rec()),
+            state_layout(bg, &cfg, k, tau_end),
+            "this mode must grow its ladder"
+        );
+        let hist = potential_history(bg, th, k, &cfg).unwrap();
+        let out = evolve_mode(bg, th, k, &cfg).unwrap();
+        let &(t, phi, psi) = hist.last().unwrap();
+        assert_eq!(t, out.tau_end);
+        assert_eq!(phi.to_bits(), out.phi.to_bits(), "φ {phi} vs {}", out.phi);
+        assert_eq!(psi.to_bits(), out.psi.to_bits(), "ψ {psi} vs {}", out.psi);
+        assert!(hist
+            .iter()
+            .all(|&(_, phi, psi)| phi.is_finite() && psi.is_finite()));
+        let recorded = evolve_mode(
+            bg,
+            th,
+            k,
+            &ModeConfig {
+                record_trajectory: true,
+                ..cfg
+            },
+        )
+        .unwrap();
+        let dim = state_layout(bg, &cfg, k, tau_end).dim();
+        assert_eq!(recorded.trajectory.len(), hist.len());
+        for s in &recorded.trajectory {
+            assert_eq!(
+                (s.y.len(), s.dydt.len()),
+                (dim, dim),
+                "sample at τ = {}",
+                s.t
+            );
+        }
+    }
+
+    #[test]
+    fn line_of_sight_history_with_massive_neutrinos_reads_the_truncated_ladder() {
+        // the history's reader must size the ν ladder as the mode did,
+        // truncated at LOS_LMAX, or it indexes past the massive-ν block
+        let bg = Background::new(CosmoParams::mixed_dark_matter());
+        let th = ThermoHistory::new(&bg);
+        let cfg = ModeConfig {
+            spectrum_method: SpectrumMethod::LineOfSight,
+            tau_end: Some(2000.0),
+            ..draft_config()
+        };
+        let hist = potential_history(&bg, &th, 0.1, &cfg).unwrap();
+        let out = evolve_mode(&bg, &th, 0.1, &cfg).unwrap();
+        let &(_, phi, psi) = hist.last().unwrap();
+        assert_eq!((phi, psi), (out.phi, out.psi));
     }
 
     #[test]

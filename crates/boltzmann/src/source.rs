@@ -262,10 +262,15 @@ fn grid_sizes(preset: Preset) -> (usize, usize) {
     }
 }
 
+/// The recombination window `[0.45 τ*, 2.2 τ*]` in units of the
+/// visibility peak `τ* = ThermoHistory::tau_rec`: where the visibility
+/// function is non-negligible.  The source grid's fine block spans it,
+/// and a full-hierarchy mode grows its ladders at its end.
+pub(crate) const REC_WINDOW: (f64, f64) = (0.45, 2.2);
+
 /// Build the two-block grid and spline the coefficient histories onto
-/// it.  The fine block spans the recombination window
-/// `[0.45 τ*, 2.2 τ*]` where the visibility function peaks; the coarse
-/// block covers the ISW tail out to `τ_end`.
+/// it.  The fine block spans the recombination window [`REC_WINDOW`];
+/// the coarse block covers the ISW tail out to `τ_end`.
 fn resample(
     taus: &[f64],
     cols: [&Vec<f64>; 4],
@@ -276,8 +281,8 @@ fn resample(
     let (n_rec, n_tail) = grid_sizes(preset);
     let tau_star = thermo.tau_rec();
     let first = taus[0];
-    let rec_lo = (0.45 * tau_star).max(first);
-    let rec_hi = (2.2 * tau_star).min(tau_end);
+    let rec_lo = (REC_WINDOW.0 * tau_star).max(first);
+    let rec_hi = (REC_WINDOW.1 * tau_star).min(tau_end);
 
     let mut grid = Vec::with_capacity(n_rec + n_tail);
     if rec_lo < rec_hi {

@@ -111,6 +111,9 @@ SIGTERM/SIGINT drain gracefully: stop accepting, finish the queue
 spectrum options (client): the same cosmology/grid flags as linger —
   --model, --h, --omega-b, --omega-c, --omega-lambda, --m-nu, --n-s,
   --gauge, --ic, --preset, --kmin, --kmax, --nk, --lmax, --tau-end
+  (--lmax is the photon ladder carried from the first step; without it
+  a hierarchy request's ladder is sized for k·τ_end from 2.2 τ_rec on
+  and for 2.2 τ_rec before; see linger's usage)
 plus:
   --metrics                 also query service counters
   --deadline-ms MS          give the server a time budget; an expired

@@ -103,7 +103,9 @@ options:
   --preset draft|demo|prod  accuracy preset               [demo]
   --kmin / --kmax VALUE     k-grid bounds (Mpc⁻¹)         [1e-4 / 0.1]
   --nk N                    number of k values (log grid) [32]
-  --lmax N                  photon hierarchy override     [auto]
+  --lmax N                  photon ladder, fixed from the
+                            first step; auto sizes it for
+                            k·2.2τ_rec, then for k·τ_end  [auto]
   --method hierarchy|los    full ladder, or truncated hierarchy +
                             line-of-sight projection      [hierarchy]
   --tau-end MPC             stop early (conformal time)   [today]
@@ -146,7 +148,8 @@ pub struct SpecArgs {
     pub kmax: f64,
     /// Number of (log-spaced) grid points.
     pub nk: usize,
-    /// Photon hierarchy override.
+    /// Photon ladder, carried from the first step (`None` = automatic,
+    /// grown once at the end of recombination on the hierarchy path).
     pub lmax: Option<usize>,
     /// Early-stop conformal time, Mpc.
     pub tau_end: Option<f64>,

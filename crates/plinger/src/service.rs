@@ -388,10 +388,13 @@ pub struct ResultCache {
     persist_discards: u64,
 }
 
-/// First word of a persisted cache entry ("PLNGRES2" in ASCII).  It
-/// changes whenever the spec encoding moves [`job_hash`], so entries
-/// filed under the old keys are discarded at warm-load.
-const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"PLNGRES2");
+/// First word of a persisted cache entry ("PLNGRES3" in ASCII).  It
+/// changes whenever the bits a served body holds change: when the spec
+/// encoding moves [`job_hash`], and when the physics moves the results
+/// under an unchanged key (PLNGRES3: full-hierarchy modes grow their
+/// ladders at the end of recombination).  Entries written under an
+/// older magic are discarded at warm-load, never served.
+const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"PLNGRES3");
 
 /// Layout of one persisted entry: header `[magic, key, len, checksum]`
 /// as little-endian u64 words, then `len` f64 payload words (LE bit
@@ -2112,22 +2115,24 @@ mod tests {
         // and plant a truncated stray plus an orphaned temp file
         std::fs::write(dir.join(cache_entry_name(0x77)), b"short").unwrap();
         std::fs::write(dir.join(".tmp_dead_1"), b"partial").unwrap();
-        // an intact entry written under the previous encoding's magic
-        let mut stale = encode_cache_entry(0x5151, &body);
-        stale[..8].copy_from_slice(b"PLNGRSLT");
-        std::fs::write(dir.join(cache_entry_name(0x5151)), &stale).unwrap();
+        // intact entries written under older magics: the first encoding's,
+        // and the one before full-hierarchy ladders grew
+        for (key, magic) in [(0x5151, b"PLNGRSLT"), (0x5252, b"PLNGRES2")] {
+            let mut stale = encode_cache_entry(key, &body);
+            stale[..8].copy_from_slice(magic);
+            std::fs::write(dir.join(cache_entry_name(key)), &stale).unwrap();
+        }
 
         let mut warm = ResultCache::with_dir(&dir).unwrap();
         assert_eq!(warm.persist_loads(), 1, "only the intact entry loads");
         assert_eq!(
             warm.persist_discards(),
-            3,
-            "corrupt + truncated + old magic dropped"
+            4,
+            "corrupt + truncated + two old magics dropped"
         );
-        assert!(
-            warm.lookup(0x5151).is_none(),
-            "old-magic entry never served"
-        );
+        for key in [0x5151, 0x5252] {
+            assert!(warm.lookup(key).is_none(), "old-magic entry never served");
+        }
         assert!(!victim.exists(), "corrupt file deleted");
         assert!(!dir.join(".tmp_dead_1").exists(), "orphaned temp removed");
         let hit = warm.lookup(0xabcd).expect("persisted entry survives");

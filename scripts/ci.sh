@@ -31,9 +31,9 @@ cargo test -q --workspace
 
 echo "== cargo test --release (profile-pinned crates) =="
 # ode's step pins and differential test, boltzmann's source goldens and
-# recomb's thermal-history pins hold a value per build profile (or one
-# value both must meet); the optimised half is otherwise checked only by
-# the benchmark's verify stage
+# ladder-growth differential, and recomb's thermal-history pins hold a
+# value per build profile (or one value both must meet); the optimised
+# half is otherwise checked only by the benchmark's verify stage
 cargo test -q --release -p ode -p boltzmann -p recomb
 
 echo "== telemetry smoke run =="
@@ -399,23 +399,22 @@ cargo test -q --test los_crosscheck draft_smoke
 cargo test -q -p spectra --lib project_mode_is_bit_identical_to_the_reference_loop
 
 echo "== benchmark verify smoke =="
-# the benchmark harness's own checks on a shrunken los_cl: the farm's
-# outputs bitwise against run_serial and the matched-l band deviation
-# of the projected spectrum; its last stdout line is the result object
-e2e_last="$(bash crates/e2ebench/bench.sh --workload los_cl --seed 1 --seconds 1 \
-    --trace 0 --smoke | tail -n 1)" || true
-case "$e2e_last" in
-    *'"correct":true'*) echo "e2ebench los_cl smoke: correct" ;;
-    *) echo "e2ebench los_cl smoke did not verify: $e2e_last" >&2; exit 1 ;;
-esac
-# and on serve_mix, which speaks the service wire: every cache hit's
-# body must equal its miss's, and miss bodies decode to run_serial
-e2e_last="$(bash crates/e2ebench/bench.sh --workload serve_mix --seed 1 --seconds 1 \
-    --trace 0 --smoke | tail -n 1)" || true
-case "$e2e_last" in
-    *'"correct":true'*) echo "e2ebench serve_mix smoke: correct" ;;
-    *) echo "e2ebench serve_mix smoke did not verify: $e2e_last" >&2; exit 1 ;;
-esac
+# the benchmark harness's own checks on every workload, shrunken; its
+# last stdout line is the result object.  hierarchy_cl and los_cl check
+# the farm's outputs bitwise against run_serial (on hierarchy_cl that
+# covers the ladder growth at the end of recombination) and the
+# projected spectrum's matched-l band deviation; sweep_pk every pooled
+# shard's mode outputs bitwise against run_serial; serve_mix, which speaks the service wire,
+# that every cache hit's body equals its miss's and miss bodies decode
+# to run_serial
+for w in hierarchy_cl los_cl sweep_pk serve_mix; do
+    e2e_last="$(bash crates/e2ebench/bench.sh --workload "$w" --seed 1 --seconds 1 \
+        --trace 0 --smoke | tail -n 1)" || true
+    case "$e2e_last" in
+        *'"correct":true'*) echo "e2ebench $w smoke: correct" ;;
+        *) echo "e2ebench $w smoke did not verify: $e2e_last" >&2; exit 1 ;;
+    esac
+done
 
 echo "== rhs bench smoke =="
 # compile-and-run-once smoke of the microbench behind BENCH_rhs.json
