@@ -5,7 +5,7 @@
 use background::{Background, CosmoParams};
 use boltzmann::{Gauge, LingerRhs, StateLayout};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ode::{IntegrateOpts, Integrator, Method, Rhs};
+use ode::{IntegrateOpts, Integrator, Rhs, VERNER65};
 use recomb::ThermoHistory;
 use std::hint::black_box;
 
@@ -34,32 +34,25 @@ fn bench_verner_step(c: &mut Criterion) {
     let th = ThermoHistory::new(&bg);
     let lay = StateLayout::new(Gauge::Synchronous, 256, 256, 16, 0);
     let mut group = c.benchmark_group("dverk_step");
-    for method in [
-        Method::Verner65,
-        Method::DormandPrince54,
-        Method::CashKarp45,
-    ] {
-        let mut rhs = LingerRhs::new(&bg, &th, lay.clone(), 0.05);
-        let mut integ = Integrator::new();
-        let opts = IntegrateOpts {
-            method,
-            rtol: 1e-6,
-            atol: 1e-10,
-            ..Default::default()
-        };
-        // machine-readable stage count for scripts/bench_snapshot.sh
-        println!("stages: {method:?} {}", method.tableau().stages);
-        group.bench_function(format!("{method:?}"), |b| {
-            b.iter(|| {
-                let mut y = vec![1e-3; lay.dim()];
-                integ
-                    .integrate(&mut rhs, 300.0, 302.0, &mut y, &opts)
-                    .unwrap()
-                    .stats
-                    .rhs_evals
-            })
-        });
-    }
+    let mut rhs = LingerRhs::new(&bg, &th, lay.clone(), 0.05);
+    let mut integ = Integrator::new();
+    let opts = IntegrateOpts {
+        rtol: 1e-6,
+        atol: 1e-10,
+        ..Default::default()
+    };
+    // machine-readable stage count for scripts/bench_snapshot.sh
+    println!("stages: Verner65 {}", VERNER65.stages);
+    group.bench_function("Verner65", |b| {
+        b.iter(|| {
+            let mut y = vec![1e-3; lay.dim()];
+            integ
+                .integrate(&mut rhs, 300.0, 302.0, &mut y, &opts)
+                .unwrap()
+                .stats
+                .rhs_evals
+        })
+    });
     group.finish();
 }
 

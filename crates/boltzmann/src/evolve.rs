@@ -2,7 +2,7 @@
 //! the unit of work a PLINGER worker performs.
 
 use background::Background;
-use ode::{DenseSample, IntegrateOpts, Integrator, Method, OdeError, StepStats};
+use ode::{DenseSample, IntegrateOpts, Integrator, OdeError, StepStats};
 use recomb::ThermoHistory;
 
 use crate::initial::{set_initial_conditions, InitialConditions};
@@ -61,7 +61,8 @@ impl Preset {
     }
 }
 
-/// Configuration for one mode integration.
+/// Configuration for one mode integration.  The stepper is not part of
+/// it: every mode runs DVERK's Verner 6(5) pair, as LINGER did.
 #[derive(Debug, Clone)]
 pub struct ModeConfig {
     /// Gauge to evolve in.
@@ -87,8 +88,6 @@ pub struct ModeConfig {
     pub tau_end: Option<f64>,
     /// Record the trajectory (needed by the ψ-movie harness).
     pub record_trajectory: bool,
-    /// ODE method (the DVERK pair by default, as in LINGER).
-    pub method: Method,
     /// Full hierarchy to `l_max`, or the truncated-hierarchy
     /// line-of-sight fast path.  In [`SpectrumMethod::LineOfSight`] the
     /// photon and neutrino ladders default to [`LOS_LMAX`] moments
@@ -109,7 +108,6 @@ impl Default for ModeConfig {
             nq: None,
             tau_end: None,
             record_trajectory: false,
-            method: Method::Verner65,
             spectrum_method: SpectrumMethod::FullHierarchy,
         }
     }
@@ -311,7 +309,6 @@ pub fn evolve_mode_scratch(
     let opts = IntegrateOpts {
         rtol: preset.rtol(),
         atol: preset.rtol() * 1e-4,
-        method: config.method,
         record_trajectory: config.record_trajectory,
         max_steps: 80_000_000,
         ..Default::default()

@@ -1,4 +1,4 @@
-//! Adaptive step-size driver for the embedded pairs.
+//! Adaptive step-size driver for the DVERK pair.
 //!
 //! The driver owns all stage storage, so repeated integrations (one per
 //! wavenumber in PLINGER) reuse buffers.  Error control follows the
@@ -17,10 +17,11 @@
 //! The step's tail (`step_tail`) follows the rule; the stage-row loop
 //! inside `integrate_observed` is the one that does not yet.
 
-use crate::tableau::{Method, Tableau};
+use crate::tableau::{Tableau, ORDER, VERNER65};
 use crate::Rhs;
 
-/// Integration options.
+/// Options of one integration: tolerances, step bounds and recording.
+/// The pair is always DVERK's Verner 6(5); there is no method to pick.
 #[derive(Debug, Clone)]
 pub struct IntegrateOpts {
     /// Relative tolerance per component.
@@ -35,9 +36,7 @@ pub struct IntegrateOpts {
     pub h_min: f64,
     /// Hard cap on accepted+rejected steps.
     pub max_steps: usize,
-    /// Method selector.
-    pub method: Method,
-    /// Record dense-output samples (t, y) at every accepted step.
+    /// Record the state and its derivative at every accepted step.
     pub record_trajectory: bool,
 }
 
@@ -50,7 +49,6 @@ impl Default for IntegrateOpts {
             h_max: f64::INFINITY,
             h_min: 1e-14,
             max_steps: 10_000_000,
-            method: Method::Verner65,
             record_trajectory: false,
         }
     }
@@ -112,69 +110,18 @@ pub struct DenseSample {
     pub t: f64,
     /// State at `t`.
     pub y: Vec<f64>,
-    /// Derivative at `t` (enables cubic-Hermite interpolation).
+    /// Derivative at `t`.
     pub dydt: Vec<f64>,
 }
 
-/// Result of an integration.
+/// What an integration reports besides the final state, which it leaves
+/// in the caller's `y`.
 #[derive(Debug, Clone)]
 pub struct Solution {
-    /// Final time actually reached.
-    pub t: f64,
-    /// Final state.
-    pub y: Vec<f64>,
     /// Work counters.
     pub stats: StepStats,
     /// Accepted-step trajectory when requested.
     pub trajectory: Vec<DenseSample>,
-}
-
-impl Solution {
-    /// Cubic-Hermite interpolation of the recorded trajectory at time `t`.
-    ///
-    /// Panics if the trajectory was not recorded or `t` lies outside it.
-    #[allow(clippy::needless_range_loop)] // lockstep over four state arrays
-    pub fn sample(&self, t: f64, out: &mut [f64]) {
-        assert!(
-            self.trajectory.len() >= 2,
-            "trajectory not recorded (set record_trajectory)"
-        );
-        let tr = &self.trajectory;
-        let first = tr[0].t;
-        let last = tr[tr.len() - 1].t;
-        let fwd = last >= first;
-        assert!(
-            if fwd {
-                (first..=last).contains(&t)
-            } else {
-                (last..=first).contains(&t)
-            },
-            "sample time {t} outside recorded range [{first}, {last}]"
-        );
-        // binary search for the bracketing pair
-        let mut lo = 0usize;
-        let mut hi = tr.len() - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if (tr[mid].t <= t) == fwd {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let (s0, s1) = (&tr[lo], &tr[hi]);
-        let h = s1.t - s0.t;
-        let u = if h == 0.0 { 0.0 } else { (t - s0.t) / h };
-        let u2 = u * u;
-        let u3 = u2 * u;
-        let h00 = 2.0 * u3 - 3.0 * u2 + 1.0;
-        let h10 = u3 - 2.0 * u2 + u;
-        let h01 = -2.0 * u3 + 3.0 * u2;
-        let h11 = u3 - u2;
-        for i in 0..out.len() {
-            out[i] = h00 * s0.y[i] + h10 * h * s0.dydt[i] + h01 * s1.y[i] + h11 * h * s1.dydt[i];
-        }
-    }
 }
 
 /// Integration failure modes.
@@ -285,15 +232,13 @@ impl Integrator {
     ) -> Result<Solution, OdeError> {
         let n = y.len();
         assert_eq!(n, rhs.dim(), "state length must equal rhs.dim()");
-        let tab: &Tableau = opts.method.tableau();
+        let tab = &VERNER65;
         self.ensure_capacity(tab.stages, n);
         self.err_prev = 1.0;
 
         let dir = (t1 - t0).signum();
         if dir == 0.0 || t0 == t1 {
             return Ok(Solution {
-                t: t0,
-                y: y.to_vec(),
                 stats: StepStats::default(),
                 trajectory: Vec::new(),
             });
@@ -336,10 +281,10 @@ impl Integrator {
             }
         };
 
-        let order = tab.order as f64;
+        let order = ORDER as f64;
         let alpha = 0.7 / order;
         let beta = 0.4 / order;
-        let mut fsal_valid = true; // k[0] holds f(t, y)
+        let mut k0_valid = true; // k[0] holds f(t, y)
 
         loop {
             if stats.accepted + stats.rejected >= opts.max_steps {
@@ -353,11 +298,11 @@ impl Integrator {
                 return Err(OdeError::StepSizeTooSmall { t, h });
             }
 
-            if !fsal_valid {
+            if !k0_valid {
                 rhs.eval(t, y, &mut self.k[0]);
                 stats.rhs_evals += 1;
                 stats.rhs_flops += flops_rhs;
-                fsal_valid = true;
+                k0_valid = true;
             }
 
             // stages
@@ -386,10 +331,10 @@ impl Integrator {
             let err = (errsum / n as f64).sqrt();
 
             if !finite || !err.is_finite() {
-                // halve and retry
+                // quarter and retry from a re-evaluated k[0]
                 stats.rejected += 1;
                 h *= 0.25;
-                fsal_valid = false;
+                k0_valid = false;
                 if h.abs() < opts.h_min {
                     return Err(OdeError::NonFinite { t });
                 }
@@ -407,22 +352,14 @@ impl Integrator {
                     }
                 }
 
-                if tab.fsal {
-                    // derivative at the new point is the last stage
-                    let (first, rest) = self.k.split_at_mut(1);
-                    first[0].copy_from_slice(&rest[tab.stages - 2]);
-                    fsal_valid = true;
-                } else {
-                    fsal_valid = false;
-                }
-
+                // the derivative at the new point is evaluated here when it
+                // is recorded, else at the top of the next step
+                k0_valid = false;
                 if opts.record_trajectory {
-                    if !fsal_valid {
-                        rhs.eval(t, y, &mut self.k[0]);
-                        stats.rhs_evals += 1;
-                        stats.rhs_flops += flops_rhs;
-                        fsal_valid = true;
-                    }
+                    rhs.eval(t, y, &mut self.k[0]);
+                    stats.rhs_evals += 1;
+                    stats.rhs_flops += flops_rhs;
+                    k0_valid = true;
                     trajectory.push(DenseSample {
                         t,
                         y: y.to_vec(),
@@ -431,12 +368,7 @@ impl Integrator {
                 }
 
                 if (t - t1) * dir >= 0.0 {
-                    return Ok(Solution {
-                        t,
-                        y: y.to_vec(),
-                        stats,
-                        trajectory,
-                    });
+                    return Ok(Solution { stats, trajectory });
                 }
 
                 // PI controller
@@ -453,7 +385,6 @@ impl Integrator {
                 stats.rejected += 1;
                 let fac = (0.9 * err.powf(-alpha)).clamp(0.1, 0.9);
                 h *= fac;
-                fsal_valid = !tab.fsal || fsal_valid; // k[0] still valid at (t, y)
             }
         }
     }
@@ -469,8 +400,8 @@ fn weighted_norm(v: &[f64], yref: &[f64], opts: &IntegrateOpts) -> f64 {
     (s / v.len() as f64).sqrt()
 }
 
-/// Most stages any [`Method`]'s tableau has; the fixed-arity kernels below
-/// are instantiated for `1..=MAX_STAGES` terms.
+/// The stage count of [`VERNER65`]; the fixed-arity kernels below are
+/// instantiated for `1..=MAX_STAGES` terms.
 const MAX_STAGES: usize = 8;
 
 /// The non-zero entries of a tableau weight vector as `(stage, weight)` in
@@ -547,17 +478,6 @@ fn step_tail(
     (errsum, finite)
 }
 
-/// One-shot convenience wrapper around [`Integrator::integrate`].
-pub fn integrate<R: Rhs + ?Sized>(
-    rhs: &mut R,
-    t0: f64,
-    t1: f64,
-    y: &mut [f64],
-    opts: &IntegrateOpts,
-) -> Result<Solution, OdeError> {
-    Integrator::new().integrate(rhs, t0, t1, y, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,22 +522,21 @@ mod tests {
 
     #[test]
     fn decay_all_methods() {
-        for m in Method::ALL {
-            let mut y = [1.0];
-            let opts = IntegrateOpts {
-                rtol: 1e-10,
-                atol: 1e-14,
-                method: m,
-                ..Default::default()
-            };
-            let sol = integrate(&mut Decay, 0.0, 5.0, &mut y, &opts).unwrap();
-            assert!(
-                (y[0] - (-5.0f64).exp()).abs() < 1e-9,
-                "{m:?}: y = {}, steps = {}",
-                y[0],
-                sol.stats.accepted
-            );
-        }
+        let mut y = [1.0];
+        let opts = IntegrateOpts {
+            rtol: 1e-10,
+            atol: 1e-14,
+            ..Default::default()
+        };
+        let sol = Integrator::new()
+            .integrate(&mut Decay, 0.0, 5.0, &mut y, &opts)
+            .unwrap();
+        assert!(
+            (y[0] - (-5.0f64).exp()).abs() < 1e-9,
+            "y = {}, steps = {}",
+            y[0],
+            sol.stats.accepted
+        );
     }
 
     #[test]
@@ -628,14 +547,15 @@ mod tests {
             atol: 1e-13,
             ..Default::default()
         };
-        integrate(
-            &mut Oscillator,
-            0.0,
-            20.0 * std::f64::consts::PI,
-            &mut y,
-            &opts,
-        )
-        .unwrap();
+        Integrator::new()
+            .integrate(
+                &mut Oscillator,
+                0.0,
+                20.0 * std::f64::consts::PI,
+                &mut y,
+                &opts,
+            )
+            .unwrap();
         let e = y[0] * y[0] + y[1] * y[1];
         assert!((e - 1.0).abs() < 1e-8, "energy drift: {e}");
         assert!((y[0] - 1.0).abs() < 1e-7, "phase error: {}", y[0]);
@@ -645,7 +565,9 @@ mod tests {
     fn backward_integration() {
         let mut y = [(-3.0f64).exp()];
         let opts = IntegrateOpts::default();
-        integrate(&mut Decay, 3.0, 0.0, &mut y, &opts).unwrap();
+        Integrator::new()
+            .integrate(&mut Decay, 3.0, 0.0, &mut y, &opts)
+            .unwrap();
         assert!((y[0] - 1.0).abs() < 1e-7, "backward: {}", y[0]);
     }
 
@@ -663,7 +585,6 @@ mod tests {
                     atol: 1e-16,
                     h0: Some(hmax),
                     h_max: hmax,
-                    method: Method::Verner65,
                     ..Default::default()
                 };
                 // rtol tiny → controller would shrink; instead integrate with
@@ -673,7 +594,9 @@ mod tests {
                     atol: 1e3,
                     ..opts
                 };
-                integrate(&mut Oscillator, 0.0, 4.0, &mut y, &opts).unwrap();
+                Integrator::new()
+                    .integrate(&mut Oscillator, 0.0, 4.0, &mut y, &opts)
+                    .unwrap();
                 ((y[0] - 4.0f64.cos()).powi(2) + (y[1] + 4.0f64.sin()).powi(2)).sqrt()
             })
             .collect();
@@ -682,28 +605,6 @@ mod tests {
             rate > 5.4 && rate < 7.0,
             "observed order {rate}, errors {errs:?}"
         );
-    }
-
-    #[test]
-    fn dopri_is_fifth_order() {
-        let errs: Vec<f64> = [0.2, 0.1]
-            .iter()
-            .map(|&hmax| {
-                let mut y = [1.0, 0.0];
-                let opts = IntegrateOpts {
-                    rtol: 1e3,
-                    atol: 1e3,
-                    h0: Some(hmax),
-                    h_max: hmax,
-                    method: Method::DormandPrince54,
-                    ..Default::default()
-                };
-                integrate(&mut Oscillator, 0.0, 4.0, &mut y, &opts).unwrap();
-                ((y[0] - 4.0f64.cos()).powi(2) + (y[1] + 4.0f64.sin()).powi(2)).sqrt()
-            })
-            .collect();
-        let rate = (errs[0] / errs[1]).log2();
-        assert!(rate > 4.4 && rate < 6.0, "observed order {rate}");
     }
 
     #[test]
@@ -716,7 +617,9 @@ mod tests {
                 atol: rtol * 1e-3,
                 ..Default::default()
             };
-            integrate(&mut Oscillator, 0.0, 10.0, &mut y, &opts).unwrap();
+            Integrator::new()
+                .integrate(&mut Oscillator, 0.0, 10.0, &mut y, &opts)
+                .unwrap();
             errors.push((y[0] - 10.0f64.cos()).abs());
         }
         assert!(errors[0] > errors[2], "errors not decreasing: {errors:?}");
@@ -727,14 +630,16 @@ mod tests {
     fn stats_are_plausible() {
         let mut y = [1.0];
         let opts = IntegrateOpts::default();
-        let sol = integrate(&mut Decay, 0.0, 1.0, &mut y, &opts).unwrap();
+        let sol = Integrator::new()
+            .integrate(&mut Decay, 0.0, 1.0, &mut y, &opts)
+            .unwrap();
         assert!(sol.stats.accepted > 0);
         assert!(sol.stats.rhs_evals >= sol.stats.accepted * 7);
         assert!(sol.stats.stepper_flops > 0);
     }
 
     #[test]
-    fn trajectory_recording_and_sampling() {
+    fn trajectory_recording() {
         let mut y = [1.0];
         let opts = IntegrateOpts {
             record_trajectory: true,
@@ -742,18 +647,10 @@ mod tests {
             atol: 1e-13,
             ..Default::default()
         };
-        let sol = integrate(&mut Decay, 0.0, 2.0, &mut y, &opts).unwrap();
+        let sol = Integrator::new()
+            .integrate(&mut Decay, 0.0, 2.0, &mut y, &opts)
+            .unwrap();
         assert!(sol.trajectory.len() >= 3);
-        let mut out = [0.0];
-        for &t in &[0.0, 0.5, 1.37, 2.0] {
-            sol.sample(t, &mut out);
-            assert!(
-                (out[0] - (-t).exp()).abs() < 1e-6,
-                "sample({t}) = {}, expect {}",
-                out[0],
-                (-t).exp()
-            );
-        }
     }
 
     #[test]
@@ -773,10 +670,12 @@ mod tests {
             .integrate_observed(&mut Decay, 0.0, 2.0, &mut y, &opts, Some(&mut obs))
             .unwrap();
         assert_eq!(n, sol.stats.accepted);
-        assert_eq!(t_last, sol.t, "last observed time is the final time");
+        assert!(t_last >= 2.0, "the last observed time is the final time");
         // bit-identical to the unobserved path
         let mut y2 = [1.0];
-        let sol2 = integrate(&mut Decay, 0.0, 2.0, &mut y2, &opts).unwrap();
+        let sol2 = Integrator::new()
+            .integrate(&mut Decay, 0.0, 2.0, &mut y2, &opts)
+            .unwrap();
         assert_eq!(y[0].to_bits(), y2[0].to_bits());
         assert_eq!(sol.stats.accepted, sol2.stats.accepted);
     }
@@ -805,8 +704,10 @@ mod tests {
     #[test]
     fn zero_length_integration() {
         let mut y = [4.0];
-        let sol = integrate(&mut Decay, 1.0, 1.0, &mut y, &IntegrateOpts::default()).unwrap();
-        assert_eq!(sol.y[0], 4.0);
+        let sol = Integrator::new()
+            .integrate(&mut Decay, 1.0, 1.0, &mut y, &IntegrateOpts::default())
+            .unwrap();
+        assert_eq!(y[0], 4.0);
         assert_eq!(sol.stats.accepted, 0);
     }
 
@@ -817,7 +718,7 @@ mod tests {
             ..Default::default()
         };
         let mut y = [1.0, 0.0];
-        let r = integrate(&mut Oscillator, 0.0, 1000.0, &mut y, &opts);
+        let r = Integrator::new().integrate(&mut Oscillator, 0.0, 1000.0, &mut y, &opts);
         assert!(matches!(r, Err(OdeError::TooManySteps { .. })));
     }
 
@@ -839,7 +740,7 @@ mod tests {
             ..Default::default()
         };
         let mut y = [1.5];
-        let r = integrate(&mut Stiff, 0.0, 1.0, &mut y, &opts);
+        let r = Integrator::new().integrate(&mut Stiff, 0.0, 1.0, &mut y, &opts);
         assert!(r.is_err(), "explicit RK should not finish in 2000 steps");
     }
 
@@ -946,50 +847,38 @@ mod tests {
     #[test]
     fn step_tail_is_bit_identical_to_the_reference_loops() {
         let mut rng = Seeded(24);
-        for method in Method::ALL {
-            let tab = method.tableau();
-            for n in [1usize, 2, 7, 64, 101, 1501] {
-                for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
-                    for h in [0.37, -1.0e-3] {
-                        // a poisoned run keeps to ordinary magnitudes, so
-                        // that its one NaN source is the planted entry
-                        let wide = poison.is_none();
-                        let mut k: Vec<Vec<f64>> = (0..tab.stages)
-                            .map(|_| (0..n).map(|_| rng.real(wide)).collect())
-                            .collect();
-                        let y: Vec<f64> = (0..n).map(|_| rng.real(wide)).collect();
-                        if let Some(bad) = poison {
-                            // stage 0: both weight vectors read it
-                            k[0][(rng.next() % n as u64) as usize] = bad;
-                        }
-                        let opts = IntegrateOpts {
-                            method,
-                            ..Default::default()
-                        };
+        let tab = &VERNER65;
+        for n in [1usize, 2, 7, 64, 101, 1501] {
+            for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+                for h in [0.37, -1.0e-3] {
+                    // a poisoned run keeps to ordinary magnitudes, so
+                    // that its one NaN source is the planted entry
+                    let wide = poison.is_none();
+                    let mut k: Vec<Vec<f64>> = (0..tab.stages)
+                        .map(|_| (0..n).map(|_| rng.real(wide)).collect())
+                        .collect();
+                    let y: Vec<f64> = (0..n).map(|_| rng.real(wide)).collect();
+                    if let Some(bad) = poison {
+                        // stage 0: both weight vectors read it
+                        k[0][(rng.next() % n as u64) as usize] = bad;
+                    }
+                    let opts = IntegrateOpts::default();
 
-                        let (mut ynew, mut yerr) = (vec![1.0; n], vec![1.0; n]);
-                        let got = step_tail(tab, &k, &y, h, &opts, &mut ynew, &mut yerr);
-                        let (mut ynew_ref, mut yerr_ref) = (vec![2.0; n], vec![2.0; n]);
-                        let want = step_tail_reference(
-                            tab,
-                            &k,
-                            &y,
-                            h,
-                            &opts,
-                            &mut ynew_ref,
-                            &mut yerr_ref,
-                        );
+                    let (mut ynew, mut yerr) = (vec![1.0; n], vec![1.0; n]);
+                    let got = step_tail(tab, &k, &y, h, &opts, &mut ynew, &mut yerr);
+                    let (mut ynew_ref, mut yerr_ref) = (vec![2.0; n], vec![2.0; n]);
+                    let want =
+                        step_tail_reference(tab, &k, &y, h, &opts, &mut ynew_ref, &mut yerr_ref);
 
-                        let ctx = format!("{method:?} n={n} {poison:?} h={h}");
-                        for j in 0..n {
-                            assert_eq!(ynew[j].to_bits(), ynew_ref[j].to_bits(), "{ctx} ynew[{j}]");
-                            assert_eq!(yerr[j].to_bits(), yerr_ref[j].to_bits(), "{ctx} yerr[{j}]");
-                        }
-                        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{ctx} errsum");
-                        assert_eq!(got.1, want.1, "{ctx} finite");
-                        if poison.is_some() {
-                            assert!(!got.1, "{ctx}: the poisoned entry must read non-finite");
-                        }
+                    let ctx = format!("n={n} {poison:?} h={h}");
+                    for j in 0..n {
+                        assert_eq!(ynew[j].to_bits(), ynew_ref[j].to_bits(), "{ctx} ynew[{j}]");
+                        assert_eq!(yerr[j].to_bits(), yerr_ref[j].to_bits(), "{ctx} yerr[{j}]");
+                    }
+                    assert_eq!(got.0.to_bits(), want.0.to_bits(), "{ctx} errsum");
+                    assert_eq!(got.1, want.1, "{ctx} finite");
+                    if poison.is_some() {
+                        assert!(!got.1, "{ctx}: the poisoned entry must read non-finite");
                     }
                 }
             }
@@ -998,30 +887,21 @@ mod tests {
 
     #[test]
     fn every_tableau_fits_the_fixed_arity_kernels() {
-        for method in Method::ALL {
-            let tab = method.tableau();
-            assert!(
-                tab.stages <= MAX_STAGES,
-                "{method:?}: {} stages",
-                tab.stages
-            );
-            for w in [tab.b, tab.b_err] {
-                assert_eq!(w.len(), tab.stages);
-                let (list, count) = nonzero_weights(w);
-                assert!((1..=MAX_STAGES).contains(&count), "{method:?}: {count}");
-                let list = &list[..count];
-                assert!(
-                    list.windows(2).all(|p| p[0].0 < p[1].0),
-                    "{method:?}: order"
-                );
-                // scattered back over zeros, the list is the vector
-                let mut back = vec![0.0; tab.stages];
-                for &(s, ws) in list {
-                    back[s] = ws;
-                }
-                for s in 0..tab.stages {
-                    assert_eq!(back[s].to_bits(), w[s].to_bits(), "{method:?} stage {s}");
-                }
+        let tab = &VERNER65;
+        assert!(tab.stages <= MAX_STAGES, "{} stages", tab.stages);
+        for w in [tab.b, tab.b_err] {
+            assert_eq!(w.len(), tab.stages);
+            let (list, count) = nonzero_weights(w);
+            assert!((1..=MAX_STAGES).contains(&count), "{count}");
+            let list = &list[..count];
+            assert!(list.windows(2).all(|p| p[0].0 < p[1].0), "order");
+            // scattered back over zeros, the list is the vector
+            let mut back = vec![0.0; tab.stages];
+            for &(s, ws) in list {
+                back[s] = ws;
+            }
+            for s in 0..tab.stages {
+                assert_eq!(back[s].to_bits(), w[s].to_bits(), "stage {s}");
             }
         }
     }

@@ -1,11 +1,11 @@
-//! Adaptive embedded Runge–Kutta integrators.
+//! The adaptive embedded Runge–Kutta integrator every mode runs.
 //!
 //! LINGER integrated its moment hierarchies with DVERK, Hull–Enright–
 //! Jackson's implementation of Verner's 6(5) pair from netlib.  This crate
-//! provides that same tableau ([`Method::Verner65`], the default) together
-//! with Dormand–Prince 5(4) and Cash–Karp 4(5) baselines, behind a single
-//! adaptive driver with a PI step-size controller, dense output, and
-//! detailed work counters used by the flop-rate benchmarks.
+//! provides that tableau ([`tableau::VERNER65`]) and nothing else, behind
+//! one adaptive driver with a PI step-size controller, optional recording
+//! of the accepted steps, and detailed work counters used by the
+//! flop-rate benchmarks.
 //!
 //! The right-hand side is a [`Rhs`] implementor; systems of tens of
 //! thousands of equations are routine (photon hierarchies to `l ≈ 10⁴`),
@@ -16,9 +16,9 @@ pub mod driver;
 pub mod tableau;
 
 pub use driver::{
-    integrate, DenseSample, IntegrateOpts, Integrator, OdeError, Solution, StepObserver, StepStats,
+    DenseSample, IntegrateOpts, Integrator, OdeError, Solution, StepObserver, StepStats,
 };
-pub use tableau::{Method, Tableau};
+pub use tableau::{Tableau, VERNER65};
 
 /// A first-order ODE system `dy/dt = f(t, y)`.
 ///

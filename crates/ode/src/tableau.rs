@@ -1,48 +1,9 @@
-//! Butcher tableaux for the embedded pairs.
+//! The Butcher tableau of the one embedded pair the driver runs.
 //!
 //! The Verner 6(5) coefficients are exactly those of netlib's DVERK (the
-//! integrator named in the paper); the order properties of every tableau
-//! are verified in the test suite both algebraically (row-sum and
-//! order-condition checks) and empirically (error-scaling tests in the
-//! driver module).
-
-/// Integration method selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Verner's 6(5) pair — the DVERK tableau used by LINGER.
-    Verner65,
-    /// Dormand–Prince 5(4) (the `ode45` / DOPRI5 pair).
-    DormandPrince54,
-    /// Cash–Karp 4(5).
-    CashKarp45,
-}
-
-impl Method {
-    /// All methods, for parameter sweeps in tests and benches.
-    pub const ALL: [Method; 3] = [
-        Method::Verner65,
-        Method::DormandPrince54,
-        Method::CashKarp45,
-    ];
-
-    /// Order of the higher-order solution actually propagated.
-    pub fn order(&self) -> usize {
-        match self {
-            Method::Verner65 => 6,
-            Method::DormandPrince54 => 5,
-            Method::CashKarp45 => 5,
-        }
-    }
-
-    /// The tableau.
-    pub fn tableau(&self) -> &'static Tableau {
-        match self {
-            Method::Verner65 => &VERNER65,
-            Method::DormandPrince54 => &DOPRI54,
-            Method::CashKarp45 => &CASHKARP45,
-        }
-    }
-}
+//! integrator named in the paper); their order properties are verified in
+//! the test suite both algebraically (row-sum and order-condition checks)
+//! and empirically (error-scaling tests in the driver module).
 
 /// An embedded Runge–Kutta pair in standard Butcher form.  `b` weights the
 /// propagated (higher-order) solution; `b_err[i] = b[i] − b̂[i]` gives the
@@ -60,10 +21,6 @@ pub struct Tableau {
     pub b: &'static [f64],
     /// Error weights `b − b̂`.
     pub b_err: &'static [f64],
-    /// Order of the propagated solution.
-    pub order: usize,
-    /// First-same-as-last: last stage derivative equals `f(t+h, y+h·b·k)`.
-    pub fsal: bool,
 }
 
 impl Tableau {
@@ -168,138 +125,10 @@ pub static VERNER65: Tableau = Tableau {
     a: &V65_A,
     b: &V65_B,
     b_err: &V65_BERR,
-    order: 6,
-    fsal: false,
 };
 
-// --- Dormand–Prince 5(4) ------------------------------------------------
-
-const DP_C: [f64; 7] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0];
-
-const DP_A: [f64; 21] = [
-    1.0 / 5.0,
-    3.0 / 40.0,
-    9.0 / 40.0,
-    44.0 / 45.0,
-    -56.0 / 15.0,
-    32.0 / 9.0,
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-    35.0 / 384.0,
-    0.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-];
-
-const DP_B: [f64; 7] = [
-    35.0 / 384.0,
-    0.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-    0.0,
-];
-
-const DP_BHAT: [f64; 7] = [
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
-];
-
-const DP_BERR: [f64; 7] = [
-    DP_B[0] - DP_BHAT[0],
-    DP_B[1] - DP_BHAT[1],
-    DP_B[2] - DP_BHAT[2],
-    DP_B[3] - DP_BHAT[3],
-    DP_B[4] - DP_BHAT[4],
-    DP_B[5] - DP_BHAT[5],
-    DP_B[6] - DP_BHAT[6],
-];
-
-/// Dormand–Prince 5(4), FSAL.
-pub static DOPRI54: Tableau = Tableau {
-    stages: 7,
-    c: &DP_C,
-    a: &DP_A,
-    b: &DP_B,
-    b_err: &DP_BERR,
-    order: 5,
-    fsal: true,
-};
-
-// --- Cash–Karp 4(5) ------------------------------------------------------
-
-const CK_C: [f64; 6] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0];
-
-const CK_A: [f64; 15] = [
-    1.0 / 5.0,
-    3.0 / 40.0,
-    9.0 / 40.0,
-    3.0 / 10.0,
-    -9.0 / 10.0,
-    6.0 / 5.0,
-    -11.0 / 54.0,
-    5.0 / 2.0,
-    -70.0 / 27.0,
-    35.0 / 27.0,
-    1631.0 / 55296.0,
-    175.0 / 512.0,
-    575.0 / 13824.0,
-    44275.0 / 110592.0,
-    253.0 / 4096.0,
-];
-
-const CK_B: [f64; 6] = [
-    37.0 / 378.0,
-    0.0,
-    250.0 / 621.0,
-    125.0 / 594.0,
-    0.0,
-    512.0 / 1771.0,
-];
-
-const CK_BHAT: [f64; 6] = [
-    2825.0 / 27648.0,
-    0.0,
-    18575.0 / 48384.0,
-    13525.0 / 55296.0,
-    277.0 / 14336.0,
-    1.0 / 4.0,
-];
-
-const CK_BERR: [f64; 6] = [
-    CK_B[0] - CK_BHAT[0],
-    CK_B[1] - CK_BHAT[1],
-    CK_B[2] - CK_BHAT[2],
-    CK_B[3] - CK_BHAT[3],
-    CK_B[4] - CK_BHAT[4],
-    CK_B[5] - CK_BHAT[5],
-];
-
-/// Cash–Karp 4(5).
-pub static CASHKARP45: Tableau = Tableau {
-    stages: 6,
-    c: &CK_C,
-    a: &CK_A,
-    b: &CK_B,
-    b_err: &CK_BERR,
-    order: 5,
-    fsal: false,
-};
+/// Order of the solution [`VERNER65`] propagates.
+pub const ORDER: usize = 6;
 
 #[cfg(test)]
 mod tests {
@@ -335,16 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn dopri_consistent() {
-        check_consistency(&DOPRI54, "DOPRI54");
-    }
-
-    #[test]
-    fn cashkarp_consistent() {
-        check_consistency(&CASHKARP45, "CashKarp45");
-    }
-
-    #[test]
     fn higher_order_conditions_verner() {
         let t = &VERNER65;
         // Σ b_i c_i³ = 1/4, Σ b_i c_i⁴ = 1/5, Σ b_i c_i⁵ = 1/6 (quadrature-type)
@@ -364,20 +183,7 @@ mod tests {
     #[test]
     fn error_weights_sum_to_zero() {
         // Both solutions are consistent, so Σ b_err = 0.
-        for m in Method::ALL {
-            let s: f64 = m.tableau().b_err.iter().sum();
-            assert!(s.abs() < 1e-14, "{m:?}: Σb_err = {s}");
-        }
-    }
-
-    #[test]
-    fn dopri_fsal_property() {
-        // b coincides with the last row of a.
-        let t = &DOPRI54;
-        let last = t.row(6);
-        for (i, &a) in last.iter().enumerate() {
-            assert!((a - t.b[i]).abs() < 1e-15, "FSAL mismatch at {i}");
-        }
-        assert!(t.fsal);
+        let s: f64 = VERNER65.b_err.iter().sum();
+        assert!(s.abs() < 1e-14, "Σb_err = {s}");
     }
 }

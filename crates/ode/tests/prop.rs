@@ -1,6 +1,6 @@
-//! Property tests for the adaptive integrators.
+//! Property tests for the adaptive integrator.
 
-use ode::{integrate, IntegrateOpts, Method, Rhs};
+use ode::{IntegrateOpts, Integrator, Rhs};
 use proptest::prelude::*;
 
 struct LinearDecay {
@@ -29,7 +29,7 @@ proptest! {
         let mut rhs = LinearDecay { rates: rates.clone() };
         let mut y: Vec<f64> = vec![1.0; rates.len()];
         let opts = IntegrateOpts { rtol: 1e-9, atol: 1e-12, ..Default::default() };
-        integrate(&mut rhs, 0.0, t_end, &mut y, &opts).unwrap();
+        Integrator::new().integrate(&mut rhs, 0.0, t_end, &mut y, &opts).unwrap();
         for (yi, r) in y.iter().zip(&rates) {
             let exact = (-r * t_end).exp();
             prop_assert!((yi - exact).abs() < 1e-6,
@@ -45,28 +45,9 @@ proptest! {
         let mut rhs = LinearDecay { rates: vec![rate] };
         let mut y = vec![1.0];
         let opts = IntegrateOpts { rtol: 1e-10, atol: 1e-13, ..Default::default() };
-        integrate(&mut rhs, 0.0, t_end, &mut y, &opts).unwrap();
-        integrate(&mut rhs, t_end, 0.0, &mut y, &opts).unwrap();
+        Integrator::new().integrate(&mut rhs, 0.0, t_end, &mut y, &opts).unwrap();
+        Integrator::new().integrate(&mut rhs, t_end, 0.0, &mut y, &opts).unwrap();
         prop_assert!((y[0] - 1.0).abs() < 1e-7, "round trip gave {}", y[0]);
-    }
-
-    #[test]
-    fn all_methods_agree(
-        rate in 0.05f64..2.0,
-    ) {
-        let mut results = Vec::new();
-        for m in Method::ALL {
-            let mut rhs = LinearDecay { rates: vec![rate] };
-            let mut y = vec![1.0];
-            let opts = IntegrateOpts {
-                rtol: 1e-10, atol: 1e-13, method: m, ..Default::default()
-            };
-            integrate(&mut rhs, 0.0, 2.0, &mut y, &opts).unwrap();
-            results.push(y[0]);
-        }
-        for w in results.windows(2) {
-            prop_assert!((w[0] - w[1]).abs() < 1e-8, "methods disagree: {results:?}");
-        }
     }
 
     #[test]
@@ -75,7 +56,7 @@ proptest! {
             let mut rhs = LinearDecay { rates: vec![rate] };
             let mut y = vec![1.0];
             let opts = IntegrateOpts { rtol, atol: rtol * 1e-3, ..Default::default() };
-            integrate(&mut rhs, 0.0, 10.0, &mut y, &opts).unwrap().stats.rhs_evals
+            Integrator::new().integrate(&mut rhs, 0.0, 10.0, &mut y, &opts).unwrap().stats.rhs_evals
         };
         let loose = run(1e-4);
         let tight = run(1e-10);

@@ -14,7 +14,7 @@
 //! libm call in both, so debug and release agreed to the bit when these
 //! were recorded.  `scripts/ci.sh` runs this file under both.
 
-use ode::{IntegrateOpts, Integrator, Method, OdeError, Rhs};
+use ode::{IntegrateOpts, Integrator, OdeError, Rhs};
 
 /// FNV-1a over the bit patterns of a run of reals.
 struct Fnv(u64);
@@ -66,11 +66,10 @@ fn chain_start() -> Vec<f64> {
 /// FNV of the final state, FNV of the `(t, y[0])` the observer saw.
 type ChainPin = ((usize, usize, usize), u64, u64);
 
-fn run_chain(method: Method, t0: f64, t1: f64) -> ChainPin {
+fn run_chain(t0: f64, t1: f64) -> ChainPin {
     let mut y = chain_start();
     let mut rhs = Chain { evals: 0 };
     let opts = IntegrateOpts {
-        method,
         rtol: 1e-7,
         atol: 1e-10,
         ..Default::default()
@@ -100,44 +99,16 @@ fn run_chain(method: Method, t0: f64, t1: f64) -> ChainPin {
 
 #[test]
 fn oscillator_chain_forward_matches_the_parent_commit() {
-    for (method, pin) in [
-        (
-            Method::Verner65,
-            ((146, 0, 1168), 0xcedf_381f_156d_5616, 0xa3b8_4550_01a8_bc21),
-        ),
-        (
-            Method::DormandPrince54,
-            ((223, 0, 1339), 0x8421_68b3_c6ff_a995, 0x0cc4_7652_8832_1dc0),
-        ),
-        (
-            Method::CashKarp45,
-            ((173, 0, 1038), 0x6b53_8c81_1eee_5d8c, 0xd0b0_afc0_26cf_e3d6),
-        ),
-    ] {
-        let got = run_chain(method, 0.0, 6.0);
-        assert_eq!(got, pin, "{method:?} forward: {got:#x?}");
-    }
+    let pin = ((146, 0, 1168), 0xcedf_381f_156d_5616, 0xa3b8_4550_01a8_bc21);
+    let got = run_chain(0.0, 6.0);
+    assert_eq!(got, pin, "forward: {got:#x?}");
 }
 
 #[test]
 fn oscillator_chain_backward_matches_the_parent_commit() {
-    for (method, pin) in [
-        (
-            Method::Verner65,
-            ((135, 4, 1108), 0x0327_bda9_c21d_303c, 0x1efa_b0dc_98c1_3a8e),
-        ),
-        (
-            Method::DormandPrince54,
-            ((217, 4, 1327), 0x2691_3d37_384e_7c70, 0x8fc3_5672_2b5b_8a2d),
-        ),
-        (
-            Method::CashKarp45,
-            ((165, 4, 1010), 0x314e_9eb4_4b30_8a8b, 0xecbc_3523_d29b_241c),
-        ),
-    ] {
-        let got = run_chain(method, 6.0, 0.0);
-        assert_eq!(got, pin, "{method:?} backward: {got:#x?}");
-    }
+    let pin = ((135, 4, 1108), 0x0327_bda9_c21d_303c, 0x1efa_b0dc_98c1_3a8e);
+    let got = run_chain(6.0, 0.0);
+    assert_eq!(got, pin, "backward: {got:#x?}");
 }
 
 /// A decay chain whose last derivative is NaN at any stage time past
@@ -169,41 +140,25 @@ type CliffPin = ((usize, usize), u64, u64);
 
 #[test]
 fn non_finite_rhs_ends_in_the_parent_commits_error() {
-    for (method, pin) in [
-        (
-            Method::Verner65,
-            ((49, 632), 0x3fef_ffff_ffe9_2081, 0x4066_36b2_18cd_73d3),
-        ),
-        (
-            Method::DormandPrince54,
-            ((50, 482), 0x3fef_ffff_ffa5_727d, 0x9591_0f35_4d21_ac48),
-        ),
-        (
-            Method::CashKarp45,
-            ((49, 480), 0x3fef_ffff_ff94_ccd3, 0xaf4f_9989_9495_148f),
-        ),
-    ] {
-        let mut y = [1.0, 0.5, 0.0];
-        let mut rhs = Cliff { evals: 0 };
-        let opts = IntegrateOpts {
-            method,
-            h_min: 1e-9,
-            ..Default::default()
-        };
-        let mut accepted = 0usize;
-        let mut seen = Fnv::new();
-        let mut obs = |t: f64, y: &[f64]| {
-            accepted += 1;
-            seen.push(t);
-            seen.push(y[0]);
-            true
-        };
-        let r =
-            Integrator::new().integrate_observed(&mut rhs, 0.0, 2.0, &mut y, &opts, Some(&mut obs));
-        let Err(OdeError::NonFinite { t }) = r else {
-            panic!("{method:?}: expected NonFinite, got {r:?}");
-        };
-        let got: CliffPin = ((accepted, rhs.evals), t.to_bits(), seen.0);
-        assert_eq!(got, pin, "{method:?} cliff: {got:#x?}");
-    }
+    let pin = ((49, 632), 0x3fef_ffff_ffe9_2081, 0x4066_36b2_18cd_73d3);
+    let mut y = [1.0, 0.5, 0.0];
+    let mut rhs = Cliff { evals: 0 };
+    let opts = IntegrateOpts {
+        h_min: 1e-9,
+        ..Default::default()
+    };
+    let mut accepted = 0usize;
+    let mut seen = Fnv::new();
+    let mut obs = |t: f64, y: &[f64]| {
+        accepted += 1;
+        seen.push(t);
+        seen.push(y[0]);
+        true
+    };
+    let r = Integrator::new().integrate_observed(&mut rhs, 0.0, 2.0, &mut y, &opts, Some(&mut obs));
+    let Err(OdeError::NonFinite { t }) = r else {
+        panic!("expected NonFinite, got {r:?}");
+    };
+    let got: CliffPin = ((accepted, rhs.evals), t.to_bits(), seen.0);
+    assert_eq!(got, pin, "cliff: {got:#x?}");
 }

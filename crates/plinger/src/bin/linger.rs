@@ -12,12 +12,16 @@
 
 use std::process::ExitCode;
 
-use plinger::cli::{parse, Parsed, TelemetryMode, USAGE};
-use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
-use plinger::{render_pretty, run_serial, FarmReport};
+use plinger::cli::{parse, wants_help, Parsed, USAGE};
+use plinger::output_files::write_run_files;
+use plinger::{run_serial, FarmReport};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        println!("usage: linger [options]\n{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let opts = match parse(&args) {
         Ok(Parsed::Run(o)) => o,
         Ok(Parsed::TcpWorker(_)) => {
@@ -57,14 +61,6 @@ fn main() -> ExitCode {
         "linger: done in {wall:.2} s ({rate:.1} Mflop/s); writing {}.linger / {}.lingerd",
         opts.output, opts.output
     );
-    if let Err(e) = write_ascii(format!("{}.linger", opts.output), &opts.spec, &outputs) {
-        eprintln!("linger: writing ASCII output failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = write_binary(format!("{}.lingerd", opts.output), &outputs) {
-        eprintln!("linger: writing binary output failed: {e}");
-        return ExitCode::FAILURE;
-    }
     // The serial code has no workers or message traffic, but the mode
     // timing ledger is still worth a report: wrap the run in an
     // otherwise-empty FarmReport so the same writers apply.
@@ -73,28 +69,9 @@ fn main() -> ExitCode {
         wall_seconds: wall,
         ..FarmReport::default()
     };
-    if opts.telemetry != TelemetryMode::Off {
-        match write_run_report(&opts.output, &report, "serial") {
-            Ok((path, text)) => match opts.telemetry {
-                TelemetryMode::Json => println!("{text}"),
-                TelemetryMode::Pretty => {
-                    print!("{}", render_pretty(&report, "serial"));
-                    eprintln!("linger: run report written to {path}");
-                }
-                TelemetryMode::Off => unreachable!(),
-            },
-            Err(e) => {
-                eprintln!("linger: writing run report failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        if let Err(e) = write_trace(path, &report) {
-            eprintln!("linger: writing trace failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("linger: chrome trace written to {path}");
+    if let Err(e) = write_run_files("linger", &opts, &report, "serial", true) {
+        eprintln!("linger: {e}");
+        return ExitCode::FAILURE;
     }
     eprintln!("linger: total {:.2} s", t0.elapsed().as_secs_f64());
     ExitCode::SUCCESS

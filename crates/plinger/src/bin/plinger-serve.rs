@@ -55,7 +55,9 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use msgpass::channel::ChannelWorld;
 use msgpass::{codec, Message, Tag, World};
-use plinger::cli::{EnsembleArgs, FarmArgs, ServeArgs, ServeSettings, SpecArgs, TransportKind};
+use plinger::cli::{
+    wants_help, EnsembleArgs, FarmArgs, ServeArgs, ServeSettings, SpecArgs, TransportKind,
+};
 use plinger::pool::PoolOptions;
 use plinger::service::{
     answer, EnsembleRequest, EnsembleSummary, ErrorCode, ResultCache, ServiceError, ServiceMetrics,
@@ -89,6 +91,7 @@ const USAGE: &str = "\
 usage:
   plinger-serve --listen ADDR [server options]
   plinger-serve --connect ADDR [spectrum options]
+  plinger-serve --help | -h
 
 server options:
   --listen ADDR             bind address (port 0 picks one; the bound
@@ -133,6 +136,10 @@ summary line from the tag-24 terminator.
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let mode = args
         .iter()
         .position(|a| a == "--listen" || a == "--connect");

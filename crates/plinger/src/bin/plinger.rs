@@ -16,11 +16,10 @@
 use std::process::ExitCode;
 
 use msgpass::channel::ChannelWorld;
-use plinger::cli::{parse, CliOptions, Parsed, TelemetryMode, TransportKind, USAGE};
-use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
+use plinger::cli::{parse, wants_help, CliOptions, Parsed, TelemetryMode, TransportKind, USAGE};
+use plinger::output_files::write_run_files;
 use plinger::{
-    render_pretty, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan, PoolOptions,
-    SchedulePolicy,
+    run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan, PoolOptions, SchedulePolicy,
 };
 
 /// Exit code used by scripted-fault workers so the master's respawn
@@ -29,6 +28,10 @@ const FAULT_EXIT: u8 = 42;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        println!("usage: plinger [options]\n{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match parse(&args) {
         Ok(Parsed::TcpWorker(w)) => {
             let addr: std::net::SocketAddr = match w.addr.parse() {
@@ -113,42 +116,9 @@ fn run_master(opts: CliOptions) -> ExitCode {
     // a spectrum missing quarantined modes is never written; the run
     // report, whose recovery ledger lists them, still is
     let complete = report.require_complete();
-    if complete.is_ok() {
-        if let Err(e) = write_ascii(
-            format!("{}.linger", opts.output),
-            &opts.spec,
-            &report.outputs,
-        ) {
-            eprintln!("plinger: writing ASCII output failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = write_binary(format!("{}.lingerd", opts.output), &report.outputs) {
-            eprintln!("plinger: writing binary output failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if opts.telemetry != TelemetryMode::Off {
-        match write_run_report(&opts.output, &report, transport_tag) {
-            Ok((path, text)) => match opts.telemetry {
-                TelemetryMode::Json => println!("{text}"),
-                TelemetryMode::Pretty => {
-                    print!("{}", render_pretty(&report, transport_tag));
-                    eprintln!("plinger: run report written to {path}");
-                }
-                TelemetryMode::Off => unreachable!(),
-            },
-            Err(e) => {
-                eprintln!("plinger: writing run report failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        if let Err(e) = write_trace(path, &report) {
-            eprintln!("plinger: writing trace failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("plinger: chrome trace written to {path}");
+    if let Err(e) = write_run_files("plinger", &opts, &report, transport_tag, complete.is_ok()) {
+        eprintln!("plinger: {e}");
+        return ExitCode::FAILURE;
     }
     if let Err(e) = complete {
         eprintln!("plinger: farm failed: {e}");

@@ -119,7 +119,13 @@ options:
   --respawn-limit N         TCP subprocess respawn budget [2]
   --log LEVEL[,json]        structured events on stderr
                             (error|warn|info|debug)       [off]
+  --help, -h                print this text and exit
 ";
+
+/// Whether `args` ask for the usage text: `--help` or `-h` anywhere.
+pub fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
+}
 
 /// Pop the value of `flag` off the argument iterator.
 fn take<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {

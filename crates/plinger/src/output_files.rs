@@ -7,10 +7,12 @@
 //! `<prefix>.run_report.json` ledger (schema documented in
 //! [`crate::report`]) and [`write_trace`] dumps the recorded spans as a
 //! chrome-tracing JSON array loadable in Perfetto / `chrome://tracing`.
+//! [`write_run_files`] is the tail both farm binaries end a run with.
 
+use crate::cli::{CliOptions, TelemetryMode};
 use crate::farm::FarmReport;
 use crate::protocol::RunSpec;
-use crate::report::build_run_report;
+use crate::report::{build_run_report, render_pretty};
 use boltzmann::ModeOutput;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -93,6 +95,46 @@ pub fn write_trace<P: AsRef<Path>>(path: P, report: &FarmReport) -> io::Result<(
     let mut w = BufWriter::new(f);
     telemetry::write_chrome_trace(&mut w, &report.telemetry.spans)?;
     w.flush()
+}
+
+/// Everything a finished run leaves behind, as `linger` and `plinger`
+/// end: the `.linger`/`.lingerd` pair unless `spectrum` is false (a
+/// run that lost modes writes no spectrum), the run report as
+/// `opts.telemetry` asks, and the trace when `--trace-out` names a file.
+/// `bin` prefixes the progress lines on stderr; the error says which
+/// write failed.
+pub fn write_run_files(
+    bin: &str,
+    opts: &CliOptions,
+    report: &FarmReport,
+    transport: &str,
+    spectrum: bool,
+) -> Result<(), String> {
+    if spectrum {
+        write_ascii(
+            format!("{}.linger", opts.output),
+            &opts.spec,
+            &report.outputs,
+        )
+        .map_err(|e| format!("writing ASCII output failed: {e}"))?;
+        write_binary(format!("{}.lingerd", opts.output), &report.outputs)
+            .map_err(|e| format!("writing binary output failed: {e}"))?;
+    }
+    if opts.telemetry != TelemetryMode::Off {
+        let (path, text) = write_run_report(&opts.output, report, transport)
+            .map_err(|e| format!("writing run report failed: {e}"))?;
+        if opts.telemetry == TelemetryMode::Json {
+            println!("{text}");
+        } else {
+            print!("{}", render_pretty(report, transport));
+            eprintln!("{bin}: run report written to {path}");
+        }
+    }
+    if let Some(path) = &opts.trace_out {
+        write_trace(path, report).map_err(|e| format!("writing trace failed: {e}"))?;
+        eprintln!("{bin}: chrome trace written to {path}");
+    }
+    Ok(())
 }
 
 /// Read back a binary moment file: `(ik, lmax, payload)` per record.

@@ -309,7 +309,6 @@ impl RunSpec {
             nq: self.nq,
             tau_end: self.tau_end,
             record_trajectory: false,
-            method: ode::Method::Verner65,
             spectrum_method: self.method,
         }
     }

@@ -90,6 +90,25 @@ fn bad_flags_fail_cleanly() {
     assert!(err.contains("usage"), "usage text missing");
 }
 
+#[test]
+fn help_prints_usage_and_succeeds() {
+    for exe in [
+        env!("CARGO_BIN_EXE_linger"),
+        env!("CARGO_BIN_EXE_plinger"),
+        env!("CARGO_BIN_EXE_plinger-serve"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(exe).arg(flag).output().unwrap();
+            let text = String::from_utf8_lossy(&out.stdout);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{exe} {flag}: {err}");
+            assert!(text.starts_with("usage"), "{exe} {flag}: {text}");
+            assert!(text.contains("--workers"), "{exe} {flag}: {text}");
+            assert!(err.is_empty(), "{exe} {flag}: {err}");
+        }
+    }
+}
+
 /// `exe args` is a usage error (exit 2) whose first line names `flag`
 /// as unknown.
 fn assert_unknown_flag(exe: &str, args: &[&str], flag: &str) {

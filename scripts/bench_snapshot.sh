@@ -15,9 +15,9 @@
 # neutrino — against the medians of the commit before Background stopped
 # recomputing its cosmology constants per lookup, and records the
 # massive/massless lookup ratio scripts/ci.sh gates on.  And it runs the
-# rhs bench — one adaptive integration per method beside the bare RHS
-# evaluation at the same layout — and records, per method, the time of
-# the integration over the time of `stages` evaluations, measured in one
+# rhs bench — one adaptive DVERK integration beside the bare RHS
+# evaluation at the same layout — and records the time of the
+# integration over the time of `stages` evaluations, measured in one
 # process: the stepper's own cost as a ratio that a busy host moves
 # little.  `before` is commit 9db763d, the last whose step tail walked
 # the stage vectors element by element; scripts/ci.sh gates on the
@@ -225,14 +225,12 @@ tables_before = {
     "thermo_history_build_mdm": 51820649.0,
 }
 
-# the rhs bench at commit 9db763d, medians of five runs: one
-# integration (ns) per method, and the RHS evaluation at the same layout
+# the rhs bench at commit 9db763d, medians of five runs: one DVERK
+# integration (ns), and the RHS evaluation at the same layout
 stepper_before = {
     "rhs_eval_256_ns": 549.42,
     "dverk_step_ns": {
         "Verner65": 352784.75,
-        "DormandPrince54": 342318.75,
-        "CashKarp45": 238357.56,
     },
 }
 
@@ -309,9 +307,9 @@ snapshot = {
                     "iteration), before = commit 7097a5a",
     "tables": tables,
     "background_lookup_mdm_over_scdm": lookup_ratio,
-    "stepper_bench": "rhs (one adaptive integration 300 -> 302 Mpc per "
-                     "method over `stages` RHS evaluations at the same "
-                     "layout, one process), before = commit 9db763d",
+    "stepper_bench": "rhs (one adaptive DVERK integration 300 -> 302 Mpc "
+                     "over `stages` RHS evaluations at the same layout, "
+                     "one process), before = commit 9db763d",
     "stepper": stepper,
 }
 with open("BENCH_rhs.json", "w") as fh:
