@@ -42,7 +42,6 @@ fn fake_outputs(nk: usize, lmax: usize) -> Vec<ModeOutput> {
                 delta_t,
                 stats: StepStats::default(),
                 cpu_seconds: 0.0,
-                trajectory: Vec::new(),
                 sources: None,
             }
         })

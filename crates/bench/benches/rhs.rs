@@ -49,7 +49,6 @@ fn bench_verner_step(c: &mut Criterion) {
             integ
                 .integrate(&mut rhs, 300.0, 302.0, &mut y, &opts)
                 .unwrap()
-                .stats
                 .rhs_evals
         })
     });

@@ -2,14 +2,14 @@
 //! the unit of work a PLINGER worker performs.
 
 use background::Background;
-use ode::{DenseSample, IntegrateOpts, Integrator, OdeError, StepStats};
+use ode::{IntegrateOpts, Integrator, OdeError, StepStats};
 use recomb::ThermoHistory;
 
 use crate::initial::{set_initial_conditions, InitialConditions};
 use crate::layout::{Gauge, StateLayout};
 use crate::output::ModeOutput;
 use crate::rhs::LingerRhs;
-use crate::source::{SourceRecorder, SpectrumMethod, LOS_LMAX, REC_WINDOW};
+use crate::source::{History, SpectrumMethod, StepRecorder, LOS_LMAX, REC_WINDOW};
 
 /// Tight-coupling validity threshold: TCA holds while
 /// `max(k, ℋ)·τ_c < EPS_TCA`.
@@ -61,8 +61,9 @@ impl Preset {
     }
 }
 
-/// Configuration for one mode integration.  The stepper is not part of
-/// it: every mode runs DVERK's Verner 6(5) pair, as LINGER did.
+/// Configuration for one mode integration.  Neither the stepper (every
+/// mode runs DVERK's Verner 6(5) pair, as LINGER did) nor a recording
+/// switch is part of it: [`potential_history`] asks for the ψ history.
 #[derive(Debug, Clone)]
 pub struct ModeConfig {
     /// Gauge to evolve in.
@@ -86,8 +87,6 @@ pub struct ModeConfig {
     pub nq: Option<usize>,
     /// End time; `None` = today (`τ₀`).
     pub tau_end: Option<f64>,
-    /// Record the trajectory (needed by the ψ-movie harness).
-    pub record_trajectory: bool,
     /// Full hierarchy to `l_max`, or the truncated-hierarchy
     /// line-of-sight fast path.  In [`SpectrumMethod::LineOfSight`] the
     /// photon and neutrino ladders default to [`LOS_LMAX`] moments
@@ -107,7 +106,6 @@ impl Default for ModeConfig {
             lmax_h: 16,
             nq: None,
             tau_end: None,
-            record_trajectory: false,
             spectrum_method: SpectrumMethod::FullHierarchy,
         }
     }
@@ -231,40 +229,56 @@ pub fn evolve_mode(
     k: f64,
     config: &ModeConfig,
 ) -> Result<ModeOutput, EvolveError> {
-    evolve_mode_observed(bg, thermo, k, config, None)
+    evolve_mode_scratch(bg, thermo, k, config, None, &mut Integrator::new())
 }
 
 /// Like [`evolve_mode`], with a callback invoked after every accepted
-/// integrator step.  The observer cannot perturb the numerics — the
-/// output is bit-identical with or without it.  PLINGER workers use it
-/// to emit heartbeats between DVERK step batches, and to poll for
-/// cancellation: returning `false` aborts the mode with
-/// [`OdeError::Aborted`] wrapped in [`EvolveError::Ode`].
-pub fn evolve_mode_observed(
-    bg: &Background,
-    thermo: &ThermoHistory,
-    k: f64,
-    config: &ModeConfig,
-    observer: Option<&mut dyn FnMut() -> bool>,
-) -> Result<ModeOutput, EvolveError> {
-    evolve_mode_scratch(bg, thermo, k, config, observer, &mut Integrator::new())
-}
-
-/// Like [`evolve_mode_observed`], reusing a caller-held [`Integrator`]
-/// as scratch space.  A worker looping over many modes passes the same
-/// integrator each time so the step-stage buffers keep their capacity
-/// instead of being reallocated per mode.  The integrator resets its
-/// adaptive state at the start of every integration, so the output is
-/// bit-identical to a fresh [`Integrator::new`] — `farm_transports.rs`
+/// integrator step, reusing a caller-held [`Integrator`] as scratch
+/// space.  The observer cannot perturb the numerics — the output is
+/// bit-identical with or without it.  PLINGER workers use it to emit
+/// heartbeats between DVERK step batches, and to poll for cancellation:
+/// returning `false` aborts the mode with [`OdeError::Aborted`] wrapped
+/// in [`EvolveError::Ode`].  A worker looping over many modes passes the
+/// same integrator each time so the step-stage buffers keep their
+/// capacity instead of being reallocated per mode.  The integrator resets
+/// its adaptive state at the start of every integration, so the output
+/// is bit-identical to a fresh [`Integrator::new`] — `farm_transports.rs`
 /// locks that equivalence down against the serial reference.
 pub fn evolve_mode_scratch(
     bg: &Background,
     thermo: &ThermoHistory,
     k: f64,
     config: &ModeConfig,
-    mut observer: Option<&mut dyn FnMut() -> bool>,
+    observer: Option<&mut dyn FnMut() -> bool>,
     integ: &mut Integrator,
 ) -> Result<ModeOutput, EvolveError> {
+    evolve(bg, thermo, k, config, observer, integ, false).map(|(out, _)| out)
+}
+
+/// Evolve one mode and return the potentials `(τ, φ, ψ)` at its start
+/// and at every accepted step, one sample per `τ` — the data behind the
+/// paper's ψ-movie of the conformal Newtonian gauge.  The last sample is
+/// the output's `(τ_end, φ, ψ)`.
+pub fn potential_history(
+    bg: &Background,
+    thermo: &ThermoHistory,
+    k: f64,
+    config: &ModeConfig,
+) -> Result<Vec<(f64, f64, f64)>, EvolveError> {
+    evolve(bg, thermo, k, config, None, &mut Integrator::new(), true).map(|(_, hist)| hist)
+}
+
+/// The evolution behind [`evolve_mode_scratch`] and [`potential_history`],
+/// which alone asks for the `(τ, φ, ψ)` history (empty otherwise).
+fn evolve(
+    bg: &Background,
+    thermo: &ThermoHistory,
+    k: f64,
+    config: &ModeConfig,
+    mut observer: Option<&mut dyn FnMut() -> bool>,
+    integ: &mut Integrator,
+    potentials: bool,
+) -> Result<(ModeOutput, History), EvolveError> {
     let wall_start = std::time::Instant::now();
     if !(k > 0.0 && k.is_finite()) {
         return Err(EvolveError::BadWavenumber { k });
@@ -309,20 +323,18 @@ pub fn evolve_mode_scratch(
     let opts = IntegrateOpts {
         rtol: preset.rtol(),
         atol: preset.rtol() * 1e-4,
-        record_trajectory: config.record_trajectory,
         max_steps: 80_000_000,
         ..Default::default()
     };
 
     let mut stats = StepStats::default();
-    let mut trajectory: Vec<DenseSample> = Vec::new();
     let mut tau = tau_start;
 
-    // line-of-sight mode evaluates the projector coefficients at every
-    // accepted step, through the recorder's own metric evaluator (it
+    // the line-of-sight source and the ψ history are read at every
+    // accepted step through the recorder's own metric evaluator (it
     // cannot borrow `rhs` while the integrator holds it)
-    let mut recorder = los.then(|| {
-        let mut rec = SourceRecorder::new(bg, thermo, layout.clone(), k);
+    let mut recorder = (los || potentials).then(|| {
+        let mut rec = StepRecorder::new(bg, thermo, early.clone(), k, los, potentials);
         rec.push(tau_start, &y);
         rec
     });
@@ -342,11 +354,10 @@ pub fn evolve_mode_scratch(
         }
         if phase == 2 {
             y = grow_state(&rhs.layout, &layout, &y);
-            for s in &mut trajectory {
-                s.y = grow_state(&rhs.layout, &layout, &s.y);
-                s.dydt = grow_state(&rhs.layout, &layout, &s.dydt);
-            }
             rhs = LingerRhs::new(bg, thermo, layout.clone(), k);
+            if let Some(rec) = recorder.as_mut() {
+                rec.relayout(layout.clone());
+            }
         }
         rhs.tca = phase == 0;
         // the caller's observer and the recorder see every accepted step
@@ -359,11 +370,10 @@ pub fn evolve_mode_scratch(
                 None => true,
             }
         };
-        let sol = integ
+        let phase_stats = integ
             .integrate_observed(&mut rhs, tau, upper, &mut y, &opts, Some(&mut relay))
             .map_err(|source| EvolveError::Ode { k, source })?;
-        stats.merge(&sol.stats);
-        trajectory.extend(sol.trajectory);
+        stats.merge(&phase_stats);
         tau = upper;
         rhs.tca = false;
         if phase == 0 && tau < tau_end {
@@ -375,36 +385,11 @@ pub fn evolve_mode_scratch(
         }
     }
 
-    let sources = recorder.map(|rec| rec.finish(tau_end, preset));
+    let (sources, history) =
+        recorder.map_or_else(Default::default, |rec| rec.finish(tau_end, preset));
     let cpu_seconds = wall_start.elapsed().as_secs_f64();
-    let mut out = ModeOutput::from_state(&rhs, bg, tau_end, &y, stats, cpu_seconds, trajectory);
-    out.sources = sources;
-    Ok(out)
-}
-
-/// Evolve one mode recording the trajectory, and return the potentials
-/// `(τ, φ, ψ)` at every accepted step — the data behind the paper's
-/// ψ-movie of the conformal Newtonian gauge.
-pub fn potential_history(
-    bg: &Background,
-    thermo: &ThermoHistory,
-    k: f64,
-    config: &ModeConfig,
-) -> Result<Vec<(f64, f64, f64)>, EvolveError> {
-    let mut cfg = config.clone();
-    cfg.record_trajectory = true;
-    let out = evolve_mode(bg, thermo, k, &cfg)?;
-    // every recorded sample is in the final layout; rebuild an RHS with
-    // it to evaluate the metric
-    let rhs = LingerRhs::new(bg, thermo, state_layout(bg, &cfg, k, out.tau_end), k);
-    Ok(out
-        .trajectory
-        .iter()
-        .map(|s| {
-            let m = rhs.metrics(s.t, &s.y);
-            (s.t, m.phi, m.psi)
-        })
-        .collect())
+    let out = ModeOutput::from_state(&rhs, bg, tau_end, &y, stats, cpu_seconds, sources);
+    Ok((out, history))
 }
 
 /// Find the conformal time at which tight coupling stops being valid:
@@ -571,57 +556,49 @@ mod tests {
         }
     }
 
+    /// One sample at the start and one per accepted step, at strictly
+    /// increasing `τ`, the last bit-equal to the output's potentials.
+    fn assert_history_reads_each_step_once(hist: &[(f64, f64, f64)], out: &ModeOutput) {
+        assert!(hist.windows(2).all(|w| w[1].0 > w[0].0), "τ must increase");
+        assert_eq!(hist.len(), out.stats.accepted + 1);
+        let &(t, phi, psi) = hist.last().unwrap();
+        assert_eq!(
+            t.to_bits(),
+            out.tau_end.to_bits(),
+            "τ {t} vs {}",
+            out.tau_end
+        );
+        assert_eq!(phi.to_bits(), out.phi.to_bits(), "φ {phi} vs {}", out.phi);
+        assert_eq!(psi.to_bits(), out.psi.to_bits(), "ψ {psi} vs {}", out.psi);
+        assert!(hist
+            .iter()
+            .all(|&(_, phi, psi)| phi.is_finite() && psi.is_finite()));
+    }
+
     #[test]
     fn a_growing_modes_history_ends_on_its_output_potentials() {
         // the ν ladder is automatic, so it grows at the end of the
-        // recombination window; every sample, early ones included, is
-        // read in the final layout
+        // recombination window; the recorder reads every step in the
+        // layout the mode carried at it
         let (bg, th) = setup();
         let cfg = ModeConfig {
             lmax_g: Some(20),
             ..draft_config()
         };
         let k = 0.01;
-        let tau_end = bg.tau0();
         assert_ne!(
             state_layout(bg, &cfg, k, REC_WINDOW.1 * th.tau_rec()),
-            state_layout(bg, &cfg, k, tau_end),
+            state_layout(bg, &cfg, k, bg.tau0()),
             "this mode must grow its ladder"
         );
         let hist = potential_history(bg, th, k, &cfg).unwrap();
         let out = evolve_mode(bg, th, k, &cfg).unwrap();
-        let &(t, phi, psi) = hist.last().unwrap();
-        assert_eq!(t, out.tau_end);
-        assert_eq!(phi.to_bits(), out.phi.to_bits(), "φ {phi} vs {}", out.phi);
-        assert_eq!(psi.to_bits(), out.psi.to_bits(), "ψ {psi} vs {}", out.psi);
-        assert!(hist
-            .iter()
-            .all(|&(_, phi, psi)| phi.is_finite() && psi.is_finite()));
-        let recorded = evolve_mode(
-            bg,
-            th,
-            k,
-            &ModeConfig {
-                record_trajectory: true,
-                ..cfg
-            },
-        )
-        .unwrap();
-        let dim = state_layout(bg, &cfg, k, tau_end).dim();
-        assert_eq!(recorded.trajectory.len(), hist.len());
-        for s in &recorded.trajectory {
-            assert_eq!(
-                (s.y.len(), s.dydt.len()),
-                (dim, dim),
-                "sample at τ = {}",
-                s.t
-            );
-        }
+        assert_history_reads_each_step_once(&hist, &out);
     }
 
     #[test]
     fn line_of_sight_history_with_massive_neutrinos_reads_the_truncated_ladder() {
-        // the history's reader must size the ν ladder as the mode did,
+        // the history must read the ν ladder as the mode sized it,
         // truncated at LOS_LMAX, or it indexes past the massive-ν block
         let bg = Background::new(CosmoParams::mixed_dark_matter());
         let th = ThermoHistory::new(&bg);
@@ -632,8 +609,7 @@ mod tests {
         };
         let hist = potential_history(&bg, &th, 0.1, &cfg).unwrap();
         let out = evolve_mode(&bg, &th, 0.1, &cfg).unwrap();
-        let &(_, phi, psi) = hist.last().unwrap();
-        assert_eq!((phi, psi), (out.phi, out.psi));
+        assert_history_reads_each_step_once(&hist, &out);
     }
 
     #[test]

@@ -45,8 +45,7 @@ pub mod rhs;
 pub mod source;
 
 pub use evolve::{
-    evolve_mode, evolve_mode_observed, evolve_mode_scratch, EvolveError, ModeConfig, Preset,
-    FLATNESS_TOLERANCE,
+    evolve_mode, evolve_mode_scratch, EvolveError, ModeConfig, Preset, FLATNESS_TOLERANCE,
 };
 pub use initial::InitialConditions;
 pub use layout::{Gauge, StateLayout};

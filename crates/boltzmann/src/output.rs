@@ -9,7 +9,7 @@
 //! serial code.
 
 use background::Background;
-use ode::{DenseSample, StepStats};
+use ode::StepStats;
 use std::fmt;
 
 use crate::layout::{Gauge, StateLayout};
@@ -135,8 +135,6 @@ pub struct ModeOutput {
     pub stats: StepStats,
     /// Wall-clock seconds spent on this mode.
     pub cpu_seconds: f64,
-    /// Accepted-step trajectory when recording was requested.
-    pub trajectory: Vec<DenseSample>,
     /// Line-of-sight source function (recorded only in
     /// [`crate::SpectrumMethod::LineOfSight`] mode; rides the wire as a
     /// payload extension after the moment hierarchies).
@@ -144,7 +142,7 @@ pub struct ModeOutput {
 }
 
 impl ModeOutput {
-    /// Build the record from the final integrator state.
+    /// Build the record from the final integrator state and its sources.
     pub(crate) fn from_state(
         rhs: &LingerRhs<'_>,
         bg: &Background,
@@ -152,7 +150,7 @@ impl ModeOutput {
         y: &[f64],
         stats: StepStats,
         cpu_seconds: f64,
-        trajectory: Vec<DenseSample>,
+        sources: Option<ModeSources>,
     ) -> Self {
         let lay = rhs.layout.clone();
         let k = rhs.k;
@@ -185,8 +183,7 @@ impl ModeOutput {
             delta_p,
             stats,
             cpu_seconds,
-            trajectory,
-            sources: None,
+            sources,
         }
     }
 
@@ -250,8 +247,6 @@ impl ModeOutput {
     /// evaluations ride in `payload[1..4]`, stepper flops in
     /// `payload[5]`, and RHS flops are recovered as the difference
     /// between the header's total-flops word and the stepper flops.
-    /// Only the trajectory stays behind (it is a debugging aid, not a
-    /// result).
     ///
     /// Malformed frames — a header that is not 21 reals, an `lmax` real
     /// that is not a whole number within the ceiling, or a payload
@@ -326,7 +321,6 @@ impl ModeOutput {
             delta_t,
             delta_p,
             stats,
-            trajectory: Vec::new(),
             sources,
         };
         Ok((header[0] as usize, out))
@@ -369,7 +363,6 @@ mod tests {
                 stepper_flops: 4200,
             },
             cpu_seconds: 3.25,
-            trajectory: Vec::new(),
             sources: None,
         }
     }

@@ -29,15 +29,19 @@
 //! polarization uses the single projector `3(j_l + j_l'')` with
 //! coefficient `s_P = g Π/4`.
 //!
-//! The recorder evaluates the four coefficients on the integrator's
-//! natural accepted steps (via the read-only observer hook — zero extra
-//! RHS work) and keeps them, five reals a step with `τ`; the state
-//! vector they were read from is not kept.  At the end it resamples the
-//! four histories onto a compact two-block grid: a fine uniform block
+//! The mode's step recorder evaluates the four coefficients on the
+//! integrator's natural accepted steps (via the read-only observer hook —
+//! zero extra RHS work) and keeps them, five reals a step with `τ`; the
+//! state vector they were read from is not kept.  At the end it resamples
+//! the four histories onto a compact two-block grid: a fine uniform block
 //! across the recombination window where the visibility peaks, and a
 //! coarse uniform tail to `τ₀` for the ISW contribution.  The result is
 //! small (a few hundred points independent of `l_max`), which is what
 //! shrinks the farm's per-mode message.
+//!
+//! The same recorder, on the same steps, keeps the potentials `(φ, ψ)`
+//! when [`crate::evolve::potential_history`] asks for them — the data
+//! behind the paper's ψ movie.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,7 +50,7 @@ use recomb::ThermoHistory;
 
 use crate::evolve::Preset;
 use crate::layout::{Gauge, StateLayout};
-use crate::rhs::LingerRhs;
+use crate::rhs::{LingerRhs, MetricQuantities};
 
 /// How a mode's anisotropy spectrum is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,77 +149,101 @@ impl ModeSources {
 static RECORDER_HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
 
 /// The most reals (by capacity: `τ` and four coefficients per accepted
-/// step) that any single mode's source recorder has held in this
-/// process — a statistic for the memory gate in `scripts/ci.sh`.
+/// step, plus `(τ, φ, ψ)` when the potentials are kept) that any single
+/// mode's step recorder has held in this process — a statistic for the
+/// memory gate in `scripts/ci.sh`.
 pub fn recorder_high_water_reals() -> usize {
     RECORDER_HIGH_WATER.load(Ordering::Relaxed)
 }
 
-/// Accumulates `(τ, s₀, s₁, s₂, s_P)` on the integrator's accepted steps.
+/// A mode's `(τ, φ, ψ)` samples, as [`crate::evolve::potential_history`]
+/// returns them.
+pub(crate) type History = Vec<(f64, f64, f64)>;
+
+/// The mode's one step recorder: accumulates `(τ, s₀, s₁, s₂, s_P)`, or
+/// `(τ, φ, ψ)`, or both, on the integrator's accepted steps.
 ///
 /// The observer fires with the freshly accepted state, which is boiled
-/// down to the four projector coefficients on the spot.  That needs the
-/// metric at `(τ, y)`, and the integrator holds the mode's `LingerRhs`
-/// mutably while the observer runs, so the recorder carries its own:
-/// same background, thermal history, layout and `k`, used for
-/// [`LingerRhs::metrics`] only, which reads no integrator state.
+/// down to the kept columns on the spot.  That needs the metric at
+/// `(τ, y)`, and the integrator holds the mode's `LingerRhs` mutably
+/// while the observer runs, so the recorder carries its own: same
+/// background, thermal history, layout and `k`, used for
+/// [`LingerRhs::metrics`] only, which reads no integrator state.  When
+/// the mode's ladders grow, [`Self::relayout`] rebuilds it on the new
+/// layout; the samples already taken are reals, not states, and stay.
 ///
 /// The handoff patch at the TCA switch re-pushes the same `τ` with the
 /// slaved moments filled in, which replaces the previous sample so the
 /// sample times stay strictly increasing.
-pub(crate) struct SourceRecorder<'a> {
+pub(crate) struct StepRecorder<'a> {
     rhs: LingerRhs<'a>,
     taus: Vec<f64>,
-    /// `s₀, s₁, s₂, s_P` histories, each as long as `taus`.
-    cols: [Vec<f64>; 4],
+    /// `s₀, s₁, s₂, s_P` histories when kept, each as long as `taus`.
+    sources: Option<[Vec<f64>; 4]>,
+    /// The `(τ, φ, ψ)` history when kept, as long as `taus`.
+    potentials: Option<History>,
 }
 
-impl<'a> SourceRecorder<'a> {
+impl<'a> StepRecorder<'a> {
     pub(crate) fn new(
         bg: &'a Background,
         thermo: &'a ThermoHistory,
         layout: StateLayout,
         k: f64,
+        sources: bool,
+        potentials: bool,
     ) -> Self {
         Self {
             rhs: LingerRhs::new(bg, thermo, layout, k),
             taus: Vec::with_capacity(1024),
-            cols: std::array::from_fn(|_| Vec::with_capacity(1024)),
+            sources: sources.then(|| std::array::from_fn(|_| Vec::with_capacity(1024))),
+            potentials: potentials.then(|| Vec::with_capacity(1024)),
         }
+    }
+
+    /// Read the states pushed from now on in `layout`.
+    pub(crate) fn relayout(&mut self, layout: StateLayout) {
+        let (bg, thermo, k) = (self.rhs.background(), self.rhs.thermo(), self.rhs.k);
+        self.rhs = LingerRhs::new(bg, thermo, layout, k);
     }
 
     pub(crate) fn push(&mut self, tau: f64, y: &[f64]) {
         debug_assert_eq!(y.len(), self.rhs.layout.dim());
-        match self.taus.last() {
-            // the TCA handoff re-pushes the switch time (and endpoint
-            // clamping can land one ulp past it): overwrite the last
-            // sample, at the time already recorded for it, so the
-            // sample times stay strictly increasing
-            Some(&last) if tau <= last => {
-                let coefs = self.coefficients(last, y);
-                for (col, v) in self.cols.iter_mut().zip(coefs) {
-                    *col.last_mut().expect("one entry per recorded time") = v;
-                }
+        fn put<T>(col: &mut Vec<T>, v: T, replace: bool) {
+            match col.last_mut() {
+                Some(last) if replace => *last = v,
+                _ => col.push(v),
             }
-            _ => {
-                let coefs = self.coefficients(tau, y);
-                self.taus.push(tau);
-                for (col, v) in self.cols.iter_mut().zip(coefs) {
-                    col.push(v);
-                }
-            }
+        }
+        // the TCA handoff re-pushes the switch time (and endpoint
+        // clamping can land one ulp past it): overwrite the last sample,
+        // at the time already recorded for it, so the sample times stay
+        // strictly increasing
+        let replace = self.taus.last().is_some_and(|&last| tau <= last);
+        if !replace {
+            self.taus.push(tau);
+        }
+        let tau = *self.taus.last().expect("a time was just recorded");
+        let m = self.rhs.metrics(tau, y);
+        if self.sources.is_some() {
+            let coefs = self.coefficients(tau, y, &m);
+            let cols = self.sources.iter_mut().flatten();
+            cols.zip(coefs).for_each(|(col, v)| put(col, v, replace));
+        }
+        if let Some(history) = self.potentials.as_mut() {
+            put(history, (tau, m.phi, m.psi), replace);
         }
     }
 
-    /// The projector coefficients `[s₀, s₁, s₂, s_P]` of state `y` at `tau`.
-    fn coefficients(&self, tau: f64, y: &[f64]) -> [f64; 4] {
+    /// The projector coefficients `[s₀, s₁, s₂, s_P]` of state `y` at
+    /// `tau`, whose metric is `m`.
+    fn coefficients(&self, tau: f64, y: &[f64], m: &MetricQuantities) -> [f64; 4] {
         let lay = &self.rhs.layout;
         let k = self.rhs.k;
         let thermo = self.rhs.thermo();
         let a = self.rhs.background().a_of_tau(tau);
         let g = thermo.visibility(tau, a);
         let expmk = (-thermo.optical_depth(tau)).exp();
-        let m = self.rhs.metrics(tau, y);
         let theta0 = 0.25 * y[lay.fg(0)];
         let pi_q = 0.25 * (y[lay.fg(2)] + y[lay.gg(0)] + y[lay.gg(2)]);
         let theta_b = y[StateLayout::THETA_B];
@@ -236,20 +264,20 @@ impl<'a> SourceRecorder<'a> {
 
     /// Reals held, by capacity.
     fn reals(&self) -> usize {
-        self.taus.capacity() + self.cols.iter().map(Vec::capacity).sum::<usize>()
+        let sources: usize = self.sources.iter().flatten().map(Vec::capacity).sum();
+        let potentials = self.potentials.as_ref().map_or(0, |h| 3 * h.capacity());
+        self.taus.capacity() + sources + potentials
     }
 
-    /// Resample the recorded histories onto the compact two-block grid.
-    pub(crate) fn finish(self, tau_end: f64, preset: Preset) -> ModeSources {
+    /// The source histories resampled onto the compact two-block grid,
+    /// when kept, and the `(τ, φ, ψ)` history, empty unless kept.
+    pub(crate) fn finish(self, tau_end: f64, preset: Preset) -> (Option<ModeSources>, History) {
         RECORDER_HIGH_WATER.fetch_max(self.reals(), Ordering::Relaxed);
-        let [s0, s1, s2, sp] = &self.cols;
-        resample(
-            &self.taus,
-            [s0, s1, s2, sp],
-            self.rhs.thermo(),
-            tau_end,
-            preset,
-        )
+        let sources = self.sources.as_ref().map(|[s0, s1, s2, sp]| {
+            let thermo = self.rhs.thermo();
+            resample(&self.taus, [s0, s1, s2, sp], thermo, tau_end, preset)
+        });
+        (sources, self.potentials.unwrap_or_default())
     }
 }
 
@@ -376,31 +404,43 @@ mod tests {
                 .collect()
         };
         let (first, early, patched) = (state(1.0), state(2.0), state(3.0));
-        let mut rec = SourceRecorder::new(&bg, &th, layout.clone(), 0.03);
+        let mut rec = StepRecorder::new(&bg, &th, layout.clone(), 0.03, true, true);
         rec.push(100.0, &first);
         rec.push(250.0, &early);
         rec.push(250.0, &patched); // TCA handoff re-push
         rec.push(250.0 - 1e-13, &patched); // an ulp short of it: same sample
         assert_eq!(rec.taus, vec![100.0, 250.0]);
 
-        // five reals a step, and the re-push overwrote the last four
-        let reference = SourceRecorder::new(&bg, &th, layout.clone(), 0.03);
-        let want = [
-            reference.coefficients(100.0, &first),
-            reference.coefficients(250.0, &patched),
-        ];
-        for (c, col) in rec.cols.iter().enumerate() {
+        // the re-push overwrote the last sample of every kept column
+        let reference = StepRecorder::new(&bg, &th, layout.clone(), 0.03, false, false);
+        let sample = |tau: f64, y: &[f64]| {
+            let m = reference.rhs.metrics(tau, y);
+            let c = reference.coefficients(tau, y, &m);
+            [c[0], c[1], c[2], c[3], m.phi, m.psi]
+        };
+        let want = [sample(100.0, &first), sample(250.0, &patched)];
+        for (c, col) in rec.sources.as_ref().unwrap().iter().enumerate() {
             let got: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, [want[0][c].to_bits(), want[1][c].to_bits()], "col {c}");
         }
-        assert_ne!(
-            reference.coefficients(250.0, &early),
-            reference.coefficients(250.0, &patched)
-        );
+        assert_ne!(sample(250.0, &early), sample(250.0, &patched));
 
         let held = rec.reals();
-        assert_eq!(held, 5 * 1024, "τ and four coefficients a step");
-        rec.finish(bg.tau0(), Preset::Draft);
+        assert_eq!(held, 8 * 1024, "τ, four coefficients and (τ, φ, ψ) a step");
+        let (sources, history) = rec.finish(bg.tau0(), Preset::Draft);
+        assert!(sources.is_some());
+        let bits = |(t, phi, psi): (f64, f64, f64)| [t, phi, psi].map(f64::to_bits);
+        let history: Vec<_> = history.into_iter().map(bits).collect();
+        let want_history = [
+            (100.0, want[0][4], want[0][5]),
+            (250.0, want[1][4], want[1][5]),
+        ];
+        assert_eq!(history, want_history.map(bits));
         assert!(recorder_high_water_reals() >= held);
+
+        // a source-only recorder keeps five reals a step and no history
+        let rec = StepRecorder::new(&bg, &th, layout, 0.03, true, false);
+        assert_eq!(rec.reals(), 5 * 1024, "τ and four coefficients a step");
+        assert!(rec.potentials.is_none());
     }
 }

@@ -20,7 +20,7 @@
 use crate::tableau::{Tableau, ORDER, VERNER65};
 use crate::Rhs;
 
-/// Options of one integration: tolerances, step bounds and recording.
+/// Options of one integration: tolerances and step bounds.
 /// The pair is always DVERK's Verner 6(5); there is no method to pick.
 #[derive(Debug, Clone)]
 pub struct IntegrateOpts {
@@ -36,8 +36,6 @@ pub struct IntegrateOpts {
     pub h_min: f64,
     /// Hard cap on accepted+rejected steps.
     pub max_steps: usize,
-    /// Record the state and its derivative at every accepted step.
-    pub record_trajectory: bool,
 }
 
 impl Default for IntegrateOpts {
@@ -49,7 +47,6 @@ impl Default for IntegrateOpts {
             h_max: f64::INFINITY,
             h_min: 1e-14,
             max_steps: 10_000_000,
-            record_trajectory: false,
         }
     }
 }
@@ -101,27 +98,6 @@ impl StepStats {
         self.rhs_flops += other.rhs_flops;
         self.stepper_flops += other.stepper_flops;
     }
-}
-
-/// One recorded sample of the trajectory.
-#[derive(Debug, Clone)]
-pub struct DenseSample {
-    /// Time of the sample.
-    pub t: f64,
-    /// State at `t`.
-    pub y: Vec<f64>,
-    /// Derivative at `t`.
-    pub dydt: Vec<f64>,
-}
-
-/// What an integration reports besides the final state, which it leaves
-/// in the caller's `y`.
-#[derive(Debug, Clone)]
-pub struct Solution {
-    /// Work counters.
-    pub stats: StepStats,
-    /// Accepted-step trajectory when requested.
-    pub trajectory: Vec<DenseSample>,
 }
 
 /// Integration failure modes.
@@ -198,7 +174,8 @@ impl Integrator {
     }
 
     /// Integrate `rhs` from `(t0, y0)` to `t1`; `y0` is updated in place to
-    /// the final state.  Supports forward and backward integration.
+    /// the final state and the work counters are returned.  Supports
+    /// forward and backward integration.
     pub fn integrate<R: Rhs + ?Sized>(
         &mut self,
         rhs: &mut R,
@@ -206,7 +183,7 @@ impl Integrator {
         t1: f64,
         y: &mut [f64],
         opts: &IntegrateOpts,
-    ) -> Result<Solution, OdeError> {
+    ) -> Result<StepStats, OdeError> {
         self.integrate_observed(rhs, t0, t1, y, opts, None)
     }
 
@@ -217,7 +194,7 @@ impl Integrator {
     /// behalf.  It exists so long integrations can report liveness
     /// (PLINGER workers heartbeat between DVERK step batches) and so
     /// callers can record state histories on the integrator's natural
-    /// steps (the line-of-sight source recorder).  Returning `false`
+    /// steps (the mode's step recorder).  Returning `false`
     /// aborts the integration with [`OdeError::Aborted`] (cooperative
     /// cancellation); returning `true` continues.
     #[allow(clippy::needless_range_loop)] // RK stages index k[s][j] in lockstep
@@ -229,7 +206,7 @@ impl Integrator {
         y: &mut [f64],
         opts: &IntegrateOpts,
         mut observer: Option<StepObserver<'_>>,
-    ) -> Result<Solution, OdeError> {
+    ) -> Result<StepStats, OdeError> {
         let n = y.len();
         assert_eq!(n, rhs.dim(), "state length must equal rhs.dim()");
         let tab = &VERNER65;
@@ -238,10 +215,7 @@ impl Integrator {
 
         let dir = (t1 - t0).signum();
         if dir == 0.0 || t0 == t1 {
-            return Ok(Solution {
-                stats: StepStats::default(),
-                trajectory: Vec::new(),
-            });
+            return Ok(StepStats::default());
         }
 
         let mut stats = StepStats::default();
@@ -251,20 +225,13 @@ impl Integrator {
         let comb_flops = (tab.stages * (tab.stages - 1) + 4 * tab.stages) as u64 * n as u64;
 
         let mut t = t0;
-        let mut trajectory = Vec::new();
 
-        // first derivative
+        // k[0] holds f(t, y) from here on: evaluated once at the start and
+        // once after each accepted step short of the end point; a rejected
+        // or non-finite step leaves (t, y), and so k[0], where they were
         rhs.eval(t, y, &mut self.k[0]);
         stats.rhs_evals += 1;
         stats.rhs_flops += flops_rhs;
-
-        if opts.record_trajectory {
-            trajectory.push(DenseSample {
-                t,
-                y: y.to_vec(),
-                dydt: self.k[0].clone(),
-            });
-        }
 
         // automatic initial step: classic h0 = 0.01 * |y|/|y'| heuristic
         let mut h = match opts.h0 {
@@ -284,7 +251,6 @@ impl Integrator {
         let order = ORDER as f64;
         let alpha = 0.7 / order;
         let beta = 0.4 / order;
-        let mut k0_valid = true; // k[0] holds f(t, y)
 
         loop {
             if stats.accepted + stats.rejected >= opts.max_steps {
@@ -296,13 +262,6 @@ impl Integrator {
             }
             if h.abs() < opts.h_min {
                 return Err(OdeError::StepSizeTooSmall { t, h });
-            }
-
-            if !k0_valid {
-                rhs.eval(t, y, &mut self.k[0]);
-                stats.rhs_evals += 1;
-                stats.rhs_flops += flops_rhs;
-                k0_valid = true;
             }
 
             // stages
@@ -331,10 +290,9 @@ impl Integrator {
             let err = (errsum / n as f64).sqrt();
 
             if !finite || !err.is_finite() {
-                // quarter and retry from a re-evaluated k[0]
+                // quarter and retry from the same k[0]
                 stats.rejected += 1;
                 h *= 0.25;
-                k0_valid = false;
                 if h.abs() < opts.h_min {
                     return Err(OdeError::NonFinite { t });
                 }
@@ -351,25 +309,12 @@ impl Integrator {
                         return Err(OdeError::Aborted { t });
                     }
                 }
-
-                // the derivative at the new point is evaluated here when it
-                // is recorded, else at the top of the next step
-                k0_valid = false;
-                if opts.record_trajectory {
-                    rhs.eval(t, y, &mut self.k[0]);
-                    stats.rhs_evals += 1;
-                    stats.rhs_flops += flops_rhs;
-                    k0_valid = true;
-                    trajectory.push(DenseSample {
-                        t,
-                        y: y.to_vec(),
-                        dydt: self.k[0].clone(),
-                    });
-                }
-
                 if (t - t1) * dir >= 0.0 {
-                    return Ok(Solution { stats, trajectory });
+                    return Ok(stats);
                 }
+                rhs.eval(t, y, &mut self.k[0]);
+                stats.rhs_evals += 1;
+                stats.rhs_flops += flops_rhs;
 
                 // PI controller
                 let err_clamped = err.max(1e-10);
@@ -528,14 +473,14 @@ mod tests {
             atol: 1e-14,
             ..Default::default()
         };
-        let sol = Integrator::new()
+        let stats = Integrator::new()
             .integrate(&mut Decay, 0.0, 5.0, &mut y, &opts)
             .unwrap();
         assert!(
             (y[0] - (-5.0f64).exp()).abs() < 1e-9,
             "y = {}, steps = {}",
             y[0],
-            sol.stats.accepted
+            stats.accepted
         );
     }
 
@@ -630,27 +575,12 @@ mod tests {
     fn stats_are_plausible() {
         let mut y = [1.0];
         let opts = IntegrateOpts::default();
-        let sol = Integrator::new()
+        let stats = Integrator::new()
             .integrate(&mut Decay, 0.0, 1.0, &mut y, &opts)
             .unwrap();
-        assert!(sol.stats.accepted > 0);
-        assert!(sol.stats.rhs_evals >= sol.stats.accepted * 7);
-        assert!(sol.stats.stepper_flops > 0);
-    }
-
-    #[test]
-    fn trajectory_recording() {
-        let mut y = [1.0];
-        let opts = IntegrateOpts {
-            record_trajectory: true,
-            rtol: 1e-10,
-            atol: 1e-13,
-            ..Default::default()
-        };
-        let sol = Integrator::new()
-            .integrate(&mut Decay, 0.0, 2.0, &mut y, &opts)
-            .unwrap();
-        assert!(sol.trajectory.len() >= 3);
+        assert!(stats.accepted > 0);
+        assert!(stats.rhs_evals >= stats.accepted * 7);
+        assert!(stats.stepper_flops > 0);
     }
 
     #[test]
@@ -666,18 +596,18 @@ mod tests {
             t_last = t;
             true
         };
-        let sol = Integrator::new()
+        let stats = Integrator::new()
             .integrate_observed(&mut Decay, 0.0, 2.0, &mut y, &opts, Some(&mut obs))
             .unwrap();
-        assert_eq!(n, sol.stats.accepted);
+        assert_eq!(n, stats.accepted);
         assert!(t_last >= 2.0, "the last observed time is the final time");
         // bit-identical to the unobserved path
         let mut y2 = [1.0];
-        let sol2 = Integrator::new()
+        let stats2 = Integrator::new()
             .integrate(&mut Decay, 0.0, 2.0, &mut y2, &opts)
             .unwrap();
         assert_eq!(y[0].to_bits(), y2[0].to_bits());
-        assert_eq!(sol.stats.accepted, sol2.stats.accepted);
+        assert_eq!(stats.accepted, stats2.accepted);
     }
 
     #[test]
@@ -704,11 +634,11 @@ mod tests {
     #[test]
     fn zero_length_integration() {
         let mut y = [4.0];
-        let sol = Integrator::new()
+        let stats = Integrator::new()
             .integrate(&mut Decay, 1.0, 1.0, &mut y, &IntegrateOpts::default())
             .unwrap();
         assert_eq!(y[0], 4.0);
-        assert_eq!(sol.stats.accepted, 0);
+        assert_eq!(stats.accepted, 0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! LINGER integrated its moment hierarchies with DVERK, Hull–Enright–
 //! Jackson's implementation of Verner's 6(5) pair from netlib.  This crate
 //! provides that tableau ([`tableau::VERNER65`]) and nothing else, behind
-//! one adaptive driver with a PI step-size controller, optional recording
-//! of the accepted steps, and detailed work counters used by the
+//! one adaptive driver with a PI step-size controller, an observer that
+//! sees every accepted step, and detailed work counters used by the
 //! flop-rate benchmarks.
 //!
 //! The right-hand side is a [`Rhs`] implementor; systems of tens of
@@ -15,9 +15,7 @@
 pub mod driver;
 pub mod tableau;
 
-pub use driver::{
-    DenseSample, IntegrateOpts, Integrator, OdeError, Solution, StepObserver, StepStats,
-};
+pub use driver::{IntegrateOpts, Integrator, OdeError, StepObserver, StepStats};
 pub use tableau::{Tableau, VERNER65};
 
 /// A first-order ODE system `dy/dt = f(t, y)`.

@@ -56,7 +56,7 @@ proptest! {
             let mut rhs = LinearDecay { rates: vec![rate] };
             let mut y = vec![1.0];
             let opts = IntegrateOpts { rtol, atol: rtol * 1e-3, ..Default::default() };
-            Integrator::new().integrate(&mut rhs, 0.0, 10.0, &mut y, &opts).unwrap().stats.rhs_evals
+            Integrator::new().integrate(&mut rhs, 0.0, 10.0, &mut y, &opts).unwrap().rhs_evals
         };
         let loose = run(1e-4);
         let tight = run(1e-10);

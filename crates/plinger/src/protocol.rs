@@ -308,7 +308,6 @@ impl RunSpec {
             lmax_h: self.lmax_h,
             nq: self.nq,
             tau_end: self.tau_end,
-            record_trajectory: false,
             spectrum_method: self.method,
         }
     }

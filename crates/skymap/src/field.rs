@@ -36,7 +36,9 @@ impl PotentialField {
     ///
     /// * `shell_k` — |k| values (Mpc⁻¹) at which ψ(τ) histories are
     ///   supplied, ascending;
-    /// * `histories` — for each shell, `(τ, ψ)` samples;
+    /// * `histories` — for each shell, `(τ, ψ)` samples at strictly
+    ///   increasing `τ`, at least three (as
+    ///   `boltzmann::evolve::potential_history` records them);
     /// * `spectrum_power` — primordial 𝒫_ψ(k) evaluated per shell;
     /// * `n_modes_max` — cap on the number of Fourier modes synthesized.
     pub fn new(
@@ -54,18 +56,7 @@ impl PotentialField {
         let shells: Vec<CubicSpline> = histories
             .iter()
             .map(|h| {
-                // histories recorded across integration-phase boundaries
-                // (tight-coupling handoff) repeat the boundary time; keep
-                // only strictly increasing samples
-                let mut taus = Vec::with_capacity(h.len());
-                let mut psis = Vec::with_capacity(h.len());
-                for &(t, p) in h {
-                    if taus.last().is_none_or(|&last| t > last) {
-                        taus.push(t);
-                        psis.push(p);
-                    }
-                }
-                assert!(taus.len() >= 3, "history too short for a spline");
+                let (taus, psis): (Vec<f64>, Vec<f64>) = h.iter().copied().unzip();
                 CubicSpline::natural(taus, psis)
             })
             .collect();
@@ -168,19 +159,6 @@ mod tests {
         let hist: Vec<_> = shells.iter().map(|&k| fake_history(k)).collect();
         let power = vec![1.0; 4];
         PotentialField::new(100.0, 16, &shells, &hist, &power, 64, seed)
-    }
-
-    #[test]
-    fn duplicate_time_samples_are_deduplicated() {
-        // phase-boundary repeats must not break the spline construction
-        let mut h = fake_history(0.1);
-        h.insert(5, h[4]); // duplicate the boundary sample
-        let shells = vec![0.07, 0.2];
-        let hist = vec![h.clone(), h];
-        let f = PotentialField::new(100.0, 8, &shells, &hist, &[1.0, 1.0], 16, 1);
-        assert!(f.n_modes() > 0);
-        let frame = f.frame(100.0);
-        assert!(frame.iter().all(|v| v.is_finite()));
     }
 
     #[test]

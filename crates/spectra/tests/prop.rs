@@ -38,7 +38,6 @@ fn synthetic_outputs(nk: usize, lmax: usize, phase: f64) -> Vec<ModeOutput> {
                 delta_t,
                 stats: StepStats::default(),
                 cpu_seconds: 0.0,
-                trajectory: Vec::new(),
                 sources: None,
             }
         })

@@ -19,6 +19,22 @@ done
 if grep -nE "^(crossbeam|parking_lot|rayon)\b" Cargo.toml crates/*/Cargo.toml; then
     echo "a manifest names a retired stand-in"; exit 1
 fi
+# every `[dependencies]` entry is named (`NAME::` or `use NAME`) by its
+# own package's code; the root package's code is ./src, ./tests and
+# ./examples, the crates under crates/ being packages of their own
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    pkg="$(dirname "$manifest")"
+    if [ "$pkg" = . ]; then
+        code="src tests examples"
+    else
+        code="$pkg/src $pkg/tests $pkg/benches $pkg/examples"
+    fi
+    for name in $(sed -n '/^\[dependencies\]/,/^\[/s/^\([a-z0-9_]*\)\.workspace = true.*/\1/p' "$manifest"); do
+        # shellcheck disable=SC2086 # $code is a list of directories
+        grep -rqE "\b$name::|use $name\b" $code 2>/dev/null \
+            || { echo "$manifest names $name, which its package's code never uses"; exit 1; }
+    done
+done
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
