@@ -72,10 +72,10 @@ pub struct ModeConfig {
     pub ic: InitialConditions,
     /// Accuracy preset.
     pub preset: Preset,
-    /// Photon hierarchy size, carried from the first step; `None` =
-    /// automatic: [`auto_lmax`]`(k, τ_end)` from the end of the
-    /// recombination window on, and the smaller `auto_lmax` of the
-    /// window's end before it (full hierarchy only; see [`evolve_mode`]).
+    /// Photon hierarchy size, the same in every phase; `None` = automatic:
+    /// [`auto_lmax`]`(k, τ_end)`, but on the full-hierarchy path the
+    /// phases up to the end of the recombination window carry that end's
+    /// smaller `auto_lmax` (see [`evolve_mode`]).
     pub lmax_g: Option<usize>,
     /// Massless-neutrino hierarchy size; `None` = automatic, sized and
     /// grown as `lmax_g` is but clamped to `16..=600`.
@@ -85,7 +85,7 @@ pub struct ModeConfig {
     /// Massive-neutrino momentum bins (0 disables even if the cosmology
     /// has massive species; the default follows the cosmology).
     pub nq: Option<usize>,
-    /// End time; `None` = today (`τ₀`).
+    /// End time, which must be positive; `None` = today (`τ₀`).
     pub tau_end: Option<f64>,
     /// Full hierarchy to `l_max`, or the truncated-hierarchy
     /// line-of-sight fast path.  In [`SpectrumMethod::LineOfSight`] the
@@ -134,9 +134,7 @@ impl std::fmt::Display for EvolveError {
             EvolveError::BadWavenumber { k } => {
                 write!(f, "wavenumber k = {k} Mpc⁻¹ is not positive and finite")
             }
-            EvolveError::Ode { k, source } => {
-                write!(f, "mode k = {k} Mpc⁻¹ failed: {source}")
-            }
+            EvolveError::Ode { k, source } => write!(f, "mode k = {k} Mpc⁻¹ failed: {source}"),
         }
     }
 }
@@ -156,55 +154,106 @@ pub fn auto_lmax(k: f64, tau: f64, preset: Preset) -> usize {
 
 /// The state layout a mode carries at conformal time `tau`: the
 /// config's explicit ladders, or [`auto_lmax`]`(k, tau)` for the photons
-/// and the same clamped to `16..=600` for the massless neutrinos.  In
-/// line-of-sight mode the automatic ladders are truncated at
-/// [`LOS_LMAX`]: the recorded source only needs the monopole through
-/// quadrupole to be accurate, so a few tens of moments suffice
-/// regardless of the output l_max.
+/// and the same clamped to `16..=600` for the massless neutrinos, none
+/// below [`StateLayout::MIN_LMAX`].  In line-of-sight mode the automatic
+/// ladders are truncated at [`LOS_LMAX`]: the recorded source only needs
+/// the monopole through quadrupole to be accurate.
 fn state_layout(bg: &Background, config: &ModeConfig, k: f64, tau: f64) -> StateLayout {
     let los = config.spectrum_method == SpectrumMethod::LineOfSight;
     let truncate = |auto: usize| if los { auto.min(LOS_LMAX) } else { auto };
-    let lmax_g = config
-        .lmax_g
-        .unwrap_or_else(|| truncate(auto_lmax(k, tau, config.preset)));
-    let lmax_nu = config
-        .lmax_nu
-        .unwrap_or_else(|| truncate(auto_lmax(k, tau, config.preset).clamp(16, 600)));
-    let nq = config
-        .nq
-        .unwrap_or(if bg.params().has_massive_nu() { 16 } else { 0 });
-    StateLayout::new(
-        config.gauge,
-        lmax_g.max(3),
-        lmax_nu.max(3),
-        config.lmax_h,
-        nq,
-    )
+    let floor = |lmax: usize| lmax.max(StateLayout::MIN_LMAX);
+    let auto = auto_lmax(k, tau, config.preset);
+    let lmax_g = floor(config.lmax_g.unwrap_or(truncate(auto)));
+    let lmax_nu = floor(config.lmax_nu.unwrap_or(truncate(auto.clamp(16, 600))));
+    let massive = bg.params().has_massive_nu();
+    let nq = config.nq.unwrap_or(if massive { 16 } else { 0 });
+    StateLayout::new(config.gauge, lmax_g, lmax_nu, config.lmax_h, nq)
 }
 
-/// `y`, laid out as `from`, re-laid into `to`, whose ladders are at
-/// least as long: every moment `from` carries is copied, the moments
-/// only `to` has start at zero.
-fn grow_state(from: &StateLayout, to: &StateLayout, y: &[f64]) -> Vec<f64> {
-    debug_assert!(from.lmax_g <= to.lmax_g && from.lmax_nu <= to.lmax_nu);
-    debug_assert!(from.nq == to.nq && from.lmax_h == to.lmax_h);
-    // (first index, length) of the photon T, photon P, massless-ν and
-    // massive-ν blocks; the six fluid and metric slots lead both layouts
-    let blocks = |lay: &StateLayout| {
-        let massive = lay.fnu(lay.lmax_nu) + 1;
-        [
-            (lay.fg(0), lay.lmax_g + 1),
-            (lay.gg(0), lay.lmax_g + 1),
-            (lay.fnu(0), lay.lmax_nu + 1),
-            (massive, lay.dim() - massive),
-        ]
+/// One stretch of a mode's evolution: up to `end` it carries `layout`,
+/// under the tight-coupling equations while `tca`.
+#[derive(Debug)]
+struct Phase {
+    end: f64,
+    layout: StateLayout,
+    tca: bool,
+}
+
+/// A mode's phases from `tau_start` to `tau_end`, with a boundary only
+/// where the layout or `tca` changes: tight coupling until `tau_switch`
+/// (by τ_rec); on the full-hierarchy path, the ladders sized for the end
+/// of the recombination window until there and τ_end's after.
+fn schedule(
+    bg: &Background,
+    thermo: &ThermoHistory,
+    config: &ModeConfig,
+    k: f64,
+    [tau_start, tau_switch, tau_end]: [f64; 3],
+) -> Vec<Phase> {
+    let last = state_layout(bg, config, k, tau_end);
+    let tau_window = (REC_WINDOW.1 * thermo.tau_rec()).min(tau_end);
+    let early = match config.spectrum_method {
+        SpectrumMethod::LineOfSight => last.clone(),
+        SpectrumMethod::FullHierarchy => state_layout(bg, config, k, tau_window),
     };
-    let mut out = vec![0.0; to.dim()];
-    out[..6].copy_from_slice(&y[..6]);
-    for ((src, n), (dst, _)) in blocks(from).into_iter().zip(blocks(to)) {
-        out[dst..dst + n].copy_from_slice(&y[src..src + n]);
+    let mut phases: Vec<Phase> = Vec::new();
+    for (end, layout, tca) in [
+        (tau_switch.min(tau_end), early.clone(), true),
+        (tau_window, early, false),
+        (tau_end, last, false),
+    ] {
+        let from = phases.last().map_or(tau_start, |p| p.end);
+        match phases.last_mut() {
+            _ if end <= from => {}
+            Some(p) if (&p.layout, p.tca) == (&layout, tca) => p.end = end,
+            _ => phases.push(Phase { end, layout, tca }),
+        }
     }
-    out
+    phases
+}
+
+/// The one transition into phase `next` at `tau`: where tight coupling
+/// ends, the slaved photon moments are patched in and the recorder
+/// re-reads the state; where the layout changes, `y` is re-laid (the
+/// moments both layouts carry are copied, new ones start at zero) and
+/// the RHS and the recorder move to the new layout.
+fn transition(
+    rhs: &mut LingerRhs<'_>,
+    mut recorder: Option<&mut StepRecorder<'_>>,
+    tau: f64,
+    y: &mut Vec<f64>,
+    next: &Phase,
+) {
+    if rhs.tca && !next.tca {
+        patch_tca_handoff(rhs, tau, y);
+        if let Some(rec) = recorder.as_mut() {
+            rec.push(tau, y); // re-record the switch state with the slaved moments
+        }
+    }
+    let (from, to) = (&rhs.layout, &next.layout);
+    if from != to {
+        debug_assert!(from.nq == to.nq && from.lmax_h == to.lmax_h);
+        // the fluid and metric slots with F_γ, then G_γ, F_ν and the
+        // massive-ν block: (first index in `from`, in `to`, length)
+        let g = from.lmax_g.min(to.lmax_g) + 1;
+        let nu = from.lmax_nu.min(to.lmax_nu) + 1;
+        let massive = |lay: &StateLayout| lay.fnu(lay.lmax_nu) + 1;
+        let mut out = vec![0.0; to.dim()];
+        for (src, dst, n) in [
+            (0, 0, from.fg(0) + g),
+            (from.gg(0), to.gg(0), g),
+            (from.fnu(0), to.fnu(0), nu),
+            (massive(from), massive(to), from.dim() - massive(from)),
+        ] {
+            out[dst..dst + n].copy_from_slice(&y[src..src + n]);
+        }
+        *y = out;
+        *rhs = LingerRhs::new(rhs.background(), rhs.thermo(), to.clone(), rhs.k);
+        if let Some(rec) = recorder {
+            rec.relayout(to.clone());
+        }
+    }
+    rhs.tca = next.tca;
 }
 
 /// Evolve one wavenumber and return its output record.
@@ -215,14 +264,12 @@ fn grow_state(from: &StateLayout, to: &StateLayout, y: &[f64]) -> Vec<f64> {
 /// integrate the full moment hierarchies to `τ_end` with no
 /// free-streaming approximation.
 ///
-/// Ladder sizes: an explicit `lmax_g`/`lmax_nu` is carried from the
-/// first step.  An automatic one ([`auto_lmax`]) is sized for `k·τ_end`
-/// from the end of the recombination window (`2.2 τ_rec`) on, so the
-/// paper's full hierarchy is carried to the final time from there; up
-/// to that point a full-hierarchy mode carries the smaller ladder sized
-/// for the window's end, and re-lays its state once onto the final one
-/// there, the new moments starting at zero.  The output is the final
-/// ladder either way.
+/// The mode runs as a list of phases, each with one state layout and
+/// one tight-coupling flag, computed before the first step.  An explicit
+/// `lmax_g`/`lmax_nu` is one layout throughout.  An automatic ladder
+/// ([`auto_lmax`]) on the full-hierarchy path is sized for the end of
+/// the recombination window (`2.2 τ_rec`) until there, where the state
+/// is re-laid once onto `k·τ_end`'s ladder, the new moments at zero.
 pub fn evolve_mode(
     bg: &Background,
     thermo: &ThermoHistory,
@@ -234,16 +281,13 @@ pub fn evolve_mode(
 
 /// Like [`evolve_mode`], with a callback invoked after every accepted
 /// integrator step, reusing a caller-held [`Integrator`] as scratch
-/// space.  The observer cannot perturb the numerics — the output is
-/// bit-identical with or without it.  PLINGER workers use it to emit
-/// heartbeats between DVERK step batches, and to poll for cancellation:
-/// returning `false` aborts the mode with [`OdeError::Aborted`] wrapped
-/// in [`EvolveError::Ode`].  A worker looping over many modes passes the
-/// same integrator each time so the step-stage buffers keep their
-/// capacity instead of being reallocated per mode.  The integrator resets
-/// its adaptive state at the start of every integration, so the output
-/// is bit-identical to a fresh [`Integrator::new`] — `farm_transports.rs`
-/// locks that equivalence down against the serial reference.
+/// space.  Neither can perturb the numerics: the output is bit-identical
+/// to [`evolve_mode`]'s (`farm_transports.rs` pins it against the serial
+/// reference).  PLINGER workers use the observer to emit heartbeats and
+/// poll for cancellation: returning `false` aborts the mode with
+/// [`OdeError::Aborted`] wrapped in [`EvolveError::Ode`].  A worker
+/// passes the same integrator for every mode, so its stage buffers keep
+/// their capacity.
 pub fn evolve_mode_scratch(
     bg: &Background,
     thermo: &ThermoHistory,
@@ -291,38 +335,23 @@ fn evolve(
         "perturbation evolution requires a flat background (Ω_k = {omega_k})"
     );
     let tau_end = config.tau_end.unwrap_or_else(|| bg.tau0());
-    let preset = config.preset;
+    assert!(tau_end > 0.0, "τ_end = {tau_end} must be positive");
     let los = config.spectrum_method == SpectrumMethod::LineOfSight;
-
-    // A full-hierarchy mode carries ladders sized for the end of the
-    // recombination window until then, and τ_end's from there on; the
-    // line-of-sight path and explicit ladders keep one layout throughout.
-    // (`auto_lmax` grows with τ, so the early ladders never exceed the
-    // final ones)
-    let layout = state_layout(bg, config, k, tau_end);
-    let tau_window = (REC_WINDOW.1 * thermo.tau_rec()).min(tau_end);
-    let early = if los {
-        layout.clone()
-    } else {
-        state_layout(bg, config, k, tau_window)
-    };
-    let tau_grow = if early == layout { tau_end } else { tau_window };
-
-    let mut rhs = LingerRhs::new(bg, thermo, early.clone(), k);
 
     // start time: kτ = 10⁻³, but no later than a = 10⁻⁵ (radiation era)
     let tau_start = (1.0e-3 / k)
         .min(bg.conformal_time(1.0e-5))
         .min(0.2 * tau_end);
-    let mut y = vec![0.0; early.dim()];
+    let tau_switch = find_tca_switch(bg, thermo, k, tau_start, tau_end);
+    let phases = schedule(bg, thermo, config, k, [tau_start, tau_switch, tau_end]);
+
+    let mut rhs = LingerRhs::new(bg, thermo, phases[0].layout.clone(), k);
+    let mut y = vec![0.0; rhs.layout.dim()];
     set_initial_conditions(&rhs, config.ic, tau_start, bg.r_nu_early(), &mut y);
 
-    // tight-coupling switch time
-    let tau_switch = find_tca_switch(bg, thermo, k, tau_start, tau_end);
-
     let opts = IntegrateOpts {
-        rtol: preset.rtol(),
-        atol: preset.rtol() * 1e-4,
+        rtol: config.preset.rtol(),
+        atol: config.preset.rtol() * 1e-4,
         max_steps: 80_000_000,
         ..Default::default()
     };
@@ -334,59 +363,32 @@ fn evolve(
     // accepted step through the recorder's own metric evaluator (it
     // cannot borrow `rhs` while the integrator holds it)
     let mut recorder = (los || potentials).then(|| {
-        let mut rec = StepRecorder::new(bg, thermo, early.clone(), k, los, potentials);
+        let mut rec = StepRecorder::new(bg, thermo, rhs.layout.clone(), k, los, potentials);
         rec.push(tau_start, &y);
         rec
     });
 
-    // The phases end at the TCA switch, where the ladders grow and at
-    // τ_end; a phase that ends where the previous one did is skipped.
-    // TCA ends by τ_rec, so it never outlasts the early ladders.  Every
-    // phase starts a fresh step controller (`opts.h0` is `None`): after
-    // the hand-off the slaved moments are only O(τ_c)-accurate, and after
-    // the growth the new moments start at zero.
-    for (phase, upper) in [tau_switch.min(tau_end), tau_grow, tau_end]
-        .into_iter()
-        .enumerate()
-    {
-        if upper <= tau {
-            continue;
-        }
-        if phase == 2 {
-            y = grow_state(&rhs.layout, &layout, &y);
-            rhs = LingerRhs::new(bg, thermo, layout.clone(), k);
-            if let Some(rec) = recorder.as_mut() {
-                rec.relayout(layout.clone());
-            }
-        }
-        rhs.tca = phase == 0;
+    // Every phase starts a fresh step controller (`opts.h0` is `None`):
+    // after the hand-off the slaved moments are only O(τ_c)-accurate, and
+    // after a re-lay the new moments start at zero.
+    for phase in &phases {
+        transition(&mut rhs, recorder.as_mut(), tau, &mut y, phase);
         // the caller's observer and the recorder see every accepted step
         let mut relay = |t: f64, y_now: &[f64]| {
             if let Some(rec) = recorder.as_mut() {
                 rec.push(t, y_now);
             }
-            match observer.as_mut() {
-                Some(obs) => obs(),
-                None => true,
-            }
+            observer.as_mut().is_none_or(|obs| obs())
         };
         let phase_stats = integ
-            .integrate_observed(&mut rhs, tau, upper, &mut y, &opts, Some(&mut relay))
+            .integrate_observed(&mut rhs, tau, phase.end, &mut y, &opts, Some(&mut relay))
             .map_err(|source| EvolveError::Ode { k, source })?;
         stats.merge(&phase_stats);
-        tau = upper;
-        rhs.tca = false;
-        if phase == 0 && tau < tau_end {
-            patch_tca_handoff(&rhs, thermo, tau, &mut y);
-            if let Some(rec) = recorder.as_mut() {
-                // re-record the switch state with the slaved moments
-                rec.push(tau, &y);
-            }
-        }
+        tau = phase.end;
     }
 
     let (sources, history) =
-        recorder.map_or_else(Default::default, |rec| rec.finish(tau_end, preset));
+        recorder.map_or_else(Default::default, |rec| rec.finish(tau_end, config.preset));
     let cpu_seconds = wall_start.elapsed().as_secs_f64();
     let out = ModeOutput::from_state(&rhs, bg, tau_end, &y, stats, cpu_seconds, sources);
     Ok((out, history))
@@ -422,11 +424,11 @@ fn find_tca_switch(
 /// handoff: `σ_γ` from the first-order tight-coupling value and the
 /// polarization from its Thomson-equilibrium relations
 /// (`G₀ = (5/4)F₂`, `G₂ = (1/4)F₂`).
-fn patch_tca_handoff(rhs: &LingerRhs<'_>, thermo: &ThermoHistory, tau: f64, y: &mut [f64]) {
-    let lay = rhs.layout.clone();
+fn patch_tca_handoff(rhs: &LingerRhs<'_>, tau: f64, y: &mut [f64]) {
+    let lay = &rhs.layout;
     let m = rhs.metrics(tau, y);
-    let a = rhs_a(rhs, tau);
-    let tau_c = 1.0 / thermo.opacity(a);
+    let a = rhs.background().a_of_tau(tau);
+    let tau_c = 1.0 / rhs.thermo().opacity(a);
     let theta_g = 0.75 * rhs.k * y[lay.fg(1)];
     let k2_alpha = match lay.gauge {
         Gauge::Synchronous => 0.5 * (m.hdot + 6.0 * m.etadot),
@@ -436,11 +438,6 @@ fn patch_tca_handoff(rhs: &LingerRhs<'_>, thermo: &ThermoHistory, tau: f64, y: &
     y[lay.fg(2)] = 2.0 * sigma_g;
     y[lay.gg(0)] = 1.25 * (2.0 * sigma_g);
     y[lay.gg(2)] = 0.25 * (2.0 * sigma_g);
-}
-
-#[inline]
-fn rhs_a(rhs: &LingerRhs<'_>, tau: f64) -> f64 {
-    rhs.background().a_of_tau(tau)
 }
 
 #[cfg(test)]
@@ -534,10 +531,19 @@ mod tests {
 
     #[test]
     fn growing_a_state_keeps_every_moment_and_zeroes_the_new_ones() {
+        let (bg, th) = setup();
         let from = StateLayout::new(Gauge::Synchronous, 4, 5, 3, 2);
         let to = StateLayout::new(Gauge::Synchronous, 7, 9, 3, 2);
         let y: Vec<f64> = (0..from.dim()).map(|i| 1.0 + i as f64).collect();
-        let grown = grow_state(&from, &to, &y);
+        let mut rhs = LingerRhs::new(bg, th, from.clone(), 0.01);
+        let mut grown = y.clone();
+        let next = Phase {
+            end: 1.0,
+            layout: to.clone(),
+            tca: false,
+        };
+        transition(&mut rhs, None, 0.5, &mut grown, &next);
+        assert_eq!(rhs.layout, to, "the RHS moves to the new layout");
         assert_eq!(grown.len(), to.dim());
         assert_eq!(grown[..6], y[..6]);
         for l in 0..=to.lmax_g {
@@ -553,6 +559,61 @@ mod tests {
             for l in 0..=to.lmax_h {
                 assert_eq!(grown[to.psi(iq, l)], y[from.psi(iq, l)]);
             }
+        }
+    }
+
+    #[test]
+    fn a_schedule_has_a_boundary_only_where_the_layout_or_tca_changes() {
+        let (bg, th) = setup();
+        let (tau0, tau_rec) = (bg.tau0(), th.tau_rec());
+        let window = REC_WINDOW.1 * tau_rec;
+        let los = ModeConfig {
+            spectrum_method: SpectrumMethod::LineOfSight,
+            ..draft_config()
+        };
+        let explicit = ModeConfig {
+            lmax_g: Some(40),
+            lmax_nu: Some(30),
+            ..draft_config()
+        };
+        let auto = draft_config();
+        let k = 0.01;
+        let tau_start = bg.conformal_time(1.0e-5);
+        // (row, config, tightly coupled at the start, τ_end, re-lays)
+        let rows: [(&str, &ModeConfig, bool, f64, &[f64]); 6] = [
+            ("automatic ladders", &auto, true, tau0, &[window]),
+            ("line of sight", &los, true, tau0, &[]),
+            ("explicit ladders", &explicit, true, tau0, &[]),
+            ("τ_end inside the window", &auto, true, 1.5 * tau_rec, &[]),
+            ("tight coupling to τ_end", &auto, true, 50.0, &[]),
+            ("never tightly coupled", &auto, false, tau0, &[window]),
+        ];
+        for (row, cfg, coupled, tau_end, relays) in rows {
+            let tau_switch = match coupled {
+                true => find_tca_switch(bg, th, k, tau_start, tau_end),
+                false => tau_start,
+            };
+            let phases = schedule(bg, th, cfg, k, [tau_start, tau_switch, tau_end]);
+            assert_eq!(phases[0].tca, coupled, "{row}: {phases:?}");
+            for w in phases.windows(2) {
+                let (a, b) = (&w[0], &w[1]);
+                assert!(a.layout != b.layout || a.tca != b.tca, "{row}: {phases:?}");
+            }
+            let boundary = |at: fn(&Phase, &Phase) -> bool| -> Vec<f64> {
+                let w = phases.windows(2);
+                w.filter(|w| at(&w[0], &w[1])).map(|w| w[0].end).collect()
+            };
+            let handoff = coupled && tau_switch < tau_end;
+            let handoffs: &[f64] = if handoff { &[tau_switch] } else { &[] };
+            assert_eq!(boundary(|a, b| a.tca && !b.tca), handoffs, "{row}");
+            assert_eq!(boundary(|a, b| a.layout != b.layout), relays, "{row}");
+            // the integrator's intervals: the switch, the re-lays, τ_end
+            let ends: Vec<f64> = phases.iter().map(|p| p.end).collect();
+            assert_eq!(ends, [handoffs, relays, &[tau_end]].concat(), "{row}");
+            assert_eq!(
+                phases.last().unwrap().layout,
+                state_layout(bg, cfg, k, tau_end)
+            );
         }
     }
 

@@ -45,13 +45,13 @@ pub struct StateLayout {
 }
 
 impl StateLayout {
-    /// Build a layout; enforces the minimum moment counts the equations
-    /// reference explicitly (quadrupole + one).
+    /// Build a layout; every ladder it carries reaches [`Self::MIN_LMAX`].
     pub fn new(gauge: Gauge, lmax_g: usize, lmax_nu: usize, lmax_h: usize, nq: usize) -> Self {
-        assert!(lmax_g >= 3, "photon hierarchy needs lmax_g >= 3");
-        assert!(lmax_nu >= 3, "neutrino hierarchy needs lmax_nu >= 3");
+        let min = Self::MIN_LMAX;
+        assert!(lmax_g >= min, "photon hierarchy needs lmax_g >= {min}");
+        assert!(lmax_nu >= min, "neutrino hierarchy needs lmax_nu >= {min}");
         if nq > 0 {
-            assert!(lmax_h >= 3, "massive-ν hierarchy needs lmax_h >= 3");
+            assert!(lmax_h >= min, "massive-ν hierarchy needs lmax_h >= {min}");
         }
         Self {
             gauge,
@@ -74,6 +74,8 @@ impl StateLayout {
     pub const DELTA_B: usize = 4;
     /// Baryon velocity divergence.
     pub const THETA_B: usize = 5;
+    /// Smallest cutoff of any ladder: the equations name `l = 3` explicitly.
+    pub const MIN_LMAX: usize = 3;
 
     /// Index of photon temperature moment `F_γl`.
     #[inline]

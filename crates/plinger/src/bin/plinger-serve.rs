@@ -533,6 +533,11 @@ fn client_main(args: &[String]) -> Result<(), String> {
     }
     let addr = connect.ok_or("--connect needs a value")?;
     let base = spec.build()?;
+    // the wire reads a negative or NaN end time as "today": sent on, it
+    // would be served as a different job (the server refuses the rest)
+    if let Some(tau_end) = base.tau_end.filter(|t| t.is_nan() || *t < 0.0) {
+        return Err(format!("tau_end = {tau_end} is not positive and finite"));
+    }
     // the backoff jitter's key is the sweep's identity, or the job's
     let (tag, payload, key) = match ens_args.build(base.clone())? {
         Some(ens) => {

@@ -75,7 +75,7 @@ pub struct TcpWorkerArgs {
     pub size: usize,
     /// The pool's worker-level fault plan, if any, parsed from its one
     /// string form (`drop:RANK:AFTER`, `stall:RANK:AFTER:MS`,
-    /// `failmode:IK`).
+    /// `failmode:IK`, `panicmode:IK`).
     pub fault: Option<FaultPlan>,
 }
 
@@ -592,10 +592,10 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
         }
     }
     let spec = spec.build()?;
-    // the farm CLIs refuse a cosmology out of range or curved before
-    // any worker starts (the serve client sends it on, for the server's
+    // the farm CLIs refuse a spec no worker can finish before any
+    // worker starts (the serve client sends it on, for the server's
     // admission to refuse)
-    require_evolvable(&spec.cosmo).map_err(|e| e.to_string())?;
+    require_evolvable(&spec).map_err(|e| e.to_string())?;
     Ok(Parsed::Run(Box::new(CliOptions {
         spec,
         output,

@@ -59,6 +59,17 @@ pub enum FarmError {
     /// accepts (see [`background::CosmoParams::validate`]): refused
     /// before any worker sees it.
     BadParam(ParamError),
+    /// A run-spec field the evolution cannot run with (a massive-ν
+    /// ladder below the state layout's floor, a `tau_end` that is not
+    /// positive and finite): refused before any worker sees it.
+    BadSpec {
+        /// The refused field of [`crate::RunSpec`].
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// What it must be.
+        need: String,
+    },
     /// The job's cosmology is curved (or NaN) past
     /// [`boltzmann::FLATNESS_TOLERANCE`]: the perturbation equations are
     /// flat-space only, so it is refused before any worker sees it.
@@ -112,6 +123,9 @@ impl fmt::Display for FarmError {
             }
             FarmError::SpecDecode(e) => write!(f, "run spec failed to decode: {e}"),
             FarmError::BadParam(e) => write!(f, "cosmology parameter {e}"),
+            FarmError::BadSpec { field, value, need } => {
+                write!(f, "{field} = {value} out of range (need {need})")
+            }
             FarmError::NotFlat { omega_k } => write!(
                 f,
                 "cosmology is not flat (Omega_k = {omega_k:.6}; need |Omega_k| < {})",

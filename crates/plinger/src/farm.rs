@@ -141,10 +141,10 @@ impl FarmReport {
 
 /// Fault injection for session-layer tests: what to break, where.
 ///
-/// Worker-level plans (`DropWorker`, `StallWorker`, `FailMode`) are
-/// read by the worker session, each rank acting on what the plan says
-/// of it.  Their one string form — `drop:RANK:AFTER`,
-/// `stall:RANK:AFTER:MS` or `failmode:IK` ([`FromStr`] and
+/// Worker-level plans (`DropWorker`, `StallWorker`, `FailMode`,
+/// `PanicMode`) are read by the worker session, each rank acting on
+/// what the plan says of it.  Their one string form — `drop:RANK:AFTER`,
+/// `stall:RANK:AFTER:MS`, `failmode:IK` or `panicmode:IK` ([`FromStr`] and
 /// [`FaultPlan::worker_arg`]) — is what `plinger-serve --fault` takes
 /// and what every child of a subprocess pool receives.  Message-level
 /// plans (`CorruptPayload`, `DropMessage`) strike at the transport seam
@@ -178,6 +178,12 @@ pub enum FaultPlan {
     /// Every worker reports mode `ik` as failed (tag 8) instead of
     /// integrating it — a poison mode that exhausts its retry budget.
     FailMode {
+        /// The poisoned mode index.
+        ik: usize,
+    },
+    /// Every worker handed mode `ik` panics instead of integrating it —
+    /// a poison mode that kills each worker it reaches.
+    PanicMode {
         /// The poisoned mode index.
         ik: usize,
     },
@@ -221,6 +227,7 @@ impl FaultPlan {
                 stall,
             } => Some(format!("stall:{rank}:{after_modes}:{}", stall.as_millis())),
             FaultPlan::FailMode { ik } => Some(format!("failmode:{ik}")),
+            FaultPlan::PanicMode { ik } => Some(format!("panicmode:{ik}")),
             _ => None,
         }
     }
@@ -230,7 +237,8 @@ impl FromStr for FaultPlan {
     type Err = String;
 
     /// Parse a worker-level plan: `drop:RANK:AFTER`,
-    /// `stall:RANK:AFTER:MS` or `failmode:IK` (ranks 1-based).
+    /// `stall:RANK:AFTER:MS`, `failmode:IK` or `panicmode:IK` (ranks
+    /// 1-based).
     fn from_str(s: &str) -> Result<Self, String> {
         let parse = || {
             let count = |f: &str| f.parse::<usize>().ok();
@@ -246,11 +254,15 @@ impl FromStr for FaultPlan {
                     stall: Duration::from_millis(ms.parse().ok()?),
                 },
                 ["failmode", ik] => FaultPlan::FailMode { ik: count(ik)? },
+                ["panicmode", ik] => FaultPlan::PanicMode { ik: count(ik)? },
                 _ => return None,
             })
         };
         parse().ok_or_else(|| {
-            format!("bad fault {s:?} (want drop:RANK:AFTER, stall:RANK:AFTER:MS or failmode:IK)")
+            format!(
+                "bad fault {s:?} (want drop:RANK:AFTER, stall:RANK:AFTER:MS, failmode:IK \
+                 or panicmode:IK)"
+            )
         })
     }
 }
@@ -378,10 +390,11 @@ pub(crate) fn finish_report(
 /// The serial reference: LINGER's main loop over `k`, no message
 /// passing.  Used for correctness comparison (the farm must be
 /// bit-identical mode for mode) and as the single-node baseline of the
-/// scaling figure.  A cosmology the pools would refuse is refused here
-/// too ([`FarmError::BadParam`], [`FarmError::NotFlat`]).
+/// scaling figure.  A spec the pools would refuse is refused here too
+/// ([`FarmError::BadParam`], [`FarmError::NotFlat`],
+/// [`FarmError::BadSpec`]).
 pub fn run_serial(spec: &RunSpec) -> Result<(Vec<ModeOutput>, f64), FarmError> {
-    require_evolvable(&spec.cosmo)?;
+    require_evolvable(spec)?;
     let t0 = std::time::Instant::now();
     let bg = Background::new(spec.cosmo.clone());
     let thermo = ThermoHistory::new(&bg);
@@ -481,6 +494,7 @@ mod tests {
                 stall: Duration::from_millis(200),
             },
             FaultPlan::FailMode { ik: 7 },
+            FaultPlan::PanicMode { ik: 2 },
         ];
         for plan in plans {
             let arg = plan.worker_arg().expect("a worker-level plan renders");
@@ -503,6 +517,7 @@ mod tests {
             "failmode:",
             "failmode:nan",
             "failmode:1:2",
+            "panicmode:",
             "Drop:1:0",
             " failmode:1",
         ] {

@@ -522,11 +522,13 @@ impl<W: World> FarmPool<W> {
     /// (`ctx_rebuilds == 0` on every rank; the build is this job's one
     /// `prefetch_builds`).
     ///
-    /// A cosmology out of range or curved is refused with
-    /// [`FarmError::BadParam`] or [`FarmError::NotFlat`] before the job
+    /// A spec no worker can finish (a cosmology out of range or curved,
+    /// a massive-ν ladder too short, a `tau_end` that is not positive
+    /// and finite) is refused with [`FarmError::BadParam`],
+    /// [`FarmError::NotFlat`] or [`FarmError::BadSpec`] before the job
     /// opens; the pool is untouched and serves the next job.  A hint
-    /// naming such a cosmology is dropped, so no worker builds its
-    /// tables; its own job is refused when it comes.
+    /// naming such a spec is dropped, so no worker builds its tables;
+    /// its own job is refused when it comes.
     pub fn run_job_prefetched(
         &mut self,
         spec: &RunSpec,
@@ -534,8 +536,8 @@ impl<W: World> FarmPool<W> {
         ctrl: &JobControl<'_>,
         prefetch: Option<&RunSpec>,
     ) -> Result<FarmReport, FarmError> {
-        require_evolvable(&spec.cosmo)?;
-        let prefetch = prefetch.filter(|p| require_evolvable(&p.cosmo).is_ok());
+        require_evolvable(spec)?;
+        let prefetch = prefetch.filter(|p| require_evolvable(p).is_ok());
         let Some(master) = self.master.as_mut() else {
             return Err(FarmError::Protocol {
                 rank: 0,

@@ -415,22 +415,46 @@ impl RunSpec {
     }
 }
 
-/// Refuse a cosmology the workers cannot evolve: a parameter out of
-/// the range [`CosmoParams::validate`] accepts ([`FarmError::BadParam`],
-/// where `Background::new` would panic), or `|Ω_k|` at or past
-/// [`boltzmann::FLATNESS_TOLERANCE`] or a NaN budget
-/// ([`FarmError::NotFlat`]: the perturbation equations are flat-space
-/// only).  Service admission, the farm CLIs, [`crate::run_serial`] and
-/// every pooled job check it before any work starts, so a bad cosmology
-/// is a typed error, never a worker panic.
-pub(crate) fn require_evolvable(cosmo: &CosmoParams) -> Result<(), FarmError> {
+/// Refuse a spec no worker can finish, before any work starts:
+/// - a cosmological parameter out of the range
+///   [`CosmoParams::validate`] accepts ([`FarmError::BadParam`], where
+///   `Background::new` would panic);
+/// - `|Ω_k|` at or past [`boltzmann::FLATNESS_TOLERANCE`] or a NaN budget
+///   ([`FarmError::NotFlat`]: the perturbation equations are flat-space
+///   only);
+/// - a massive-ν ladder shorter than [`boltzmann::StateLayout::MIN_LMAX`]
+///   while massive ν are carried, or a `tau_end` that is not positive and
+///   finite ([`FarmError::BadSpec`]: the state layout asserts on the one,
+///   the evolution on the other).
+///
+/// Service admission, the farm CLIs, [`crate::run_serial`] and every
+/// pooled job check it, so a bad spec is a typed error, never a worker
+/// panic or a mode written from a meaningless end time.
+pub(crate) fn require_evolvable(spec: &RunSpec) -> Result<(), FarmError> {
+    let cosmo = &spec.cosmo;
     cosmo.validate().map_err(FarmError::BadParam)?;
     let omega_k = cosmo.omega_k();
-    // written so that a NaN budget is refused too
-    if omega_k.abs() < boltzmann::FLATNESS_TOLERANCE {
-        Ok(())
-    } else {
-        Err(FarmError::NotFlat { omega_k })
+    let flat = omega_k.abs() < boltzmann::FLATNESS_TOLERANCE; // false for NaN
+    if !flat {
+        return Err(FarmError::NotFlat { omega_k });
+    }
+    // `nq` as the evolution reads it: `None` follows the cosmology
+    let massive_nu = spec.nq.map_or(cosmo.has_massive_nu(), |nq| nq > 0);
+    let min = boltzmann::StateLayout::MIN_LMAX;
+    if massive_nu && spec.lmax_h < min {
+        return Err(FarmError::BadSpec {
+            field: "lmax_h",
+            value: spec.lmax_h as f64,
+            need: format!(">= {min} while massive neutrinos are carried"),
+        });
+    }
+    match spec.tau_end {
+        Some(tau_end) if !(tau_end > 0.0 && tau_end.is_finite()) => Err(FarmError::BadSpec {
+            field: "tau_end",
+            value: tau_end,
+            need: "positive and finite".into(),
+        }),
+        _ => Ok(()),
     }
 }
 

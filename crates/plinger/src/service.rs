@@ -260,14 +260,15 @@ impl SpectrumRequest {
         Ok(Self { spec, deadline_ms })
     }
 
-    /// Admission check, run before the request is queued: a cosmology
-    /// the workers cannot evolve (a parameter out of range, a curved
-    /// budget), or a real that would size an absurd allocation, is the
-    /// client's error
-    /// ([`ErrorCode::BadRequest`]), not a worker panic mid-job.
+    /// Admission check, run before the request is queued: a spec the
+    /// workers cannot finish (a cosmology out of range or curved, a
+    /// massive-ν ladder too short, an end time that is not positive and
+    /// finite), or a real that would size an absurd allocation, is the
+    /// client's error ([`ErrorCode::BadRequest`]), not a worker panic
+    /// mid-job.
     pub fn admit(&self) -> Result<(), ServiceError> {
         require_bounded(&self.spec)?;
-        admit_cosmology(&self.spec.cosmo, "request")
+        admit_spec(&self.spec, "request")
     }
 }
 
@@ -300,10 +301,17 @@ fn require_bounded(spec: &RunSpec) -> Result<(), ServiceError> {
     }
 }
 
-/// [`require_evolvable`] as a `bad-request` naming `what`.
-fn admit_cosmology(cosmo: &background::CosmoParams, what: &str) -> Result<(), ServiceError> {
-    require_evolvable(cosmo)
-        .map_err(|e| ServiceError::new(ErrorCode::BadRequest, format!("{what} {e}")))
+/// [`require_evolvable`] as a `bad-request`.  A refused field of the
+/// spec leads the message, as a ceiling's does; a refused cosmology
+/// follows `what`, which names the shard of a sweep.
+fn admit_spec(spec: &RunSpec, what: &str) -> Result<(), ServiceError> {
+    require_evolvable(spec).map_err(|e| {
+        let message = match e {
+            FarmError::BadSpec { .. } => e.to_string(),
+            _ => format!("{what} {e}"),
+        };
+        ServiceError::new(ErrorCode::BadRequest, message)
+    })
 }
 
 /// One tag-22 request: a whole sweep plus an optional relative deadline
@@ -341,13 +349,13 @@ impl EnsembleRequest {
     }
 
     /// Admission check, run before the sweep is queued: the base (whose
-    /// sizes every shard shares) must be bounded, and it and every shard
-    /// cosmology evolvable (see [`SpectrumRequest::admit`]).
+    /// sizes every shard shares) must be bounded, and it and every
+    /// shard's spec evolvable (see [`SpectrumRequest::admit`]).
     pub fn admit(&self) -> Result<(), ServiceError> {
         require_bounded(&self.ens.base)?;
-        admit_cosmology(&self.ens.base.cosmo, "ensemble base")?;
+        admit_spec(&self.ens.base, "ensemble base")?;
         (0..self.ens.n_shards())
-            .try_for_each(|i| admit_cosmology(&self.ens.shard_cosmo(i), &format!("shard {i}")))
+            .try_for_each(|i| admit_spec(&self.ens.shard_spec(i), &format!("shard {i}")))
     }
 }
 
@@ -1998,36 +2006,89 @@ mod tests {
     fn admission_refuses_reals_that_size_beyond_the_ceilings() {
         // each sizing real decodes from the wire as whatever usize the
         // client named; one past its ceiling is refused by name, the
-        // ceiling itself is served
+        // ceiling itself is served.  So are the floors: a massive-ν
+        // ladder while massive ν are carried, and the end time
         type Set = fn(&mut RunSpec, usize);
-        let cases: [(&str, usize, Set); 5] = [
-            ("lmax_g", MAX_LMAX, |s, n| s.lmax_g = Some(n)),
-            ("lmax_nu", MAX_LMAX, |s, n| s.lmax_nu = Some(n)),
-            ("lmax_h", MAX_LMAX_H, |s, n| s.lmax_h = n),
-            ("nq", MAX_NQ, |s, n| s.nq = Some(n)),
-            ("n_nu_massive", MAX_NU_MASSIVE, |s, n| {
-                s.cosmo.n_nu_massive = n
+        let min_lmax_h = boltzmann::StateLayout::MIN_LMAX;
+        let cases: [(&str, usize, usize, Set); 7] = [
+            ("lmax_g", MAX_LMAX, MAX_LMAX + 1, |s, n| s.lmax_g = Some(n)),
+            ("lmax_nu", MAX_LMAX, MAX_LMAX + 1, |s, n| {
+                s.lmax_nu = Some(n)
             }),
+            ("lmax_h", MAX_LMAX_H, MAX_LMAX_H + 1, |s, n| s.lmax_h = n),
+            ("nq", MAX_NQ, MAX_NQ + 1, |s, n| s.nq = Some(n)),
+            (
+                "n_nu_massive",
+                MAX_NU_MASSIVE,
+                MAX_NU_MASSIVE + 1,
+                |s, n| s.cosmo.n_nu_massive = n,
+            ),
+            ("lmax_h", min_lmax_h, min_lmax_h - 1, |s, n| {
+                s.cosmo = background::CosmoParams::mixed_dark_matter();
+                s.lmax_h = n;
+            }),
+            ("tau_end", 1, 0, |s, n| s.tau_end = Some(n as f64)),
         ];
-        for (name, max, set) in cases {
+        for (name, ok, bad, set) in cases {
             let mut spec = tiny_spec(vec![0.001]);
-            set(&mut spec, max);
+            set(&mut spec, ok);
             let wire = SpectrumRequest::new(spec.clone()).encode();
             let at = SpectrumRequest::decode(&wire).expect("decodes");
-            assert_eq!(at.admit(), Ok(()), "{name} at its ceiling");
+            assert_eq!(at.admit(), Ok(()), "{name} at its bound");
 
-            set(&mut spec, max + 1);
+            set(&mut spec, bad);
             let wire = SpectrumRequest::new(spec.clone()).encode();
             let over = SpectrumRequest::decode(&wire).expect("decodes");
-            let err = over.admit().expect_err("oversized single admitted");
+            let err = over.admit().expect_err("out-of-bounds single admitted");
             assert_eq!(err.code, ErrorCode::BadRequest);
             assert!(err.message.starts_with(name), "{}", err.message);
             let err = EnsembleRequest::new(EnsembleSpec::singleton(spec))
                 .admit()
-                .expect_err("oversized sweep admitted");
+                .expect_err("out-of-bounds sweep admitted");
             assert_eq!(err.code, ErrorCode::BadRequest);
             assert!(err.message.starts_with(name), "{}", err.message);
         }
+    }
+
+    #[test]
+    fn a_spec_no_worker_can_finish_is_refused_and_the_service_serves_on() {
+        // lmax_h = 2 with massive ν used to panic both pool workers in
+        // the state layout, and every later request failed with
+        // AllWorkersLost; admission refuses it as a bad request, and the
+        // pool refuses it too when a caller skips admission
+        let pool = FarmPool::<ChannelWorld>::start(2).unwrap();
+        let svc = Mutex::new(SpectrumService::new(pool, SchedulePolicy::LargestFirst));
+        let metrics = svc.lock().unwrap().metrics();
+        let mut bad = tiny_spec(vec![0.001, 0.02]);
+        bad.cosmo = background::CosmoParams::mixed_dark_matter();
+        bad.lmax_h = 2;
+        let wire = SpectrumRequest::new(bad.clone()).encode();
+        let err = refusal(&answer_frames(
+            &svc,
+            &metrics,
+            false,
+            TAG_REQ_SPECTRUM,
+            wire,
+        ));
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.starts_with("lmax_h = 2"), "{}", err.message);
+        match svc.lock().unwrap().handle(&bad) {
+            Err(FarmError::BadSpec { field, .. }) => assert_eq!(field, "lmax_h"),
+            Err(e) => panic!("expected BadSpec, got {e}"),
+            Ok(_) => panic!("served lmax_h = 2"),
+        }
+
+        let good = tiny_spec(vec![0.001, 0.02]);
+        let wire = SpectrumRequest::new(good).encode();
+        let frames = answer_frames(&svc, &metrics, false, TAG_REQ_SPECTRUM, wire);
+        assert_eq!(
+            frames[0].0, TAG_RESP_SPECTRUM,
+            "the valid request is answered"
+        );
+        assert_eq!(metrics.workers_alive(), 2);
+        let svc = svc.into_inner().unwrap();
+        assert_eq!(svc.pool().jobs_run(), 1, "a refusal is not a job");
+        let _ = svc.shutdown();
     }
 
     #[test]

@@ -232,6 +232,9 @@ fn serve_assignments<T: Transport>(
                 mysendreal(t, &[ik as f64, k], TAG_FAIL, mastid)?;
                 continue;
             }
+            Some(FaultPlan::PanicMode { ik: bad }) if bad == ik => {
+                panic!("fault injection: mode {ik} panics its worker");
+            }
             _ => {}
         }
         let t_mode = Instant::now();
@@ -403,9 +406,9 @@ impl SpanSink {
 ///   assignment addressed to this rank's previous incarnation that was
 ///   already requeued elsewhere);
 /// * acts on the worker-level part of `fault` that names its rank (a
-///   `FailMode` names every rank): vanishes or stalls on the assignment
-///   after `after_modes` completed ones, or reports the poisoned mode
-///   failed;
+///   `FailMode` or `PanicMode` names every rank): vanishes or stalls on
+///   the assignment after `after_modes` completed ones, or reports the
+///   poisoned mode failed or panics in it;
 /// * on a tag-6 stop, exits — answering with the open job's stats if
 ///   the stop caught one, with nothing when idle; any exit, a scripted
 ///   vanish's too, hands `sink` what is left of its spans.

@@ -171,13 +171,17 @@ fn a_bad_cosmology_is_a_usage_error_not_a_worker_panic() {
     // `farm failed: all workers lost`.  h = -0.5 and Omega_b = -0.1 keep
     // the budget flat (Omega_gamma goes as 1/h^2; Omega_c is re-closed)
     // but are out of range: they panicked every worker in the background
-    // build and exited 1.  Now no worker ever starts
+    // build and exited 1.  An end time that is not positive ran and
+    // exited 0: `--tau-end -5` wrote a_end = inf and NaN potentials,
+    // `--tau-end 0` all-zero moments.  Now no worker ever starts
     let base = ["--nk", "3", "--preset", "draft", "--kmax", "0.01"];
     let plinger = env!("CARGO_BIN_EXE_plinger");
     for (cosmology, refusal) in [
         (&["--omega-c", "0.5"], "Omega_k"),
         (&["--h", "-0.5"], "h = -0.5"),
         (&["--omega-b", "-0.1"], "omega_b = -0.1"),
+        (&["--tau-end", "-5"], "tau_end = -5"),
+        (&["--tau-end", "0"], "tau_end = 0"),
     ] {
         for (exe, extra) in [
             (plinger, &["--transport", "channel"][..]),
@@ -221,4 +225,22 @@ fn an_infinite_kmax_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.starts_with("error: bad k range"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_serve_client_refuses_an_end_time_the_wire_cannot_carry() {
+    // the wire reads a negative or NaN tau_end as "today": sent on, the
+    // request would be served as a different job.  The client refuses
+    // it before it connects (nothing listens on the address)
+    for tau_end in ["-5", "nan"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_plinger-serve"))
+            .args(["--connect", "127.0.0.1:1", "--preset", "draft"])
+            .args(["--nk", "2", "--tau-end", tau_end])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tau_end}: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.starts_with("error: tau_end"), "{tau_end}: {err}");
+    }
 }

@@ -217,11 +217,12 @@ for needle in (
     assert needle in scrape, f"scrape missing {needle!r}"
 print(f"service smoke: 1 hit / 2 misses, body fnv {r1['fnv']}, /metrics live")
 EOF
-# an out-of-range parameter is refused at admission (h = -0.5 is flat,
-# so only the range check catches it) and the pool serves the next
-# request: no worker ever saw the bad one
+# an out-of-range parameter (h = -0.5 is flat, so only the range check
+# catches it) and an end time that is not positive are refused at
+# admission, and the pool serves the next request: no worker ever saw
+# the bad ones
 "$serve_bin" --listen 127.0.0.1:0 --transport channel --workers 2 \
-    --max-requests 2 > "$serve_log" 2> "$smoke_dir/serve.err" &
+    --max-requests 3 > "$serve_log" 2> "$smoke_dir/serve.err" &
 serve_pid=$!
 serve_addr=""
 for _ in $(seq 1 100); do
@@ -233,17 +234,23 @@ done
 set +e
 bad_h="$(req --nk 2 --h -0.5 2>&1)"
 bad_h_code=$?
+bad_tau="$(req --nk 2 --tau-end 0 2>&1)"
+bad_tau_code=$?
 set -e
 if [ "$bad_h_code" -eq 0 ] || ! grep -q "bad-request" <<<"$bad_h" \
     || ! grep -q "h = -0.5" <<<"$bad_h"; then
     echo "h = -0.5 was not refused as a bad request (exit $bad_h_code): $bad_h"; exit 1
+fi
+if [ "$bad_tau_code" -eq 0 ] || ! grep -q "bad-request" <<<"$bad_tau" \
+    || ! grep -q "tau_end = 0" <<<"$bad_tau"; then
+    echo "tau_end = 0 was not refused as a bad request (exit $bad_tau_code): $bad_tau"; exit 1
 fi
 good="$(req --nk 2)"
 wait "$serve_pid"
 grep -q "cache_hit=0" <<<"$good" && grep -q "outputs=2" <<<"$good" \
     || { echo "the request after a refused one failed: $good"; exit 1; }
 grep -q "pool jobs=1" "$serve_log" || { echo "unexpected summary: $(cat "$serve_log")"; exit 1; }
-echo "service smoke: h = -0.5 refused at admission, next request served"
+echo "service smoke: h = -0.5 and tau_end = 0 refused at admission, next request served"
 
 echo "== chaos soak =="
 # request-lifecycle robustness under fire: a stall-and-vanish worker
@@ -495,7 +502,7 @@ echo "== fault matrix =="
 # requeue-only); farm_transports pins that a default-config farm takes
 # the same requeue path.  The master's garbled-tag-8 test and the one
 # worker-fault grammar (drop:RANK:AFTER | stall:RANK:AFTER:MS |
-# failmode:IK) run by name.  Run them explicitly so a fault-handling
+# failmode:IK | panicmode:IK) run by name.  Run them explicitly so a fault-handling
 # regression names itself in the CI log.
 cargo test -q --test recovery_matrix
 cargo test -q -p plinger --test tcp_recovery

@@ -407,23 +407,21 @@ fn explicit_cancel_flag_aborts_the_job() {
     assert_cancel_then_serve(&ctrl, CancelReason::Cancelled);
 }
 
-/// A worker that panics — here on the state layout's assert that a
-/// massive-ν ladder has at least three moments, both ranks, first mode
-/// (a curved cosmology no longer reaches a worker) — must read dead, not
-/// busy forever: the farm ends with a typed error instead of polling a
-/// liveness flag nobody clears.
+/// A worker that panics — here the only one, on its first mode (a spec
+/// no worker can finish is refused before the job opens, so the panic
+/// is injected) — must read dead, not busy forever: the farm ends with
+/// a typed error instead of polling a liveness flag nobody clears.
 #[test]
 fn panicking_workers_surface_as_typed_errors_channel() {
-    let mut spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
-    spec.nq = Some(4);
-    spec.lmax_h = 2;
+    let spec = spec_of(&[2.0e-4, 8.0e-4, 4.0e-4]);
     let t0 = Instant::now();
-    let outcome = Farm::<ChannelWorld>::new(2)
+    let outcome = Farm::<ChannelWorld>::new(1)
         .master_config(MasterConfig {
             poll: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
             ..MasterConfig::default()
         })
+        .fault_plan(FaultPlan::PanicMode { ik: 0 })
         .run(&spec, SchedulePolicy::Fifo)
         .map(|_| ());
     assert!(
